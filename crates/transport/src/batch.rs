@@ -194,7 +194,7 @@ impl PortableSocket {
     pub fn new(sock: UdpSocket) -> Self {
         PortableSocket {
             sock,
-            scratch: vec![0u8; crate::runtime::MAX_DATAGRAM],
+            scratch: vec![0u8; crate::reactor::MAX_DATAGRAM],
         }
     }
 }
@@ -271,7 +271,7 @@ impl MmsgSocket {
         MmsgSocket {
             sock,
             ready: Vec::new(),
-            scratch: vec![0u8; crate::runtime::MAX_DATAGRAM],
+            scratch: vec![0u8; crate::reactor::MAX_DATAGRAM],
             gso_ok: true,
         }
     }

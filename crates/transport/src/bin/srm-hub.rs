@@ -6,7 +6,8 @@
 //! ```
 //!
 //! The hub binds one UDP socket and demultiplexes inbound frames by group
-//! id onto a fixed pool of shard reactors, each hosting many SRM agents —
+//! id onto a fixed pool of reactors (the ones `srm-node` runs one of), each
+//! hosting many SRM agents —
 //! the paper's light-weight sessions (§I) made literal: adding a session
 //! adds an agent, a timer wheel, and an RNG, never a socket or a thread.
 //!
@@ -269,7 +270,6 @@ fn main() {
         let stop = Arc::clone(&stats_stop);
         let path = args.stats_file.clone().expect("stats file set with registry");
         let interval = Duration::from_secs_f64(args.stats_interval);
-        let stats_hub = hub.clone();
         std::thread::spawn(move || {
             let mut file = match std::fs::File::create(&path) {
                 Ok(f) => f,
@@ -280,9 +280,6 @@ fn main() {
             };
             loop {
                 let stopping = stop.load(Ordering::Relaxed);
-                // stats() refreshes the hub-level registry mirrors before
-                // the snapshot is taken.
-                let _ = stats_hub.stats();
                 let snap = reg.snapshot();
                 let _ = writeln!(file, "{}", snap.to_json_line()).and_then(|()| file.flush());
                 if stopping {

@@ -31,10 +31,12 @@ impl WallClock {
         }
     }
 
-    /// Start a clock whose local readings lead true time by `skew`.
-    pub fn with_skew(skew: SimDuration) -> Self {
+    /// This clock, its local readings leading true time by `skew`: every
+    /// group a reactor hosts shares the reactor's origin and carries its
+    /// own skew.
+    pub(crate) fn skewed(&self, skew: SimDuration) -> Self {
         WallClock {
-            origin: Instant::now(),
+            origin: self.origin,
             skew,
         }
     }
@@ -85,7 +87,7 @@ mod tests {
 
     #[test]
     fn skew_shifts_local_readings_only() {
-        let c = WallClock::with_skew(SimDuration::from_secs(5));
+        let c = WallClock::new().skewed(SimDuration::from_secs(5));
         let now = c.now();
         let local = c.local_now();
         assert!(local.since(now) >= SimDuration::from_secs(5));

@@ -4,76 +4,103 @@
 //! an agent, a timer wheel, an RNG, and a peer list. A whole host process
 //! per session therefore wastes the expensive parts — sockets, threads,
 //! kernel buffers — on state that costs almost nothing. The hub inverts
-//! that: **one** batched UDP socket and a small fixed pool of shard
-//! reactors host arbitrarily many groups.
+//! that: **one** batched UDP socket and a small fixed pool of reactors
+//! host arbitrarily many groups.
 //!
-//! ```text
-//!                   ┌───────────── hub process ─────────────┐
-//!   UDP ──recv──▶ demux ──group id──▶ shard 0 ─▶ agents g1,g5,…
-//!   socket          │ (precheck only) shard 1 ─▶ agents g2,g6,…
-//!     ▲             │                 …
-//!     └──────send───┴──── every shard sends on a socket clone
-//! ```
+//! A hub is the N-reactor case of `reactor.rs` (the diagram lives
+//! there): [`Hub::spawn_on`] starts the reactors with nothing hosted, and
+//! [`HubHandle::create`] turns a [`GroupSpec`] into the same per-group
+//! options a [`NodeOptions`] carries and hosts it on `shard_of(group)`.
+//! What a hub group adds to a node's is an optional token bucket (§III-E,
+//! refusals counted as `quota_overflow`), and that deliveries are counted
+//! and discarded rather than kept for a caller.
 //!
-//! The demux thread reads only the envelope prefix
-//! ([`Envelope::precheck`]: magic, version, group id) and routes each
-//! frame to `shard_of(group)` — the full decode, and every protocol
-//! decision, happens on the owning shard, so the inbound path stays
-//! zero-copy: the pooled receive buffer itself travels down the shard
-//! channel. The one exception is a GRO-coalesced buffer whose segments
-//! straddle shards; it is split with per-segment copies and counted
-//! (`demux_splits`), so the cost is visible, rare, and never silent.
+//! The recv loop reads only the envelope prefix
+//! ([`Envelope::precheck`](crate::Envelope::precheck): magic, version,
+//! group id) and routes each frame to `shard_of(group)` — the full decode,
+//! and every protocol decision, happens on the owning reactor, so the
+//! inbound path stays zero-copy: the pooled receive buffer itself travels
+//! down the reactor's channel. The one exception is a GRO-coalesced buffer
+//! whose segments straddle shards; it is split with per-segment copies and
+//! counted (`demux_splits`), so the cost is visible, rare, and never
+//! silent.
 //!
 //! Control (create/join/send/drain/stats/stop) arrives as line-JSON via
-//! [`crate::control`]; per-group token buckets (§III-E) meter each
-//! session's send rate with refusals counted as `quota_overflow`. The
-//! frame-accounting invariant of the single-node runtime carries over
-//! hub-wide: `frames_attempted == frames_sent + send_errors`, because
-//! quota refusals (like chaos drops) happen before the fan-out.
+//! [`crate::control`]. The frame-accounting invariant of the node runtime
+//! holds hub-wide — `frames_attempted == frames_sent + frames_dropped +
+//! blackholed + send_errors` — because quota refusals (like chaos drops)
+//! happen before the fan-out.
 
-use crate::batch::{make_backend, BatchOptions, RecvFrame};
-use crate::clock::WallClock;
+use crate::batch::BatchOptions;
 use crate::control::GroupSpec;
-use crate::envelope::Envelope;
-use crate::pool::{BufferPool, PoolBuf};
-use crate::shard::{
-    run_shard, DrainOutcome, GroupStats, ShardCommand, ShardConfig, ShardEvent, ShardReply,
-};
-use crate::supervise::{run_supervised, ExitReason, StepOutcome, SupervisePolicy};
+use crate::reactor::{self, Event, HostKind, Hosting, Plant, Reactor};
+use crate::runtime::{Counters, Mode, NodeOptions, StoreOptions, TransportStats};
+use crate::supervise::SupervisePolicy;
+use bytes::Bytes;
+use netsim::{GroupId, SimDuration};
+use srm::{Driver, PageId, RateLimit, SourceId, SrmAgent, SrmConfig};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Read timeout on the demux thread's socket, bounding shutdown latency.
-const RECV_POLL: Duration = Duration::from_millis(25);
 /// How long a control call waits for its shard's reply before declaring
 /// the shard wedged.
 const RPC_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Hub-wide frame accounting, shared by the demux thread and every shard.
-///
-/// The invariant from the single-node runtime holds across the whole hub:
-/// `frames_attempted == frames_sent + send_errors` once the shards are
-/// quiescent, regardless of quota pressure (refusals never reach the
-/// fan-out).
-#[derive(Default)]
-pub(crate) struct HubCounters {
-    pub frames_attempted: AtomicU64,
-    pub frames_sent: AtomicU64,
-    pub send_errors: AtomicU64,
-    pub rx_frames: AtomicU64,
-    pub rx_undecodable: AtomicU64,
-    pub rx_unjoined_group: AtomicU64,
-    pub inbound_overflow: AtomicU64,
-    pub demux_splits: AtomicU64,
+/// Per-group counters snapshot, the unit of the hub's `stats` rollup.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GroupStats {
+    /// Group id.
+    pub group: u32,
+    /// The shard hosting it.
+    pub shard: usize,
+    /// Configured group size.
+    pub members: usize,
+    /// Frames routed to this group's agent (post filtering).
+    pub rx_frames: u64,
+    /// Logical multicasts the agent issued (pre fan-out).
+    pub tx_frames: u64,
+    /// ADUs delivered to the hub-side application.
+    pub delivered: u64,
+    /// Original ADUs this group's agent published.
+    pub data_sent: u64,
+    /// Repairs this group's agent answered.
+    pub repairs_sent: u64,
+    /// Session messages this group's agent sent.
+    pub session_sent: u64,
+    /// Frames refused by the group's token-bucket quota (dropped before
+    /// the fan-out).
+    pub quota_overflow: u64,
+}
+
+/// What the hub gets back from a drain (single group or all).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DrainOutcome {
+    /// Groups detached.
+    pub groups: u32,
+    /// Sum of `data_sent` over the drained groups.
+    pub data_sent: u64,
+    /// Sum of `delivered` over the drained groups.
+    pub delivered: u64,
+}
+
+/// Derive one group's RNG seed from the hub seed: a splitmix-style mix so
+/// adjacent group ids land far apart, and the same `(hub seed, group)`
+/// pair replays identically regardless of which shard hosts it.
+pub fn group_seed(hub_seed: u64, group: u32) -> u64 {
+    let mut x = hub_seed ^ (u64::from(group)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Point-in-time rollup of the whole hub: per-group counters plus the
-/// shared frame accounting.
+/// hub-wide transport counters (the same ones a node reports as
+/// [`TransportStats`]).
 #[derive(Clone, Debug, Default)]
 pub struct HubStats {
     /// Every hosted group, sorted by group id (stable across shard
@@ -83,6 +110,10 @@ pub struct HubStats {
     pub frames_attempted: u64,
     /// Fan-out frames the kernel accepted.
     pub frames_sent: u64,
+    /// Fan-out frames a group's [`LossPolicy`](crate::LossPolicy) suppressed.
+    pub frames_dropped: u64,
+    /// Fan-out frames swallowed by a group's chaos blackhole windows.
+    pub blackholed: u64,
     /// Fan-out frames the kernel refused.
     pub send_errors: u64,
     /// Frames routed to a hosted group's agent.
@@ -98,6 +129,12 @@ pub struct HubStats {
     /// GRO buffers whose segments straddled shards and had to be split
     /// with per-segment copies (the only non-zero-copy inbound path).
     pub demux_splits: u64,
+    /// Transient recv errors retried in place by the supervisor.
+    pub recv_transient_errors: u64,
+    /// Recv-loop respawns after fatal errors or panics.
+    pub recv_respawns: u64,
+    /// Recv loops that exhausted the respawn budget and died for good.
+    pub recv_deaths: u64,
 }
 
 impl HubStats {
@@ -108,7 +145,8 @@ impl HubStats {
         let mut s = format!(
             "{{\"ok\":true,\"cmd\":\"stats\",\"hub\":{{\"frames_attempted\":{},\"frames_sent\":{},\
              \"send_errors\":{},\"rx_frames\":{},\"rx_undecodable\":{},\"rx_unjoined_group\":{},\
-             \"inbound_overflow\":{},\"demux_splits\":{}}},\"groups\":[",
+             \"inbound_overflow\":{},\"demux_splits\":{},\"frames_dropped\":{},\"blackholed\":{},\
+             \"recv_transient_errors\":{},\"recv_respawns\":{},\"recv_deaths\":{}}},\"groups\":[",
             self.frames_attempted,
             self.frames_sent,
             self.send_errors,
@@ -117,6 +155,11 @@ impl HubStats {
             self.rx_unjoined_group,
             self.inbound_overflow,
             self.demux_splits,
+            self.frames_dropped,
+            self.blackholed,
+            self.recv_transient_errors,
+            self.recv_respawns,
+            self.recv_deaths,
         );
         for (i, g) in self.groups.iter().enumerate() {
             if i > 0 {
@@ -161,19 +204,21 @@ pub fn shard_of(group: u32, shards: usize) -> usize {
 pub struct HubOptions {
     /// Shard reactor count (each is one thread hosting many groups).
     pub shards: usize,
-    /// Hub seed; each group's RNG derives from it via
-    /// [`crate::shard::group_seed`], so replays are per-group stable no
-    /// matter which shard hosts the group.
+    /// Hub seed; each group's RNG derives from it via [`group_seed`], so
+    /// replays are per-group stable no matter which shard hosts the group.
     pub seed: u64,
-    /// Batched-datapath tuning, shared by the demux thread and every
-    /// shard's send half.
+    /// Batched-datapath tuning, shared by the recv loop and every
+    /// reactor's send half.
     pub batch: BatchOptions,
-    /// Live metrics registry: per-group counters land as `hub.g{G}.*`,
-    /// shard gauges as `hub.shard{i}.*`.
+    /// Live metrics registry: per-group mirrors land as `hub.g{G}.*`,
+    /// per-reactor gauges as `hub.shard{i}.*`, the hub-wide counters as
+    /// `hub.` + their `stats` key (`hub.frames_sent`, `hub.demux_splits`,
+    /// …), and the stage histograms and by-kind frame counts under the
+    /// names a node uses.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Durable-store root: group `g` logs under `<root>/<g>/`.
     pub store_root: Option<PathBuf>,
-    /// Demux recv-thread supervision (classify/backoff/respawn).
+    /// Recv-thread supervision (classify/backoff/respawn).
     pub supervision: SupervisePolicy,
 }
 
@@ -201,51 +246,14 @@ pub struct CreateOutcome {
 
 struct HubInner {
     addr: SocketAddr,
-    shard_tx: Vec<mpsc::SyncSender<ShardEvent>>,
-    counters: Arc<HubCounters>,
+    txs: Vec<mpsc::SyncSender<Event>>,
+    counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
-    metrics: Option<HubReg>,
-}
-
-/// Hub-level registry mirrors, refreshed on every `stats()` call (the
-/// hub has no central reactor loop to refresh them from).
-struct HubReg {
-    frames_attempted: obs::Counter,
-    frames_sent: obs::Counter,
-    send_errors: obs::Counter,
-    rx_frames: obs::Counter,
-    rx_undecodable: obs::Counter,
-    rx_unjoined: obs::Counter,
-    inbound_overflow: obs::Counter,
-    demux_splits: obs::Counter,
-}
-
-impl HubReg {
-    fn new(reg: &obs::MetricsRegistry) -> Self {
-        HubReg {
-            frames_attempted: reg.counter("hub.frames_attempted"),
-            frames_sent: reg.counter("hub.frames_sent"),
-            send_errors: reg.counter("hub.send_errors"),
-            rx_frames: reg.counter("hub.rx_frames"),
-            rx_undecodable: reg.counter("hub.rx_undecodable"),
-            rx_unjoined: reg.counter("hub.rx_unjoined_group"),
-            inbound_overflow: reg.counter("hub.inbound_overflow"),
-            demux_splits: reg.counter("hub.demux_splits"),
-        }
-    }
-
-    fn refresh(&self, c: &HubCounters) {
-        self.frames_attempted.set_total(c.frames_attempted.load(Ordering::Relaxed));
-        self.frames_sent.set_total(c.frames_sent.load(Ordering::Relaxed));
-        self.send_errors.set_total(c.send_errors.load(Ordering::Relaxed));
-        self.rx_frames.set_total(c.rx_frames.load(Ordering::Relaxed));
-        self.rx_undecodable.set_total(c.rx_undecodable.load(Ordering::Relaxed));
-        self.rx_unjoined.set_total(c.rx_unjoined_group.load(Ordering::Relaxed));
-        self.inbound_overflow.set_total(c.inbound_overflow.load(Ordering::Relaxed));
-        self.demux_splits.set_total(c.demux_splits.load(Ordering::Relaxed));
-    }
+    seed: u64,
+    metrics: Option<obs::MetricsRegistry>,
+    store_root: Option<PathBuf>,
 }
 
 /// Spawner for hub runtimes.
@@ -257,72 +265,47 @@ impl Hub {
         Hub::spawn_on(UdpSocket::bind(bind)?, opts)
     }
 
-    /// Start a hub on an already-bound socket.
+    /// Start a hub on an already-bound socket: `opts.shards` reactors
+    /// with nothing hosted yet.
     pub fn spawn_on(socket: UdpSocket, opts: HubOptions) -> io::Result<HubHandle> {
         let addr = socket.local_addr()?;
-        // One call covers every clone: dup'd descriptors share the socket,
-        // and N shards can burst flushes into the same kernel buffer.
-        crate::batch::configure_socket_buffers(&socket, opts.batch.socket_bufs);
-
-        let shards = opts.shards.max(1);
-        let counters = Arc::new(HubCounters::default());
-        let clock = WallClock::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut shard_tx = Vec::with_capacity(shards);
-        let mut threads = Vec::with_capacity(shards + 1);
-
-        for index in 0..shards {
-            let (tx, rx) = mpsc::sync_channel::<ShardEvent>(opts.batch.inbound_capacity.max(1));
-            shard_tx.push(tx);
-            let send = make_backend(socket.try_clone()?, &opts.batch);
-            let cfg = ShardConfig {
-                index,
-                seed: opts.seed,
-                clock: clock.clone(),
-                batch: opts.batch,
-                metrics: opts.metrics.clone(),
-                store_root: opts.store_root.clone(),
-                counters: Arc::clone(&counters),
-            };
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("srm-hub-shard{index}"))
-                    .spawn(move || run_shard(cfg, send, rx))?,
-            );
-        }
-
-        let demux_txs = shard_tx.clone();
-        let demux_counters = Arc::clone(&counters);
-        let demux_stop = Arc::clone(&stop);
-        let demux_clock = clock;
-        let policy = opts.supervision;
-        let batch = opts.batch;
-        threads.push(
-            thread::Builder::new()
-                .name("srm-hub-demux".to_string())
-                .spawn(move || {
-                    run_demux_supervised(
-                        &policy,
-                        socket,
-                        addr,
-                        batch,
-                        demux_clock,
-                        demux_txs,
-                        demux_counters,
-                        demux_stop,
-                    )
-                })?,
-        );
-
+        let Plant { txs, reactors, counters, stop, recv } = reactor::build(
+            socket,
+            opts.shards.max(1),
+            HostKind::Hub,
+            opts.batch,
+            opts.supervision,
+            opts.metrics.clone(),
+        )?;
+        let spawned: io::Result<Vec<_>> = reactors
+            .into_iter()
+            .enumerate()
+            .map(|(i, (reactor, rx))| {
+                // On shutdown every still-hosted group drains gracefully.
+                thread::Builder::new().name(format!("srm-hub-shard{i}")).spawn(move || {
+                    reactor.run(rx).drain_all();
+                })
+            })
+            .collect();
+        let mut threads = match spawned {
+            Ok(threads) => threads,
+            Err(e) => {
+                stop.store(true, Ordering::SeqCst);
+                return Err(e);
+            }
+        };
+        threads.push(recv);
         Ok(HubHandle {
             inner: Arc::new(HubInner {
                 addr,
-                shard_tx,
+                txs,
                 counters,
                 stop,
                 threads: Mutex::new(threads),
                 stopped: AtomicBool::new(false),
-                metrics: opts.metrics.as_ref().map(HubReg::new),
+                seed: opts.seed,
+                metrics: opts.metrics,
+                store_root: opts.store_root,
             }),
         })
     }
@@ -343,63 +326,122 @@ impl HubHandle {
 
     /// Shard count (fixed at spawn).
     pub fn shards(&self) -> usize {
-        self.inner.shard_tx.len()
+        self.inner.txs.len()
     }
 
-    fn rpc(
+    /// Run `f` on `shard`'s reactor thread and wait for its result.
+    fn call<R: Send + 'static>(
         &self,
         shard: usize,
-        build: impl FnOnce(mpsc::SyncSender<ShardReply>) -> ShardCommand,
-    ) -> Result<ShardReply, String> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.inner.shard_tx[shard]
-            .send(ShardEvent::Command(build(tx)))
-            .map_err(|_| format!("shard {shard} is down"))?;
-        rx.recv_timeout(RPC_TIMEOUT)
+        f: impl FnOnce(&mut Reactor) -> R + Send + 'static,
+    ) -> Result<R, String> {
+        reactor::submit(&self.inner.txs[shard], f)
+            .ok_or_else(|| format!("shard {shard} is down"))?
+            .recv_timeout(RPC_TIMEOUT)
             .map_err(|_| format!("shard {shard} did not reply"))
     }
 
     /// Host a group on its hash-assigned shard. `idempotent` is `join`
     /// semantics: a duplicate reports `already:true` instead of an error.
     pub fn create(&self, spec: GroupSpec, idempotent: bool) -> Result<CreateOutcome, String> {
-        let shard = shard_of(spec.group, self.shards());
-        match self.rpc(shard, |reply| ShardCommand::Create { spec, idempotent, reply })? {
-            ShardReply::Created { already } => Ok(CreateOutcome { shard, already }),
-            ShardReply::Err(e) => Err(e),
-            _ => Err("unexpected shard reply".into()),
+        let members = spec.members.max(1);
+        let mut opts = NodeOptions::new(
+            SourceId(spec.id),
+            GroupId(spec.group),
+            SrmConfig::fixed(members),
+        );
+        opts.seed = group_seed(self.inner.seed, spec.group);
+        opts.metrics = self.inner.metrics.clone();
+        if let Some(ms) = spec.dist_ms {
+            opts.initial_distances = (1..=members as u64)
+                .filter(|&m| m != spec.id)
+                .map(|m| (SourceId(m), SimDuration::from_millis(ms)))
+                .collect();
         }
+        opts.store = (self.inner.store_root.as_ref())
+            .map(|root| StoreOptions::new(root.join(spec.group.to_string())));
+        let quota = spec.rate.map(|rate| RateLimit {
+            bytes_per_sec: rate,
+            burst_bytes: spec.burst.unwrap_or(2.0 * rate),
+        });
+        self.host(Mode::Mesh { peers: spec.peers }, opts, quota, spec.members, idempotent)
+    }
+
+    /// [`HubHandle::create`] from Rust: host a member described by the
+    /// options a standalone node takes, so a hub group can carry a seeded
+    /// chaos plan, a loss policy, liveness tracking and recorders. The
+    /// per-socket fields of `opts` (`batch`, `supervision`) do not apply —
+    /// the hub's own do. A group already hosted is an error.
+    pub fn create_with(&self, mode: Mode, opts: NodeOptions) -> Result<CreateOutcome, String> {
+        let members = mode.group_size();
+        self.host(mode, opts, None, members, false)
+    }
+
+    fn host(
+        &self,
+        mode: Mode,
+        opts: NodeOptions,
+        quota: Option<RateLimit>,
+        members: usize,
+        idempotent: bool,
+    ) -> Result<CreateOutcome, String> {
+        let group = opts.group.0;
+        let shard = shard_of(group, self.shards());
+        let hosting = Hosting {
+            keep_deliveries: false,
+            quota,
+            members,
+            reg_prefix: format!("hub.g{group}."),
+        };
+        let already = self.call(shard, move |r| {
+            if r.hosts(group) {
+                return if idempotent { Ok(true) } else { Err(format!("group {group} already exists")) };
+            }
+            r.host(mode, opts, hosting);
+            Ok(false)
+        })??;
+        Ok(CreateOutcome { shard, already })
+    }
+
+    /// Run `f` against `group`'s live agent on its reactor thread and
+    /// return the result — what [`NodeHandle::exec`](crate::NodeHandle::exec)
+    /// is to a node.
+    pub fn exec<R, F>(&self, group: u32, f: F) -> Result<R, String>
+    where
+        F: FnOnce(&mut SrmAgent, &mut dyn Driver) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        self.call(shard_of(group, self.shards()), move |r| r.with_group(group, f))?
+            .ok_or_else(|| format!("group {group} not hosted"))
     }
 
     /// Publish `count` ADUs of `text` on `group`'s page 0; returns the
     /// last ADU's name.
     pub fn send(&self, group: u32, text: &str, count: u32) -> Result<String, String> {
-        let shard = shard_of(group, self.shards());
         let text = text.to_string();
-        match self.rpc(shard, |reply| ShardCommand::Send { group, text, count, reply })? {
-            ShardReply::Sent { last } => Ok(last),
-            ShardReply::Err(e) => Err(e),
-            _ => Err("unexpected shard reply".into()),
-        }
+        self.exec(group, move |a, d| {
+            let page = PageId::new(a.id, 0);
+            let mut last = String::new();
+            for i in 0..count {
+                let body = if count == 1 { text.clone() } else { format!("{text} #{i}") };
+                last = a.send_data(d, page, Bytes::from(body.into_bytes())).to_string();
+            }
+            last
+        })
     }
 
     /// Gracefully drain one group: final session message, WAL flush,
     /// detach.
     pub fn drain(&self, group: u32) -> Result<DrainOutcome, String> {
-        let shard = shard_of(group, self.shards());
-        match self.rpc(shard, |reply| ShardCommand::Drain { group, reply })? {
-            ShardReply::Drained(out) => Ok(out),
-            ShardReply::Err(e) => Err(e),
-            _ => Err("unexpected shard reply".into()),
-        }
+        self.call(shard_of(group, self.shards()), move |r| r.drain(group))?
+            .ok_or_else(|| format!("group {group} not hosted"))
     }
 
     /// Drain every hosted group on every shard (the hub keeps running).
     pub fn drain_all(&self) -> DrainOutcome {
         let mut total = DrainOutcome::default();
         for shard in 0..self.shards() {
-            if let Ok(ShardReply::Drained(one)) =
-                self.rpc(shard, |reply| ShardCommand::DrainAll { reply })
-            {
+            if let Ok(one) = self.call(shard, Reactor::drain_all) {
                 total.groups += one.groups;
                 total.data_sent += one.data_sent;
                 total.delivered += one.delivered;
@@ -408,45 +450,47 @@ impl HubHandle {
         total
     }
 
-    /// Roll up per-group counters from every shard plus the hub-shared
-    /// frame accounting. Groups come back sorted by id.
+    /// Roll up per-group counters from every shard plus the hub-wide
+    /// transport counters. Groups come back sorted by id.
     pub fn stats(&self) -> HubStats {
         let mut groups = Vec::new();
         for shard in 0..self.shards() {
-            if let Ok(ShardReply::Stats(mut s)) =
-                self.rpc(shard, |reply| ShardCommand::Stats { reply })
-            {
+            if let Ok(mut s) = self.call(shard, |r| r.group_stats()) {
                 groups.append(&mut s);
             }
         }
         groups.sort_by_key(|g| g.group);
-        let c = &self.inner.counters;
-        if let Some(reg) = &self.inner.metrics {
-            reg.refresh(c);
-        }
+        let t = TransportStats::snapshot(&self.inner.counters);
         HubStats {
             groups,
-            frames_attempted: c.frames_attempted.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            send_errors: c.send_errors.load(Ordering::Relaxed),
-            rx_frames: c.rx_frames.load(Ordering::Relaxed),
-            rx_undecodable: c.rx_undecodable.load(Ordering::Relaxed),
-            rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
-            inbound_overflow: c.inbound_overflow.load(Ordering::Relaxed),
-            demux_splits: c.demux_splits.load(Ordering::Relaxed),
+            frames_attempted: t.frames_attempted,
+            frames_sent: t.frames_sent,
+            frames_dropped: t.frames_dropped,
+            blackholed: t.blackholed,
+            send_errors: t.send_errors,
+            rx_frames: t.frames_received,
+            rx_undecodable: t.decode_errors,
+            rx_unjoined_group: t.rx_unjoined_group,
+            inbound_overflow: t.inbound_overflow,
+            demux_splits: t.demux_splits,
+            recv_transient_errors: t.recv_transient_errors,
+            recv_respawns: t.recv_respawns,
+            recv_deaths: t.recv_deaths,
         }
     }
 
-    /// Stop the hub: drain every group, stop the demux thread, join all
+    /// Stop the hub: drain every group, stop the recv thread, join all
     /// threads. Idempotent; later calls (and other clones) are no-ops.
     pub fn shutdown(&self) {
         if self.inner.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
         self.inner.stop.store(true, Ordering::SeqCst);
-        for tx in &self.inner.shard_tx {
-            let _ = tx.send(ShardEvent::Shutdown);
+        for tx in &self.inner.txs {
+            let _ = tx.send(Event::Shutdown);
         }
+        // A thread that panicked while holding the lock leaves the list
+        // itself intact; joining what is there is still right.
         let mut threads = self.inner.threads.lock().unwrap_or_else(|e| e.into_inner());
         for t in threads.drain(..) {
             let _ = t.join();
@@ -459,188 +503,8 @@ impl Drop for HubInner {
         // Last handle gone without an explicit shutdown: stop the threads
         // rather than leaking them, but don't block on joins in drop.
         self.stop.store(true, Ordering::SeqCst);
-        for tx in &self.shard_tx {
-            let _ = tx.try_send(ShardEvent::Shutdown);
-        }
-    }
-}
-
-/// The supervised demux loop: drain a batch from the shared socket,
-/// precheck each buffer's leading frame(s) for the routing group id, and
-/// move the pooled buffer — zero-copy — down the owning shard's channel.
-/// Poll timeouts are heartbeats (checking the stop flag); everything else
-/// goes through the classify/backoff/respawn state machine.
-#[allow(clippy::too_many_arguments)]
-fn run_demux_supervised(
-    policy: &SupervisePolicy,
-    master: UdpSocket,
-    local: SocketAddr,
-    batch: BatchOptions,
-    clock: WallClock,
-    shard_tx: Vec<mpsc::SyncSender<ShardEvent>>,
-    counters: Arc<HubCounters>,
-    stop: Arc<AtomicBool>,
-) {
-    let pool = BufferPool::new(batch.pool_slabs, crate::runtime::MAX_DATAGRAM);
-    if batch.batch_sched {
-        crate::batch::enter_batch_scheduling();
-    }
-    let reason = run_supervised(
-        policy,
-        |attempt| {
-            let sock = if attempt == 0 {
-                master.try_clone()?
-            } else {
-                // Respawn: prefer a clone of the original descriptor, fall
-                // back to a fresh bind of the same address.
-                master.try_clone().or_else(|_| UdpSocket::bind(local))?
-            };
-            sock.set_read_timeout(Some(RECV_POLL))?;
-            let mut backend = make_backend(sock, &batch);
-            let shard_tx = shard_tx.clone();
-            let counters = Arc::clone(&counters);
-            let stop = Arc::clone(&stop);
-            let clock = clock.clone();
-            let pool = pool.clone();
-            let mut bufs: Vec<RecvFrame> = Vec::new();
-            Ok(move || -> io::Result<StepOutcome> {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(StepOutcome::Stop);
-                }
-                bufs.clear();
-                match backend.recv_batch(&pool, batch.recv_batch, &mut bufs) {
-                    Ok(_) => {}
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        // Heartbeat: nothing arrived within the poll
-                        // window; loop to re-check the stop flag.
-                        return Ok(StepOutcome::Continue);
-                    }
-                    Err(e) => return Err(e),
-                }
-                let at = clock.now();
-                for f in bufs.drain(..) {
-                    route_frame(at, f, &shard_tx, &counters);
-                }
-                Ok(StepOutcome::Continue)
-            })
-        },
-        |_event| {},
-        |backoff| {
-            // Interruptible backoff, keeping shutdown latency bounded.
-            let mut left = backoff;
-            while !stop.load(Ordering::Relaxed) && left > Duration::ZERO {
-                let chunk = left.min(RECV_POLL);
-                thread::sleep(chunk);
-                left = left.saturating_sub(chunk);
-            }
-        },
-    );
-    if matches!(reason, ExitReason::Exhausted { .. }) {
-        eprintln!("srm-hub: demux thread died: {}", reason.label());
-    }
-}
-
-/// Route one received buffer. Fast path: every segment prechecks to the
-/// same shard (always true for plain datagrams), so the whole pooled
-/// buffer moves zero-copy. Slow path: a GRO buffer straddling shards is
-/// split per segment (counted in `demux_splits`).
-fn route_frame(
-    at: netsim::SimTime,
-    f: RecvFrame,
-    shard_tx: &[mpsc::SyncSender<ShardEvent>],
-    counters: &HubCounters,
-) {
-    let shards = shard_tx.len();
-    let data: &[u8] = &f.buf;
-    let stride = match f.seg_size as usize {
-        0 => data.len().max(1),
-        s => s,
-    };
-
-    // First pass over the segment prefixes only: where does each go?
-    let mut target: Option<usize> = None;
-    let mut uniform = true;
-    let mut any_ok = false;
-    let mut off = 0;
-    while off < data.len() {
-        let chunk = &data[off..(off + stride).min(data.len())];
-        off += stride;
-        match Envelope::precheck(chunk) {
-            Ok(group) => {
-                any_ok = true;
-                let s = shard_of(group, shards);
-                match target {
-                    None => target = Some(s),
-                    Some(t) if t == s => {}
-                    Some(_) => uniform = false,
-                }
-            }
-            Err(_) => {
-                // A bad segment inside an otherwise-routable buffer still
-                // forces the split path so the good segments survive and
-                // the bad one is counted exactly once, here.
-                if f.seg_size != 0 && data.len() > stride {
-                    uniform = false;
-                } else {
-                    counters.rx_undecodable.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-    }
-
-    if !any_ok {
-        // Multi-segment buffer where nothing prechecks: count each
-        // segment and drop the lot.
-        let n = data.len().div_ceil(stride).max(1) as u64;
-        counters.rx_undecodable.fetch_add(n, Ordering::Relaxed);
-        return;
-    }
-
-    if uniform {
-        let shard = target.unwrap_or(0);
-        let frames = f.frame_count() as u64;
-        match shard_tx[shard].try_send(ShardEvent::Datagram(at, f.seg_size, f.buf)) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) => {
-                // Shed, count, keep draining the socket: SRM repairs the
-                // gap exactly as it would wire loss. A shed coalesced
-                // buffer loses every frame it carried.
-                counters.inbound_overflow.fetch_add(frames, Ordering::Relaxed);
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {}
-        }
-        return;
-    }
-
-    // Split path: per-segment copies, one datagram event each.
-    counters.demux_splits.fetch_add(1, Ordering::Relaxed);
-    let mut off = 0;
-    while off < data.len() {
-        let chunk = &data[off..(off + stride).min(data.len())];
-        off += stride;
-        match Envelope::precheck(chunk) {
-            Ok(group) => {
-                let shard = shard_of(group, shards);
-                match shard_tx[shard].try_send(ShardEvent::Datagram(
-                    at,
-                    0,
-                    PoolBuf::copied_from(chunk),
-                )) {
-                    Ok(()) | Err(mpsc::TrySendError::Disconnected(_)) => {}
-                    Err(mpsc::TrySendError::Full(_)) => {
-                        counters.inbound_overflow.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(_) => {
-                counters.rx_undecodable.fetch_add(1, Ordering::Relaxed);
-            }
+        for tx in &self.txs {
+            let _ = tx.try_send(Event::Shutdown);
         }
     }
 }
@@ -648,7 +512,6 @@ fn route_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::group_seed;
 
     #[test]
     fn shard_of_is_stable_and_in_range() {

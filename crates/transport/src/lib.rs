@@ -14,9 +14,11 @@
 //! - [`Envelope`]: the datagram frame carrying the simulator packet
 //!   metadata (source, TTL, scope, flow) around the untouched
 //!   [`srm::wire`] message encoding.
-//! - [`Node`] / [`NodeHandle`]: a thread-per-socket reactor per member —
-//!   receive thread feeding a channel, main loop interleaving datagrams
-//!   with [`TimerWheel`] deadlines.
+//! - [`Node`] / [`NodeHandle`] and [`Hub`] / [`HubHandle`]: the two ways
+//!   to start the one reactor — a receive thread feeding a channel, a main
+//!   loop interleaving datagrams with [`TimerWheel`] deadlines for every
+//!   group it hosts. A node is one reactor hosting one group on its own
+//!   socket; a hub is N reactors hosting groups on demand behind one.
 //! - [`Mode`]: real IP multicast (`join_multicast_v4`) or a unicast
 //!   loopback mesh (the CI-friendly stand-in for group delivery).
 //! - [`LossPolicy`]: deterministic send-side loss for recovery tests.
@@ -56,8 +58,8 @@ pub mod harness;
 pub mod hub;
 pub mod monitor;
 pub mod pool;
+mod reactor;
 pub mod runtime;
-pub mod shard;
 pub mod soak;
 pub mod supervise;
 pub mod wheel;
@@ -71,11 +73,13 @@ pub use clock::WallClock;
 pub use control::{handle_line, parse_command, Command, GroupSpec};
 pub use envelope::{Envelope, EnvelopeError, EnvelopeView};
 pub use harness::{harvest_summary, harvest_timeline, Harness};
-pub use hub::{shard_of, CreateOutcome, Hub, HubHandle, HubOptions, HubStats};
+pub use hub::{
+    group_seed, shard_of, CreateOutcome, DrainOutcome, GroupStats, Hub, HubHandle, HubOptions,
+    HubStats,
+};
 pub use monitor::{GroupMonitor, MemberHealth};
 pub use pool::{BufferPool, PoolBuf};
 pub use runtime::{LossPolicy, Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
-pub use shard::{group_seed, DrainOutcome, GroupStats};
 pub use soak::{SoakOptions, SoakReport};
 pub use supervise::{
     classify, run_supervised, ErrorClass, ExitReason, StepOutcome, SupervisePolicy,

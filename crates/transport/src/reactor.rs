@@ -1,0 +1,1419 @@
+//! The one reactor: a thread hosting a map of SRM groups over one send half.
+//!
+//! Both runtimes are this module. `srm-node` is one reactor with one group
+//! hosted before the loop starts and a socket of its own
+//! ([`crate::Node::spawn_on`]); `srm-hub` is N reactors sharing a socket,
+//! with groups hosted on demand ([`crate::Hub::spawn_on`]).
+//!
+//! ```text
+//!            ┌────────────────────── one host (node or hub) ─────────────────────┐
+//!  UDP ─▶ recv loop ──1 reactor: hand over──▶ reactor 0 ─▶ GroupHost g1, g5, …
+//!  socket (supervised) N reactors: precheck     reactor 1 ─▶ GroupHost g2, g6, …
+//!    ▲               + shard_of(group)          …
+//!    └───────────────── every reactor sends on a clone of the socket
+//! ```
+//!
+//! Architecture (no async runtime — the workspace builds offline):
+//!
+//! - one **receive thread** per host blocks on the socket (with a short
+//!   read timeout so shutdown is prompt) and moves pooled buffers down a
+//!   bounded channel. It runs under [`run_supervised`]: socket errors are
+//!   classified transient (retried in place with bounded exponential
+//!   backoff) or fatal (a fresh socket clone is respawned against a bounded
+//!   budget), and panics are caught and treated as fatal. Every supervision
+//!   decision is counted and forwarded to the reactors as a typed transport
+//!   event. With one reactor it hands buffers straight over; with N it
+//!   reads only the envelope prefix ([`Envelope::precheck`]) and routes to
+//!   `shard_of(group)`;
+//! - each **reactor thread** owns its [`GroupHost`]s and one send half.
+//!   It waits on the channel with a timeout bounded by the earliest timer
+//!   deadline or chaos release among its groups, so timers fire on time —
+//!   the select loop a simulator event queue collapses into
+//!   `recv_timeout`. Per wakeup it fires what was due on entry, flushes the
+//!   send queue as batched syscalls, and drains a window of events;
+//! - a [`GroupHost`] is the paper's light-weight session (§I) made
+//!   literal: an agent, a [`TimerWheel`], a seeded RNG, a peer list, and
+//!   the optional extras (loss policy, chaos state, token bucket, liveness,
+//!   recorders, durable store). Every agent entry point goes through
+//!   `HostDriver`, the one wall-clock implementation of the [`srm::Driver`]
+//!   seam, so the protocol code that runs here is byte-for-byte the code
+//!   the simulator runs. With a [`ChaosPlan`](crate::ChaosPlan) configured,
+//!   a [`ChaosTransport`] decorates the driver.
+//!
+//! Control — `NodeHandle::exec`, every hub RPC — is one event: a closure
+//! run on the reactor thread ([`submit`]), whose sends are flushed before
+//! it is answered.
+
+use crate::batch::{make_backend, BatchOptions, BatchSocket, RecvFrame, SendFrame};
+use crate::chaos::{Blackhole, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
+use crate::clock::WallClock;
+use crate::envelope::{Envelope, HEADER_LEN};
+use crate::hub::{shard_of, DrainOutcome, GroupStats};
+use crate::pool::{BufferPool, PoolBuf};
+use crate::runtime::{Counters, LossPolicy, Mode, NodeOptions, TransportStats};
+use crate::supervise::{
+    classify, run_supervised, ErrorClass, ExitReason, StepOutcome, SupervisePolicy,
+    SupervisionEvent,
+};
+use crate::wheel::TimerWheel;
+use bytes::Bytes;
+use netsim::{GroupId, NodeId, Packet, PacketBody, PacketId, SendOptions, SimDuration, SimTime, TimerId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use srm::rate::TokenBucket;
+use srm::{Clock, Driver, RateLimit, SrmAgent, Transport};
+use std::collections::BTreeMap;
+use std::io;
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Duration;
+
+/// Receive-slab size: one max-size UDP datagram, so batching can never
+/// truncate a frame.
+pub(crate) const MAX_DATAGRAM: usize = 64 * 1024;
+
+/// Initial size of the send-side encode slabs. SRM control traffic and
+/// framed data fit comfortably; a larger encode grows its slab once and
+/// the grown slab recycles at the new size.
+const TX_SLAB_BYTES: usize = 2048;
+
+/// Salt mixed into a group's seed to derive its chaos RNG, keeping the
+/// chaos draw stream independent of the protocol's timer draws.
+const CHAOS_SEED_SALT: u64 = 0xC4A0_5EED_0BAD_CA5E;
+
+/// How long a reactor sleeps when no timer is armed. Purely a
+/// responsiveness bound — channel events wake it immediately.
+const IDLE_WAIT: Duration = Duration::from_millis(250);
+/// Read timeout on the receive thread's socket, bounding shutdown latency.
+const RECV_POLL: Duration = Duration::from_millis(25);
+
+/// Flow-kind labels indexed by [`flow_slot`]; the last slot collects flows
+/// outside the four the protocol defines.
+const FLOW_KINDS: [&str; 5] = ["data", "request", "repair", "session", "other"];
+
+/// Map a wire flow label to a `FLOW_KINDS` slot.
+fn flow_slot(flow: u32) -> usize {
+    (flow as usize).min(FLOW_KINDS.len() - 1)
+}
+
+/// A registry mirror: the name it is published under and how to read its
+/// current value out of `T`.
+type Mirror<T> = (&'static str, fn(&T) -> u64);
+
+/// A host-wide mirror: the name a node publishes it under, the name a hub
+/// does (`hub.` + the `stats` reply's key), and the reader.
+type HostMirror = (&'static str, &'static str, fn(&TransportStats) -> u64);
+
+/// Registry mirrors of the host-wide [`Counters`]. Reactor 0 refreshes
+/// them once per wakeup so snapshots are complete without reaching into a
+/// handle; every source is cumulative, so `set_total` keeps the registry's
+/// counters monotone.
+const HOST_MIRRORS: [HostMirror; 18] = [
+    ("frames.attempted", "hub.frames_attempted", |s| s.frames_attempted),
+    ("frames.sent", "hub.frames_sent", |s| s.frames_sent),
+    ("frames.dropped", "hub.frames_dropped", |s| s.frames_dropped),
+    ("frames.received", "hub.rx_frames", |s| s.frames_received),
+    ("frames.blackholed", "hub.blackholed", |s| s.blackholed),
+    ("frames.send_errors", "hub.send_errors", |s| s.send_errors),
+    ("rx.decode_errors", "hub.rx_undecodable", |s| s.decode_errors),
+    ("rx.unjoined_group", "hub.rx_unjoined_group", |s| s.rx_unjoined_group),
+    ("chaos.dropped", "hub.chaos_dropped", |s| s.chaos_dropped),
+    ("chaos.duplicated", "hub.chaos_duplicated", |s| s.chaos_duplicated),
+    ("chaos.delayed", "hub.chaos_delayed", |s| s.chaos_delayed),
+    ("chaos.corrupted", "hub.chaos_corrupted", |s| s.chaos_corrupted),
+    ("recv.transient_errors", "hub.recv_transient_errors", |s| s.recv_transient_errors),
+    ("recv.respawns", "hub.recv_respawns", |s| s.recv_respawns),
+    ("recv.deaths", "hub.recv_deaths", |s| s.recv_deaths),
+    ("mode.fallbacks", "hub.mode_fallbacks", |s| s.mode_fallbacks),
+    ("inbound.overflow", "hub.inbound_overflow", |s| s.inbound_overflow),
+    ("demux.splits", "hub.demux_splits", |s| s.demux_splits),
+];
+
+/// Which entry point built the host: decides what its threads, log lines
+/// and registry entries are called, and nothing else.
+#[derive(Clone, Copy)]
+pub(crate) enum HostKind {
+    /// `Node::spawn_on`, for this member id.
+    Node(u64),
+    /// `Hub::spawn_on`.
+    Hub,
+}
+
+impl HostKind {
+    fn recv_name(self) -> String {
+        match self {
+            HostKind::Node(id) => format!("srm-recv-{id}"),
+            HostKind::Hub => "srm-hub-demux".to_string(),
+        }
+    }
+
+    /// Log-line prefix of reactor `index`.
+    fn label(self, index: usize) -> String {
+        match self {
+            HostKind::Node(id) => format!("srm-node[{id}]"),
+            HostKind::Hub => format!("srm-hub[shard {index}]"),
+        }
+    }
+}
+
+/// Reactor-side cached registry handles: resolved once at spawn so the hot
+/// path is one relaxed atomic op per update, no name lookups. Histograms
+/// and the by-kind frame counters are shared by every reactor of a host;
+/// the sampled gauges carry the reactor's prefix (none on a node,
+/// `hub.shard{i}.` on a hub).
+struct RegHandles {
+    /// Frames accepted from the socket, by flow kind.
+    rx: [obs::Counter; 5],
+    /// Logical multicasts by flow kind (pre fan-out; the per-destination
+    /// totals live in `frames.*`).
+    tx: [obs::Counter; 5],
+    /// recv-thread capture → reactor dequeue.
+    stage_queue: obs::Histo,
+    /// Reactor dequeue → envelope decoded.
+    stage_decode: obs::Histo,
+    /// Agent handling time per inbound packet (`drive_packet`).
+    stage_handle: obs::Histo,
+    /// Encode + fan-out time per logical multicast.
+    stage_send: obs::Histo,
+    /// Frames per send syscall at flush time.
+    batch_send: obs::Histo,
+    /// Channel events handled per reactor wakeup (the coalescing window).
+    batch_drain: obs::Histo,
+    /// Buffer-pool occupancy (slabs in flight) sampled per wakeup: this
+    /// reactor's encode pool, plus the host's receive pool on reactor 0.
+    pool_in_use: obs::Gauge,
+    pool_capacity: obs::Gauge,
+    /// Pool-dry fallbacks to exact-size heap buffers (both directions).
+    pool_misses: obs::Counter,
+    groups: obs::Gauge,
+    wheel_depth: obs::Gauge,
+    delayq_depth: obs::Gauge,
+    /// `HOST_MIRRORS` handles plus the two high-water gauges; reactor 0 only.
+    host: Option<(Vec<obs::Counter>, obs::Gauge, obs::Gauge)>,
+}
+
+impl RegHandles {
+    fn new(reg: &obs::MetricsRegistry, index: usize, kind: HostKind) -> Self {
+        // A hub's shard gauges keep the names PR 10 gave them.
+        let (p, wheel_depth) = match kind {
+            HostKind::Node(_) => (String::new(), "wheel.depth".to_string()),
+            HostKind::Hub => (format!("hub.shard{index}."), format!("hub.shard{index}.wheel_depth")),
+        };
+        RegHandles {
+            rx: FLOW_KINDS.map(|k| reg.counter(&format!("rx.frames.{k}"))),
+            tx: FLOW_KINDS.map(|k| reg.counter(&format!("tx.frames.{k}"))),
+            stage_queue: reg.histogram("stage.queue_s"),
+            stage_decode: reg.histogram("stage.decode_s"),
+            stage_handle: reg.histogram("stage.handle_s"),
+            stage_send: reg.histogram("stage.send_s"),
+            batch_send: reg.histogram("batch.send_frames"),
+            batch_drain: reg.histogram("batch.inbound_drain"),
+            pool_in_use: reg.gauge(&format!("{p}pool.in_use")),
+            pool_capacity: reg.gauge(&format!("{p}pool.capacity")),
+            pool_misses: reg.counter(&format!("{p}pool.misses")),
+            groups: reg.gauge(&format!("{p}groups")),
+            wheel_depth: reg.gauge(&wheel_depth),
+            delayq_depth: reg.gauge(&format!("{p}delayq.depth")),
+            host: (index == 0).then(|| {
+                (
+                    HOST_MIRRORS
+                        .iter()
+                        .map(|(node, hub, _)| match kind {
+                            HostKind::Node(_) => reg.counter(node),
+                            HostKind::Hub => reg.counter(hub),
+                        })
+                        .collect(),
+                    reg.gauge("wheel.high_water"),
+                    reg.gauge("delayq.high_water"),
+                )
+            }),
+        }
+    }
+}
+
+/// A hosted group's registry mirrors, by name under the group's prefix
+/// (none on a node, `hub.g{G}.` on a hub): cumulative counters first, then
+/// sampled gauges. The store mirrors stay zero unless a store is attached
+/// (its latency histograms are recorded at the operation site via
+/// StoreProbes).
+const GROUP_COUNTERS: [Mirror<GroupHost>; 15] = [
+    ("rx_frames", |h| h.rx_frames),
+    ("tx_frames", |h| h.io.tx_frames),
+    ("delivered", |h| h.delivered),
+    ("quota_overflow", |h| h.io.quota_overflow),
+    ("liveness.suspected", |h| h.agent.liveness.suspected_total),
+    ("liveness.died", |h| h.agent.liveness.died_total),
+    ("liveness.revived", |h| h.agent.liveness.revived_total),
+    ("store.wal_appends", |h| h.wal().appends),
+    ("store.wal_bytes", |h| h.wal().bytes_appended),
+    ("store.fsyncs", |h| h.wal().fsyncs),
+    ("store.snapshots", |h| h.wal().snapshots),
+    ("store.reads", |h| h.wal().reads),
+    ("store.io_errors", |h| h.wal().io_errors),
+    ("store.evictions", |h| h.agent.store().evictions()),
+    ("store.disk_repairs", |h| h.agent.store().disk_fetches()),
+];
+const GROUP_GAUGES: [Mirror<GroupHost>; 5] = [
+    ("peers.alive", |h| h.agent.liveness.counts().0),
+    ("peers.suspect", |h| h.agent.liveness.counts().1),
+    ("peers.dead", |h| h.agent.liveness.counts().2),
+    ("store.segments", |h| h.wal().segments),
+    ("store.live_records", |h| h.wal().live_records),
+];
+
+/// One encoded frame queued for the next flush.
+struct PendingFrame {
+    dest: SocketAddr,
+    /// `Some(ttl)` in multicast mode: the flush sets the socket's
+    /// multicast TTL per run of equal values, preserving per-send
+    /// `set_multicast_ttl_v4` semantics. `None` on a mesh.
+    ttl: Option<u8>,
+    /// The encoded envelope, shared (not copied) across the mesh fan-out.
+    data: Arc<PoolBuf>,
+}
+
+/// What the groups of one reactor share: its side of the socket (the send
+/// half), the inbound routing table, and the log-line prefix.
+///
+/// Sends are *queued*: every logical multicast encodes once into a pooled
+/// slab, fans out per destination at enqueue time (where loss, blackholes,
+/// and the accounting all run), and the reactor flushes the whole queue as
+/// batched syscalls once per wakeup.
+struct Wire {
+    /// Log-line prefix: `srm-node[7]`, `srm-hub[shard 2]`.
+    label: String,
+    /// Inbound routing: wire group id → key of the hosting [`GroupHost`].
+    /// A host's agent adds a route with every group it joins.
+    routes: BTreeMap<u32, u32>,
+    /// Kept alongside the batched backend for socket options
+    /// (`set_multicast_ttl_v4`, `join_multicast_v4`).
+    socket: UdpSocket,
+    batch: Box<dyn BatchSocket>,
+    counters: Arc<Counters>,
+    /// Events that belong to no one group: send/socket errors, decode
+    /// failures, supervision events forwarded from the recv thread. Enabled
+    /// once a traced group is hosted here, and read through that group's
+    /// stream ([`GroupHost::sync_logs`]).
+    log: obs::TransportLog,
+    /// Recycled encode slabs: the envelope is serialized into a pooled
+    /// buffer per logical send, so steady-state sending allocates nothing
+    /// per datagram (drops at flush return the slabs).
+    tx_pool: BufferPool,
+    /// Frames awaiting the next flush.
+    queue: Vec<PendingFrame>,
+    /// Reused per-flush results scratch.
+    results: Vec<io::Result<()>>,
+    /// Frames per send syscall (from [`BatchOptions::send_batch`]).
+    max_batch: usize,
+    /// Live-registry handles; `None` costs one branch per site.
+    reg: Option<RegHandles>,
+}
+
+impl Wire {
+    /// Push every queued frame to the socket in batched syscalls,
+    /// settling `frames_sent`/`send_errors` per destination. Runs of
+    /// equal multicast TTL share one `set_multicast_ttl_v4` call.
+    fn flush(&mut self, now: SimTime) {
+        if self.queue.is_empty() {
+            return;
+        }
+        let queue = std::mem::take(&mut self.queue);
+        let mut i = 0;
+        while i < queue.len() {
+            let ttl = queue[i].ttl;
+            let mut j = i + 1;
+            while j < queue.len() && queue[j].ttl == ttl {
+                j += 1;
+            }
+            if let Some(t) = ttl {
+                let _ = self.socket.set_multicast_ttl_v4(u32::from(t));
+            }
+            for chunk in queue[i..j].chunks(self.max_batch) {
+                let frames: Vec<SendFrame<'_>> = chunk
+                    .iter()
+                    .map(|p| SendFrame { dest: p.dest, data: &p.data })
+                    .collect();
+                self.results.clear();
+                self.batch.send_batch(&frames, &mut self.results);
+                if let Some(m) = &self.reg {
+                    m.batch_send.record(frames.len() as f64);
+                }
+                for (p, r) in chunk.iter().zip(self.results.iter()) {
+                    match r {
+                        Ok(()) => {
+                            self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => {
+                            self.counters.send_errors.fetch_add(1, Ordering::Relaxed);
+                            self.log.record(
+                                now,
+                                obs::TransportEventKind::SocketError {
+                                    detail: format!("send_to {}: {e}", p.dest),
+                                    transient: classify(e.kind()) == ErrorClass::Transient,
+                                },
+                            );
+                        }
+                    }
+                }
+            }
+            i = j;
+        }
+        // Reclaim the queue's allocation; dropping the contents returns
+        // the encode slabs to the pool.
+        self.queue = queue;
+        self.queue.clear();
+    }
+}
+
+/// What differs between the two entry points. Set by the constructor that
+/// was called (`Node::spawn_on` or `HubHandle::create`), never a user
+/// option.
+pub(crate) struct Hosting {
+    /// A node keeps deliveries queued on the agent for `take_delivered`;
+    /// a hub group counts and discards them.
+    pub keep_deliveries: bool,
+    /// A hub group may carry a token bucket (§III-E).
+    pub quota: Option<RateLimit>,
+    /// Configured group size, reported in [`GroupStats`].
+    pub members: usize,
+    /// Registry-name prefix of the group's mirrors.
+    pub reg_prefix: String,
+}
+
+/// The part of a hosted group the [`Driver`] borrows: everything a send,
+/// a join or a timer call touches, apart from the agent itself and the
+/// chaos decorator's state.
+struct GroupIo {
+    /// The member id the agent runs as, as it appears in envelopes.
+    src: u32,
+    /// The reactor's clock read with this group's skew.
+    clock: WallClock,
+    wheel: TimerWheel,
+    rng: StdRng,
+    mode: Mode,
+    fallback_peers: Vec<SocketAddr>,
+    loss: LossPolicy,
+    /// Chaos partition windows, applied RNG-free per destination.
+    blackholes: Vec<Blackhole>,
+    quota: Option<TokenBucket>,
+    quota_overflow: u64,
+    /// Logical multicasts issued (post quota, pre fan-out).
+    tx_frames: u64,
+    /// This group's fan-out and join events (blackholes, join failures,
+    /// mode fallback).
+    log: obs::TransportLog,
+}
+
+/// One hosted group: an agent plus the session-local state around it.
+pub(crate) struct GroupHost {
+    /// The session group id: the key in the reactor's map.
+    key: u32,
+    agent: SrmAgent,
+    io: GroupIo,
+    chaos: Option<ChaosState>,
+    delayq: DelayQueue,
+    /// Chaos actions since the last publish to the shared counters.
+    tally: ChaosTally,
+    chaos_log: obs::TransportLog,
+    keep_deliveries: bool,
+    delivered: u64,
+    members: usize,
+    /// Frames routed to this group's agent (post filtering).
+    rx_frames: u64,
+    /// Handles for `GROUP_COUNTERS` and `GROUP_GAUGES`, resolved once here.
+    reg: Option<(Vec<obs::Counter>, Vec<obs::Gauge>)>,
+}
+
+impl GroupHost {
+    /// Build the group's state from the same options either entry point
+    /// yields: seed the RNGs, wire the recorders, open and rehydrate the
+    /// durable store. `label` prefixes log lines.
+    fn new(clock: &WallClock, label: &str, mode: Mode, opts: NodeOptions, hosting: Hosting) -> Self {
+        let key = opts.group.0;
+        let mut agent = SrmAgent::new(opts.id, opts.group, opts.cfg);
+        agent.session_enabled = opts.session_enabled;
+        let mut log = obs::TransportLog::new();
+        let mut chaos_log = obs::TransportLog::new();
+        if opts.trace {
+            match opts.trace_capacity {
+                Some(cap) => agent.obs.enable_bounded(cap),
+                None => agent.obs.enable(),
+            }
+            for l in [&mut agent.transport_obs, &mut log, &mut chaos_log] {
+                enable_log(l, opts.trace_capacity);
+            }
+        }
+        if let Some(lv) = opts.liveness {
+            agent.liveness.enable(lv);
+        }
+        for (peer, d) in opts.initial_distances {
+            agent.distances_mut().set_distance(peer, d);
+        }
+        if let Some(sto) = opts.store {
+            match srm_store::DirBackend::open(&sto.dir) {
+                Ok(backend) => {
+                    let mut ds = srm_store::DurableStore::new(Box::new(backend), sto.config);
+                    if let Some(r) = opts.metrics.as_ref() {
+                        ds.set_probes(srm_store::StoreProbes::from_registry(r));
+                    }
+                    // The single rehydrate path: a restart after kill -9 replays
+                    // the log here, so the member rejoins repair-capable.
+                    let summary = agent.attach_durable_store(Box::new(ds), sto.cache_per_stream);
+                    agent.transport_obs.record(
+                        clock.now(),
+                        obs::TransportEventKind::StoreRehydrate {
+                            adus: summary.names.len() as u64,
+                            segments: summary.segments,
+                            truncated_bytes: summary.truncated_bytes,
+                        },
+                    );
+                    if !summary.names.is_empty() || summary.truncated_bytes > 0 {
+                        eprintln!(
+                            "{label}: group {key} rehydrated {} ADUs from {} ({} segments, {} torn bytes dropped)",
+                            summary.names.len(),
+                            sto.dir.display(),
+                            summary.segments,
+                            summary.truncated_bytes,
+                        );
+                    }
+                }
+                Err(e) => eprintln!(
+                    "{label}: group {key} could not open store {}: {e} (running without durability)",
+                    sto.dir.display()
+                ),
+            }
+        }
+        GroupHost {
+            key,
+            agent,
+            io: GroupIo {
+                src: u32::try_from(opts.id.0).unwrap_or(u32::MAX),
+                clock: clock.skewed(opts.skew),
+                wheel: TimerWheel::new(),
+                rng: StdRng::seed_from_u64(opts.seed),
+                mode,
+                fallback_peers: opts.fallback_peers,
+                loss: opts.loss,
+                blackholes: opts.chaos.as_ref().map(|p| p.blackholes.clone()).unwrap_or_default(),
+                quota: hosting.quota.map(TokenBucket::new),
+                quota_overflow: 0,
+                tx_frames: 0,
+                log,
+            },
+            chaos: opts.chaos.map(|plan| ChaosState::new(plan, opts.seed ^ CHAOS_SEED_SALT)),
+            delayq: DelayQueue::new(),
+            tally: ChaosTally::default(),
+            chaos_log,
+            keep_deliveries: hosting.keep_deliveries,
+            delivered: 0,
+            members: hosting.members,
+            rx_frames: 0,
+            reg: opts.metrics.as_ref().map(|r| {
+                let p = &hosting.reg_prefix;
+                (
+                    GROUP_COUNTERS.iter().map(|(name, _)| r.counter(&format!("{p}{name}"))).collect(),
+                    GROUP_GAUGES.iter().map(|(name, _)| r.gauge(&format!("{p}{name}"))).collect(),
+                )
+            }),
+        }
+    }
+
+    /// Move this group's reactor-side events into the agent's transport
+    /// stream, so one per-member sequence is what `exec` and harvesting see.
+    /// A traced group also takes what its reactor logged on no group's
+    /// behalf (`wire_log`): on a node that is the member's own host; on a
+    /// hub the first traced group to be read gets them.
+    fn sync_logs(&mut self, wire_log: &mut obs::TransportLog) {
+        self.agent.transport_obs.absorb(self.io.log.take_events());
+        self.agent.transport_obs.absorb(self.chaos_log.take_events());
+        if self.agent.transport_obs.is_enabled() {
+            self.agent.transport_obs.absorb(wire_log.take_events());
+        }
+    }
+
+    /// Add what the chaos decorator tallied since the last call to the
+    /// shared counters, and refresh the group's registry mirrors.
+    fn publish(&mut self, counters: &Counters) {
+        let t = std::mem::take(&mut self.tally);
+        if t != ChaosTally::default() {
+            counters.chaos_dropped.fetch_add(t.dropped, Ordering::Relaxed);
+            counters.chaos_duplicated.fetch_add(t.duplicated, Ordering::Relaxed);
+            counters.chaos_delayed.fetch_add(t.delayed, Ordering::Relaxed);
+            counters.chaos_corrupted.fetch_add(t.corrupted, Ordering::Relaxed);
+        }
+        let Some((counters, gauges)) = &self.reg else { return };
+        for ((_, read), c) in GROUP_COUNTERS.iter().zip(counters) {
+            c.set_total(read(self));
+        }
+        for ((_, read), g) in GROUP_GAUGES.iter().zip(gauges) {
+            g.set(read(self));
+        }
+    }
+
+    /// The durable store's counters; all zero when no store is attached.
+    fn wal(&self) -> srm::PersistenceStats {
+        self.agent.store().persistence_stats().unwrap_or_default()
+    }
+
+    fn stats(&self, shard: usize) -> GroupStats {
+        GroupStats {
+            group: self.key,
+            shard,
+            members: self.members,
+            rx_frames: self.rx_frames,
+            tx_frames: self.io.tx_frames,
+            delivered: self.delivered,
+            data_sent: self.agent.metrics.data_sent,
+            repairs_sent: self.agent.metrics.repairs_sent,
+            session_sent: self.agent.metrics.session_sent,
+            quota_overflow: self.io.quota_overflow,
+        }
+    }
+}
+
+fn enable_log(log: &mut obs::TransportLog, cap: Option<usize>) {
+    match cap {
+        Some(cap) => log.enable_bounded(cap),
+        None => log.enable(),
+    }
+}
+
+/// One logical multicast from a hosted group: quota gate, one encode into
+/// a pooled slab, then the per-destination fan-out — the single place every
+/// outgoing frame's fate is decided and counted. Surviving frames go on
+/// the flush queue; `frames_sent`/`send_errors` are settled when the batch
+/// reaches the socket.
+fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts: SendOptions) {
+    if opts.ttl == 0 {
+        // A zero-TTL datagram never leaves the host.
+        return;
+    }
+    let now = io.clock.now();
+    // Quota gate, charged at wire size (§III-E: the sender's token bucket
+    // enforces the session's advertised peak rate). A refusal drops the
+    // frame *before* the fan-out, so `frames_attempted` never sees it —
+    // same accounting slot as a chaos drop.
+    if let Some(tb) = io.quota.as_mut() {
+        if !tb.try_consume(now, (HEADER_LEN + payload.len()) as f64) {
+            io.quota_overflow += 1;
+            return;
+        }
+    }
+    io.tx_frames += 1;
+    let mut buf = wire.tx_pool.try_take().unwrap_or_else(|| {
+        wire.tx_pool.note_miss();
+        PoolBuf::copied_from(&[])
+    });
+    Envelope {
+        src: io.src,
+        group: group.0,
+        ttl: opts.ttl,
+        initial_ttl: opts.ttl,
+        admin_scoped: opts.admin_scoped,
+        flow: opts.flow,
+        payload,
+    }
+    .encode_into(&mut buf);
+    let frame = Arc::new(buf);
+    let GroupIo { mode, loss, blackholes, log, .. } = io;
+    let (queue, counters) = (&mut wire.queue, &wire.counters);
+    // `policy_dest` is what loss rules and blackholes match on: the peer on
+    // a mesh, nothing under true multicast.
+    let mut enqueue = |dest: SocketAddr, policy_dest: Option<SocketAddr>, ttl: Option<u8>| {
+        counters.frames_attempted.fetch_add(1, Ordering::Relaxed);
+        if blackholes.iter().any(|b| b.matches(now, policy_dest)) {
+            counters.blackholed.fetch_add(1, Ordering::Relaxed);
+            log.record(now, obs::TransportEventKind::Blackholed { flow: opts.flow });
+        } else if loss.should_drop(opts.flow, policy_dest) {
+            counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            queue.push(PendingFrame { dest, ttl, data: Arc::clone(&frame) });
+        }
+    };
+    match mode {
+        Mode::Mesh { peers } => {
+            for &p in peers.iter() {
+                enqueue(p, Some(p), None);
+            }
+        }
+        Mode::Multicast { base } => {
+            let dest = SocketAddr::V4(Mode::group_addr(*base, group));
+            enqueue(dest, None, Some(opts.ttl));
+        }
+    }
+    if let Some(m) = &wire.reg {
+        m.tx[flow_slot(opts.flow)].inc();
+        m.stage_send.record(io.clock.now().since(now).as_secs_f64());
+    }
+}
+
+/// Wall-clock implementation of the agent's [`Driver`] seam: the borrowed
+/// view of one group's state and its reactor's wire, handed to every agent
+/// entry point.
+struct HostDriver<'a> {
+    wire: &'a mut Wire,
+    io: &'a mut GroupIo,
+    key: u32,
+}
+
+impl Clock for HostDriver<'_> {
+    fn now(&self) -> SimTime {
+        self.io.clock.now()
+    }
+
+    fn local_now(&self) -> SimTime {
+        self.io.clock.local_now()
+    }
+}
+
+impl Transport for HostDriver<'_> {
+    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
+        send(self.wire, self.io, group, payload, opts);
+    }
+
+    fn join(&mut self, group: GroupId) {
+        if self.wire.routes.contains_key(&group.0) {
+            return;
+        }
+        self.wire.routes.insert(group.0, self.key);
+        // On a mesh the fan-out list already reaches every member; the
+        // route is all a join needs.
+        let Mode::Multicast { base } = self.io.mode else { return };
+        let addr = Mode::group_addr(base, group);
+        let Err(e) = self.wire.socket.join_multicast_v4(addr.ip(), &Ipv4Addr::UNSPECIFIED) else {
+            return;
+        };
+        let (now, label) = (self.io.clock.now(), &self.wire.label);
+        if self.io.fallback_peers.is_empty() {
+            // No mesh to fall back to: log and stay in multicast mode
+            // (other joins may still succeed).
+            self.io.log.record(
+                now,
+                obs::TransportEventKind::SocketError {
+                    detail: format!("join group {}: {e}", group.0),
+                    transient: false,
+                },
+            );
+            eprintln!("{label}: multicast join for group {} failed ({e}); no fallback peers", group.0);
+        } else {
+            // Degrade to the unicast mesh for *all* traffic: one
+            // fan-out path keeps the group-delivery model coherent.
+            let peers = std::mem::take(&mut self.io.fallback_peers);
+            self.wire.counters.mode_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.io.log.record(
+                now,
+                obs::TransportEventKind::ModeFallback { peers: peers.len() as u64 },
+            );
+            eprintln!(
+                "{label}: multicast join for group {} failed ({e}); \
+                 falling back to a unicast mesh of {} peers",
+                group.0,
+                peers.len()
+            );
+            self.io.mode = Mode::Mesh { peers };
+        }
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+        self.io.wheel.arm(self.io.clock.now() + delay, token)
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.io.wheel.cancel(id);
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.io.rng
+    }
+}
+
+/// Run `f` against one group's agent behind a freshly borrowed driver: the
+/// chaos decorator when a plan is configured, the plain wall-clock driver
+/// otherwise. Built per entry point because the driver borrows the wire
+/// and half the group's state.
+fn drive<R>(
+    wire: &mut Wire,
+    host: &mut GroupHost,
+    f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R,
+) -> R {
+    let GroupHost { key, agent, io, chaos, delayq, tally, chaos_log, .. } = host;
+    let mut d = HostDriver { wire, io, key: *key };
+    let r = match chaos.as_mut() {
+        Some(state) => {
+            f(agent, &mut ChaosTransport { inner: &mut d, state, delayq, tally, log: chaos_log })
+        }
+        None => f(agent, &mut d),
+    };
+    if !host.keep_deliveries {
+        host.delivered += host.agent.take_delivered().len() as u64;
+    }
+    r
+}
+
+/// A closure run on the reactor thread — the one control event.
+type ExecFn = Box<dyn FnOnce(&mut Reactor) + Send>;
+
+/// Work items a reactor waits on.
+pub(crate) enum Event {
+    /// A raw datagram from the receive thread, stamped with its capture
+    /// time so the reactor can account the queueing stage. The buffer is
+    /// a pooled slab travelling by ownership; dropping it after decode
+    /// recycles the slab to the receive pool. The `u32` is the GRO
+    /// segment size: non-zero means the kernel coalesced several
+    /// equal-size frames into this one buffer, and the reactor walks
+    /// them at that stride ([`RecvFrame`]).
+    Datagram(SimTime, u32, PoolBuf),
+    /// A typed transport event from the receive thread's supervisor.
+    Transport(SimTime, obs::TransportEventKind),
+    /// Run a closure against the reactor: `NodeHandle::exec`,
+    /// `HubHandle::exec` and every hub control RPC.
+    Exec(ExecFn),
+    /// Stop the loop; the thread's owner decides what happens to the groups.
+    Shutdown,
+}
+
+/// Queue `f` for the reactor behind `tx` and return where its result will
+/// arrive; `None` if the reactor is gone. The send queue is flushed before
+/// the reply goes out, so whatever `f` sent is settled when the caller
+/// resumes: a `stats()` issued right after a `send()` reads `attempted ==
+/// sent + dropped + blackholed + send_errors`, not a frame in between.
+pub(crate) fn submit<R: Send + 'static>(
+    tx: &mpsc::SyncSender<Event>,
+    f: impl FnOnce(&mut Reactor) -> R + Send + 'static,
+) -> Option<mpsc::Receiver<R>> {
+    let (rtx, rrx) = mpsc::sync_channel(1);
+    let run: ExecFn = Box::new(move |r| {
+        let out = f(r);
+        r.wire.flush(r.clock.now());
+        let _ = rtx.send(out);
+    });
+    tx.send(Event::Exec(run)).ok().map(|()| rrx)
+}
+
+/// One reactor thread's state: a map of hosted groups over one [`Wire`].
+pub(crate) struct Reactor {
+    /// Shard index (0 on a node).
+    index: usize,
+    clock: WallClock,
+    wire: Wire,
+    groups: BTreeMap<u32, GroupHost>,
+    /// The host's receive pool, on reactor 0 only: every reactor shares
+    /// it, one of them reports it.
+    rx_pool: Option<BufferPool>,
+    batch: BatchOptions,
+}
+
+impl Reactor {
+    /// Host a group: build its state, then let the agent start (join its
+    /// session group, arm its session timer).
+    pub(crate) fn host(&mut self, mode: Mode, opts: NodeOptions, hosting: Hosting) {
+        if opts.trace && !self.wire.log.is_enabled() {
+            enable_log(&mut self.wire.log, opts.trace_capacity);
+        }
+        let mut host = GroupHost::new(&self.clock, &self.wire.label, mode, opts, hosting);
+        drive(&mut self.wire, &mut host, |a, d| a.drive_start(d));
+        self.groups.insert(host.key, host);
+    }
+
+    /// Is `group` hosted here?
+    pub(crate) fn hosts(&self, group: u32) -> bool {
+        self.groups.contains_key(&group)
+    }
+
+    /// Run `f` against `group`'s live agent; `None` if it is not hosted here.
+    pub(crate) fn with_group<R>(
+        &mut self,
+        group: u32,
+        f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R,
+    ) -> Option<R> {
+        let host = self.groups.get_mut(&group)?;
+        host.sync_logs(&mut self.wire.log);
+        Some(drive(&mut self.wire, host, f))
+    }
+
+    /// Stop hosting `group`: with `farewell`, a final session message (so
+    /// peers learn our last state before the silence); then flush what is
+    /// queued, force the WAL tail onto stable storage so an orderly exit
+    /// loses nothing regardless of the fsync policy, and refresh every
+    /// mirror one last time. The store directory survives for the next
+    /// host of the same group.
+    pub(crate) fn detach(&mut self, group: u32, farewell: bool) -> Option<GroupHost> {
+        let host = self.groups.get_mut(&group)?;
+        if farewell {
+            drive(&mut self.wire, host, |a, d| a.send_session_now(d));
+        }
+        self.wire.flush(self.clock.now());
+        host.agent.flush_store();
+        self.publish();
+        let mut host = self.groups.remove(&group)?;
+        self.wire.routes.retain(|_, key| *key != group);
+        // Pin the queue peaks into the offline event stream (no-op when
+        // the log is disabled).
+        host.io.log.record(
+            self.clock.now(),
+            obs::TransportEventKind::QueueHighWater {
+                wheel: self.wire.counters.max_wheel_len.load(Ordering::Relaxed),
+                delayq: self.wire.counters.max_delayq_len.load(Ordering::Relaxed),
+            },
+        );
+        host.sync_logs(&mut self.wire.log);
+        Some(host)
+    }
+
+    /// [`Reactor::detach`] with a farewell, summarised.
+    pub(crate) fn drain(&mut self, group: u32) -> Option<DrainOutcome> {
+        let host = self.detach(group, true)?;
+        Some(DrainOutcome {
+            groups: 1,
+            data_sent: host.agent.metrics.data_sent,
+            delivered: host.delivered,
+        })
+    }
+
+    /// Drain every hosted group (the reactor keeps running).
+    pub(crate) fn drain_all(&mut self) -> DrainOutcome {
+        let mut total = DrainOutcome::default();
+        let keys: Vec<u32> = self.groups.keys().copied().collect();
+        for one in keys.into_iter().filter_map(|g| self.drain(g)) {
+            total.groups += one.groups;
+            total.data_sent += one.data_sent;
+            total.delivered += one.delivered;
+        }
+        total
+    }
+
+    /// A node's shutdown: detach its one group without a farewell and
+    /// hand back the agent, the reactor-side logs merged into its
+    /// transport stream.
+    pub(crate) fn into_agent(mut self, group: u32) -> SrmAgent {
+        self.detach(group, false)
+            .expect("a node's reactor hosts its one group from spawn to shutdown")
+            .agent
+    }
+
+    /// Per-group counters for the hub's rollup.
+    pub(crate) fn group_stats(&self) -> Vec<GroupStats> {
+        self.groups.values().map(|h| h.stats(self.index)).collect()
+    }
+
+    /// The reactor loop: fire due timers, release held-back chaos frames,
+    /// flush the send queue as batched syscalls, then drain a whole window
+    /// of channel events per wakeup (datagrams, commands, deadlines
+    /// coalesced). Returns on `Shutdown` or when every sender is gone.
+    pub(crate) fn run(mut self, rx: mpsc::Receiver<Event>) -> Reactor {
+        if self.batch.batch_sched {
+            crate::batch::enter_batch_scheduling();
+        }
+        let inbound_drain = self.batch.inbound_drain.max(1);
+        'reactor: loop {
+            self.fire_due();
+            // Everything the last wakeup produced goes out in batched syscalls.
+            self.wire.flush(self.clock.now());
+            self.publish();
+            let deadline = self
+                .groups
+                .values_mut()
+                .flat_map(|h| [h.io.wheel.next_deadline(), h.delayq.next_due()])
+                .flatten()
+                .min();
+            let wait = match deadline {
+                Some(at) => self.clock.until(at).min(IDLE_WAIT),
+                None => IDLE_WAIT,
+            };
+            // Coalesced wakeup: block for one event, then drain whatever else
+            // is already queued (up to the window) before revisiting timers
+            // and flushing the sends those events produced.
+            let mut drained = 0usize;
+            match rx.recv_timeout(wait) {
+                Ok(ev) => {
+                    drained += 1;
+                    if self.handle(ev) {
+                        break 'reactor;
+                    }
+                    while drained < inbound_drain {
+                        // Keep the wire busy while draining: once a full send
+                        // batch has accumulated, flush it so the receivers
+                        // work in parallel with the rest of the window.
+                        if self.wire.queue.len() >= self.wire.max_batch {
+                            self.wire.flush(self.clock.now());
+                        }
+                        match rx.try_recv() {
+                            Ok(ev) => {
+                                drained += 1;
+                                if self.handle(ev) {
+                                    break 'reactor;
+                                }
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break 'reactor,
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+            }
+            if drained > 0 {
+                if let Some(m) = &self.wire.reg {
+                    m.batch_drain.record(drained as f64);
+                }
+            }
+        }
+        // Anything the final events produced still goes out before shutdown.
+        self.wire.flush(self.clock.now());
+        self
+    }
+
+    /// Fire the timers that were due at one clock reading taken on entry,
+    /// at most as many per group as its wheel held then, and release due
+    /// held-back frames. Bounded on purpose: a handler that re-arms itself
+    /// at zero delay (distance 0 ⇒ request interval `[0,0]`) gets its next
+    /// turn on the next wakeup, after the flush and the inbound window —
+    /// draining "until nothing is expired" would never reach either.
+    fn fire_due(&mut self) {
+        let now = self.clock.now();
+        for host in self.groups.values_mut() {
+            for _ in 0..host.io.wheel.len() {
+                let Some(token) = host.io.wheel.pop_expired(now) else { break };
+                drive(&mut self.wire, host, |a, d| a.drive_timer(d, token));
+            }
+            // The chaos verdict already ran when these were queued, so a
+            // frame is acted on at most once.
+            while let Some(held) = host.delayq.pop_due(now) {
+                send(&mut self.wire, &mut host.io, held.group, held.payload, held.opts);
+            }
+        }
+    }
+
+    /// Handle one channel event; `true` on shutdown.
+    fn handle(&mut self, ev: Event) -> bool {
+        match ev {
+            Event::Datagram(recv_at, seg, buf) => self.walk(recv_at, seg, &buf),
+            Event::Transport(at, kind) => self.wire.log.record(at, kind),
+            Event::Exec(f) => f(self),
+            Event::Shutdown => return true,
+        }
+        false
+    }
+
+    /// Walk one received buffer into the agents. A plain datagram is one
+    /// frame; a GRO-coalesced buffer is walked at its segment stride (the
+    /// envelope length field re-validates every chunk, so a mis-sliced
+    /// boundary surfaces as a decode error, never a bad frame). The walk
+    /// borrows the pooled slab in place — no per-frame copy to split the
+    /// super-datagram; returning recycles the slab to the receive pool.
+    fn walk(&mut self, recv_at: SimTime, seg: u32, data: &[u8]) {
+        let stride = match seg as usize {
+            0 => data.len().max(1),
+            s => s,
+        };
+        // An empty datagram is still one (undecodable) frame.
+        for chunk in data.chunks(stride).chain(data.is_empty().then_some(data)) {
+            // Stage clocks: one extra clock read per stage, only when a
+            // registry is attached.
+            let dequeued = self.wire.reg.as_ref().map(|m| {
+                let now = self.clock.now();
+                m.stage_queue.record(now.since(recv_at).as_secs_f64());
+                now
+            });
+            // Zero-copy decode: every field reads straight out of the
+            // pooled slab; only a delivered payload is copied (below, into
+            // the packet).
+            let env = match Envelope::decode_view(chunk) {
+                Ok(env) => env,
+                Err(e) => {
+                    self.wire.log.record(
+                        self.clock.now(),
+                        obs::TransportEventKind::DecodeError { reason: e.label().to_string() },
+                    );
+                    count_undecodable(&self.wire.counters, 1, &self.wire.label, &e);
+                    continue;
+                }
+            };
+            if let (Some(m), Some(t0)) = (&self.wire.reg, dequeued) {
+                m.stage_decode.record(self.clock.now().since(t0).as_secs_f64());
+            }
+            // Self-delivery (multicast loopback echo) and traffic for
+            // groups nobody here joined are the network's job to withhold
+            // in the simulator; filter them here — before the payload copy.
+            let host = self.wire.routes.get(&env.group).and_then(|key| self.groups.get_mut(key));
+            let Some(host) = host else {
+                // Not silent: a well-formed frame for a group nobody here
+                // joined almost always means a misconfigured peer or a hub
+                // group that was never created — count it and sample a
+                // log line so the mismatch is visible.
+                let n = self.wire.counters.rx_unjoined_group.fetch_add(1, Ordering::Relaxed) + 1;
+                if n <= 5 || n.is_multiple_of(1024) {
+                    eprintln!(
+                        "{}: dropping frame from {} for unjoined group {} ({n} total) — \
+                         sender misconfigured, or group not created here",
+                        self.wire.label, env.src, env.group
+                    );
+                }
+                continue;
+            };
+            if env.src == host.io.src || env.ttl == 0 {
+                continue;
+            }
+            self.wire.counters.frames_received.fetch_add(1, Ordering::Relaxed);
+            if let Some(m) = &self.wire.reg {
+                m.rx[flow_slot(env.flow)].inc();
+            }
+            host.rx_frames += 1;
+            let pkt = Packet::new(
+                // One observable hop on a mesh; real multicast hop counts
+                // would need the received IP TTL, which std sockets cannot
+                // read.
+                env.ttl.saturating_sub(1),
+                PacketBody {
+                    id: PacketId(host.rx_frames),
+                    src: NodeId(env.src),
+                    group: GroupId(env.group),
+                    dest: None,
+                    initial_ttl: env.initial_ttl,
+                    admin_scoped: env.admin_scoped,
+                    flow: env.flow,
+                    size: chunk.len() as u32,
+                    payload: Bytes::copy_from_slice(env.payload),
+                },
+            );
+            let handle_t0 = self.wire.reg.as_ref().map(|_| self.clock.now());
+            drive(&mut self.wire, host, |a, d| a.drive_packet(d, &pkt));
+            if let (Some(m), Some(t0)) = (&self.wire.reg, handle_t0) {
+                m.stage_handle.record(self.clock.now().since(t0).as_secs_f64());
+            }
+        }
+    }
+
+    /// Publish the reactor-owned tallies and high-water marks to the
+    /// shared counters, and refresh the registry mirrors when a registry
+    /// is attached.
+    fn publish(&mut self) {
+        let counters = &self.wire.counters;
+        let (mut wheel_len, mut delayq_len) = (0u64, 0u64);
+        for host in self.groups.values_mut() {
+            host.publish(counters);
+            wheel_len += host.io.wheel.len() as u64;
+            delayq_len += host.delayq.len() as u64;
+        }
+        counters.max_wheel_len.fetch_max(wheel_len, Ordering::Relaxed);
+        counters.max_delayq_len.fetch_max(delayq_len, Ordering::Relaxed);
+        let Some(m) = &self.wire.reg else { return };
+        let ((rx_used, rx_cap), rx_misses) =
+            self.rx_pool.as_ref().map_or(((0, 0), 0), |p| (p.occupancy(), p.stats().1));
+        let (tx_used, tx_cap) = self.wire.tx_pool.occupancy();
+        m.pool_in_use.set(rx_used + tx_used);
+        m.pool_capacity.set(rx_cap + tx_cap);
+        m.pool_misses.set_total(rx_misses + self.wire.tx_pool.stats().1);
+        m.groups.set(self.groups.len() as u64);
+        m.wheel_depth.set(wheel_len);
+        m.delayq_depth.set(delayq_len);
+        if let Some((mirrors, wheel_high, delayq_high)) = &m.host {
+            let snap = TransportStats::snapshot(counters);
+            for ((_, _, read), c) in HOST_MIRRORS.iter().zip(mirrors) {
+                c.set_total(read(&snap));
+            }
+            wheel_high.set(snap.max_wheel_len);
+            delayq_high.set(snap.max_delayq_len);
+        }
+    }
+}
+
+/// Count `n` undecodable frames and sample a log line: the first few in
+/// full, then one per 256, so a corruption storm cannot flood stderr.
+fn count_undecodable(counters: &Counters, n: u64, label: &str, why: &dyn std::fmt::Display) {
+    let total = counters.decode_errors.fetch_add(n, Ordering::Relaxed) + n;
+    if total <= 5 || total / 256 != (total - n) / 256 {
+        eprintln!("{label}: rejected undecodable datagram ({why}); {total} total");
+    }
+}
+
+/// Everything [`build`] sets up for a host: the recv thread is running,
+/// the reactors are ready to be moved onto threads of the caller's making.
+pub(crate) struct Plant {
+    /// One sender per reactor, index-aligned with `reactors`.
+    pub txs: Vec<mpsc::SyncSender<Event>>,
+    pub reactors: Vec<(Reactor, mpsc::Receiver<Event>)>,
+    pub counters: Arc<Counters>,
+    /// Tells the recv thread to exit at its next poll.
+    pub stop: Arc<AtomicBool>,
+    pub recv: thread::JoinHandle<()>,
+}
+
+/// Build a host around `socket`: `n` reactors, each with its own clones of
+/// the socket (cloned here, so a failure is the caller's `io::Error`), and
+/// the one supervised recv thread feeding them.
+pub(crate) fn build(
+    socket: UdpSocket,
+    n: usize,
+    kind: HostKind,
+    batch: BatchOptions,
+    supervision: SupervisePolicy,
+    metrics: Option<obs::MetricsRegistry>,
+) -> io::Result<Plant> {
+    let addr = socket.local_addr()?;
+    // One call covers every clone: dup'd descriptors share the socket,
+    // and the batched senders can burst whole flushes into this buffer.
+    crate::batch::configure_socket_buffers(&socket, batch.socket_bufs);
+    let counters = Arc::new(Counters::default());
+    let clock = WallClock::new();
+    let stop = Arc::new(AtomicBool::new(false));
+    // `pool_slabs` bounds the receive-side memory at `pool_slabs *
+    // MAX_DATAGRAM`, with exact-size heap copies (counted misses)
+    // covering the overflow.
+    let rx_pool = BufferPool::new(batch.pool_slabs, MAX_DATAGRAM);
+    let mut txs = Vec::with_capacity(n);
+    let mut reactors = Vec::with_capacity(n);
+    for index in 0..n {
+        // Bounded: under flood the channel sheds datagrams (counted as
+        // `inbound_overflow`) instead of growing without limit; commands
+        // and supervision events block briefly instead of being lost.
+        let (tx, rx) = mpsc::sync_channel::<Event>(batch.inbound_capacity.max(1));
+        txs.push(tx);
+        let wire = Wire {
+            label: kind.label(index),
+            routes: BTreeMap::new(),
+            // The backend owns its own descriptor clone; this one stays
+            // for multicast socket options.
+            socket: socket.try_clone()?,
+            batch: make_backend(socket.try_clone()?, &batch),
+            counters: Arc::clone(&counters),
+            log: obs::TransportLog::new(),
+            tx_pool: BufferPool::new(batch.pool_slabs, TX_SLAB_BYTES),
+            queue: Vec::new(),
+            results: Vec::new(),
+            max_batch: batch.send_batch.clamp(1, crate::batch::MAX_BATCH),
+            reg: metrics.as_ref().map(|r| RegHandles::new(r, index, kind)),
+        };
+        let reactor = Reactor {
+            index,
+            clock: clock.clone(),
+            wire,
+            groups: BTreeMap::new(),
+            rx_pool: (index == 0).then(|| rx_pool.clone()),
+            batch,
+        };
+        reactors.push((reactor, rx));
+    }
+    let recv_histo = metrics.as_ref().map(|r| r.histogram("batch.recv_frames"));
+    let (recv_txs, recv_stop, recv_counters) = (txs.clone(), Arc::clone(&stop), Arc::clone(&counters));
+    let recv_name = kind.recv_name();
+    let recv = thread::Builder::new().name(recv_name.clone()).spawn(move || {
+        run_recv_supervised(
+            &supervision, socket, addr, batch, rx_pool, recv_histo, recv_txs, recv_stop,
+            recv_counters, clock, &recv_name,
+        )
+    })?;
+    Ok(Plant { txs, reactors, counters, stop, recv })
+}
+
+/// The supervised receive loop: each spawned step owns a fresh socket clone
+/// (a rebind when the original descriptor is wedged) wrapped in a batched
+/// backend with a short read timeout; poll timeouts are normal progress,
+/// everything else goes through the supervisor's classify/backoff/respawn
+/// state machine. Datagrams ride pooled slabs into the reactors' bounded
+/// channels ([`route_frame`]).
+#[allow(clippy::too_many_arguments)]
+fn run_recv_supervised(
+    policy: &SupervisePolicy,
+    master: UdpSocket,
+    local: SocketAddr,
+    batch: BatchOptions,
+    pool: BufferPool,
+    recv_histo: Option<obs::Histo>,
+    txs: Vec<mpsc::SyncSender<Event>>,
+    stop: Arc<AtomicBool>,
+    counters: Arc<Counters>,
+    clock: WallClock,
+    label: &str,
+) {
+    if batch.batch_sched {
+        crate::batch::enter_batch_scheduling();
+    }
+    let recv_batch = batch.recv_batch.clamp(1, crate::batch::MAX_BATCH);
+    let reason = run_supervised(
+        policy,
+        |attempt| {
+            let sock = if attempt == 0 {
+                master.try_clone()?
+            } else {
+                // Respawn: prefer a clone of the original descriptor, fall
+                // back to a fresh bind of the same address if the
+                // descriptor itself is the problem.
+                master.try_clone().or_else(|_| UdpSocket::bind(local))?
+            };
+            sock.set_read_timeout(Some(RECV_POLL))?;
+            let mut backend = make_backend(sock, &batch);
+            let txs = txs.clone();
+            let stop = Arc::clone(&stop);
+            let step_clock = clock.clone();
+            let step_pool = pool.clone();
+            let step_histo = recv_histo.clone();
+            let step_counters = Arc::clone(&counters);
+            let mut bufs: Vec<RecvFrame> = Vec::with_capacity(recv_batch);
+            Ok(move || -> io::Result<StepOutcome> {
+                if stop.load(Ordering::Relaxed) {
+                    return Ok(StepOutcome::Stop);
+                }
+                bufs.clear();
+                match backend.recv_batch(&step_pool, recv_batch, &mut bufs) {
+                    Ok(_) => {}
+                    // The poll timeout is the loop's heartbeat, not an
+                    // error; it must not enter the supervisor's backoff.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        return Ok(StepOutcome::Continue);
+                    }
+                    Err(e) => return Err(e),
+                }
+                if let Some(h) = &step_histo {
+                    // Logical frames per syscall: a GRO-coalesced
+                    // buffer counts all its segments.
+                    let frames: usize = bufs.iter().map(RecvFrame::frame_count).sum();
+                    h.record(frames as f64);
+                }
+                // One capture stamp per batch: the datagrams were
+                // drained by one syscall, so they share an arrival
+                // time as far as the queue-stage clock can tell.
+                let at = step_clock.now();
+                let mut alive = true;
+                for f in bufs.drain(..) {
+                    alive &= route_frame(at, f, &txs, &step_counters, label);
+                }
+                Ok(if alive { StepOutcome::Continue } else { StepOutcome::Stop })
+            })
+        },
+        |ev| {
+            let kind = match ev {
+                SupervisionEvent::Transient { detail, .. } => {
+                    counters.recv_transient_errors.fetch_add(1, Ordering::Relaxed);
+                    obs::TransportEventKind::SocketError { detail: detail.clone(), transient: true }
+                }
+                SupervisionEvent::Fatal { detail } => {
+                    eprintln!("{label}: fatal recv error: {detail}");
+                    obs::TransportEventKind::SocketError { detail: detail.clone(), transient: false }
+                }
+                SupervisionEvent::Respawned { attempt, .. } => {
+                    counters.recv_respawns.fetch_add(1, Ordering::Relaxed);
+                    eprintln!("{label}: recv loop respawned (attempt {attempt})");
+                    obs::TransportEventKind::RecvRespawn { attempt: *attempt }
+                }
+            };
+            forward(&txs, &clock, kind);
+        },
+        |backoff| {
+            // Interruptible backoff: keep shutdown latency bounded by the
+            // poll interval even while backing off.
+            let mut left = backoff;
+            while !stop.load(Ordering::Relaxed) && left > Duration::ZERO {
+                let chunk = left.min(RECV_POLL);
+                thread::sleep(chunk);
+                left = left.saturating_sub(chunk);
+            }
+        },
+    );
+    if matches!(reason, ExitReason::Exhausted { .. }) {
+        counters.recv_deaths.fetch_add(1, Ordering::Relaxed);
+        eprintln!("{label}: {}", reason.label());
+    }
+    forward(&txs, &clock, obs::TransportEventKind::RecvExit { reason: reason.label() });
+}
+
+/// Tell every reactor what happened to the recv thread they share, so the
+/// event lands in the stream of whichever traced member is read, on
+/// whichever reactor. Supervision events are rare; a blocking send is fine.
+fn forward(txs: &[mpsc::SyncSender<Event>], clock: &WallClock, kind: obs::TransportEventKind) {
+    let at = clock.now();
+    for tx in txs {
+        let _ = tx.send(Event::Transport(at, kind.clone()));
+    }
+}
+
+/// Move one pooled buffer down a reactor's channel; `false` if that
+/// reactor is gone. When the channel is full the buffer is shed and
+/// counted rather than blocking the socket drain: SRM repairs the gap
+/// exactly as it would wire loss. A shed coalesced buffer loses every
+/// frame it carried.
+fn hand_over(
+    tx: &mpsc::SyncSender<Event>,
+    at: SimTime,
+    seg: u32,
+    frames: u64,
+    buf: PoolBuf,
+    counters: &Counters,
+) -> bool {
+    match tx.try_send(Event::Datagram(at, seg, buf)) {
+        Ok(()) => true,
+        Err(mpsc::TrySendError::Full(_)) => {
+            counters.inbound_overflow.fetch_add(frames, Ordering::Relaxed);
+            true
+        }
+        Err(mpsc::TrySendError::Disconnected(_)) => false,
+    }
+}
+
+/// Route one received buffer to its reactor. With one reactor there is
+/// nothing to decide and the buffer is handed straight over — no precheck,
+/// the reactor's full decode judges it — and `false` comes back if that
+/// lone reactor, and so the host, is gone. With several, only the envelope
+/// prefix is read: when every segment prechecks to the same shard (always
+/// true for plain datagrams) the whole pooled buffer moves zero-copy; a
+/// GRO buffer straddling shards is split per segment, with copies, and
+/// counted in `demux_splits`. One dead shard among several must not
+/// silence the others, so there the answer is always `true`.
+fn route_frame(
+    at: SimTime,
+    f: RecvFrame,
+    txs: &[mpsc::SyncSender<Event>],
+    counters: &Counters,
+    label: &str,
+) -> bool {
+    let frames = f.frame_count() as u64;
+    if let [only] = txs {
+        return hand_over(only, at, f.seg_size, frames, f.buf, counters);
+    }
+    let data: &[u8] = &f.buf;
+    let stride = match f.seg_size as usize {
+        0 => data.len().max(1),
+        s => s,
+    };
+    // First pass over the segment prefixes only: where does each go?
+    let mut target: Option<usize> = None;
+    let mut uniform = true;
+    for chunk in data.chunks(stride) {
+        match Envelope::precheck(chunk) {
+            Ok(group) => {
+                let s = shard_of(group, txs.len());
+                uniform &= *target.get_or_insert(s) == s;
+            }
+            // A bad segment inside an otherwise-routable buffer forces the
+            // split path, so the good segments survive and the bad one is
+            // counted exactly once, there.
+            Err(_) => uniform = false,
+        }
+    }
+    let Some(shard) = target else {
+        // Nothing prechecks: count each segment and drop the lot.
+        count_undecodable(counters, frames.max(1), label, &"envelope precheck failed");
+        return true;
+    };
+    if uniform {
+        hand_over(&txs[shard], at, f.seg_size, frames, f.buf, counters);
+        return true;
+    }
+    counters.demux_splits.fetch_add(1, Ordering::Relaxed);
+    for chunk in data.chunks(stride) {
+        match Envelope::precheck(chunk) {
+            Ok(group) => {
+                let tx = &txs[shard_of(group, txs.len())];
+                hand_over(tx, at, 0, 1, PoolBuf::copied_from(chunk), counters);
+            }
+            Err(e) => count_undecodable(counters, 1, label, &e),
+        }
+    }
+    true
+}

@@ -1,26 +1,13 @@
 //! The wall-clock node runtime: one [`SrmAgent`] over one live UDP socket.
 //!
-//! Architecture (no async runtime — the workspace builds offline):
-//!
-//! - a **receive thread** blocks on the socket (with a short read timeout so
-//!   shutdown is prompt) and forwards raw datagrams over an [`mpsc`]
-//!   channel. It runs under [`run_supervised`]: socket errors are classified
-//!   transient (retried in place with bounded exponential backoff) or fatal
-//!   (a fresh socket clone is respawned against a bounded budget), and
-//!   panics are caught and treated as fatal. Every supervision decision is
-//!   forwarded to the reactor as a typed transport event;
-//! - the **reactor thread** owns the agent, a [`WallClock`], a
-//!   [`TimerWheel`], a chaos [`DelayQueue`] and a per-node seeded RNG. It
-//!   waits on the channel with a timeout bounded by the earliest of the
-//!   wheel's next deadline and the delay queue's next release, so timers
-//!   fire on time and held-back frames hit the wire on schedule — the
-//!   select loop a simulator event queue collapses into `recv_timeout`;
-//! - every agent entry point goes through `RtDriver`, the wall-clock
-//!   implementation of the [`srm::Driver`] seam, so the protocol code that
-//!   runs here is byte-for-byte the code the simulator runs. With a
-//!   [`ChaosPlan`] configured, a [`ChaosTransport`] decorates the driver
-//!   and applies the plan's scripted loss/duplication/corruption/reorder
-//!   actions to every outgoing frame.
+//! A node is the one-group case of the reactor in `reactor.rs`: one
+//! reactor thread, one group hosted before the loop starts, and a socket
+//! of its own. [`Node::spawn_on`] builds exactly that and hands back a
+//! [`NodeHandle`]; everything that happens on the threads — the supervised
+//! receive loop, the timer/flush/drain loop, the [`srm::Driver`] seam, the
+//! chaos decorator — is the code `srm-hub` runs for each of its groups.
+//! What a node adds is that deliveries stay queued on the agent for
+//! [`NodeHandle::take_delivered`], and that shutdown returns the agent.
 //!
 //! Two [`Mode`]s cover deployment and CI:
 //!
@@ -49,28 +36,22 @@
 //! frames_attempted == frames_sent + frames_dropped + blackholed + send_errors
 //! ```
 //!
-//! (chaos drop/delay decisions act *before* the fan-out and are tallied
-//! separately as `chaos_*`). The soak harness asserts this invariant, which
-//! is what "zero unexplained drops" means operationally.
+//! (chaos drop/delay decisions and quota refusals act *before* the fan-out
+//! and are tallied separately). The soak harness asserts this invariant,
+//! which is what "zero unexplained drops" means operationally.
 
-use crate::batch::{make_backend, BatchOptions, BatchSocket, RecvFrame, SendFrame};
-use crate::chaos::{Blackhole, ChaosPlan, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
-use crate::clock::WallClock;
-use crate::envelope::Envelope;
-use crate::pool::{BufferPool, PoolBuf};
-use crate::supervise::{run_supervised, ExitReason, StepOutcome, SupervisePolicy, SupervisionEvent};
-use crate::wheel::TimerWheel;
+use crate::batch::BatchOptions;
+use crate::chaos::ChaosPlan;
+use crate::reactor::{self, Event, HostKind, Hosting, Plant};
+use crate::supervise::SupervisePolicy;
 use bytes::Bytes;
-use netsim::{GroupId, NodeId, Packet, PacketBody, PacketId, SendOptions, SimDuration, SimTime, TimerId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use srm::{AduName, Clock, Driver, PageId, SrmAgent, SrmConfig, SourceId, Transport};
+use netsim::{GroupId, SimDuration};
 use srm::agent::Delivery;
-use std::collections::BTreeSet;
+use srm::{AduName, Driver, PageId, SourceId, SrmAgent, SrmConfig};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -95,7 +76,16 @@ pub enum Mode {
 }
 
 impl Mode {
-    fn group_addr(base: SocketAddrV4, group: GroupId) -> SocketAddrV4 {
+    /// Members this fan-out reaches, self included (unknowable under true
+    /// multicast, where it is just us).
+    pub(crate) fn group_size(&self) -> usize {
+        match self {
+            Mode::Mesh { peers } => peers.len() + 1,
+            Mode::Multicast { .. } => 1,
+        }
+    }
+
+    pub(crate) fn group_addr(base: SocketAddrV4, group: GroupId) -> SocketAddrV4 {
         let ip = Ipv4Addr::from(u32::from(*base.ip()).wrapping_add(group.0));
         SocketAddrV4::new(ip, base.port())
     }
@@ -149,7 +139,7 @@ impl LossPolicy {
     /// Should this (flow, destination) frame be dropped? Each rule counts
     /// the frames it matches; `dest` is `None` in multicast mode, where
     /// only destination-less rules apply.
-    fn should_drop(&mut self, flow: u32, dest: Option<SocketAddr>) -> bool {
+    pub(crate) fn should_drop(&mut self, flow: u32, dest: Option<SocketAddr>) -> bool {
         let mut drop = false;
         for r in &mut self.rules {
             if r.flow == flow && (r.dest.is_none() || r.dest == dest) {
@@ -163,7 +153,9 @@ impl LossPolicy {
     }
 }
 
-/// Per-node configuration for [`Node::spawn`].
+/// Per-member configuration: what [`Node::spawn`] takes, and what
+/// [`HubHandle::create_with`](crate::HubHandle::create_with) hosts on a hub
+/// (where the per-socket fields, `supervision` and `batch`, are the hub's).
 #[derive(Debug)]
 pub struct NodeOptions {
     /// This member's persistent Source-ID (also the envelope's node id).
@@ -273,190 +265,30 @@ impl NodeOptions {
         }
     }
 }
-
-/// Receive-slab size: one max-size UDP datagram, so batching can never
-/// truncate a frame.
-pub(crate) const MAX_DATAGRAM: usize = 64 * 1024;
-
-/// Initial size of the send-side encode slabs. SRM control traffic and
-/// framed data fit comfortably; a larger encode grows its slab once and
-/// the grown slab recycles at the new size.
-const TX_SLAB_BYTES: usize = 2048;
-
-/// Salt mixed into the node seed to derive the chaos RNG, keeping the chaos
-/// draw stream independent of the protocol's timer draws.
-const CHAOS_SEED_SALT: u64 = 0xC4A0_5EED_0BAD_CA5E;
-
-/// Flow-kind labels indexed by [`flow_slot`]; the last slot collects flows
-/// outside the four the protocol defines.
-const FLOW_KINDS: [&str; 5] = ["data", "request", "repair", "session", "other"];
-
-/// Map a wire flow label to a `FLOW_KINDS` slot.
-fn flow_slot(flow: u32) -> usize {
-    (flow as usize).min(FLOW_KINDS.len() - 1)
-}
-
-/// Reactor-side cached registry handles: resolved once at spawn so the hot
-/// path is one relaxed atomic op per update, no name lookups.
-struct RegHandles {
-    /// Frames accepted from the socket, by flow kind.
-    rx: [obs::Counter; 5],
-    /// recv-thread capture → reactor dequeue.
-    stage_queue: obs::Histo,
-    /// Reactor dequeue → envelope decoded.
-    stage_decode: obs::Histo,
-    /// Agent handling time per inbound packet (`drive_packet`).
-    stage_handle: obs::Histo,
-    /// Channel events handled per reactor wakeup (the coalescing window).
-    batch_drain: obs::Histo,
-    /// Receive-pool occupancy (slabs in flight) sampled per wakeup.
-    pool_in_use: obs::Gauge,
-    /// Receive-pool size.
-    pool_capacity: obs::Gauge,
-    /// Pool-dry fallbacks to exact-size heap buffers (both directions).
-    pool_misses: obs::Counter,
-    /// Datagrams shed because the bounded inbound channel was full.
-    inbound_overflow: obs::Counter,
-    // Mirrors of the shared atomic counters, refreshed once per reactor
-    // wakeup so snapshots are complete without reaching into the handle.
-    frames_attempted: obs::Counter,
-    frames_sent: obs::Counter,
-    frames_dropped: obs::Counter,
-    frames_received: obs::Counter,
-    blackholed: obs::Counter,
-    send_errors: obs::Counter,
-    decode_errors: obs::Counter,
-    rx_unjoined: obs::Counter,
-    chaos_dropped: obs::Counter,
-    chaos_duplicated: obs::Counter,
-    chaos_delayed: obs::Counter,
-    chaos_corrupted: obs::Counter,
-    recv_transient_errors: obs::Counter,
-    recv_respawns: obs::Counter,
-    recv_deaths: obs::Counter,
-    mode_fallbacks: obs::Counter,
-    liveness_suspected: obs::Counter,
-    liveness_died: obs::Counter,
-    liveness_revived: obs::Counter,
-    wheel_depth: obs::Gauge,
-    wheel_high_water: obs::Gauge,
-    delayq_depth: obs::Gauge,
-    delayq_high_water: obs::Gauge,
-    peers_alive: obs::Gauge,
-    peers_suspect: obs::Gauge,
-    peers_dead: obs::Gauge,
-    // Durable-store mirrors (all zero unless `--store` is active; latency
-    // histograms are recorded at the operation site via StoreProbes).
-    store_appends: obs::Counter,
-    store_bytes: obs::Counter,
-    store_fsyncs: obs::Counter,
-    store_snapshots: obs::Counter,
-    store_reads: obs::Counter,
-    store_io_errors: obs::Counter,
-    store_evictions: obs::Counter,
-    store_disk_repairs: obs::Counter,
-    store_segments: obs::Gauge,
-    store_live_records: obs::Gauge,
-}
-
-impl RegHandles {
-    fn new(reg: &obs::MetricsRegistry) -> Self {
-        let rx = FLOW_KINDS.map(|k| reg.counter(&format!("rx.frames.{k}")));
-        RegHandles {
-            rx,
-            stage_queue: reg.histogram("stage.queue_s"),
-            stage_decode: reg.histogram("stage.decode_s"),
-            stage_handle: reg.histogram("stage.handle_s"),
-            batch_drain: reg.histogram("batch.inbound_drain"),
-            pool_in_use: reg.gauge("pool.in_use"),
-            pool_capacity: reg.gauge("pool.capacity"),
-            pool_misses: reg.counter("pool.misses"),
-            inbound_overflow: reg.counter("inbound.overflow"),
-            frames_attempted: reg.counter("frames.attempted"),
-            frames_sent: reg.counter("frames.sent"),
-            frames_dropped: reg.counter("frames.dropped"),
-            frames_received: reg.counter("frames.received"),
-            blackholed: reg.counter("frames.blackholed"),
-            send_errors: reg.counter("frames.send_errors"),
-            decode_errors: reg.counter("rx.decode_errors"),
-            rx_unjoined: reg.counter("rx.unjoined_group"),
-            chaos_dropped: reg.counter("chaos.dropped"),
-            chaos_duplicated: reg.counter("chaos.duplicated"),
-            chaos_delayed: reg.counter("chaos.delayed"),
-            chaos_corrupted: reg.counter("chaos.corrupted"),
-            recv_transient_errors: reg.counter("recv.transient_errors"),
-            recv_respawns: reg.counter("recv.respawns"),
-            recv_deaths: reg.counter("recv.deaths"),
-            mode_fallbacks: reg.counter("mode.fallbacks"),
-            liveness_suspected: reg.counter("liveness.suspected"),
-            liveness_died: reg.counter("liveness.died"),
-            liveness_revived: reg.counter("liveness.revived"),
-            wheel_depth: reg.gauge("wheel.depth"),
-            wheel_high_water: reg.gauge("wheel.high_water"),
-            delayq_depth: reg.gauge("delayq.depth"),
-            delayq_high_water: reg.gauge("delayq.high_water"),
-            peers_alive: reg.gauge("peers.alive"),
-            peers_suspect: reg.gauge("peers.suspect"),
-            peers_dead: reg.gauge("peers.dead"),
-            store_appends: reg.counter("store.wal_appends"),
-            store_bytes: reg.counter("store.wal_bytes"),
-            store_fsyncs: reg.counter("store.fsyncs"),
-            store_snapshots: reg.counter("store.snapshots"),
-            store_reads: reg.counter("store.reads"),
-            store_io_errors: reg.counter("store.io_errors"),
-            store_evictions: reg.counter("store.evictions"),
-            store_disk_repairs: reg.counter("store.disk_repairs"),
-            store_segments: reg.gauge("store.segments"),
-            store_live_records: reg.gauge("store.live_records"),
-        }
-    }
-}
-
-/// Send-side registry handles, held by [`Outbound`].
-struct OutMetrics {
-    /// Logical multicasts by flow kind (pre fan-out; the per-destination
-    /// totals live in `frames.*`).
-    tx: [obs::Counter; 5],
-    /// Encode + fan-out time per logical multicast.
-    stage_send: obs::Histo,
-    /// Frames per send syscall at flush time.
-    batch_send: obs::Histo,
-    clock: WallClock,
-}
-
-impl OutMetrics {
-    fn new(reg: &obs::MetricsRegistry, clock: WallClock) -> Self {
-        OutMetrics {
-            tx: FLOW_KINDS.map(|k| reg.counter(&format!("tx.frames.{k}"))),
-            stage_send: reg.histogram("stage.send_s"),
-            batch_send: reg.histogram("batch.send_frames"),
-            clock,
-        }
-    }
-}
-
-/// Counters shared between the runtime and its [`NodeHandle`].
+/// Counters shared by one host's recv loop, its reactors and its handle
+/// (a node has one group behind them, a hub all of its groups).
 #[derive(Debug, Default)]
-struct Counters {
-    frames_attempted: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_dropped: AtomicU64,
-    frames_received: AtomicU64,
-    blackholed: AtomicU64,
-    send_errors: AtomicU64,
-    chaos_dropped: AtomicU64,
-    chaos_duplicated: AtomicU64,
-    chaos_delayed: AtomicU64,
-    chaos_corrupted: AtomicU64,
-    decode_errors: AtomicU64,
-    recv_transient_errors: AtomicU64,
-    recv_respawns: AtomicU64,
-    recv_deaths: AtomicU64,
-    mode_fallbacks: AtomicU64,
-    inbound_overflow: AtomicU64,
-    rx_unjoined_group: AtomicU64,
-    max_wheel_len: AtomicU64,
-    max_delayq_len: AtomicU64,
+pub(crate) struct Counters {
+    pub(crate) frames_attempted: AtomicU64,
+    pub(crate) frames_sent: AtomicU64,
+    pub(crate) frames_dropped: AtomicU64,
+    pub(crate) frames_received: AtomicU64,
+    pub(crate) blackholed: AtomicU64,
+    pub(crate) send_errors: AtomicU64,
+    pub(crate) chaos_dropped: AtomicU64,
+    pub(crate) chaos_duplicated: AtomicU64,
+    pub(crate) chaos_delayed: AtomicU64,
+    pub(crate) chaos_corrupted: AtomicU64,
+    pub(crate) decode_errors: AtomicU64,
+    pub(crate) recv_transient_errors: AtomicU64,
+    pub(crate) recv_respawns: AtomicU64,
+    pub(crate) recv_deaths: AtomicU64,
+    pub(crate) mode_fallbacks: AtomicU64,
+    pub(crate) inbound_overflow: AtomicU64,
+    pub(crate) rx_unjoined_group: AtomicU64,
+    pub(crate) max_wheel_len: AtomicU64,
+    pub(crate) max_delayq_len: AtomicU64,
+    pub(crate) demux_splits: AtomicU64,
 }
 
 /// A point-in-time snapshot of one node's transport counters.
@@ -511,10 +343,13 @@ pub struct TransportStats {
     pub max_wheel_len: u64,
     /// High-water mark of the chaos delay queue.
     pub max_delayq_len: u64,
+    /// GRO buffers whose segments straddled reactors and had to be split
+    /// with per-segment copies; always zero with one reactor (a node).
+    pub demux_splits: u64,
 }
 
 impl TransportStats {
-    fn snapshot(c: &Counters) -> TransportStats {
+    pub(crate) fn snapshot(c: &Counters) -> TransportStats {
         TransportStats {
             frames_attempted: c.frames_attempted.load(Ordering::Relaxed),
             frames_sent: c.frames_sent.load(Ordering::Relaxed),
@@ -535,6 +370,7 @@ impl TransportStats {
             rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
             max_wheel_len: c.max_wheel_len.load(Ordering::Relaxed),
             max_delayq_len: c.max_delayq_len.load(Ordering::Relaxed),
+            demux_splits: c.demux_splits.load(Ordering::Relaxed),
         }
     }
 
@@ -545,310 +381,6 @@ impl TransportStats {
             == self.frames_sent + self.frames_dropped + self.blackholed + self.send_errors
     }
 }
-
-/// One encoded frame queued for the next flush.
-struct PendingFrame {
-    dest: SocketAddr,
-    /// `Some(ttl)` in multicast mode: the flush sets the socket's
-    /// multicast TTL per run of equal values, preserving the old
-    /// per-send `set_multicast_ttl_v4` semantics. `None` on a mesh.
-    ttl: Option<u8>,
-    /// The encoded envelope, shared (not copied) across the mesh fan-out.
-    data: Arc<PoolBuf>,
-}
-
-/// The send half: socket + mode + interposed loss + blackhole windows.
-///
-/// Sends are *queued*: every logical multicast encodes once into a pooled
-/// slab, fans out per destination at enqueue time (where loss, blackholes,
-/// and the accounting all run, in the same order as before), and the
-/// reactor flushes the whole queue as batched syscalls once per wakeup.
-struct Outbound {
-    /// Kept alongside the batched backend for socket options
-    /// (`set_multicast_ttl_v4`, `join_multicast_v4`).
-    socket: UdpSocket,
-    batch: Box<dyn BatchSocket>,
-    mode: Mode,
-    src: u32,
-    loss: LossPolicy,
-    /// Chaos partition windows, applied RNG-free per destination.
-    blackholes: Vec<Blackhole>,
-    counters: Arc<Counters>,
-    /// Reactor-side transport event log (blackholes, send/socket errors,
-    /// decode failures, supervision events forwarded from the recv thread).
-    log: obs::TransportLog,
-    /// Recycled encode slabs: the envelope is serialized into a pooled
-    /// buffer per logical send, so steady-state sending allocates nothing
-    /// per datagram (drops at flush return the slabs).
-    tx_pool: BufferPool,
-    /// Frames awaiting the next flush.
-    queue: Vec<PendingFrame>,
-    /// Reused per-flush results scratch.
-    results: Vec<io::Result<()>>,
-    /// Frames per send syscall (from [`BatchOptions::send_batch`]).
-    max_batch: usize,
-    /// Live-registry handles for the send path; `None` costs one branch.
-    metrics: Option<OutMetrics>,
-}
-
-/// One per-destination attempt: the single place every outgoing frame's
-/// fate is decided and counted (a free function over [`Outbound`]'s split
-/// field borrows, so the mesh fan-out can iterate `mode`'s peer list while
-/// mutating the loss policy and log). Surviving frames go on the flush
-/// queue; `frames_sent`/`send_errors` are settled when the batch reaches
-/// the socket.
-#[allow(clippy::too_many_arguments)]
-fn enqueue_one(
-    now: SimTime,
-    dest: SocketAddr,
-    policy_dest: Option<SocketAddr>,
-    ttl: Option<u8>,
-    flow: u32,
-    wire: &Arc<PoolBuf>,
-    queue: &mut Vec<PendingFrame>,
-    blackholes: &[Blackhole],
-    loss: &mut LossPolicy,
-    counters: &Counters,
-    log: &mut obs::TransportLog,
-) {
-    counters.frames_attempted.fetch_add(1, Ordering::Relaxed);
-    if blackholes.iter().any(|b| b.matches(now, policy_dest)) {
-        counters.blackholed.fetch_add(1, Ordering::Relaxed);
-        log.record(now, obs::TransportEventKind::Blackholed { flow });
-    } else if loss.should_drop(flow, policy_dest) {
-        counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
-    } else {
-        queue.push(PendingFrame { dest, ttl, data: Arc::clone(wire) });
-    }
-}
-
-impl Outbound {
-    fn send(&mut self, now: SimTime, group: GroupId, payload: Bytes, opts: SendOptions) {
-        if opts.ttl == 0 {
-            // A zero-TTL datagram never leaves the host.
-            return;
-        }
-        let mut buf = self.tx_pool.try_take().unwrap_or_else(|| {
-            self.tx_pool.note_miss();
-            PoolBuf::copied_from(&[])
-        });
-        Envelope {
-            src: self.src,
-            group: group.0,
-            ttl: opts.ttl,
-            initial_ttl: opts.ttl,
-            admin_scoped: opts.admin_scoped,
-            flow: opts.flow,
-            payload,
-        }
-        .encode_into(&mut buf);
-        let wire = Arc::new(buf);
-        let Outbound { mode, loss, blackholes, counters, log, queue, .. } = self;
-        match mode {
-            Mode::Mesh { peers } => {
-                for &p in peers.iter() {
-                    enqueue_one(
-                        now, p, Some(p), None, opts.flow, &wire, queue, blackholes, loss,
-                        counters, log,
-                    );
-                }
-            }
-            Mode::Multicast { base } => {
-                let dest = Mode::group_addr(*base, group);
-                enqueue_one(
-                    now,
-                    SocketAddr::V4(dest),
-                    None,
-                    Some(opts.ttl),
-                    opts.flow,
-                    &wire,
-                    queue,
-                    blackholes,
-                    loss,
-                    counters,
-                    log,
-                );
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.tx[flow_slot(opts.flow)].inc();
-            m.stage_send.record(m.clock.now().since(now).as_secs_f64());
-        }
-    }
-
-    /// Push every queued frame to the socket in batched syscalls,
-    /// settling `frames_sent`/`send_errors` per destination. Runs of
-    /// equal multicast TTL share one `set_multicast_ttl_v4` call.
-    fn flush(&mut self, now: SimTime) {
-        if self.queue.is_empty() {
-            return;
-        }
-        let queue = std::mem::take(&mut self.queue);
-        let mut i = 0;
-        while i < queue.len() {
-            let ttl = queue[i].ttl;
-            let mut j = i + 1;
-            while j < queue.len() && queue[j].ttl == ttl {
-                j += 1;
-            }
-            if let Some(t) = ttl {
-                let _ = self.socket.set_multicast_ttl_v4(u32::from(t));
-            }
-            for chunk in queue[i..j].chunks(self.max_batch.max(1)) {
-                let frames: Vec<SendFrame<'_>> = chunk
-                    .iter()
-                    .map(|p| SendFrame { dest: p.dest, data: &p.data })
-                    .collect();
-                self.results.clear();
-                self.batch.send_batch(&frames, &mut self.results);
-                if let Some(m) = &self.metrics {
-                    m.batch_send.record(frames.len() as f64);
-                }
-                for (p, r) in chunk.iter().zip(self.results.iter()) {
-                    match r {
-                        Ok(()) => {
-                            self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            self.counters.send_errors.fetch_add(1, Ordering::Relaxed);
-                            self.log.record(
-                                now,
-                                obs::TransportEventKind::SocketError {
-                                    detail: format!("send_to {}: {e}", p.dest),
-                                    transient: crate::supervise::classify(e.kind())
-                                        == crate::supervise::ErrorClass::Transient,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        // Reclaim the queue's allocation; dropping the contents returns
-        // the encode slabs to the pool.
-        self.queue = queue;
-        self.queue.clear();
-    }
-
-    fn join_group(&mut self, group: GroupId) -> io::Result<()> {
-        if let Mode::Multicast { base } = self.mode {
-            let addr = Mode::group_addr(base, group);
-            self.socket
-                .join_multicast_v4(addr.ip(), &Ipv4Addr::UNSPECIFIED)?;
-        }
-        Ok(())
-    }
-}
-
-/// Wall-clock implementation of the agent's [`Driver`] seam: the borrowed
-/// view of the reactor's state handed to every agent entry point.
-struct RtDriver<'a> {
-    clock: &'a WallClock,
-    wheel: &'a mut TimerWheel,
-    rng: &'a mut StdRng,
-    out: &'a mut Outbound,
-    joined: &'a mut BTreeSet<GroupId>,
-    fallback_peers: &'a mut Vec<SocketAddr>,
-}
-
-impl Clock for RtDriver<'_> {
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    fn local_now(&self) -> SimTime {
-        self.clock.local_now()
-    }
-}
-
-impl Transport for RtDriver<'_> {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        self.out.send(self.clock.now(), group, payload, opts);
-    }
-
-    fn join(&mut self, group: GroupId) {
-        if !self.joined.insert(group) {
-            return;
-        }
-        if let Err(e) = self.out.join_group(group) {
-            let now = self.clock.now();
-            if self.fallback_peers.is_empty() {
-                // No mesh to fall back to: log and stay in multicast mode
-                // (other joins may still succeed).
-                self.out.log.record(
-                    now,
-                    obs::TransportEventKind::SocketError {
-                        detail: format!("join group {}: {e}", group.0),
-                        transient: false,
-                    },
-                );
-                eprintln!(
-                    "srm-node[{}]: multicast join for group {} failed ({e}); no fallback peers",
-                    self.out.src, group.0
-                );
-            } else {
-                // Degrade to the unicast mesh for *all* traffic: one
-                // fan-out path keeps the group-delivery model coherent.
-                let peers = std::mem::take(self.fallback_peers);
-                self.out.counters.mode_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.out.log.record(
-                    now,
-                    obs::TransportEventKind::ModeFallback { peers: peers.len() as u64 },
-                );
-                eprintln!(
-                    "srm-node[{}]: multicast join for group {} failed ({e}); \
-                     falling back to a unicast mesh of {} peers",
-                    self.out.src,
-                    group.0,
-                    peers.len()
-                );
-                self.out.mode = Mode::Mesh { peers };
-            }
-        }
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.wheel.arm(self.clock.now() + delay, token)
-    }
-
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.wheel.cancel(id);
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-}
-
-/// A closure run against the live agent on the reactor thread.
-type ExecFn = Box<dyn FnOnce(&mut SrmAgent, &mut dyn Driver) + Send>;
-
-/// Work items the reactor waits on.
-enum Event {
-    /// A raw datagram from the receive thread, stamped with its capture
-    /// time so the reactor can account the queueing stage. The buffer is
-    /// a pooled slab travelling by ownership; dropping it after decode
-    /// recycles the slab to the receive pool. The `u32` is the GRO
-    /// segment size: non-zero means the kernel coalesced several
-    /// equal-size frames into this one buffer, and the reactor walks
-    /// them at that stride ([`RecvFrame`]).
-    Datagram(SimTime, u32, PoolBuf),
-    /// A typed transport event from the receive thread's supervisor.
-    Transport(SimTime, obs::TransportEventKind),
-    /// Run a closure against the agent (the wall-clock analogue of
-    /// `Simulator::exec`).
-    Exec(ExecFn),
-    /// Stop the reactor and return the agent.
-    Shutdown,
-}
-
-/// How long the reactor sleeps when the wheel is empty. Purely a
-/// responsiveness bound — channel events wake it immediately.
-const IDLE_WAIT: Duration = Duration::from_millis(250);
-/// Read timeout on the receive thread's socket, bounding shutdown latency.
-const RECV_POLL: Duration = Duration::from_millis(25);
-
 /// Spawner for node runtimes.
 pub struct Node;
 
@@ -859,656 +391,38 @@ impl Node {
     }
 
     /// Start a runtime on an already-bound socket (the harness binds all
-    /// sockets first so every node can list the others as peers).
+    /// sockets first so every node can list the others as peers): one
+    /// reactor, this one group hosted before the loop starts.
     pub fn spawn_on(socket: UdpSocket, mode: Mode, opts: NodeOptions) -> io::Result<NodeHandle> {
         let addr = socket.local_addr()?;
-        // One call covers every clone: dup'd descriptors share the socket,
-        // and the batched sender can burst a whole flush into this buffer.
-        crate::batch::configure_socket_buffers(&socket, opts.batch.socket_bufs);
-        let recv_master = socket.try_clone()?;
-
-        // Bounded: under flood the channel sheds datagrams (counted as
-        // `inbound_overflow`) instead of growing without limit; commands
-        // and supervision events block briefly instead of being lost.
-        let (tx, rx) = mpsc::sync_channel::<Event>(opts.batch.inbound_capacity.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
-        let clock = WallClock::with_skew(opts.skew);
-        // One slab per channel slot would be ideal; `pool_slabs` bounds the
-        // receive-side memory at `pool_slabs * MAX_DATAGRAM` instead, with
-        // exact-size heap copies (counted misses) covering the overflow.
-        let rx_pool = BufferPool::new(opts.batch.pool_slabs, MAX_DATAGRAM);
-
-        let recv_tx = tx.clone();
+        let (id, group) = (opts.id, opts.group.0);
+        let Plant { mut txs, mut reactors, counters, stop, recv } = reactor::build(
+            socket,
+            1,
+            HostKind::Node(id.0),
+            opts.batch,
+            opts.supervision,
+            opts.metrics.clone(),
+        )?;
+        // `build(.., 1, ..)` returns exactly one reactor and its sender.
+        let (mut reactor, rx) = reactors.remove(0);
+        let hosting = Hosting {
+            keep_deliveries: true,
+            quota: None,
+            members: mode.group_size(),
+            reg_prefix: String::new(),
+        };
         let recv_stop = Arc::clone(&stop);
-        let recv_counters = Arc::clone(&counters);
-        let recv_clock = clock.clone();
-        let recv_pool = rx_pool.clone();
-        let recv_histo = opts.metrics.as_ref().map(|r| r.histogram("batch.recv_frames"));
-        let policy = opts.supervision;
-        let batch_opts = opts.batch;
-        let recv_thread = thread::Builder::new()
-            .name(format!("srm-recv-{}", opts.id.0))
-            .spawn(move || {
-                run_recv_supervised(
-                    &policy,
-                    recv_master,
-                    addr,
-                    batch_opts,
-                    recv_pool,
-                    recv_histo,
-                    recv_tx,
-                    recv_stop,
-                    recv_counters,
-                    recv_clock,
-                )
-            })?;
-
-        let id = opts.id;
-        let reactor_stop = Arc::clone(&stop);
-        let reactor_counters = Arc::clone(&counters);
-        let reactor = thread::Builder::new()
-            .name(format!("srm-node-{}", opts.id.0))
-            .spawn(move || {
-                let agent = run_reactor(socket, mode, opts, rx, rx_pool, reactor_counters, clock);
-                reactor_stop.store(true, Ordering::Relaxed);
-                let _ = recv_thread.join();
-                agent
-            })?;
-
-        Ok(NodeHandle {
-            tx,
-            thread: Some(reactor),
-            addr,
-            id,
-            counters,
-        })
-    }
-}
-
-/// The supervised receive loop: each spawned step owns a fresh socket clone
-/// (a rebind when the original descriptor is wedged) wrapped in a batched
-/// backend with a short read timeout; poll timeouts are normal progress,
-/// everything else goes through the supervisor's classify/backoff/respawn
-/// state machine. Datagrams ride pooled slabs into the bounded channel;
-/// when the channel is full the frame is shed and counted rather than
-/// blocking the socket drain.
-#[allow(clippy::too_many_arguments)]
-fn run_recv_supervised(
-    policy: &SupervisePolicy,
-    master: UdpSocket,
-    local: SocketAddr,
-    batch: BatchOptions,
-    pool: BufferPool,
-    recv_histo: Option<obs::Histo>,
-    tx: mpsc::SyncSender<Event>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    clock: WallClock,
-) {
-    if batch.batch_sched {
-        crate::batch::enter_batch_scheduling();
-    }
-    let recv_batch = batch.recv_batch.clamp(1, crate::batch::MAX_BATCH);
-    let reason = run_supervised(
-        policy,
-        |attempt| {
-            let sock = if attempt == 0 {
-                master.try_clone()?
-            } else {
-                // Respawn: prefer a clone of the original descriptor, fall
-                // back to a fresh bind of the same address if the
-                // descriptor itself is the problem.
-                master.try_clone().or_else(|_| UdpSocket::bind(local))?
-            };
-            sock.set_read_timeout(Some(RECV_POLL))?;
-            let mut backend = make_backend(sock, &batch);
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            let step_clock = clock.clone();
-            let step_pool = pool.clone();
-            let step_histo = recv_histo.clone();
-            let step_counters = Arc::clone(&counters);
-            let mut bufs: Vec<RecvFrame> = Vec::with_capacity(recv_batch);
-            Ok(move || -> io::Result<StepOutcome> {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(StepOutcome::Stop);
-                }
-                bufs.clear();
-                match backend.recv_batch(&step_pool, recv_batch, &mut bufs) {
-                    Ok(_) => {
-                        if let Some(h) = &step_histo {
-                            // Logical frames per syscall: a GRO-coalesced
-                            // buffer counts all its segments.
-                            let frames: usize = bufs.iter().map(RecvFrame::frame_count).sum();
-                            h.record(frames as f64);
-                        }
-                        // One capture stamp per batch: the datagrams were
-                        // drained by one syscall, so they share an arrival
-                        // time as far as the queue-stage clock can tell.
-                        let at = step_clock.now();
-                        for f in bufs.drain(..) {
-                            let frames = f.frame_count() as u64;
-                            match tx.try_send(Event::Datagram(at, f.seg_size, f.buf)) {
-                                Ok(()) => {}
-                                Err(mpsc::TrySendError::Full(_)) => {
-                                    // Shed, count, and keep draining the
-                                    // socket: SRM repairs the gap exactly
-                                    // as it would wire loss. A shed
-                                    // coalesced buffer loses every frame
-                                    // it carried.
-                                    step_counters
-                                        .inbound_overflow
-                                        .fetch_add(frames, Ordering::Relaxed);
-                                }
-                                Err(mpsc::TrySendError::Disconnected(_)) => {
-                                    return Ok(StepOutcome::Stop);
-                                }
-                            }
-                        }
-                        Ok(StepOutcome::Continue)
-                    }
-                    // The poll timeout is the loop's heartbeat, not an
-                    // error; it must not enter the supervisor's backoff.
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        Ok(StepOutcome::Continue)
-                    }
-                    Err(e) => Err(e),
-                }
-            })
-        },
-        |ev| {
-            let now = clock.now();
-            match ev {
-                SupervisionEvent::Transient { detail, .. } => {
-                    counters.recv_transient_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(Event::Transport(
-                        now,
-                        obs::TransportEventKind::SocketError {
-                            detail: detail.clone(),
-                            transient: true,
-                        },
-                    ));
-                }
-                SupervisionEvent::Fatal { detail } => {
-                    let _ = tx.send(Event::Transport(
-                        now,
-                        obs::TransportEventKind::SocketError {
-                            detail: detail.clone(),
-                            transient: false,
-                        },
-                    ));
-                }
-                SupervisionEvent::Respawned { attempt, .. } => {
-                    counters.recv_respawns.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(Event::Transport(
-                        now,
-                        obs::TransportEventKind::RecvRespawn { attempt: *attempt },
-                    ));
-                }
-            }
-        },
-        |backoff| {
-            // Interruptible backoff: keep shutdown latency bounded by the
-            // poll interval even while backing off.
-            let mut left = backoff;
-            while !stop.load(Ordering::Relaxed) && left > Duration::ZERO {
-                let chunk = left.min(RECV_POLL);
-                thread::sleep(chunk);
-                left = left.saturating_sub(chunk);
-            }
-        },
-    );
-    if matches!(reason, ExitReason::Exhausted { .. }) {
-        counters.recv_deaths.fetch_add(1, Ordering::Relaxed);
-        eprintln!("srm-recv: {}", reason.label());
-    }
-    let _ = tx.send(Event::Transport(
-        clock.now(),
-        obs::TransportEventKind::RecvExit { reason: reason.label() },
-    ));
-}
-
-/// The reactor loop: fire due timers, release held-back chaos frames,
-/// flush the send queue as batched syscalls, then drain a whole window of
-/// channel events per wakeup (datagrams, commands, deadlines coalesced).
-fn run_reactor(
-    socket: UdpSocket,
-    mode: Mode,
-    opts: NodeOptions,
-    rx: mpsc::Receiver<Event>,
-    rx_pool: BufferPool,
-    counters: Arc<Counters>,
-    clock: WallClock,
-) -> SrmAgent {
-    if opts.batch.batch_sched {
-        crate::batch::enter_batch_scheduling();
-    }
-    let mut wheel = TimerWheel::new();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut joined: BTreeSet<GroupId> = BTreeSet::new();
-    let mut fallback_peers = opts.fallback_peers;
-    // The backend owns its own descriptor clone; the original stays on
-    // `Outbound.socket` for multicast socket options. `spawn_on` already
-    // cloned this descriptor once, so a failure here is a dead socket.
-    let send_sock = socket.try_clone().expect("clone udp socket for batched sends");
-    let mut out = Outbound {
-        socket,
-        batch: make_backend(send_sock, &opts.batch),
-        mode,
-        src: u32::try_from(opts.id.0).unwrap_or(u32::MAX),
-        loss: opts.loss,
-        blackholes: opts
-            .chaos
-            .as_ref()
-            .map(|p| p.blackholes.clone())
-            .unwrap_or_default(),
-        counters: Arc::clone(&counters),
-        log: obs::TransportLog::new(),
-        // Send slabs start at a typical datagram size; an oversized encode
-        // grows its slab once and the bigger slab recycles.
-        tx_pool: BufferPool::new(opts.batch.pool_slabs, TX_SLAB_BYTES),
-        queue: Vec::new(),
-        results: Vec::new(),
-        max_batch: opts.batch.send_batch.clamp(1, crate::batch::MAX_BATCH),
-        metrics: opts.metrics.as_ref().map(|r| OutMetrics::new(r, clock.clone())),
-    };
-    let reg = opts.metrics.as_ref().map(RegHandles::new);
-    let mut chaos = opts
-        .chaos
-        .map(|plan| ChaosState::new(plan, opts.seed ^ CHAOS_SEED_SALT));
-    let mut chaos_log = obs::TransportLog::new();
-    let mut delayq = DelayQueue::new();
-    let mut tally = ChaosTally::default();
-
-    let mut agent = SrmAgent::new(opts.id, opts.group, opts.cfg);
-    agent.session_enabled = opts.session_enabled;
-    if opts.trace {
-        match opts.trace_capacity {
-            Some(cap) => {
-                agent.obs.enable_bounded(cap);
-                agent.transport_obs.enable_bounded(cap);
-                out.log.enable_bounded(cap);
-                chaos_log.enable_bounded(cap);
-            }
-            None => {
-                agent.obs.enable();
-                agent.transport_obs.enable();
-                out.log.enable();
-                chaos_log.enable();
-            }
-        }
-    }
-    if let Some(lv) = opts.liveness {
-        agent.liveness.enable(lv);
-    }
-    for (peer, d) in opts.initial_distances {
-        agent.distances_mut().set_distance(peer, d);
-    }
-    if let Some(sto) = opts.store {
-        match srm_store::DirBackend::open(&sto.dir) {
-            Ok(backend) => {
-                let mut ds = srm_store::DurableStore::new(Box::new(backend), sto.config);
-                if let Some(r) = opts.metrics.as_ref() {
-                    ds.set_probes(srm_store::StoreProbes::from_registry(r));
-                }
-                // The single rehydrate path: a restart after kill -9 replays
-                // the log here, so the node rejoins repair-capable.
-                let summary = agent.attach_durable_store(Box::new(ds), sto.cache_per_stream);
-                agent.transport_obs.record(
-                    clock.now(),
-                    obs::TransportEventKind::StoreRehydrate {
-                        adus: summary.names.len() as u64,
-                        segments: summary.segments,
-                        truncated_bytes: summary.truncated_bytes,
-                    },
-                );
-                if !summary.names.is_empty() || summary.truncated_bytes > 0 {
-                    eprintln!(
-                        "srm-node[{}]: rehydrated {} ADUs from {} ({} segments, {} torn bytes dropped)",
-                        out.src,
-                        summary.names.len(),
-                        sto.dir.display(),
-                        summary.segments,
-                        summary.truncated_bytes,
-                    );
-                }
-            }
-            Err(e) => eprintln!(
-                "srm-node[{}]: could not open store {}: {e} (running without durability)",
-                out.src,
-                sto.dir.display()
-            ),
-        }
-    }
-
-    // Bind a driver name for one statement: the chaos decorator when a plan
-    // is configured, the plain wall-clock driver otherwise. Built per entry
-    // point because the driver borrows half the reactor's state.
-    macro_rules! with_driver {
-        (|$d:ident| $body:expr) => {{
-            let mut rt = RtDriver {
-                clock: &clock,
-                wheel: &mut wheel,
-                rng: &mut rng,
-                out: &mut out,
-                joined: &mut joined,
-                fallback_peers: &mut fallback_peers,
-            };
-            match chaos.as_mut() {
-                Some(state) => {
-                    let mut ct = ChaosTransport {
-                        inner: &mut rt,
-                        state,
-                        delayq: &mut delayq,
-                        tally: &mut tally,
-                        log: &mut chaos_log,
-                    };
-                    let $d: &mut dyn Driver = &mut ct;
-                    $body
-                }
-                None => {
-                    let $d: &mut dyn Driver = &mut rt;
-                    $body
-                }
-            }
-        }};
-    }
-
-    with_driver!(|d| agent.drive_start(d));
-
-    let mut rx_seq = 0u64;
-    let mut decode_fail_count = 0u64;
-    let mut unjoined_count = 0u64;
-    let inbound_drain = opts.batch.inbound_drain.max(1);
-
-    // Handle one channel event; evaluates to `true` on shutdown. A macro
-    // (not a closure) because the body borrows half the reactor's state
-    // through `with_driver!`.
-    macro_rules! handle_event {
-        ($ev:expr) => {{
-            match $ev {
-                Event::Datagram(recv_at, seg, buf) => {
-                    // A plain datagram is one frame; a GRO-coalesced buffer
-                    // is walked at its segment stride (the envelope length
-                    // field re-validates every chunk, so a mis-sliced
-                    // boundary surfaces as a decode error, never a bad
-                    // frame). The walk borrows the pooled slab in place —
-                    // no per-frame copy to split the super-datagram.
-                    let data: &[u8] = &buf;
-                    let stride = match seg as usize {
-                        0 => data.len().max(1),
-                        s => s,
-                    };
-                    let mut off = 0;
-                    loop {
-                        let chunk = &data[off..(off + stride).min(data.len())];
-                        off += stride;
-                        let last = off >= data.len();
-                    // The labeled block is this frame's early-exit scope
-                    // (the old `continue`); falling out of it recycles
-                    // `buf`'s slab to the receive pool.
-                    'frame: {
-                        // Stage clocks: one extra clock read per stage,
-                        // only when a registry is attached.
-                        let dequeued = reg.as_ref().map(|m| {
-                            let now = clock.now();
-                            m.stage_queue.record(now.since(recv_at).as_secs_f64());
-                            now
-                        });
-                        // Zero-copy decode: every field reads straight out
-                        // of the pooled slab; only a delivered payload is
-                        // copied (below, into the packet).
-                        let env = match Envelope::decode_view(chunk) {
-                            Ok(env) => env,
-                            Err(e) => {
-                                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                out.log.record(
-                                    clock.now(),
-                                    obs::TransportEventKind::DecodeError {
-                                        reason: e.label().to_string(),
-                                    },
-                                );
-                                decode_fail_count += 1;
-                                // Rate-limited: the first few in full, then
-                                // one sample per 256 so a corruption storm
-                                // cannot flood stderr.
-                                if decode_fail_count <= 5
-                                    || decode_fail_count.is_multiple_of(256)
-                                {
-                                    eprintln!(
-                                        "srm-node[{}]: rejected undecodable datagram ({e}); {} total",
-                                        out.src, decode_fail_count
-                                    );
-                                }
-                                break 'frame;
-                            }
-                        };
-                        if let (Some(m), Some(t0)) = (reg.as_ref(), dequeued) {
-                            m.stage_decode.record(clock.now().since(t0).as_secs_f64());
-                        }
-                        // Self-delivery (multicast loopback echo) and
-                        // traffic for groups we have not joined are the
-                        // network's job to withhold in the simulator;
-                        // filter them here — before the payload copy.
-                        if env.src == out.src || env.ttl == 0 {
-                            break 'frame;
-                        }
-                        if !joined.contains(&GroupId(env.group)) {
-                            // Not silent: a well-formed frame for a group
-                            // this node never joined almost always means a
-                            // misconfigured peer or a hub group that was
-                            // never created — count it and sample a log
-                            // line so the mismatch is visible.
-                            counters.rx_unjoined_group.fetch_add(1, Ordering::Relaxed);
-                            unjoined_count += 1;
-                            if unjoined_count <= 5 || unjoined_count.is_multiple_of(1024) {
-                                eprintln!(
-                                    "srm-node[{}]: dropping frame from {} for unjoined group {} ({} total) — \
-                                     sender misconfigured, or group not created here",
-                                    out.src, env.src, env.group, unjoined_count
-                                );
-                            }
-                            break 'frame;
-                        }
-                        counters.frames_received.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = reg.as_ref() {
-                            m.rx[flow_slot(env.flow)].inc();
-                        }
-                        rx_seq += 1;
-                        let pkt = Packet::new(
-                            // One observable hop on a mesh; real multicast
-                            // hop counts would need the received IP TTL,
-                            // which std sockets cannot read.
-                            env.ttl.saturating_sub(1),
-                            PacketBody {
-                                id: PacketId(rx_seq),
-                                src: NodeId(env.src),
-                                group: GroupId(env.group),
-                                dest: None,
-                                initial_ttl: env.initial_ttl,
-                                admin_scoped: env.admin_scoped,
-                                flow: env.flow,
-                                size: chunk.len() as u32,
-                                payload: Bytes::copy_from_slice(env.payload),
-                            },
-                        );
-                        let handle_t0 = reg.as_ref().map(|_| clock.now());
-                        with_driver!(|d| agent.drive_packet(d, &pkt));
-                        if let (Some(m), Some(t0)) = (reg.as_ref(), handle_t0) {
-                            m.stage_handle.record(clock.now().since(t0).as_secs_f64());
-                        }
-                    }
-                        if last {
-                            break;
-                        }
-                    }
-                    false
-                }
-                Event::Transport(at, kind) => {
-                    out.log.record(at, kind);
-                    false
-                }
-                Event::Exec(f) => {
-                    with_driver!(|d| f(&mut agent, d));
-                    false
-                }
-                Event::Shutdown => true,
-            }
-        }};
-    }
-
-    'reactor: loop {
-        while let Some(token) = wheel.pop_expired(clock.now()) {
-            with_driver!(|d| agent.drive_timer(d, token));
-        }
-        // Release due held-back frames to the send queue: the chaos verdict
-        // already ran when they were queued, so a frame is acted on at most
-        // once.
-        while let Some(held) = delayq.pop_due(clock.now()) {
-            out.send(clock.now(), held.group, held.payload, held.opts);
-        }
-        // Everything the last wakeup produced goes out in batched syscalls.
-        out.flush(clock.now());
-        publish_reactor_counters(&counters, &tally, wheel.len(), delayq.len(), reg.as_ref(), &agent.liveness, agent.store(), &rx_pool, &out.tx_pool);
-        let deadline = match (wheel.next_deadline(), delayq.next_due()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let wait = match deadline {
-            Some(at) => clock.until(at).min(IDLE_WAIT),
-            None => IDLE_WAIT,
-        };
-        // Coalesced wakeup: block for one event, then drain whatever else
-        // is already queued (up to the window) before revisiting timers
-        // and flushing the sends those events produced.
-        let mut drained = 0u64;
-        match rx.recv_timeout(wait) {
-            Ok(ev) => {
-                drained += 1;
-                if handle_event!(ev) {
-                    break 'reactor;
-                }
-                while (drained as usize) < inbound_drain {
-                    // Keep the wire busy while draining: once a full send
-                    // batch has accumulated, flush it so the receivers
-                    // work in parallel with the rest of the window.
-                    if out.queue.len() >= out.max_batch {
-                        out.flush(clock.now());
-                    }
-                    match rx.try_recv() {
-                        Ok(ev) => {
-                            drained += 1;
-                            if handle_event!(ev) {
-                                break 'reactor;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break 'reactor,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-        }
-        if drained > 0 {
-            if let Some(m) = reg.as_ref() {
-                m.batch_drain.record(drained as f64);
-            }
-        }
-    }
-    // Anything the final events produced still goes out before shutdown.
-    out.flush(clock.now());
-    // Clean shutdown: force the WAL tail onto stable storage so an orderly
-    // exit loses nothing regardless of the fsync policy.
-    agent.flush_store();
-    publish_reactor_counters(&counters, &tally, wheel.len(), delayq.len(), reg.as_ref(), &agent.liveness, agent.store(), &rx_pool, &out.tx_pool);
-    // Pin the queue peaks into the offline event stream (no-op when the log
-    // is disabled), then merge the reactor-side logs into the agent's
-    // transport stream so one per-member event sequence survives harvesting.
-    out.log.record(
-        clock.now(),
-        obs::TransportEventKind::QueueHighWater {
-            wheel: counters.max_wheel_len.load(Ordering::Relaxed),
-            delayq: counters.max_delayq_len.load(Ordering::Relaxed),
-        },
-    );
-    let mut extra = out.log.take_events();
-    extra.extend(chaos_log.take_events());
-    agent.transport_obs.absorb(extra);
-    agent
-}
-
-/// Publish the reactor-owned tallies and high-water marks to the shared
-/// atomic counters (the tallies are cumulative, so a store is correct),
-/// and refresh the registry mirrors when one is attached.
-#[allow(clippy::too_many_arguments)]
-fn publish_reactor_counters(
-    counters: &Counters,
-    tally: &ChaosTally,
-    wheel_len: usize,
-    delayq_len: usize,
-    reg: Option<&RegHandles>,
-    liveness: &srm::PeerLiveness,
-    store: &srm::AduStore,
-    rx_pool: &BufferPool,
-    tx_pool: &BufferPool,
-) {
-    counters.chaos_dropped.store(tally.dropped, Ordering::Relaxed);
-    counters.chaos_duplicated.store(tally.duplicated, Ordering::Relaxed);
-    counters.chaos_delayed.store(tally.delayed, Ordering::Relaxed);
-    counters.chaos_corrupted.store(tally.corrupted, Ordering::Relaxed);
-    counters.max_wheel_len.fetch_max(wheel_len as u64, Ordering::Relaxed);
-    counters.max_delayq_len.fetch_max(delayq_len as u64, Ordering::Relaxed);
-    let Some(m) = reg else { return };
-    // Every mirrored source is itself cumulative, so `set_total` keeps the
-    // registry's counters monotone (snapshot deltas stay restart-aware).
-    m.frames_attempted.set_total(counters.frames_attempted.load(Ordering::Relaxed));
-    m.frames_sent.set_total(counters.frames_sent.load(Ordering::Relaxed));
-    m.frames_dropped.set_total(counters.frames_dropped.load(Ordering::Relaxed));
-    m.frames_received.set_total(counters.frames_received.load(Ordering::Relaxed));
-    m.blackholed.set_total(counters.blackholed.load(Ordering::Relaxed));
-    m.send_errors.set_total(counters.send_errors.load(Ordering::Relaxed));
-    m.decode_errors.set_total(counters.decode_errors.load(Ordering::Relaxed));
-    m.rx_unjoined.set_total(counters.rx_unjoined_group.load(Ordering::Relaxed));
-    m.chaos_dropped.set_total(tally.dropped);
-    m.chaos_duplicated.set_total(tally.duplicated);
-    m.chaos_delayed.set_total(tally.delayed);
-    m.chaos_corrupted.set_total(tally.corrupted);
-    m.recv_transient_errors.set_total(counters.recv_transient_errors.load(Ordering::Relaxed));
-    m.recv_respawns.set_total(counters.recv_respawns.load(Ordering::Relaxed));
-    m.recv_deaths.set_total(counters.recv_deaths.load(Ordering::Relaxed));
-    m.mode_fallbacks.set_total(counters.mode_fallbacks.load(Ordering::Relaxed));
-    m.inbound_overflow.set_total(counters.inbound_overflow.load(Ordering::Relaxed));
-    let (rx_used, rx_cap) = rx_pool.occupancy();
-    let (tx_used, tx_cap) = tx_pool.occupancy();
-    m.pool_in_use.set(rx_used + tx_used);
-    m.pool_capacity.set(rx_cap + tx_cap);
-    m.pool_misses.set_total(rx_pool.stats().1 + tx_pool.stats().1);
-    m.liveness_suspected.set_total(liveness.suspected_total);
-    m.liveness_died.set_total(liveness.died_total);
-    m.liveness_revived.set_total(liveness.revived_total);
-    m.wheel_depth.set(wheel_len as u64);
-    m.wheel_high_water.set(counters.max_wheel_len.load(Ordering::Relaxed));
-    m.delayq_depth.set(delayq_len as u64);
-    m.delayq_high_water.set(counters.max_delayq_len.load(Ordering::Relaxed));
-    let (alive, suspect, dead) = liveness.counts();
-    m.peers_alive.set(alive);
-    m.peers_suspect.set(suspect);
-    m.peers_dead.set(dead);
-    if let Some(st) = store.persistence_stats() {
-        m.store_appends.set_total(st.appends);
-        m.store_bytes.set_total(st.bytes_appended);
-        m.store_fsyncs.set_total(st.fsyncs);
-        m.store_snapshots.set_total(st.snapshots);
-        m.store_reads.set_total(st.reads);
-        m.store_io_errors.set_total(st.io_errors);
-        m.store_evictions.set_total(store.evictions());
-        m.store_disk_repairs.set_total(store.disk_fetches());
-        m.store_segments.set(st.segments);
-        m.store_live_records.set(st.live_records);
+        let spawned = thread::Builder::new().name(format!("srm-node-{}", id.0)).spawn(move || {
+            reactor.host(mode, opts, hosting);
+            let agent = reactor.run(rx).into_agent(group);
+            recv_stop.store(true, Ordering::Relaxed);
+            let _ = recv.join();
+            agent
+        });
+        // No reactor thread, no node: release the recv thread too.
+        let thread = spawned.inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
+        Ok(NodeHandle { tx: txs.remove(0), thread: Some(thread), addr, id, group, counters })
     }
 }
 
@@ -1519,6 +433,7 @@ pub struct NodeHandle {
     thread: Option<thread::JoinHandle<SrmAgent>>,
     addr: SocketAddr,
     id: SourceId,
+    group: u32,
     counters: Arc<Counters>,
 }
 
@@ -1543,27 +458,19 @@ impl NodeHandle {
         F: FnOnce(&mut SrmAgent, &mut dyn Driver) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let (rtx, rrx) = mpsc::sync_channel(1);
-        self.tx
-            .send(Event::Exec(Box::new(move |agent, drv| {
-                let _ = rtx.send(f(agent, drv));
-            })))
-            .expect("node runtime is running");
-        rrx.recv().expect("node runtime answered")
+        let group = self.group;
+        reactor::submit(&self.tx, move |r| r.with_group(group, f))
+            .expect("node runtime is running")
+            .recv()
+            .expect("node runtime answered")
+            .expect("a node hosts its group until shutdown")
     }
 
     /// Liveness probe for the reactor itself: round-trip a no-op exec
     /// within `timeout`. `false` means the reactor is deadlocked, wedged
     /// behind a long callback, or gone.
     pub fn ping(&self, timeout: Duration) -> bool {
-        let (rtx, rrx) = mpsc::sync_channel(1);
-        let probe: ExecFn = Box::new(move |_, _| {
-            let _ = rtx.send(());
-        });
-        if self.tx.send(Event::Exec(probe)).is_err() {
-            return false;
-        }
-        rrx.recv_timeout(timeout).is_ok()
+        reactor::submit(&self.tx, |_| ()).is_some_and(|rx| rx.recv_timeout(timeout).is_ok())
     }
 
     /// Multicast a new ADU on `page`; returns its name.
@@ -1600,9 +507,11 @@ impl NodeHandle {
     /// store intact) for harvesting.
     pub fn shutdown(mut self) -> SrmAgent {
         let _ = self.tx.send(Event::Shutdown);
+        // A reactor that panicked (an `exec` closure, the agent) panics its
+        // owner here rather than handing back nothing.
         self.thread
             .take()
-            .expect("shutdown called once")
+            .expect("shutdown consumes the handle, so the thread is still here")
             .join()
             .expect("node runtime exited cleanly")
     }

@@ -147,6 +147,22 @@ done
 grep -q '"ok":true,"cmd":"stop"' target/ci_hub_ctrl.out \
     || { echo "srm-hub smoke: hub never acked stop" >&2; exit 1; }
 
+echo "== srmbench (own workspace: compiles against the transport API, unit tests, smoke) =="
+# The benchmark driver builds srmbench/ from its own manifest, so nothing
+# above compiles it; a break in the API it imports must show up here.
+# One test is skipped, for now: it checks CPU shares inside a 130 ms
+# wall-clock window and fails about one run in ten on a 2-core box, with
+# or without any change here. srmbench/ is frozen (BENCHMARK.json
+# `paths`), so the fix is a benchmark PR of its own — ROADMAP, open item
+# "srmbench: de-flake cpu::tests::own_threads…"; drop the skip with it.
+cargo test --offline --manifest-path srmbench/Cargo.toml -q -- \
+    --skip own_threads_are_subtracted_and_foreign_ones_are_not
+cargo run --quiet --release --offline --manifest-path srmbench/Cargo.toml -- --smoke
+
+echo "== transport crate size (code lines = not blank, not a // line; then raw lines) =="
+cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | grep -cvE '^\s*(//|$)'
+cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | wc -l
+
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings
 

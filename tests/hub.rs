@@ -9,8 +9,9 @@
 //!    shard the full decode would — prechecking changes *where* a frame's
 //!    fate is decided, never the fate.
 //! 2. **Node equivalence**: a hub hosting one group delivers the same
-//!    payload bytes to a peer that a standalone `srm-node` sender would —
-//!    the hub is a packaging of the same agent, not a different protocol.
+//!    payload bytes to a peer that a standalone `srm-node` sender would,
+//!    loss policy, repair and recorder trace included — the hub is the
+//!    same reactor hosting the same agent, not a different protocol.
 //! 3. **Concurrent groups**: one hub hosts 8 groups on loopback, each
 //!    with its own receiver node; every group's ADUs arrive, sessions
 //!    stay isolated, and passive [`GroupMonitor`]s on two of the groups
@@ -23,14 +24,15 @@
 //! silently eats) well-formed frames for groups it never joined.
 
 use bytes::Bytes;
-use netsim::GroupId;
+use netsim::{flow, GroupId, SimDuration};
 use proptest::prelude::*;
-use srm::{LivenessConfig, Message, PageId, SourceId, SrmConfig};
+use srm::{LivenessConfig, Message, PageId, SourceId, SrmAgent, SrmConfig};
 use srm_transport::hub::{Hub, HubOptions};
 use srm_transport::{
-    handle_line, shard_of, Envelope, GroupMonitor, GroupSpec, Harness, Mode, Node, NodeHandle,
-    NodeOptions, WallClock,
+    handle_line, shard_of, Envelope, GroupMonitor, GroupSpec, Harness, LossPolicy, Mode, Node,
+    NodeHandle, NodeOptions, WallClock,
 };
+use std::collections::BTreeSet;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -109,41 +111,107 @@ proptest! {
     }
 }
 
+/// Options for member 1 of a 2-member group 1 that loses its first DATA
+/// frame and records its side of the recovery — handed unchanged to a node
+/// and to a hub.
+fn lossy_traced_sender() -> NodeOptions {
+    let mut opts = NodeOptions::new(SourceId(1), GroupId(1), SrmConfig::fixed(2));
+    opts.trace = true;
+    opts.loss = LossPolicy::none().drop_nth(flow::DATA, 0);
+    opts.initial_distances = vec![(SourceId(2), SimDuration::from_millis(20))];
+    opts
+}
+
+fn recorder_kinds(agent: &SrmAgent) -> BTreeSet<&'static str> {
+    agent.obs.events().map(|e| e.kind.name()).collect()
+}
+
 /// A hub-hosted group speaks the same bytes as a standalone node: the
 /// same ADU texts sent (a) node→node via the single-session runtime and
-/// (b) hub→node via a hub-hosted group arrive as identical payload sets.
+/// (b) hub→node via a hub-hosted group arrive as identical payload sets —
+/// here with the sender's first DATA frame dropped, so one of them arrives
+/// by repair. Both senders run from the same traced [`NodeOptions`], and
+/// the hub-hosted one's recorder, read through [`HubHandle::exec`], must
+/// show every kind of recovery event the node's does. A frame that only
+/// the reactor's full decode can reject is counted and lands in the traced
+/// group's transport stream, as it would on a node.
 #[test]
 fn hub_group_is_payload_equivalent_to_a_single_group_node() {
     const N: u32 = 6;
     let texts: Vec<String> = (0..N).map(|i| format!("equiv #{i}")).collect();
+    let near = |opts: &mut NodeOptions| {
+        opts.initial_distances = vec![(SourceId(1), SimDuration::from_millis(20))];
+    };
 
     // (a) Plain two-node session, member 1 sends.
     let cfg = SrmConfig::fixed(2);
-    let h = Harness::loopback(2, GroupId(1), &cfg, |_, _, _| {}).expect("harness binds");
+    let h = Harness::loopback(2, GroupId(1), &cfg, |i, _, opts| match i {
+        0 => *opts = lossy_traced_sender(),
+        _ => near(opts),
+    })
+    .expect("harness binds");
     let page = PageId::new(SourceId(1), 0);
     for t in &texts {
         h.nodes[0].send_data(page, Bytes::from(t.clone().into_bytes()));
     }
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut via_node = collect_delivered(&h.nodes[1], N as usize, deadline);
+    let node_kinds = h.nodes[0].exec(|a, _| recorder_kinds(a));
     drop(h.shutdown());
 
     // (b) Hub hosts group 1 as member 1; a standalone node receives.
     let hub = Hub::spawn("127.0.0.1:0".parse().unwrap(), HubOptions::default()).unwrap();
-    let receiver = spawn_receiver(2, 1, 2, hub.local_addr());
-    hub.create(spec(1, vec![receiver.local_addr()], 1, 2), false)
+    let mut receiver_opts = NodeOptions::new(SourceId(2), GroupId(1), cfg);
+    near(&mut receiver_opts);
+    let receiver = Node::spawn(
+        "127.0.0.1:0".parse().unwrap(),
+        Mode::Mesh { peers: vec![hub.local_addr()] },
+        receiver_opts,
+    )
+    .expect("receiver node binds");
+    let to_receiver = Mode::Mesh { peers: vec![receiver.local_addr()] };
+    hub.create_with(to_receiver, lossy_traced_sender())
         .expect("create hosts the group");
     // `send` with count > 1 suffixes " #i" — the same strings as above.
     hub.send(1, "equiv", N).expect("hub publishes");
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut via_hub = collect_delivered(&receiver, N as usize, deadline);
+    let hub_kinds = hub.exec(1, |a, _| recorder_kinds(a)).expect("group 1 is hosted");
+
+    // One payload byte short of what the length field claims: the demux's
+    // precheck passes it on, group 1's reactor refuses it.
+    let cut = Envelope {
+        src: 2,
+        group: 1,
+        ttl: 1,
+        initial_ttl: 1,
+        admin_scoped: false,
+        flow: flow::DATA,
+        payload: Bytes::from_static(b"cut short"),
+    }
+    .encode();
+    let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+    stranger.send_to(&cut[..cut.len() - 1], hub.local_addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while hub.stats().rx_undecodable == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let hub_transport: BTreeSet<&'static str> = hub
+        .exec(1, |a, _| a.transport_obs.events().map(|e| e.kind.name()).collect())
+        .expect("group 1 is hosted");
 
     let st = hub.stats();
+    assert_eq!(st.rx_undecodable, 1, "the cut frame is counted: {st:?}");
+    assert!(
+        hub_transport.contains("decode_error"),
+        "the reactor's decode error is read through its traced group: {hub_transport:?}"
+    );
     assert_eq!(st.groups.len(), 1);
     assert_eq!(st.groups[0].data_sent, u64::from(N));
+    assert_eq!(st.frames_dropped, 1, "the loss policy acts on a hub group: {st:?}");
     assert_eq!(
         st.frames_attempted,
-        st.frames_sent + st.send_errors,
+        st.frames_sent + st.frames_dropped + st.blackholed + st.send_errors,
         "hub frame accounting: {st:?}"
     );
     drop(receiver.shutdown());
@@ -156,6 +224,11 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
     assert_eq!(via_node, expected, "single-node session dropped payloads");
     assert_eq!(via_hub, expected, "hub-hosted session dropped payloads");
     assert_eq!(via_node, via_hub, "hub and node payload bytes diverge");
+    assert!(node_kinds.contains("repair_sent"), "node sender never repaired: {node_kinds:?}");
+    assert!(
+        hub_kinds.is_superset(&node_kinds),
+        "hub-hosted recorder misses kinds the node emits: hub {hub_kinds:?} vs node {node_kinds:?}"
+    );
 }
 
 /// One hub, eight concurrent groups, one receiver node each; passive
@@ -165,10 +238,12 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
 fn eight_concurrent_groups_deliver_independently_under_one_hub() {
     const GROUPS: u32 = 8;
     const ADUS: u32 = 5;
+    let registry = obs::MetricsRegistry::new();
     let hub = Hub::spawn(
         "127.0.0.1:0".parse().unwrap(),
         HubOptions {
             shards: 4,
+            metrics: Some(registry.clone()),
             ..HubOptions::default()
         },
     )
@@ -273,14 +348,48 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
         );
     }
 
+    // Receivers stop first, so nothing more arrives while the totals are
+    // compared.
+    for r in receivers {
+        drop(r.shutdown());
+    }
     let st = hub.stats();
     assert_eq!(
         st.frames_attempted,
-        st.frames_sent + st.send_errors,
+        st.frames_sent + st.frames_dropped + st.blackholed + st.send_errors,
         "hub-wide frame accounting after drain: {st:?}"
     );
-    for r in receivers {
-        drop(r.shutdown());
+    // The registry carries the same totals under the hub's names (reactor
+    // 0 refreshes them once per wakeup, at least every 250 ms), each group
+    // under `hub.g{G}.` and each reactor under `hub.shard{i}.`.
+    let totals = [
+        ("hub.frames_attempted", st.frames_attempted),
+        ("hub.frames_sent", st.frames_sent),
+        ("hub.send_errors", st.send_errors),
+        ("hub.rx_frames", st.rx_frames),
+        ("hub.rx_undecodable", st.rx_undecodable),
+        ("hub.rx_unjoined_group", st.rx_unjoined_group),
+        ("hub.inbound_overflow", st.inbound_overflow),
+        ("hub.demux_splits", st.demux_splits),
+    ];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let snap = loop {
+        let snap = registry.snapshot();
+        let fresh = totals.iter().all(|(name, want)| snap.counters.get(*name) == Some(want));
+        if fresh || Instant::now() >= deadline {
+            break snap;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    for (name, want) in totals {
+        assert_eq!(snap.counters.get(name), Some(&want), "{name}");
+    }
+    // Each ADU is one multicast, and the farewell session message one more.
+    let g1 = snap.counters.get("hub.g1.tx_frames").copied();
+    assert!(g1 > Some(u64::from(ADUS)), "hub.g1.tx_frames: {g1:?}");
+    for shard in 0..4 {
+        assert!(snap.gauges.contains_key(&format!("hub.shard{shard}.groups")));
+        assert_eq!(snap.counters.get(&format!("hub.shard{shard}.pool.misses")), Some(&0));
     }
     hub.shutdown();
 }

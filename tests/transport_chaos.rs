@@ -9,10 +9,15 @@
 //! 2. **Timer-wheel churn** — lazy cancellation plus compaction keeps both
 //!    the tombstone set and the heap bounded under arbitrary
 //!    arm/cancel/fire interleavings, checked against a brute-force model.
-//! 3. **Live recovery** — a three-node loopback mesh where one member is
+//! 3. **Live recovery** — a three-member loopback mesh where one member is
 //!    blackholed mid-session: peers must notice the silence (liveness
 //!    suspect/dead), the data sent into the blackhole must be recovered
 //!    after the window heals, and every frame must be accounted for.
+//!
+//! The live cases take the [`Host`] as one more input: every member runs
+//! either as a standalone node or as the same [`NodeOptions`] hosted on a
+//! 1-shard hub — one reactor underneath, so a hub group must do whatever a
+//! node does.
 //!
 //! Determinism note for the live tests: thread scheduling is real, so they
 //! assert outcomes made robust by construction (windows longer than the
@@ -23,11 +28,12 @@ use netsim::{GroupId, SendOptions, SimDuration, SimTime, TimerId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srm::{Clock, PageId, SourceId, SrmConfig, Transport};
+use srm::{Clock, Driver, PageId, SourceId, SrmAgent, SrmConfig, Transport};
 use srm_transport::{
-    harvest_timeline, ChaosPlan, ChaosState, ChaosTransport, DelayQueue, Harness, SoakOptions,
-    TimerWheel,
+    ChaosPlan, ChaosState, ChaosTransport, DelayQueue, Hub, HubHandle, HubOptions, Mode, Node,
+    NodeHandle, NodeOptions, SoakOptions, TimerWheel,
 };
+use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 fn t(ms: u64) -> SimTime {
@@ -44,6 +50,113 @@ fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(20));
     }
     false
+}
+
+/// The two ways to host a member on the one reactor.
+#[derive(Clone, Copy, Debug)]
+enum Host {
+    /// `Node::spawn_on`: one reactor, one group, its own socket.
+    Node,
+    /// `Hub::spawn_on` with one shard, the group hosted through
+    /// `HubHandle::create_with` from the same options.
+    Hub,
+}
+
+/// One live member, whichever way it is hosted.
+enum Member {
+    Node(NodeHandle),
+    Hub(HubHandle, u32),
+}
+
+impl Member {
+    fn spawn(host: Host, socket: UdpSocket, peers: Vec<SocketAddr>, opts: NodeOptions) -> Member {
+        let mode = Mode::Mesh { peers };
+        match host {
+            Host::Node => Member::Node(Node::spawn_on(socket, mode, opts).unwrap()),
+            Host::Hub => {
+                let group = opts.group.0;
+                let one_shard = HubOptions { shards: 1, ..HubOptions::default() };
+                let hub = Hub::spawn_on(socket, one_shard).unwrap();
+                hub.create_with(mode, opts).unwrap();
+                Member::Hub(hub, group)
+            }
+        }
+    }
+
+    /// `n` members of `group` on a 127.0.0.1 mesh, sockets bound first so
+    /// everyone can list everyone (what `Harness::loopback` does for nodes).
+    fn mesh(
+        host: Host,
+        n: usize,
+        group: GroupId,
+        cfg: &SrmConfig,
+        mut customize: impl FnMut(usize, &mut NodeOptions),
+    ) -> Vec<Member> {
+        let sockets: Vec<UdpSocket> =
+            (0..n).map(|_| UdpSocket::bind("127.0.0.1:0").unwrap()).collect();
+        let addrs: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let mut members = Vec::new();
+        for (i, socket) in sockets.into_iter().enumerate() {
+            let peers = addrs.iter().copied().filter(|a| *a != addrs[i]).collect();
+            let mut opts = NodeOptions::new(SourceId(i as u64 + 1), group, cfg.clone());
+            customize(i, &mut opts);
+            members.push(Member::spawn(host, socket, peers, opts));
+        }
+        members
+    }
+
+    fn exec<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R + Send + 'static,
+    ) -> R {
+        match self {
+            Member::Node(node) => node.exec(f),
+            Member::Hub(hub, group) => hub.exec(*group, f).expect("group is hosted"),
+        }
+    }
+
+    /// Has `name`, the `nth` ADU published to this member, reached its
+    /// application? A node keeps deliveries for `take_delivered` (gathered
+    /// in `seen` across calls); a hub group counts and discards them, so
+    /// there the count is what can be asked.
+    fn delivered(&self, name: srm::AduName, nth: u64, seen: &mut Vec<srm::AduName>) -> bool {
+        match self {
+            Member::Node(node) => {
+                seen.extend(node.take_delivered().into_iter().map(|d| d.name));
+                seen.contains(&name)
+            }
+            Member::Hub(hub, group) => {
+                hub.stats().groups.iter().any(|g| g.group == *group && g.delivered >= nth)
+            }
+        }
+    }
+
+    /// `(blackholed, every fan-out frame accounted, recv_deaths)`.
+    fn accounting(&self) -> (u64, bool, u64) {
+        match self {
+            Member::Node(node) => {
+                let s = node.stats();
+                (s.blackholed, s.frames_accounted(), s.recv_deaths)
+            }
+            Member::Hub(hub, _) => {
+                let s = hub.stats();
+                let settled = s.frames_sent + s.frames_dropped + s.blackholed + s.send_errors;
+                (s.blackholed, s.frames_attempted == settled, s.recv_deaths)
+            }
+        }
+    }
+
+    /// Harvest this member's lane of the timeline, then stop it.
+    fn stop(self, tl: &mut obs::Timeline) {
+        let (id, events, transport) =
+            self.exec(|a, _| (a.id.0, a.obs.take_events(), a.transport_obs.take_events()));
+        tl.add_member(id, events);
+        tl.add_transport(id, transport);
+        match self {
+            Member::Node(node) => drop(node.shutdown()),
+            Member::Hub(hub, _) => hub.shutdown(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -175,12 +288,41 @@ fn run_decorator(
     (inner.sent, held, tally)
 }
 
+/// The same experiment on a live member: publish `frames` ADUs through a
+/// hosted agent whose options carry the plan and the seed, and return the
+/// chaos actions its recorder saw, in order.
+fn hosted_chaos_actions(host: Host, plan: &ChaosPlan, seed: u64, frames: usize) -> Vec<&'static str> {
+    let cfg = SrmConfig::fixed(2);
+    let members = Member::mesh(host, 1, GroupId(1), &cfg, |_, opts| {
+        opts.seed = seed;
+        opts.chaos = Some(plan.clone());
+        opts.trace = true;
+        // Only the frames published below reach the decorator.
+        opts.session_enabled = false;
+    });
+    let member = members.into_iter().next().unwrap();
+    member.exec(move |a, d| {
+        let page = PageId::new(a.id, 0);
+        for i in 0..frames {
+            a.send_data(d, page, Bytes::from(format!("frame {i} with room for a body tag")));
+        }
+    });
+    let actions = member.exec(|a, _| {
+        let kinds = a.transport_obs.events().map(|e| e.kind.name());
+        kinds.filter(|k| k.starts_with("chaos_")).collect()
+    });
+    member.stop(&mut obs::Timeline::new());
+    actions
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Decorator-level determinism: same seed + plan + frame sequence ⇒
     /// byte-identical wire output, hold-back schedule, and tally — the
-    /// whole observable effect, not just the verdict bits.
+    /// whole observable effect, not just the verdict bits. And host-level:
+    /// a live member replays its chaos actions from `NodeOptions::seed`,
+    /// identically whether a node or a hub hosts it.
     #[test]
     fn chaos_transport_output_replays_from_seed(
         seed in 0u64..1_000_000,
@@ -205,6 +347,13 @@ proptest! {
         // duplicates add one copy to whichever path their original took.
         let total = sent_a.len() + held_a.len() + tally_a.dropped as usize;
         prop_assert_eq!(total, frames + tally_a.duplicated as usize);
+
+        let on_node = hosted_chaos_actions(Host::Node, &plan, seed, frames);
+        if loss + dup + corrupt + reorder == 0 {
+            prop_assert!(on_node.is_empty(), "an empty plan acted: {:?}", on_node);
+        }
+        prop_assert_eq!(&on_node, &hosted_chaos_actions(Host::Node, &plan, seed, frames));
+        prop_assert_eq!(&on_node, &hosted_chaos_actions(Host::Hub, &plan, seed, frames));
     }
 }
 
@@ -313,68 +462,72 @@ proptest! {
 /// sample the dead state regardless of jitter draws.
 #[test]
 fn blackhole_heal_recovers_data_and_tracks_liveness() {
+    // Both hostings at once: the case is mostly waiting.
+    std::thread::scope(|s| {
+        for host in [Host::Node, Host::Hub] {
+            s.spawn(move || blackhole_heal_case(host));
+        }
+    });
+}
+
+fn blackhole_heal_case(host: Host) {
     let cfg = SrmConfig::fixed(3);
     let liveness = srm::LivenessConfig { suspect_after: 0.8, dead_after: 1.6 };
     let started = Instant::now();
-    let h = Harness::loopback(3, GroupId(9), &cfg, |i, _addrs, opts| {
+    let members = Member::mesh(host, 3, GroupId(9), &cfg, |i, opts| {
         opts.trace = true;
         opts.liveness = Some(liveness);
         if i == 0 {
             opts.chaos = Some(ChaosPlan::new().blackhole_all(t(1_000), t(5_000)));
         }
-    })
-    .unwrap();
+    });
+    let publish = |text: &'static [u8]| {
+        members[0].exec(move |a, d| a.send_data(d, PageId::new(a.id, 0), Bytes::from_static(text)))
+    };
+    let mut seen = [Vec::new(), Vec::new()];
+    let mut peers_got = |name: srm::AduName, nth: u64| {
+        members[1..].iter().zip(&mut seen).all(|(m, seen)| m.delivered(name, nth, seen))
+    };
 
     // Before the window: an ADU that flows normally, making sure every
     // peer has heard member 1 (liveness tracks only peers seen at least
     // once).
-    let page = PageId::new(SourceId(1), 0);
-    let before = h.nodes[0].send_data(page, Bytes::from_static(b"before the partition"));
-    let mut got1 = Vec::new();
-    let mut got2 = Vec::new();
-    assert!(
-        wait_for(10, || {
-            got1.extend(h.nodes[1].take_delivered());
-            got2.extend(h.nodes[2].take_delivered());
-            got1.iter().any(|d| d.name == before) && got2.iter().any(|d| d.name == before)
-        }),
-        "pre-window ADU did not arrive"
-    );
+    let before = publish(b"before the partition");
+    assert!(wait_for(10, || peers_got(before, 1)), "{host:?}: pre-window ADU did not arrive");
 
     // Into the window: wait until member 1's clock is inside [1s, 5s),
     // then publish. Every frame of this ADU is swallowed.
     while started.elapsed() < Duration::from_millis(1_600) {
         std::thread::sleep(Duration::from_millis(20));
     }
-    let during = h.nodes[0].send_data(page, Bytes::from_static(b"sent into the void"));
+    let during = publish(b"sent into the void");
 
     // After heal: session messages resume, peers spot the gap, and SRM
     // recovery delivers the void ADU everywhere.
     assert!(
-        wait_for(40, || {
-            got1.extend(h.nodes[1].take_delivered());
-            got2.extend(h.nodes[2].take_delivered());
-            got1.iter().any(|d| d.name == during) && got2.iter().any(|d| d.name == during)
-        }),
-        "blackholed ADU was not recovered after heal"
+        wait_for(40, || peers_got(during, 2)),
+        "{host:?}: blackholed ADU was not recovered after heal"
     );
 
-    let stats: Vec<_> = h.nodes.iter().map(|n| n.stats()).collect();
+    let (blackholed, ..) = members[0].accounting();
     assert!(
-        stats[0].blackholed >= 2,
-        "the void ADU's fan-out (2 destinations) must be counted: {:?}",
-        stats[0]
+        blackholed >= 2,
+        "{host:?}: the void ADU's fan-out (2 destinations) must be counted, got {blackholed}"
     );
-    for (i, s) in stats.iter().enumerate() {
-        assert!(s.frames_accounted(), "member {} leaks frames: {:?}", i + 1, s);
-        assert_eq!(s.recv_deaths, 0, "member {} recv thread died", i + 1);
+    for (i, m) in members.iter().enumerate() {
+        let (_, accounted, recv_deaths) = m.accounting();
+        assert!(accounted, "{host:?}: member {} leaks frames", i + 1);
+        assert_eq!(recv_deaths, 0, "{host:?}: member {} recv thread died", i + 1);
     }
 
-    let mut agents = h.shutdown();
-    let jsonl = harvest_timeline(&mut agents).to_jsonl();
-    assert!(jsonl.contains("\"ev\":\"blackholed\""), "blackhole events missing from timeline");
-    assert!(jsonl.contains("\"ev\":\"peer_dead\""), "peers never declared member 1 dead");
-    assert!(jsonl.contains("\"ev\":\"peer_alive\""), "member 1 never revived after heal");
+    let mut tl = obs::Timeline::new();
+    for m in members {
+        m.stop(&mut tl);
+    }
+    let jsonl = tl.to_jsonl();
+    assert!(jsonl.contains("\"ev\":\"blackholed\""), "{host:?}: blackhole events missing");
+    assert!(jsonl.contains("\"ev\":\"peer_dead\""), "{host:?}: peers never declared member 1 dead");
+    assert!(jsonl.contains("\"ev\":\"peer_alive\""), "{host:?}: member 1 never revived after heal");
 }
 
 /// Library-level soak smoke: a short bounded run under the default mixed

@@ -16,7 +16,8 @@
 use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration};
 use srm::{PageId, SourceId, SrmConfig};
-use srm_transport::{harvest_timeline, Harness, LossPolicy};
+use srm_transport::{harvest_timeline, Harness, LossPolicy, Mode, Node, NodeOptions};
+use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 const GROUP: GroupId = GroupId(7);
@@ -180,4 +181,39 @@ fn three_node_loss_repaired_by_non_source() {
     // And it exports as JSONL, as `srm-node --trace` writes it.
     let jsonl = tl.to_jsonl();
     assert!(jsonl.contains("\"ev\":\"repair_sent\""));
+}
+
+/// A timer whose handler re-arms it at zero delay — here the session timer
+/// under a zero interval ceiling; in the wild a request timer drawn from
+/// distance 0, the interval `[0,0]` — must not starve the reactor. It has
+/// to bound what it fires per wakeup, so that it still flushes (frames
+/// leave), still drains its inbound window and still answers `ping`,
+/// instead of spinning inside the timer drain while the send queue grows
+/// without bound.
+#[test]
+fn zero_delay_timer_rearm_does_not_starve_the_reactor() {
+    let cfg = SrmConfig {
+        max_session_interval: SimDuration::ZERO,
+        ..SrmConfig::fixed(2)
+    };
+    // A bound socket nobody reads: frames towards it are sent, then shed
+    // by the kernel.
+    let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let node = Node::spawn(
+        "127.0.0.1:0".parse().unwrap(),
+        Mode::Mesh { peers: vec![sink.local_addr().unwrap()] },
+        NodeOptions::new(SourceId(1), GROUP, cfg),
+    )
+    .unwrap();
+
+    assert!(
+        node.ping(Duration::from_secs(5)),
+        "the reactor is stuck behind a self-re-arming timer"
+    );
+    assert!(
+        wait_for(5, || node.frames_sent() >= 2),
+        "session messages never left the send queue: {:?}",
+        node.stats()
+    );
+    drop(node.shutdown());
 }
