@@ -813,9 +813,11 @@ impl SrmAgent {
                 return;
             }
         }
-        if self.repairs.get(&name).is_some_and(|r| !r.sent || r.timer.is_some()) {
+        if self.repairs.get(&name).is_some_and(|r| r.timer.is_some()) {
             // A repair timer is already pending; duplicate requests must not
-            // trigger duplicate repairs.
+            // trigger duplicate repairs. Pending means the timer is armed:
+            // a state left behind by someone else's repair (`sent` false,
+            // timer cancelled) must not silence this holder for good.
             return;
         }
         let _ = req;
@@ -1765,6 +1767,58 @@ mod tests {
         assert!(sim.run_until_idle(SimTime::from_secs(1000)));
         let a0 = sim.app(NodeId(0)).unwrap();
         assert_eq!(a0.metrics.repairs_sent, 2);
+    }
+
+    #[test]
+    fn suppressed_holder_answers_a_later_request() {
+        // Chain 0 — 1 — 2: nodes 0 and 1 hold the ADU, node 2 asks for it
+        // (raw requests, as above).
+        let mut sim = chain_session(3, &SrmConfig::fixed(3));
+        sim.exec(NodeId(0), |a, ctx| {
+            a.send_data(ctx, page(0), Bytes::from_static(b"x"));
+        });
+        sim.run_until_idle(SimTime::from_secs(10));
+        let name = AduName::new(SourceId(0), page(0), SeqNo(0));
+        let request = |sim: &mut Simulator<SrmAgent>| {
+            sim.exec(NodeId(2), |a, ctx| {
+                let body = Body::Request(RequestBody {
+                    name,
+                    dist_to_source: 2.0,
+                });
+                a.transmit(
+                    ctx,
+                    body,
+                    SendClass::CurrentPageRecovery,
+                    SendOptions::for_flow(flow::REQUEST),
+                );
+            });
+        };
+        let believe = |sim: &mut Simulator<SrmAgent>, secs: u64| {
+            sim.app_mut(NodeId(1))
+                .unwrap()
+                .distances_mut()
+                .set_distance(SourceId(2), SimDuration::from_secs(secs));
+        };
+        let repairs = |sim: &Simulator<SrmAgent>| {
+            [0, 1].map(|i| sim.app(NodeId(i)).unwrap().metrics.repairs_sent)
+        };
+        // Round one: node 1 believes the requester far away, so node 0's
+        // timer fires first; its repair cancels node 1's timer on the way
+        // past and is lost on the last link, at the requester.
+        believe(&mut sim, 100);
+        let l12 = sim.topology().link_between(NodeId(1), NodeId(2)).unwrap();
+        sim.set_loss_model(Box::new(OneShotLinkDrop::new(l12, NodeId(0), flow::REPAIR)));
+        request(&mut sim);
+        assert!(sim.run_until_idle(SimTime::from_secs(500)));
+        assert_eq!(repairs(&sim), [1, 0]);
+        // Round two, past every hold-down: node 1, nearest again, must
+        // answer. Its state from round one is `sent: false, timer: None`,
+        // which used to read as "pending" forever.
+        believe(&mut sim, 1);
+        sim.run_until(sim.now() + SimDuration::from_secs(20));
+        request(&mut sim);
+        assert!(sim.run_until_idle(SimTime::from_secs(1000)));
+        assert_eq!(repairs(&sim), [1, 1], "a holder suppressed once answers the next request");
     }
 
     #[test]

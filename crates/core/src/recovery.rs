@@ -313,6 +313,21 @@ mod tests {
     }
 
     #[test]
+    fn two_thousand_unanswered_rounds_at_distance_zero() {
+        // At distance 0 every round is instant, so a request nobody answers
+        // gets through 1024 doublings at once; the backed-off interval must
+        // stay `[0, 0]` (it was `0·inf = NaN`, tripping `draw`'s assert).
+        let mut r = rng();
+        let (mut st, first) =
+            RequestState::new(name(), SimTime::ZERO, 2.0, 2.0, SimDuration::ZERO, &mut r);
+        assert_eq!(first, SimDuration::ZERO);
+        for _ in 0..2000 {
+            assert_eq!(st.on_timer_expired(SimTime::ZERO, 2.0, &mut r), SimDuration::ZERO);
+        }
+        assert_eq!(st.backoff_count, 2000);
+    }
+
+    #[test]
     fn heard_request_suppresses_within_horizon() {
         let mut r = rng();
         let (mut st, _) = RequestState::new(

@@ -1,7 +1,7 @@
 //! The ADU store: what this member has received or originated.
 //!
-//! Data is held per `(source, page)` stream as a map from sequence number to
-//! payload. The store answers the three questions loss recovery needs:
+//! Data is held per `(source, page)` stream, indexed by sequence number (see
+//! `Stream`). The store answers the three questions loss recovery needs:
 //! *do I have this name?* (so I can answer a request), *what is the highest
 //! sequence I know of per stream?* (for session messages), and *which
 //! sequence numbers am I missing?* (gap detection).
@@ -17,8 +17,8 @@
 //!
 //! * every fresh insert is also appended to the log before it is visible;
 //! * a bounded in-memory cache ([`AduStore::cache_per_stream`]) evicts the
-//!   oldest payloads from RAM while keeping their *names* in a per-stream
-//!   durable set, so `has`/gap detection still answer correctly;
+//!   oldest payloads from RAM while keeping their *names* (a slot's
+//!   durable bit), so `has`/gap detection still answer correctly;
 //! * [`AduStore::fetch`] reads through to disk for evicted names, which is
 //!   how repair requests older than the memory window are served;
 //! * [`AduStore::rehydrate`] replays the log after a restart, rebuilding the
@@ -29,7 +29,7 @@
 
 use crate::name::{AduName, PageId, SeqNo, SourceId};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Counters a [`Persistence`] implementation reports about itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -104,24 +104,161 @@ pub trait Persistence: std::fmt::Debug + Send {
     fn stats(&self) -> PersistenceStats;
 }
 
-/// One `(source, page)` stream.
+/// Slots per chunk: one `u64` bitmap per state bit.
+const CHUNK: u64 = 64;
+
+/// Payload slots a chunk allocates for its first payload. A stream of a
+/// few ADUs (most simulated members hold one or two) stays at this size;
+/// the first payload beyond it grows the chunk to all [`CHUNK`] slots, so
+/// a stream that fills its chunks pays two allocations per chunk.
+const FIRST_SLOTS: usize = 4;
+
+/// [`CHUNK`] consecutive sequence numbers of one stream. A slot is one of
+/// *empty*, *in RAM*, *durable on disk*, or *both*: the two bitmaps.
+#[derive(Clone, Debug, Default)]
+struct Chunk {
+    /// Bit `i`: slot `i`'s payload is in `slots` (in RAM).
+    ram: u64,
+    /// Bit `i`: the persistence layer holds slot `i`'s payload.
+    durable: u64,
+    /// Payloads by slot, `Some` exactly where `ram` is set. Allocated with
+    /// the first payload, grown as [`FIRST_SLOTS`] describes, and freed
+    /// when the last payload is evicted — a chunk that is only durable
+    /// costs its two bitmaps.
+    slots: Vec<Option<Bytes>>,
+}
+
+impl Chunk {
+    /// Bit `i`: slot `i` is recoverable (RAM or disk).
+    fn held(&self) -> u64 {
+        self.ram | self.durable
+    }
+
+    fn put(&mut self, i: u64, payload: Bytes) {
+        let at = i as usize;
+        if at >= self.slots.len() {
+            let cap = if at < FIRST_SLOTS {
+                FIRST_SLOTS
+            } else {
+                CHUNK as usize
+            };
+            self.slots.reserve_exact(cap - self.slots.len());
+            self.slots.resize(at + 1, None);
+        }
+        self.slots[at] = Some(payload);
+        self.ram |= 1 << i;
+    }
+
+    /// Drop the lowest payload from RAM and return its slot.
+    fn evict_lowest(&mut self) -> u64 {
+        let i = u64::from(self.ram.trailing_zeros());
+        self.slots[i as usize] = None;
+        self.ram &= !(1 << i);
+        if self.ram == 0 {
+            self.slots = Vec::new();
+        }
+        i
+    }
+}
+
+/// One `(source, page)` stream: what is held of a sequence-number space,
+/// indexed by sequence number.
+///
+/// The paper names data `(Source-ID, page, sequence number)` with
+/// consecutive sequence numbers (§III), so what a member holds is dense
+/// almost everywhere — but a sequence number arrives off the wire, and one
+/// corrupt frame may claim 2⁶². The outer index is therefore a sparse map
+/// keyed by `seq / CHUNK` (memory follows the ADUs held, never the highest
+/// number seen), and the chunk in-order traffic is filling sits beside the
+/// map, so the steady state walks no tree.
 #[derive(Clone, Debug, Default)]
 struct Stream {
-    /// Received payloads by sequence number (the in-memory cache when a
-    /// persistence layer is attached).
-    data: BTreeMap<SeqNo, Bytes>,
-    /// Sequence numbers whose payloads are held durably by the persistence
-    /// layer (possibly evicted from `data`). Empty without persistence.
-    durable: BTreeSet<SeqNo>,
+    /// Chunks by `seq / CHUNK`, all but the highest. A chunk whose last
+    /// slot empties is removed.
+    chunks: BTreeMap<u64, Chunk>,
+    /// The chunk with the highest key, and that key.
+    tail: Option<(u64, Chunk)>,
+    /// Payloads in RAM across all chunks.
+    in_ram: usize,
+    /// Eviction cursor: no payload in RAM has a lower sequence number.
+    lowest: u64,
     /// Highest sequence number known to exist (from data or session
     /// messages), even if not yet received.
     highest_known: Option<SeqNo>,
 }
 
 impl Stream {
+    fn chunk(&self, key: u64) -> Option<&Chunk> {
+        match &self.tail {
+            Some((k, c)) if *k == key => Some(c),
+            _ => self.chunks.get(&key),
+        }
+    }
+
+    /// The chunk for `key`, created if absent; call only to fill a slot.
+    /// A key beyond the tail's becomes the new tail.
+    fn chunk_mut(&mut self, key: u64) -> &mut Chunk {
+        match self.tail {
+            Some((k, _)) if k == key => {}
+            Some((k, _)) if k > key => return self.chunks.entry(key).or_default(),
+            _ => {
+                if let Some((k, old)) = self.tail.replace((key, Chunk::default())) {
+                    if old.held() != 0 {
+                        self.chunks.insert(k, old);
+                    }
+                }
+            }
+        }
+        &mut self.tail.as_mut().expect("matched or just set").1
+    }
+
     /// Is the payload for `seq` recoverable (RAM or disk)?
-    fn holds(&self, seq: &SeqNo) -> bool {
-        self.data.contains_key(seq) || self.durable.contains(seq)
+    fn holds(&self, seq: u64) -> bool {
+        self.chunk(seq / CHUNK)
+            .is_some_and(|c| c.held() >> (seq % CHUNK) & 1 == 1)
+    }
+
+    fn all_chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.chunks
+            .values()
+            .chain(self.tail.as_ref().map(|(_, c)| c))
+    }
+
+    /// Call `f` with every sequence number in `lo..=hi` that is not held,
+    /// ascending — one chunk lookup per chunk, not per number.
+    fn for_each_missing(&self, lo: u64, hi: u64, mut f: impl FnMut(u64)) {
+        let mut q = lo;
+        while q <= hi {
+            let key = q / CHUNK;
+            let last = hi.min(key * CHUNK + (CHUNK - 1));
+            let held = self.chunk(key).map_or(0, Chunk::held);
+            (q..=last)
+                .filter(|q| held >> (q % CHUNK) & 1 == 0)
+                .for_each(&mut f);
+            match last.checked_add(1) {
+                Some(next) => q = next,
+                None => break,
+            }
+        }
+    }
+
+    /// Drop the lowest-numbered payload from RAM (its durable bit, if any,
+    /// stays: the name is still held).
+    fn evict_lowest(&mut self) {
+        let from = self.lowest / CHUNK;
+        let in_map = self.chunks.range_mut(from..).find(|(_, c)| c.ram != 0);
+        let (key, chunk, mapped) = match in_map {
+            Some((k, c)) => (*k, c, true),
+            None => {
+                let (k, c) = self.tail.as_mut().expect("a payload in RAM has a chunk");
+                (*k, c, false)
+            }
+        };
+        self.lowest = key * CHUNK + chunk.evict_lowest() + 1;
+        self.in_ram -= 1;
+        if mapped && chunk.held() == 0 {
+            self.chunks.remove(&key);
+        }
     }
 }
 
@@ -216,7 +353,7 @@ impl AduStore {
         let summary = self.persistence.as_mut()?.rehydrate();
         for name in &summary.names {
             let s = self.streams.entry((name.source, name.page)).or_default();
-            s.durable.insert(name.seq);
+            s.chunk_mut(name.seq.0 / CHUNK).durable |= 1 << (name.seq.0 % CHUNK);
             if s.highest_known.is_none_or(|h| name.seq > h) {
                 s.highest_known = Some(name.seq);
             }
@@ -234,46 +371,51 @@ impl AduStore {
             (Some(_), Some(cache)) => Some(cache),
             _ => self.retention_per_stream,
         };
-        let has_persistence = self.persistence.is_some();
+        let (seq, slot) = (name.seq.0, name.seq.0 % CHUNK);
         let s = self.streams.entry((name.source, name.page)).or_default();
-        let fresh = !s.data.contains_key(&name.seq) && !s.durable.contains(&name.seq);
-        if fresh {
-            if let Some(p) = self.persistence.as_mut() {
-                if p.persist(name, &payload) {
-                    s.durable.insert(name.seq);
-                }
-            }
-            s.data.insert(name.seq, payload);
-            if s.highest_known.is_none_or(|h| name.seq > h) {
-                s.highest_known = Some(name.seq);
-            }
-            if let Some(limit) = cache_limit {
-                while s.data.len() > limit {
-                    let oldest = *s.data.keys().next().expect("nonempty");
-                    s.data.remove(&oldest);
-                    if has_persistence {
-                        self.evictions += 1;
-                    }
+        if s.holds(seq) {
+            return false;
+        }
+        let durable = self
+            .persistence
+            .as_mut()
+            .is_some_and(|p| p.persist(name, &payload));
+        let chunk = s.chunk_mut(seq / CHUNK);
+        chunk.durable |= u64::from(durable) << slot;
+        chunk.put(slot, payload);
+        if s.in_ram == 0 || seq < s.lowest {
+            s.lowest = seq;
+        }
+        s.in_ram += 1;
+        if s.highest_known.is_none_or(|h| name.seq > h) {
+            s.highest_known = Some(name.seq);
+        }
+        if let Some(limit) = cache_limit {
+            while s.in_ram > limit {
+                s.evict_lowest();
+                if self.persistence.is_some() {
+                    self.evictions += 1;
                 }
             }
         }
-        fresh
+        true
     }
 
     /// Do we hold the payload for `name` — in RAM or durably on disk?
     pub fn has(&self, name: &AduName) -> bool {
         self.streams
             .get(&(name.source, name.page))
-            .is_some_and(|s| s.holds(&name.seq))
+            .is_some_and(|s| s.holds(name.seq.0))
     }
 
     /// Retrieve the payload for `name` from RAM, if cached. Does not touch
     /// the durability layer; use [`AduStore::fetch`] to read through.
     pub fn get(&self, name: &AduName) -> Option<Bytes> {
-        self.streams
-            .get(&(name.source, name.page))
-            .and_then(|s| s.data.get(&name.seq))
-            .cloned()
+        let chunk = self
+            .streams
+            .get(&(name.source, name.page))?
+            .chunk(name.seq.0 / CHUNK)?;
+        chunk.slots.get((name.seq.0 % CHUNK) as usize)?.clone()
     }
 
     /// Retrieve the payload for `name`, reading through to the durability
@@ -281,14 +423,15 @@ impl AduStore {
     /// payloads are returned without re-warming the cache: repair sends are
     /// one-shot and re-caching would churn the eviction window.
     pub fn fetch(&mut self, name: &AduName) -> Option<Bytes> {
-        if let Some(b) = self.get(name) {
-            return Some(b);
-        }
-        let durable = self
+        let chunk = self
             .streams
-            .get(&(name.source, name.page))
-            .is_some_and(|s| s.durable.contains(&name.seq));
-        if !durable {
+            .get(&(name.source, name.page))?
+            .chunk(name.seq.0 / CHUNK)?;
+        let slot = name.seq.0 % CHUNK;
+        if let Some(Some(b)) = chunk.slots.get(slot as usize) {
+            return Some(b.clone());
+        }
+        if chunk.durable >> slot & 1 == 0 {
             return None;
         }
         let b = self.persistence.as_mut()?.read(name)?;
@@ -311,27 +454,28 @@ impl AduStore {
             s.highest_known = Some(seq);
         }
         // Newly discovered names: (prev, seq]; missing = those not held.
-        let mut start = match prev {
-            None => 0,
-            Some(h) => h.0.saturating_add(1),
+        let Some(mut start) = prev.map_or(Some(0), |h| h.0.checked_add(1)) else {
+            return Vec::new();
         };
         if start > seq.0 {
             return Vec::new();
         }
-        let span = seq.0 - start + 1;
-        if span > self.gap_cap {
-            start = seq.0 - self.gap_cap + 1;
+        // `span - 1`: the span itself overflows for a claim of seq 2⁶⁴ − 1.
+        if seq.0 - start >= self.gap_cap {
+            start = seq.0 - self.gap_cap.saturating_sub(1);
         }
-        (start..=seq.0)
-            .map(SeqNo)
-            .filter(|q| !s.holds(q))
-            .map(|q| AduName::new(source, page, q))
-            .collect()
+        let mut out = Vec::new();
+        s.for_each_missing(start, seq.0, |q| {
+            out.push(AduName::new(source, page, SeqNo(q)))
+        });
+        out
     }
 
     /// Highest sequence number known to exist on `(source, page)`.
     pub fn highest_known(&self, source: SourceId, page: PageId) -> Option<SeqNo> {
-        self.streams.get(&(source, page)).and_then(|s| s.highest_known)
+        self.streams
+            .get(&(source, page))
+            .and_then(|s| s.highest_known)
     }
 
     /// Every name known to exist but not held, across all streams of `page`
@@ -343,12 +487,8 @@ impl AduStore {
                 continue;
             }
             if let Some(h) = s.highest_known {
-                let start = (h.0 + 1).saturating_sub(self.gap_cap);
-                for q in start..=h.0 {
-                    if !s.holds(&SeqNo(q)) {
-                        out.push(AduName::new(*src, *pg, SeqNo(q)));
-                    }
-                }
+                let start = h.0.saturating_sub(self.gap_cap.saturating_sub(1));
+                s.for_each_missing(start, h.0, |q| out.push(AduName::new(*src, *pg, SeqNo(q))));
             }
         }
         out
@@ -374,7 +514,7 @@ impl AduStore {
 
     /// Count of ADUs held in RAM across all streams.
     pub fn len(&self) -> usize {
-        self.streams.values().map(|s| s.data.len()).sum()
+        self.streams.values().map(|s| s.in_ram).sum()
     }
 
     /// Count of ADUs recoverable across all streams: cached in RAM or
@@ -383,7 +523,8 @@ impl AduStore {
     pub fn recoverable_len(&self) -> usize {
         self.streams
             .values()
-            .map(|s| s.data.keys().filter(|q| !s.durable.contains(q)).count() + s.durable.len())
+            .flat_map(Stream::all_chunks)
+            .map(|c| c.held().count_ones() as usize)
             .sum()
     }
 
@@ -526,6 +667,69 @@ mod tests {
         // Subsequent small jumps behave normally.
         let more = st.note_exists(SRC, page(), SeqNo((1 << 40) + 2));
         assert_eq!(more.len(), 2);
+    }
+
+    #[test]
+    fn hostile_sequence_numbers_cost_one_chunk() {
+        let mut st = AduStore::new();
+        for q in 0..200 {
+            st.insert(n(q), Bytes::new());
+        }
+        // One corrupt frame claims seq 2⁶², another the last number there is.
+        for far in [1 << 62, u64::MAX] {
+            assert_eq!(
+                st.note_exists(SRC, page(), SeqNo(far)).len() as u64,
+                st.gap_cap
+            );
+            assert!(st.insert(n(far), Bytes::from_static(b"far")));
+            assert_eq!(st.get(&n(far)).unwrap(), Bytes::from_static(b"far"));
+            assert!(!st.has(&n(far - 1)));
+            assert_eq!(st.missing_on_page(page()).len() as u64, st.gap_cap - 1);
+        }
+        assert_eq!(st.len(), 202);
+        // 200 ADUs fill four chunks; each far one added a chunk of
+        // `FIRST_SLOTS` or `CHUNK` slots, and nothing in between.
+        let s = &st.streams[&(SRC, page())];
+        assert_eq!(s.all_chunks().count(), 6);
+        assert!(s.all_chunks().all(|c| c.slots.capacity() <= CHUNK as usize));
+        assert_eq!(s.tail.as_ref().unwrap().0, u64::MAX / CHUNK);
+        // The ordinary numbers still work, off the tail now.
+        assert!(st.insert(n(200), Bytes::new()));
+        assert!(st.has(&n(200)) && !st.has(&n(201)));
+    }
+
+    #[test]
+    fn a_short_stream_stays_small_and_eviction_frees_the_slots() {
+        let mut st = AduStore::new();
+        st.insert(n(0), Bytes::new());
+        let slots = |st: &AduStore| {
+            st.streams[&(SRC, page())]
+                .tail
+                .as_ref()
+                .unwrap()
+                .1
+                .slots
+                .capacity()
+        };
+        assert_eq!(slots(&st), FIRST_SLOTS);
+        st.insert(n(FIRST_SLOTS as u64), Bytes::new());
+        assert_eq!(slots(&st), CHUNK as usize);
+        // With a log, a chunk whose payloads all spilled keeps two bitmaps.
+        st.cache_per_stream = Some(1);
+        st.attach_persistence(Box::<FakeLog>::default());
+        for q in 10..=CHUNK {
+            st.insert(n(q), Bytes::new());
+        }
+        let s = &st.streams[&(SRC, page())];
+        assert_eq!(s.chunks[&0].slots.capacity(), 0);
+        assert_eq!(s.chunks[&0].durable.count_ones(), 54);
+        // Without one, a chunk that empties is gone.
+        let mut st = AduStore::new();
+        st.retention_per_stream = Some(1);
+        for q in 0..=CHUNK {
+            st.insert(n(q), Bytes::new());
+        }
+        assert!(st.streams[&(SRC, page())].chunks.is_empty());
     }
 
     #[test]

@@ -12,6 +12,10 @@
 use netsim::SimDuration;
 use rand::Rng;
 
+/// Longest backed-off timer end, seconds (about 30 years): far beyond any
+/// session, and `now + delay` in nanoseconds still fits a `u64`.
+pub const MAX_BACKOFF_SECS: f64 = 1e9;
+
 /// A uniform timer interval `[lo, hi]` in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimerInterval {
@@ -41,12 +45,18 @@ impl TimerInterval {
     }
 
     /// The interval after `k` exponential backoffs with multiplier `m`:
-    /// `[m^k·lo, m^k·hi]`.
+    /// `[m^k·lo, m^k·hi]`, each end capped at [`MAX_BACKOFF_SECS`].
+    ///
+    /// `m^k` overflows to infinity after about a thousand doublings — which
+    /// a member at distance 0 (interval `[0, 0]`, every round instant) gets
+    /// through in no time — and `0·inf` is NaN. The factor is therefore kept
+    /// finite, so a zero end stays zero, and the ends are capped so the
+    /// drawn delay still fits the nanosecond clock.
     pub fn backed_off(self, m: f64, k: u32) -> Self {
-        let f = m.powi(k as i32);
+        let f = m.powi(i32::try_from(k).unwrap_or(i32::MAX)).min(f64::MAX);
         TimerInterval {
-            lo: self.lo * f,
-            hi: self.hi * f,
+            lo: (self.lo * f).min(MAX_BACKOFF_SECS),
+            hi: (self.hi * f).min(MAX_BACKOFF_SECS),
         }
     }
 
@@ -100,6 +110,24 @@ mod tests {
         assert_eq!(b3, TimerInterval { lo: 18.0, hi: 36.0 });
         // k = 0 leaves the interval unchanged.
         assert_eq!(i.backed_off(2.0, 0), i);
+    }
+
+    #[test]
+    fn two_thousand_backoffs_stay_finite() {
+        let mut rng = StdRng::seed_from_u64(4);
+        // Distance 0: 2^k reaches inf at k = 1024 and 0·inf was NaN.
+        let zero = TimerInterval::request(2.0, 2.0, SimDuration::ZERO);
+        // One second: the ends used to reach inf, the draw with them.
+        let one = TimerInterval::request(2.0, 2.0, SimDuration::from_secs(1));
+        for k in [1023, 1024, 2000, u32::MAX] {
+            assert_eq!(zero.backed_off(2.0, k).draw(&mut rng), SimDuration::ZERO);
+            let far = one.backed_off(2.0, k);
+            assert_eq!((far.lo, far.hi), (MAX_BACKOFF_SECS, MAX_BACKOFF_SECS));
+            assert_eq!(
+                far.draw(&mut rng),
+                SimDuration::from_secs_f64(MAX_BACKOFF_SECS)
+            );
+        }
     }
 
     #[test]

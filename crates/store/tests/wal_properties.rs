@@ -7,7 +7,14 @@
 //!   the damage is confined to a truncated suffix;
 //! * an `AduStore` with a bounded cache serves every inserted payload
 //!   byte-identically through [`srm::AduStore::fetch`], no matter what
-//!   was evicted to disk.
+//!   was evicted to disk;
+//! * an `AduStore` over this log answers a random script — spills,
+//!   read-through, crashes that lose the unsynced tail, rehydration —
+//!   exactly as its tree-based reference model does over an equal log
+//!   (`crates/core/tests/store_model/`).
+
+#[path = "../../core/tests/store_model/mod.rs"]
+mod store_model;
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -141,5 +148,20 @@ proptest! {
                 "fetch must read through to the log"
             );
         }
+    }
+
+    #[test]
+    fn store_over_the_wal_matches_the_model(
+        (retention, cache, gap_cap) in (prop::option::of(0usize..70), prop::option::of(1usize..70), 1u64..40),
+        // Runs of at most 24 ADUs: the log compacts every few appends.
+        ops in prop::collection::vec((0u8..10, 0u8..3, any::<u64>(), 0u8..24), 1..60),
+        cfg in arb_config(),
+    ) {
+        let setup = store_model::Setup { retention, cache, gap_cap };
+        let log = || -> Option<Box<dyn Persistence>> {
+            Some(Box::new(DurableStore::new(Box::new(MemBackend::new()), cfg)))
+        };
+        let verdict = store_model::run(&setup, &ops, log);
+        prop_assert!(verdict.is_ok(), "{:?} {:?}: {}", setup, cfg, verdict.unwrap_err());
     }
 }

@@ -122,12 +122,24 @@ pub struct PoolBuf {
 }
 
 impl PoolBuf {
-    /// An exact-size heap buffer holding a copy of `src` — the pool-miss
-    /// fallback (and the portable backend's filled-prefix copy-out).
+    /// An exact-size heap buffer holding a copy of `src` — the receive
+    /// side's pool-miss fallback (and the portable backend's filled-prefix
+    /// copy-out).
     pub fn copied_from(src: &[u8]) -> Self {
         PoolBuf {
             data: src.to_vec(),
             filled: src.len(),
+            home: None,
+        }
+    }
+
+    /// An empty heap buffer of `slab_bytes` — the send side's pool-miss
+    /// fallback: an encode appends into it as into a pooled slab, without
+    /// growing it step by step from nothing.
+    pub fn with_capacity(slab_bytes: usize) -> Self {
+        PoolBuf {
+            data: vec![0u8; slab_bytes],
+            filled: 0,
             home: None,
         }
     }

@@ -278,9 +278,12 @@ struct PendingFrame {
 /// half), the inbound routing table, and the log-line prefix.
 ///
 /// Sends are *queued*: every logical multicast encodes once into a pooled
-/// slab, fans out per destination at enqueue time (where loss, blackholes,
-/// and the accounting all run), and the reactor flushes the whole queue as
-/// batched syscalls once per wakeup.
+/// slab and fans out per destination at enqueue time (where loss,
+/// blackholes, and the accounting all run). The queue goes to the socket
+/// as one batched syscall as soon as it holds `max_batch` frames — so it,
+/// and the slabs in flight, never exceed one batch however long a burst
+/// the agent produces in one call — and whatever is left goes out at the
+/// end of the wakeup.
 struct Wire {
     /// Log-line prefix: `srm-node[7]`, `srm-hub[shard 2]`.
     label: String,
@@ -301,9 +304,11 @@ struct Wire {
     /// buffer per logical send, so steady-state sending allocates nothing
     /// per datagram (drops at flush return the slabs).
     tx_pool: BufferPool,
-    /// Frames awaiting the next flush.
+    /// Frames awaiting the next flush; at most `max_batch` of them.
     queue: Vec<PendingFrame>,
-    /// Reused per-flush results scratch.
+    /// Reused per-flush scratch: the queue as the backend wants it (always
+    /// empty between flushes, kept for its allocation), and the results.
+    frames: Vec<SendFrame<'static>>,
     results: Vec<io::Result<()>>,
     /// Frames per send syscall (from [`BatchOptions::send_batch`]).
     max_batch: usize,
@@ -319,22 +324,23 @@ impl Wire {
         if self.queue.is_empty() {
             return;
         }
-        let queue = std::mem::take(&mut self.queue);
+        self.counters.max_sendq_len.fetch_max(self.queue.len() as u64, Ordering::Relaxed);
+        // The scratch's element type says `'static` only because it is
+        // stored empty; here it borrows the queue (a `Vec` is covariant).
+        let mut frames: Vec<SendFrame<'_>> = std::mem::take(&mut self.frames);
         let mut i = 0;
-        while i < queue.len() {
-            let ttl = queue[i].ttl;
+        while i < self.queue.len() {
+            let ttl = self.queue[i].ttl;
             let mut j = i + 1;
-            while j < queue.len() && queue[j].ttl == ttl {
+            while j < self.queue.len() && self.queue[j].ttl == ttl {
                 j += 1;
             }
             if let Some(t) = ttl {
                 let _ = self.socket.set_multicast_ttl_v4(u32::from(t));
             }
-            for chunk in queue[i..j].chunks(self.max_batch) {
-                let frames: Vec<SendFrame<'_>> = chunk
-                    .iter()
-                    .map(|p| SendFrame { dest: p.dest, data: &p.data })
-                    .collect();
+            for chunk in self.queue[i..j].chunks(self.max_batch) {
+                frames.clear();
+                frames.extend(chunk.iter().map(|p| SendFrame { dest: p.dest, data: &p.data }));
                 self.results.clear();
                 self.batch.send_batch(&frames, &mut self.results);
                 if let Some(m) = &self.reg {
@@ -360,9 +366,12 @@ impl Wire {
             }
             i = j;
         }
-        // Reclaim the queue's allocation; dropping the contents returns
-        // the encode slabs to the pool.
-        self.queue = queue;
+        // Emptied, the scratch borrows nothing: collecting an empty `Vec`
+        // back into one of the same layout keeps its allocation, and
+        // states the longer lifetime without `unsafe`.
+        frames.clear();
+        self.frames = frames.into_iter().map(|f| SendFrame { dest: f.dest, data: &[] }).collect();
+        // Dropping the contents returns the encode slabs to the pool.
         self.queue.clear();
     }
 }
@@ -604,7 +613,7 @@ fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts:
     io.tx_frames += 1;
     let mut buf = wire.tx_pool.try_take().unwrap_or_else(|| {
         wire.tx_pool.note_miss();
-        PoolBuf::copied_from(&[])
+        PoolBuf::with_capacity(wire.tx_pool.slab_bytes())
     });
     Envelope {
         src: io.src,
@@ -618,18 +627,23 @@ fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts:
     .encode_into(&mut buf);
     let frame = Arc::new(buf);
     let GroupIo { mode, loss, blackholes, log, .. } = io;
-    let (queue, counters) = (&mut wire.queue, &wire.counters);
     // `policy_dest` is what loss rules and blackholes match on: the peer on
     // a mesh, nothing under true multicast.
     let mut enqueue = |dest: SocketAddr, policy_dest: Option<SocketAddr>, ttl: Option<u8>| {
-        counters.frames_attempted.fetch_add(1, Ordering::Relaxed);
+        wire.counters.frames_attempted.fetch_add(1, Ordering::Relaxed);
         if blackholes.iter().any(|b| b.matches(now, policy_dest)) {
-            counters.blackholed.fetch_add(1, Ordering::Relaxed);
+            wire.counters.blackholed.fetch_add(1, Ordering::Relaxed);
             log.record(now, obs::TransportEventKind::Blackholed { flow: opts.flow });
         } else if loss.should_drop(opts.flow, policy_dest) {
-            counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
+            wire.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
         } else {
-            queue.push(PendingFrame { dest, ttl, data: Arc::clone(&frame) });
+            wire.queue.push(PendingFrame { dest, ttl, data: Arc::clone(&frame) });
+            // A full batch goes out now: the receivers start on it while
+            // the rest of the burst is still being produced, and the slabs
+            // it held are back in the pool before the next encode.
+            if wire.queue.len() >= wire.max_batch {
+                wire.flush(now);
+            }
         }
     };
     match mode {
@@ -933,12 +947,6 @@ impl Reactor {
                         break 'reactor;
                     }
                     while drained < inbound_drain {
-                        // Keep the wire busy while draining: once a full send
-                        // batch has accumulated, flush it so the receivers
-                        // work in parallel with the rest of the window.
-                        if self.wire.queue.len() >= self.wire.max_batch {
-                            self.wire.flush(self.clock.now());
-                        }
                         match rx.try_recv() {
                             Ok(ev) => {
                                 drained += 1;
@@ -999,16 +1007,21 @@ impl Reactor {
     /// Walk one received buffer into the agents. A plain datagram is one
     /// frame; a GRO-coalesced buffer is walked at its segment stride (the
     /// envelope length field re-validates every chunk, so a mis-sliced
-    /// boundary surfaces as a decode error, never a bad frame). The walk
-    /// borrows the pooled slab in place — no per-frame copy to split the
-    /// super-datagram; returning recycles the slab to the receive pool.
+    /// boundary surfaces as a decode error, never a bad frame). Headers
+    /// are read out of the pooled slab in place; the first frame that gets
+    /// past the filters copies the whole buffer into one shared allocation,
+    /// and every frame's payload is a slice of it — one allocation per
+    /// buffer, of up to 64 frames, not one per frame. Returning recycles
+    /// the slab to the receive pool.
     fn walk(&mut self, recv_at: SimTime, seg: u32, data: &[u8]) {
         let stride = match seg as usize {
             0 => data.len().max(1),
             s => s,
         };
+        let mut shared: Option<Bytes> = None;
         // An empty datagram is still one (undecodable) frame.
-        for chunk in data.chunks(stride).chain(data.is_empty().then_some(data)) {
+        let chunks = data.chunks(stride).chain(data.is_empty().then_some(data));
+        for (chunk, at) in chunks.zip((0..).step_by(stride)) {
             // Stage clocks: one extra clock read per stage, only when a
             // registry is attached.
             let dequeued = self.wire.reg.as_ref().map(|m| {
@@ -1017,8 +1030,7 @@ impl Reactor {
                 now
             });
             // Zero-copy decode: every field reads straight out of the
-            // pooled slab; only a delivered payload is copied (below, into
-            // the packet).
+            // pooled slab.
             let env = match Envelope::decode_view(chunk) {
                 Ok(env) => env,
                 Err(e) => {
@@ -1035,7 +1047,7 @@ impl Reactor {
             }
             // Self-delivery (multicast loopback echo) and traffic for
             // groups nobody here joined are the network's job to withhold
-            // in the simulator; filter them here — before the payload copy.
+            // in the simulator; filter them here — before the buffer copy.
             let host = self.wire.routes.get(&env.group).and_then(|key| self.groups.get_mut(key));
             let Some(host) = host else {
                 // Not silent: a well-formed frame for a group nobody here
@@ -1074,7 +1086,9 @@ impl Reactor {
                     admin_scoped: env.admin_scoped,
                     flow: env.flow,
                     size: chunk.len() as u32,
-                    payload: Bytes::copy_from_slice(env.payload),
+                    payload: shared
+                        .get_or_insert_with(|| Bytes::copy_from_slice(data))
+                        .slice(at + HEADER_LEN..at + chunk.len()),
                 },
             );
             let handle_t0 = self.wire.reg.as_ref().map(|_| self.clock.now());
@@ -1181,6 +1195,7 @@ pub(crate) fn build(
             log: obs::TransportLog::new(),
             tx_pool: BufferPool::new(batch.pool_slabs, TX_SLAB_BYTES),
             queue: Vec::new(),
+            frames: Vec::new(),
             results: Vec::new(),
             max_batch: batch.send_batch.clamp(1, crate::batch::MAX_BATCH),
             reg: metrics.as_ref().map(|r| RegHandles::new(r, index, kind)),

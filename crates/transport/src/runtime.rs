@@ -288,6 +288,7 @@ pub(crate) struct Counters {
     pub(crate) rx_unjoined_group: AtomicU64,
     pub(crate) max_wheel_len: AtomicU64,
     pub(crate) max_delayq_len: AtomicU64,
+    pub(crate) max_sendq_len: AtomicU64,
     pub(crate) demux_splits: AtomicU64,
 }
 
@@ -343,6 +344,9 @@ pub struct TransportStats {
     pub max_wheel_len: u64,
     /// High-water mark of the chaos delay queue.
     pub max_delayq_len: u64,
+    /// High-water mark of a reactor's send queue, in frames: at most
+    /// [`BatchOptions::send_batch`], since a full batch is flushed at once.
+    pub max_sendq_len: u64,
     /// GRO buffers whose segments straddled reactors and had to be split
     /// with per-segment copies; always zero with one reactor (a node).
     pub demux_splits: u64,
@@ -370,6 +374,7 @@ impl TransportStats {
             rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
             max_wheel_len: c.max_wheel_len.load(Ordering::Relaxed),
             max_delayq_len: c.max_delayq_len.load(Ordering::Relaxed),
+            max_sendq_len: c.max_sendq_len.load(Ordering::Relaxed),
             demux_splits: c.demux_splits.load(Ordering::Relaxed),
         }
     }

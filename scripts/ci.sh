@@ -81,6 +81,12 @@ grep -q "repair" target/ci_durable.out \
     || { echo "durable rejoin smoke: ADU arrived but not via repair" >&2; exit 1; }
 rm -rf "$STORE_DIR"
 
+echo "== ADU store vs its tree-based reference model (in memory, fake log; the real WAL ran above) =="
+cargo test -q -p srm --test store_equivalence
+
+echo "== allocation budget (exact heap allocations per sent and per received ADU, live pair) =="
+cargo test -q --test alloc_budget
+
 echo "== golden trace (observability JSONL pins) =="
 cargo test -q --test golden_trace
 
@@ -162,6 +168,10 @@ cargo run --quiet --release --offline --manifest-path srmbench/Cargo.toml -- --s
 echo "== transport crate size (code lines = not blank, not a // line; then raw lines) =="
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | grep -cvE '^\s*(//|$)'
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | wc -l
+
+echo "== ADU fast path size: store.rs + reactor.rs (code lines, then raw) =="
+cat crates/core/src/store.rs crates/transport/src/reactor.rs | grep -cvE '^\s*(//|$)'
+cat crates/core/src/store.rs crates/transport/src/reactor.rs | wc -l
 
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings
