@@ -18,18 +18,21 @@ use crate::config::{RecoveryScope, SrmConfig, TimerParams};
 use crate::fec::{reconstruct, Parity, ParityEncoder};
 use crate::hierarchy::{HierarchyState, SessionScope};
 use crate::local::{widened_ttl, LossFingerprint, NeighborhoodView};
-use crate::metrics::{AgentMetrics, RecoveryRecord, RepairRecord};
+use crate::metrics::AgentMetrics;
 use crate::name::{AduName, PageId, SeqNo, SourceId};
 use crate::observe::adu_key;
 use crate::rate::TokenBucket;
-use crate::recovery::{RequestAction, RequestState, RepairState};
+use crate::recovery::{
+    Episode, RepairState, RequestAction, RequestScope, RequestState, TimerHandle,
+};
 use crate::sendq::{PendingSend, SendClass, SendQueue};
 use crate::session::SessionScheduler;
 use crate::store::AduStore;
 use crate::wire::{Body, DataBody, Header, Message, PageRequestBody, RequestBody, SessionBody};
 use bytes::Bytes;
-use netsim::{flow, Application, Ctx, GroupId, Packet, SendOptions, SimDuration, SimTime, TimerId};
-use std::collections::BTreeMap;
+use netsim::{flow, Application, Ctx, GroupId, Packet, SendOptions, SimDuration, SimTime};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// An ADU handed up to the application layer.
 #[derive(Clone, Debug)]
@@ -56,10 +59,26 @@ enum Purpose {
     CatalogReply,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct TimerHandle {
-    id: TimerId,
-    token: u64,
+/// The agent's armed timers: what each outstanding token is for.
+#[derive(Default)]
+struct Timers {
+    purposes: BTreeMap<u64, Purpose>,
+    next_token: u64,
+}
+
+impl Timers {
+    fn arm(&mut self, ctx: &mut dyn Driver, delay: SimDuration, purpose: Purpose) -> TimerHandle {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.purposes.insert(token, purpose);
+        let id = ctx.set_timer(delay, token);
+        TimerHandle { id, token }
+    }
+
+    fn disarm(&mut self, ctx: &mut dyn Driver, h: TimerHandle) {
+        ctx.cancel_timer(h.id);
+        self.purposes.remove(&h.token);
+    }
 }
 
 /// One member's SRM protocol engine.
@@ -75,18 +94,17 @@ pub struct SrmAgent {
     /// messages; recovery for it gets top send priority).
     current_page: PageId,
     next_seq: BTreeMap<PageId, SeqNo>,
-    requests: BTreeMap<AduName, RequestState>,
-    repairs: BTreeMap<AduName, RepairState>,
-    hold_down_until: BTreeMap<AduName, SimTime>,
-    /// TTL used in our most recent request for each ADU (for the two-step
-    /// repair re-multicast).
-    request_ttls: BTreeMap<AduName, u8>,
-    request_timers: BTreeMap<AduName, TimerHandle>,
-    repair_timers: BTreeMap<AduName, TimerHandle>,
+    /// Loss recovery in progress or held down, by name: the one table a
+    /// request or repair heard is looked up in. An episode is removed once
+    /// it is [`Episode::finished`], so the table follows the losses of the
+    /// last few hold-downs, not of the session.
+    episodes: BTreeMap<AduName, Episode>,
+    /// Hold-down deadlines in the order they were set: where
+    /// [`SrmAgent::retire_expired`] finds the episodes that may be over.
+    hold_downs: VecDeque<(SimTime, AduName)>,
     page_reply_timers: BTreeMap<PageId, TimerHandle>,
     session_timer: Option<TimerHandle>,
-    purposes: BTreeMap<u64, Purpose>,
-    next_token: u64,
+    timers: Timers,
     scheduler: SessionScheduler,
     /// Whether periodic session messages run (experiments that measure a
     /// single clean recovery round turn them off and warm distances
@@ -121,8 +139,6 @@ pub struct SrmAgent {
     invite_timer: Option<TimerHandle>,
     /// True if this member created (rather than joined) its recovery group.
     pub created_recovery_group: bool,
-    /// Repair replies go back on the group the request arrived on.
-    repair_reply_groups: BTreeMap<AduName, GroupId>,
     /// Sender-side parity encoder (FEC extension).
     fec_enc: Option<ParityEncoder>,
     /// Received parities by (source, page, block_start).
@@ -168,16 +184,11 @@ impl SrmAgent {
             adaptive,
             current_page: PageId::new(id, 0),
             next_seq: BTreeMap::new(),
-            requests: BTreeMap::new(),
-            repairs: BTreeMap::new(),
-            hold_down_until: BTreeMap::new(),
-            request_ttls: BTreeMap::new(),
-            request_timers: BTreeMap::new(),
-            repair_timers: BTreeMap::new(),
+            episodes: BTreeMap::new(),
+            hold_downs: VecDeque::new(),
             page_reply_timers: BTreeMap::new(),
             session_timer: None,
-            purposes: BTreeMap::new(),
-            next_token: 0,
+            timers: Timers::default(),
             scheduler,
             session_enabled: true,
             bucket: cfg.rate_limit.map(TokenBucket::new),
@@ -196,7 +207,6 @@ impl SrmAgent {
             recovery_group: None,
             invite_timer: None,
             created_recovery_group: false,
-            repair_reply_groups: BTreeMap::new(),
             fec_enc: cfg.fec.map(|f| ParityEncoder::new(f.k)),
             parities: BTreeMap::new(),
             fec_recoveries: 0,
@@ -228,10 +238,7 @@ impl SrmAgent {
 
     /// The live timer parameters (adaptive if enabled, else the fixed ones).
     pub fn params(&self) -> TimerParams {
-        self.adaptive
-            .as_ref()
-            .map(|a| a.params)
-            .unwrap_or(self.cfg.timers)
+        live_params(&self.adaptive, &self.cfg)
     }
 
     /// The configuration.
@@ -302,7 +309,14 @@ impl SrmAgent {
 
     /// Are any loss-recovery episodes still in flight?
     pub fn has_pending_recovery(&self) -> bool {
-        !self.requests.is_empty()
+        self.episodes.values().any(|e| e.request.is_some())
+    }
+
+    /// Names this member currently keeps recovery state for: a request
+    /// pending, a repair timer armed, or a hold-down not yet over (plus
+    /// those whose hold-down ran out since the last packet or timer).
+    pub fn live_episodes(&self) -> usize {
+        self.episodes.len()
     }
 
     /// Originate a new ADU on `page`. Returns its name.
@@ -375,21 +389,6 @@ impl SrmAgent {
     /// Send a session message immediately (also used by experiment warm-up).
     pub fn send_session_now(&mut self, ctx: &mut dyn Driver) {
         self.emit_session(ctx, self.current_page);
-    }
-
-    // ---- internals: timers -------------------------------------------------
-
-    fn arm(&mut self, ctx: &mut dyn Driver, delay: SimDuration, purpose: Purpose) -> TimerHandle {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.purposes.insert(token, purpose);
-        let id = ctx.set_timer(delay, token);
-        TimerHandle { id, token }
-    }
-
-    fn disarm(&mut self, ctx: &mut dyn Driver, h: TimerHandle) {
-        ctx.cancel_timer(h.id);
-        self.purposes.remove(&h.token);
     }
 
     // ---- internals: transmission -------------------------------------------
@@ -465,7 +464,7 @@ impl SrmAgent {
                     let wait = bucket
                         .time_until_available(ctx.now(), size as f64)
                         .max(SimDuration::from_millis(1));
-                    let h = self.arm(ctx, wait, Purpose::RateGate);
+                    let h = self.timers.arm(ctx, wait, Purpose::RateGate);
                     self.rate_gate = Some(h);
                 }
                 break;
@@ -500,17 +499,17 @@ impl SrmAgent {
         }
     }
 
-    /// Network options for a repair answering a request that arrived with
-    /// `request_ttl` / `request_admin_scoped`.
-    fn repair_opts(&self, request_ttl: u8, request_admin_scoped: bool) -> SendOptions {
+    /// Network options for a repair answering a request that travelled as
+    /// `request` did.
+    fn repair_opts(&self, request: RequestScope) -> SendOptions {
         let base = SendOptions::for_flow(flow::REPAIR);
         match self.cfg.scope {
             RecoveryScope::Global => base,
             // Two-step first leg: "a local repair is sent with the same TTL
             // used in the request" (Section VII-B3).
-            RecoveryScope::Ttl(_) => base.with_ttl(request_ttl),
+            RecoveryScope::Ttl(_) => base.with_ttl(request.ttl),
             RecoveryScope::Admin => {
-                if request_admin_scoped {
+                if request.admin_scoped {
                     base.admin_scoped()
                 } else {
                     base
@@ -528,13 +527,9 @@ impl SrmAgent {
                 continue; // our own stream cannot be missing (unless we
                           // crashed and are recovering our pre-crash state)
             }
-            if self.requests.contains_key(&name) || self.store.has(&name) {
+            if self.store.has(&name) {
                 continue;
             }
-            self.losses_detected += 1;
-            self.fingerprint.record(name);
-            self.obs
-                .record(ctx.now(), adu_key(name), obs::EventKind::GapDetected);
             // wb 1.59 mode uses a fixed [c, 2c] interval; the distance-
             // scaled framework uses [C1·d, (C1+C2)·d].
             let (c1, c2, dist) = match self.cfg.fixed_intervals {
@@ -544,22 +539,29 @@ impl SrmAgent {
                     (p.c1, p.c2, self.est.distance_to(name.source))
                 }
             };
-            let (state, delay) = RequestState::new(name, ctx.now(), c1, c2, dist, ctx.rng());
+            let ep = self.episodes.entry(name).or_default();
+            if ep.request.is_some() {
+                continue;
+            }
+            self.losses_detected += 1;
+            self.fingerprint.record(name);
+            self.obs
+                .record(ctx.now(), adu_key(name), obs::EventKind::GapDetected);
+            let (mut st, delay) = RequestState::new(name, ctx.now(), c1, c2, dist, ctx.rng());
             if let Some(a) = self.adaptive.as_mut() {
                 a.on_request_timer_set(name);
             }
-            let h = self.arm(ctx, delay, Purpose::Request(name));
-            self.request_timers.insert(name, h);
+            st.timer = Some(self.timers.arm(ctx, delay, Purpose::Request(name)));
             self.obs.record(
                 ctx.now(),
                 adu_key(name),
                 obs::EventKind::RequestTimerSet {
-                    until: state.expire_at,
-                    backoff: state.backoff_count,
+                    until: st.expire_at,
+                    backoff: st.backoff_count,
                 },
             );
-            self.sync_request_record(&state);
-            self.requests.insert(name, state);
+            self.metrics.note_request(&st);
+            ep.request = Some(st);
         }
         self.maybe_create_recovery_group(ctx);
     }
@@ -592,7 +594,7 @@ impl SrmAgent {
             hi: spread.as_secs_f64(),
         }
         .draw(ctx.rng());
-        let h = self.arm(ctx, delay, Purpose::RecoveryInviteTimer);
+        let h = self.timers.arm(ctx, delay, Purpose::RecoveryInviteTimer);
         self.invite_timer = Some(h);
     }
 
@@ -625,7 +627,7 @@ impl SrmAgent {
             return;
         }
         if let Some(h) = self.invite_timer.take() {
-            self.disarm(ctx, h);
+            self.timers.disarm(ctx, h);
         }
         if self.recovery_group.is_some() {
             return;
@@ -635,55 +637,54 @@ impl SrmAgent {
         self.recovery_group = Some(g);
     }
 
-    fn sync_request_record(&mut self, st: &RequestState) {
-        let rtt = SimDuration::from_secs_f64(st.dist_to_source.as_secs_f64() * 2.0);
-        let rec = self
-            .metrics
-            .recoveries
-            .entry(st.name)
-            .or_insert(RecoveryRecord {
-                name: st.name,
-                detected_at: st.detected_at,
-                recovered_at: None,
-                request_delay: None,
-                requests_sent: 0,
-                requests_observed: 0,
-                rtt_to_source: rtt,
-                gave_up: false,
-            });
-        rec.request_delay = st.request_delay();
-        rec.requests_sent = st.requests_sent;
-        rec.requests_observed = st.requests_observed;
+    /// Forget `name`'s episode if nothing is left to happen in it. What a
+    /// forgotten episode is still read for — a repair heard later counts as
+    /// a duplicate for the adaptive D1/D2 if this member ever set a repair
+    /// timer for the name — survives as the store's mark bit.
+    fn retire_if_finished(&mut self, name: AduName, now: SimTime) {
+        if let Entry::Occupied(e) = self.episodes.entry(name) {
+            if e.get().finished(now) {
+                let ep = e.remove();
+                if ep.repair.is_some() && self.adaptive.is_some() {
+                    self.store.mark(&name);
+                }
+            }
+        }
     }
 
-    fn sync_repair_record(&mut self, st: &RepairState) {
-        let rec = self.metrics.repairs.entry(st.name).or_insert(RepairRecord {
-            name: st.name,
-            set_at: st.set_at,
-            repair_delay: None,
-            sent: false,
-            repairs_observed: 0,
-        });
-        rec.repair_delay = st.repair_delay();
-        rec.sent = st.sent;
-        rec.repairs_observed = st.repairs_observed;
+    /// Retire the episodes whose hold-down has run out. Every episode that
+    /// is not waiting on a timer of its own has an entry in `hold_downs`, so
+    /// looking at the front is enough; an entry behind a later deadline
+    /// waits for it, which delays the forgetting and changes nothing else.
+    /// Arms no timer and draws no randomness.
+    fn retire_expired(&mut self, now: SimTime) {
+        while let Some(&(until, name)) = self.hold_downs.front() {
+            if now < until {
+                break;
+            }
+            self.hold_downs.pop_front();
+            self.retire_if_finished(name, now);
+        }
     }
 
     fn request_timer_fired(&mut self, ctx: &mut dyn Driver, name: AduName) {
-        let Some(mut st) = self.requests.remove(&name) else {
+        let Some(ep) = self.episodes.get_mut(&name) else {
             return;
         };
-        self.request_timers.remove(&name);
+        let Some(st) = ep.request.as_mut() else {
+            return;
+        };
+        st.timer = None;
         // Give up after the configured number of transmissions.
-        if let Some(max) = self.cfg.max_request_rounds {
-            if st.requests_sent >= max {
-                if let Some(rec) = self.metrics.recoveries.get_mut(&name) {
-                    rec.gave_up = true;
-                }
-                self.obs
-                    .record(ctx.now(), adu_key(name), obs::EventKind::GaveUp);
-                return;
+        if self.cfg.max_request_rounds.is_some_and(|max| st.requests_sent >= max) {
+            ep.request = None;
+            if let Some(rec) = self.metrics.recoveries.get_mut(&name) {
+                rec.gave_up = true;
             }
+            self.obs
+                .record(ctx.now(), adu_key(name), obs::EventKind::GaveUp);
+            self.retire_if_finished(name, ctx.now());
+            return;
         }
         let had_event = st.first_request_event_at.is_some();
         let rounds_before = st.requests_sent;
@@ -696,11 +697,14 @@ impl SrmAgent {
                 }
             }
         }
+        let (until, backoff, duplicate) =
+            (st.expire_at, st.backoff_count, st.requests_observed > 1);
+        self.metrics.note_request(st);
         // Transmit the request. The first round uses the local-recovery
         // group if we belong to one (Section VII-B2); unanswered rounds
         // widen back to the whole session.
         let opts = self.request_opts(rounds_before);
-        self.request_ttls.insert(name, opts.ttl);
+        let ttl = opts.ttl;
         let dist = self.est.distance_to(name.source).as_secs_f64();
         let body = Body::Request(RequestBody {
             name,
@@ -720,39 +724,40 @@ impl SrmAgent {
                 round: rounds_before + 1,
             },
         );
-        if st.requests_observed > 1 {
-            if let Some(a) = self.adaptive.as_mut() {
+        if let Some(a) = self.adaptive.as_mut() {
+            if duplicate {
                 a.on_duplicate_request();
             }
-        }
-        if let Some(a) = self.adaptive.as_mut() {
             a.on_request_sent();
         }
-        // Re-arm the (backed-off) timer to wait for the repair.
-        let h = self.arm(ctx, redelay, Purpose::Request(name));
-        self.request_timers.insert(name, h);
+        // Re-arm the (backed-off) timer to wait for the repair. The send
+        // above may have armed a rate-gate timer, and tokens are handed out
+        // in order, so the handle is only known now.
+        let h = self.timers.arm(ctx, redelay, Purpose::Request(name));
+        if let Some(ep) = self.episodes.get_mut(&name) {
+            ep.last_request_ttl = Some(ttl);
+            if let Some(st) = ep.request.as_mut() {
+                st.timer = Some(h);
+            }
+        }
         self.obs.record(
             ctx.now(),
             adu_key(name),
-            obs::EventKind::RequestTimerSet {
-                until: st.expire_at,
-                backoff: st.backoff_count,
-            },
+            obs::EventKind::RequestTimerSet { until, backoff },
         );
-        self.sync_request_record(&st);
-        self.requests.insert(name, st);
     }
 
-    /// A request from another member arrived for a name we are also missing.
+    /// A request from another member arrived: if we are missing the name
+    /// too, suppress or back off our own request and say so.
     fn suppress_or_backoff(
         &mut self,
         ctx: &mut dyn Driver,
         name: AduName,
         from: SourceId,
         their_dist: f64,
-    ) {
-        let Some(mut st) = self.requests.remove(&name) else {
-            return;
+    ) -> bool {
+        let Some(st) = self.episodes.get_mut(&name).and_then(|e| e.request.as_mut()) else {
+            return false;
         };
         self.obs.record(
             ctx.now(),
@@ -777,11 +782,10 @@ impl SrmAgent {
         }
         match action {
             RequestAction::Rearm(delay) => {
-                if let Some(h) = self.request_timers.remove(&name) {
-                    self.disarm(ctx, h);
+                if let Some(h) = st.timer.take() {
+                    self.timers.disarm(ctx, h);
                 }
-                let h = self.arm(ctx, delay, Purpose::Request(name));
-                self.request_timers.insert(name, h);
+                st.timer = Some(self.timers.arm(ctx, delay, Purpose::Request(name)));
                 self.obs.record(
                     ctx.now(),
                     adu_key(name),
@@ -796,31 +800,29 @@ impl SrmAgent {
                     .record(ctx.now(), adu_key(name), obs::EventKind::RequestSuppressed);
             }
         }
-        self.sync_request_record(&st);
-        self.requests.insert(name, st);
+        self.metrics.note_request(st);
+        true
     }
 
     // ---- internals: repair side ---------------------------------------------
 
-    fn maybe_schedule_repair(&mut self, ctx: &mut dyn Driver, name: AduName, pkt: &Packet, req: &RequestBody, sender: SourceId) {
+    fn maybe_schedule_repair(&mut self, ctx: &mut dyn Driver, name: AduName, pkt: &Packet, sender: SourceId) {
+        let ep = self.episodes.entry(name).or_default();
         // Hold-down: "host B ignores requests for data for 3·d_SB seconds
         // after sending or receiving a repair for that data."
-        if let Some(&until) = self.hold_down_until.get(&name) {
-            if ctx.now() < until {
-                self.metrics.requests_held_down += 1;
-                self.obs
-                    .record(ctx.now(), adu_key(name), obs::EventKind::RequestHeldDown);
-                return;
-            }
+        if ep.held_down(ctx.now()) {
+            self.metrics.requests_held_down += 1;
+            self.obs
+                .record(ctx.now(), adu_key(name), obs::EventKind::RequestHeldDown);
+            return;
         }
-        if self.repairs.get(&name).is_some_and(|r| r.timer.is_some()) {
+        if ep.repair_pending() {
             // A repair timer is already pending; duplicate requests must not
             // trigger duplicate repairs. Pending means the timer is armed:
             // a state left behind by someone else's repair (`sent` false,
             // timer cancelled) must not silence this holder for good.
             return;
         }
-        let _ = req;
         // wb 1.59 mode: [d, 2d] with d = 100 ms at the original source,
         // 200 ms elsewhere; framework mode: [D1·d, (D1+D2)·d].
         let (d1, d2, dist) = match self.cfg.fixed_intervals {
@@ -833,30 +835,23 @@ impl SrmAgent {
                 (1.0, 1.0, SimDuration::from_secs_f64(base))
             }
             None => {
-                let p = self.params();
+                let p = live_params(&self.adaptive, &self.cfg);
                 (p.d1, p.d2, self.est.distance_to(sender))
             }
         };
-        let (mut st, delay) = RepairState::new(
-            name,
-            ctx.now(),
-            sender,
-            pkt.initial_ttl,
-            pkt.admin_scoped,
-            d1,
-            d2,
-            dist,
-            ctx.rng(),
-        );
+        // Answer the way the request came: its TTL and scope, on whatever
+        // group it arrived on (session group or a local-recovery group).
+        let scope = RequestScope {
+            ttl: pkt.initial_ttl,
+            admin_scoped: pkt.admin_scoped,
+            group: pkt.group,
+        };
+        let (mut st, delay) =
+            RepairState::new(name, ctx.now(), sender, scope, d1, d2, dist, ctx.rng());
         if let Some(a) = self.adaptive.as_mut() {
             a.on_repair_timer_set(name);
         }
-        // Answer on whatever group the request came in on (session group or
-        // a local-recovery group).
-        self.repair_reply_groups.insert(name, pkt.group);
-        let h = self.arm(ctx, delay, Purpose::Repair(name));
-        st.timer = Some(h.id);
-        self.repair_timers.insert(name, h);
+        st.timer = Some(self.timers.arm(ctx, delay, Purpose::Repair(name)));
         self.obs.record(
             ctx.now(),
             adu_key(name),
@@ -864,21 +859,27 @@ impl SrmAgent {
                 until: st.expire_at,
             },
         );
-        self.sync_repair_record(&st);
-        self.repairs.insert(name, st);
+        self.metrics.note_repair(&st);
+        ep.repair = Some(st);
     }
 
     fn repair_timer_fired(&mut self, ctx: &mut dyn Driver, name: AduName) {
-        let Some(mut st) = self.repairs.remove(&name) else {
+        let Some(ep) = self.episodes.get_mut(&name) else {
             return;
         };
-        self.repair_timers.remove(&name);
+        let Some(st) = ep.repair.as_mut() else {
+            return;
+        };
         st.timer = None;
         // Read through the cache: an ADU evicted from RAM but durable in
         // the log is still served (disk-backed repair).
         let disk_before = self.store.disk_fetches();
         let Some(payload) = self.store.fetch(&name) else {
-            return; // evicted since the request arrived, and not durable
+            // Evicted since the request arrived, and not durable: there is
+            // no repair to send and none to remember.
+            ep.repair = None;
+            self.retire_if_finished(name, ctx.now());
+            return;
         };
         if self.store.disk_fetches() > disk_before {
             self.transport_obs
@@ -894,38 +895,37 @@ impl SrmAgent {
                 }
             }
         }
+        let (requestor, dist, scope) = (st.requestor, st.dist_to_requestor, st.scope);
+        self.metrics.note_repair(st);
         let two_step = matches!(self.cfg.scope, RecoveryScope::Ttl(_));
         let body = Body::Data(DataBody {
             name,
             is_repair: true,
-            answering: two_step.then_some(st.requestor),
-            dist_to_requestor: st.dist_to_requestor.as_secs_f64(),
+            answering: two_step.then_some(requestor),
+            dist_to_requestor: dist.as_secs_f64(),
             payload,
         });
-        let opts = self.repair_opts(st.request_ttl, st.request_admin_scoped);
+        let opts = self.repair_opts(scope);
         let class = self.recovery_class(name.page);
-        let group = self
-            .repair_reply_groups
-            .remove(&name)
-            .unwrap_or(self.group);
-        self.transmit_to(ctx, group, body, class, opts);
+        self.transmit_to(ctx, scope.group, body, class, opts);
         self.metrics.repairs_sent += 1;
         self.obs
             .record(ctx.now(), adu_key(name), obs::EventKind::RepairSent);
         if let Some(a) = self.adaptive.as_mut() {
             a.on_repair_sent();
         }
-        self.set_hold_down(ctx.now(), name);
-        self.sync_repair_record(&st);
-        self.repairs.insert(name, st);
+        let until = self.hold_down_end(ctx.now(), name);
+        self.obs
+            .record(ctx.now(), adu_key(name), obs::EventKind::HoldDownEntered { until });
+        if let Some(ep) = self.episodes.get_mut(&name) {
+            ep.hold_down_until = until;
+        }
+        self.hold_downs.push_back((until, name));
     }
 
-    fn set_hold_down(&mut self, now: SimTime, name: AduName) {
-        let d = self.est.distance_to(name.source);
-        let until = now + d.mul_f64(self.cfg.hold_down);
-        self.obs
-            .record(now, adu_key(name), obs::EventKind::HoldDownEntered { until });
-        self.hold_down_until.insert(name, until);
+    /// When a hold-down for `name` entered at `now` ends.
+    fn hold_down_end(&self, now: SimTime, name: AduName) -> SimTime {
+        now + self.est.distance_to(name.source).mul_f64(self.cfg.hold_down)
     }
 
     // ---- internals: message handlers -----------------------------------------
@@ -974,52 +974,16 @@ impl SrmAgent {
             self.try_fec(ctx, key);
         }
         if d.is_repair {
-            // Repair suppression and duplicate accounting.
-            if self.repairs.contains_key(&name) {
-                self.obs.record(
-                    ctx.now(),
-                    adu_key(name),
-                    obs::EventKind::RepairHeard {
-                        from: hdr.sender.0,
-                    },
-                );
-            }
-            if let Some(st) = self.repairs.get_mut(&name) {
-                let had_event = st.first_repair_event_at.is_some();
-                st.on_repair_heard(ctx.now());
-                if !had_event {
-                    let rtt = st.dist_to_requestor.as_secs_f64() * 2.0;
-                    if let (Some(del), Some(a)) = (st.repair_delay(), self.adaptive.as_mut()) {
-                        if rtt > 0.0 {
-                            a.on_repair_delay(del.as_secs_f64() / rtt);
-                        }
-                    }
-                }
-                if st.repairs_observed > 1 {
-                    if let Some(a) = self.adaptive.as_mut() {
-                        a.on_duplicate_repair();
-                    }
-                }
-                let st2 = st.clone();
-                if let Some(h) = self.repair_timers.remove(&name) {
-                    self.disarm(ctx, h);
-                    self.obs.record(
-                        ctx.now(),
-                        adu_key(name),
-                        obs::EventKind::RepairTimerCancelled,
-                    );
-                }
-                if let Some(stm) = self.repairs.get_mut(&name) {
-                    stm.timer = None;
-                }
-                self.sync_repair_record(&st2);
-            }
-            self.set_hold_down(ctx.now(), name);
+            self.repair_heard(ctx, name, hdr.sender);
             // Two-step local recovery: a repair naming us as the requestor
             // is re-multicast with the TTL of our original request.
             if d.answering == Some(self.id) {
                 if let RecoveryScope::Ttl(initial) = self.cfg.scope {
-                    let ttl = self.request_ttls.get(&name).copied().unwrap_or(initial);
+                    let ttl = self
+                        .episodes
+                        .get(&name)
+                        .and_then(|e| e.last_request_ttl)
+                        .unwrap_or(initial);
                     let body = Body::Data(DataBody {
                         name,
                         is_repair: true,
@@ -1035,22 +999,79 @@ impl SrmAgent {
                 }
             }
         }
-        let _ = hdr;
+    }
+
+    /// A repair for `name` arrived: repair suppression, duplicate
+    /// accounting, and the hold-down it starts — one lookup for all three.
+    fn repair_heard(&mut self, ctx: &mut dyn Driver, name: AduName, from: SourceId) {
+        let until = self.hold_down_end(ctx.now(), name);
+        let ep = self.episodes.entry(name).or_default();
+        if let Some(st) = ep.repair.as_mut() {
+            self.obs.record(
+                ctx.now(),
+                adu_key(name),
+                obs::EventKind::RepairHeard { from: from.0 },
+            );
+            let had_event = st.first_repair_event_at.is_some();
+            st.on_repair_heard(ctx.now());
+            if !had_event {
+                let rtt = st.dist_to_requestor.as_secs_f64() * 2.0;
+                if let (Some(del), Some(a)) = (st.repair_delay(), self.adaptive.as_mut()) {
+                    if rtt > 0.0 {
+                        a.on_repair_delay(del.as_secs_f64() / rtt);
+                    }
+                }
+            }
+            if st.repairs_observed > 1 {
+                if let Some(a) = self.adaptive.as_mut() {
+                    a.on_duplicate_repair();
+                }
+            }
+            if let Some(h) = st.timer.take() {
+                self.timers.disarm(ctx, h);
+                self.obs.record(
+                    ctx.now(),
+                    adu_key(name),
+                    obs::EventKind::RepairTimerCancelled,
+                );
+            }
+            self.metrics.note_repair(st);
+        } else if let Some(a) = self.adaptive.as_mut() {
+            // The repair side of an episode already retired: it had seen
+            // its own repair go out or another's come in, so this one is a
+            // duplicate.
+            if self.store.marked(&name) {
+                a.on_duplicate_repair();
+            }
+        }
+        self.obs
+            .record(ctx.now(), adu_key(name), obs::EventKind::HoldDownEntered { until });
+        ep.hold_down_until = until;
+        self.hold_downs.push_back((until, name));
     }
 
     /// Close out a loss-recovery episode for `name` (data arrived, by
     /// repair, original transmission, or FEC reconstruction).
     fn complete_recovery(&mut self, ctx: &mut dyn Driver, name: AduName, via: obs::RecoveryVia) {
-        if let Some(st) = self.requests.remove(&name) {
-            if let Some(h) = self.request_timers.remove(&name) {
-                self.disarm(ctx, h);
-            }
-            self.sync_request_record(&st);
-            if let Some(rec) = self.metrics.recoveries.get_mut(&name) {
-                rec.recovered_at = Some(ctx.now());
-            }
-            self.obs
-                .record(ctx.now(), adu_key(name), obs::EventKind::Recovered { via });
+        let Some(ep) = self.episodes.get_mut(&name) else {
+            return;
+        };
+        let Some(mut st) = ep.request.take() else {
+            return;
+        };
+        if let Some(h) = st.timer.take() {
+            self.timers.disarm(ctx, h);
+        }
+        self.metrics.note_request(&st);
+        if let Some(rec) = self.metrics.recoveries.get_mut(&name) {
+            rec.recovered_at = Some(ctx.now());
+        }
+        self.obs
+            .record(ctx.now(), adu_key(name), obs::EventKind::Recovered { via });
+        // A repair starts a hold-down next and the episode lives on in it;
+        // recovery by the original or by parity can end it here.
+        if via != obs::RecoveryVia::Repair {
+            self.retire_if_finished(name, ctx.now());
         }
     }
 
@@ -1116,18 +1137,17 @@ impl SrmAgent {
     fn handle_request(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, r: RequestBody) {
         self.metrics.requests_received += 1;
         let name = r.name;
-        if self.requests.contains_key(&name) {
-            self.suppress_or_backoff(ctx, name, hdr.sender, r.dist_to_source);
-        } else if self.store.has(&name) {
-            self.maybe_schedule_repair(ctx, name, pkt, &r, hdr.sender);
+        if self.suppress_or_backoff(ctx, name, hdr.sender, r.dist_to_source) {
+            return;
+        }
+        if self.store.has(&name) {
+            self.maybe_schedule_repair(ctx, name, pkt, hdr.sender);
         } else if name.source != self.id {
             // We learn from the request that this data exists: start our own
             // recovery, immediately suppressed by the request just heard.
             let missing = self.store.note_exists(name.source, name.page, name.seq);
             self.start_requests(ctx, missing);
-            if self.requests.contains_key(&name) {
-                self.suppress_or_backoff(ctx, name, hdr.sender, r.dist_to_source);
-            }
+            self.suppress_or_backoff(ctx, name, hdr.sender, r.dist_to_source);
         }
     }
 
@@ -1162,7 +1182,7 @@ impl SrmAgent {
         self.start_requests(ctx, missing);
         // A session message for a page suppresses our pending page reply.
         if let Some(h) = self.page_reply_timers.remove(&s.page) {
-            self.disarm(ctx, h);
+            self.timers.disarm(ctx, h);
         }
     }
 
@@ -1179,7 +1199,7 @@ impl SrmAgent {
         let dist = self.est.distance_to(hdr.sender);
         let delay =
             crate::timers::TimerInterval::repair(p.d1, p.d2, dist).draw(ctx.rng());
-        let h = self.arm(ctx, delay, Purpose::PageReply(page));
+        let h = self.timers.arm(ctx, delay, Purpose::PageReply(page));
         self.page_reply_timers.insert(page, h);
     }
 
@@ -1192,7 +1212,7 @@ impl SrmAgent {
         let p = self.params();
         let dist = self.est.distance_to(hdr.sender);
         let delay = crate::timers::TimerInterval::repair(p.d1, p.d2, dist).draw(ctx.rng());
-        let h = self.arm(ctx, delay, Purpose::CatalogReply);
+        let h = self.timers.arm(ctx, delay, Purpose::CatalogReply);
         self.catalog_reply_timer = Some(h);
     }
 
@@ -1200,7 +1220,7 @@ impl SrmAgent {
     /// new pages to the application.
     fn handle_catalog(&mut self, ctx: &mut dyn Driver, pages: Vec<PageId>) {
         if let Some(h) = self.catalog_reply_timer.take() {
-            self.disarm(ctx, h);
+            self.timers.disarm(ctx, h);
         }
         let known = self.store.known_pages();
         for p in pages {
@@ -1256,9 +1276,14 @@ impl SrmAgent {
         if delay > self.cfg.max_session_interval {
             delay = self.cfg.max_session_interval;
         }
-        let h = self.arm(ctx, delay, Purpose::Session);
+        let h = self.timers.arm(ctx, delay, Purpose::Session);
         self.session_timer = Some(h);
     }
+}
+
+/// The live timer parameters: adaptive if enabled, else the fixed ones.
+fn live_params(adaptive: &Option<AdaptiveTimers>, cfg: &SrmConfig) -> TimerParams {
+    adaptive.as_ref().map_or(cfg.timers, |a| a.params)
 }
 
 /// Rough byte size of a body for rate-limiter accounting.
@@ -1427,6 +1452,7 @@ impl SrmAgent {
 
     /// A packet addressed to a group this member has joined arrived.
     pub fn drive_packet(&mut self, ctx: &mut dyn Driver, pkt: &Packet) {
+        self.retire_expired(ctx.now());
         let msg = match Message::decode(pkt.payload.clone()) {
             Ok(m) => m,
             Err(_) => {
@@ -1458,7 +1484,8 @@ impl SrmAgent {
 
     /// A previously armed timer fired with its `token`.
     pub fn drive_timer(&mut self, ctx: &mut dyn Driver, token: u64) {
-        let Some(purpose) = self.purposes.remove(&token) else {
+        self.retire_expired(ctx.now());
+        let Some(purpose) = self.timers.purposes.remove(&token) else {
             return; // cancelled or stale
         };
         match purpose {
@@ -1475,6 +1502,7 @@ impl SrmAgent {
                 }
                 self.emit_session(ctx, self.current_page);
                 self.schedule_session(ctx);
+                self.metrics.trim_episode_logs();
             }
             Purpose::PageReply(page) => {
                 self.page_reply_timers.remove(&page);
@@ -1557,6 +1585,15 @@ mod tests {
             sim.join(NodeId(i as u32), GROUP);
         }
         sim
+    }
+
+    #[test]
+    fn agent_size_is_reported() {
+        // The simulator keeps a thousand agents side by side; `scripts/ci.sh`
+        // prints this line next to the code-line count.
+        let size = std::mem::size_of::<SrmAgent>();
+        println!("size_of::<SrmAgent>() = {size}");
+        assert!(size <= 2048, "an agent grew to {size} bytes");
     }
 
     #[test]
@@ -1846,7 +1883,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         let a1 = sim.app(NodeId(1)).unwrap();
         assert!(a1.has_pending_recovery());
-        let st = a1.requests.get(&name).unwrap();
+        let st = a1.episodes[&name].request.as_ref().unwrap();
         assert!(st.backoff_count >= 1, "created already suppressed");
     }
 
@@ -1890,6 +1927,40 @@ mod tests {
         // And distances were learned along the way.
         let a0 = sim.app(NodeId(0)).unwrap();
         assert!(a0.distances().has_estimate(SourceId(2)));
+    }
+
+    #[test]
+    fn the_session_tick_keeps_the_episode_logs_at_their_cap() {
+        use crate::metrics::{RecoveryRecord, EPISODE_LOG_CAP};
+        let mut sim: Simulator<SrmAgent> = Simulator::new(chain(2), 5);
+        for i in 0..2u64 {
+            sim.install(NodeId(i as u32), SrmAgent::new(SourceId(i), GROUP, SrmConfig::fixed(2)));
+            sim.join(NodeId(i as u32), GROUP);
+        }
+        // A live node's log, which nobody harvests: 76 records over the cap,
+        // all completed.
+        let a = sim.app_mut(NodeId(0)).unwrap();
+        for seq in 0..(EPISODE_LOG_CAP as u64 + 76) {
+            let name = AduName::new(SourceId(1), page(1), SeqNo(seq));
+            a.metrics.recoveries.insert(
+                name,
+                RecoveryRecord {
+                    name,
+                    detected_at: SimTime::ZERO,
+                    recovered_at: Some(SimTime::ZERO),
+                    request_delay: None,
+                    requests_sent: 0,
+                    requests_observed: 0,
+                    rtt_to_source: SimDuration::from_secs(2),
+                    gave_up: false,
+                },
+            );
+        }
+        sim.run_until(SimTime::from_secs(60));
+        let a = sim.app(NodeId(0)).unwrap();
+        assert!(a.metrics.session_sent >= 1);
+        assert_eq!(a.metrics.recoveries.len(), EPISODE_LOG_CAP);
+        assert_eq!(a.metrics.episodes_dropped, 76);
     }
 
     #[test]

@@ -11,10 +11,25 @@
 use netsim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// Sub-windows a [`RateMeter`] divides its window into: what it keeps is
+/// bounded by this, whatever the packet rate.
+const SUB_WINDOWS: u64 = 64;
+
 /// Sliding-window byte-rate estimator.
+///
+/// Bytes are added up per sub-window of `window / 64`, opened by the first
+/// sample that falls outside the previous one, and a sub-window leaves the
+/// sum as a whole once its first sample is older than the window. So a
+/// sample can leave up to one sub-window early: the rate reads at most one
+/// sub-window's bytes (1/64 of the window at a steady rate) below the exact
+/// sliding sum, and never above it.
 #[derive(Clone, Debug)]
 pub struct RateMeter {
     window: SimDuration,
+    sub_window: SimDuration,
+    /// `(time of the sub-window's first sample, bytes in it)`, oldest
+    /// first; consecutive first samples are more than a sub-window apart,
+    /// so at most [`SUB_WINDOWS`] of them fit in the window.
     samples: VecDeque<(SimTime, u64)>,
     total_in_window: u64,
 }
@@ -25,6 +40,7 @@ impl RateMeter {
         assert!(!window.is_zero(), "zero-width measurement window");
         RateMeter {
             window,
+            sub_window: window / SUB_WINDOWS,
             samples: VecDeque::new(),
             total_in_window: 0,
         }
@@ -49,7 +65,10 @@ impl RateMeter {
             self.samples.back().is_none_or(|&(t, _)| now >= t),
             "rate meter fed out of order"
         );
-        self.samples.push_back((now, bytes));
+        match self.samples.back_mut() {
+            Some((opened, sum)) if now.since(*opened) <= self.sub_window => *sum += bytes,
+            _ => self.samples.push_back((now, bytes)),
+        }
         self.total_in_window += bytes;
         self.expire(now);
     }
@@ -116,5 +135,26 @@ mod tests {
         assert_eq!(m.rate(t(2.0)), 150.0);
         // t=5: only the t≥1 samples remain.
         assert_eq!(m.bytes_in_window(t(5.0)), 500);
+    }
+
+    #[test]
+    fn a_million_records_leave_at_most_64_samples() {
+        let mut m = RateMeter::new(SimDuration::from_secs(30));
+        // 64 B every 10 µs for 10 s, then every 100 µs to 100 s: the first
+        // rate is 48 MB of samples per 30 s when each packet keeps its own.
+        for i in 0..1_000_000u64 {
+            m.record(SimTime::from_nanos(i * 10_000), 64);
+            assert!(m.samples.len() <= SUB_WINDOWS as usize);
+        }
+        let exact = 64.0 * 100_000.0;
+        let r = m.rate(SimTime::from_secs(10));
+        assert!(r <= exact / 3.0 && r >= exact / 3.0 * (1.0 - 1.0 / 64.0), "rate {r}");
+        for i in 0..900_000u64 {
+            m.record(SimTime::from_nanos(10_000_000_000 + i * 100_000), 64);
+            assert!(m.samples.len() <= SUB_WINDOWS as usize);
+        }
+        let exact = 64.0 * 10_000.0;
+        let r = m.rate(SimTime::from_secs(100));
+        assert!(r <= exact && r >= exact * (1.0 - 1.0 / 64.0) - 64.0, "rate {r}");
     }
 }

@@ -1,8 +1,15 @@
 //! Per-agent metrics, the raw material of every figure in Sections V–VII.
 
 use crate::name::AduName;
+use crate::recovery::{RepairState, RequestState};
 use netsim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+
+/// How many records an episode log may hold before the member's own
+/// session tick starts dropping completed ones ([`AgentMetrics::trim_episode_logs`]).
+/// Experiment drivers harvest and clear the logs every round and never get
+/// near it; a live node, whose logs nobody clears, stops growing here.
+pub const EPISODE_LOG_CAP: usize = 1024;
 
 /// The life of one loss-recovery episode on one member (request side).
 #[derive(Clone, Debug)]
@@ -108,6 +115,9 @@ pub struct AgentMetrics {
     /// Host crashes survived (incremented on each
     /// [`netsim::Application::on_crash`]).
     pub crashes: u64,
+    /// Completed episode records dropped from the two logs to keep them at
+    /// [`EPISODE_LOG_CAP`].
+    pub episodes_dropped: u64,
 }
 
 impl AgentMetrics {
@@ -116,6 +126,65 @@ impl AgentMetrics {
     pub fn clear_episodes(&mut self) {
         self.recoveries.clear();
         self.repairs.clear();
+    }
+
+    /// Bring the request-side record of `st`'s ADU up to date, opening it
+    /// on first sight.
+    pub(crate) fn note_request(&mut self, st: &RequestState) {
+        let rtt = SimDuration::from_secs_f64(st.dist_to_source.as_secs_f64() * 2.0);
+        let rec = self.recoveries.entry(st.name).or_insert(RecoveryRecord {
+            name: st.name,
+            detected_at: st.detected_at,
+            recovered_at: None,
+            request_delay: None,
+            requests_sent: 0,
+            requests_observed: 0,
+            rtt_to_source: rtt,
+            gave_up: false,
+        });
+        rec.request_delay = st.request_delay();
+        rec.requests_sent = st.requests_sent;
+        rec.requests_observed = st.requests_observed;
+    }
+
+    /// Bring the repair-side record of `st`'s ADU up to date, opening it on
+    /// first sight. The record follows the repair state, so it counts the
+    /// repairs observed while the member's episode for the name lives.
+    pub(crate) fn note_repair(&mut self, st: &RepairState) {
+        let rec = self.repairs.entry(st.name).or_insert(RepairRecord {
+            name: st.name,
+            set_at: st.set_at,
+            repair_delay: None,
+            sent: false,
+            repairs_observed: 0,
+        });
+        rec.repair_delay = st.repair_delay();
+        rec.sent = st.sent;
+        rec.repairs_observed = st.repairs_observed;
+    }
+
+    /// Keep each episode log at [`EPISODE_LOG_CAP`] records by dropping
+    /// completed ones, lowest name first, and counting them in
+    /// `episodes_dropped`. A record still in flight (an unrecovered loss
+    /// that has not been given up, a repair timer not yet fired or
+    /// cancelled) is never dropped.
+    pub fn trim_episode_logs(&mut self) {
+        fn trim<R>(log: &mut BTreeMap<AduName, R>, done: impl Fn(&R) -> bool) -> u64 {
+            let excess = log.len().saturating_sub(EPISODE_LOG_CAP) as u64;
+            let mut dropped = 0;
+            if excess > 0 {
+                log.retain(|_, r| {
+                    let drop = dropped < excess && done(r);
+                    dropped += u64::from(drop);
+                    !drop
+                });
+            }
+            dropped
+        }
+        self.episodes_dropped += trim(&mut self.recoveries, |r| {
+            r.recovered_at.is_some() || r.gave_up
+        });
+        self.episodes_dropped += trim(&mut self.repairs, |r| r.sent || r.repair_delay.is_some());
     }
 
     /// Reset everything.
@@ -293,6 +362,37 @@ mod tests {
         };
         assert_eq!(unresolved.time_to_reconsistency(), None);
         assert_eq!(unresolved.dup_requests_per_loss(), 0.0);
+    }
+
+    #[test]
+    fn trimming_drops_completed_records_lowest_name_first_and_counts_them() {
+        let named = |seq: u64, recovered: Option<u64>| RecoveryRecord {
+            name: AduName::new(SourceId(1), PageId::new(SourceId(1), 0), SeqNo(seq)),
+            ..rec(1, recovered)
+        };
+        let mut m = AgentMetrics::default();
+        // Seq 0 and 5 are in flight; everything else completed.
+        for seq in 0..(EPISODE_LOG_CAP as u64 + 10) {
+            let r = named(seq, (seq != 0 && seq != 5).then_some(3));
+            m.recoveries.insert(r.name, r);
+        }
+        m.trim_episode_logs();
+        assert_eq!(m.recoveries.len(), EPISODE_LOG_CAP);
+        assert_eq!(m.episodes_dropped, 10);
+        let kept: Vec<u64> = m.recoveries.keys().take(3).map(|n| n.seq.0).collect();
+        assert_eq!(kept, vec![0, 5, 12], "in-flight records stay, the lowest completed go");
+        // At or under the cap nothing moves.
+        m.trim_episode_logs();
+        assert_eq!(m.episodes_dropped, 10);
+        // A log of nothing but in-flight records is left alone, however long.
+        let mut m = AgentMetrics::default();
+        for seq in 0..(EPISODE_LOG_CAP as u64 + 10) {
+            let r = named(seq, None);
+            m.recoveries.insert(r.name, r);
+        }
+        m.trim_episode_logs();
+        assert_eq!(m.recoveries.len(), EPISODE_LOG_CAP + 10);
+        assert_eq!(m.episodes_dropped, 0);
     }
 
     #[test]

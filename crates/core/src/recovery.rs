@@ -5,17 +5,29 @@
 //! heuristic that distinguishes same-iteration duplicate requests from the
 //! next recovery iteration. [`RepairState`] lives on members that *hold*
 //! the data and heard a request: it owns the repair timer and is cancelled
-//! by hearing someone else's repair. The hold-down window ("host B ignores
-//! requests for data for 3·d_SB seconds after sending or receiving a repair
-//! for that data") is tracked by the agent per name.
+//! by hearing someone else's repair. An `Episode` is everything one member
+//! remembers about one name: the two sides and the hold-down deadline ("host
+//! B ignores requests for data for 3·d_SB seconds after sending or receiving
+//! a repair for that data"). The agent keeps one table of them and retires
+//! an episode once it is `Episode::finished`.
 //!
 //! These are pure state machines — all clock readings and random draws come
 //! in as arguments — so they are directly unit-testable.
 
 use crate::name::AduName;
 use crate::timers::TimerInterval;
-use netsim::{SimDuration, SimTime, TimerId};
+use netsim::{GroupId, SimDuration, SimTime, TimerId};
 use rand::Rng;
+
+/// An armed driver timer: the driver's cancellation id and the token the
+/// agent will be handed when it fires.
+#[derive(Clone, Copy, Debug)]
+pub struct TimerHandle {
+    /// The driver's cancellation handle.
+    pub id: TimerId,
+    /// The agent's token for the timer's purpose.
+    pub token: u64,
+}
 
 /// Why a request state reached its end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,8 +51,9 @@ pub struct RequestState {
     pub dist_to_source: SimDuration,
     /// Current backoff exponent (0 = original timer).
     pub backoff_count: u32,
-    /// Live timer handle.
-    pub timer: Option<TimerId>,
+    /// The armed request timer (the agent sets it right after arming and
+    /// keeps it armed for as long as the state lives).
+    pub timer: Option<TimerHandle>,
     /// When the live timer fires.
     pub expire_at: SimTime,
     /// Ignore duplicate requests until this instant (footnote 1: set to
@@ -166,6 +179,19 @@ impl RequestState {
     }
 }
 
+/// How a request travelled; its repair is sent back the same way.
+#[derive(Clone, Copy, Debug)]
+pub struct RequestScope {
+    /// The initial TTL the request was sent with (echoed by local repairs,
+    /// Section VII-B3).
+    pub ttl: u8,
+    /// Whether the request was administratively scoped.
+    pub admin_scoped: bool,
+    /// The group it arrived on (the session group or a local-recovery
+    /// group).
+    pub group: GroupId,
+}
+
 /// State for one pending repair on one member that holds the data.
 #[derive(Clone, Debug)]
 pub struct RepairState {
@@ -176,15 +202,13 @@ pub struct RepairState {
     /// The requestor whose request triggered the timer (answered in
     /// two-step local recovery).
     pub requestor: crate::name::SourceId,
-    /// The initial TTL the triggering request was sent with (echoed by
-    /// local repairs, Section VII-B3).
-    pub request_ttl: u8,
-    /// Whether the triggering request was administratively scoped.
-    pub request_admin_scoped: bool,
+    /// How the triggering request travelled.
+    pub scope: RequestScope,
     /// Distance estimate to the requestor when the timer was set.
     pub dist_to_requestor: SimDuration,
-    /// Live timer handle.
-    pub timer: Option<TimerId>,
+    /// The armed repair timer; `None` once it fired or a repair heard
+    /// cancelled it.
+    pub timer: Option<TimerHandle>,
     /// When the timer fires.
     pub expire_at: SimTime,
     /// Whether we actually multicast the repair.
@@ -203,8 +227,7 @@ impl RepairState {
         name: AduName,
         now: SimTime,
         requestor: crate::name::SourceId,
-        request_ttl: u8,
-        request_admin_scoped: bool,
+        scope: RequestScope,
         d1: f64,
         d2: f64,
         dist: SimDuration,
@@ -216,8 +239,7 @@ impl RepairState {
                 name,
                 set_at: now,
                 requestor,
-                request_ttl,
-                request_admin_scoped,
+                scope,
                 dist_to_requestor: dist,
                 timer: None,
                 expire_at: now + delay,
@@ -255,6 +277,45 @@ impl RepairState {
     /// heard.
     pub fn repair_delay(&self) -> Option<SimDuration> {
         self.first_repair_event_at.map(|t| t.since(self.set_at))
+    }
+}
+
+/// Everything one member remembers about the recovery of one ADU: a
+/// request side while it is missing the data, a repair side once it holds
+/// the data and was asked for it, and the hold-down deadline. The default
+/// value remembers nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Episode {
+    /// Present while this member is missing the ADU.
+    pub(crate) request: Option<RequestState>,
+    /// Present from the first request heard for an ADU this member holds;
+    /// kept after its timer fired or was cancelled, for the duplicate-repair
+    /// count.
+    pub(crate) repair: Option<RepairState>,
+    /// TTL of this member's most recent request (for the two-step repair
+    /// re-multicast, Section VII-B3).
+    pub(crate) last_request_ttl: Option<u8>,
+    /// Requests are ignored before this instant ([`SimTime::ZERO`]: never
+    /// held down).
+    pub(crate) hold_down_until: SimTime,
+}
+
+impl Episode {
+    /// Is a request for the ADU ignored at `now`?
+    pub(crate) fn held_down(&self, now: SimTime) -> bool {
+        now < self.hold_down_until
+    }
+
+    /// Is a repair timer armed?
+    pub(crate) fn repair_pending(&self) -> bool {
+        self.repair.as_ref().is_some_and(|r| r.timer.is_some())
+    }
+
+    /// Nothing is pending, no timer is armed and the hold-down is over:
+    /// every protocol decision now reads this episode as it would read no
+    /// episode at all, so it can be forgotten.
+    pub(crate) fn finished(&self, now: SimTime) -> bool {
+        self.request.is_none() && !self.repair_pending() && !self.held_down(now)
     }
 }
 
@@ -381,8 +442,11 @@ mod tests {
             name(),
             SimTime::from_secs(5),
             SourceId(7),
-            32,
-            false,
+            RequestScope {
+                ttl: 32,
+                admin_scoped: false,
+                group: GroupId(1),
+            },
             1.0,
             2.0,
             SimDuration::from_secs(2),
@@ -398,7 +462,45 @@ mod tests {
         assert_eq!(st.duplicate_repairs(), 1);
         assert_eq!(st.repair_delay(), Some(SimDuration::from_secs(1)));
         assert_eq!(st.requestor, SourceId(7));
-        assert_eq!(st.request_ttl, 32);
+        assert_eq!(st.scope.ttl, 32);
+    }
+
+    #[test]
+    fn an_episode_is_finished_when_nothing_is_left_to_happen() {
+        let mut r = rng();
+        let now = SimTime::from_secs(10);
+        let mut ep = Episode::default();
+        assert!(ep.finished(now));
+        let (st, _) = RequestState::new(name(), now, 1.0, 1.0, SimDuration::from_secs(1), &mut r);
+        ep.request = Some(st);
+        assert!(!ep.finished(now), "a request is pending");
+        ep.request = None;
+        ep.hold_down_until = SimTime::from_secs(13);
+        assert!(ep.held_down(now) && !ep.finished(now), "held down");
+        assert!(ep.finished(SimTime::from_secs(13)), "the deadline itself is outside");
+        let scope = RequestScope {
+            ttl: 255,
+            admin_scoped: false,
+            group: GroupId(1),
+        };
+        let (mut st, _) = RepairState::new(
+            name(),
+            now,
+            SourceId(7),
+            scope,
+            1.0,
+            1.0,
+            SimDuration::from_secs(1),
+            &mut r,
+        );
+        st.timer = Some(TimerHandle {
+            id: TimerId(3),
+            token: 3,
+        });
+        ep.repair = Some(st);
+        assert!(!ep.finished(SimTime::from_secs(13)), "a repair timer is armed");
+        ep.repair.as_mut().unwrap().timer = None;
+        assert!(ep.finished(SimTime::from_secs(13)), "a spent repair side holds nothing up");
     }
 
     #[test]

@@ -121,10 +121,13 @@ struct Chunk {
     ram: u64,
     /// Bit `i`: the persistence layer holds slot `i`'s payload.
     durable: u64,
+    /// Bit `i`: the agent marked slot `i` ([`AduStore::mark`]). Says
+    /// nothing about the payload and goes when the chunk goes.
+    marked: u64,
     /// Payloads by slot, `Some` exactly where `ram` is set. Allocated with
     /// the first payload, grown as [`FIRST_SLOTS`] describes, and freed
     /// when the last payload is evicted — a chunk that is only durable
-    /// costs its two bitmaps.
+    /// costs its three bitmaps.
     slots: Vec<Option<Bytes>>,
 }
 
@@ -192,6 +195,13 @@ impl Stream {
         match &self.tail {
             Some((k, c)) if *k == key => Some(c),
             _ => self.chunks.get(&key),
+        }
+    }
+
+    fn existing_chunk_mut(&mut self, key: u64) -> Option<&mut Chunk> {
+        match &mut self.tail {
+            Some((k, c)) if *k == key => Some(c),
+            _ => self.chunks.get_mut(&key),
         }
     }
 
@@ -437,6 +447,29 @@ impl AduStore {
         let b = self.persistence.as_mut()?.read(name)?;
         self.disk_fetches += 1;
         Some(b)
+    }
+
+    /// Set the one spare bit the store keeps per held name. The agent uses
+    /// it for the single fact it needs about a recovery episode it has
+    /// forgotten: "I once set a repair timer for this name". A name whose
+    /// chunk is gone (never held, or evicted with everything around it)
+    /// is not marked and reads unmarked.
+    pub fn mark(&mut self, name: &AduName) {
+        let chunk = self
+            .streams
+            .get_mut(&(name.source, name.page))
+            .and_then(|s| s.existing_chunk_mut(name.seq.0 / CHUNK));
+        if let Some(c) = chunk {
+            c.marked |= 1 << (name.seq.0 % CHUNK);
+        }
+    }
+
+    /// Was `name` marked ([`AduStore::mark`]) since its chunk came to be?
+    pub fn marked(&self, name: &AduName) -> bool {
+        self.streams
+            .get(&(name.source, name.page))
+            .and_then(|s| s.chunk(name.seq.0 / CHUNK))
+            .is_some_and(|c| c.marked >> (name.seq.0 % CHUNK) & 1 == 1)
     }
 
     /// Record that sequence numbers up to `seq` exist on `(source, page)`
@@ -699,6 +732,24 @@ mod tests {
     }
 
     #[test]
+    fn a_mark_sticks_to_a_held_name_and_goes_with_its_chunk() {
+        let mut st = AduStore::new();
+        st.retention_per_stream = Some(1);
+        st.mark(&n(3));
+        assert!(!st.marked(&n(3)), "nothing held, nothing to mark");
+        st.insert(n(3), Bytes::new());
+        assert!(!st.marked(&n(3)));
+        st.mark(&n(3));
+        assert!(st.marked(&n(3)) && !st.marked(&n(4)));
+        // Seq 3 is evicted, but its chunk lives on while seq 4 is held ...
+        st.insert(n(4), Bytes::new());
+        assert!(!st.has(&n(3)) && st.marked(&n(3)));
+        // ... and is dropped once the stream has moved on to the next one.
+        st.insert(n(CHUNK), Bytes::new());
+        assert!(!st.marked(&n(3)));
+    }
+
+    #[test]
     fn a_short_stream_stays_small_and_eviction_frees_the_slots() {
         let mut st = AduStore::new();
         st.insert(n(0), Bytes::new());
@@ -714,7 +765,7 @@ mod tests {
         assert_eq!(slots(&st), FIRST_SLOTS);
         st.insert(n(FIRST_SLOTS as u64), Bytes::new());
         assert_eq!(slots(&st), CHUNK as usize);
-        // With a log, a chunk whose payloads all spilled keeps two bitmaps.
+        // With a log, a chunk whose payloads all spilled keeps its bitmaps.
         st.cache_per_stream = Some(1);
         st.attach_persistence(Box::<FakeLog>::default());
         for q in 10..=CHUNK {

@@ -24,7 +24,8 @@ use crate::topology::{LinkId, NodeId, Topology};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// A protocol agent living on one node.
@@ -181,6 +182,26 @@ pub(crate) struct GroupMasks {
 /// membership version they were computed under.
 type PruneCache = HashMap<(u32, u32), (u64, Rc<GroupMasks>)>;
 
+/// Hasher for [`TimerId`] keys: the simulator hands the ids out itself, one
+/// after the other, so one multiply spreads them and there is no outside
+/// input to defend against.
+#[derive(Default)]
+struct TimerIdHasher(u64);
+
+impl Hasher for TimerIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a TimerId hashes as one u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The discrete-event simulator. Generic over the application type.
 pub struct Simulator<A: Application> {
     topo: Topology,
@@ -205,7 +226,11 @@ pub struct Simulator<A: Application> {
     rng: StdRng,
     now: SimTime,
     next_timer: u64,
-    cancelled: HashSet<TimerId>,
+    /// Timers set and neither fired nor cancelled, with the owning node's
+    /// epoch when each was set: setting inserts, cancelling removes, and a
+    /// timer popped off the queue fires only if it is still here and the
+    /// node has not crashed since (a crash bumps the node's epoch).
+    live_timers: HashMap<TimerId, u64, BuildHasherDefault<TimerIdHasher>>,
     next_packet: u64,
     actions: Vec<(NodeId, Action)>,
     /// Traffic counters.
@@ -218,7 +243,6 @@ pub struct Simulator<A: Application> {
     link_up: Vec<bool>,
     node_up: Vec<bool>,
     node_epoch: Vec<u64>,
-    timer_epoch: HashMap<TimerId, u64>,
     clocks: Vec<NodeClock>,
     bursts: Vec<ActiveBurst>,
     /// Earliest `until` among `bursts` (`SimTime::MAX` when empty): expired
@@ -257,7 +281,7 @@ impl<A: Application> Simulator<A> {
             rng: StdRng::seed_from_u64(seed),
             now: SimTime::ZERO,
             next_timer: 0,
-            cancelled: HashSet::new(),
+            live_timers: HashMap::default(),
             next_packet: 0,
             actions: Vec::new(),
             stats: Stats::new(links),
@@ -267,7 +291,6 @@ impl<A: Application> Simulator<A> {
             link_up: vec![true; links],
             node_up: vec![true; nodes],
             node_epoch: vec![0; nodes],
-            timer_epoch: HashMap::new(),
             clocks: vec![NodeClock::default(); nodes],
             bursts: Vec::new(),
             burst_min_until: SimTime::MAX,
@@ -399,21 +422,18 @@ impl<A: Application> Simulator<A> {
             self.node_up[node.index()],
             "exec on crashed node {node:?} (restart it first)"
         );
-        let mut app = self.apps[node.index()]
-            .take()
+        let app = self.apps[node.index()]
+            .as_mut()
             .unwrap_or_else(|| panic!("no application installed on {node:?}"));
-        let r = {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                local_now: self.clocks[node.index()].local_time(self.now),
-                rng: &mut self.rng,
-                actions: &mut self.actions,
-                next_timer: &mut self.next_timer,
-            };
-            f(&mut app, &mut ctx)
+        let mut ctx = Ctx {
+            now: self.now,
+            node,
+            local_now: self.clocks[node.index()].local_time(self.now),
+            rng: &mut self.rng,
+            actions: &mut self.actions,
+            next_timer: &mut self.next_timer,
         };
-        self.apps[node.index()] = Some(app);
+        let r = f(app, &mut ctx);
         self.apply_actions();
         r
     }
@@ -447,19 +467,10 @@ impl<A: Application> Simulator<A> {
         match kind {
             EventKind::Hop { node, via, pkt } => self.process_hop(node, via, pkt),
             EventKind::Timer { node, id, token } => {
-                let epoch = self.timer_epoch.remove(&id);
-                if self.cancelled.remove(&id) {
-                    return true;
-                }
-                // A timer armed before a crash must not fire after the
-                // restart: its epoch no longer matches the node's.
-                if epoch.is_some_and(|e| e != self.node_epoch[node.index()]) {
-                    return true;
-                }
-                if !self.node_up[node.index()] {
-                    return true;
-                }
-                if self.apps.get(node.index()).is_some_and(|a| a.is_some()) {
+                // Cancelled timers are gone from the map; one armed before
+                // a crash must not fire after the restart either: its epoch
+                // no longer matches the node's.
+                if self.live_timers.remove(&id) == Some(self.node_epoch[node.index()]) {
                     self.dispatch(node, |app, ctx| app.on_timer(ctx, token));
                 }
             }
@@ -506,6 +517,12 @@ impl<A: Application> Simulator<A> {
         self.queue.len()
     }
 
+    /// Timers set and neither fired nor cancelled (those of a crashed node
+    /// stay counted until their time comes).
+    pub fn live_timers(&self) -> usize {
+        self.live_timers.len()
+    }
+
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -522,32 +539,32 @@ impl<A: Application> Simulator<A> {
     }
 
     /// Call an app handler and then apply its actions. No-op on a node
-    /// whose host is down.
+    /// whose host is down or that has no application. The application is
+    /// borrowed where it sits, beside the fields the [`Ctx`] borrows.
     fn dispatch(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_>)) {
         if !self.node_up[node.index()] {
             return;
         }
-        let Some(mut app) = self.apps[node.index()].take() else {
+        let Some(app) = self.apps[node.index()].as_mut() else {
             return;
         };
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                local_now: self.clocks[node.index()].local_time(self.now),
-                rng: &mut self.rng,
-                actions: &mut self.actions,
-                next_timer: &mut self.next_timer,
-            };
-            f(&mut app, &mut ctx);
-        }
-        self.apps[node.index()] = Some(app);
+        let mut ctx = Ctx {
+            now: self.now,
+            node,
+            local_now: self.clocks[node.index()].local_time(self.now),
+            rng: &mut self.rng,
+            actions: &mut self.actions,
+            next_timer: &mut self.next_timer,
+        };
+        f(app, &mut ctx);
         self.apply_actions();
     }
 
     fn apply_actions(&mut self) {
-        let actions = std::mem::take(&mut self.actions);
-        for (node, a) in actions {
+        // Nothing below calls a handler, so the buffer can be lent out for
+        // the loop and handed back empty with its capacity.
+        let mut actions = std::mem::take(&mut self.actions);
+        for (node, a) in actions.drain(..) {
             match a {
                 Action::Multicast {
                     group,
@@ -562,14 +579,15 @@ impl<A: Application> Simulator<A> {
                 Action::SetTimer { at, id, token } => {
                     // Remember the node's epoch so the timer dies with a
                     // crash (see EventKind::Timer handling in step()).
-                    self.timer_epoch.insert(id, self.node_epoch[node.index()]);
+                    self.live_timers.insert(id, self.node_epoch[node.index()]);
                     self.queue.schedule(at, EventKind::Timer { node, id, token });
                 }
                 Action::CancelTimer(id) => {
-                    self.cancelled.insert(id);
+                    self.live_timers.remove(&id);
                 }
             }
         }
+        self.actions = actions;
     }
 
     fn originate(
@@ -688,8 +706,7 @@ impl<A: Application> Simulator<A> {
                 flow: pkt.flow,
             });
         }
-        let p = pkt.clone();
-        self.dispatch(node, |app, ctx| app.on_packet(ctx, &p));
+        self.dispatch(node, |app, ctx| app.on_packet(ctx, pkt));
     }
 
     /// Apply TTL/scope/loss/effects and schedule the packet's arrival(s) at
@@ -1078,6 +1095,40 @@ mod tests {
         sim.run_until_idle(SimTime::from_secs(100));
         let app = sim.app(NodeId(0)).unwrap();
         assert_eq!(app.timers, vec![7]);
+    }
+
+    #[test]
+    fn cancel_after_fire_leaves_nothing_behind() {
+        let mut sim = setup_chain(2);
+        for k in 0..10_000u64 {
+            let id = sim.exec(NodeId(0), |_, ctx| {
+                ctx.set_timer(SimDuration::from_secs(1), k)
+            });
+            assert_eq!(sim.live_timers(), 1);
+            assert!(sim.run_until_idle(sim.now() + SimDuration::from_secs(2)));
+            sim.exec(NodeId(0), |_, ctx| ctx.cancel_timer(id));
+        }
+        assert_eq!(sim.app(NodeId(0)).unwrap().timers.len(), 10_000);
+        assert_eq!(sim.live_timers(), 0, "a cancel that came too late is forgotten");
+    }
+
+    #[test]
+    fn a_panicking_handler_leaves_its_app_installed() {
+        struct Fragile;
+        impl Application for Fragile {
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: &Packet) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {
+                panic!("handler bug");
+            }
+        }
+        let mut sim: Simulator<Fragile> = Simulator::new(chain(2), 1);
+        sim.install(NodeId(0), Fragile);
+        sim.exec(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+        });
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.step()));
+        assert!(step.is_err(), "the handler's panic reaches the caller");
+        assert!(sim.app(NodeId(0)).is_some(), "and does not take the app with it");
     }
 
     #[test]

@@ -84,6 +84,16 @@ rm -rf "$STORE_DIR"
 echo "== ADU store vs its tree-based reference model (in memory, fake log; the real WAL ran above) =="
 cargo test -q -p srm --test store_equivalence
 
+echo "== recovery state ends (500 loss rounds x 4 configs in the simulator; fuzzed frames; 10 000 lossy ADUs live) =="
+cargo test -q -p srm --test state_ends
+cargo test -q --test agent_fuzz
+cargo test -q --test transport_loopback ten_thousand_lossy_adus_leave_no_recovery_state_behind
+
+echo "== simulator timers and dispatch (a late cancel leaves nothing; a panicking handler keeps its app) =="
+cargo test -q -p netsim --lib -- cancel_after_fire_leaves_nothing_behind \
+    a_panicking_handler_leaves_its_app_installed timers_fire_and_cancel \
+    crash_silences_node_and_invalidates_timers
+
 echo "== allocation budget (exact heap allocations per sent and per received ADU, live pair) =="
 cargo test -q --test alloc_budget
 
@@ -172,6 +182,11 @@ cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | wc -l
 echo "== ADU fast path size: store.rs + reactor.rs (code lines, then raw) =="
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | grep -cvE '^\s*(//|$)'
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | wc -l
+
+echo "== recovery path size: agent.rs + sim.rs (code lines, then raw), and size_of::<SrmAgent>() =="
+cat crates/core/src/agent.rs crates/netsim/src/sim.rs | grep -cvE '^\s*(//|$)'
+cat crates/core/src/agent.rs crates/netsim/src/sim.rs | wc -l
+cargo test -q -p srm --lib agent_size_is_reported -- --nocapture | grep 'size_of::<SrmAgent>'
 
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings

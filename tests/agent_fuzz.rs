@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use netsim::generators::chain;
-use netsim::{GroupId, NodeId, SendOptions, SimTime, Simulator};
+use netsim::{GroupId, NodeId, SendOptions, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use srm::wire::{Body, Header, Message, RequestBody};
 use srm::{AduName, PageId, SeqNo, SourceId, SrmAgent, SrmConfig};
@@ -22,6 +22,23 @@ fn harness() -> Simulator<SrmAgent> {
     sim.install(NodeId(0), a);
     sim.join(NodeId(0), GROUP);
     sim
+}
+
+/// Whatever the frames made the agent remember, it does not remember it for
+/// ever: past the longest hold-down, the next packet it handles leaves it
+/// with no recovery episode — unless it still waits for data nobody has.
+fn recovery_state_ends(sim: &mut Simulator<SrmAgent>) -> Result<(), TestCaseError> {
+    sim.run_until(sim.now() + SimDuration::from_secs(10_000_000));
+    sim.send_from(NodeId(1), GROUP, Bytes::from_static(b"\xff"), SendOptions::default());
+    let limit = sim.now() + SimDuration::from_secs(1_000_000);
+    prop_assert!(sim.run_until_idle(limit));
+    let a = sim.app(NodeId(0)).unwrap();
+    prop_assert!(
+        a.live_episodes() == 0 || a.has_pending_recovery(),
+        "{} episodes left behind",
+        a.live_episodes()
+    );
+    Ok(())
 }
 
 proptest! {
@@ -47,6 +64,7 @@ proptest! {
             a.send_data(ctx, page, Bytes::from_static(b"ok"));
         });
         prop_assert!(sim.run_until_idle(SimTime::from_secs(1_000_000)));
+        recovery_state_ends(&mut sim)?;
     }
 
     #[test]
@@ -80,5 +98,6 @@ proptest! {
             a.send_data(ctx, page, Bytes::from_static(b"still alive"));
         });
         prop_assert!(sim.run_until_idle(SimTime::from_secs(1_000_000)));
+        recovery_state_ends(&mut sim)?;
     }
 }

@@ -130,8 +130,9 @@ fn a_burst_costs_a_fixed_number_of_allocations_per_adu() {
 
     // Both reactors, per 64 ADUs: a store chunk's slot array, allocated
     // small and grown once (2), and over the 63 chunks these bursts fill,
-    // 14 nodes of the tree that indexes them.
-    let store = 63 * 2 + 14;
+    // 10 nodes of the tree that indexes them. (The rate meter both feed
+    // per data frame adds nothing: it keeps sub-window sums, not samples.)
+    let store = 63 * 2 + 10;
     // Sender, per ADU: the encoded message (`Bytes`), and the `Arc` that
     // shares its encode slab across the fan-out.
     assert_eq!(sent, 2 * ADUS + store, "sender reactor, {ADUS} ADUs");

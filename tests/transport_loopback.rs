@@ -14,9 +14,11 @@
 //! event interleavings.
 
 use bytes::Bytes;
-use netsim::{flow, GroupId, SimDuration};
+use netsim::{flow, GroupId, SimDuration, SimTime};
 use srm::{PageId, SourceId, SrmConfig};
-use srm_transport::{harvest_timeline, Harness, LossPolicy, Mode, Node, NodeOptions};
+use srm_transport::{
+    harvest_timeline, ChaosPlan, Harness, LossPolicy, Mode, Node, NodeOptions,
+};
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
@@ -216,4 +218,59 @@ fn zero_delay_timer_rearm_does_not_starve_the_reactor() {
         node.stats()
     );
     drop(node.shutdown());
+}
+
+/// A live member forgets a loss once it is repaired and the hold-down is
+/// over: ten thousand ADUs through 5 % loss are some five hundred recovery
+/// episodes on either side, and after the drain next to none of them is
+/// still remembered. (Nobody harvests a live node, so whatever the agent
+/// does not let go of by itself stays for the life of the process.)
+#[test]
+fn ten_thousand_lossy_adus_leave_no_recovery_state_behind() {
+    const ADUS: usize = 10_000;
+    // A member's distance to itself is the default: keep the hold-down on
+    // its own ADUs (3 x that) short enough to watch it end.
+    let cfg = SrmConfig {
+        default_distance: SimDuration::from_millis(5),
+        ..SrmConfig::fixed(2)
+    };
+    let h = Harness::loopback(2, GROUP, &cfg, |i, _addrs, opts| {
+        if i == 0 {
+            // The loss ends, so that the drain does: it also eats repairs.
+            opts.chaos = Some(ChaosPlan::new().loss_burst(
+                0.05,
+                SimTime::ZERO,
+                SimTime::from_secs(3),
+            ));
+        }
+    })
+    .unwrap();
+
+    let page = PageId::new(SourceId(1), 0);
+    let mut delivered = 0;
+    for k in 0..ADUS {
+        h.nodes[0].send_data(page, Bytes::from(k.to_le_bytes().to_vec()));
+        if k % 256 == 0 {
+            delivered += h.nodes[1].take_delivered().len();
+        }
+    }
+    let drained = wait_for(60, || {
+        delivered += h.nodes[1].take_delivered().len();
+        delivered == ADUS
+    });
+    assert!(drained, "only {delivered} of {ADUS} ADUs arrived within 60s");
+    let lost = h.nodes[0].stats().chaos_dropped;
+    assert!(lost >= 100, "the loss never happened ({lost} frames dropped)");
+
+    // Retirement rides on the next packet or timer a member handles;
+    // session messages keep those coming.
+    let live = || [0, 1].map(|i| h.nodes[i].exec(|a, _| a.live_episodes()));
+    assert!(
+        wait_for(20, || live().iter().all(|&n| n <= 64)),
+        "episodes still remembered after the drain: {:?} (frames lost: {lost})",
+        live()
+    );
+    let agents = h.shutdown();
+    assert!(agents[1].metrics.all_recovered());
+    assert!(agents[1].metrics.requests_sent >= 50, "recovery was exercised");
 }
