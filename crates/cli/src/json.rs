@@ -48,6 +48,7 @@ impl Json {
         let mut p = Parser {
             b: s.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -188,28 +189,36 @@ fn push_indent(out: &mut String, levels: usize) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&obs::json_escape(s));
     out.push('"');
 }
+
+/// Deepest array/object nesting the parser accepts: it recurses once per
+/// level, and a scenario file is outside input.
+const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Parse one array or object with `inner`, one level further down.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             msg: msg.to_string(),
@@ -238,8 +247,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -400,6 +409,22 @@ mod tests {
         for bad in ["", "not json", "{", "[1,]", "{\"a\"}", "{\"a\":1,}", "1 2", "\"x"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| ["[".repeat(100_000), "{\"a\":".repeat(100_000)].map(|s| Json::parse(&s)))
+            .unwrap()
+            .join()
+            .unwrap();
+        for got in parsed {
+            assert_eq!(got.unwrap_err().msg, "nesting deeper than 32");
+        }
+        let at_cap = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        assert!(Json::parse(&format!("[{at_cap}]")).is_err());
     }
 
     #[test]

@@ -395,14 +395,14 @@ impl MetricsSnapshot {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\":{}", crate::timeline::escape(k), v);
+            let _ = write!(s, "\"{}\":{}", crate::json_escape(k), v);
         }
         s.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\":{}", crate::timeline::escape(k), v);
+            let _ = write!(s, "\"{}\":{}", crate::json_escape(k), v);
         }
         s.push_str("},\"hists\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -412,7 +412,7 @@ impl MetricsSnapshot {
             let _ = write!(
                 s,
                 "\"{}\":{{\"count\":{},\"zeros\":{},\"sum\":{}",
-                crate::timeline::escape(k),
+                crate::json_escape(k),
                 h.count(),
                 h.zeros(),
                 fmt_f64(h.sum()),

@@ -360,7 +360,7 @@ impl Timeline {
                         out,
                         "{{\"t\":{},\"fault\":\"{}\",\"ev\":\"fault_start\"}}",
                         fmt_time(f.start),
-                        escape(&f.label),
+                        crate::json_escape(&f.label),
                     );
                 }
                 Line::FaultEnd(f) => {
@@ -368,7 +368,7 @@ impl Timeline {
                         out,
                         "{{\"t\":{},\"fault\":\"{}\",\"ev\":\"fault_end\"}}",
                         fmt_time(f.end.expect("closed span")),
-                        escape(&f.label),
+                        crate::json_escape(&f.label),
                     );
                 }
                 Line::Event(e) => {
@@ -422,11 +422,6 @@ impl Timeline {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (labels are plain ASCII in practice).
-pub(crate) fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

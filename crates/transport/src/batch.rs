@@ -46,20 +46,6 @@ pub struct BatchOptions {
     /// more slabs let more frames ride the `recv → reactor` channel
     /// without falling back to heap buffers.
     pub pool_slabs: usize,
-    /// Bound on the reactor's inbound channel (datagrams + commands).
-    /// Datagrams beyond it are shed (and counted) instead of growing the
-    /// queue without limit under flood.
-    pub inbound_capacity: usize,
-    /// Max channel events the reactor handles per wakeup before it
-    /// revisits timers and flushes sends — the coalescing window.
-    pub inbound_drain: usize,
-    /// Run the node's recv and reactor threads under `SCHED_BATCH`
-    /// (Linux): the scheduler stops letting every datagram arrival
-    /// preempt the burst that produced it, so on busy (especially
-    /// single-core) hosts the datapath moves timeslice-sized batches
-    /// instead of context-switching per frame. Timer fidelity degrades
-    /// by at most a scheduling slice, far below SRM's timer scales.
-    pub batch_sched: bool,
     /// Requested kernel socket buffer size (`SO_RCVBUF`/`SO_SNDBUF`),
     /// applied at spawn where the platform allows (Linux; silently
     /// clamped to `net.core.{r,w}mem_max`). Batched senders burst far
@@ -77,9 +63,6 @@ impl Default for BatchOptions {
             recv_batch: 32,
             send_batch: 32,
             pool_slabs: 64,
-            inbound_capacity: 4096,
-            inbound_drain: 256,
-            batch_sched: true,
             socket_bufs: 4 * 1024 * 1024,
             force_portable: false,
         }
@@ -87,10 +70,12 @@ impl Default for BatchOptions {
 }
 
 /// Put the calling thread under the `SCHED_BATCH` policy (Linux; no-op
-/// elsewhere, and harmless if the kernel refuses). Batch threads do not
-/// get wakeup-preemption priority, which is exactly right for the
-/// datapath threads: a flood burst runs to the end of its timeslice and
-/// its receivers then drain the whole accumulation in a few syscalls.
+/// elsewhere, and harmless if the kernel refuses). Every recv and reactor
+/// thread calls this: the scheduler stops letting every datagram arrival
+/// preempt the burst that produced it, so on busy (especially
+/// single-core) hosts the datapath moves timeslice-sized batches instead
+/// of context-switching per frame. Timer fidelity degrades by at most a
+/// scheduling slice, far below SRM's timer scales.
 pub fn enter_batch_scheduling() {
     #[cfg(target_os = "linux")]
     ffi::set_batch_scheduling();
@@ -901,7 +886,6 @@ mod tests {
     fn batch_options_defaults_are_generous() {
         let o = BatchOptions::default();
         assert!(o.recv_batch >= 16 && o.recv_batch <= MAX_BATCH);
-        assert!(o.inbound_capacity >= 1024);
         assert!(!o.force_portable);
     }
 }

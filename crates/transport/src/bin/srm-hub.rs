@@ -25,10 +25,10 @@
 //! `{"cmd":"stop"}` drains every group (final session message, WAL flush)
 //! and exits the process; `--duration` bounds the run for scripts.
 
+use srm_transport::control::serve;
 use srm_transport::hub::{Hub, HubOptions};
-use srm_transport::{handle_line, parse_command, Command, HubHandle};
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write as _};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -188,40 +188,6 @@ fn parse_args() -> Args {
     }
 }
 
-/// Execute one control line, echo the reply to its writer, and flag a
-/// `stop` so the main loop can exit after the drain.
-fn serve_line(hub: &HubHandle, line: &str, out: &mut dyn std::io::Write, quit: &AtomicBool, quiet: bool) {
-    let line = line.trim();
-    if line.is_empty() {
-        return;
-    }
-    let is_stop = matches!(parse_command(line), Ok(Command::Stop));
-    let reply = handle_line(hub, line);
-    let _ = writeln!(out, "{reply}").and_then(|()| out.flush());
-    if !quiet {
-        eprintln!("srm-hub: {reply}");
-    }
-    if is_stop {
-        quit.store(true, Ordering::Relaxed);
-    }
-}
-
-/// One TCP control connection: read command lines, write reply lines.
-fn serve_conn(hub: HubHandle, stream: TcpStream, quit: Arc<AtomicBool>, quiet: bool) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        serve_line(&hub, &line, &mut writer, &quit, quiet);
-        if quit.load(Ordering::Relaxed) {
-            break;
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     let registry = args.stats_file.is_some().then(obs::MetricsRegistry::new);
@@ -310,7 +276,11 @@ fn main() {
                     Ok((stream, _)) => {
                         let hub = hub.clone();
                         let quit = Arc::clone(&quit);
-                        std::thread::spawn(move || serve_conn(hub, stream, quit, quiet));
+                        std::thread::spawn(move || {
+                            if let Ok(mut writer) = stream.try_clone() {
+                                serve(&hub, BufReader::new(stream), &mut writer, &quit, quiet);
+                            }
+                        });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(50));
@@ -328,16 +298,7 @@ fn main() {
         let quit = Arc::clone(&quit);
         let quiet = args.quiet;
         std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            let mut line = String::new();
-            let mut out = std::io::stdout();
-            loop {
-                line.clear();
-                match stdin.read_line(&mut line) {
-                    Ok(0) | Err(_) => return,
-                    Ok(_) => serve_line(&hub, &line, &mut out, &quit, quiet),
-                }
-            }
+            serve(&hub, std::io::stdin().lock(), &mut std::io::stdout(), &quit, quiet)
         });
     }
 

@@ -6,39 +6,22 @@
 //! started, read from [`std::time::Instant`] so it is monotonic and immune
 //! to wall-clock steps. Each node has its own origin, which is exactly the
 //! paper's model: session-message timestamp echoes only ever *difference*
-//! clock readings, so per-host origins (and skew) cancel out of the
-//! distance estimates.
+//! clock readings, so per-host origins cancel out of the distance
+//! estimates.
 
-use netsim::{SimDuration, SimTime};
+use netsim::SimTime;
 use std::time::{Duration, Instant};
 
 /// A monotonic clock whose zero is the moment it was created.
 #[derive(Clone, Debug)]
 pub struct WallClock {
     origin: Instant,
-    /// Artificial offset added to [`WallClock::local_now`] readings only —
-    /// the wall-clock analogue of `netsim`'s clock-skew fault, useful for
-    /// exercising the NTP-style estimator over real sockets.
-    skew: SimDuration,
 }
 
 impl WallClock {
     /// Start a clock; its `now()` reads zero at this instant.
     pub fn new() -> Self {
-        WallClock {
-            origin: Instant::now(),
-            skew: SimDuration::ZERO,
-        }
-    }
-
-    /// This clock, its local readings leading true time by `skew`: every
-    /// group a reactor hosts shares the reactor's origin and carries its
-    /// own skew.
-    pub(crate) fn skewed(&self, skew: SimDuration) -> Self {
-        WallClock {
-            origin: self.origin,
-            skew,
-        }
+        WallClock { origin: Instant::now() }
     }
 
     /// Monotonic elapsed time since the origin, on the [`SimTime`] axis.
@@ -47,12 +30,6 @@ impl WallClock {
         // than panic.
         let n = self.origin.elapsed().as_nanos();
         SimTime::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))
-    }
-
-    /// What this host *believes* the time is: `now()` plus any configured
-    /// skew. Goes into outgoing message timestamps.
-    pub fn local_now(&self) -> SimTime {
-        self.now() + self.skew
     }
 
     /// How long from now until `deadline`, as a [`Duration`] suitable for
@@ -75,6 +52,7 @@ impl Default for WallClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimDuration;
 
     #[test]
     fn starts_near_zero_and_is_monotonic() {
@@ -83,15 +61,6 @@ mod tests {
         assert!(a.as_secs_f64() < 1.0);
         let b = c.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn skew_shifts_local_readings_only() {
-        let c = WallClock::new().skewed(SimDuration::from_secs(5));
-        let now = c.now();
-        let local = c.local_now();
-        assert!(local.since(now) >= SimDuration::from_secs(5));
-        assert!(local.since(now) < SimDuration::from_secs(6));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! One command per line, one reply per line — the grammar a shell script,
 //! a test harness, or `bash /dev/tcp` redirection can speak without a
 //! client library. Commands arrive on the hub binary's stdin or its local
-//! TCP listener; both feed [`handle_line`], so the two surfaces cannot
-//! drift apart.
+//! TCP listener; both run [`serve`], so the two surfaces cannot drift
+//! apart. What a peer can make the hub hold is bounded: a line is at most
+//! [`MAX_LINE`] bytes and nests at most 32 arrays/objects deep.
 //!
 //! Grammar (flat JSON objects):
 //!
@@ -31,8 +32,9 @@
 //! thirty lines of parsing would invert the layering.
 
 use crate::hub::HubHandle;
-use std::fmt::Write as _;
+use std::io::{self, BufRead, Read as _, Write};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A parsed JSON value (just enough of the grammar for the control plane).
 #[derive(Clone, Debug, PartialEq)]
@@ -51,12 +53,31 @@ pub enum Jv {
     O(Vec<(String, Jv)>),
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level on a connection thread's stack and the input is
+/// whatever a TCP peer sent, so the depth is bounded here; the control
+/// grammar itself nests two deep.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Parse one array or object with `inner`, one level further down.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Jv, String>) -> Result<Jv, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
+    }
+
     fn ws(&mut self) {
         while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
             self.i += 1;
@@ -89,8 +110,8 @@ impl<'a> Parser<'a> {
         self.ws();
         match self.peek() {
             Some(b'"') => Ok(Jv::S(self.string()?)),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b't') => self.lit("true", Jv::B(true)),
             Some(b'f') => self.lit("false", Jv::B(false)),
             Some(b'n') => self.lit("null", Jv::Null),
@@ -223,7 +244,7 @@ impl<'a> Parser<'a> {
 
 /// Parse one JSON value from `input` (trailing whitespace allowed).
 pub fn parse_json(input: &str) -> Result<Jv, String> {
-    let mut p = Parser { b: input.as_bytes(), i: 0 };
+    let mut p = Parser { b: input.as_bytes(), i: 0, depth: 0 };
     let v = p.value()?;
     p.ws();
     if p.i != p.b.len() {
@@ -232,24 +253,7 @@ pub fn parse_json(input: &str) -> Result<Jv, String> {
     Ok(v)
 }
 
-/// Escape `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use obs::json_escape;
 
 /// Everything needed to host one group: identity, mesh, quota, seeding.
 #[derive(Clone, Debug)]
@@ -449,6 +453,70 @@ pub fn handle_line(hub: &HubHandle, line: &str) -> String {
     }
 }
 
+/// Longest control line [`serve`] reads into memory.
+pub const MAX_LINE: usize = 64 * 1024;
+
+/// Read one line of at most [`MAX_LINE`] bytes (newline included) into
+/// `line`. `Ok(None)` at end of input; `Ok(Some(false))` for a longer line,
+/// whose remainder is discarded up to its newline without being buffered.
+fn read_line_bounded(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let n = input.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', line)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if n <= MAX_LINE || line.ends_with(b"\n") {
+        return Ok(Some(true));
+    }
+    loop {
+        let buf = input.fill_buf()?;
+        let (skip, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), buf.is_empty()),
+        };
+        input.consume(skip);
+        if done {
+            return Ok(Some(false));
+        }
+    }
+}
+
+/// Serve one control stream until end of input, a read error, or `quit`:
+/// one reply line on `out` per non-blank input line (echoed to stderr
+/// unless `quiet`). A `stop` command sets `quit` once its reply is written.
+pub fn serve(
+    hub: &HubHandle,
+    mut input: impl BufRead,
+    out: &mut dyn Write,
+    quit: &AtomicBool,
+    quiet: bool,
+) {
+    let mut line = Vec::new();
+    while !quit.load(Ordering::Relaxed) {
+        let mut stop = false;
+        let reply = match read_line_bounded(&mut input, &mut line) {
+            Ok(Some(true)) => {
+                let Ok(text) = std::str::from_utf8(&line) else { return };
+                let text = text.trim();
+                if text.is_empty() {
+                    continue;
+                }
+                stop = matches!(parse_command(text), Ok(Command::Stop));
+                handle_line(hub, text)
+            }
+            Ok(Some(false)) => "{\"ok\":false,\"error\":\"line too long\"}".to_string(),
+            Ok(None) | Err(_) => return,
+        };
+        let _ = writeln!(out, "{reply}").and_then(|()| out.flush());
+        if !quiet {
+            eprintln!("srm-hub: {reply}");
+        }
+        if stop {
+            quit.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,6 +601,50 @@ mod tests {
         let line = format!("{{\"t\":\"{}\"}}", json_escape(s));
         let Jv::O(f) = parse_json(&line).unwrap() else { panic!() };
         assert_eq!(field(&f, "t"), Some(&Jv::S(s.into())));
+    }
+
+    /// The parser runs on a connection thread against bytes from a TCP
+    /// peer: nesting is refused at a fixed depth instead of recursing until
+    /// the stack ends (an abort, which no `catch_unwind` sees).
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| ["[".repeat(100_000), "{\"a\":".repeat(100_000)].map(|s| parse_json(&s)))
+            .unwrap()
+            .join()
+            .unwrap();
+        for got in parsed {
+            assert_eq!(got.unwrap_err().split(" at byte").next(), Some("nesting deeper than 32"));
+        }
+        // The cap is on open containers, not on length.
+        let at_cap = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        assert!(parse_json(&format!("[{at_cap}]")).is_err());
+        assert!(parse_json(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+    }
+
+    /// A string from outside the program (an OS error text, a decode
+    /// reason) keeps its record on one line of the `--trace` stream.
+    #[test]
+    fn control_characters_stay_inside_one_jsonl_record() {
+        let detail = "a\nb\t\u{1}\"\\";
+        let mut tl = obs::Timeline::new();
+        tl.add_transport(
+            1,
+            vec![obs::TransportRecord {
+                at: netsim::SimTime::from_nanos(5),
+                kind: obs::TransportEventKind::SocketError {
+                    detail: detail.into(),
+                    transient: true,
+                },
+                seq: 0,
+            }],
+        );
+        let jsonl = tl.to_jsonl();
+        assert_eq!(jsonl.lines().count(), 1, "{jsonl:?}");
+        let Jv::O(f) = parse_json(jsonl.trim_end()).unwrap() else { panic!() };
+        assert_eq!(field(&f, "detail"), Some(&Jv::S(detail.into())));
     }
 
     #[test]

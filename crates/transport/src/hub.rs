@@ -35,7 +35,6 @@ use crate::batch::BatchOptions;
 use crate::control::GroupSpec;
 use crate::reactor::{self, Event, HostKind, Hosting, Plant, Reactor};
 use crate::runtime::{Counters, Mode, NodeOptions, StoreOptions, TransportStats};
-use crate::supervise::SupervisePolicy;
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
 use srm::{Driver, PageId, RateLimit, SourceId, SrmAgent, SrmConfig};
@@ -218,8 +217,6 @@ pub struct HubOptions {
     pub metrics: Option<obs::MetricsRegistry>,
     /// Durable-store root: group `g` logs under `<root>/<g>/`.
     pub store_root: Option<PathBuf>,
-    /// Recv-thread supervision (classify/backoff/respawn).
-    pub supervision: SupervisePolicy,
 }
 
 impl Default for HubOptions {
@@ -230,7 +227,6 @@ impl Default for HubOptions {
             batch: BatchOptions::default(),
             metrics: None,
             store_root: None,
-            supervision: SupervisePolicy::default(),
         }
     }
 }
@@ -274,7 +270,6 @@ impl Hub {
             opts.shards.max(1),
             HostKind::Hub,
             opts.batch,
-            opts.supervision,
             opts.metrics.clone(),
         )?;
         let spawned: io::Result<Vec<_>> = reactors
@@ -370,8 +365,8 @@ impl HubHandle {
     /// [`HubHandle::create`] from Rust: host a member described by the
     /// options a standalone node takes, so a hub group can carry a seeded
     /// chaos plan, a loss policy, liveness tracking and recorders. The
-    /// per-socket fields of `opts` (`batch`, `supervision`) do not apply —
-    /// the hub's own do. A group already hosted is an error.
+    /// per-socket field of `opts` (`batch`) does not apply — the hub's own
+    /// does. A group already hosted is an error.
     pub fn create_with(&self, mode: Mode, opts: NodeOptions) -> Result<CreateOutcome, String> {
         let members = mode.group_size();
         self.host(mode, opts, None, members, false)

@@ -89,6 +89,14 @@ const IDLE_WAIT: Duration = Duration::from_millis(250);
 /// Read timeout on the receive thread's socket, bounding shutdown latency.
 const RECV_POLL: Duration = Duration::from_millis(25);
 
+/// Bound on a reactor's inbound channel (datagrams + commands). Datagrams
+/// beyond it are shed and counted ([`hand_over`]) instead of growing the
+/// queue without limit under flood.
+const INBOUND_CAPACITY: usize = 4096;
+/// Max channel events a reactor handles per wakeup before it revisits
+/// timers and flushes sends — the coalescing window.
+const INBOUND_DRAIN: usize = 256;
+
 /// Flow-kind labels indexed by [`flow_slot`]; the last slot collects flows
 /// outside the four the protocol defines.
 const FLOW_KINDS: [&str; 5] = ["data", "request", "repair", "session", "other"];
@@ -397,7 +405,7 @@ pub(crate) struct Hosting {
 struct GroupIo {
     /// The member id the agent runs as, as it appears in envelopes.
     src: u32,
-    /// The reactor's clock read with this group's skew.
+    /// The reactor's clock.
     clock: WallClock,
     wheel: TimerWheel,
     rng: StdRng,
@@ -499,7 +507,7 @@ impl GroupHost {
             agent,
             io: GroupIo {
                 src: u32::try_from(opts.id.0).unwrap_or(u32::MAX),
-                clock: clock.skewed(opts.skew),
+                clock: clock.clone(),
                 wheel: TimerWheel::new(),
                 rng: StdRng::seed_from_u64(opts.seed),
                 mode,
@@ -677,8 +685,10 @@ impl Clock for HostDriver<'_> {
         self.io.clock.now()
     }
 
+    /// A live member stamps its messages with the clock it runs on; a
+    /// skewed local reading is a `netsim` fault.
     fn local_now(&self) -> SimTime {
-        self.io.clock.local_now()
+        self.io.clock.now()
     }
 }
 
@@ -816,7 +826,6 @@ pub(crate) struct Reactor {
     /// The host's receive pool, on reactor 0 only: every reactor shares
     /// it, one of them reports it.
     rx_pool: Option<BufferPool>,
-    batch: BatchOptions,
 }
 
 impl Reactor {
@@ -917,10 +926,7 @@ impl Reactor {
     /// of channel events per wakeup (datagrams, commands, deadlines
     /// coalesced). Returns on `Shutdown` or when every sender is gone.
     pub(crate) fn run(mut self, rx: mpsc::Receiver<Event>) -> Reactor {
-        if self.batch.batch_sched {
-            crate::batch::enter_batch_scheduling();
-        }
-        let inbound_drain = self.batch.inbound_drain.max(1);
+        crate::batch::enter_batch_scheduling();
         'reactor: loop {
             self.fire_due();
             // Everything the last wakeup produced goes out in batched syscalls.
@@ -946,7 +952,7 @@ impl Reactor {
                     if self.handle(ev) {
                         break 'reactor;
                     }
-                    while drained < inbound_drain {
+                    while drained < INBOUND_DRAIN {
                         match rx.try_recv() {
                             Ok(ev) => {
                                 drained += 1;
@@ -1162,7 +1168,6 @@ pub(crate) fn build(
     n: usize,
     kind: HostKind,
     batch: BatchOptions,
-    supervision: SupervisePolicy,
     metrics: Option<obs::MetricsRegistry>,
 ) -> io::Result<Plant> {
     let addr = socket.local_addr()?;
@@ -1182,7 +1187,7 @@ pub(crate) fn build(
         // Bounded: under flood the channel sheds datagrams (counted as
         // `inbound_overflow`) instead of growing without limit; commands
         // and supervision events block briefly instead of being lost.
-        let (tx, rx) = mpsc::sync_channel::<Event>(batch.inbound_capacity.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Event>(INBOUND_CAPACITY);
         txs.push(tx);
         let wire = Wire {
             label: kind.label(index),
@@ -1206,7 +1211,6 @@ pub(crate) fn build(
             wire,
             groups: BTreeMap::new(),
             rx_pool: (index == 0).then(|| rx_pool.clone()),
-            batch,
         };
         reactors.push((reactor, rx));
     }
@@ -1215,8 +1219,8 @@ pub(crate) fn build(
     let recv_name = kind.recv_name();
     let recv = thread::Builder::new().name(recv_name.clone()).spawn(move || {
         run_recv_supervised(
-            &supervision, socket, addr, batch, rx_pool, recv_histo, recv_txs, recv_stop,
-            recv_counters, clock, &recv_name,
+            socket, addr, batch, rx_pool, recv_histo, recv_txs, recv_stop, recv_counters, clock,
+            &recv_name,
         )
     })?;
     Ok(Plant { txs, reactors, counters, stop, recv })
@@ -1230,7 +1234,6 @@ pub(crate) fn build(
 /// channels ([`route_frame`]).
 #[allow(clippy::too_many_arguments)]
 fn run_recv_supervised(
-    policy: &SupervisePolicy,
     master: UdpSocket,
     local: SocketAddr,
     batch: BatchOptions,
@@ -1242,12 +1245,10 @@ fn run_recv_supervised(
     clock: WallClock,
     label: &str,
 ) {
-    if batch.batch_sched {
-        crate::batch::enter_batch_scheduling();
-    }
+    crate::batch::enter_batch_scheduling();
     let recv_batch = batch.recv_batch.clamp(1, crate::batch::MAX_BATCH);
     let reason = run_supervised(
-        policy,
+        &SupervisePolicy::default(),
         |attempt| {
             let sock = if attempt == 0 {
                 master.try_clone()?

@@ -43,7 +43,6 @@
 use crate::batch::BatchOptions;
 use crate::chaos::ChaosPlan;
 use crate::reactor::{self, Event, HostKind, Hosting, Plant};
-use crate::supervise::SupervisePolicy;
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
 use srm::agent::Delivery;
@@ -155,7 +154,7 @@ impl LossPolicy {
 
 /// Per-member configuration: what [`Node::spawn`] takes, and what
 /// [`HubHandle::create_with`](crate::HubHandle::create_with) hosts on a hub
-/// (where the per-socket fields, `supervision` and `batch`, are the hub's).
+/// (where the per-socket field, `batch`, is the hub's).
 #[derive(Debug)]
 pub struct NodeOptions {
     /// This member's persistent Source-ID (also the envelope's node id).
@@ -189,16 +188,12 @@ pub struct NodeOptions {
     /// Pre-seeded distance estimates (assumed-converged state, as the
     /// figure experiments use). Live session messages refine them.
     pub initial_distances: Vec<(SourceId, SimDuration)>,
-    /// Clock skew applied to this node's local timestamps.
-    pub skew: SimDuration,
     /// Send-side forced loss.
     pub loss: LossPolicy,
     /// Scripted chaos applied to every outgoing frame.
     pub chaos: Option<ChaosPlan>,
     /// Track peer liveness from session-message silence.
     pub liveness: Option<srm::LivenessConfig>,
-    /// Recv-thread supervision limits.
-    pub supervision: SupervisePolicy,
     /// Unicast peers to fall back to if a multicast join fails. Empty
     /// disables the fallback (join failures are logged and the node stays
     /// in multicast mode, deaf to groups it could not join).
@@ -209,9 +204,8 @@ pub struct NodeOptions {
     /// bounded cache, and flushes on clean shutdown. `None` (the default)
     /// keeps the agent purely in-memory.
     pub store: Option<StoreOptions>,
-    /// Batched-datapath tuning: syscall batch sizes, receive-pool size,
-    /// inbound channel bound, and the portable-backend override
-    /// (`srm-node --batch/--pool`).
+    /// Batched-datapath tuning: syscall batch sizes, receive-pool size
+    /// and the portable-backend override (`srm-node --batch/--pool`).
     pub batch: BatchOptions,
 }
 
@@ -240,9 +234,8 @@ impl StoreOptions {
 }
 
 impl NodeOptions {
-    /// Defaults: sessions on, no trace, no skew, no loss, no chaos, no
-    /// liveness tracking, default supervision, seed derived from the
-    /// member id.
+    /// Defaults: sessions on, no trace, no loss, no chaos, no liveness
+    /// tracking, seed derived from the member id.
     pub fn new(id: SourceId, group: GroupId, cfg: SrmConfig) -> Self {
         NodeOptions {
             id,
@@ -254,11 +247,9 @@ impl NodeOptions {
             trace_capacity: None,
             metrics: None,
             initial_distances: Vec::new(),
-            skew: SimDuration::ZERO,
             loss: LossPolicy::none(),
             chaos: None,
             liveness: None,
-            supervision: SupervisePolicy::default(),
             fallback_peers: Vec::new(),
             store: None,
             batch: BatchOptions::default(),
@@ -406,7 +397,6 @@ impl Node {
             1,
             HostKind::Node(id.0),
             opts.batch,
-            opts.supervision,
             opts.metrics.clone(),
         )?;
         // `build(.., 1, ..)` returns exactly one reactor and its sender.

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# CPU-profile the live UDP datapath with perf(1).
+# CPU-profile one benchmark workload with perf(1).
 #
-# Usage: scripts/profile.sh [BENCH ...]
+# Usage: [SECS=10] scripts/profile.sh [WORKLOAD]
 #
-#   BENCH            extra args forwarded to `live run` (default: --quick)
+#   WORKLOAD         an `srmbench list` workload (default: pair_stream)
 #
-# Records the `live` macro-benchmark under `perf record` with DWARF call
+# Records `srmbench --workload WORKLOAD` under `perf record` with DWARF call
 # graphs, prints the hottest frames, and — when a FlameGraph toolchain
 # (stackcollapse-perf.pl / flamegraph.pl) is on PATH — renders
 # target/profile/flame.svg.
@@ -14,8 +14,9 @@
 # perf(1) or forbid perf_event_open; in that case this prints what to
 # install and exits 0 so calling scripts never break. The fallback for
 # perf-less environments is the benchmark's own instrumentation:
-# LIVE_DEBUG=1 ./target/release/live run --quick prints the send/recv
-# batch-size and drain histograms that expose most datapath regressions.
+# `srmbench --workload WORKLOAD --trace 1` prints the per-layer rows
+# (runtime.recv_batch_mean, runtime.queue_p50_us, ...) that expose most
+# datapath regressions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,25 +28,26 @@ profile: perf(1) not found on PATH; skipping CPU profile.
   `apt install linux-tools-$(uname -r)`) and re-run. Until then, the
   datapath's built-in instrumentation covers the common cases:
 
-    LIVE_DEBUG=1 ./target/release/live run --quick
+    cargo run -q --release --offline --manifest-path srmbench/Cargo.toml -- \
+        --workload pair_stream --trace 1
 
-  prints per-bench send-batch / recv-batch / drain histogram quantiles
-  (p50/p90/p99) — a collapse of recv-batch p90 toward 1 means the
-  batching layer degenerated to one syscall per frame.
+  prints the per-layer rows (srmbench/README.md) — runtime.recv_batch_mean
+  collapsing toward 1 means the batching layer degenerated to one syscall
+  per frame; runtime.queue_p50/p99_us is the recv-to-reactor wait.
 EOF
   exit 0
 fi
 
-cargo build --release -p srm-bench --bin live
+cargo build --release --offline --manifest-path srmbench/Cargo.toml
 
 OUT_DIR=target/profile
 mkdir -p "$OUT_DIR"
 DATA="$OUT_DIR/perf.data"
 
-echo "== perf record (live datapath, DWARF call graphs) =="
+echo "== perf record (srmbench ${1:-pair_stream}, DWARF call graphs) =="
 # 997 Hz: prime sampling rate, avoids lockstep with periodic timers.
 perf record -F 997 -g --call-graph dwarf -o "$DATA" -- \
-  ./target/release/live run "${@:---quick}"
+  srmbench/target/release/srmbench --workload "${1:-pair_stream}" --seconds "${SECS:-10}"
 
 echo "== hottest frames =="
 perf report -i "$DATA" --stdio --percent-limit 1 | head -60

@@ -20,13 +20,16 @@
 //!    `tests/golden/hub_control.jsonl` byte-for-byte, including malformed
 //!    commands and duplicate-group errors.
 //!
-//! Plus the satellite check that a standalone node counts (rather than
-//! silently eats) well-formed frames for groups it never joined.
+//! Plus the satellite checks that a standalone node counts (rather than
+//! silently eats) well-formed frames for groups it never joined, and that
+//! an over-long or deeply nested control line costs its sender one error
+//! reply, not the hub its process.
 
 use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration};
 use proptest::prelude::*;
 use srm::{LivenessConfig, Message, PageId, SourceId, SrmAgent, SrmConfig};
+use srm_transport::control::serve;
 use srm_transport::hub::{Hub, HubOptions};
 use srm_transport::{
     handle_line, shard_of, Envelope, GroupMonitor, GroupSpec, Harness, LossPolicy, Mode, Node,
@@ -447,6 +450,40 @@ fn control_plane_replies_match_the_golden_transcript() {
     let stats = handle_line(&hub, r#"{"cmd":"stats"}"#);
     assert!(stats.starts_with(r#"{"ok":true,"cmd":"stats","hub":{"#), "{stats}");
     assert!(stats.ends_with(r#""groups":[]}"#), "{stats}");
+    hub.shutdown();
+}
+
+/// The control port reads whatever a TCP peer sends, on a thread of the
+/// default stack size, as `srm-hub` serves it: a line longer than the bound
+/// is discarded up to its newline, a line that nests deeper than the
+/// parser's cap is refused (it used to recurse until the stack ended, which
+/// aborts the process and every hosted group with it), each with one reply
+/// line, and the connection goes on to serve the next command.
+#[test]
+fn oversized_and_deeply_nested_control_lines_get_one_error_reply_each() {
+    use std::io::{BufRead, BufReader, Write};
+    let hub = Hub::spawn("127.0.0.1:0".parse().unwrap(), HubOptions::default()).unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut conn = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let server = {
+        let hub = hub.clone();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut replies = stream.try_clone().unwrap();
+            let quit = std::sync::atomic::AtomicBool::new(false);
+            serve(&hub, BufReader::new(stream), &mut replies, &quit, true);
+        })
+    };
+    conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let script = format!("{}\n{}\n{{\"cmd\":\"stats\"}}\n", "[".repeat(100_000), "[".repeat(20_000));
+    conn.write_all(script.as_bytes()).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let replies: Vec<String> = BufReader::new(conn).lines().map(Result::unwrap).collect();
+    server.join().expect("the serving thread survives both lines");
+    assert_eq!(replies.len(), 3, "one reply line per input line: {replies:?}");
+    assert_eq!(replies[0], r#"{"ok":false,"error":"line too long"}"#);
+    assert_eq!(replies[1], r#"{"ok":false,"error":"nesting deeper than 32 at byte 32"}"#);
+    assert!(replies[2].starts_with(r#"{"ok":true,"cmd":"stats","hub":{"#), "{}", replies[2]);
     hub.shutdown();
 }
 

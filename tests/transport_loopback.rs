@@ -274,3 +274,69 @@ fn ten_thousand_lossy_adus_leave_no_recovery_state_behind() {
     assert!(agents[1].metrics.all_recovered());
     assert!(agents[1].metrics.requests_sent >= 50, "recovery was exercised");
 }
+
+/// The reactor's inbound channel is bounded, and what does not fit is shed
+/// and counted, not queued: a receiver whose reactor stalls while 6 000
+/// datagrams arrive keeps the first channel-full and loses the tail, which
+/// SRM then repairs exactly as it would wire loss — session messages reveal
+/// the gap, requests go out, the source answers — and when the hold-downs
+/// end nothing of it is remembered.
+#[test]
+fn a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them() {
+    const ADUS: usize = 6_000;
+    let cfg = SrmConfig {
+        default_distance: SimDuration::from_millis(5),
+        ..SrmConfig::fixed(2)
+    };
+    let h = Harness::loopback(2, GROUP, &cfg, |i, _addrs, opts| {
+        seed_uniform_distances(2, opts, SimDuration::from_millis(20));
+        if i == 0 {
+            // No GSO: every frame is its own datagram, and so its own
+            // channel event at the receiver.
+            opts.batch.force_portable = true;
+        }
+    })
+    .unwrap();
+    let (source, sink) = (&h.nodes[0], &h.nodes[1]);
+
+    let page = PageId::new(SourceId(1), 0);
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        // The sink's reactor sits in this call until released; its recv
+        // thread keeps draining the socket into the channel.
+        s.spawn(move || {
+            sink.exec(move |_, _| {
+                parked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        });
+        parked_rx.recv().unwrap();
+        for k in 0..ADUS {
+            let mut payload = vec![0u8; 64];
+            payload[..8].copy_from_slice(&k.to_le_bytes());
+            source.send_data(page, Bytes::from(payload));
+        }
+        let shed = wait_for(30, || sink.stats().inbound_overflow > 0);
+        release_tx.send(()).unwrap();
+        assert!(shed, "nothing was shed: {:?}", sink.stats());
+    });
+
+    let mut got = Vec::new();
+    let complete = wait_for(60, || {
+        got.extend(sink.take_delivered());
+        got.len() >= ADUS
+    });
+    assert!(complete, "only {} of {ADUS} ADUs arrived within 60s: {:?}", got.len(), sink.stats());
+    let names: std::collections::BTreeSet<_> = got.iter().map(|d| d.name).collect();
+    assert_eq!((got.len(), names.len()), (ADUS, ADUS), "an ADU was delivered twice");
+    assert!(got.iter().any(|d| d.via_repair), "the shed ADUs can only have come back as repairs");
+
+    let live = || [source, sink].map(|n| n.exec(|a, _| a.live_episodes()));
+    assert!(wait_for(20, || live() == [0, 0]), "episodes outlived their hold-downs: {:?}", live());
+    for node in [source, sink] {
+        let s = node.stats();
+        assert!(s.frames_accounted(), "frames unaccounted for: {s:?}");
+    }
+    assert!(h.shutdown()[1].metrics.all_recovered());
+}
