@@ -9,7 +9,7 @@ use netsim::generators;
 use netsim::loss::{BernoulliLoss, NoLoss, ScriptedDrop};
 use netsim::routing::SpTree;
 use netsim::{flow, GroupId, NodeId, SimDuration, Simulator, Topology};
-use crate::json::Json;
+use obs::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use srm::config::RecoveryGroupConfig;
@@ -352,22 +352,22 @@ impl Report {
 
     /// Serialize as pretty JSON.
     pub fn to_json(&self) -> String {
-        let num = |n: f64| Json::Num(n);
+        let num = |n: f64| Json::N(n);
         let per_member: Vec<Json> = self
             .per_member
             .iter()
             .map(|m| {
-                Json::Obj(vec![
+                Json::O(vec![
                     ("node".to_string(), num(m.node as f64)),
                     ("adus_held".to_string(), num(m.adus_held as f64)),
                     ("requests_sent".to_string(), num(m.requests_sent as f64)),
                     ("repairs_sent".to_string(), num(m.repairs_sent as f64)),
                     ("fec_recoveries".to_string(), num(m.fec_recoveries as f64)),
-                    ("all_recovered".to_string(), Json::Bool(m.all_recovered)),
+                    ("all_recovered".to_string(), Json::B(m.all_recovered)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
+        Json::O(vec![
             ("members".to_string(), num(self.members as f64)),
             ("source".to_string(), num(self.source as f64)),
             ("adus_sent".to_string(), num(self.adus_sent as f64)),
@@ -380,7 +380,7 @@ impl Report {
             ("total_sessions".to_string(), num(self.total_sessions as f64)),
             (
                 "hops".to_string(),
-                Json::Obj(vec![
+                Json::O(vec![
                     ("data".to_string(), num(self.hops.data as f64)),
                     ("requests".to_string(), num(self.hops.requests as f64)),
                     ("repairs".to_string(), num(self.hops.repairs as f64)),
@@ -388,7 +388,7 @@ impl Report {
                     ("parity".to_string(), num(self.hops.parity as f64)),
                 ]),
             ),
-            ("per_member".to_string(), Json::Arr(per_member)),
+            ("per_member".to_string(), Json::A(per_member)),
             ("sim_seconds".to_string(), num(self.sim_seconds)),
             ("events".to_string(), num(self.events as f64)),
         ])

@@ -4,12 +4,12 @@
 //! configuration, a loss process, and a workload; [`crate::run()`](crate::run()) executes
 //! it and reports traffic and recovery statistics.
 //!
-//! Parsing and serialization are hand-written over [`crate::json`] (the
+//! Parsing and serialization are hand-written over [`obs::json`] (the
 //! workspace builds offline, without serde); the wire shapes match the
 //! original serde derives: `{"kind": ...}`-tagged topology and loss,
 //! untagged members/timers, defaultable config/effects/workload sections.
 
-use crate::json::{Json, JsonError};
+use obs::json::{Json, JsonError};
 use std::fmt;
 
 /// Topology description.
@@ -286,13 +286,13 @@ impl TopologySpec {
 
     fn to_json(&self) -> Json {
         let obj = |fields: Vec<(&str, u64)>, kind: &str| {
-            let mut m = vec![("kind".to_string(), Json::Str(kind.to_string()))];
+            let mut m = vec![("kind".to_string(), Json::S(kind.to_string()))];
             m.extend(
                 fields
                     .into_iter()
-                    .map(|(k, n)| (k.to_string(), Json::Num(n as f64))),
+                    .map(|(k, n)| (k.to_string(), Json::N(n as f64))),
             );
-            Json::Obj(m)
+            Json::O(m)
         };
         match *self {
             TopologySpec::Chain { n } => obj(vec![("n", n as u64)], "chain"),
@@ -312,7 +312,7 @@ impl TopologySpec {
 impl MembersSpec {
     fn from_json(v: &Json) -> Result<Self, SpecError> {
         match v {
-            Json::Arr(items) => {
+            Json::A(items) => {
                 let ids = items
                     .iter()
                     .map(|e| {
@@ -324,8 +324,8 @@ impl MembersSpec {
                     .collect::<Result<Vec<u32>, _>>()?;
                 Ok(MembersSpec::List(ids))
             }
-            Json::Str(s) if s == "all" => Ok(MembersSpec::All(AllTag::All)),
-            Json::Obj(_) => Ok(MembersSpec::Random {
+            Json::S(s) if s == "all" => Ok(MembersSpec::All(AllTag::All)),
+            Json::O(_) => Ok(MembersSpec::Random {
                 random: req_u64(v, "random")? as usize,
             }),
             _ => Err(bad("'members' must be a list, {\"random\": k}, or \"all\"")),
@@ -335,12 +335,12 @@ impl MembersSpec {
     fn to_json(&self) -> Json {
         match self {
             MembersSpec::List(ids) => {
-                Json::Arr(ids.iter().map(|&i| Json::Num(i as f64)).collect())
+                Json::A(ids.iter().map(|&i| Json::N(i as f64)).collect())
             }
             MembersSpec::Random { random } => {
-                Json::Obj(vec![("random".to_string(), Json::Num(*random as f64))])
+                Json::O(vec![("random".to_string(), Json::N(*random as f64))])
             }
-            MembersSpec::All(_) => Json::Str("all".to_string()),
+            MembersSpec::All(_) => Json::S("all".to_string()),
         }
     }
 }
@@ -348,13 +348,13 @@ impl MembersSpec {
 impl TimersSpec {
     fn from_json(v: &Json) -> Result<Self, SpecError> {
         match v {
-            Json::Str(s) => Ok(TimersSpec::Preset(match s.as_str() {
+            Json::S(s) => Ok(TimersSpec::Preset(match s.as_str() {
                 "fixed" => TimerPreset::Fixed,
                 "adaptive" => TimerPreset::Adaptive,
                 "wb159" => TimerPreset::Wb159,
                 other => return Err(bad(format!("unknown timer preset '{other}'"))),
             })),
-            Json::Obj(_) => Ok(TimersSpec::Explicit {
+            Json::O(_) => Ok(TimersSpec::Explicit {
                 c1: req_f64(v, "c1")?,
                 c2: req_f64(v, "c2")?,
                 d1: req_f64(v, "d1")?,
@@ -366,7 +366,7 @@ impl TimersSpec {
 
     fn to_json(&self) -> Json {
         match *self {
-            TimersSpec::Preset(p) => Json::Str(
+            TimersSpec::Preset(p) => Json::S(
                 match p {
                     TimerPreset::Fixed => "fixed",
                     TimerPreset::Adaptive => "adaptive",
@@ -374,11 +374,11 @@ impl TimersSpec {
                 }
                 .to_string(),
             ),
-            TimersSpec::Explicit { c1, c2, d1, d2 } => Json::Obj(vec![
-                ("c1".to_string(), Json::Num(c1)),
-                ("c2".to_string(), Json::Num(c2)),
-                ("d1".to_string(), Json::Num(d1)),
-                ("d2".to_string(), Json::Num(d2)),
+            TimersSpec::Explicit { c1, c2, d1, d2 } => Json::O(vec![
+                ("c1".to_string(), Json::N(c1)),
+                ("c2".to_string(), Json::N(c2)),
+                ("d1".to_string(), Json::N(d1)),
+                ("d2".to_string(), Json::N(d2)),
             ]),
         }
     }
@@ -387,9 +387,9 @@ impl TimersSpec {
 impl ScopeSpec {
     fn from_json(v: &Json) -> Result<Self, SpecError> {
         match v {
-            Json::Str(s) if s == "global" => Ok(ScopeSpec::Global),
-            Json::Str(s) if s == "admin" => Ok(ScopeSpec::Admin),
-            Json::Obj(_) => {
+            Json::S(s) if s == "global" => Ok(ScopeSpec::Global),
+            Json::S(s) if s == "admin" => Ok(ScopeSpec::Admin),
+            Json::O(_) => {
                 let inner = v
                     .get("ttl")
                     .ok_or_else(|| bad("scope object must be {\"ttl\": {\"ttl\": n}}"))?;
@@ -405,11 +405,11 @@ impl ScopeSpec {
 
     fn to_json(&self) -> Json {
         match *self {
-            ScopeSpec::Global => Json::Str("global".to_string()),
-            ScopeSpec::Admin => Json::Str("admin".to_string()),
-            ScopeSpec::Ttl { ttl } => Json::Obj(vec![(
+            ScopeSpec::Global => Json::S("global".to_string()),
+            ScopeSpec::Admin => Json::S("admin".to_string()),
+            ScopeSpec::Ttl { ttl } => Json::O(vec![(
                 "ttl".to_string(),
-                Json::Obj(vec![("ttl".to_string(), Json::Num(ttl as f64))]),
+                Json::O(vec![("ttl".to_string(), Json::N(ttl as f64))]),
             )]),
         }
     }
@@ -448,23 +448,23 @@ impl ConfigSpec {
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        Json::O(vec![
             ("timers".to_string(), self.timers.to_json()),
             ("scope".to_string(), self.scope.to_json()),
-            ("fec_k".to_string(), Json::Num(self.fec_k as f64)),
+            ("fec_k".to_string(), Json::N(self.fec_k as f64)),
             (
                 "recovery_group_ttl".to_string(),
-                Json::Num(self.recovery_group_ttl as f64),
+                Json::N(self.recovery_group_ttl as f64),
             ),
             (
                 "hierarchy_ttl".to_string(),
-                Json::Num(self.hierarchy_ttl as f64),
+                Json::N(self.hierarchy_ttl as f64),
             ),
             (
                 "session_messages".to_string(),
-                Json::Bool(self.session_messages),
+                Json::B(self.session_messages),
             ),
-            ("rate_limit_bps".to_string(), Json::Num(self.rate_limit_bps)),
+            ("rate_limit_bps".to_string(), Json::N(self.rate_limit_bps)),
         ])
     }
 }
@@ -498,19 +498,19 @@ impl LossSpec {
     fn to_json(&self) -> Json {
         match self {
             LossSpec::None => {
-                Json::Obj(vec![("kind".to_string(), Json::Str("none".to_string()))])
+                Json::O(vec![("kind".to_string(), Json::S("none".to_string()))])
             }
-            LossSpec::Bernoulli { p } => Json::Obj(vec![
-                ("kind".to_string(), Json::Str("bernoulli".to_string())),
-                ("p".to_string(), Json::Num(*p)),
+            LossSpec::Bernoulli { p } => Json::O(vec![
+                ("kind".to_string(), Json::S("bernoulli".to_string())),
+                ("p".to_string(), Json::N(*p)),
             ]),
-            LossSpec::Scripted { a, b, ordinals } => Json::Obj(vec![
-                ("kind".to_string(), Json::Str("scripted".to_string())),
-                ("a".to_string(), Json::Num(*a as f64)),
-                ("b".to_string(), Json::Num(*b as f64)),
+            LossSpec::Scripted { a, b, ordinals } => Json::O(vec![
+                ("kind".to_string(), Json::S("scripted".to_string())),
+                ("a".to_string(), Json::N(*a as f64)),
+                ("b".to_string(), Json::N(*b as f64)),
                 (
                     "ordinals".to_string(),
-                    Json::Arr(ordinals.iter().map(|&o| Json::Num(o as f64)).collect()),
+                    Json::A(ordinals.iter().map(|&o| Json::N(o as f64)).collect()),
                 ),
             ]),
         }
@@ -533,9 +533,9 @@ impl EffectsSpec {
     }
 
     fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("duplication".to_string(), Json::Num(self.duplication)),
-            ("jitter_secs".to_string(), Json::Num(self.jitter_secs)),
+        Json::O(vec![
+            ("duplication".to_string(), Json::N(self.duplication)),
+            ("jitter_secs".to_string(), Json::N(self.jitter_secs)),
         ])
     }
 }
@@ -559,12 +559,12 @@ impl WorkloadSpec {
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("adus".to_string(), Json::Num(self.adus as f64)),
-            ("interval_secs".to_string(), Json::Num(self.interval_secs)),
+        Json::O(vec![
+            ("adus".to_string(), Json::N(self.adus as f64)),
+            ("interval_secs".to_string(), Json::N(self.interval_secs)),
             (
                 "payload_bytes".to_string(),
-                Json::Num(self.payload_bytes as f64),
+                Json::N(self.payload_bytes as f64),
             ),
         ])
     }
@@ -639,18 +639,18 @@ impl Scenario {
     pub fn to_json(&self) -> String {
         let mut m = vec![
             ("topology".to_string(), self.topology.to_json()),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
+            ("seed".to_string(), Json::N(self.seed as f64)),
             ("members".to_string(), self.members.to_json()),
         ];
         if let Some(s) = self.source {
-            m.push(("source".to_string(), Json::Num(s as f64)));
+            m.push(("source".to_string(), Json::N(s as f64)));
         }
         m.push(("config".to_string(), self.config.to_json()));
         m.push(("loss".to_string(), self.loss.to_json()));
         m.push(("effects".to_string(), self.effects.to_json()));
         m.push(("workload".to_string(), self.workload.to_json()));
-        m.push(("settle_secs".to_string(), Json::Num(self.settle_secs)));
-        Json::Obj(m).pretty()
+        m.push(("settle_secs".to_string(), Json::N(self.settle_secs)));
+        Json::O(m).pretty()
     }
 }
 

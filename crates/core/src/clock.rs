@@ -62,8 +62,14 @@ impl DistanceEstimator {
     }
 
     /// Process an echo of *our own* timestamp arriving from `peer` at `now`:
-    /// `d = ((t4 − t1) − Δ)/2`.
+    /// `d = ((t4 − t1) − Δ)/2`. An echo of a time later than `now` is
+    /// ignored: it stamps an earlier incarnation of us (a live member
+    /// restarted after a crash starts its clock at zero again), and peers
+    /// keep echoing it until they hear the new one.
     pub fn process_echo(&mut self, peer: SourceId, echo: &Echo, now: SimTime) {
+        if echo.their_ts > now {
+            return;
+        }
         // t4 − t1:
         let rtt_plus_delay = now.since(echo.their_ts);
         let sample = rtt_plus_delay - echo.delay;
@@ -224,6 +230,19 @@ mod tests {
             vec![SourceId(3)]
         );
         assert_eq!(est.peer_count(), 2);
+    }
+
+    #[test]
+    fn an_echo_from_the_future_leaves_the_estimate_alone() {
+        let mut est = DistanceEstimator::new(SimDuration::from_secs(1));
+        est.set_distance(B, SimDuration::from_secs(3));
+        let echo = Echo {
+            peer: SourceId(1),
+            their_ts: SimTime::from_secs(500),
+            delay: SimDuration::from_secs(1),
+        };
+        est.process_echo(B, &echo, SimTime::from_secs(2));
+        assert_eq!(est.distance_to(B), SimDuration::from_secs(3));
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl DurableRejoinParams {
     /// absent field silently keeps the default — the scenario must run
     /// from a bare checkout.
     pub fn from_scenario_file(path: &str) -> Self {
-        use srm_sim::json::Json;
+        use obs::json::Json;
         let mut p = Self::default();
         let Ok(text) = std::fs::read_to_string(path) else {
             return p;

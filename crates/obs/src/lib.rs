@@ -24,7 +24,10 @@
 //!   `report` subcommand;
 //! * [`stats`] holds the exact sample statistics (quartiles via linear
 //!   interpolation) that the experiment figures have always used — moved
-//!   here so figures and reports share one implementation.
+//!   here so figures and reports share one implementation;
+//! * [`json`] is the workspace's one JSON reader and escaper — the JSONL
+//!   exports here, the hub's control plane and the `srm-sim` scenario
+//!   files all go through it.
 //!
 //! [`SimTime`]: netsim::SimTime
 
@@ -33,6 +36,7 @@
 
 pub mod event;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod stats;
@@ -42,33 +46,10 @@ pub mod transport;
 
 pub use event::{AduKey, EventKind, FaultSpan, RecordedEvent, RecoveryVia};
 pub use hist::LogHistogram;
+pub use json::json_escape;
 pub use metrics::{Counter, Gauge, Histo, MetricsRegistry, MetricsSnapshot};
 pub use recorder::Recorder;
 pub use stats::{summarize, Summary};
 pub use summary::{MemberSummary, RunSummary};
 pub use timeline::{Chain, MemberEvent, Timeline};
 pub use transport::{TransportEventKind, TransportLog, TransportRecord, TransportSummary};
-
-/// Escape `s` for embedding in a JSON string literal. Every control
-/// character is escaped, so a string from outside the program (an OS error
-/// message, a decode reason) cannot break a one-record-per-line stream.
-/// The workspace's one escaper: the JSONL exports here, the hub's control
-/// replies and the CLI's JSON writer all call it.
-pub fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}

@@ -70,11 +70,6 @@ pub enum TransportEventKind {
         /// Exit reason, e.g. `"shutdown"` or `"respawn budget exhausted"`.
         reason: String,
     },
-    /// Multicast join failed and the node fell back to the unicast mesh.
-    ModeFallback {
-        /// Number of unicast peers in the fallback mesh.
-        peers: u64,
-    },
     /// An inbound datagram failed envelope/wire decoding.
     DecodeError {
         /// Decode failure class, e.g. `"truncated"` or `"length_mismatch"`.
@@ -131,7 +126,6 @@ impl TransportEventKind {
             TransportEventKind::SocketError { .. } => "socket_error",
             TransportEventKind::RecvRespawn { .. } => "recv_respawn",
             TransportEventKind::RecvExit { .. } => "recv_exit",
-            TransportEventKind::ModeFallback { .. } => "mode_fallback",
             TransportEventKind::DecodeError { .. } => "decode_error",
             TransportEventKind::QueueHighWater { .. } => "queue_high_water",
             TransportEventKind::PeerAlive { .. } => "peer_alive",
@@ -167,9 +161,6 @@ impl TransportEventKind {
             }
             TransportEventKind::RecvExit { reason } => {
                 let _ = write!(out, ",\"reason\":\"{}\"", crate::json_escape(reason));
-            }
-            TransportEventKind::ModeFallback { peers } => {
-                let _ = write!(out, ",\"peers\":{peers}");
             }
             TransportEventKind::DecodeError { reason } => {
                 let _ = write!(out, ",\"reason\":\"{}\"", crate::json_escape(reason));
@@ -391,7 +382,6 @@ impl TransportSummary {
                 }
                 TransportEventKind::StoreDiskRepair => s.disk_repairs += 1,
                 TransportEventKind::RecvExit { .. }
-                | TransportEventKind::ModeFallback { .. }
                 | TransportEventKind::PeerAlive { .. }
                 | TransportEventKind::StoreRehydrate { .. } => {}
             }

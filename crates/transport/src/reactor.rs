@@ -118,7 +118,7 @@ type HostMirror = (&'static str, &'static str, fn(&TransportStats) -> u64);
 /// them once per wakeup so snapshots are complete without reaching into a
 /// handle; every source is cumulative, so `set_total` keeps the registry's
 /// counters monotone.
-const HOST_MIRRORS: [HostMirror; 18] = [
+const HOST_MIRRORS: [HostMirror; 17] = [
     ("frames.attempted", "hub.frames_attempted", |s| s.frames_attempted),
     ("frames.sent", "hub.frames_sent", |s| s.frames_sent),
     ("frames.dropped", "hub.frames_dropped", |s| s.frames_dropped),
@@ -134,7 +134,6 @@ const HOST_MIRRORS: [HostMirror; 18] = [
     ("recv.transient_errors", "hub.recv_transient_errors", |s| s.recv_transient_errors),
     ("recv.respawns", "hub.recv_respawns", |s| s.recv_respawns),
     ("recv.deaths", "hub.recv_deaths", |s| s.recv_deaths),
-    ("mode.fallbacks", "hub.mode_fallbacks", |s| s.mode_fallbacks),
     ("inbound.overflow", "hub.inbound_overflow", |s| s.inbound_overflow),
     ("demux.splits", "hub.demux_splits", |s| s.demux_splits),
 ];
@@ -410,7 +409,6 @@ struct GroupIo {
     wheel: TimerWheel,
     rng: StdRng,
     mode: Mode,
-    fallback_peers: Vec<SocketAddr>,
     loss: LossPolicy,
     /// Chaos partition windows, applied RNG-free per destination.
     blackholes: Vec<Blackhole>,
@@ -418,8 +416,7 @@ struct GroupIo {
     quota_overflow: u64,
     /// Logical multicasts issued (post quota, pre fan-out).
     tx_frames: u64,
-    /// This group's fan-out and join events (blackholes, join failures,
-    /// mode fallback).
+    /// This group's fan-out and join events (blackholes, join failures).
     log: obs::TransportLog,
 }
 
@@ -511,7 +508,6 @@ impl GroupHost {
                 wheel: TimerWheel::new(),
                 rng: StdRng::seed_from_u64(opts.seed),
                 mode,
-                fallback_peers: opts.fallback_peers,
                 loss: opts.loss,
                 blackholes: opts.chaos.as_ref().map(|p| p.blackholes.clone()).unwrap_or_default(),
                 quota: hosting.quota.map(TokenBucket::new),
@@ -709,35 +705,15 @@ impl Transport for HostDriver<'_> {
         let Err(e) = self.wire.socket.join_multicast_v4(addr.ip(), &Ipv4Addr::UNSPECIFIED) else {
             return;
         };
-        let (now, label) = (self.io.clock.now(), &self.wire.label);
-        if self.io.fallback_peers.is_empty() {
-            // No mesh to fall back to: log and stay in multicast mode
-            // (other joins may still succeed).
-            self.io.log.record(
-                now,
-                obs::TransportEventKind::SocketError {
-                    detail: format!("join group {}: {e}", group.0),
-                    transient: false,
-                },
-            );
-            eprintln!("{label}: multicast join for group {} failed ({e}); no fallback peers", group.0);
-        } else {
-            // Degrade to the unicast mesh for *all* traffic: one
-            // fan-out path keeps the group-delivery model coherent.
-            let peers = std::mem::take(&mut self.io.fallback_peers);
-            self.wire.counters.mode_fallbacks.fetch_add(1, Ordering::Relaxed);
-            self.io.log.record(
-                now,
-                obs::TransportEventKind::ModeFallback { peers: peers.len() as u64 },
-            );
-            eprintln!(
-                "{label}: multicast join for group {} failed ({e}); \
-                 falling back to a unicast mesh of {} peers",
-                group.0,
-                peers.len()
-            );
-            self.io.mode = Mode::Mesh { peers };
-        }
+        // Log and stay in multicast mode: other joins may still succeed.
+        self.io.log.record(
+            self.io.clock.now(),
+            obs::TransportEventKind::SocketError {
+                detail: format!("join group {}: {e}", group.0),
+                transient: false,
+            },
+        );
+        eprintln!("{}: multicast join for group {} failed ({e})", self.wire.label, group.0);
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {

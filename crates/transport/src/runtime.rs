@@ -12,10 +12,9 @@
 //! Two [`Mode`]s cover deployment and CI:
 //!
 //! - [`Mode::Multicast`]: real IP multicast via `join_multicast_v4`; group
-//!   ids map onto a contiguous block of group addresses. If the join fails
-//!   (no multicast route on the interface) and `fallback_peers` are
-//!   configured, the node degrades to the unicast mesh and records a
-//!   `mode_fallback` event instead of running deaf.
+//!   ids map onto a contiguous block of group addresses. A failed join (no
+//!   multicast route on the interface) is recorded as a `socket_error`
+//!   event and logged to stderr; the node stays in multicast mode.
 //! - [`Mode::Mesh`]: a unicast fan-out to an explicit peer list. Multicast
 //!   on a loopback interface needs `SO_REUSEADDR`/`SO_REUSEPORT` to share
 //!   one port between processes, which `std::net` cannot set, so CI runs a
@@ -194,10 +193,6 @@ pub struct NodeOptions {
     pub chaos: Option<ChaosPlan>,
     /// Track peer liveness from session-message silence.
     pub liveness: Option<srm::LivenessConfig>,
-    /// Unicast peers to fall back to if a multicast join fails. Empty
-    /// disables the fallback (join failures are logged and the node stays
-    /// in multicast mode, deaf to groups it could not join).
-    pub fallback_peers: Vec<SocketAddr>,
     /// Durable ADU store (`srm-node --store DIR`). When set, the reactor
     /// opens the write-ahead log before the agent starts, rehydrates any
     /// existing contents (restart-after-crash), reads repairs through the
@@ -250,7 +245,6 @@ impl NodeOptions {
             loss: LossPolicy::none(),
             chaos: None,
             liveness: None,
-            fallback_peers: Vec::new(),
             store: None,
             batch: BatchOptions::default(),
         }
@@ -274,7 +268,6 @@ pub(crate) struct Counters {
     pub(crate) recv_transient_errors: AtomicU64,
     pub(crate) recv_respawns: AtomicU64,
     pub(crate) recv_deaths: AtomicU64,
-    pub(crate) mode_fallbacks: AtomicU64,
     pub(crate) inbound_overflow: AtomicU64,
     pub(crate) rx_unjoined_group: AtomicU64,
     pub(crate) max_wheel_len: AtomicU64,
@@ -319,8 +312,6 @@ pub struct TransportStats {
     pub recv_respawns: u64,
     /// Recv threads that exhausted the respawn budget and died for good.
     pub recv_deaths: u64,
-    /// Multicast-join failures degraded to the unicast mesh.
-    pub mode_fallbacks: u64,
     /// Inbound datagrams shed because the bounded reactor channel was
     /// full (backpressure under flood; SRM's recovery machinery repairs
     /// the gaps, exactly as for wire loss).
@@ -360,7 +351,6 @@ impl TransportStats {
             recv_transient_errors: c.recv_transient_errors.load(Ordering::Relaxed),
             recv_respawns: c.recv_respawns.load(Ordering::Relaxed),
             recv_deaths: c.recv_deaths.load(Ordering::Relaxed),
-            mode_fallbacks: c.mode_fallbacks.load(Ordering::Relaxed),
             inbound_overflow: c.inbound_overflow.load(Ordering::Relaxed),
             rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
             max_wheel_len: c.max_wheel_len.load(Ordering::Relaxed),

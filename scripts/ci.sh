@@ -154,25 +154,31 @@ cargo test --offline --manifest-path srmbench/Cargo.toml -q -- \
     --skip own_threads_are_subtracted_and_foreign_ones_are_not
 cargo run --quiet --release --offline --manifest-path srmbench/Cargo.toml -- --smoke
 
-echo "== control plane bounds (a 100 000-byte line and 20 000 nested arrays cost one error reply each, not the process) =="
+echo "== control plane bounds (a 100 000-byte line, 20 000 nested arrays and a non-UTF-8 line cost one error reply each, not the process or the connection) =="
 cargo test -q --test hub oversized_and_deeply_nested_control_lines_get_one_error_reply_each
-cargo test -q -p srm-transport --lib -- deep_nesting_is_an_error_not_a_stack_overflow \
-    control_characters_stay_inside_one_jsonl_record
-cargo test -q -p srm-sim --lib deep_nesting_is_an_error_not_a_stack_overflow
+# obs::json is the workspace's one JSON parser (control lines, scenario
+# files, monitor digests): depth cap, surrogate pairs, strict \u digits,
+# finite numbers, and the never-panic / round-trip properties.
+cargo test -q -p obs --lib json::
+
+echo "== distance estimation across a live restart (an echo of a future timestamp is ignored) =="
+cargo test -q -p srm --lib an_echo_from_the_future_leaves_the_estimate_alone
+cargo test -q --test agent_fuzz an_echo_of_a_future_timestamp_leaves_the_distance_estimate_alone
 
 echo "== inbound bound (a stalled reactor sheds what its channel cannot hold; SRM repairs it) =="
 cargo test -q --test transport_loopback a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them
 
-echo "== stale references (the benchmark stack srmbench replaced must stay gone) =="
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser and the multicast-join fallback must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
 stale='BENCH_[49]\.json|srm-b[e]nch|srm-liv[e]bench|scripts/b[e]nch\.sh|LIVE_D[E]BUG|cargo b[e]nch'
+stale+='|enum J[v]\b|srm_sim::j[s]on|cli::j[s]on|fallback_p[e]ers|ModeF[a]llback'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
     || perl -0pe 's/~~.*?~~//gs' ROADMAP.md | grep -nE "$stale"; then
-    echo "stale reference to the deleted benchmark stack (listed above)" >&2
+    echo "stale reference to deleted code (listed above)" >&2
     exit 1
 fi
 

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use netsim::generators::chain;
 use netsim::{GroupId, NodeId, SendOptions, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
-use srm::wire::{Body, Header, Message, RequestBody};
+use srm::wire::{Body, Echo, Header, Message, RequestBody, SessionBody};
 use srm::{AduName, PageId, SeqNo, SourceId, SrmAgent, SrmConfig};
 
 const GROUP: GroupId = GroupId(2);
@@ -100,4 +100,45 @@ proptest! {
         prop_assert!(sim.run_until_idle(SimTime::from_secs(1_000_000)));
         recovery_state_ends(&mut sim)?;
     }
+}
+
+/// A member restarted after kill -9 starts a fresh wall clock at zero, and
+/// its peers echo the previous incarnation's (larger) timestamps until they
+/// hear it again. Such an echo is not a distance sample: it must not panic
+/// the agent (`SimTime::since` asserts in debug builds) nor zero the
+/// estimate, which would collapse the timers toward that peer to `[0, 0]`.
+#[test]
+fn an_echo_of_a_future_timestamp_leaves_the_distance_estimate_alone() {
+    let mut sim = harness();
+    let peer = SourceId(9);
+    let before = SimDuration::from_millis(30);
+    sim.app_mut(NodeId(0))
+        .unwrap()
+        .distances_mut()
+        .set_distance(peer, before);
+    let session = Message {
+        header: Header {
+            sender: peer,
+            timestamp: SimTime::from_secs(1),
+        },
+        body: Body::Session(SessionBody {
+            page: PageId::new(peer, 0),
+            state: Vec::new(),
+            echoes: vec![Echo {
+                peer: SourceId(0),
+                their_ts: SimTime::from_secs(1_000_000),
+                delay: SimDuration::from_millis(5),
+            }],
+            loss_rate: 0.0,
+            loss_fingerprint: Vec::new(),
+        }),
+    };
+    sim.send_from(NodeId(1), GROUP, session.encode(), SendOptions::default());
+    assert!(sim.run_until_idle(SimTime::from_secs(100)));
+    let a = sim.app(NodeId(0)).unwrap();
+    assert_eq!(
+        a.metrics.session_received, 1,
+        "the session message was handled"
+    );
+    assert_eq!(a.distances().distance_to(peer), before);
 }

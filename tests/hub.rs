@@ -22,8 +22,8 @@
 //!
 //! Plus the satellite checks that a standalone node counts (rather than
 //! silently eats) well-formed frames for groups it never joined, and that
-//! an over-long or deeply nested control line costs its sender one error
-//! reply, not the hub its process.
+//! an over-long, deeply nested or non-UTF-8 control line costs its sender
+//! one error reply, not the hub its process or the sender its connection.
 
 use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration};
@@ -457,8 +457,10 @@ fn control_plane_replies_match_the_golden_transcript() {
 /// default stack size, as `srm-hub` serves it: a line longer than the bound
 /// is discarded up to its newline, a line that nests deeper than the
 /// parser's cap is refused (it used to recurse until the stack ended, which
-/// aborts the process and every hosted group with it), each with one reply
-/// line, and the connection goes on to serve the next command.
+/// aborts the process and every hosted group with it), and a line that is
+/// not UTF-8 is refused (it used to end the connection with no reply), each
+/// with one reply line, and the connection goes on to serve the next
+/// command.
 #[test]
 fn oversized_and_deeply_nested_control_lines_get_one_error_reply_each() {
     use std::io::{BufRead, BufReader, Write};
@@ -475,15 +477,17 @@ fn oversized_and_deeply_nested_control_lines_get_one_error_reply_each() {
         })
     };
     conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let script = format!("{}\n{}\n{{\"cmd\":\"stats\"}}\n", "[".repeat(100_000), "[".repeat(20_000));
-    conn.write_all(script.as_bytes()).unwrap();
+    let mut script = format!("{}\n{}\n", "[".repeat(100_000), "[".repeat(20_000)).into_bytes();
+    script.extend_from_slice(b"\xff\xfe\n{\"cmd\":\"stats\"}\n");
+    conn.write_all(&script).unwrap();
     conn.shutdown(std::net::Shutdown::Write).unwrap();
     let replies: Vec<String> = BufReader::new(conn).lines().map(Result::unwrap).collect();
-    server.join().expect("the serving thread survives both lines");
-    assert_eq!(replies.len(), 3, "one reply line per input line: {replies:?}");
+    server.join().expect("the serving thread survives every line");
+    assert_eq!(replies.len(), 4, "one reply line per input line: {replies:?}");
     assert_eq!(replies[0], r#"{"ok":false,"error":"line too long"}"#);
     assert_eq!(replies[1], r#"{"ok":false,"error":"nesting deeper than 32 at byte 32"}"#);
-    assert!(replies[2].starts_with(r#"{"ok":true,"cmd":"stats","hub":{"#), "{}", replies[2]);
+    assert_eq!(replies[2], r#"{"ok":false,"error":"invalid utf-8"}"#);
+    assert!(replies[3].starts_with(r#"{"ok":true,"cmd":"stats","hub":{"#), "{}", replies[3]);
     hub.shutdown();
 }
 
