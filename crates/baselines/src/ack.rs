@@ -99,7 +99,7 @@ impl AckReceiver {
 
 impl Application for AckApp {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Some(msg) = BaselineMsg::decode(pkt.payload.clone()) else {
+        let Some(msg) = BaselineMsg::from_packet(pkt) else {
             return;
         };
         match self {

@@ -117,7 +117,7 @@ impl NackReceiver {
 
 impl Application for NackApp {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Some(msg) = BaselineMsg::decode(pkt.payload.clone()) else {
+        let Some(msg) = BaselineMsg::from_packet(pkt) else {
             return;
         };
         match self {

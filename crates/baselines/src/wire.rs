@@ -3,7 +3,7 @@
 //! Deliberately minimal: a tag, a sequence number, and the speaking node.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use netsim::NodeId;
+use netsim::{NodeId, Packet};
 
 /// Baseline protocol messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,6 +96,16 @@ impl BaselineMsg {
             TAG_RETX => BaselineMsg::Retx { seq },
             _ => return None,
         })
+    }
+
+    /// Decode `pkt`'s payload through the slot every copy of it shares
+    /// ([`Packet::decoded`]), so a multicast is decoded once however many
+    /// receivers hear it.
+    pub(crate) fn from_packet(pkt: &Packet) -> Option<BaselineMsg> {
+        match pkt.decoded(|payload| BaselineMsg::decode(payload.clone())) {
+            Some(msg) => *msg,
+            None => BaselineMsg::decode(pkt.payload.clone()),
+        }
     }
 }
 

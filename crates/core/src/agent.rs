@@ -1452,14 +1452,19 @@ impl SrmAgent {
 
     /// A packet addressed to a group this member has joined arrived.
     pub fn drive_packet(&mut self, ctx: &mut dyn Driver, pkt: &Packet) {
-        self.retire_expired(ctx.now());
-        let msg = match Message::decode(pkt.payload.clone()) {
-            Ok(m) => m,
+        match Message::decode(pkt.payload.clone()) {
+            Ok(msg) => self.drive_message(ctx, pkt, msg),
             Err(_) => {
+                self.retire_expired(ctx.now());
                 self.metrics.decode_errors += 1;
-                return;
             }
-        };
+        }
+    }
+
+    /// [`SrmAgent::drive_packet`] for a caller that has already decoded
+    /// `pkt`'s payload into `msg`.
+    pub fn drive_message(&mut self, ctx: &mut dyn Driver, pkt: &Packet, msg: Message) {
+        self.retire_expired(ctx.now());
         self.metrics.valid_messages += 1;
         if msg.header.sender == self.id {
             return; // stale loopback; ignore our own traffic
@@ -1540,8 +1545,14 @@ impl Application for SrmAgent {
         self.drive_restart(ctx);
     }
 
+    /// Decodes through the packet's shared slot, so one multicast is
+    /// decoded once however many members hear it. A payload that does not
+    /// decode, or a slot another type filled, goes the `drive_packet` way.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        self.drive_packet(ctx, pkt);
+        match pkt.decoded(|payload| Message::decode(payload.clone()).ok()) {
+            Some(Some(msg)) => self.drive_message(ctx, pkt, msg.clone()),
+            _ => self.drive_packet(ctx, pkt),
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -95,7 +95,7 @@ impl DistanceEstimator {
             .map(|(&peer, pc)| Echo {
                 peer,
                 their_ts: pc.last_ts,
-                delay: now.since(pc.received_at),
+                delay: elapsed(now, pc.received_at),
             })
             .collect()
     }
@@ -131,7 +131,7 @@ impl DistanceEstimator {
     pub fn active_peers(&self, now: SimTime, window: SimDuration) -> Vec<SourceId> {
         self.peers
             .iter()
-            .filter(|(_, pc)| now.since(pc.received_at) <= window)
+            .filter(|(_, pc)| elapsed(now, pc.received_at) <= window)
             .map(|(&p, _)| p)
             .collect()
     }
@@ -145,6 +145,17 @@ impl DistanceEstimator {
             distance: None,
         });
         e.distance = Some(d);
+    }
+}
+
+/// Time from `then` to `now` on the local clock, zero when `then` is later:
+/// a clock stepped backwards (NTP, or a skew fault in the simulator) leaves
+/// receive times recorded before the step in the clock's future.
+fn elapsed(now: SimTime, then: SimTime) -> SimDuration {
+    if now >= then {
+        now.since(then)
+    } else {
+        SimDuration::ZERO
     }
 }
 
@@ -243,6 +254,18 @@ mod tests {
         };
         est.process_echo(B, &echo, SimTime::from_secs(2));
         assert_eq!(est.distance_to(B), SimDuration::from_secs(3));
+    }
+
+    #[test]
+    fn a_clock_stepped_backwards_echoes_zero_delay() {
+        let mut est = DistanceEstimator::new(SimDuration::from_secs(1));
+        est.note_timestamp(B, SimTime::from_secs(100), SimTime::from_secs(50));
+        // The local clock went back 20 s: the receipt is now in its future.
+        let now = SimTime::from_secs(30);
+        let echoes = est.make_echoes(now);
+        assert_eq!(echoes[0].their_ts, SimTime::from_secs(100));
+        assert_eq!(echoes[0].delay, SimDuration::ZERO);
+        assert_eq!(est.active_peers(now, SimDuration::from_secs(1)), vec![B]);
     }
 
     #[test]

@@ -159,3 +159,30 @@ fn recovery_survives_clock_skew_on_requestor() {
     assert!(a3.metrics.all_recovered(), "skewed node still recovers");
     assert_eq!(a3.store().len(), 2);
 }
+
+/// A clock stepped backwards leaves a member's last receive times in its
+/// own future. Its next session message must echo them with a zero delay
+/// rather than trip `SimTime::since` (a debug-build panic).
+#[test]
+fn a_clock_stepped_backwards_keeps_sessions_running() {
+    let mut sim = Simulator::new(chain(3), 99);
+    for i in 0..3u32 {
+        sim.install(
+            NodeId(i),
+            SrmAgent::new(SourceId(i as u64), GROUP, SrmConfig::fixed(3)),
+        );
+        sim.join(NodeId(i), GROUP);
+    }
+    sim.set_fault_plan(FaultPlan::new().clock_skew(SimTime::from_secs(30), NodeId(1), -20.0));
+    sim.run_until(SimTime::from_secs(200));
+    let a1 = sim.app(NodeId(1)).unwrap();
+    assert!(
+        a1.metrics.session_sent > 0,
+        "the stepped member kept sending sessions"
+    );
+    assert_eq!(
+        a1.distances().peer_count(),
+        2,
+        "and kept hearing both peers"
+    );
+}

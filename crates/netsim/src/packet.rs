@@ -8,9 +8,17 @@
 //! from Section VII-B3), an administrative-scope flag, and a size used for
 //! bandwidth accounting. A `flow` label distinguishes traffic classes for
 //! loss models and statistics without peeking into the payload.
+//!
+//! Decoding stays the application's job too, but one transmission reaches
+//! many receivers, so [`Packet::decoded`] lets them share it: the first
+//! receiver to ask decodes the payload, and every copy of the packet keeps
+//! the result.
 
 use crate::topology::NodeId;
 use bytes::Bytes;
+use std::any::Any;
+use std::cell::OnceCell;
+use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -75,17 +83,25 @@ pub struct PacketBody {
     pub payload: Bytes,
 }
 
+/// What every copy of one transmission shares: the body, and the slot
+/// [`Packet::decoded`] fills once.
+struct Shared {
+    body: PacketBody,
+    decoded: OnceCell<Box<dyn Any>>,
+}
+
 /// A packet in flight: the per-copy mutable header (just the remaining
-/// TTL) plus a shared handle to the immutable [`PacketBody`].
+/// TTL) plus a shared handle to the immutable [`PacketBody`] and its
+/// decode slot.
 ///
 /// Derefs to [`PacketBody`], so field reads (`pkt.src`, `pkt.payload`, …)
 /// look exactly like they did when `Packet` was one flat struct. Cloning
 /// is a reference-count bump plus one byte.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Packet {
     /// Remaining time-to-live; decremented at every hop.
     pub ttl: u8,
-    body: Rc<PacketBody>,
+    shared: Rc<Shared>,
 }
 
 impl Deref for Packet {
@@ -93,7 +109,16 @@ impl Deref for Packet {
 
     #[inline]
     fn deref(&self) -> &PacketBody {
-        &self.body
+        &self.shared.body
+    }
+}
+
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Packet")
+            .field("ttl", &self.ttl)
+            .field("body", &self.shared.body)
+            .finish()
     }
 }
 
@@ -102,7 +127,10 @@ impl Packet {
     pub fn new(ttl: u8, body: PacketBody) -> Packet {
         Packet {
             ttl,
-            body: Rc::new(body),
+            shared: Rc::new(Shared {
+                body,
+                decoded: OnceCell::new(),
+            }),
         }
     }
 
@@ -111,13 +139,28 @@ impl Packet {
     pub fn forwarded(&self) -> Packet {
         Packet {
             ttl: self.ttl - 1,
-            body: Rc::clone(&self.body),
+            shared: Rc::clone(&self.shared),
         }
     }
 
     /// Do two packets share one body allocation? (Diagnostics/tests.)
     pub fn shares_body(&self, other: &Packet) -> bool {
-        Rc::ptr_eq(&self.body, &other.body)
+        Rc::ptr_eq(&self.shared, &other.shared)
+    }
+
+    /// The payload decoded by `f`, computed at most once per transmission
+    /// and shared by every copy of it: the first caller fills the slot and
+    /// every later one, at any receiver, reads it.
+    ///
+    /// `f` sees only the payload, never the per-copy TTL, so what it
+    /// caches cannot depend on which copy asked first. The slot holds one
+    /// type, the first one asked for; asking for another gives `None` (and
+    /// does not call `f`), and the caller decodes the payload itself.
+    pub fn decoded<T: 'static>(&self, f: impl FnOnce(&Bytes) -> T) -> Option<&T> {
+        self.shared
+            .decoded
+            .get_or_init(|| Box::new(f(&self.shared.body.payload)))
+            .downcast_ref()
     }
 
     /// Hops traversed so far, derived from the carried initial TTL.
@@ -207,6 +250,34 @@ mod tests {
         // A separately constructed packet does not share.
         let q = Packet::new(250, body());
         assert!(!p.shares_body(&q));
+    }
+
+    #[test]
+    fn copies_share_one_decode_slot() {
+        let p = Packet::new(250, body());
+        let calls = std::cell::Cell::new(0);
+        let decode = |_: &Bytes| {
+            calls.set(calls.get() + 1);
+            7u32
+        };
+        assert_eq!(p.forwarded().forwarded().decoded(decode), Some(&7));
+        let again = |_: &Bytes| -> u32 { unreachable!("decoded twice") };
+        assert_eq!(p.decoded(again), Some(&7));
+        assert_eq!(p.clone().decoded(again), Some(&7));
+        assert_eq!(calls.get(), 1);
+        // A separately constructed packet has a slot of its own.
+        assert_eq!(Packet::new(250, body()).decoded(|_| 8u32), Some(&8));
+    }
+
+    #[test]
+    fn the_first_type_to_fill_the_slot_wins() {
+        let p = Packet::new(250, body());
+        assert_eq!(p.decoded(|b| b.len()), Some(&0usize));
+        assert_eq!(
+            p.decoded(|_| -> u8 { unreachable!("slot already full") }),
+            None
+        );
+        assert_eq!(p.forwarded().decoded(|_| 1usize), Some(&0usize));
     }
 
     #[test]

@@ -1228,6 +1228,52 @@ mod tests {
         assert!(reordered, "jitter produced a reordering in 20 seeds");
     }
 
+    /// Decodes what it hears through the packet's shared slot; every
+    /// instance bumps one shared tally when its closure actually runs.
+    struct Decoder {
+        decodes: Rc<std::cell::Cell<u32>>,
+        heard: Vec<u8>,
+    }
+
+    impl Application for Decoder {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, pkt: &Packet) {
+            let decodes = &self.decodes;
+            let tag = pkt.decoded(|payload| {
+                decodes.set(decodes.get() + 1);
+                payload[0]
+            });
+            self.heard.push(*tag.expect("only u8 is ever decoded"));
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    }
+
+    #[test]
+    fn a_transmission_is_decoded_once_however_many_receive_it() {
+        let decodes = Rc::new(std::cell::Cell::new(0));
+        let mut sim = Simulator::new(star(9), 1);
+        for i in 0..=9u32 {
+            let decodes = decodes.clone();
+            sim.install(NodeId(i), Decoder { decodes, heard: Vec::new() });
+            sim.join(NodeId(i), G);
+        }
+        // Every crossing delivers two copies: duplicates share the slot too.
+        sim.set_channel_effects(Box::new(crate::effects::RandomEffects::new(
+            1.0,
+            SimDuration::ZERO,
+            1,
+        )));
+        sim.send_from(NodeId(1), G, Bytes::from_static(&[1]), SendOptions::default());
+        sim.send_from(NodeId(2), G, Bytes::from_static(&[2]), SendOptions::default());
+        let unicast = Bytes::from_static(&[3]);
+        sim.send_unicast_from(NodeId(3), NodeId(4), unicast, SendOptions::default());
+        assert!(sim.run_until_idle(SimTime::from_secs(100)));
+        assert_eq!(decodes.get(), 3, "one decode per transmission");
+        // Two links from leaf to leaf, each doubling: four copies apiece.
+        let heard = |n: u32| sim.app(NodeId(n)).unwrap().heard.clone();
+        assert_eq!(heard(5), [1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!(heard(4), [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]);
+    }
+
     #[test]
     fn link_down_blocks_and_link_up_restores() {
         let mut sim = setup_chain(5);

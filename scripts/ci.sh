@@ -94,6 +94,11 @@ cargo test -q -p netsim --lib -- cancel_after_fire_leaves_nothing_behind \
     a_panicking_handler_leaves_its_app_installed timers_fire_and_cancel \
     crash_silences_node_and_invalidates_timers
 
+echo "== one decode per simulated transmission (shared slot in netsim::Packet; memo path = decode-per-receiver path) =="
+cargo test -q -p netsim --lib -- a_transmission_is_decoded_once_however_many_receive_it \
+    copies_share_one_decode_slot the_first_type_to_fill_the_slot_wins
+cargo test -q --test decode_once
+
 echo "== allocation budget (exact heap allocations per sent and per received ADU, live pair) =="
 cargo test -q --test alloc_budget
 
@@ -164,6 +169,10 @@ cargo test -q -p obs --lib json::
 echo "== distance estimation across a live restart (an echo of a future timestamp is ignored) =="
 cargo test -q -p srm --lib an_echo_from_the_future_leaves_the_estimate_alone
 cargo test -q --test agent_fuzz an_echo_of_a_future_timestamp_leaves_the_distance_estimate_alone
+
+echo "== a clock stepped backwards (receive times in the local future echo a zero delay; sessions keep running) =="
+cargo test -q -p srm --lib a_clock_stepped_backwards_echoes_zero_delay
+cargo test -q -p srm --test fault_recovery a_clock_stepped_backwards_keeps_sessions_running
 
 echo "== inbound bound (a stalled reactor sheds what its channel cannot hold; SRM repairs it) =="
 cargo test -q --test transport_loopback a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them
