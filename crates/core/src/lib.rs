@@ -35,7 +35,11 @@
 //!
 //! [`SrmAgent`] assembles all of it behind a small application API
 //! (`send_data` / `take_delivered`) and runs over the deterministic
-//! [`netsim`] simulator.
+//! [`netsim`] simulator or, through the [`Driver`] seam, a live transport.
+//! Its code in [`agent`] is split the same way as this list: the send path
+//! under the rate limit (§III-E), the request side and the repair side of
+//! loss recovery (§III-B), session messages (§III-A), local recovery
+//! (§VII-B) and the crash/restart lifecycle each have a file of their own.
 //!
 //! ## Quick example
 //!

@@ -39,6 +39,7 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
+mod ring;
 pub mod stats;
 pub mod summary;
 pub mod timeline;

@@ -14,11 +14,10 @@
 //! ([`Recorder::dropped_events`]) — the right mode for long live `srm-node`
 //! runs whose memory must stay bounded.
 
-use std::collections::VecDeque;
-
 use netsim::SimTime;
 
 use crate::event::{AduKey, EventKind, RecordedEvent};
+use crate::ring::Ring;
 
 /// Captures the typed event stream of one member.
 ///
@@ -27,12 +26,7 @@ use crate::event::{AduKey, EventKind, RecordedEvent};
 /// total order that is stable even when events share a timestamp.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    enabled: bool,
-    /// `None` = unbounded; `Some(cap)` = ring of the most recent `cap`.
-    cap: Option<usize>,
-    seq: u64,
-    events: VecDeque<RecordedEvent>,
-    dropped: u64,
+    ring: Ring<RecordedEvent>,
 }
 
 impl Recorder {
@@ -44,8 +38,7 @@ impl Recorder {
     /// Turn recording on, unbounded.  Safe to call at any point; events
     /// before the call are simply not captured.
     pub fn enable(&mut self) {
-        self.enabled = true;
-        self.cap = None;
+        self.ring.enable(None);
     }
 
     /// Turn recording on with a ring of the most recent `cap` events.
@@ -53,67 +46,51 @@ impl Recorder {
     /// [`Recorder::dropped_events`].  A `cap` of 0 records nothing (every
     /// event counts as dropped).
     pub fn enable_bounded(&mut self, cap: usize) {
-        self.enabled = true;
-        self.cap = Some(cap);
+        self.ring.enable(Some(cap));
     }
 
     /// Is this recorder capturing events?
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.ring.enabled
     }
 
     /// The ring capacity, or `None` when unbounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.cap
+        self.ring.cap
     }
 
     /// Number of events evicted from the ring since enabling (always 0 in
     /// unbounded mode).
     pub fn dropped_events(&self) -> u64 {
-        self.dropped
+        self.ring.dropped
     }
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.ring.events.len()
     }
 
     /// True if no events have been captured.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.ring.events.is_empty()
     }
 
     /// Record one event.  No-op (single branch) when disabled.
     #[inline]
     pub fn record(&mut self, at: SimTime, adu: AduKey, kind: EventKind) {
-        if !self.enabled {
-            return;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        if let Some(cap) = self.cap {
-            if cap == 0 {
-                self.dropped += 1;
-                return;
-            }
-            if self.events.len() == cap {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.events.push_back(RecordedEvent { at, adu, kind, seq });
+        self.ring.push(|seq| RecordedEvent { at, adu, kind, seq });
     }
 
     /// Drain the captured events, leaving the recorder enabled-state and
     /// sequence counter intact (a crash/restart cycle keeps numbering
     /// monotone).
     pub fn take_events(&mut self) -> Vec<RecordedEvent> {
-        std::mem::take(&mut self.events).into()
+        self.ring.take()
     }
 
     /// Iterate the captured events without draining, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &RecordedEvent> {
-        self.events.iter()
+        self.ring.events.iter()
     }
 }
 

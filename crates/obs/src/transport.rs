@@ -15,12 +15,12 @@
 //! renders a per-member transport table — but only when any transport events
 //! exist, so simulator reports stay byte-identical.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use netsim::{SimDuration, SimTime};
 
 use crate::event::fmt_time;
+use crate::ring::Ring;
 
 /// One transport-layer happening.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,18 +197,13 @@ pub struct TransportRecord {
 
 /// Captures the transport event stream of one node.
 ///
-/// Mirrors [`Recorder`](crate::Recorder): disabled by default, one branch
+/// Shares its ring with [`Recorder`](crate::Recorder): disabled by default, one branch
 /// when off, sequence numbering survives drains, and
 /// [`TransportLog::enable_bounded`] keeps a ring of the most recent events
 /// with a dropped count for long live runs.
 #[derive(Debug, Clone, Default)]
 pub struct TransportLog {
-    enabled: bool,
-    /// `None` = unbounded; `Some(cap)` = ring of the most recent `cap`.
-    cap: Option<usize>,
-    seq: u64,
-    events: VecDeque<TransportRecord>,
-    dropped: u64,
+    ring: Ring<TransportRecord>,
 }
 
 impl TransportLog {
@@ -220,73 +215,56 @@ impl TransportLog {
     /// Turn capture on, unbounded.  Events before the call are simply not
     /// captured.
     pub fn enable(&mut self) {
-        self.enabled = true;
-        self.cap = None;
+        self.ring.enable(None);
     }
 
     /// Turn capture on with a ring of the most recent `cap` events; evicted
     /// events are counted in [`TransportLog::dropped_events`].  A `cap` of 0
     /// records nothing.
     pub fn enable_bounded(&mut self, cap: usize) {
-        self.enabled = true;
-        self.cap = Some(cap);
+        self.ring.enable(Some(cap));
     }
 
     /// Is this log capturing events?
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.ring.enabled
     }
 
     /// The ring capacity, or `None` when unbounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.cap
+        self.ring.cap
     }
 
     /// Number of events evicted from the ring since enabling.
     pub fn dropped_events(&self) -> u64 {
-        self.dropped
+        self.ring.dropped
     }
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.ring.events.len()
     }
 
     /// True if no events have been captured.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.ring.events.is_empty()
     }
 
     /// Record one event.  No-op (single branch) when disabled.
     #[inline]
     pub fn record(&mut self, at: SimTime, kind: TransportEventKind) {
-        if !self.enabled {
-            return;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        if let Some(cap) = self.cap {
-            if cap == 0 {
-                self.dropped += 1;
-                return;
-            }
-            if self.events.len() == cap {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.events.push_back(TransportRecord { at, kind, seq });
+        self.ring.push(|seq| TransportRecord { at, kind, seq });
     }
 
     /// Drain the captured events, keeping enabled-state and sequence counter
     /// (crash/restart cycles keep numbering monotone).
     pub fn take_events(&mut self) -> Vec<TransportRecord> {
-        std::mem::take(&mut self.events).into()
+        self.ring.take()
     }
 
     /// Iterate the captured events without draining, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TransportRecord> {
-        self.events.iter()
+        self.ring.events.iter()
     }
 
     /// Merge another log's drained events into this one, restoring the global
@@ -298,23 +276,19 @@ impl TransportLog {
         if other.is_empty() {
             return;
         }
-        let mut all: Vec<TransportRecord> = std::mem::take(&mut self.events).into();
+        let mut all = self.ring.take();
         all.append(&mut other);
         // Stable by-time sort keeps same-instant events in their original
         // relative order within each source stream.
         all.sort_by_key(|e| e.at.as_nanos());
-        if let Some(cap) = self.cap {
-            if all.len() > cap {
-                let excess = all.len() - cap;
-                all.drain(..excess);
-                self.dropped += excess as u64;
-            }
-        }
+        let excess = self.ring.cap.map_or(0, |cap| all.len().saturating_sub(cap));
+        all.drain(..excess);
+        self.ring.dropped += excess as u64;
         for (i, e) in all.iter_mut().enumerate() {
             e.seq = i as u64;
         }
-        self.seq = all.len() as u64;
-        self.events = all.into();
+        self.ring.seq = all.len() as u64;
+        self.ring.events = all.into();
     }
 }
 

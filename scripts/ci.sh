@@ -102,8 +102,9 @@ cargo test -q --test decode_once
 echo "== allocation budget (exact heap allocations per sent and per received ADU, live pair) =="
 cargo test -q --test alloc_budget
 
-echo "== golden trace (observability JSONL pins) =="
+echo "== golden trace (observability JSONL pins; the rate-limited one is the only pin on the token bucket and send priorities) =="
 cargo test -q --test golden_trace
+cargo test -q --test golden_trace rate_limited_recovery_matches_golden
 
 echo "== srm-hub smoke (4 groups via control TCP, delivery + clean drain) =="
 cargo build --release -p srm-transport --bin srm-hub
@@ -177,12 +178,12 @@ cargo test -q -p srm --test fault_recovery a_clock_stepped_backwards_keeps_sessi
 echo "== inbound bound (a stalled reactor sheds what its channel cannot hold; SRM repairs it) =="
 cargo test -q --test transport_loopback a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser and the multicast-join fallback must stay gone) =="
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback and the single-file agent must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
 stale='BENCH_[49]\.json|srm-b[e]nch|srm-liv[e]bench|scripts/b[e]nch\.sh|LIVE_D[E]BUG|cargo b[e]nch'
-stale+='|enum J[v]\b|srm_sim::j[s]on|cli::j[s]on|fallback_p[e]ers|ModeF[a]llback'
+stale+='|enum J[v]\b|srm_sim::j[s]on|cli::j[s]on|fallback_p[e]ers|ModeF[a]llback|core/src/agent\.[r]s'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -199,9 +200,19 @@ echo "== ADU fast path size: store.rs + reactor.rs (code lines, then raw) =="
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | grep -cvE '^\s*(//|$)'
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | wc -l
 
-echo "== recovery path size: agent.rs + sim.rs (code lines, then raw), and size_of::<SrmAgent>() =="
-cat crates/core/src/agent.rs crates/netsim/src/sim.rs | grep -cvE '^\s*(//|$)'
-cat crates/core/src/agent.rs crates/netsim/src/sim.rs | wc -l
+echo "== recovery path size: agent/*.rs (code lines before #[cfg(test)], raw lines; a non-test file over 600 raw lines fails), sim.rs, size_of::<SrmAgent>() =="
+agent_code=0
+for f in crates/core/src/agent/*.rs; do
+    code=$(awk '/#\[cfg\(test\)\]/ {exit} {print}' "$f" | grep -cvE '^\s*(//|$)')
+    raw=$(wc -l < "$f")
+    echo "$f: $code code, $raw raw"
+    [ "$(basename "$f")" = tests.rs ] && continue
+    agent_code=$((agent_code + code))
+    [ "$raw" -le 600 ] || { echo "$f has $raw raw lines (limit 600)" >&2; exit 1; }
+done
+echo "agent/ non-test code lines: $agent_code"
+echo "crates/netsim/src/sim.rs: $(grep -cvE '^\s*(//|$)' crates/netsim/src/sim.rs) code, $(wc -l < crates/netsim/src/sim.rs) raw"
+# agent_size_is_reported fails if the agent grows past its pinned size.
 cargo test -q -p srm --lib agent_size_is_reported -- --nocapture | grep 'size_of::<SrmAgent>'
 
 echo "== public option fields (BatchOptions, NodeOptions, HubOptions; a new knob shows up here) =="

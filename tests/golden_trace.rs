@@ -1,6 +1,7 @@
 //! Golden-file tests for the observability layer: the JSONL timeline of a
-//! small deterministic scenario is pinned byte-for-byte, for both a plain
-//! single-drop run and a faulted (source-crash) variant.
+//! small deterministic scenario is pinned byte-for-byte, for a plain
+//! single-drop run, a faulted (source-crash) variant and a rate-limited
+//! lossy session.
 //!
 //! These pins are what makes the tracing layer trustworthy as a debugging
 //! tool: if an instrumentation point moves, disappears, or changes its
@@ -82,6 +83,21 @@ fn source_crash_timeline_matches_golden() {
     // The faulted variant must carry its fault window in the export.
     assert!(jsonl.contains("\"fault\":\"crash\""), "fault span missing");
     assert_golden("source_crash", &jsonl);
+}
+
+/// The one pin on the agent's token bucket and send priorities (§III-E):
+/// `scenarios/rate_limited_recovery.json` limits every member to 300 B/s,
+/// so data queues at the source and requests and repairs wait behind it or
+/// jump ahead of it. Dropping the limit, or reversing the queue's priority
+/// order, moves this timeline.
+#[test]
+fn rate_limited_recovery_matches_golden() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let text = std::fs::read_to_string(path.join("rate_limited_recovery.json")).expect("scenario");
+    let scenario = srm_sim::Scenario::from_json(&text).expect("valid scenario");
+    let (report, timeline) = srm_sim::run_with_trace(&scenario).expect("runs");
+    assert_eq!(report.complete_receivers, report.members - 1);
+    assert_golden("rate_limited_recovery", &timeline.to_jsonl());
 }
 
 /// The issue's acceptance criterion, pinned at the tier-1 level: the traced
