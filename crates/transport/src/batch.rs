@@ -2,17 +2,18 @@
 //!
 //! The runtime's datapath cost at flood rates is dominated by syscalls —
 //! one `recv_from` and one `send_to` per frame. [`BatchSocket`] abstracts
-//! the socket so the recv thread can drain **up to N datagrams per
-//! syscall** and the reactor can flush a whole wakeup's queued sends in
-//! one call:
+//! the socket so the reactor that owns it can drain **up to N datagrams
+//! per syscall** and every reactor can flush a whole wakeup's queued sends
+//! in one call:
 //!
 //! - [`MmsgSocket`] (Linux): `recvmmsg(2)` / `sendmmsg(2)` through a
 //!   minimal hand-declared FFI surface (the workspace builds offline, so
 //!   no `libc` crate; the declarations match the stable 64-bit Linux ABI).
-//!   `recvmmsg` runs with `MSG_WAITFORONE`: it blocks for the first
-//!   datagram under the socket's read timeout — preserving the supervised
-//!   recv loop's heartbeat — then drains whatever else is already queued
-//!   without blocking again.
+//!   `recvmmsg` runs with `MSG_WAITFORONE`: on a blocking socket it waits
+//!   for the first datagram under the socket's read timeout, then drains
+//!   whatever else is already queued without blocking again; on the
+//!   reactor's non-blocking socket, which it reads only once `ppoll` says
+//!   it is readable, it never blocks at all.
 //! - [`PortableSocket`] (everywhere): the one-at-a-time fallback, which
 //!   still receives into pooled slabs (fixing the old per-frame `Vec`
 //!   allocation) and shares the batched send accounting path.
@@ -26,6 +27,7 @@
 use crate::pool::{BufferPool, PoolBuf};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::time::Duration;
 
 /// Upper bound on frames per syscall, either direction (the kernel caps
 /// `vlen` at `UIO_MAXIOV` anyway; 256 keeps the FFI scratch arrays at a
@@ -43,8 +45,8 @@ pub struct BatchOptions {
     /// Max frames per send syscall when flushing the reactor's queue.
     pub send_batch: usize,
     /// Receive-pool slabs. Each slab holds one max-size UDP datagram;
-    /// more slabs let more frames ride the `recv → reactor` channel
-    /// without falling back to heap buffers.
+    /// more slabs let more frames wait in a hub shard's inbox without
+    /// falling back to heap buffers.
     pub pool_slabs: usize,
     /// Requested kernel socket buffer size (`SO_RCVBUF`/`SO_SNDBUF`),
     /// applied at spawn where the platform allows (Linux; silently
@@ -70,8 +72,8 @@ impl Default for BatchOptions {
 }
 
 /// Put the calling thread under the `SCHED_BATCH` policy (Linux; no-op
-/// elsewhere, and harmless if the kernel refuses). Every recv and reactor
-/// thread calls this: the scheduler stops letting every datagram arrival
+/// elsewhere, and harmless if the kernel refuses). Every reactor thread
+/// calls this: the scheduler stops letting every datagram arrival
 /// preempt the burst that produced it, so on busy (especially
 /// single-core) hosts the datapath moves timeslice-sized batches instead
 /// of context-switching per frame. Timer fidelity degrades by at most a
@@ -85,12 +87,58 @@ pub fn enter_batch_scheduling() {
 /// directions). Best-effort: platforms without the hook, or kernels that
 /// clamp the request, leave the socket usable with its default buffers.
 /// Clones of `sock` share the underlying socket, so one call at spawn
-/// covers the recv thread and the send path.
+/// covers the read path and every reactor's send path.
 pub fn configure_socket_buffers(sock: &UdpSocket, bytes: usize) {
     #[cfg(target_os = "linux")]
     ffi::set_buffer_sizes(sock, bytes);
     #[cfg(not(target_os = "linux"))]
     let _ = (sock, bytes);
+}
+
+/// A reactor's doorbell: ringing it ends the reactor's current or next
+/// [`wait`]. An eventfd on Linux; elsewhere nothing, and the wait polls.
+pub(crate) struct Bell {
+    #[cfg(target_os = "linux")]
+    fd: std::fs::File,
+}
+
+impl Bell {
+    pub(crate) fn new() -> io::Result<Bell> {
+        Ok(Bell {
+            #[cfg(target_os = "linux")]
+            fd: ffi::eventfd_file()?,
+        })
+    }
+
+    /// Wake the reactor. Adding to an eventfd cannot fail short of 2^64
+    /// unread rings.
+    pub(crate) fn ring(&self) {
+        #[cfg(target_os = "linux")]
+        let _ = io::Write::write(&mut &self.fd, &1u64.to_ne_bytes());
+    }
+}
+
+/// Sleep until `sock` (when given) is readable, `bell` rings, or `timeout`
+/// passes: one `ppoll(2)`, whose `timespec` keeps the timeout to the
+/// nanosecond. A ring is consumed here, before the caller drains what it
+/// announced. Returns whether the socket is readable.
+pub(crate) fn wait(sock: Option<&UdpSocket>, bell: &Bell, timeout: Duration) -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::unix::io::AsRawFd;
+        let sock_fd = sock.map_or(-1, |s| s.as_raw_fd());
+        let [readable, rung] = ffi::poll_readable([sock_fd, bell.fd.as_raw_fd()], timeout);
+        if rung {
+            let _ = io::Read::read(&mut &bell.fd, &mut [0u8; 8]);
+        }
+        readable
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = bell;
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        sock.is_some()
+    }
 }
 
 /// One outgoing frame of a flush batch.
@@ -149,6 +197,14 @@ pub trait BatchSocket: Send {
 
     /// Stable name for logs and metrics (`"mmsg"` or `"portable"`).
     fn backend_name(&self) -> &'static str;
+
+    /// Datagrams the kernel dropped because this socket's receive buffer
+    /// was full, cumulative, as of the last datagram received
+    /// (`SO_RXQ_OVFL`; a dropped GRO super-datagram counts once). Zero
+    /// where the backend cannot tell.
+    fn kernel_drops(&self) -> u64 {
+        0
+    }
 }
 
 /// Build the best backend for this platform (or the portable one when
@@ -245,19 +301,23 @@ pub struct MmsgSocket {
     /// Cleared the first time the kernel rejects a `UDP_SEGMENT` send;
     /// every later run falls back to `sendmmsg` silently.
     gso_ok: bool,
+    /// The socket's cumulative drop count, as the last datagram carried it.
+    drops: u32,
 }
 
 #[cfg(target_os = "linux")]
 impl MmsgSocket {
-    /// Wrap an already-configured socket, opting it into `UDP_GRO`
-    /// (best-effort: an old kernel just never coalesces).
+    /// Wrap an already-configured socket, opting it into `UDP_GRO` and
+    /// `SO_RXQ_OVFL` (best-effort: an old kernel just never coalesces, or
+    /// never reports its drops).
     pub fn new(sock: UdpSocket) -> Self {
-        ffi::enable_gro(&sock);
+        ffi::enable_rx_options(&sock);
         MmsgSocket {
             sock,
             ready: Vec::new(),
             scratch: vec![0u8; crate::reactor::MAX_DATAGRAM],
             gso_ok: true,
+            drops: 0,
         }
     }
 }
@@ -283,7 +343,7 @@ impl BatchSocket for MmsgSocket {
             // stalling. Must go through `recvmsg` (not `recv_from`): this
             // socket has GRO enabled, and a coalesced buffer read without
             // its control message would silently merge frames.
-            let (n, seg) = ffi::recvmsg_single(&self.sock, &mut self.scratch)?;
+            let (n, seg) = ffi::recvmsg_single(&self.sock, &mut self.scratch, &mut self.drops)?;
             pool.note_miss();
             out.push(RecvFrame {
                 buf: PoolBuf::copied_from(&self.scratch[..n]),
@@ -292,7 +352,7 @@ impl BatchSocket for MmsgSocket {
             return Ok(1);
         }
         let mut segs = [0u32; MAX_BATCH];
-        let got = ffi::recvmmsg_into(&self.sock, &mut self.ready, &mut segs)?;
+        let got = ffi::recvmmsg_into(&self.sock, &mut self.ready, &mut segs, &mut self.drops)?;
         for (buf, seg) in self.ready.drain(..got).zip(segs.iter()) {
             out.push(RecvFrame { buf, seg_size: *seg });
         }
@@ -367,6 +427,10 @@ impl BatchSocket for MmsgSocket {
     fn backend_name(&self) -> &'static str {
         "mmsg"
     }
+
+    fn kernel_drops(&self) -> u64 {
+        u64::from(self.drops)
+    }
 }
 
 /// Errors that mean "this kernel cannot do `UDP_SEGMENT`", as opposed to
@@ -377,10 +441,11 @@ fn is_gso_unsupported(e: &io::Error) -> bool {
     // EINVAL, EOPNOTSUPP, ENOPROTOOPT
 }
 
-/// The minimal FFI surface for `recvmmsg`/`sendmmsg`.
+/// The minimal FFI surface for `recvmmsg`/`sendmmsg`, the reactor's
+/// eventfd and its `ppoll`.
 ///
 /// The only `unsafe` in the crate lives here (the crate is otherwise
-/// `deny(unsafe_code)`): two syscall wrappers over hand-declared structs
+/// `deny(unsafe_code)`): syscall wrappers over hand-declared structs
 /// matching the 64-bit Linux ABI (x86_64 and aarch64, glibc and musl —
 /// the layouts coincide for zero-initialized headers). Size assertions at
 /// the call sites guard against drift.
@@ -389,9 +454,12 @@ fn is_gso_unsupported(e: &io::Error) -> bool {
 mod ffi {
     use super::SendFrame;
     use crate::pool::PoolBuf;
+    use std::fs::File;
     use std::io;
+    use std::mem::MaybeUninit;
     use std::net::{SocketAddr, UdpSocket};
-    use std::os::unix::io::AsRawFd;
+    use std::os::unix::io::{AsRawFd, FromRawFd};
+    use std::time::Duration;
 
     /// `MSG_WAITFORONE`: block (per `SO_RCVTIMEO`) for the first
     /// datagram, then turn on `MSG_DONTWAIT` for the rest of the batch.
@@ -435,18 +503,37 @@ mod ffi {
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
+    /// `setsockopt`/cmsg code: attach the socket's cumulative drop count
+    /// to every received datagram.
+    const SO_RXQ_OVFL: i32 = 40;
     const SCHED_BATCH: i32 = 3;
     const SOL_UDP: i32 = 17;
     /// `setsockopt`/cmsg codes for UDP generic segmentation offload.
     const UDP_SEGMENT: i32 = 103;
     const UDP_GRO: i32 = 104;
-    /// Per-message control buffer: `CMSG_SPACE(sizeof(int))` for the GRO
-    /// segment size, with slack for incidental control data.
+    /// Per-message control buffer: `CMSG_SPACE(sizeof(int))` each for the
+    /// GRO segment size and the drop count, with slack.
     const CTRL_LEN: usize = 64;
+    const EFD_NONBLOCK: i32 = 0o4000;
+    const EFD_CLOEXEC: i32 = 0o2_000_000;
+    const POLLIN: i16 = 1;
 
     #[repr(C)]
     struct SchedParam {
         priority: i32,
+    }
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    #[repr(C)]
+    struct TimeSpec {
+        sec: i64,
+        nsec: i64,
     }
 
     /// `struct cmsghdr` on 64-bit Linux; data follows, aligned to usize.
@@ -473,12 +560,52 @@ mod ffi {
         fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
         fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
         fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
+        fn eventfd(initval: u32, flags: i32) -> i32;
+        fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const TimeSpec, sigmask: *const u8) -> i32;
     }
 
-    /// Receive one buffer into `buf`, returning `(len, gro_segment_size)`.
-    /// The GRO-aware stand-in for `recv_from`: a coalesced super-buffer
-    /// arrives with its segment size instead of silently merged.
-    pub(super) fn recvmsg_single(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, u32)> {
+    /// A fresh non-blocking, close-on-exec eventfd, owned by a `File` so
+    /// std does its reads, writes and close.
+    pub(super) fn eventfd_file() -> io::Result<File> {
+        // SAFETY: no pointers cross the call.
+        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a descriptor this call just opened; the `File`
+        // becomes its only owner.
+        Ok(unsafe { File::from_raw_fd(fd) })
+    }
+
+    /// Wait up to `timeout`, to the nanosecond, for any of `fds` to become
+    /// readable (a negative fd is skipped); `[bool; 2]` says which did.
+    /// An error or an error condition on a descriptor counts as readable
+    /// — the read that follows reports it — and a signal as nothing ready.
+    pub(super) fn poll_readable(fds: [i32; 2], timeout: Duration) -> [bool; 2] {
+        let mut polled = fds.map(|fd| PollFd { fd, events: POLLIN, revents: 0 });
+        let ts = TimeSpec {
+            sec: i64::try_from(timeout.as_secs()).unwrap_or(i64::MAX),
+            nsec: i64::from(timeout.subsec_nanos()),
+        };
+        // SAFETY: `polled` and `ts` are live locals for the duration of
+        // the call, and `nfds` is their length; a null sigmask keeps the
+        // thread's signal mask.
+        let r = unsafe { ppoll(polled.as_mut_ptr(), 2, &ts, std::ptr::null()) };
+        if r <= 0 {
+            return [false; 2];
+        }
+        polled.map(|p| p.revents != 0)
+    }
+
+    /// Receive one buffer into `buf`, returning `(len, gro_segment_size)`
+    /// and updating `drops` (see [`parse_ctrl`]). The GRO-aware stand-in
+    /// for `recv_from`: a coalesced super-buffer arrives with its segment
+    /// size instead of silently merged.
+    pub(super) fn recvmsg_single(
+        sock: &UdpSocket,
+        buf: &mut [u8],
+        drops: &mut u32,
+    ) -> io::Result<(usize, u32)> {
         assert_abi();
         let mut iov = IoVec { base: buf.as_mut_ptr(), len: buf.len() };
         let mut ctrl = CtrlBuf { data: [0; CTRL_LEN] };
@@ -496,7 +623,7 @@ mod ffi {
             // borrowed for the duration of the call.
             let r = unsafe { recvmsg(sock.as_raw_fd(), &mut msg, 0) };
             if r >= 0 {
-                return Ok((r as usize, parse_gro_size(&ctrl, msg.controllen)));
+                return Ok((r as usize, parse_ctrl(&ctrl, msg.controllen, drops)));
             }
             let e = io::Error::last_os_error();
             if e.kind() != io::ErrorKind::Interrupted {
@@ -505,18 +632,15 @@ mod ffi {
         }
     }
 
-    /// Opt the socket into receiving GRO-coalesced UDP (best-effort).
-    pub(super) fn enable_gro(sock: &UdpSocket) {
+    /// Opt the socket into receiving GRO-coalesced UDP and per-datagram
+    /// drop counts (best-effort, each).
+    pub(super) fn enable_rx_options(sock: &UdpSocket) {
         let one: i32 = 1;
-        // SAFETY: optval points at a live i32; optlen matches.
-        unsafe {
-            setsockopt(
-                sock.as_raw_fd(),
-                SOL_UDP,
-                UDP_GRO,
-                one.to_ne_bytes().as_ptr(),
-                4,
-            );
+        for (level, opt) in [(SOL_UDP, UDP_GRO), (SOL_SOCKET, SO_RXQ_OVFL)] {
+            // SAFETY: optval points at a live i32; optlen matches.
+            unsafe {
+                setsockopt(sock.as_raw_fd(), level, opt, one.to_ne_bytes().as_ptr(), 4);
+            }
         }
     }
 
@@ -609,19 +733,13 @@ mod ffi {
         assert_eq!(std::mem::size_of::<IoVec>(), 16, "iovec ABI drift");
     }
 
-    fn zeroed_hdr() -> MMsgHdr {
-        MMsgHdr {
-            hdr: MsgHdr {
-                name: std::ptr::null_mut(),
-                namelen: 0,
-                iov: std::ptr::null_mut(),
-                iovlen: 0,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            len: 0,
-        }
+    /// The header of one message carried by one iovec.
+    fn one_iov_hdr(
+        (name, namelen): (*mut u8, u32),
+        iov: *mut IoVec,
+        (control, controllen): (*mut u8, usize),
+    ) -> MMsgHdr {
+        MMsgHdr { hdr: MsgHdr { name, namelen, iov, iovlen: 1, control, controllen, flags: 0 }, len: 0 }
     }
 
     /// Serialize `dest` into `storage`, returning the sockaddr length.
@@ -646,37 +764,41 @@ mod ffi {
         }
     }
 
-    /// Fill the leading `bufs` from the socket: blocks for the first
-    /// datagram (respecting the socket's read timeout), then drains
-    /// whatever else is queued. Returns how many buffers were filled;
-    /// `segs[i]` carries the GRO segment size for coalesced buffers
-    /// (0 for plain datagrams).
+    /// Fill the leading `bufs` from the socket: waits for the first
+    /// datagram (on a blocking socket, under its read timeout), then
+    /// drains whatever else is queued. Returns how many buffers were
+    /// filled; `segs[i]` carries the GRO segment size for coalesced
+    /// buffers (0 for plain datagrams), and `drops` the socket's drop
+    /// count as the last of them carried it.
     pub(super) fn recvmmsg_into(
         sock: &UdpSocket,
         bufs: &mut [PoolBuf],
         segs: &mut [u32],
+        drops: &mut u32,
     ) -> io::Result<usize> {
         assert_abi();
         let n = bufs.len().min(super::MAX_BATCH).min(segs.len());
-        let mut iovecs = [IoVec { base: std::ptr::null_mut(), len: 0 }; super::MAX_BATCH];
-        let mut ctrls = [CtrlBuf { data: [0; CTRL_LEN] }; super::MAX_BATCH];
-        let mut hdrs = [zeroed_hdr(); super::MAX_BATCH];
+        // Scratch for `MAX_BATCH` entries, of which only the `n` handed to
+        // the kernel are written: a call costs its batch, not 36 KB of
+        // zeroed stack that would also push the reactor's working set out
+        // of the L1 cache.
+        let mut iovecs = [const { MaybeUninit::<IoVec>::uninit() }; super::MAX_BATCH];
+        let mut ctrls = [const { MaybeUninit::<CtrlBuf>::uninit() }; super::MAX_BATCH];
+        let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; super::MAX_BATCH];
         for (i, buf) in bufs.iter_mut().take(n).enumerate() {
             let slab = buf.slab_mut();
-            iovecs[i] = IoVec { base: slab.as_mut_ptr(), len: slab.len() };
-            hdrs[i].hdr.iov = &mut iovecs[i];
-            hdrs[i].hdr.iovlen = 1;
-            hdrs[i].hdr.control = ctrls[i].data.as_mut_ptr();
-            hdrs[i].hdr.controllen = CTRL_LEN;
+            let iov = iovecs[i].write(IoVec { base: slab.as_mut_ptr(), len: slab.len() });
+            let ctrl = ctrls[i].write(CtrlBuf { data: [0; CTRL_LEN] }).data.as_mut_ptr();
+            hdrs[i].write(one_iov_hdr((std::ptr::null_mut(), 0), iov, (ctrl, CTRL_LEN)));
         }
-        // SAFETY: `hdrs[..n]` is a valid mmsghdr array; every iovec and
-        // control pointer references a distinct live slab or stack buffer
-        // borrowed for the duration of the call; no pointer outlives this
-        // function.
+        // SAFETY: `hdrs[..n]` is a written, valid mmsghdr array
+        // (`MaybeUninit` is layout-transparent); every iovec and control
+        // pointer references a distinct live slab or written stack entry
+        // for the duration of the call; no pointer outlives this function.
         let r = unsafe {
             recvmmsg(
                 sock.as_raw_fd(),
-                hdrs.as_mut_ptr(),
+                hdrs.as_mut_ptr().cast(),
                 n as u32,
                 MSG_WAITFORONE,
                 std::ptr::null_mut(),
@@ -687,16 +809,21 @@ mod ffi {
         }
         let got = r as usize;
         for i in 0..got {
-            bufs[i].set_filled(hdrs[i].len as usize);
-            segs[i] = parse_gro_size(&ctrls[i], hdrs[i].hdr.controllen);
+            // SAFETY: the kernel filled at most the `n` entries written above.
+            let (h, ctrl) = unsafe { (hdrs[i].assume_init_ref(), ctrls[i].assume_init_ref()) };
+            bufs[i].set_filled(h.len as usize);
+            segs[i] = parse_ctrl(ctrl, h.hdr.controllen, drops);
         }
         Ok(got)
     }
 
-    /// Pull the GRO segment size out of a received control buffer, 0 when
-    /// absent (i.e. an ordinary single datagram).
-    fn parse_gro_size(ctrl: &CtrlBuf, controllen: usize) -> u32 {
+    /// Walk a received control buffer: return the GRO segment size (0
+    /// when absent, i.e. an ordinary single datagram), and store the
+    /// socket's cumulative drop count in `drops` when the kernel attached
+    /// one (it does only once the count is non-zero).
+    fn parse_ctrl(ctrl: &CtrlBuf, controllen: usize, drops: &mut u32) -> u32 {
         let hdr_len = std::mem::size_of::<CMsgHdr>();
+        let mut seg = 0;
         let mut at = 0usize;
         while at + hdr_len <= controllen.min(CTRL_LEN) {
             let d = &ctrl.data;
@@ -706,16 +833,18 @@ mod ffi {
             if len < hdr_len || at + len > CTRL_LEN {
                 break;
             }
-            if level == SOL_UDP && ty == UDP_GRO && len >= hdr_len + 4 {
-                let v = i32::from_ne_bytes(
-                    d[at + hdr_len..at + hdr_len + 4].try_into().expect("4 bytes"),
-                );
-                return u32::try_from(v).unwrap_or(0);
+            if len >= hdr_len + 4 {
+                let v = d[at + hdr_len..at + hdr_len + 4].try_into().expect("4 bytes");
+                match (level, ty) {
+                    (SOL_UDP, UDP_GRO) => seg = u32::try_from(i32::from_ne_bytes(v)).unwrap_or(0),
+                    (SOL_SOCKET, SO_RXQ_OVFL) => *drops = u32::from_ne_bytes(v),
+                    _ => {}
+                }
             }
             // CMSG_ALIGN to the next header.
             at += (len + 7) & !7;
         }
-        0
+        seg
     }
 
     /// Send every frame of `chunk` (at most [`super::MAX_BATCH`]),
@@ -730,28 +859,27 @@ mod ffi {
     ) {
         assert_abi();
         let n = chunk.len().min(super::MAX_BATCH);
-        let mut iovecs = [IoVec { base: std::ptr::null_mut(), len: 0 }; super::MAX_BATCH];
-        let mut hdrs = [zeroed_hdr(); super::MAX_BATCH];
-        let mut addrs = [SockAddrStorage { data: [0; 128] }; super::MAX_BATCH];
-        for i in 0..n {
-            let f = &chunk[i];
+        // As in `recvmmsg_into`, only the `n` entries in use are written.
+        let mut iovecs = [const { MaybeUninit::<IoVec>::uninit() }; super::MAX_BATCH];
+        let mut hdrs = [const { MaybeUninit::<MMsgHdr>::uninit() }; super::MAX_BATCH];
+        let mut addrs = [const { MaybeUninit::<SockAddrStorage>::uninit() }; super::MAX_BATCH];
+        for (i, f) in chunk.iter().take(n).enumerate() {
+            let addr = addrs[i].write(SockAddrStorage { data: [0; 128] });
+            let namelen = write_sockaddr(f.dest, addr);
             // The kernel never writes through a send iovec; the cast only
             // satisfies the shared msghdr layout.
-            iovecs[i] = IoVec { base: f.data.as_ptr() as *mut u8, len: f.data.len() };
-            let alen = write_sockaddr(f.dest, &mut addrs[i]);
-            hdrs[i].hdr.name = addrs[i].data.as_mut_ptr();
-            hdrs[i].hdr.namelen = alen;
-            hdrs[i].hdr.iov = &mut iovecs[i];
-            hdrs[i].hdr.iovlen = 1;
+            let iov = iovecs[i].write(IoVec { base: f.data.as_ptr() as *mut u8, len: f.data.len() });
+            hdrs[i].write(one_iov_hdr((addr.data.as_mut_ptr(), namelen), iov, (std::ptr::null_mut(), 0)));
         }
         let mut done = 0usize;
         while done < n {
-            // SAFETY: as in `recvmmsg_into`; name/iov pointers reference
-            // the stack arrays above, which outlive the call.
+            // SAFETY: as in `recvmmsg_into`; `hdrs[done..n]` are written,
+            // and their name/iov pointers reference the written stack
+            // entries above, which outlive the call.
             let r = unsafe {
                 sendmmsg(
                     sock.as_raw_fd(),
-                    hdrs.as_mut_ptr().wrapping_add(done),
+                    hdrs.as_mut_ptr().cast::<MMsgHdr>().wrapping_add(done),
                     (n - done) as u32,
                     0,
                 )

@@ -10,7 +10,7 @@
 //! estimates.
 
 use netsim::SimTime;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A monotonic clock whose zero is the moment it was created.
 #[derive(Clone, Debug)]
@@ -31,16 +31,6 @@ impl WallClock {
         let n = self.origin.elapsed().as_nanos();
         SimTime::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))
     }
-
-    /// How long from now until `deadline`, as a [`Duration`] suitable for
-    /// `recv_timeout`; zero if the deadline already passed.
-    pub fn until(&self, deadline: SimTime) -> Duration {
-        let now = self.now();
-        if deadline <= now {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(deadline.since(now).as_nanos())
-    }
 }
 
 impl Default for WallClock {
@@ -52,7 +42,6 @@ impl Default for WallClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimDuration;
 
     #[test]
     fn starts_near_zero_and_is_monotonic() {
@@ -61,14 +50,5 @@ mod tests {
         assert!(a.as_secs_f64() < 1.0);
         let b = c.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn until_saturates_for_past_deadlines() {
-        let c = WallClock::new();
-        assert_eq!(c.until(SimTime::ZERO), Duration::ZERO);
-        let d = c.until(c.now() + SimDuration::from_secs(2));
-        assert!(d <= Duration::from_secs(2));
-        assert!(d > Duration::from_secs(1));
     }
 }

@@ -15,13 +15,14 @@
 //! refusals counted as `quota_overflow`), and that deliveries are counted
 //! and discarded rather than kept for a caller.
 //!
-//! The recv loop reads only the envelope prefix
-//! ([`Envelope::precheck`](crate::Envelope::precheck): magic, version,
-//! group id) and routes each frame to `shard_of(group)` — the full decode,
-//! and every protocol decision, happens on the owning reactor, so the
-//! inbound path stays zero-copy: the pooled receive buffer itself travels
-//! down the reactor's channel. The one exception is a GRO-coalesced buffer
-//! whose segments straddle shards; it is split with per-segment copies and
+//! Shard 0 reads the shared socket. It reads only each frame's envelope
+//! prefix ([`Envelope::precheck`](crate::Envelope::precheck): magic,
+//! version, group id), walks its own groups' frames where they lie, and
+//! forwards the rest to `shard_of(group)` — the full decode, and every
+//! protocol decision, happens on the owning reactor, so the inbound path
+//! stays zero-copy: the pooled receive buffer itself travels down the
+//! shard's inbox. The one exception is a GRO-coalesced buffer whose
+//! segments straddle shards; it is split with per-segment copies and
 //! counted (`demux_splits`), so the cost is visible, rare, and never
 //! silent.
 //!
@@ -33,7 +34,7 @@
 
 use crate::batch::BatchOptions;
 use crate::control::GroupSpec;
-use crate::reactor::{self, Event, HostKind, Hosting, Plant, Reactor};
+use crate::reactor::{self, Event, HostKind, Hosting, Mailbox, Plant, Reactor};
 use crate::runtime::{Counters, Mode, NodeOptions, StoreOptions, TransportStats};
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
@@ -42,7 +43,7 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -123,16 +124,18 @@ pub struct HubStats {
     /// Well-formed frames for a group no shard hosts — the hub-side
     /// analogue of the node's `rx_unjoined_group`.
     pub rx_unjoined_group: u64,
-    /// Datagrams shed because a shard's bounded channel was full.
+    /// Datagrams lost because the hub fell behind: dropped by the kernel
+    /// from the shared socket's full receive buffer, or shed from a full
+    /// shard inbox.
     pub inbound_overflow: u64,
     /// GRO buffers whose segments straddled shards and had to be split
     /// with per-segment copies (the only non-zero-copy inbound path).
     pub demux_splits: u64,
     /// Transient recv errors retried in place by the supervisor.
     pub recv_transient_errors: u64,
-    /// Recv-loop respawns after fatal errors or panics.
+    /// Socket rebuilds after fatal recv errors or panics.
     pub recv_respawns: u64,
-    /// Recv loops that exhausted the respawn budget and died for good.
+    /// Read paths that exhausted the respawn budget and stopped for good.
     pub recv_deaths: u64,
 }
 
@@ -206,7 +209,7 @@ pub struct HubOptions {
     /// Hub seed; each group's RNG derives from it via [`group_seed`], so
     /// replays are per-group stable no matter which shard hosts the group.
     pub seed: u64,
-    /// Batched-datapath tuning, shared by the recv loop and every
+    /// Batched-datapath tuning, shared by shard 0's reads and every
     /// reactor's send half.
     pub batch: BatchOptions,
     /// Live metrics registry: per-group mirrors land as `hub.g{G}.*`,
@@ -242,9 +245,8 @@ pub struct CreateOutcome {
 
 struct HubInner {
     addr: SocketAddr,
-    txs: Vec<mpsc::SyncSender<Event>>,
+    mailboxes: Vec<Mailbox>,
     counters: Arc<Counters>,
-    stop: Arc<AtomicBool>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
     seed: u64,
@@ -265,37 +267,32 @@ impl Hub {
     /// with nothing hosted yet.
     pub fn spawn_on(socket: UdpSocket, opts: HubOptions) -> io::Result<HubHandle> {
         let addr = socket.local_addr()?;
-        let Plant { txs, reactors, counters, stop, recv } = reactor::build(
+        let Plant { mailboxes, reactors, counters } = reactor::build(
             socket,
             opts.shards.max(1),
             HostKind::Hub,
             opts.batch,
             opts.metrics.clone(),
         )?;
-        let spawned: io::Result<Vec<_>> = reactors
+        // Reactor 0 holds every shard's mailbox, so it starts last: when a
+        // spawn fails, the shards already running see their inboxes
+        // disconnect and stop.
+        let threads = reactors
             .into_iter()
             .enumerate()
-            .map(|(i, (reactor, rx))| {
+            .rev()
+            .map(|(i, reactor)| {
                 // On shutdown every still-hosted group drains gracefully.
                 thread::Builder::new().name(format!("srm-hub-shard{i}")).spawn(move || {
-                    reactor.run(rx).drain_all();
+                    reactor.run().drain_all();
                 })
             })
-            .collect();
-        let mut threads = match spawned {
-            Ok(threads) => threads,
-            Err(e) => {
-                stop.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        };
-        threads.push(recv);
+            .collect::<io::Result<Vec<_>>>()?;
         Ok(HubHandle {
             inner: Arc::new(HubInner {
                 addr,
-                txs,
+                mailboxes,
                 counters,
-                stop,
                 threads: Mutex::new(threads),
                 stopped: AtomicBool::new(false),
                 seed: opts.seed,
@@ -321,7 +318,7 @@ impl HubHandle {
 
     /// Shard count (fixed at spawn).
     pub fn shards(&self) -> usize {
-        self.inner.txs.len()
+        self.inner.mailboxes.len()
     }
 
     /// Run `f` on `shard`'s reactor thread and wait for its result.
@@ -330,7 +327,7 @@ impl HubHandle {
         shard: usize,
         f: impl FnOnce(&mut Reactor) -> R + Send + 'static,
     ) -> Result<R, String> {
-        reactor::submit(&self.inner.txs[shard], f)
+        reactor::submit(&self.inner.mailboxes[shard], f)
             .ok_or_else(|| format!("shard {shard} is down"))?
             .recv_timeout(RPC_TIMEOUT)
             .map_err(|_| format!("shard {shard} did not reply"))
@@ -474,15 +471,14 @@ impl HubHandle {
         }
     }
 
-    /// Stop the hub: drain every group, stop the recv thread, join all
+    /// Stop the hub: drain every group, stop every shard, join their
     /// threads. Idempotent; later calls (and other clones) are no-ops.
     pub fn shutdown(&self) {
         if self.inner.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.inner.stop.store(true, Ordering::SeqCst);
-        for tx in &self.inner.txs {
-            let _ = tx.send(Event::Shutdown);
+        for mb in &self.inner.mailboxes {
+            mb.post(Event::Shutdown);
         }
         // A thread that panicked while holding the lock leaves the list
         // itself intact; joining what is there is still right.
@@ -497,9 +493,8 @@ impl Drop for HubInner {
     fn drop(&mut self) {
         // Last handle gone without an explicit shutdown: stop the threads
         // rather than leaking them, but don't block on joins in drop.
-        self.stop.store(true, Ordering::SeqCst);
-        for tx in &self.txs {
-            let _ = tx.try_send(Event::Shutdown);
+        for mb in &self.mailboxes {
+            mb.try_post(Event::Shutdown);
         }
     }
 }

@@ -15,10 +15,11 @@
 //!   metadata (source, TTL, scope, flow) around the untouched
 //!   [`srm::wire`] message encoding.
 //! - [`Node`] / [`NodeHandle`] and [`Hub`] / [`HubHandle`]: the two ways
-//!   to start the one reactor — a receive thread feeding a channel, a main
-//!   loop interleaving datagrams with [`TimerWheel`] deadlines for every
-//!   group it hosts. A node is one reactor hosting one group on its own
-//!   socket; a hub is N reactors hosting groups on demand behind one.
+//!   to start the one reactor — a loop that sleeps in one `ppoll` on its
+//!   socket and its doorbell, reads datagrams itself and interleaves them
+//!   with [`TimerWheel`] deadlines for every group it hosts. A node is one
+//!   reactor hosting one group on its own socket; a hub is N reactors
+//!   hosting groups on demand behind one, which reactor 0 reads.
 //! - [`Mode`]: real IP multicast (`join_multicast_v4`) or a unicast
 //!   loopback mesh (the CI-friendly stand-in for group delivery).
 //! - [`LossPolicy`]: deterministic send-side loss for recovery tests.
@@ -44,8 +45,8 @@
 //! ```
 
 // `deny`, not `forbid`: the one FFI module (`batch::ffi`, the
-// recvmmsg/sendmmsg declarations) carries a scoped allow; everything else
-// stays safe code.
+// recvmmsg/sendmmsg/eventfd/ppoll declarations) carries a scoped allow;
+// everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -81,8 +82,5 @@ pub use monitor::{GroupMonitor, MemberHealth};
 pub use pool::{BufferPool, PoolBuf};
 pub use runtime::{LossPolicy, Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
 pub use soak::{SoakOptions, SoakReport};
-pub use supervise::{
-    classify, run_supervised, ErrorClass, ExitReason, StepOutcome, SupervisePolicy,
-    SupervisionEvent,
-};
+pub use supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};
 pub use wheel::TimerWheel;

@@ -6,31 +6,35 @@
 //! with groups hosted on demand ([`crate::Hub::spawn_on`]).
 //!
 //! ```text
-//!            ┌────────────────────── one host (node or hub) ─────────────────────┐
-//!  UDP ─▶ recv loop ──1 reactor: hand over──▶ reactor 0 ─▶ GroupHost g1, g5, …
-//!  socket (supervised) N reactors: precheck     reactor 1 ─▶ GroupHost g2, g6, …
-//!    ▲               + shard_of(group)          …
-//!    └───────────────── every reactor sends on a clone of the socket
+//!           ┌─────────────────────── one host (node or hub) ──────────────────────┐
+//!  UDP ─▶ reactor 0: ppoll(socket, bell) ─▶ recvmmsg ─▶ walk ─▶ GroupHost g1, g5, …
+//!  socket   │ N reactors: precheck + shard_of(group)
+//!    ▲      └─ inbox + bell ─▶ reactor 1: ppoll(bell) ─▶ walk ─▶ GroupHost g2, g6, …
+//!    │                          …
+//!    └──────────────── every reactor sends on a clone of the socket
 //! ```
 //!
 //! Architecture (no async runtime — the workspace builds offline):
 //!
-//! - one **receive thread** per host blocks on the socket (with a short
-//!   read timeout so shutdown is prompt) and moves pooled buffers down a
-//!   bounded channel. It runs under [`run_supervised`]: socket errors are
-//!   classified transient (retried in place with bounded exponential
-//!   backoff) or fatal (a fresh socket clone is respawned against a bounded
-//!   budget), and panics are caught and treated as fatal. Every supervision
-//!   decision is counted and forwarded to the reactors as a typed transport
-//!   event. With one reactor it hands buffers straight over; with N it
-//!   reads only the envelope prefix ([`Envelope::precheck`]) and routes to
-//!   `shard_of(group)`;
-//! - each **reactor thread** owns its [`GroupHost`]s and one send half.
-//!   It waits on the channel with a timeout bounded by the earliest timer
-//!   deadline or chaos release among its groups, so timers fire on time —
-//!   the select loop a simulator event queue collapses into
-//!   `recv_timeout`. Per wakeup it fires what was due on entry, flushes the
-//!   send queue as batched syscalls, and drains a window of events;
+//! - each **reactor thread** owns its [`GroupHost`]s, one send half, an
+//!   inbox (a bounded channel) and a bell (an eventfd). It sleeps in one
+//!   `ppoll` on the bell and, on reactor 0, the socket, with a
+//!   nanosecond timeout at the earliest timer deadline or chaos release
+//!   among its groups, so timers fire on time — the select loop a
+//!   simulator event queue collapses into. Per wakeup it fires what was
+//!   due on entry, flushes the send queue as batched syscalls, reads a
+//!   window of frames off the socket and drains a window of its inbox;
+//! - **reactor 0 reads the socket itself**: `recvmmsg` on the
+//!   non-blocking socket into pooled slabs, walked in place. With one
+//!   reactor every frame is its own; with N it reads only the envelope
+//!   prefix ([`Envelope::precheck`]), walks its own groups' frames and
+//!   forwards the rest to `shard_of(group)`'s inbox, ringing that shard's
+//!   bell. Read errors go through a [`Supervisor`]: transient ones pause
+//!   the socket for a bounded exponential backoff, fatal ones and panics
+//!   rebuild it (re-clone, or rebind) against a bounded budget, and when
+//!   the budget is spent the reactor stops reading but keeps firing
+//!   timers and answering `exec`. Every decision is counted and recorded
+//!   as a typed transport event on every reactor;
 //! - a [`GroupHost`] is the paper's light-weight session (§I) made
 //!   literal: an agent, a [`TimerWheel`], a seeded RNG, a peer list, and
 //!   the optional extras (loss policy, chaos state, token bucket, liveness,
@@ -44,17 +48,14 @@
 //! run on the reactor thread ([`submit`]), whose sends are flushed before
 //! it is answered.
 
-use crate::batch::{make_backend, BatchOptions, BatchSocket, RecvFrame, SendFrame};
+use crate::batch::{self, make_backend, BatchOptions, BatchSocket, Bell, RecvFrame, SendFrame};
 use crate::chaos::{Blackhole, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
 use crate::clock::WallClock;
 use crate::envelope::{Envelope, HEADER_LEN};
 use crate::hub::{shard_of, DrainOutcome, GroupStats};
 use crate::pool::{BufferPool, PoolBuf};
 use crate::runtime::{Counters, LossPolicy, Mode, NodeOptions, TransportStats};
-use crate::supervise::{
-    classify, run_supervised, ErrorClass, ExitReason, StepOutcome, SupervisePolicy,
-    SupervisionEvent,
-};
+use crate::supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
 use netsim::{GroupId, NodeId, Packet, PacketBody, PacketId, SendOptions, SimDuration, SimTime, TimerId};
@@ -65,9 +66,9 @@ use srm::{Clock, Driver, RateLimit, SrmAgent, Transport};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use std::thread;
 use std::time::Duration;
 
 /// Receive-slab size: one max-size UDP datagram, so batching can never
@@ -83,18 +84,18 @@ const TX_SLAB_BYTES: usize = 2048;
 /// chaos draw stream independent of the protocol's timer draws.
 const CHAOS_SEED_SALT: u64 = 0xC4A0_5EED_0BAD_CA5E;
 
-/// How long a reactor sleeps when no timer is armed. Purely a
-/// responsiveness bound — channel events wake it immediately.
+/// How long a reactor sleeps when nothing is due. Purely a responsiveness
+/// bound — the socket and the bell wake it immediately.
 const IDLE_WAIT: Duration = Duration::from_millis(250);
-/// Read timeout on the receive thread's socket, bounding shutdown latency.
-const RECV_POLL: Duration = Duration::from_millis(25);
 
-/// Bound on a reactor's inbound channel (datagrams + commands). Datagrams
-/// beyond it are shed and counted ([`hand_over`]) instead of growing the
-/// queue without limit under flood.
+/// Bound on a reactor's inbox: commands, supervision events and, on a
+/// hub, the frames shard 0 forwards. A forwarded frame that does not fit
+/// is shed and counted as `inbound_overflow`; a command waits for room.
 const INBOUND_CAPACITY: usize = 4096;
-/// Max channel events a reactor handles per wakeup before it revisits
-/// timers and flushes sends — the coalescing window.
+/// Max frames a reactor reads off its socket, and max inbox events it
+/// handles, per wakeup before it revisits timers and flushes sends — the
+/// coalescing window. A flood cannot starve the timers, nor a zero-delay
+/// re-arm the socket.
 const INBOUND_DRAIN: usize = 256;
 
 /// Flow-kind labels indexed by [`flow_slot`]; the last slot collects flows
@@ -149,13 +150,6 @@ pub(crate) enum HostKind {
 }
 
 impl HostKind {
-    fn recv_name(self) -> String {
-        match self {
-            HostKind::Node(id) => format!("srm-recv-{id}"),
-            HostKind::Hub => "srm-hub-demux".to_string(),
-        }
-    }
-
     /// Log-line prefix of reactor `index`.
     fn label(self, index: usize) -> String {
         match self {
@@ -176,9 +170,9 @@ struct RegHandles {
     /// Logical multicasts by flow kind (pre fan-out; the per-destination
     /// totals live in `frames.*`).
     tx: [obs::Counter; 5],
-    /// recv-thread capture → reactor dequeue.
+    /// `recvmmsg` return → walk (plus the forward hop on a hub shard).
     stage_queue: obs::Histo,
-    /// Reactor dequeue → envelope decoded.
+    /// Walk → envelope decoded.
     stage_decode: obs::Histo,
     /// Agent handling time per inbound packet (`drive_packet`).
     stage_handle: obs::Histo,
@@ -186,8 +180,11 @@ struct RegHandles {
     stage_send: obs::Histo,
     /// Frames per send syscall at flush time.
     batch_send: obs::Histo,
-    /// Channel events handled per reactor wakeup (the coalescing window).
+    /// Frames read plus inbox events handled per reactor wakeup (the
+    /// coalescing window).
     batch_drain: obs::Histo,
+    /// Frames per receive syscall; reactor 0 only.
+    batch_recv: obs::Histo,
     /// Buffer-pool occupancy (slabs in flight) sampled per wakeup: this
     /// reactor's encode pool, plus the host's receive pool on reactor 0.
     pool_in_use: obs::Gauge,
@@ -217,6 +214,7 @@ impl RegHandles {
             stage_send: reg.histogram("stage.send_s"),
             batch_send: reg.histogram("batch.send_frames"),
             batch_drain: reg.histogram("batch.inbound_drain"),
+            batch_recv: reg.histogram("batch.recv_frames"),
             pool_in_use: reg.gauge(&format!("{p}pool.in_use")),
             pool_capacity: reg.gauge(&format!("{p}pool.capacity")),
             pool_misses: reg.counter(&format!("{p}pool.misses")),
@@ -303,7 +301,7 @@ struct Wire {
     batch: Box<dyn BatchSocket>,
     counters: Arc<Counters>,
     /// Events that belong to no one group: send/socket errors, decode
-    /// failures, supervision events forwarded from the recv thread. Enabled
+    /// failures, the read path's supervision events. Enabled
     /// once a traced group is hosted here, and read through that group's
     /// stream ([`GroupHost::sync_logs`]).
     log: obs::TransportLog,
@@ -332,6 +330,12 @@ impl Wire {
             return;
         }
         self.counters.max_sendq_len.fetch_max(self.queue.len() as u64, Ordering::Relaxed);
+        // The fan-out queues a burst destination by destination for each
+        // multicast in turn; grouped by destination instead (stably, so
+        // each receiver's order stands), equal-size frames to one peer
+        // form the runs the backend sends as one GSO super-datagram, and
+        // the peer reads them as one GRO buffer.
+        self.queue.sort_by_key(|p| p.dest);
         // The scratch's element type says `'static` only because it is
         // stored empty; here it borrows the queue (a `Vec` is covariant).
         let mut frames: Vec<SendFrame<'_>> = std::mem::take(&mut self.frames);
@@ -755,17 +759,15 @@ fn drive<R>(
 /// A closure run on the reactor thread — the one control event.
 type ExecFn = Box<dyn FnOnce(&mut Reactor) + Send>;
 
-/// Work items a reactor waits on.
+/// What arrives in a reactor's inbox.
 pub(crate) enum Event {
-    /// A raw datagram from the receive thread, stamped with its capture
-    /// time so the reactor can account the queueing stage. The buffer is
-    /// a pooled slab travelling by ownership; dropping it after decode
-    /// recycles the slab to the receive pool. The `u32` is the GRO
-    /// segment size: non-zero means the kernel coalesced several
-    /// equal-size frames into this one buffer, and the reactor walks
-    /// them at that stride ([`RecvFrame`]).
-    Datagram(SimTime, u32, PoolBuf),
-    /// A typed transport event from the receive thread's supervisor.
+    /// A buffer shard 0 read off the hub's socket for a group this shard
+    /// hosts, stamped with the time `recvmmsg` returned so the queueing
+    /// stage includes the hop. The buffer is a pooled slab travelling by
+    /// ownership; dropping it after the walk recycles it to the receive
+    /// pool. The `u32` is the GRO segment size ([`RecvFrame::seg_size`]).
+    Forward(SimTime, u32, PoolBuf),
+    /// A typed transport event from shard 0's read-path supervisor.
     Transport(SimTime, obs::TransportEventKind),
     /// Run a closure against the reactor: `NodeHandle::exec`,
     /// `HubHandle::exec` and every hub control RPC.
@@ -774,13 +776,36 @@ pub(crate) enum Event {
     Shutdown,
 }
 
-/// Queue `f` for the reactor behind `tx` and return where its result will
+/// The way into a reactor: its inbox, and the bell that wakes it.
+#[derive(Clone)]
+pub(crate) struct Mailbox {
+    tx: mpsc::SyncSender<Event>,
+    bell: Arc<Bell>,
+}
+
+impl Mailbox {
+    /// Queue `ev`, waiting while the inbox is full, and wake the reactor;
+    /// `false` if the reactor is gone.
+    pub(crate) fn post(&self, ev: Event) -> bool {
+        let sent = self.tx.send(ev).is_ok();
+        self.bell.ring();
+        sent
+    }
+
+    /// [`Mailbox::post`] that never waits: on a full inbox, `ev` is lost.
+    pub(crate) fn try_post(&self, ev: Event) {
+        let _ = self.tx.try_send(ev);
+        self.bell.ring();
+    }
+}
+
+/// Queue `f` for the reactor behind `mb` and return where its result will
 /// arrive; `None` if the reactor is gone. The send queue is flushed before
 /// the reply goes out, so whatever `f` sent is settled when the caller
 /// resumes: a `stats()` issued right after a `send()` reads `attempted ==
 /// sent + dropped + blackholed + send_errors`, not a frame in between.
 pub(crate) fn submit<R: Send + 'static>(
-    tx: &mpsc::SyncSender<Event>,
+    mb: &Mailbox,
     f: impl FnOnce(&mut Reactor) -> R + Send + 'static,
 ) -> Option<mpsc::Receiver<R>> {
     let (rtx, rrx) = mpsc::sync_channel(1);
@@ -789,7 +814,55 @@ pub(crate) fn submit<R: Send + 'static>(
         r.wire.flush(r.clock.now());
         let _ = rtx.send(out);
     });
-    tx.send(Event::Exec(run)).ok().map(|()| rrx)
+    mb.post(Event::Exec(run)).then_some(rrx)
+}
+
+/// The read path of the one reactor that owns the socket (reactor 0).
+/// Dropped when the supervisor gives up on it.
+struct Rx {
+    /// The socket the backend reads a clone of, and the one polled.
+    master: UdpSocket,
+    opts: BatchOptions,
+    /// How a backend is built around a socket: [`make_backend`], except
+    /// in the test that injects failures.
+    make: fn(UdpSocket, &BatchOptions) -> Box<dyn BatchSocket>,
+    backend: Box<dyn BatchSocket>,
+    /// Receive slabs; a hub's forwarded frames return theirs from the
+    /// shard that walked them.
+    pool: BufferPool,
+    /// Reused per-read scratch, always empty between reads.
+    bufs: Vec<RecvFrame>,
+    /// On a hub with more than one shard, every shard's mailbox by index
+    /// (reactor 0's own included, never used); empty otherwise, and then
+    /// every frame is walked here.
+    shards: Vec<Mailbox>,
+    /// Shards forwarded to since their bell last rang.
+    unrung: Vec<bool>,
+    supervisor: Supervisor,
+    /// While the supervisor keeps the socket unpolled: until when, and the
+    /// respawn attempt to rebuild it for then, if any.
+    paused: Option<(SimTime, Option<u32>)>,
+    /// The backend's cumulative kernel drop count, as last added to
+    /// `inbound_overflow`.
+    drops_seen: u64,
+}
+
+impl Rx {
+    /// A fresh backend on a fresh clone of the socket or, if the
+    /// descriptor itself is the problem, on a fresh bind of its address.
+    fn rebuild(&mut self) -> io::Result<()> {
+        let sock = match self.master.try_clone() {
+            Ok(sock) => sock,
+            Err(_) => {
+                self.master = UdpSocket::bind(self.master.local_addr()?)?;
+                self.master.set_nonblocking(true)?;
+                self.drops_seen = 0;
+                self.master.try_clone()?
+            }
+        };
+        self.backend = (self.make)(sock, &self.opts);
+        Ok(())
+    }
 }
 
 /// One reactor thread's state: a map of hosted groups over one [`Wire`].
@@ -799,9 +872,10 @@ pub(crate) struct Reactor {
     clock: WallClock,
     wire: Wire,
     groups: BTreeMap<u32, GroupHost>,
-    /// The host's receive pool, on reactor 0 only: every reactor shares
-    /// it, one of them reports it.
-    rx_pool: Option<BufferPool>,
+    inbox: mpsc::Receiver<Event>,
+    bell: Arc<Bell>,
+    /// The read path, on the reactor that owns the socket.
+    rx: Option<Rx>,
 }
 
 impl Reactor {
@@ -898,60 +972,231 @@ impl Reactor {
     }
 
     /// The reactor loop: fire due timers, release held-back chaos frames,
-    /// flush the send queue as batched syscalls, then drain a whole window
-    /// of channel events per wakeup (datagrams, commands, deadlines
-    /// coalesced). Returns on `Shutdown` or when every sender is gone.
-    pub(crate) fn run(mut self, rx: mpsc::Receiver<Event>) -> Reactor {
-        crate::batch::enter_batch_scheduling();
-        'reactor: loop {
+    /// flush the send queue as batched syscalls, then sleep in one `ppoll`
+    /// until the socket is readable, the bell rings or the next deadline,
+    /// and handle a window of frames and a window of inbox events per
+    /// wakeup (datagrams, commands, deadlines coalesced). Returns on
+    /// `Shutdown` or when every sender is gone.
+    pub(crate) fn run(mut self) -> Reactor {
+        batch::enter_batch_scheduling();
+        // The last inbox drain stopped at the window, so more may be
+        // waiting behind a bell already consumed: do not sleep.
+        let mut backlog = false;
+        loop {
             self.fire_due();
             // Everything the last wakeup produced goes out in batched syscalls.
             self.wire.flush(self.clock.now());
             self.publish();
-            let deadline = self
-                .groups
-                .values_mut()
-                .flat_map(|h| [h.io.wheel.next_deadline(), h.delayq.next_due()])
-                .flatten()
-                .min();
-            let wait = match deadline {
-                Some(at) => self.clock.until(at).min(IDLE_WAIT),
-                None => IDLE_WAIT,
-            };
-            // Coalesced wakeup: block for one event, then drain whatever else
-            // is already queued (up to the window) before revisiting timers
-            // and flushing the sends those events produced.
-            let mut drained = 0usize;
-            match rx.recv_timeout(wait) {
-                Ok(ev) => {
-                    drained += 1;
-                    if self.handle(ev) {
-                        break 'reactor;
-                    }
-                    while drained < INBOUND_DRAIN {
-                        match rx.try_recv() {
-                            Ok(ev) => {
-                                drained += 1;
-                                if self.handle(ev) {
-                                    break 'reactor;
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break 'reactor,
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-            }
-            if drained > 0 {
-                if let Some(m) = &self.wire.reg {
-                    m.batch_drain.record(drained as f64);
-                }
+            self.resume_rx();
+            let now = self.clock.now();
+            let timeout = if backlog { Duration::ZERO } else { wait_timeout(now, self.next_deadline()) };
+            let sock = self.rx.as_ref().filter(|rx| rx.paused.is_none()).map(|rx| &rx.master);
+            let readable = batch::wait(sock, &self.bell, timeout);
+            let frames = if readable { self.read_socket() } else { 0 };
+            let Some(events) = self.drain_inbox() else { break };
+            backlog = events == INBOUND_DRAIN;
+            if let (Some(m), 1..) = (&self.wire.reg, frames + events) {
+                m.batch_drain.record((frames + events) as f64);
             }
         }
         // Anything the final events produced still goes out before shutdown.
         self.wire.flush(self.clock.now());
         self
+    }
+
+    /// The earliest thing this reactor has to do unprompted: a timer, a
+    /// held-back chaos frame, or the end of a read-path pause.
+    fn next_deadline(&mut self) -> Option<SimTime> {
+        let paused = self.rx.as_ref().and_then(|rx| rx.paused).map(|(until, _)| until);
+        self.groups
+            .values_mut()
+            .flat_map(|h| [h.io.wheel.next_deadline(), h.delayq.next_due()])
+            .chain([paused])
+            .flatten()
+            .min()
+    }
+
+    /// Handle up to `INBOUND_DRAIN` inbox events; how many, or `None` on
+    /// `Shutdown` or once every sender is gone.
+    fn drain_inbox(&mut self) -> Option<usize> {
+        for n in 0..INBOUND_DRAIN {
+            match self.inbox.try_recv() {
+                Ok(Event::Forward(at, seg, buf)) => self.walk(at, seg, &buf),
+                Ok(Event::Transport(at, kind)) => self.wire.log.record(at, kind),
+                Ok(Event::Exec(f)) => f(self),
+                Ok(Event::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => return None,
+                Err(mpsc::TryRecvError::Empty) => return Some(n),
+            }
+        }
+        Some(INBOUND_DRAIN)
+    }
+
+    /// Read up to `INBOUND_DRAIN` frames off the socket and walk them, or
+    /// forward them to the shards that host their groups; how many.
+    /// Failures go to the supervisor.
+    fn read_socket(&mut self) -> usize {
+        let Some(mut rx) = self.rx.take() else { return 0 };
+        let mut bufs = std::mem::take(&mut rx.bufs);
+        let max = rx.opts.recv_batch.clamp(1, batch::MAX_BATCH);
+        let (mut frames, mut alive) = (0, true);
+        while frames < INBOUND_DRAIN {
+            // A panicking backend is a fatal error like any other.
+            let read = catch_unwind(AssertUnwindSafe(|| rx.backend.recv_batch(&rx.pool, max, &mut bufs)))
+                .unwrap_or_else(|_| Err(io::Error::other("recv step panicked")));
+            let got = match read {
+                Ok(got) => got,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => {
+                    alive = self.rx_failed(&mut rx, classify(e.kind()), &e);
+                    break;
+                }
+            };
+            rx.supervisor.succeeded();
+            let drops = rx.backend.kernel_drops();
+            if drops > rx.drops_seen {
+                self.wire.counters.inbound_overflow.fetch_add(drops - rx.drops_seen, Ordering::Relaxed);
+                rx.drops_seen = drops;
+            }
+            // One stamp per batch: one syscall drained these datagrams, so
+            // they share an arrival time as far as the queue stage can tell.
+            let at = self.clock.now();
+            let batch: usize = bufs.iter().map(RecvFrame::frame_count).sum();
+            if let Some(m) = &self.wire.reg {
+                m.batch_recv.record(batch as f64);
+            }
+            frames += batch;
+            for f in bufs.drain(..) {
+                self.route(&mut rx, at, f);
+            }
+            for (mb, unrung) in rx.shards.iter().zip(rx.unrung.iter_mut()) {
+                if std::mem::take(unrung) {
+                    mb.bell.ring();
+                }
+            }
+            // A short batch emptied the socket.
+            if got < max {
+                break;
+            }
+        }
+        rx.bufs = bufs;
+        self.rx = alive.then_some(rx);
+        frames
+    }
+
+    /// Walk one received buffer here, or hand it to the shard hosting its
+    /// group. With one reactor there is nothing to decide and the full
+    /// decode judges every frame. With several, only the envelope prefix is
+    /// read: when every segment prechecks to the same shard (always true
+    /// for plain datagrams) the whole pooled buffer is walked here or moves
+    /// on zero-copy; a GRO buffer straddling shards is split per segment,
+    /// with copies for the other shards, and counted in `demux_splits`.
+    fn route(&mut self, rx: &mut Rx, at: SimTime, f: RecvFrame) {
+        let n = rx.shards.len();
+        if n == 0 {
+            return self.walk(at, f.seg_size, &f.buf);
+        }
+        let data: &[u8] = &f.buf;
+        let stride = match f.seg_size as usize {
+            0 => data.len().max(1),
+            s => s,
+        };
+        // First pass over the segment prefixes only: where does each go?
+        let mut target: Option<usize> = None;
+        let mut uniform = true;
+        for chunk in data.chunks(stride) {
+            match Envelope::precheck(chunk) {
+                Ok(group) => {
+                    let s = shard_of(group, n);
+                    uniform &= *target.get_or_insert(s) == s;
+                }
+                // A bad segment inside an otherwise-routable buffer forces
+                // the split path, so the good segments survive and the bad
+                // one is counted exactly once, there.
+                Err(_) => uniform = false,
+            }
+        }
+        let Some(shard) = target else {
+            // Nothing prechecks: count each segment and drop the lot.
+            let (frames, why) = (f.frame_count() as u64, &"envelope precheck failed");
+            return count_undecodable(&self.wire.counters, frames, &self.wire.label, why);
+        };
+        if uniform {
+            return match shard {
+                0 => self.walk(at, f.seg_size, &f.buf),
+                _ => forward(rx, &self.wire.counters, shard, at, f),
+            };
+        }
+        self.wire.counters.demux_splits.fetch_add(1, Ordering::Relaxed);
+        for chunk in data.chunks(stride) {
+            match Envelope::precheck(chunk) {
+                Ok(group) => match shard_of(group, n) {
+                    0 => self.walk(at, 0, chunk),
+                    s => {
+                        let f = RecvFrame { buf: PoolBuf::copied_from(chunk), seg_size: 0 };
+                        forward(rx, &self.wire.counters, s, at, f);
+                    }
+                },
+                Err(e) => count_undecodable(&self.wire.counters, 1, &self.wire.label, &e),
+            }
+        }
+    }
+
+    /// Once the supervisor's pause is over, read again — on a rebuilt
+    /// socket when the verdict was a respawn.
+    fn resume_rx(&mut self) {
+        let now = self.clock.now();
+        let due = |rx: &mut Rx| rx.paused.is_some_and(|(until, _)| until <= now);
+        let Some(mut rx) = self.rx.take_if(due) else { return };
+        if let Some((_, Some(attempt))) = rx.paused.take() {
+            self.wire.counters.recv_respawns.fetch_add(1, Ordering::Relaxed);
+            eprintln!("{}: recv loop respawned (attempt {attempt})", self.wire.label);
+            self.note(&rx, obs::TransportEventKind::RecvRespawn { attempt });
+            if let Err(e) = rx.rebuild() {
+                if !self.rx_failed(&mut rx, ErrorClass::Fatal, &e) {
+                    return;
+                }
+            }
+        }
+        self.rx = Some(rx);
+    }
+
+    /// Count a read failure, record it, and pause the read path for as
+    /// long as the supervisor says; `false` once the budget is spent and
+    /// the path is to be dropped.
+    fn rx_failed(&mut self, rx: &mut Rx, class: ErrorClass, e: &io::Error) -> bool {
+        let transient = class == ErrorClass::Transient;
+        if transient {
+            self.wire.counters.recv_transient_errors.fetch_add(1, Ordering::Relaxed);
+        } else {
+            eprintln!("{}: fatal recv error: {e}", self.wire.label);
+        }
+        self.note(rx, obs::TransportEventKind::SocketError { detail: e.to_string(), transient });
+        let (after, respawn) = match rx.supervisor.failed(class) {
+            Verdict::Retry(after) => (after, None),
+            Verdict::Respawn { attempt, after } => (after, Some(attempt)),
+            Verdict::GiveUp => {
+                self.wire.counters.recv_deaths.fetch_add(1, Ordering::Relaxed);
+                let reason = format!("respawn budget exhausted: {e}");
+                eprintln!("{}: {reason}", self.wire.label);
+                self.note(rx, obs::TransportEventKind::RecvExit { reason });
+                return false;
+            }
+        };
+        let until = self.clock.now().as_nanos() + after.as_nanos() as u64;
+        rx.paused = Some((SimTime::from_nanos(until), respawn));
+        true
+    }
+
+    /// Record a read-path event here and on every other shard, so it lands
+    /// in the stream of whichever traced member is read, on whichever
+    /// reactor. Supervision events are rare; waiting for inbox room is fine.
+    fn note(&mut self, rx: &Rx, kind: obs::TransportEventKind) {
+        let at = self.clock.now();
+        // The read path lives on reactor 0.
+        for mb in rx.shards.iter().skip(1) {
+            mb.post(Event::Transport(at, kind.clone()));
+        }
+        self.wire.log.record(at, kind);
     }
 
     /// Fire the timers that were due at one clock reading taken on entry,
@@ -973,17 +1218,6 @@ impl Reactor {
                 send(&mut self.wire, &mut host.io, held.group, held.payload, held.opts);
             }
         }
-    }
-
-    /// Handle one channel event; `true` on shutdown.
-    fn handle(&mut self, ev: Event) -> bool {
-        match ev {
-            Event::Datagram(recv_at, seg, buf) => self.walk(recv_at, seg, &buf),
-            Event::Transport(at, kind) => self.wire.log.record(at, kind),
-            Event::Exec(f) => f(self),
-            Event::Shutdown => return true,
-        }
-        false
     }
 
     /// Walk one received buffer into the agents. A plain datagram is one
@@ -1096,7 +1330,7 @@ impl Reactor {
         counters.max_delayq_len.fetch_max(delayq_len, Ordering::Relaxed);
         let Some(m) = &self.wire.reg else { return };
         let ((rx_used, rx_cap), rx_misses) =
-            self.rx_pool.as_ref().map_or(((0, 0), 0), |p| (p.occupancy(), p.stats().1));
+            self.rx.as_ref().map_or(((0, 0), 0), |rx| (rx.pool.occupancy(), rx.pool.stats().1));
         let (tx_used, tx_cap) = self.wire.tx_pool.occupancy();
         m.pool_in_use.set(rx_used + tx_used);
         m.pool_capacity.set(rx_cap + tx_cap);
@@ -1124,21 +1358,45 @@ fn count_undecodable(counters: &Counters, n: u64, label: &str, why: &dyn std::fm
     }
 }
 
-/// Everything [`build`] sets up for a host: the recv thread is running,
-/// the reactors are ready to be moved onto threads of the caller's making.
-pub(crate) struct Plant {
-    /// One sender per reactor, index-aligned with `reactors`.
-    pub txs: Vec<mpsc::SyncSender<Event>>,
-    pub reactors: Vec<(Reactor, mpsc::Receiver<Event>)>,
-    pub counters: Arc<Counters>,
-    /// Tells the recv thread to exit at its next poll.
-    pub stop: Arc<AtomicBool>,
-    pub recv: thread::JoinHandle<()>,
+/// Hand one buffer to `shard`'s inbox without waiting; its bell rings once
+/// the read batch is routed. A full inbox sheds the buffer and counts every
+/// frame it carried as `inbound_overflow`: SRM repairs the gap exactly as
+/// it would wire loss. A shard that is gone takes nothing.
+fn forward(rx: &mut Rx, counters: &Counters, shard: usize, at: SimTime, f: RecvFrame) {
+    let frames = f.frame_count() as u64;
+    match rx.shards[shard].tx.try_send(Event::Forward(at, f.seg_size, f.buf)) {
+        Ok(()) => rx.unrung[shard] = true,
+        Err(mpsc::TrySendError::Full(_)) => {
+            counters.inbound_overflow.fetch_add(frames, Ordering::Relaxed);
+        }
+        Err(mpsc::TrySendError::Disconnected(_)) => {}
+    }
 }
 
-/// Build a host around `socket`: `n` reactors, each with its own clones of
-/// the socket (cloned here, so a failure is the caller's `io::Error`), and
-/// the one supervised recv thread feeding them.
+/// How long a reactor may sleep at `now` when `deadline` is the earliest
+/// thing it must do: to the nanosecond and never rounded up — a 300-µs
+/// chaos release or timer must not slip to the next millisecond — at most
+/// `IDLE_WAIT`, and zero once the deadline has passed.
+fn wait_timeout(now: SimTime, deadline: Option<SimTime>) -> Duration {
+    match deadline {
+        Some(at) if at > now => Duration::from_nanos(at.since(now).as_nanos()).min(IDLE_WAIT),
+        Some(_) => Duration::ZERO,
+        None => IDLE_WAIT,
+    }
+}
+
+/// Everything [`build`] sets up for a host: the reactors, ready to be
+/// moved onto threads of the caller's making, and the way into each.
+pub(crate) struct Plant {
+    /// One per reactor, index-aligned with `reactors`.
+    pub mailboxes: Vec<Mailbox>,
+    pub reactors: Vec<Reactor>,
+    pub counters: Arc<Counters>,
+}
+
+/// Build a host around `socket`: `n` reactors, each sending on its own
+/// clones of the socket (cloned here, so a failure is the caller's
+/// `io::Error`), and reactor 0 reading it.
 pub(crate) fn build(
     socket: UdpSocket,
     n: usize,
@@ -1146,25 +1404,24 @@ pub(crate) fn build(
     batch: BatchOptions,
     metrics: Option<obs::MetricsRegistry>,
 ) -> io::Result<Plant> {
-    let addr = socket.local_addr()?;
     // One call covers every clone: dup'd descriptors share the socket,
     // and the batched senders can burst whole flushes into this buffer.
-    crate::batch::configure_socket_buffers(&socket, batch.socket_bufs);
+    batch::configure_socket_buffers(&socket, batch.socket_bufs);
+    // So does the file status: every clone is non-blocking, and a send
+    // that finds the send buffer full is a counted `send_errors`, not a
+    // stalled reactor.
+    socket.set_nonblocking(true)?;
     let counters = Arc::new(Counters::default());
     let clock = WallClock::new();
-    let stop = Arc::new(AtomicBool::new(false));
-    // `pool_slabs` bounds the receive-side memory at `pool_slabs *
-    // MAX_DATAGRAM`, with exact-size heap copies (counted misses)
-    // covering the overflow.
-    let rx_pool = BufferPool::new(batch.pool_slabs, MAX_DATAGRAM);
-    let mut txs = Vec::with_capacity(n);
+    let mut mailboxes = Vec::with_capacity(n);
     let mut reactors = Vec::with_capacity(n);
     for index in 0..n {
-        // Bounded: under flood the channel sheds datagrams (counted as
-        // `inbound_overflow`) instead of growing without limit; commands
-        // and supervision events block briefly instead of being lost.
-        let (tx, rx) = mpsc::sync_channel::<Event>(INBOUND_CAPACITY);
-        txs.push(tx);
+        // Bounded: a hub shard whose inbox is full sheds forwarded frames
+        // (counted as `inbound_overflow`) instead of growing without
+        // limit; commands and supervision events wait for room.
+        let (tx, inbox) = mpsc::sync_channel::<Event>(INBOUND_CAPACITY);
+        let bell = Arc::new(Bell::new()?);
+        mailboxes.push(Mailbox { tx, bell: Arc::clone(&bell) });
         let wire = Wire {
             label: kind.label(index),
             routes: BTreeMap::new(),
@@ -1178,234 +1435,163 @@ pub(crate) fn build(
             queue: Vec::new(),
             frames: Vec::new(),
             results: Vec::new(),
-            max_batch: batch.send_batch.clamp(1, crate::batch::MAX_BATCH),
+            max_batch: batch.send_batch.clamp(1, batch::MAX_BATCH),
             reg: metrics.as_ref().map(|r| RegHandles::new(r, index, kind)),
         };
-        let reactor = Reactor {
+        reactors.push(Reactor {
             index,
             clock: clock.clone(),
             wire,
             groups: BTreeMap::new(),
-            rx_pool: (index == 0).then(|| rx_pool.clone()),
+            inbox,
+            bell,
+            rx: None,
+        });
+    }
+    let shards = if n > 1 { mailboxes.clone() } else { Vec::new() };
+    reactors[0].rx = Some(Rx {
+        backend: make_backend(socket.try_clone()?, &batch),
+        master: socket,
+        opts: batch,
+        make: make_backend,
+        // `pool_slabs` bounds the receive-side memory at `pool_slabs *
+        // MAX_DATAGRAM`, with exact-size heap copies (counted misses)
+        // covering the overflow.
+        pool: BufferPool::new(batch.pool_slabs, MAX_DATAGRAM),
+        bufs: Vec::with_capacity(batch.recv_batch.clamp(1, batch::MAX_BATCH)),
+        unrung: vec![false; shards.len()],
+        shards,
+        supervisor: Supervisor::new(SupervisePolicy::default()),
+        paused: None,
+        drops_seen: 0,
+    });
+    Ok(Plant { mailboxes, reactors, counters })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use srm::{SourceId, SrmConfig};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
+
+    #[test]
+    fn wait_timeout_keeps_nanoseconds_clamps_and_never_goes_negative() {
+        let now = SimTime::from_nanos(5_000_000_123);
+        let after = |ns: u64| Some(SimTime::from_nanos(now.as_nanos() + ns));
+        assert_eq!(wait_timeout(now, after(300_001)), Duration::from_nanos(300_001));
+        assert_eq!(wait_timeout(now, after(1)), Duration::from_nanos(1), "not rounded up");
+        assert_eq!(wait_timeout(now, after(0)), Duration::ZERO);
+        assert_eq!(wait_timeout(now, Some(SimTime::from_nanos(7))), Duration::ZERO, "in the past");
+        let just_under = IDLE_WAIT - Duration::from_nanos(1);
+        assert_eq!(wait_timeout(now, after(just_under.as_nanos() as u64)), just_under);
+        assert_eq!(wait_timeout(now, after(60_000_000_000)), IDLE_WAIT, "clamped");
+        assert_eq!(wait_timeout(now, None), IDLE_WAIT);
+    }
+
+    /// Reads made on any [`Failing`] backend, across rebuilds.
+    static FAILING_READS: AtomicUsize = AtomicUsize::new(0);
+
+    /// A backend whose reads fail by script — transient, fatal, a panic,
+    /// then fatal for good — and whose sends all succeed.
+    struct Failing;
+
+    impl BatchSocket for Failing {
+        fn recv_batch(&mut self, _: &BufferPool, _: usize, _: &mut Vec<RecvFrame>) -> io::Result<usize> {
+            match FAILING_READS.fetch_add(1, Ordering::SeqCst) {
+                0 => Err(io::Error::new(io::ErrorKind::ConnectionReset, "scripted reset")),
+                2 => panic!("scripted recv panic"),
+                _ => Err(io::Error::new(io::ErrorKind::PermissionDenied, "scripted fatal")),
+            }
+        }
+
+        fn send_batch(&mut self, frames: &[SendFrame<'_>], results: &mut Vec<io::Result<()>>) {
+            results.extend(frames.iter().map(|_| Ok(())));
+        }
+
+        fn backend_name(&self) -> &'static str {
+            "failing"
+        }
+    }
+
+    fn failing(_: UdpSocket, _: &BatchOptions) -> Box<dyn BatchSocket> {
+        Box::new(Failing)
+    }
+
+    /// The read path's supervision, end to end on a reactor thread: the
+    /// default policy's one transient retry, five respawns and one death
+    /// are counted and logged, and a reactor that has stopped reading
+    /// still answers `exec` and fires the timer it had armed before.
+    #[test]
+    fn a_failing_socket_is_supervised_and_the_reactor_outlives_it() {
+        const GROUP: u32 = 3;
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = socket.local_addr().unwrap();
+        let plant = build(socket, 1, HostKind::Node(1), BatchOptions::default(), None).unwrap();
+        let Plant { mailboxes, mut reactors, counters } = plant;
+        let mut reactor = reactors.remove(0);
+        let rx = reactor.rx.as_mut().unwrap();
+        rx.make = failing;
+        rx.backend = failing(rx.master.try_clone().unwrap(), &rx.opts);
+        let mut opts = NodeOptions::new(SourceId(1), GroupId(GROUP), SrmConfig::fixed(2));
+        opts.session_enabled = false;
+        opts.trace = true;
+        let hosting =
+            Hosting { keep_deliveries: true, quota: None, members: 2, reg_prefix: String::new() };
+        reactor.host(Mode::Mesh { peers: vec![] }, opts, hosting);
+        // Armed before anything fails, due well after the ~0.31 s of
+        // backoffs the supervisor takes to give up.
+        reactor.with_group(GROUP, |_, d| d.set_timer(SimDuration::from_secs(3), u64::MAX));
+        let thread = std::thread::spawn(move || reactor.run());
+        let mb = &mailboxes[0];
+        let armed = || submit(mb, |r| r.groups[&GROUP].io.wheel.len()).unwrap().recv().unwrap();
+
+        // The failing backend never consumes, so one datagram keeps the
+        // socket readable for every read the script needs.
+        UdpSocket::bind("127.0.0.1:0").unwrap().send_to(b"x", addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while counters.recv_deaths.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "the budget never ran out");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let s = TransportStats::snapshot(&counters);
+        assert_eq!((s.recv_transient_errors, s.recv_respawns, s.recv_deaths), (1, 5, 1));
+        assert_eq!(armed(), 1, "the timer fired early");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while armed() > 0 {
+            assert!(Instant::now() < deadline, "a timer armed before the failure never fired");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(FAILING_READS.load(Ordering::SeqCst), 7, "a dead socket is not read again");
+
+        let log = |r: &mut Reactor| {
+            r.with_group(GROUP, |a, _| a.transport_obs.events().map(|e| e.kind.clone()).collect())
         };
-        reactors.push((reactor, rx));
-    }
-    let recv_histo = metrics.as_ref().map(|r| r.histogram("batch.recv_frames"));
-    let (recv_txs, recv_stop, recv_counters) = (txs.clone(), Arc::clone(&stop), Arc::clone(&counters));
-    let recv_name = kind.recv_name();
-    let recv = thread::Builder::new().name(recv_name.clone()).spawn(move || {
-        run_recv_supervised(
-            socket, addr, batch, rx_pool, recv_histo, recv_txs, recv_stop, recv_counters, clock,
-            &recv_name,
-        )
-    })?;
-    Ok(Plant { txs, reactors, counters, stop, recv })
-}
-
-/// The supervised receive loop: each spawned step owns a fresh socket clone
-/// (a rebind when the original descriptor is wedged) wrapped in a batched
-/// backend with a short read timeout; poll timeouts are normal progress,
-/// everything else goes through the supervisor's classify/backoff/respawn
-/// state machine. Datagrams ride pooled slabs into the reactors' bounded
-/// channels ([`route_frame`]).
-#[allow(clippy::too_many_arguments)]
-fn run_recv_supervised(
-    master: UdpSocket,
-    local: SocketAddr,
-    batch: BatchOptions,
-    pool: BufferPool,
-    recv_histo: Option<obs::Histo>,
-    txs: Vec<mpsc::SyncSender<Event>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    clock: WallClock,
-    label: &str,
-) {
-    crate::batch::enter_batch_scheduling();
-    let recv_batch = batch.recv_batch.clamp(1, crate::batch::MAX_BATCH);
-    let reason = run_supervised(
-        &SupervisePolicy::default(),
-        |attempt| {
-            let sock = if attempt == 0 {
-                master.try_clone()?
-            } else {
-                // Respawn: prefer a clone of the original descriptor, fall
-                // back to a fresh bind of the same address if the
-                // descriptor itself is the problem.
-                master.try_clone().or_else(|_| UdpSocket::bind(local))?
-            };
-            sock.set_read_timeout(Some(RECV_POLL))?;
-            let mut backend = make_backend(sock, &batch);
-            let txs = txs.clone();
-            let stop = Arc::clone(&stop);
-            let step_clock = clock.clone();
-            let step_pool = pool.clone();
-            let step_histo = recv_histo.clone();
-            let step_counters = Arc::clone(&counters);
-            let mut bufs: Vec<RecvFrame> = Vec::with_capacity(recv_batch);
-            Ok(move || -> io::Result<StepOutcome> {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(StepOutcome::Stop);
-                }
-                bufs.clear();
-                match backend.recv_batch(&step_pool, recv_batch, &mut bufs) {
-                    Ok(_) => {}
-                    // The poll timeout is the loop's heartbeat, not an
-                    // error; it must not enter the supervisor's backoff.
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        return Ok(StepOutcome::Continue);
-                    }
-                    Err(e) => return Err(e),
-                }
-                if let Some(h) = &step_histo {
-                    // Logical frames per syscall: a GRO-coalesced
-                    // buffer counts all its segments.
-                    let frames: usize = bufs.iter().map(RecvFrame::frame_count).sum();
-                    h.record(frames as f64);
-                }
-                // One capture stamp per batch: the datagrams were
-                // drained by one syscall, so they share an arrival
-                // time as far as the queue-stage clock can tell.
-                let at = step_clock.now();
-                let mut alive = true;
-                for f in bufs.drain(..) {
-                    alive &= route_frame(at, f, &txs, &step_counters, label);
-                }
-                Ok(if alive { StepOutcome::Continue } else { StepOutcome::Stop })
+        let events: Vec<obs::TransportEventKind> = submit(mb, log).unwrap().recv().unwrap().unwrap();
+        use obs::TransportEventKind::{RecvExit, RecvRespawn, SocketError};
+        let errors = |t: bool| {
+            events.iter().filter(|k| matches!(k, SocketError { transient, .. } if *transient == t)).count()
+        };
+        assert_eq!((errors(true), errors(false)), (1, 6), "{events:?}");
+        let respawns: Vec<u32> = events
+            .iter()
+            .filter_map(|k| match k {
+                RecvRespawn { attempt } => Some(*attempt),
+                _ => None,
             })
-        },
-        |ev| {
-            let kind = match ev {
-                SupervisionEvent::Transient { detail, .. } => {
-                    counters.recv_transient_errors.fetch_add(1, Ordering::Relaxed);
-                    obs::TransportEventKind::SocketError { detail: detail.clone(), transient: true }
-                }
-                SupervisionEvent::Fatal { detail } => {
-                    eprintln!("{label}: fatal recv error: {detail}");
-                    obs::TransportEventKind::SocketError { detail: detail.clone(), transient: false }
-                }
-                SupervisionEvent::Respawned { attempt, .. } => {
-                    counters.recv_respawns.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("{label}: recv loop respawned (attempt {attempt})");
-                    obs::TransportEventKind::RecvRespawn { attempt: *attempt }
-                }
-            };
-            forward(&txs, &clock, kind);
-        },
-        |backoff| {
-            // Interruptible backoff: keep shutdown latency bounded by the
-            // poll interval even while backing off.
-            let mut left = backoff;
-            while !stop.load(Ordering::Relaxed) && left > Duration::ZERO {
-                let chunk = left.min(RECV_POLL);
-                thread::sleep(chunk);
-                left = left.saturating_sub(chunk);
-            }
-        },
-    );
-    if matches!(reason, ExitReason::Exhausted { .. }) {
-        counters.recv_deaths.fetch_add(1, Ordering::Relaxed);
-        eprintln!("{label}: {}", reason.label());
-    }
-    forward(&txs, &clock, obs::TransportEventKind::RecvExit { reason: reason.label() });
-}
+            .collect();
+        assert_eq!(respawns, [1, 2, 3, 4, 5]);
+        let exits: Vec<&String> = events
+            .iter()
+            .filter_map(|k| match k {
+                RecvExit { reason } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert!(matches!(exits[..], [r] if r.contains("respawn budget exhausted")), "{exits:?}");
+        assert!(events.iter().any(|k| matches!(k, SocketError { detail, .. } if detail.contains("panicked"))));
 
-/// Tell every reactor what happened to the recv thread they share, so the
-/// event lands in the stream of whichever traced member is read, on
-/// whichever reactor. Supervision events are rare; a blocking send is fine.
-fn forward(txs: &[mpsc::SyncSender<Event>], clock: &WallClock, kind: obs::TransportEventKind) {
-    let at = clock.now();
-    for tx in txs {
-        let _ = tx.send(Event::Transport(at, kind.clone()));
+        mb.post(Event::Shutdown);
+        thread.join().unwrap();
     }
-}
-
-/// Move one pooled buffer down a reactor's channel; `false` if that
-/// reactor is gone. When the channel is full the buffer is shed and
-/// counted rather than blocking the socket drain: SRM repairs the gap
-/// exactly as it would wire loss. A shed coalesced buffer loses every
-/// frame it carried.
-fn hand_over(
-    tx: &mpsc::SyncSender<Event>,
-    at: SimTime,
-    seg: u32,
-    frames: u64,
-    buf: PoolBuf,
-    counters: &Counters,
-) -> bool {
-    match tx.try_send(Event::Datagram(at, seg, buf)) {
-        Ok(()) => true,
-        Err(mpsc::TrySendError::Full(_)) => {
-            counters.inbound_overflow.fetch_add(frames, Ordering::Relaxed);
-            true
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => false,
-    }
-}
-
-/// Route one received buffer to its reactor. With one reactor there is
-/// nothing to decide and the buffer is handed straight over — no precheck,
-/// the reactor's full decode judges it — and `false` comes back if that
-/// lone reactor, and so the host, is gone. With several, only the envelope
-/// prefix is read: when every segment prechecks to the same shard (always
-/// true for plain datagrams) the whole pooled buffer moves zero-copy; a
-/// GRO buffer straddling shards is split per segment, with copies, and
-/// counted in `demux_splits`. One dead shard among several must not
-/// silence the others, so there the answer is always `true`.
-fn route_frame(
-    at: SimTime,
-    f: RecvFrame,
-    txs: &[mpsc::SyncSender<Event>],
-    counters: &Counters,
-    label: &str,
-) -> bool {
-    let frames = f.frame_count() as u64;
-    if let [only] = txs {
-        return hand_over(only, at, f.seg_size, frames, f.buf, counters);
-    }
-    let data: &[u8] = &f.buf;
-    let stride = match f.seg_size as usize {
-        0 => data.len().max(1),
-        s => s,
-    };
-    // First pass over the segment prefixes only: where does each go?
-    let mut target: Option<usize> = None;
-    let mut uniform = true;
-    for chunk in data.chunks(stride) {
-        match Envelope::precheck(chunk) {
-            Ok(group) => {
-                let s = shard_of(group, txs.len());
-                uniform &= *target.get_or_insert(s) == s;
-            }
-            // A bad segment inside an otherwise-routable buffer forces the
-            // split path, so the good segments survive and the bad one is
-            // counted exactly once, there.
-            Err(_) => uniform = false,
-        }
-    }
-    let Some(shard) = target else {
-        // Nothing prechecks: count each segment and drop the lot.
-        count_undecodable(counters, frames.max(1), label, &"envelope precheck failed");
-        return true;
-    };
-    if uniform {
-        hand_over(&txs[shard], at, f.seg_size, frames, f.buf, counters);
-        return true;
-    }
-    counters.demux_splits.fetch_add(1, Ordering::Relaxed);
-    for chunk in data.chunks(stride) {
-        match Envelope::precheck(chunk) {
-            Ok(group) => {
-                let tx = &txs[shard_of(group, txs.len())];
-                hand_over(tx, at, 0, 1, PoolBuf::copied_from(chunk), counters);
-            }
-            Err(e) => count_undecodable(counters, 1, label, &e),
-        }
-    }
-    true
 }

@@ -1,11 +1,12 @@
 //! The wall-clock node runtime: one [`SrmAgent`] over one live UDP socket.
 //!
 //! A node is the one-group case of the reactor in `reactor.rs`: one
-//! reactor thread, one group hosted before the loop starts, and a socket
-//! of its own. [`Node::spawn_on`] builds exactly that and hands back a
-//! [`NodeHandle`]; everything that happens on the threads — the supervised
-//! receive loop, the timer/flush/drain loop, the [`srm::Driver`] seam, the
-//! chaos decorator — is the code `srm-hub` runs for each of its groups.
+//! thread, one group hosted before the loop starts, and a socket of its
+//! own that the reactor reads itself. [`Node::spawn_on`] builds exactly
+//! that and hands back a [`NodeHandle`]; everything that happens on the
+//! thread — the supervised socket reads, the timer/flush/drain loop, the
+//! [`srm::Driver`] seam, the chaos decorator — is the code `srm-hub` runs
+//! for each of its groups.
 //! What a node adds is that deliveries stay queued on the agent for
 //! [`NodeHandle::take_delivered`], and that shutdown returns the agent.
 //!
@@ -41,7 +42,7 @@
 
 use crate::batch::BatchOptions;
 use crate::chaos::ChaosPlan;
-use crate::reactor::{self, Event, HostKind, Hosting, Plant};
+use crate::reactor::{self, Event, HostKind, Hosting, Mailbox, Plant};
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
 use srm::agent::Delivery;
@@ -50,7 +51,7 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -250,7 +251,7 @@ impl NodeOptions {
         }
     }
 }
-/// Counters shared by one host's recv loop, its reactors and its handle
+/// Counters shared by one host's reactors and its handle
 /// (a node has one group behind them, a hub all of its groups).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
@@ -308,13 +309,14 @@ pub struct TransportStats {
     pub decode_errors: u64,
     /// Transient recv errors retried in place by the supervisor.
     pub recv_transient_errors: u64,
-    /// Recv-thread respawns after fatal errors or panics.
+    /// Socket rebuilds after fatal recv errors or panics.
     pub recv_respawns: u64,
-    /// Recv threads that exhausted the respawn budget and died for good.
+    /// Read paths that exhausted the respawn budget and stopped for good.
     pub recv_deaths: u64,
-    /// Inbound datagrams shed because the bounded reactor channel was
-    /// full (backpressure under flood; SRM's recovery machinery repairs
-    /// the gaps, exactly as for wire loss).
+    /// Inbound datagrams lost because the host fell behind: dropped by
+    /// the kernel from a full socket receive buffer (`SO_RXQ_OVFL`, where
+    /// the backend reads it), or shed from a full hub shard inbox. SRM's
+    /// recovery machinery repairs the gaps, exactly as for wire loss.
     pub inbound_overflow: u64,
     /// Well-formed frames addressed to a group this node never joined,
     /// dropped by the cheap filter before any payload copy. A nonzero
@@ -382,39 +384,33 @@ impl Node {
     pub fn spawn_on(socket: UdpSocket, mode: Mode, opts: NodeOptions) -> io::Result<NodeHandle> {
         let addr = socket.local_addr()?;
         let (id, group) = (opts.id, opts.group.0);
-        let Plant { mut txs, mut reactors, counters, stop, recv } = reactor::build(
+        let Plant { mut mailboxes, mut reactors, counters } = reactor::build(
             socket,
             1,
             HostKind::Node(id.0),
             opts.batch,
             opts.metrics.clone(),
         )?;
-        // `build(.., 1, ..)` returns exactly one reactor and its sender.
-        let (mut reactor, rx) = reactors.remove(0);
+        // `build(.., 1, ..)` returns exactly one reactor and its mailbox.
+        let mut reactor = reactors.remove(0);
         let hosting = Hosting {
             keep_deliveries: true,
             quota: None,
             members: mode.group_size(),
             reg_prefix: String::new(),
         };
-        let recv_stop = Arc::clone(&stop);
-        let spawned = thread::Builder::new().name(format!("srm-node-{}", id.0)).spawn(move || {
+        let thread = thread::Builder::new().name(format!("srm-node-{}", id.0)).spawn(move || {
             reactor.host(mode, opts, hosting);
-            let agent = reactor.run(rx).into_agent(group);
-            recv_stop.store(true, Ordering::Relaxed);
-            let _ = recv.join();
-            agent
-        });
-        // No reactor thread, no node: release the recv thread too.
-        let thread = spawned.inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
-        Ok(NodeHandle { tx: txs.remove(0), thread: Some(thread), addr, id, group, counters })
+            reactor.run().into_agent(group)
+        })?;
+        Ok(NodeHandle { mb: mailboxes.remove(0), thread: Some(thread), addr, id, group, counters })
     }
 }
 
 /// Client handle to a running node; drop (or [`NodeHandle::shutdown`])
 /// stops it.
 pub struct NodeHandle {
-    tx: mpsc::SyncSender<Event>,
+    mb: Mailbox,
     thread: Option<thread::JoinHandle<SrmAgent>>,
     addr: SocketAddr,
     id: SourceId,
@@ -444,7 +440,7 @@ impl NodeHandle {
         R: Send + 'static,
     {
         let group = self.group;
-        reactor::submit(&self.tx, move |r| r.with_group(group, f))
+        reactor::submit(&self.mb, move |r| r.with_group(group, f))
             .expect("node runtime is running")
             .recv()
             .expect("node runtime answered")
@@ -455,7 +451,7 @@ impl NodeHandle {
     /// within `timeout`. `false` means the reactor is deadlocked, wedged
     /// behind a long callback, or gone.
     pub fn ping(&self, timeout: Duration) -> bool {
-        reactor::submit(&self.tx, |_| ()).is_some_and(|rx| rx.recv_timeout(timeout).is_ok())
+        reactor::submit(&self.mb, |_| ()).is_some_and(|rx| rx.recv_timeout(timeout).is_ok())
     }
 
     /// Multicast a new ADU on `page`; returns its name.
@@ -491,7 +487,7 @@ impl NodeHandle {
     /// Stop the runtime and take the final agent (metrics, recorders, and
     /// store intact) for harvesting.
     pub fn shutdown(mut self) -> SrmAgent {
-        let _ = self.tx.send(Event::Shutdown);
+        self.mb.post(Event::Shutdown);
         // A reactor that panicked (an `exec` closure, the agent) panics its
         // owner here rather than handing back nothing.
         self.thread
@@ -505,7 +501,7 @@ impl NodeHandle {
 impl Drop for NodeHandle {
     fn drop(&mut self) {
         if let Some(t) = self.thread.take() {
-            let _ = self.tx.send(Event::Shutdown);
+            self.mb.post(Event::Shutdown);
             let _ = t.join();
         }
     }

@@ -1,40 +1,38 @@
-//! Recv-thread supervision: classify, back off, rebind, respawn.
+//! Receive-path supervision: classify, back off, rebind, respawn.
 //!
-//! The receive loop used to die silently on the first socket error.  This
-//! module gives it a supervisor: socket errors are classified transient
-//! (retried in place with bounded exponential backoff) or fatal (the step
-//! is torn down and re-created — in practice a fresh clone of the socket,
-//! i.e. a rebind — against a bounded respawn budget), and panics inside a
-//! step are caught and treated like fatal errors.  The supervisor reports
-//! every decision through a callback so the reactor can log typed
-//! [`obs::TransportEventKind`] events and keep counters; it never logs
-//! itself.
-//!
-//! The machinery is deliberately generic over closures rather than sockets
-//! so the full state machine — transient retry, backoff growth and cap,
-//! panic respawn, budget exhaustion — is unit-testable without any I/O.
+//! The reactor that owns a socket consults a [`Supervisor`] after every
+//! failed `recv_batch`. Socket errors are classified transient (the same
+//! socket is read again after a bounded exponential backoff) or fatal (the
+//! socket is re-cloned — or, if the descriptor itself is the problem,
+//! rebound — against a bounded respawn budget), and a panic inside the
+//! backend counts as fatal. Each call returns a [`Verdict`]; the reactor
+//! turns it into a deadline, counters and typed [`obs::TransportEventKind`]
+//! events, and keeps firing timers and answering `exec` meanwhile. The
+//! supervisor itself never sleeps, logs or touches a socket, so the whole
+//! state machine — transient retry, backoff growth and cap, respawn budget,
+//! exhaustion — is unit-testable without any I/O.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// How a step error should be handled.
+/// How a receive error should be handled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorClass {
-    /// Retry the same step after a short backoff: the error is a property
-    /// of the moment, not the socket.
+    /// Read the same socket again after a short backoff: the error is a
+    /// property of the moment, not the socket.
     Transient,
-    /// Tear the step down and respawn a fresh one (bounded).
+    /// Rebuild the socket (bounded).
     Fatal,
 }
 
 /// Classify an I/O error kind the way the recv supervisor does.
 ///
-/// `WouldBlock`/`TimedOut` are the poll timeouts every read-timeout socket
-/// produces; `Interrupted` is a signal; `ConnectionReset`/`ConnectionAborted`
-/// are what Windows and some Unixes report on a UDP socket after an ICMP
-/// port-unreachable from a peer that is merely restarting.  None of these
-/// say anything about *our* socket, so they are transient.
+/// `WouldBlock`/`TimedOut` are what a drained non-blocking socket and a
+/// read timeout produce; `Interrupted` is a signal; `ConnectionReset`/
+/// `ConnectionAborted` are what Windows and some Unixes report on a UDP
+/// socket after an ICMP port-unreachable from a peer that is merely
+/// restarting.  None of these say anything about *our* socket, so they are
+/// transient.
 pub fn classify(kind: io::ErrorKind) -> ErrorClass {
     match kind {
         io::ErrorKind::WouldBlock
@@ -79,144 +77,59 @@ impl SupervisePolicy {
     }
 }
 
-/// What one supervised step did.
+/// What the reactor does about one failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// Keep stepping.
-    Continue,
-    /// Clean shutdown was requested.
-    Stop,
-}
-
-/// A supervisor decision, reported as it happens.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SupervisionEvent {
-    /// A transient error; the step will be retried after `backoff`.
-    Transient {
-        /// Error description.
-        detail: String,
-        /// Sleep before the retry.
-        backoff: Duration,
-    },
-    /// A fatal error or a panic; the step will be torn down.
-    Fatal {
-        /// Error description (or panic note).
-        detail: String,
-    },
-    /// A fresh step was (re)created after a fatal failure.
-    Respawned {
+pub enum Verdict {
+    /// Stop polling the socket for this long, then read it again.
+    Retry(Duration),
+    /// Stop polling the socket for `after`, then rebuild it: respawn
+    /// `attempt` (1-based) of the budget.
+    Respawn {
         /// 1-based respawn attempt.
         attempt: u32,
-        /// The backoff that was slept before the respawn.
+        /// The pause before the rebuild.
         after: Duration,
     },
+    /// The respawn budget is spent: stop reading for good.
+    GiveUp,
 }
 
-/// Why the supervised loop returned.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ExitReason {
-    /// A step asked to stop (shutdown flag, closed channel).
-    Clean,
-    /// The respawn budget ran out; `detail` is the last failure.
-    Exhausted {
-        /// Last failure description.
-        detail: String,
-    },
+/// The step-wise supervisor of one socket's receive path.
+#[derive(Clone, Debug)]
+pub struct Supervisor {
+    policy: SupervisePolicy,
+    /// Respawns spent; never refunded.
+    respawns: u32,
+    /// Consecutive transient errors since the last good read or rebuild.
+    streak: u32,
 }
 
-impl ExitReason {
-    /// Short label for logs and events.
-    pub fn label(&self) -> String {
-        match self {
-            ExitReason::Clean => "shutdown".to_string(),
-            ExitReason::Exhausted { detail } => {
-                format!("respawn budget exhausted: {detail}")
-            }
-        }
+impl Supervisor {
+    /// A supervisor with a full budget.
+    pub fn new(policy: SupervisePolicy) -> Self {
+        Supervisor { policy, respawns: 0, streak: 0 }
     }
-}
 
-/// Run steps under supervision until a clean stop or budget exhaustion.
-///
-/// `make_step(attempt)` acquires the step's resources (attempt 0 is the
-/// first spawn; ≥1 are respawns — for the recv loop, a fresh socket clone).
-/// The returned closure is called repeatedly; transient errors retry it in
-/// place with exponential backoff, fatal errors and panics consume the
-/// respawn budget and re-run `make_step`.  `report` observes every
-/// decision; `sleep` performs the backoff (injected so tests run instantly).
-pub fn run_supervised<F, M, R, S>(
-    policy: &SupervisePolicy,
-    mut make_step: M,
-    mut report: R,
-    mut sleep: S,
-) -> ExitReason
-where
-    F: FnMut() -> io::Result<StepOutcome>,
-    M: FnMut(u32) -> io::Result<F>,
-    R: FnMut(&SupervisionEvent),
-    S: FnMut(Duration),
-{
-    let mut respawns = 0u32;
-    'spawn: loop {
-        let mut step = match make_step(respawns) {
-            Ok(s) => s,
-            Err(e) => {
-                let ev = SupervisionEvent::Fatal { detail: e.to_string() };
-                report(&ev);
-                if respawns >= policy.max_respawns {
-                    return ExitReason::Exhausted { detail: e.to_string() };
-                }
-                respawns += 1;
-                let pause = policy.backoff(respawns - 1);
-                sleep(pause);
-                report(&SupervisionEvent::Respawned { attempt: respawns, after: pause });
-                continue 'spawn;
+    /// A read that worked ends a transient streak.
+    pub fn succeeded(&mut self) {
+        self.streak = 0;
+    }
+
+    /// A read failed (`Fatal` also covers a panicking backend and a
+    /// rebuild that could not get a socket): decide what happens next.
+    pub fn failed(&mut self, class: ErrorClass) -> Verdict {
+        match class {
+            ErrorClass::Transient => {
+                let pause = self.policy.backoff(self.streak);
+                self.streak = self.streak.saturating_add(1);
+                Verdict::Retry(pause)
             }
-        };
-        let mut transient_streak = 0u32;
-        loop {
-            match catch_unwind(AssertUnwindSafe(&mut step)) {
-                Ok(Ok(StepOutcome::Stop)) => return ExitReason::Clean,
-                Ok(Ok(StepOutcome::Continue)) => {
-                    transient_streak = 0;
-                }
-                Ok(Err(e)) => match classify(e.kind()) {
-                    ErrorClass::Transient => {
-                        let pause = policy.backoff(transient_streak);
-                        transient_streak = transient_streak.saturating_add(1);
-                        report(&SupervisionEvent::Transient {
-                            detail: e.to_string(),
-                            backoff: pause,
-                        });
-                        sleep(pause);
-                    }
-                    ErrorClass::Fatal => {
-                        report(&SupervisionEvent::Fatal { detail: e.to_string() });
-                        if respawns >= policy.max_respawns {
-                            return ExitReason::Exhausted { detail: e.to_string() };
-                        }
-                        respawns += 1;
-                        let pause = policy.backoff(respawns - 1);
-                        sleep(pause);
-                        report(&SupervisionEvent::Respawned {
-                            attempt: respawns,
-                            after: pause,
-                        });
-                        continue 'spawn;
-                    }
-                },
-                Err(_panic) => {
-                    let detail = "recv step panicked".to_string();
-                    report(&SupervisionEvent::Fatal { detail: detail.clone() });
-                    if respawns >= policy.max_respawns {
-                        return ExitReason::Exhausted { detail };
-                    }
-                    respawns += 1;
-                    let pause = policy.backoff(respawns - 1);
-                    sleep(pause);
-                    report(&SupervisionEvent::Respawned { attempt: respawns, after: pause });
-                    continue 'spawn;
-                }
+            ErrorClass::Fatal if self.respawns >= self.policy.max_respawns => Verdict::GiveUp,
+            ErrorClass::Fatal => {
+                // A rebuilt socket starts a fresh transient streak.
+                self.streak = 0;
+                self.respawns += 1;
+                Verdict::Respawn { attempt: self.respawns, after: self.policy.backoff(self.respawns - 1) }
             }
         }
     }
@@ -225,7 +138,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
 
     fn policy() -> SupervisePolicy {
         SupervisePolicy {
@@ -233,6 +145,10 @@ mod tests {
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(80),
         }
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
     }
 
     #[test]
@@ -247,125 +163,66 @@ mod tests {
     #[test]
     fn backoff_doubles_and_caps() {
         let p = policy();
-        assert_eq!(p.backoff(0), Duration::from_millis(10));
-        assert_eq!(p.backoff(1), Duration::from_millis(20));
-        assert_eq!(p.backoff(2), Duration::from_millis(40));
-        assert_eq!(p.backoff(3), Duration::from_millis(80));
-        assert_eq!(p.backoff(10), Duration::from_millis(80), "capped");
-        assert_eq!(p.backoff(40), Duration::from_millis(80), "no shift overflow");
+        assert_eq!(p.backoff(0), ms(10));
+        assert_eq!(p.backoff(1), ms(20));
+        assert_eq!(p.backoff(2), ms(40));
+        assert_eq!(p.backoff(3), ms(80));
+        assert_eq!(p.backoff(10), ms(80), "capped");
+        assert_eq!(p.backoff(40), ms(80), "no shift overflow");
     }
 
     #[test]
     fn transient_errors_retry_in_place_with_growing_backoff() {
-        let script = RefCell::new(vec![
-            Err(io::Error::new(io::ErrorKind::ConnectionReset, "icmp")),
-            Err(io::Error::new(io::ErrorKind::ConnectionReset, "icmp")),
-            Ok(StepOutcome::Continue),
-            Err(io::Error::new(io::ErrorKind::ConnectionReset, "icmp")),
-            Ok(StepOutcome::Stop),
-        ]);
-        let mut spawns = 0;
-        let mut slept = Vec::new();
-        let mut events = Vec::new();
-        let reason = run_supervised(
-            &policy(),
-            |_| {
-                spawns += 1;
-                Ok(|| script.borrow_mut().remove(0))
-            },
-            |e| events.push(e.clone()),
-            |d| slept.push(d),
-        );
-        assert_eq!(reason, ExitReason::Clean);
-        assert_eq!(spawns, 1, "transient errors never respawn");
-        // Backoff grew across the first streak, then reset after success.
-        assert_eq!(
-            slept,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(10)
-            ]
-        );
-        assert!(events
-            .iter()
-            .all(|e| matches!(e, SupervisionEvent::Transient { .. })));
+        let mut s = Supervisor::new(policy());
+        // The backoff grows across a streak and resets after a good read;
+        // no transient error ever spends the respawn budget.
+        assert_eq!(s.failed(ErrorClass::Transient), Verdict::Retry(ms(10)));
+        assert_eq!(s.failed(ErrorClass::Transient), Verdict::Retry(ms(20)));
+        s.succeeded();
+        assert_eq!(s.failed(ErrorClass::Transient), Verdict::Retry(ms(10)));
+        for _ in 0..20 {
+            assert!(matches!(s.failed(ErrorClass::Transient), Verdict::Retry(_)));
+        }
+        assert_eq!(s.failed(ErrorClass::Fatal), Verdict::Respawn { attempt: 1, after: ms(10) });
     }
 
     #[test]
     fn panics_respawn_until_the_budget_runs_out() {
-        let mut spawns = 0u32;
-        let mut events = Vec::new();
-        let reason = run_supervised(
-            &policy(),
-            |attempt| {
-                spawns += 1;
-                assert_eq!(attempt + 1, spawns);
-                Ok(|| -> io::Result<StepOutcome> { panic!("boom") })
-            },
-            |e| events.push(e.clone()),
-            |_| {},
-        );
-        // First spawn + max_respawns respawns, all panicking.
-        assert_eq!(spawns, 3);
-        assert!(matches!(reason, ExitReason::Exhausted { .. }));
-        let respawns: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                SupervisionEvent::Respawned { attempt, .. } => Some(*attempt),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(respawns, vec![1, 2]);
-        assert!(reason.label().contains("panicked"));
+        // A panicking backend is reported as fatal: first life plus
+        // `max_respawns` respawns, then the reactor stops reading.
+        let mut s = Supervisor::new(policy());
+        assert_eq!(s.failed(ErrorClass::Fatal), Verdict::Respawn { attempt: 1, after: ms(10) });
+        assert_eq!(s.failed(ErrorClass::Fatal), Verdict::Respawn { attempt: 2, after: ms(20) });
+        assert_eq!(s.failed(ErrorClass::Fatal), Verdict::GiveUp);
+        assert_eq!(s.failed(ErrorClass::Fatal), Verdict::GiveUp, "the budget is never refunded");
     }
 
-    // A panicking step must not poison the supervisor: after a respawn the
-    // fresh step runs normally.
+    // A respawn does not poison the supervisor: the rebuilt socket reads
+    // normally and starts its own transient streak from the base backoff.
     #[test]
     fn a_respawned_step_can_recover() {
-        let mut spawns = 0;
-        let reason = run_supervised(
-            &policy(),
-            move |_| {
-                spawns += 1;
-                let healthy = spawns > 1;
-                let mut fired = false;
-                Ok(move || -> io::Result<StepOutcome> {
-                    if !healthy {
-                        panic!("first life dies");
-                    }
-                    if fired {
-                        return Ok(StepOutcome::Stop);
-                    }
-                    fired = true;
-                    Ok(StepOutcome::Continue)
-                })
-            },
-            |_| {},
-            |_| {},
-        );
-        assert_eq!(reason, ExitReason::Clean);
+        let mut s = Supervisor::new(policy());
+        assert_eq!(s.failed(ErrorClass::Transient), Verdict::Retry(ms(10)));
+        assert_eq!(s.failed(ErrorClass::Transient), Verdict::Retry(ms(20)));
+        assert!(matches!(s.failed(ErrorClass::Fatal), Verdict::Respawn { attempt: 1, .. }));
+        s.succeeded();
+        assert_eq!(s.failed(ErrorClass::Transient), Verdict::Retry(ms(10)));
     }
 
     #[test]
     fn make_step_failure_consumes_the_budget() {
-        let mut events = Vec::new();
-        let reason = run_supervised(
-            &policy(),
-            |_| -> io::Result<fn() -> io::Result<StepOutcome>> {
-                Err(io::Error::new(io::ErrorKind::AddrInUse, "bind failed"))
-            },
-            |e| events.push(e.clone()),
-            |_| {},
-        );
-        assert!(matches!(reason, ExitReason::Exhausted { .. }));
+        // A rebuild that cannot get a socket is one more fatal failure:
+        // fatal read → respawn 1 → rebuild fails → respawn 2 → rebuild
+        // fails → give up.
+        let mut s = Supervisor::new(policy());
+        let verdicts: Vec<_> = (0..3).map(|_| s.failed(ErrorClass::Fatal)).collect();
         assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, SupervisionEvent::Fatal { .. }))
-                .count(),
-            3
+            verdicts,
+            [
+                Verdict::Respawn { attempt: 1, after: ms(10) },
+                Verdict::Respawn { attempt: 2, after: ms(20) },
+                Verdict::GiveUp,
+            ]
         );
     }
 }

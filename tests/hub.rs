@@ -21,9 +21,11 @@
 //!    commands and duplicate-group errors.
 //!
 //! Plus the satellite checks that a standalone node counts (rather than
-//! silently eats) well-formed frames for groups it never joined, and that
-//! an over-long, deeply nested or non-UTF-8 control line costs its sender
-//! one error reply, not the hub its process or the sender its connection.
+//! silently eats) well-formed frames for groups it never joined, that an
+//! over-long, deeply nested or non-UTF-8 control line costs its sender one
+//! error reply, not the hub its process or the sender its connection, and
+//! that a hub's threads are its shards: shard 0 reads the socket, and no
+//! demux thread sits in front of it.
 
 use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration};
@@ -525,4 +527,40 @@ fn node_counts_well_formed_frames_for_unjoined_groups() {
     }
     assert!(seen >= 1, "unjoined-group frames must be counted");
     drop(node.shutdown());
+}
+
+/// A 2-shard hub is two threads, `srm-hub-shard0` and `srm-hub-shard1`:
+/// shard 0 reads the shared socket itself and forwards what shard 1 hosts,
+/// with no demux thread in front. A group on each shard hears its
+/// receiver's session messages, so both paths — walked where read, and
+/// forwarded — carry frames.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_two_shard_hub_runs_two_shard_threads_and_no_demux_thread() {
+    let opts = HubOptions { shards: 2, ..HubOptions::default() };
+    let hub = Hub::spawn("127.0.0.1:0".parse().unwrap(), opts).unwrap();
+    let on = |shard| (1..).find(|&g| shard_of(g, 2) == shard).unwrap();
+    let receivers: Vec<NodeHandle> = [on(0), on(1)]
+        .into_iter()
+        .map(|group| {
+            let rx = spawn_receiver(2, group, 2, hub.local_addr());
+            hub.create(spec(group, vec![rx.local_addr()], 1, 2), false).unwrap();
+            rx
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while hub.stats().groups.iter().any(|g| g.rx_frames == 0) {
+        assert!(Instant::now() < deadline, "a shard never heard its group: {:?}", hub.stats());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let names: BTreeSet<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect();
+    assert!(names.contains("srm-hub-shard0") && names.contains("srm-hub-shard1"), "{names:?}");
+    assert!(!names.iter().any(|n| n.contains("demux")), "{names:?}");
+    hub.shutdown();
+    drop(receivers);
 }

@@ -7,6 +7,9 @@
 //! exchange to restore the data, and inspect the obs timeline for the
 //! recovery chain the paper describes.
 //!
+//! The harness also pins the thread set: a node is one thread, which reads
+//! its socket itself.
+//!
 //! Determinism note: timer *draws* are seeded per node, but thread
 //! scheduling is real. The tests therefore assert outcomes (recovery, who
 //! repaired) made robust by construction — seeded distance estimates put
@@ -275,12 +278,12 @@ fn ten_thousand_lossy_adus_leave_no_recovery_state_behind() {
     assert!(agents[1].metrics.requests_sent >= 50, "recovery was exercised");
 }
 
-/// The reactor's inbound channel is bounded, and what does not fit is shed
-/// and counted, not queued: a receiver whose reactor stalls while 6 000
-/// datagrams arrive keeps the first channel-full and loses the tail, which
-/// SRM then repairs exactly as it would wire loss — session messages reveal
-/// the gap, requests go out, the source answers — and when the hold-downs
-/// end nothing of it is remembered.
+/// A stalled reactor is not a growing queue: what its socket's receive
+/// buffer cannot hold while 6 000 datagrams arrive, the kernel drops, and
+/// the reactor counts those drops (`SO_RXQ_OVFL`) as `inbound_overflow`
+/// once it reads again. SRM then repairs the loss exactly as it would wire
+/// loss — session messages reveal the gap, requests go out, the source
+/// answers — and when the hold-downs end nothing of it is remembered.
 #[test]
 fn a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them() {
     const ADUS: usize = 6_000;
@@ -292,8 +295,11 @@ fn a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them() {
         seed_uniform_distances(2, opts, SimDuration::from_millis(20));
         if i == 0 {
             // No GSO: every frame is its own datagram, and so its own
-            // channel event at the receiver.
+            // kernel drop at the receiver.
             opts.batch.force_portable = true;
+        } else {
+            // A receive buffer that holds a few thousand of them.
+            opts.batch.socket_bufs = 1024 * 1024;
         }
     })
     .unwrap();
@@ -303,8 +309,8 @@ fn a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them() {
     let (parked_tx, parked_rx) = std::sync::mpsc::channel();
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|s| {
-        // The sink's reactor sits in this call until released; its recv
-        // thread keeps draining the socket into the channel.
+        // The sink's reactor sits in this call until released, and nothing
+        // else reads its socket.
         s.spawn(move || {
             sink.exec(move |_, _| {
                 parked_tx.send(()).unwrap();
@@ -317,10 +323,11 @@ fn a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them() {
             payload[..8].copy_from_slice(&k.to_le_bytes());
             source.send_data(page, Bytes::from(payload));
         }
-        let shed = wait_for(30, || sink.stats().inbound_overflow > 0);
         release_tx.send(()).unwrap();
-        assert!(shed, "nothing was shed: {:?}", sink.stats());
     });
+    // The count rides on the first datagram queued after the drops.
+    let shed = wait_for(30, || sink.stats().inbound_overflow > 0);
+    assert!(shed, "no drop was counted: {:?}", sink.stats());
 
     let mut got = Vec::new();
     let complete = wait_for(60, || {
@@ -339,4 +346,25 @@ fn a_stalled_reactor_sheds_inbound_frames_and_srm_repairs_them() {
         assert!(s.frames_accounted(), "frames unaccounted for: {s:?}");
     }
     assert!(h.shutdown()[1].metrics.all_recovered());
+}
+
+/// A node is one thread: its reactor reads the socket itself, so while a
+/// 2-node harness exchanges data no thread in the process is a receive
+/// thread (`srm-recv…`), and each node's reactor (`srm-node-<id>`) is.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_node_reads_its_socket_on_its_one_thread() {
+    let h = Harness::loopback(2, GROUP, &SrmConfig::fixed(2), |_, _, _| {}).unwrap();
+    let page = PageId::new(SourceId(1), 0);
+    h.nodes[0].send_data(page, Bytes::from_static(b"read on the reactor"));
+    assert!(wait_for(10, || !h.nodes[1].take_delivered().is_empty()), "nothing arrived");
+
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect();
+    assert!(names.iter().any(|n| n == "srm-node-1") && names.iter().any(|n| n == "srm-node-2"));
+    assert!(!names.iter().any(|n| n.starts_with("srm-recv")), "{names:?}");
+    h.shutdown();
 }
