@@ -2,10 +2,10 @@
 //!
 //! `obs` is deliberately ignorant of SRM wire types; this module owns the
 //! conversions — `AduName` → [`obs::AduKey`], [`AgentMetrics`] →
-//! [`obs::MemberSummary`] — and the whole-simulation harvest helpers the
-//! experiment harness and the CLI share: enable tracing on every agent,
-//! drain every agent's recorder into a merged [`obs::Timeline`], and fold
-//! every agent's metrics into an [`obs::RunSummary`].
+//! [`obs::MemberSummary`] — and the harvest helpers the experiment harness,
+//! the CLI and the live soak share: enable tracing on every agent, drain
+//! every agent's recorder into a merged [`obs::Timeline`], and fold agents'
+//! metrics, simulated or live, into an [`obs::RunSummary`].
 
 use netsim::Simulator;
 
@@ -90,14 +90,12 @@ pub fn harvest_timeline(
     tl
 }
 
-/// Fold every agent's metrics into a run summary (one counter row per live
-/// member).
-pub fn harvest_summary(sim: &Simulator<SrmAgent>) -> obs::RunSummary {
+/// Fold agents' metrics into a run summary, one counter row each: a
+/// simulation's live members or a live run's shut-down agents.
+pub fn harvest_summary<'a>(agents: impl IntoIterator<Item = &'a SrmAgent>) -> obs::RunSummary {
     let mut run = obs::RunSummary::new();
-    for node in sim.app_nodes() {
-        if let Some(a) = sim.app(node) {
-            observe_agent(&mut run, a.id.0, &a.metrics);
-        }
+    for a in agents {
+        observe_agent(&mut run, a.id.0, &a.metrics);
     }
     run
 }

@@ -104,7 +104,8 @@ impl FaultRun {
 
     /// Fold every live member's metrics into a run summary.
     pub fn summary(&self) -> obs::RunSummary {
-        srm::harvest_summary(&self.sim)
+        let agents = self.sim.app_nodes().into_iter().filter_map(|n| self.sim.app(n));
+        srm::harvest_summary(agents)
     }
 }
 

@@ -85,7 +85,8 @@ fn drop_scenario(topo: TopoSpec, drop: DropSpec, group: usize, seed: u64) -> Tra
     s.advance(1.0);
     s.source_sends(); // exposes the gap downstream
     s.settle(300.0);
-    let summary = srm::harvest_summary(&s.sim);
+    let agents = s.sim.app_nodes().into_iter().filter_map(|n| s.sim.app(n));
+    let summary = srm::harvest_summary(agents);
     let timeline = srm::harvest_timeline(&mut s.sim, Vec::new());
     TracedRun { timeline, summary }
 }

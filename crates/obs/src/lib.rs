@@ -53,4 +53,4 @@ pub use recorder::Recorder;
 pub use stats::{summarize, Summary};
 pub use summary::{MemberSummary, RunSummary};
 pub use timeline::{Chain, MemberEvent, Timeline};
-pub use transport::{TransportEventKind, TransportLog, TransportRecord, TransportSummary};
+pub use transport::{TransportEventKind, TransportLog, TransportRecord};

@@ -70,7 +70,8 @@ impl Counter {
     }
 
     /// Overwrite with an externally maintained cumulative total (used to
-    /// mirror reactor-owned tallies that already count monotonically).
+    /// mirror per-group tallies a reactor keeps as plain integers; a host's
+    /// own transport counters are handles and count in place).
     #[inline]
     pub fn set_total(&self, total: u64) {
         self.0.store(total, Ordering::Relaxed);

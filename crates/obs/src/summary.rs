@@ -4,7 +4,6 @@
 use std::fmt::Write as _;
 
 use crate::hist::LogHistogram;
-use crate::transport::TransportSummary;
 
 /// Counters for one member, harvested from the protocol layer's metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -62,10 +61,6 @@ pub struct RunSummary {
     pub dup_repairs_per_adu: LogHistogram,
     /// Per-member share of multicast packets that are session messages.
     pub session_share: LogHistogram,
-    /// Per-node transport rows (chaos/supervision/liveness counters).  Only
-    /// populated by the wall-clock runtime; when empty the rendered report is
-    /// unchanged, which keeps simulator output byte-identical.
-    pub transport: Vec<TransportSummary>,
 }
 
 impl RunSummary {
@@ -110,38 +105,9 @@ impl RunSummary {
         ];
         let mut members = self.members.clone();
         members.sort_by_key(|m| m.member);
-        let mut rows: Vec<[String; 11]> = members
-            .iter()
-            .map(|m| {
-                [
-                    format!("m{}", m.member),
-                    m.data_sent.to_string(),
-                    m.requests_sent.to_string(),
-                    m.repairs_sent.to_string(),
-                    m.session_sent.to_string(),
-                    m.losses.to_string(),
-                    m.recovered.to_string(),
-                    m.gave_up.to_string(),
-                    m.requests_held_down.to_string(),
-                    m.dup_requests.to_string(),
-                    m.dup_repairs.to_string(),
-                ]
-            })
-            .collect();
-        let t = self.totals();
-        rows.push([
-            "total".to_string(),
-            t.data_sent.to_string(),
-            t.requests_sent.to_string(),
-            t.repairs_sent.to_string(),
-            t.session_sent.to_string(),
-            t.losses.to_string(),
-            t.recovered.to_string(),
-            t.gave_up.to_string(),
-            t.requests_held_down.to_string(),
-            t.dup_requests.to_string(),
-            t.dup_repairs.to_string(),
-        ]);
+        let mut rows: Vec<[String; 11]> =
+            members.iter().map(|m| member_row(&format!("m{}", m.member), m)).collect();
+        rows.push(member_row("total", &self.totals()));
 
         let mut widths: [usize; 11] = [0; 11];
         for (i, h) in HEADERS.iter().enumerate() {
@@ -176,95 +142,24 @@ impl RunSummary {
         let _ = writeln!(out, "dup requests / loss  : {}", self.dup_requests_per_loss.summary_line());
         let _ = writeln!(out, "dup repairs / adu    : {}", self.dup_repairs_per_adu.summary_line());
         let _ = writeln!(out, "session pkt share    : {}", self.session_share.summary_line());
-        if !self.transport.is_empty() {
-            out.push('\n');
-            out.push_str(&self.render_transport());
-        }
-        out
-    }
-
-    /// Add one node's transport counter row.
-    pub fn add_transport(&mut self, t: TransportSummary) {
-        self.transport.push(t);
-    }
-
-    /// Render the transport table alone (chaos / supervision / liveness /
-    /// queue peaks).
-    pub fn render_transport(&self) -> String {
-        const HEADERS: [&str; 14] = [
-            "member", "chdrop", "chdup", "chdelay", "chcorrupt", "blackhole", "sockerr",
-            "respawn", "decerr", "suspect", "dead", "wheelhw", "delayqhw", "diskrep",
-        ];
-        let mut rows: Vec<[String; 14]> = Vec::new();
-        let mut sorted = self.transport.clone();
-        sorted.sort_by_key(|t| t.member);
-        let mut total = TransportSummary::new(0);
-        for t in &sorted {
-            total.chaos_dropped += t.chaos_dropped;
-            total.chaos_duplicated += t.chaos_duplicated;
-            total.chaos_delayed += t.chaos_delayed;
-            total.chaos_corrupted += t.chaos_corrupted;
-            total.blackholed += t.blackholed;
-            total.socket_errors += t.socket_errors;
-            total.respawns += t.respawns;
-            total.decode_errors += t.decode_errors;
-            total.peers_suspected += t.peers_suspected;
-            total.peers_died += t.peers_died;
-            total.disk_repairs += t.disk_repairs;
-            // High-water marks are peaks, not flows: the total row shows the
-            // worst node, not a meaningless sum.
-            total.wheel_hw = total.wheel_hw.max(t.wheel_hw);
-            total.delayq_hw = total.delayq_hw.max(t.delayq_hw);
-            rows.push(transport_row(&format!("m{}", t.member), t));
-        }
-        rows.push(transport_row("total", &total));
-
-        let mut widths: [usize; 14] = [0; 14];
-        for (i, h) in HEADERS.iter().enumerate() {
-            widths[i] = h.len();
-        }
-        for row in &rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "# transport (chaos / supervision / liveness)");
-        let header: Vec<String> = HEADERS
-            .iter()
-            .enumerate()
-            .map(|(i, h)| format!("{:>w$}", h, w = widths[i]))
-            .collect();
-        let _ = writeln!(out, "{}", header.join("  "));
-        let _ = writeln!(out, "{}", "-".repeat(header.join("  ").len()));
-        for row in &rows {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect();
-            let _ = writeln!(out, "{}", line.join("  "));
-        }
         out
     }
 }
 
-fn transport_row(label: &str, t: &TransportSummary) -> [String; 14] {
+/// One rendered row of the counter table.
+fn member_row(label: &str, m: &MemberSummary) -> [String; 11] {
     [
         label.to_string(),
-        t.chaos_dropped.to_string(),
-        t.chaos_duplicated.to_string(),
-        t.chaos_delayed.to_string(),
-        t.chaos_corrupted.to_string(),
-        t.blackholed.to_string(),
-        t.socket_errors.to_string(),
-        t.respawns.to_string(),
-        t.decode_errors.to_string(),
-        t.peers_suspected.to_string(),
-        t.peers_died.to_string(),
-        t.wheel_hw.to_string(),
-        t.delayq_hw.to_string(),
-        t.disk_repairs.to_string(),
+        m.data_sent.to_string(),
+        m.requests_sent.to_string(),
+        m.repairs_sent.to_string(),
+        m.session_sent.to_string(),
+        m.losses.to_string(),
+        m.recovered.to_string(),
+        m.gave_up.to_string(),
+        m.requests_held_down.to_string(),
+        m.dup_requests.to_string(),
+        m.dup_repairs.to_string(),
     ]
 }
 

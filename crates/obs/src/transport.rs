@@ -11,9 +11,9 @@
 //!
 //! [`Timeline`](crate::Timeline) merges transport records into the same
 //! deterministic JSONL stream (transport lines sort just after same-instant
-//! recovery events of the same member), and [`RunSummary`](crate::RunSummary)
-//! renders a per-member transport table — but only when any transport events
-//! exist, so simulator reports stay byte-identical.
+//! recovery events of the same member). The log is the timeline's source,
+//! not a tally: the live transport counts each event once, in its
+//! registry-backed counters.
 
 use std::fmt::Write as _;
 
@@ -292,78 +292,6 @@ impl TransportLog {
     }
 }
 
-/// Per-node transport counters, aggregated from a drained event stream —
-/// one row of the RunSummary transport table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TransportSummary {
-    /// Member id.
-    pub member: u64,
-    /// Frames dropped by the chaos plan (Bernoulli + burst loss).
-    pub chaos_dropped: u64,
-    /// Extra frame copies injected by the chaos plan.
-    pub chaos_duplicated: u64,
-    /// Frames held back in the delay queue.
-    pub chaos_delayed: u64,
-    /// Frames with chaos-flipped header bits.
-    pub chaos_corrupted: u64,
-    /// Per-destination frames swallowed by blackhole windows.
-    pub blackholed: u64,
-    /// Socket errors seen by the recv loop (transient + fatal).
-    pub socket_errors: u64,
-    /// Recv-thread respawns performed by the supervisor.
-    pub respawns: u64,
-    /// Inbound datagrams that failed envelope/wire decoding.
-    pub decode_errors: u64,
-    /// Peer transitions into the suspect state.
-    pub peers_suspected: u64,
-    /// Peer transitions into the dead state.
-    pub peers_died: u64,
-    /// Peak timer-wheel length over the reactor's lifetime.
-    pub wheel_hw: u64,
-    /// Peak chaos DelayQueue length over the reactor's lifetime.
-    pub delayq_hw: u64,
-    /// Repairs served by reading the durable store instead of RAM.
-    pub disk_repairs: u64,
-}
-
-impl TransportSummary {
-    /// A zeroed summary for `member`.
-    pub fn new(member: u64) -> Self {
-        TransportSummary { member, ..TransportSummary::default() }
-    }
-
-    /// Tally an event stream (borrowed or drained) into a summary row.
-    pub fn from_events<'a, I>(member: u64, events: I) -> Self
-    where
-        I: IntoIterator<Item = &'a TransportRecord>,
-    {
-        let mut s = TransportSummary::new(member);
-        for e in events {
-            match &e.kind {
-                TransportEventKind::ChaosDrop { .. } => s.chaos_dropped += 1,
-                TransportEventKind::ChaosDuplicate { .. } => s.chaos_duplicated += 1,
-                TransportEventKind::ChaosDelay { .. } => s.chaos_delayed += 1,
-                TransportEventKind::ChaosCorrupt { .. } => s.chaos_corrupted += 1,
-                TransportEventKind::Blackholed { .. } => s.blackholed += 1,
-                TransportEventKind::SocketError { .. } => s.socket_errors += 1,
-                TransportEventKind::RecvRespawn { .. } => s.respawns += 1,
-                TransportEventKind::DecodeError { .. } => s.decode_errors += 1,
-                TransportEventKind::PeerSuspect { .. } => s.peers_suspected += 1,
-                TransportEventKind::PeerDead { .. } => s.peers_died += 1,
-                TransportEventKind::QueueHighWater { wheel, delayq } => {
-                    s.wheel_hw = s.wheel_hw.max(*wheel);
-                    s.delayq_hw = s.delayq_hw.max(*delayq);
-                }
-                TransportEventKind::StoreDiskRepair => s.disk_repairs += 1,
-                TransportEventKind::RecvExit { .. }
-                | TransportEventKind::PeerAlive { .. }
-                | TransportEventKind::StoreRehydrate { .. } => {}
-            }
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,36 +362,5 @@ mod tests {
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[1].kind.name(), "decode_error");
         assert_eq!((evs[0].seq, evs[1].seq, evs[2].seq), (0, 1, 2));
-    }
-
-    #[test]
-    fn summary_tallies_kinds() {
-        let t = SimTime::from_nanos;
-        let mut log = TransportLog::new();
-        log.enable();
-        log.record(t(1), TransportEventKind::ChaosDrop { flow: 0 });
-        log.record(t(2), TransportEventKind::ChaosDrop { flow: 3 });
-        log.record(t(3), TransportEventKind::Blackholed { flow: 2 });
-        log.record(t(4), TransportEventKind::PeerSuspect { peer: 2 });
-        log.record(t(5), TransportEventKind::PeerDead { peer: 2 });
-        log.record(t(6), TransportEventKind::PeerAlive { peer: 2 });
-        let s = TransportSummary::from_events(9, log.events());
-        assert_eq!(s.member, 9);
-        assert_eq!(s.chaos_dropped, 2);
-        assert_eq!(s.blackholed, 1);
-        assert_eq!(s.peers_suspected, 1);
-        assert_eq!(s.peers_died, 1);
-    }
-
-    #[test]
-    fn summary_takes_max_of_high_water_events() {
-        let t = SimTime::from_nanos;
-        let mut log = TransportLog::new();
-        log.enable();
-        log.record(t(1), TransportEventKind::QueueHighWater { wheel: 10, delayq: 2 });
-        log.record(t(2), TransportEventKind::QueueHighWater { wheel: 7, delayq: 5 });
-        let s = TransportSummary::from_events(1, log.events());
-        assert_eq!(s.wheel_hw, 10);
-        assert_eq!(s.delayq_hw, 5);
     }
 }

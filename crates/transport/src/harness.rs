@@ -90,24 +90,6 @@ pub fn harvest_timeline(agents: &mut [SrmAgent]) -> obs::Timeline {
     tl
 }
 
-/// Fold shut-down agents' metrics into a run summary, as
-/// [`srm::harvest_summary`] does for a simulation. Agents that recorded
-/// transport events contribute a row to the transport table; agents without
-/// any (every simulator run) leave the summary byte-identical to before.
-pub fn harvest_summary(agents: &[SrmAgent]) -> obs::RunSummary {
-    let mut run = obs::RunSummary::new();
-    for a in agents {
-        srm::observe::observe_agent(&mut run, a.id.0, &a.metrics);
-        if !a.transport_obs.is_empty() {
-            run.add_transport(obs::TransportSummary::from_events(
-                a.id.0,
-                a.transport_obs.events(),
-            ));
-        }
-    }
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,6 +137,14 @@ pub struct HubStats {
     pub recv_respawns: u64,
     /// Read paths that exhausted the respawn budget and stopped for good.
     pub recv_deaths: u64,
+    /// Frames the groups' chaos plans dropped before the fan-out.
+    pub chaos_dropped: u64,
+    /// Extra frame copies the groups' chaos plans injected.
+    pub chaos_duplicated: u64,
+    /// Frames the groups' chaos plans held back on a delay queue.
+    pub chaos_delayed: u64,
+    /// Frames the groups' chaos plans damaged.
+    pub chaos_corrupted: u64,
 }
 
 impl HubStats {
@@ -144,25 +152,31 @@ impl HubStats {
     /// sorted by id. Counters are live, so this is the one control reply
     /// the golden test does not pin byte-for-byte.
     pub fn to_json_line(&self) -> String {
-        let mut s = format!(
-            "{{\"ok\":true,\"cmd\":\"stats\",\"hub\":{{\"frames_attempted\":{},\"frames_sent\":{},\
-             \"send_errors\":{},\"rx_frames\":{},\"rx_undecodable\":{},\"rx_unjoined_group\":{},\
-             \"inbound_overflow\":{},\"demux_splits\":{},\"frames_dropped\":{},\"blackholed\":{},\
-             \"recv_transient_errors\":{},\"recv_respawns\":{},\"recv_deaths\":{}}},\"groups\":[",
-            self.frames_attempted,
-            self.frames_sent,
-            self.send_errors,
-            self.rx_frames,
-            self.rx_undecodable,
-            self.rx_unjoined_group,
-            self.inbound_overflow,
-            self.demux_splits,
-            self.frames_dropped,
-            self.blackholed,
-            self.recv_transient_errors,
-            self.recv_respawns,
-            self.recv_deaths,
-        );
+        let hub = [
+            ("frames_attempted", self.frames_attempted),
+            ("frames_sent", self.frames_sent),
+            ("send_errors", self.send_errors),
+            ("rx_frames", self.rx_frames),
+            ("rx_undecodable", self.rx_undecodable),
+            ("rx_unjoined_group", self.rx_unjoined_group),
+            ("inbound_overflow", self.inbound_overflow),
+            ("demux_splits", self.demux_splits),
+            ("frames_dropped", self.frames_dropped),
+            ("blackholed", self.blackholed),
+            ("recv_transient_errors", self.recv_transient_errors),
+            ("recv_respawns", self.recv_respawns),
+            ("recv_deaths", self.recv_deaths),
+            ("chaos_dropped", self.chaos_dropped),
+            ("chaos_duplicated", self.chaos_duplicated),
+            ("chaos_delayed", self.chaos_delayed),
+            ("chaos_corrupted", self.chaos_corrupted),
+        ];
+        let mut s = String::from("{\"ok\":true,\"cmd\":\"stats\",\"hub\":{");
+        for (i, (key, value)) in hub.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            s.push_str(&format!("{sep}\"{key}\":{value}"));
+        }
+        s.push_str("},\"groups\":[");
         for (i, g) in self.groups.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -213,10 +227,12 @@ pub struct HubOptions {
     /// reactor's send half.
     pub batch: BatchOptions,
     /// Live metrics registry: per-group mirrors land as `hub.g{G}.*`,
-    /// per-reactor gauges as `hub.shard{i}.*`, the hub-wide counters as
-    /// `hub.` + their `stats` key (`hub.frames_sent`, `hub.demux_splits`,
-    /// …), and the stage histograms and by-kind frame counts under the
-    /// names a node uses.
+    /// per-reactor gauges as `hub.shard{i}.*`, and the stage histograms
+    /// and by-kind frame counts under the names a node uses. The hub-wide
+    /// counters are registered as `hub.` + their `stats` key
+    /// (`hub.frames_sent`, `hub.demux_splits`, …): those cells are the
+    /// counters [`HubHandle::stats`] reads, not copies, so one registry
+    /// serves one host.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Durable-store root: group `g` logs under `<root>/<g>/`.
     pub store_root: Option<PathBuf>,
@@ -468,6 +484,10 @@ impl HubHandle {
             recv_transient_errors: t.recv_transient_errors,
             recv_respawns: t.recv_respawns,
             recv_deaths: t.recv_deaths,
+            chaos_dropped: t.chaos_dropped,
+            chaos_duplicated: t.chaos_duplicated,
+            chaos_delayed: t.chaos_delayed,
+            chaos_corrupted: t.chaos_corrupted,
         }
     }
 

@@ -54,7 +54,7 @@ use crate::clock::WallClock;
 use crate::envelope::{Envelope, HEADER_LEN};
 use crate::hub::{shard_of, DrainOutcome, GroupStats};
 use crate::pool::{BufferPool, PoolBuf};
-use crate::runtime::{Counters, LossPolicy, Mode, NodeOptions, TransportStats};
+use crate::runtime::{Counters, LossPolicy, Mode, NodeOptions};
 use crate::supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
@@ -67,7 +67,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -111,34 +110,6 @@ fn flow_slot(flow: u32) -> usize {
 /// current value out of `T`.
 type Mirror<T> = (&'static str, fn(&T) -> u64);
 
-/// A host-wide mirror: the name a node publishes it under, the name a hub
-/// does (`hub.` + the `stats` reply's key), and the reader.
-type HostMirror = (&'static str, &'static str, fn(&TransportStats) -> u64);
-
-/// Registry mirrors of the host-wide [`Counters`]. Reactor 0 refreshes
-/// them once per wakeup so snapshots are complete without reaching into a
-/// handle; every source is cumulative, so `set_total` keeps the registry's
-/// counters monotone.
-const HOST_MIRRORS: [HostMirror; 17] = [
-    ("frames.attempted", "hub.frames_attempted", |s| s.frames_attempted),
-    ("frames.sent", "hub.frames_sent", |s| s.frames_sent),
-    ("frames.dropped", "hub.frames_dropped", |s| s.frames_dropped),
-    ("frames.received", "hub.rx_frames", |s| s.frames_received),
-    ("frames.blackholed", "hub.blackholed", |s| s.blackholed),
-    ("frames.send_errors", "hub.send_errors", |s| s.send_errors),
-    ("rx.decode_errors", "hub.rx_undecodable", |s| s.decode_errors),
-    ("rx.unjoined_group", "hub.rx_unjoined_group", |s| s.rx_unjoined_group),
-    ("chaos.dropped", "hub.chaos_dropped", |s| s.chaos_dropped),
-    ("chaos.duplicated", "hub.chaos_duplicated", |s| s.chaos_duplicated),
-    ("chaos.delayed", "hub.chaos_delayed", |s| s.chaos_delayed),
-    ("chaos.corrupted", "hub.chaos_corrupted", |s| s.chaos_corrupted),
-    ("recv.transient_errors", "hub.recv_transient_errors", |s| s.recv_transient_errors),
-    ("recv.respawns", "hub.recv_respawns", |s| s.recv_respawns),
-    ("recv.deaths", "hub.recv_deaths", |s| s.recv_deaths),
-    ("inbound.overflow", "hub.inbound_overflow", |s| s.inbound_overflow),
-    ("demux.splits", "hub.demux_splits", |s| s.demux_splits),
-];
-
 /// Which entry point built the host: decides what its threads, log lines
 /// and registry entries are called, and nothing else.
 #[derive(Clone, Copy)]
@@ -155,6 +126,40 @@ impl HostKind {
         match self {
             HostKind::Node(id) => format!("srm-node[{id}]"),
             HostKind::Hub => format!("srm-hub[shard {index}]"),
+        }
+    }
+
+    /// The host's counters, registered in `reg`: a node names them
+    /// `frames.sent`, …, a hub `hub.` + its `stats` reply's key. The queue
+    /// peaks are the same gauges on both.
+    fn counters(self, reg: &obs::MetricsRegistry) -> Counters {
+        let c = |node: &str, hub: &str| {
+            reg.counter(match self {
+                HostKind::Node(_) => node,
+                HostKind::Hub => hub,
+            })
+        };
+        Counters {
+            frames_attempted: c("frames.attempted", "hub.frames_attempted"),
+            frames_sent: c("frames.sent", "hub.frames_sent"),
+            frames_dropped: c("frames.dropped", "hub.frames_dropped"),
+            frames_received: c("frames.received", "hub.rx_frames"),
+            blackholed: c("frames.blackholed", "hub.blackholed"),
+            send_errors: c("frames.send_errors", "hub.send_errors"),
+            decode_errors: c("rx.decode_errors", "hub.rx_undecodable"),
+            rx_unjoined_group: c("rx.unjoined_group", "hub.rx_unjoined_group"),
+            chaos_dropped: c("chaos.dropped", "hub.chaos_dropped"),
+            chaos_duplicated: c("chaos.duplicated", "hub.chaos_duplicated"),
+            chaos_delayed: c("chaos.delayed", "hub.chaos_delayed"),
+            chaos_corrupted: c("chaos.corrupted", "hub.chaos_corrupted"),
+            recv_transient_errors: c("recv.transient_errors", "hub.recv_transient_errors"),
+            recv_respawns: c("recv.respawns", "hub.recv_respawns"),
+            recv_deaths: c("recv.deaths", "hub.recv_deaths"),
+            inbound_overflow: c("inbound.overflow", "hub.inbound_overflow"),
+            demux_splits: c("demux.splits", "hub.demux_splits"),
+            max_wheel_len: reg.gauge("wheel.high_water"),
+            max_delayq_len: reg.gauge("delayq.high_water"),
+            max_sendq_len: reg.gauge("sendq.high_water"),
         }
     }
 }
@@ -194,8 +199,6 @@ struct RegHandles {
     groups: obs::Gauge,
     wheel_depth: obs::Gauge,
     delayq_depth: obs::Gauge,
-    /// `HOST_MIRRORS` handles plus the two high-water gauges; reactor 0 only.
-    host: Option<(Vec<obs::Counter>, obs::Gauge, obs::Gauge)>,
 }
 
 impl RegHandles {
@@ -221,19 +224,6 @@ impl RegHandles {
             groups: reg.gauge(&format!("{p}groups")),
             wheel_depth: reg.gauge(&wheel_depth),
             delayq_depth: reg.gauge(&format!("{p}delayq.depth")),
-            host: (index == 0).then(|| {
-                (
-                    HOST_MIRRORS
-                        .iter()
-                        .map(|(node, hub, _)| match kind {
-                            HostKind::Node(_) => reg.counter(node),
-                            HostKind::Hub => reg.counter(hub),
-                        })
-                        .collect(),
-                    reg.gauge("wheel.high_water"),
-                    reg.gauge("delayq.high_water"),
-                )
-            }),
         }
     }
 }
@@ -329,7 +319,7 @@ impl Wire {
         if self.queue.is_empty() {
             return;
         }
-        self.counters.max_sendq_len.fetch_max(self.queue.len() as u64, Ordering::Relaxed);
+        self.counters.max_sendq_len.raise(self.queue.len() as u64);
         // The fan-out queues a burst destination by destination for each
         // multicast in turn; grouped by destination instead (stably, so
         // each receiver's order stands), equal-size frames to one peer
@@ -360,10 +350,10 @@ impl Wire {
                 for (p, r) in chunk.iter().zip(self.results.iter()) {
                     match r {
                         Ok(()) => {
-                            self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+                            self.counters.frames_sent.inc();
                         }
                         Err(e) => {
-                            self.counters.send_errors.fetch_add(1, Ordering::Relaxed);
+                            self.counters.send_errors.inc();
                             self.log.record(
                                 now,
                                 obs::TransportEventKind::SocketError {
@@ -555,10 +545,10 @@ impl GroupHost {
     fn publish(&mut self, counters: &Counters) {
         let t = std::mem::take(&mut self.tally);
         if t != ChaosTally::default() {
-            counters.chaos_dropped.fetch_add(t.dropped, Ordering::Relaxed);
-            counters.chaos_duplicated.fetch_add(t.duplicated, Ordering::Relaxed);
-            counters.chaos_delayed.fetch_add(t.delayed, Ordering::Relaxed);
-            counters.chaos_corrupted.fetch_add(t.corrupted, Ordering::Relaxed);
+            counters.chaos_dropped.add(t.dropped);
+            counters.chaos_duplicated.add(t.duplicated);
+            counters.chaos_delayed.add(t.delayed);
+            counters.chaos_corrupted.add(t.corrupted);
         }
         let Some((counters, gauges)) = &self.reg else { return };
         for ((_, read), c) in GROUP_COUNTERS.iter().zip(counters) {
@@ -638,12 +628,12 @@ fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts:
     // `policy_dest` is what loss rules and blackholes match on: the peer on
     // a mesh, nothing under true multicast.
     let mut enqueue = |dest: SocketAddr, policy_dest: Option<SocketAddr>, ttl: Option<u8>| {
-        wire.counters.frames_attempted.fetch_add(1, Ordering::Relaxed);
+        wire.counters.frames_attempted.inc();
         if blackholes.iter().any(|b| b.matches(now, policy_dest)) {
-            wire.counters.blackholed.fetch_add(1, Ordering::Relaxed);
+            wire.counters.blackholed.inc();
             log.record(now, obs::TransportEventKind::Blackholed { flow: opts.flow });
         } else if loss.should_drop(opts.flow, policy_dest) {
-            wire.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
+            wire.counters.frames_dropped.inc();
         } else {
             wire.queue.push(PendingFrame { dest, ttl, data: Arc::clone(&frame) });
             // A full batch goes out now: the receivers start on it while
@@ -800,10 +790,11 @@ impl Mailbox {
 }
 
 /// Queue `f` for the reactor behind `mb` and return where its result will
-/// arrive; `None` if the reactor is gone. The send queue is flushed before
-/// the reply goes out, so whatever `f` sent is settled when the caller
-/// resumes: a `stats()` issued right after a `send()` reads `attempted ==
-/// sent + dropped + blackholed + send_errors`, not a frame in between.
+/// arrive; `None` if the reactor is gone. The send queue is flushed and
+/// the groups' tallies published before the reply goes out, so whatever
+/// `f` did is settled when the caller resumes: a `stats()` (or a registry
+/// snapshot) issued right after a `send()` reads `attempted == sent +
+/// dropped + blackholed + send_errors`, not a frame in between.
 pub(crate) fn submit<R: Send + 'static>(
     mb: &Mailbox,
     f: impl FnOnce(&mut Reactor) -> R + Send + 'static,
@@ -812,6 +803,7 @@ pub(crate) fn submit<R: Send + 'static>(
     let run: ExecFn = Box::new(move |r| {
         let out = f(r);
         r.wire.flush(r.clock.now());
+        r.publish();
         let _ = rtx.send(out);
     });
     mb.post(Event::Exec(run)).then_some(rrx)
@@ -927,8 +919,8 @@ impl Reactor {
         host.io.log.record(
             self.clock.now(),
             obs::TransportEventKind::QueueHighWater {
-                wheel: self.wire.counters.max_wheel_len.load(Ordering::Relaxed),
-                delayq: self.wire.counters.max_delayq_len.load(Ordering::Relaxed),
+                wheel: self.wire.counters.max_wheel_len.get(),
+                delayq: self.wire.counters.max_delayq_len.get(),
             },
         );
         host.sync_logs(&mut self.wire.log);
@@ -1054,7 +1046,7 @@ impl Reactor {
             rx.supervisor.succeeded();
             let drops = rx.backend.kernel_drops();
             if drops > rx.drops_seen {
-                self.wire.counters.inbound_overflow.fetch_add(drops - rx.drops_seen, Ordering::Relaxed);
+                self.wire.counters.inbound_overflow.add(drops - rx.drops_seen);
                 rx.drops_seen = drops;
             }
             // One stamp per batch: one syscall drained these datagrams, so
@@ -1126,7 +1118,7 @@ impl Reactor {
                 _ => forward(rx, &self.wire.counters, shard, at, f),
             };
         }
-        self.wire.counters.demux_splits.fetch_add(1, Ordering::Relaxed);
+        self.wire.counters.demux_splits.inc();
         for chunk in data.chunks(stride) {
             match Envelope::precheck(chunk) {
                 Ok(group) => match shard_of(group, n) {
@@ -1148,7 +1140,7 @@ impl Reactor {
         let due = |rx: &mut Rx| rx.paused.is_some_and(|(until, _)| until <= now);
         let Some(mut rx) = self.rx.take_if(due) else { return };
         if let Some((_, Some(attempt))) = rx.paused.take() {
-            self.wire.counters.recv_respawns.fetch_add(1, Ordering::Relaxed);
+            self.wire.counters.recv_respawns.inc();
             eprintln!("{}: recv loop respawned (attempt {attempt})", self.wire.label);
             self.note(&rx, obs::TransportEventKind::RecvRespawn { attempt });
             if let Err(e) = rx.rebuild() {
@@ -1166,7 +1158,7 @@ impl Reactor {
     fn rx_failed(&mut self, rx: &mut Rx, class: ErrorClass, e: &io::Error) -> bool {
         let transient = class == ErrorClass::Transient;
         if transient {
-            self.wire.counters.recv_transient_errors.fetch_add(1, Ordering::Relaxed);
+            self.wire.counters.recv_transient_errors.inc();
         } else {
             eprintln!("{}: fatal recv error: {e}", self.wire.label);
         }
@@ -1175,7 +1167,7 @@ impl Reactor {
             Verdict::Retry(after) => (after, None),
             Verdict::Respawn { attempt, after } => (after, Some(attempt)),
             Verdict::GiveUp => {
-                self.wire.counters.recv_deaths.fetch_add(1, Ordering::Relaxed);
+                self.wire.counters.recv_deaths.inc();
                 let reason = format!("respawn budget exhausted: {e}");
                 eprintln!("{}: {reason}", self.wire.label);
                 self.note(rx, obs::TransportEventKind::RecvExit { reason });
@@ -1270,7 +1262,9 @@ impl Reactor {
                 // joined almost always means a misconfigured peer or a hub
                 // group that was never created — count it and sample a
                 // log line so the mismatch is visible.
-                let n = self.wire.counters.rx_unjoined_group.fetch_add(1, Ordering::Relaxed) + 1;
+                let unjoined = &self.wire.counters.rx_unjoined_group;
+                unjoined.inc();
+                let n = unjoined.get();
                 if n <= 5 || n.is_multiple_of(1024) {
                     eprintln!(
                         "{}: dropping frame from {} for unjoined group {} ({n} total) — \
@@ -1283,7 +1277,7 @@ impl Reactor {
             if env.src == host.io.src || env.ttl == 0 {
                 continue;
             }
-            self.wire.counters.frames_received.fetch_add(1, Ordering::Relaxed);
+            self.wire.counters.frames_received.inc();
             if let Some(m) = &self.wire.reg {
                 m.rx[flow_slot(env.flow)].inc();
             }
@@ -1315,9 +1309,9 @@ impl Reactor {
         }
     }
 
-    /// Publish the reactor-owned tallies and high-water marks to the
-    /// shared counters, and refresh the registry mirrors when a registry
-    /// is attached.
+    /// Add the groups' chaos tallies to the host counters, raise the queue
+    /// peaks, and refresh the per-group and per-reactor registry entries
+    /// when a registry is attached.
     fn publish(&mut self) {
         let counters = &self.wire.counters;
         let (mut wheel_len, mut delayq_len) = (0u64, 0u64);
@@ -1326,8 +1320,8 @@ impl Reactor {
             wheel_len += host.io.wheel.len() as u64;
             delayq_len += host.delayq.len() as u64;
         }
-        counters.max_wheel_len.fetch_max(wheel_len, Ordering::Relaxed);
-        counters.max_delayq_len.fetch_max(delayq_len, Ordering::Relaxed);
+        counters.max_wheel_len.raise(wheel_len);
+        counters.max_delayq_len.raise(delayq_len);
         let Some(m) = &self.wire.reg else { return };
         let ((rx_used, rx_cap), rx_misses) =
             self.rx.as_ref().map_or(((0, 0), 0), |rx| (rx.pool.occupancy(), rx.pool.stats().1));
@@ -1338,21 +1332,14 @@ impl Reactor {
         m.groups.set(self.groups.len() as u64);
         m.wheel_depth.set(wheel_len);
         m.delayq_depth.set(delayq_len);
-        if let Some((mirrors, wheel_high, delayq_high)) = &m.host {
-            let snap = TransportStats::snapshot(counters);
-            for ((_, _, read), c) in HOST_MIRRORS.iter().zip(mirrors) {
-                c.set_total(read(&snap));
-            }
-            wheel_high.set(snap.max_wheel_len);
-            delayq_high.set(snap.max_delayq_len);
-        }
     }
 }
 
 /// Count `n` undecodable frames and sample a log line: the first few in
 /// full, then one per 256, so a corruption storm cannot flood stderr.
 fn count_undecodable(counters: &Counters, n: u64, label: &str, why: &dyn std::fmt::Display) {
-    let total = counters.decode_errors.fetch_add(n, Ordering::Relaxed) + n;
+    counters.decode_errors.add(n);
+    let total = counters.decode_errors.get();
     if total <= 5 || total / 256 != (total - n) / 256 {
         eprintln!("{label}: rejected undecodable datagram ({why}); {total} total");
     }
@@ -1367,7 +1354,7 @@ fn forward(rx: &mut Rx, counters: &Counters, shard: usize, at: SimTime, f: RecvF
     match rx.shards[shard].tx.try_send(Event::Forward(at, f.seg_size, f.buf)) {
         Ok(()) => rx.unrung[shard] = true,
         Err(mpsc::TrySendError::Full(_)) => {
-            counters.inbound_overflow.fetch_add(frames, Ordering::Relaxed);
+            counters.inbound_overflow.add(frames);
         }
         Err(mpsc::TrySendError::Disconnected(_)) => {}
     }
@@ -1411,7 +1398,8 @@ pub(crate) fn build(
     // that finds the send buffer full is a counted `send_errors`, not a
     // stalled reactor.
     socket.set_nonblocking(true)?;
-    let counters = Arc::new(Counters::default());
+    // Without a caller's registry the counters live in a private one.
+    let counters = Arc::new(kind.counters(&metrics.clone().unwrap_or_default()));
     let clock = WallClock::new();
     let mut mailboxes = Vec::with_capacity(n);
     let mut reactors = Vec::with_capacity(n);
@@ -1471,8 +1459,9 @@ pub(crate) fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::TransportStats;
     use srm::{SourceId, SrmConfig};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
 
     #[test]
@@ -1550,7 +1539,7 @@ mod tests {
         // socket readable for every read the script needs.
         UdpSocket::bind("127.0.0.1:0").unwrap().send_to(b"x", addr).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while counters.recv_deaths.load(Ordering::Relaxed) == 0 {
+        while counters.recv_deaths.get() == 0 {
             assert!(Instant::now() < deadline, "the budget never ran out");
             std::thread::sleep(Duration::from_millis(10));
         }

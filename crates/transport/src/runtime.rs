@@ -50,7 +50,6 @@ use srm::{AduName, Driver, PageId, SourceId, SrmAgent, SrmConfig};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -179,11 +178,14 @@ pub struct NodeOptions {
     /// count), `None` keeps everything.  Long live runs should bound this;
     /// golden-trace runs must not.
     pub trace_capacity: Option<usize>,
-    /// Live metrics registry.  When set, the reactor updates hot-path
-    /// counters/gauges/histograms (frames by kind, stage latencies, queue
-    /// depths, chaos/supervision/liveness mirrors) that a stats emitter can
-    /// snapshot concurrently.  `None` (the default, and always in simulator
-    /// runs) costs one branch per instrumented site.
+    /// Live metrics registry.  When set, the node's transport counters are
+    /// registered in it (`frames.sent`, `chaos.dropped`, …: the cells
+    /// [`NodeHandle::stats`] reads, so one registry serves one host), and
+    /// the reactor updates hot-path counters/gauges/histograms (frames by
+    /// kind, stage latencies, queue depths, per-group liveness and store
+    /// mirrors) that a stats emitter can snapshot concurrently.  `None`
+    /// (the default, and always in simulator runs) costs one branch per
+    /// instrumented site.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Pre-seeded distance estimates (assumed-converged state, as the
     /// figure experiments use). Live session messages refine them.
@@ -252,29 +254,31 @@ impl NodeOptions {
     }
 }
 /// Counters shared by one host's reactors and its handle
-/// (a node has one group behind them, a hub all of its groups).
-#[derive(Debug, Default)]
+/// (a node has one group behind them, a hub all of its groups). Each is
+/// the registry handle itself, registered once by `reactor::build`, so a
+/// registry snapshot and a [`TransportStats`] read the same cells.
+#[derive(Debug)]
 pub(crate) struct Counters {
-    pub(crate) frames_attempted: AtomicU64,
-    pub(crate) frames_sent: AtomicU64,
-    pub(crate) frames_dropped: AtomicU64,
-    pub(crate) frames_received: AtomicU64,
-    pub(crate) blackholed: AtomicU64,
-    pub(crate) send_errors: AtomicU64,
-    pub(crate) chaos_dropped: AtomicU64,
-    pub(crate) chaos_duplicated: AtomicU64,
-    pub(crate) chaos_delayed: AtomicU64,
-    pub(crate) chaos_corrupted: AtomicU64,
-    pub(crate) decode_errors: AtomicU64,
-    pub(crate) recv_transient_errors: AtomicU64,
-    pub(crate) recv_respawns: AtomicU64,
-    pub(crate) recv_deaths: AtomicU64,
-    pub(crate) inbound_overflow: AtomicU64,
-    pub(crate) rx_unjoined_group: AtomicU64,
-    pub(crate) max_wheel_len: AtomicU64,
-    pub(crate) max_delayq_len: AtomicU64,
-    pub(crate) max_sendq_len: AtomicU64,
-    pub(crate) demux_splits: AtomicU64,
+    pub(crate) frames_attempted: obs::Counter,
+    pub(crate) frames_sent: obs::Counter,
+    pub(crate) frames_dropped: obs::Counter,
+    pub(crate) frames_received: obs::Counter,
+    pub(crate) blackholed: obs::Counter,
+    pub(crate) send_errors: obs::Counter,
+    pub(crate) chaos_dropped: obs::Counter,
+    pub(crate) chaos_duplicated: obs::Counter,
+    pub(crate) chaos_delayed: obs::Counter,
+    pub(crate) chaos_corrupted: obs::Counter,
+    pub(crate) decode_errors: obs::Counter,
+    pub(crate) recv_transient_errors: obs::Counter,
+    pub(crate) recv_respawns: obs::Counter,
+    pub(crate) recv_deaths: obs::Counter,
+    pub(crate) inbound_overflow: obs::Counter,
+    pub(crate) rx_unjoined_group: obs::Counter,
+    pub(crate) max_wheel_len: obs::Gauge,
+    pub(crate) max_delayq_len: obs::Gauge,
+    pub(crate) max_sendq_len: obs::Gauge,
+    pub(crate) demux_splits: obs::Counter,
 }
 
 /// A point-in-time snapshot of one node's transport counters.
@@ -339,26 +343,26 @@ pub struct TransportStats {
 impl TransportStats {
     pub(crate) fn snapshot(c: &Counters) -> TransportStats {
         TransportStats {
-            frames_attempted: c.frames_attempted.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            frames_dropped: c.frames_dropped.load(Ordering::Relaxed),
-            frames_received: c.frames_received.load(Ordering::Relaxed),
-            blackholed: c.blackholed.load(Ordering::Relaxed),
-            send_errors: c.send_errors.load(Ordering::Relaxed),
-            chaos_dropped: c.chaos_dropped.load(Ordering::Relaxed),
-            chaos_duplicated: c.chaos_duplicated.load(Ordering::Relaxed),
-            chaos_delayed: c.chaos_delayed.load(Ordering::Relaxed),
-            chaos_corrupted: c.chaos_corrupted.load(Ordering::Relaxed),
-            decode_errors: c.decode_errors.load(Ordering::Relaxed),
-            recv_transient_errors: c.recv_transient_errors.load(Ordering::Relaxed),
-            recv_respawns: c.recv_respawns.load(Ordering::Relaxed),
-            recv_deaths: c.recv_deaths.load(Ordering::Relaxed),
-            inbound_overflow: c.inbound_overflow.load(Ordering::Relaxed),
-            rx_unjoined_group: c.rx_unjoined_group.load(Ordering::Relaxed),
-            max_wheel_len: c.max_wheel_len.load(Ordering::Relaxed),
-            max_delayq_len: c.max_delayq_len.load(Ordering::Relaxed),
-            max_sendq_len: c.max_sendq_len.load(Ordering::Relaxed),
-            demux_splits: c.demux_splits.load(Ordering::Relaxed),
+            frames_attempted: c.frames_attempted.get(),
+            frames_sent: c.frames_sent.get(),
+            frames_dropped: c.frames_dropped.get(),
+            frames_received: c.frames_received.get(),
+            blackholed: c.blackholed.get(),
+            send_errors: c.send_errors.get(),
+            chaos_dropped: c.chaos_dropped.get(),
+            chaos_duplicated: c.chaos_duplicated.get(),
+            chaos_delayed: c.chaos_delayed.get(),
+            chaos_corrupted: c.chaos_corrupted.get(),
+            decode_errors: c.decode_errors.get(),
+            recv_transient_errors: c.recv_transient_errors.get(),
+            recv_respawns: c.recv_respawns.get(),
+            recv_deaths: c.recv_deaths.get(),
+            inbound_overflow: c.inbound_overflow.get(),
+            rx_unjoined_group: c.rx_unjoined_group.get(),
+            max_wheel_len: c.max_wheel_len.get(),
+            max_delayq_len: c.max_delayq_len.get(),
+            max_sendq_len: c.max_sendq_len.get(),
+            demux_splits: c.demux_splits.get(),
         }
     }
 
@@ -466,17 +470,17 @@ impl NodeHandle {
 
     /// Frames put on the wire (per peer in mesh mode).
     pub fn frames_sent(&self) -> u64 {
-        self.counters.frames_sent.load(Ordering::Relaxed)
+        self.counters.frames_sent.get()
     }
 
     /// Frames suppressed by the [`LossPolicy`].
     pub fn frames_dropped(&self) -> u64 {
-        self.counters.frames_dropped.load(Ordering::Relaxed)
+        self.counters.frames_dropped.get()
     }
 
     /// Frames accepted from the socket (post filtering).
     pub fn frames_received(&self) -> u64 {
-        self.counters.frames_received.load(Ordering::Relaxed)
+        self.counters.frames_received.get()
     }
 
     /// Snapshot every transport counter.

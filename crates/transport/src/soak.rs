@@ -18,17 +18,18 @@
 //!    accounted as sent, policy-dropped, blackholed, or a send error
 //!    ([`TransportStats::frames_accounted`]).
 //!
-//! The report carries per-node [`TransportStats`], the delivery matrix, a
-//! [`RunSummary`](obs::RunSummary) with the transport table, and (with
+//! The report carries per-node [`TransportStats`] and the agents' liveness
+//! and durable-store counts (one line per member, traced or not), the
+//! delivery matrix, the protocol [`RunSummary`](obs::RunSummary), and (with
 //! `trace`) the merged obs timeline — so a failing soak is diagnosable from
 //! its artifacts, and replayable from its seed.
 
 use crate::chaos::parse_spec;
-use crate::harness::{harvest_summary, harvest_timeline, Harness};
+use crate::harness::{harvest_timeline, Harness};
 use crate::runtime::TransportStats;
 use bytes::Bytes;
 use netsim::GroupId;
-use srm::{AduName, LivenessConfig, PageId, SourceId, SrmConfig};
+use srm::{AduName, LivenessConfig, PageId, SourceId, SrmAgent, SrmConfig};
 use std::collections::HashSet;
 use std::io;
 use std::time::{Duration, Instant};
@@ -91,6 +92,12 @@ pub struct NodeOutcome {
     pub member: u64,
     /// Final transport counters.
     pub stats: TransportStats,
+    /// Peer transitions into suspect, from the agent's liveness tracker.
+    pub peers_suspected: u64,
+    /// Peer transitions into dead, from the agent's liveness tracker.
+    pub peers_died: u64,
+    /// Repairs the agent served by reading its durable store.
+    pub disk_repairs: u64,
     /// ADUs from other members this node delivered.
     pub delivered: usize,
     /// ADUs from other members this node was supposed to deliver.
@@ -99,6 +106,33 @@ pub struct NodeOutcome {
     pub missing: Vec<AduName>,
     /// Did the reactor answer a liveness ping at the end?
     pub ping_ok: bool,
+}
+
+impl NodeOutcome {
+    /// The outcome of a member whose reactor has stopped: its last
+    /// counters, what its agent counted, and which of the ADUs it was
+    /// `expected` to deliver it did not.
+    fn new(
+        agent: &SrmAgent,
+        stats: TransportStats,
+        ping_ok: bool,
+        expected: &[AduName],
+        delivered: &HashSet<AduName>,
+    ) -> Self {
+        let missing: Vec<AduName> =
+            expected.iter().filter(|a| !delivered.contains(a)).copied().collect();
+        NodeOutcome {
+            member: agent.id.0,
+            stats,
+            peers_suspected: agent.liveness.suspected_total,
+            peers_died: agent.liveness.died_total,
+            disk_repairs: agent.store().disk_fetches(),
+            delivered: expected.len() - missing.len(),
+            expected: expected.len(),
+            missing,
+            ping_ok,
+        }
+    }
 }
 
 /// Everything a finished soak learned.
@@ -110,7 +144,7 @@ pub struct SoakReport {
     pub elapsed: Duration,
     /// Total ADUs published across the mesh.
     pub adus_sent: usize,
-    /// Run summary (protocol tables + the transport table).
+    /// Run summary (the protocol counter table and histograms).
     pub summary: obs::RunSummary,
     /// Merged obs timeline, when tracing was on.
     pub timeline: Option<obs::Timeline>,
@@ -182,7 +216,8 @@ impl SoakReport {
         for n in &self.nodes {
             out.push_str(&format!(
                 "  member {}: delivered {}/{} | chdrop {} chdup {} chdelay {} chcorrupt {} \
-                 blackhole {} | sockerr {} respawn {} decerr {} | wheel<= {} delayq<= {} | ping {}\n",
+                 blackhole {} | sockerr {} respawn {} decerr {} | suspect {} dead {} diskrep {} \
+                 | wheel<= {} delayq<= {} | ping {}\n",
                 n.member,
                 n.delivered,
                 n.expected,
@@ -194,6 +229,9 @@ impl SoakReport {
                 n.stats.recv_transient_errors + n.stats.send_errors,
                 n.stats.recv_respawns,
                 n.stats.decode_errors,
+                n.peers_suspected,
+                n.peers_died,
+                n.disk_repairs,
                 n.stats.max_wheel_len,
                 n.stats.max_delayq_len,
                 if n.ping_ok { "ok" } else { "DEAD" },
@@ -294,26 +332,11 @@ pub fn run(opts: &SoakOptions) -> io::Result<SoakReport> {
         .collect();
     let stats: Vec<TransportStats> = h.nodes.iter().map(|node| node.stats()).collect();
     let mut agents = h.shutdown();
-    let summary = harvest_summary(&agents);
-    let timeline = opts.trace.then(|| harvest_timeline(&mut agents));
-
-    let nodes = (0..n)
-        .map(|i| {
-            let missing: Vec<AduName> = expects[i]
-                .iter()
-                .filter(|a| !delivered[i].contains(a))
-                .copied()
-                .collect();
-            NodeOutcome {
-                member: i as u64 + 1,
-                stats: stats[i],
-                delivered: expects[i].len() - missing.len(),
-                expected: expects[i].len(),
-                missing,
-                ping_ok: pings[i],
-            }
-        })
+    let summary = srm::harvest_summary(&agents);
+    let nodes = (agents.iter().enumerate())
+        .map(|(i, a)| NodeOutcome::new(a, stats[i], pings[i], &expects[i], &delivered[i]))
         .collect();
+    let timeline = opts.trace.then(|| harvest_timeline(&mut agents));
 
     Ok(SoakReport {
         nodes,
@@ -332,6 +355,9 @@ mod tests {
         NodeOutcome {
             member,
             stats: TransportStats::default(),
+            peers_suspected: 0,
+            peers_died: 0,
+            disk_repairs: 0,
             delivered: 4,
             expected: 4,
             missing: Vec::new(),
@@ -381,6 +407,22 @@ mod tests {
         assert!(v.iter().any(|s| s.contains("unexplained drops")));
         assert!(v.iter().any(|s| s.contains("delivered 3/4")));
         assert!(r.render().contains("soak: FAIL"));
+    }
+
+    /// An untraced soak's report still shows what the agents counted.
+    #[test]
+    fn render_shows_the_agents_liveness_and_store_counts() {
+        let mut agent = SrmAgent::new(SourceId(1), GroupId(1), SrmConfig::fixed(3));
+        agent.liveness.suspected_total = 3;
+        agent.liveness.died_total = 2;
+        let seen = AduName::new(SourceId(2), PageId::new(SourceId(2), 0), srm::SeqNo(0));
+        let delivered = HashSet::from([seen]);
+        let n = NodeOutcome::new(&agent, TransportStats::default(), true, &[seen], &delivered);
+        assert_eq!((n.member, n.delivered, n.expected), (1, 1, 1));
+        let r = report(vec![n, clean_outcome(2)]);
+        assert!(r.render().contains("suspect 3 dead 2 diskrep 0"), "{}", r.render());
+        assert_eq!(r.violations(), report(vec![clean_outcome(1), clean_outcome(2)]).violations());
+        assert!(r.render().contains("soak: PASS"));
     }
 
     #[test]

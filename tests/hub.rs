@@ -33,9 +33,10 @@ use proptest::prelude::*;
 use srm::{LivenessConfig, Message, PageId, SourceId, SrmAgent, SrmConfig};
 use srm_transport::control::serve;
 use srm_transport::hub::{Hub, HubOptions};
+use obs::json::Json;
 use srm_transport::{
-    handle_line, shard_of, Envelope, GroupMonitor, GroupSpec, Harness, LossPolicy, Mode, Node,
-    NodeHandle, NodeOptions, WallClock,
+    handle_line, shard_of, ChaosPlan, Envelope, GroupMonitor, GroupSpec, Harness, LossPolicy,
+    Mode, Node, NodeHandle, NodeOptions, WallClock,
 };
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, UdpSocket};
@@ -364,28 +365,29 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
         st.frames_sent + st.frames_dropped + st.blackholed + st.send_errors,
         "hub-wide frame accounting after drain: {st:?}"
     );
-    // The registry carries the same totals under the hub's names (reactor
-    // 0 refreshes them once per wakeup, at least every 250 ms), each group
-    // under `hub.g{G}.` and each reactor under `hub.shard{i}.`.
+    // The registry's host counters are the cells `stats()` reads, under the
+    // hub's names, so one snapshot agrees with it; each group's mirrors sit
+    // under `hub.g{G}.` and each reactor's under `hub.shard{i}.`.
     let totals = [
         ("hub.frames_attempted", st.frames_attempted),
         ("hub.frames_sent", st.frames_sent),
+        ("hub.frames_dropped", st.frames_dropped),
+        ("hub.blackholed", st.blackholed),
         ("hub.send_errors", st.send_errors),
         ("hub.rx_frames", st.rx_frames),
         ("hub.rx_undecodable", st.rx_undecodable),
         ("hub.rx_unjoined_group", st.rx_unjoined_group),
         ("hub.inbound_overflow", st.inbound_overflow),
         ("hub.demux_splits", st.demux_splits),
+        ("hub.chaos_dropped", st.chaos_dropped),
+        ("hub.chaos_duplicated", st.chaos_duplicated),
+        ("hub.chaos_delayed", st.chaos_delayed),
+        ("hub.chaos_corrupted", st.chaos_corrupted),
+        ("hub.recv_transient_errors", st.recv_transient_errors),
+        ("hub.recv_respawns", st.recv_respawns),
+        ("hub.recv_deaths", st.recv_deaths),
     ];
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let snap = loop {
-        let snap = registry.snapshot();
-        let fresh = totals.iter().all(|(name, want)| snap.counters.get(*name) == Some(want));
-        if fresh || Instant::now() >= deadline {
-            break snap;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let snap = registry.snapshot();
     for (name, want) in totals {
         assert_eq!(snap.counters.get(name), Some(&want), "{name}");
     }
@@ -452,6 +454,32 @@ fn control_plane_replies_match_the_golden_transcript() {
     let stats = handle_line(&hub, r#"{"cmd":"stats"}"#);
     assert!(stats.starts_with(r#"{"ok":true,"cmd":"stats","hub":{"#), "{stats}");
     assert!(stats.ends_with(r#""groups":[]}"#), "{stats}");
+    hub.shutdown();
+}
+
+/// A hub group's chaos actions reach every view of the hub's counters: a
+/// group hosted with a seeded loss plan drops frames, and the `stats`
+/// reply, `HubStats` and the registry's `hub.chaos_dropped` agree.
+#[test]
+fn hub_stats_carry_the_groups_chaos_counts() {
+    let registry = obs::MetricsRegistry::new();
+    let opts = HubOptions { shards: 2, metrics: Some(registry.clone()), ..HubOptions::default() };
+    let hub = Hub::spawn("127.0.0.1:0".parse().unwrap(), opts).unwrap();
+    let mut member = NodeOptions::new(SourceId(1), GroupId(3), SrmConfig::fixed(2));
+    member.session_enabled = false;
+    member.chaos = Some(ChaosPlan::new().loss(0.5));
+    let discard: SocketAddr = "127.0.0.1:9".parse().unwrap();
+    hub.create_with(Mode::Mesh { peers: vec![discard] }, member).unwrap();
+    hub.send(3, "lossy", 40).unwrap();
+    // Drained, the group sends nothing more: every view reads one total.
+    hub.drain(3).unwrap();
+    let st = hub.stats();
+    let reply = Json::parse(&handle_line(&hub, r#"{"cmd":"stats"}"#)).unwrap();
+    let in_reply = reply.get("hub").and_then(|h| h.get("chaos_dropped")).and_then(Json::as_u64);
+    let in_registry = registry.snapshot().counters.get("hub.chaos_dropped").copied();
+    assert!(st.chaos_dropped > 0, "a 50 % loss plan dropped nothing: {st:?}");
+    assert_eq!(in_reply, Some(st.chaos_dropped), "stats reply");
+    assert_eq!(in_registry, Some(st.chaos_dropped), "registry");
     hub.shutdown();
 }
 

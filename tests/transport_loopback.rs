@@ -368,3 +368,37 @@ fn a_node_reads_its_socket_on_its_one_thread() {
     assert!(!names.iter().any(|n| n.starts_with("srm-recv")), "{names:?}");
     h.shutdown();
 }
+
+/// A node's counters are its registry entries: right after `exec`
+/// returns, one snapshot reads what `stats()` does, with no wait for a
+/// refresh.
+#[test]
+fn registry_reads_equal_node_stats_right_after_exec() {
+    let registry = obs::MetricsRegistry::new();
+    let h = Harness::loopback(2, GROUP, &SrmConfig::fixed(2), |i, _, opts| {
+        // No session messages: nothing moves once the test stops sending.
+        opts.session_enabled = false;
+        if i == 1 {
+            opts.metrics = Some(registry.clone());
+        }
+    })
+    .unwrap();
+    let page = PageId::new(SourceId(1), 0);
+    for _ in 0..5 {
+        h.nodes[0].send_data(page, Bytes::from_static(b"counted once"));
+    }
+    let node = &h.nodes[1];
+    assert!(wait_for(10, || node.frames_received() == 5), "the ADUs never arrived");
+    node.exec(|a, d| {
+        d.set_timer(SimDuration::from_secs(60), u64::MAX);
+        a.send_data(d, PageId::new(SourceId(2), 0), Bytes::from_static(b"and one back"));
+    });
+    let snap = registry.snapshot();
+    let st = node.stats();
+    assert_eq!(snap.counters.get("frames.sent"), Some(&st.frames_sent));
+    assert_eq!(snap.counters.get("frames.received"), Some(&st.frames_received));
+    assert_eq!(snap.gauges.get("wheel.high_water"), Some(&st.max_wheel_len));
+    assert_eq!((st.frames_sent, st.frames_received), (1, 5));
+    assert!(st.max_wheel_len >= 1, "the armed timer is in the peak: {st:?}");
+    h.shutdown();
+}
