@@ -169,13 +169,22 @@ impl Ctx<'_> {
 
 /// Per-(source, group) forwarding state, computed once per membership
 /// version: `member[v]` says whether node `v` is in the group (the
-/// delivery check), `reach[v]` whether the SPT subtree rooted at `v`
-/// contains a member (the DVMRP prune check). Combining both in one
-/// cached struct gives the hot path two direct `Vec` probes per hop in
-/// place of BTree lookups.
+/// delivery check), and [`GroupMasks::fan`] lists the SPT children of `v`
+/// whose subtrees contain a member (the DVMRP-pruned fan-out), so a hop
+/// reads one `Vec` probe and one slice in place of BTree lookups and a
+/// walk over every child.
 pub(crate) struct GroupMasks {
     pub(crate) member: Vec<bool>,
-    pub(crate) reach: Vec<bool>,
+    /// `fan[start[v]..start[v + 1]]` is node `v`'s pruned fan-out.
+    start: Vec<u32>,
+    fan: Vec<(NodeId, LinkId)>,
+}
+
+impl GroupMasks {
+    /// The tree children `v` forwards to, in child-id order.
+    pub(crate) fn fan(&self, v: NodeId) -> &[(NodeId, LinkId)] {
+        &self.fan[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
+    }
 }
 
 /// Pruned-forwarding masks keyed by (source, group), tagged with the
@@ -465,7 +474,7 @@ impl<A: Application> Simulator<A> {
         self.now = at;
         self.stats.events += 1;
         match kind {
-            EventKind::Hop { node, via, pkt } => self.process_hop(node, via, pkt),
+            EventKind::Hop { node, pkt } => self.process_hop(node, pkt),
             EventKind::Timer { node, id, token } => {
                 // Cancelled timers are gone from the map; one armed before
                 // a crash must not fire after the restart either: its epoch
@@ -479,10 +488,8 @@ impl<A: Application> Simulator<A> {
         true
     }
 
-    /// Run until the queue is empty or the next event is after `limit`.
-    /// Advances `now` to `limit` if the queue drains first... no: `now`
-    /// ends at the time of the last processed event (or `limit` if events
-    /// remain beyond it).
+    /// Process every event due at or before `limit`, then set `now` to
+    /// `limit`. Events after `limit` stay pending.
     pub fn run_until(&mut self, limit: SimTime) {
         self.ensure_started();
         while let Some(t) = self.queue.peek_time() {
@@ -629,17 +636,10 @@ impl<A: Application> Simulator<A> {
             });
         }
         // Enter the forwarding engine at the origin node "now".
-        self.queue.schedule(
-            self.now,
-            EventKind::Hop {
-                node,
-                via: None,
-                pkt,
-            },
-        );
+        self.queue.schedule(self.now, EventKind::Hop { node, pkt });
     }
 
-    fn process_hop(&mut self, node: NodeId, _via: Option<crate::topology::LinkId>, pkt: Packet) {
+    fn process_hop(&mut self, node: NodeId, pkt: Packet) {
         if let Some(dest) = pkt.dest {
             self.process_unicast_hop(node, dest, pkt);
             return;
@@ -664,11 +664,7 @@ impl<A: Application> Simulator<A> {
         // the direct BTree lookups here always did). The memo makes this a
         // version check when nothing changed.
         let masks = self.group_masks(pkt.src, pkt.group);
-        let tree = self.spt.get_masked(&self.topo, pkt.src, Some(&self.link_up));
-        for &(child, link) in tree.children(node) {
-            if !masks.reach[child.index()] {
-                continue; // pruned: no members in that subtree
-            }
+        for &(child, link) in masks.fan(node) {
             self.cross_link(node, child, link, &pkt);
         }
     }
@@ -805,7 +801,6 @@ impl<A: Application> Simulator<A> {
                 at,
                 EventKind::Hop {
                     node: next,
-                    via: Some(link),
                     pkt: pkt.forwarded(),
                 },
             );
@@ -857,7 +852,19 @@ impl<A: Application> Simulator<A> {
                 }
             }
         }
-        let masks = Rc::new(GroupMasks { member, reach });
+        // Only a reached node has reached children, so the others' fan-outs
+        // stay empty.
+        let mut start = Vec::with_capacity(n + 1);
+        let mut fan = Vec::new();
+        start.push(0);
+        for v in 0..n {
+            if reach[v] {
+                let children = tree.children(NodeId(v as u32));
+                fan.extend(children.iter().filter(|(c, _)| reach[c.index()]));
+            }
+            start.push(fan.len() as u32);
+        }
+        let masks = Rc::new(GroupMasks { member, start, fan });
         self.prune_cache.insert(key, (ver, masks.clone()));
         masks
     }
@@ -1153,6 +1160,129 @@ mod tests {
         let mut sim = setup_chain(2);
         sim.run_until(SimTime::from_secs(9));
         assert_eq!(sim.now(), SimTime::from_secs(9));
+        // Events past the limit stay pending, and the clock still ends there.
+        sim.send_from(NodeId(0), G, Bytes::from_static(&[1]), SendOptions::default());
+        sim.exec(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_secs(5), 3);
+        });
+        sim.run_until(SimTime::from_secs(9) + SimDuration::from_millis(500));
+        assert_eq!(sim.now(), SimTime::from_secs(9) + SimDuration::from_millis(500));
+        assert_eq!(sim.pending_events(), 2, "the hop into node 1 and the timer");
+        assert!(sim.app(NodeId(1)).unwrap().got.is_empty());
+        sim.run_until(SimTime::from_secs(12));
+        assert_eq!(sim.now(), SimTime::from_secs(12));
+        assert_eq!(sim.pending_events(), 1, "the timer");
+        assert_eq!(sim.app(NodeId(1)).unwrap().got, [(SimTime::from_secs(10), 1)]);
+        assert!(sim.app(NodeId(0)).unwrap().timers.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On random trees with random members and one link down, every
+        /// node's fan-out is its SPT children whose subtrees hold a member,
+        /// in child-id order, from every root.
+        #[test]
+        fn fan_table_is_the_pruned_spt_children(
+            n in 2usize..60,
+            seed in 0u64..u64::MAX,
+            members in 1usize..12,
+            down in 0usize..usize::MAX,
+            delays in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = if delays {
+                crate::generators::random_delay_tree(
+                    n,
+                    SimDuration::from_millis(1),
+                    SimDuration::from_millis(50),
+                    &mut rng,
+                )
+            } else {
+                crate::generators::random_labeled_tree(n, &mut rng)
+            };
+            let members = crate::generators::random_members(&topo, members.min(n), &mut rng);
+            let mut sim: Simulator<Recorder> = Simulator::new(topo.clone(), 1);
+            for &m in &members {
+                sim.join(m, G);
+            }
+            sim.set_link_state(LinkId((down % topo.num_links()) as u32), false);
+            for root in topo.nodes() {
+                let masks = sim.group_masks(root, G);
+                let tree = crate::SpTree::compute_masked(&topo, root, Some(&sim.link_up));
+                // reach[v]: v's subtree holds a member, found bottom-up
+                // from the root (the table walks up from the members).
+                fn mark(t: &crate::SpTree, v: NodeId, member: &[bool], reach: &mut [bool]) -> bool {
+                    let mut any = member[v.index()];
+                    for &(c, _) in t.children(v) {
+                        any |= mark(t, c, member, reach);
+                    }
+                    reach[v.index()] = any;
+                    any
+                }
+                let mut reach = vec![false; n];
+                mark(&tree, root, &masks.member, &mut reach);
+                for v in topo.nodes() {
+                    let want: Vec<(NodeId, LinkId)> = tree
+                        .children(v)
+                        .iter()
+                        .copied()
+                        .filter(|(c, _)| reach[c.index()])
+                        .collect();
+                    proptest::prop_assert_eq!(masks.fan(v), &want[..], "root {:?} node {:?}", root, v);
+                }
+            }
+        }
+    }
+
+    /// Records what it hears and leaves the group on its first packet.
+    #[derive(Default)]
+    struct Leaver {
+        got: Vec<(SimTime, u8)>,
+    }
+
+    impl Application for Leaver {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
+            if self.got.is_empty() && ctx.node == NodeId(3) {
+                ctx.leave(G);
+            }
+            self.got.push((ctx.now, pkt.payload[0]));
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    }
+
+    #[test]
+    fn a_leave_inside_on_packet_prunes_the_rest_of_a_flood_in_flight() {
+        // 0 ─ 1 ─ 2 ─ 3 and 0 ─ 4, unit delays; members 3 and 4, sender 0.
+        let mut b = crate::topology::TopologyBuilder::new(5);
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (0, 4)] {
+            b.link(NodeId(x), NodeId(y));
+        }
+        let mut sim: Simulator<Leaver> = Simulator::new(b.build(), 1);
+        for i in [3u32, 4] {
+            sim.install(NodeId(i), Leaver::default());
+            sim.join(NodeId(i), G);
+        }
+        // Packet 1 reaches 3 at t = 3, and 3 leaves in its handler. Packet 2
+        // leaves 0 at t = 2.5 while 3 is still a member, so it crosses 0 ─ 1;
+        // at 1, at t = 3.5, the subtree below holds no member any more.
+        sim.send_from(NodeId(0), G, Bytes::from_static(&[1]), SendOptions::default());
+        sim.run_until(SimTime::from_secs_f64(2.5));
+        sim.send_from(NodeId(0), G, Bytes::from_static(&[2]), SendOptions::default());
+        assert!(sim.run_until_idle(SimTime::from_secs(100)));
+        assert_eq!(sim.members(G), [NodeId(4)]);
+        let got = |n: u32| sim.app(NodeId(n)).unwrap().got.clone();
+        assert_eq!(got(3), [(SimTime::from_secs(3), 1)]);
+        let t = SimTime::from_secs_f64;
+        assert_eq!(got(4), [(t(1.0), 1), (t(3.5), 2)]);
+        let crossings = |x: u32, y: u32| {
+            let l = sim.topology().link_between(NodeId(x), NodeId(y)).unwrap();
+            sim.stats.links[l.index()].packets
+        };
+        assert_eq!(crossings(0, 1), 2);
+        assert_eq!(crossings(1, 2), 1, "packet 2 is pruned at node 1");
+        assert_eq!(crossings(2, 3), 1);
+        assert_eq!(crossings(0, 4), 2);
     }
 
     #[test]

@@ -99,6 +99,11 @@ cargo test -q -p netsim --lib -- a_transmission_is_decoded_once_however_many_rec
     copies_share_one_decode_slot the_first_type_to_fill_the_slot_wins
 cargo test -q --test decode_once
 
+echo "== simulator queue order and fan-out (the FIFO hop lane pops in one heap's order; the fan table is the pruned SPT children; a leave mid-flood prunes later hops) =="
+cargo test -q -p netsim --lib -- lane_and_heap_pop_in_single_heap_order \
+    monotone_hops_take_the_lane_and_the_rest_the_heap fan_table_is_the_pruned_spt_children \
+    a_leave_inside_on_packet_prunes_the_rest_of_a_flood_in_flight run_until_advances_clock
+
 echo "== allocation budget (exact heap allocations per sent and per received ADU, live pair) =="
 cargo test -q --test alloc_budget
 
@@ -219,7 +224,7 @@ echo "== ADU fast path size: store.rs + reactor.rs (code lines, then raw) =="
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | grep -cvE '^\s*(//|$)'
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | wc -l
 
-echo "== recovery path size: agent/*.rs (code lines before #[cfg(test)], raw lines; a non-test file over 600 raw lines fails), sim.rs, size_of::<SrmAgent>() =="
+echo "== recovery path size: agent/*.rs (code lines before #[cfg(test)], raw lines; a non-test file over 600 raw lines fails), netsim's sim.rs and event.rs, size_of::<SrmAgent>() =="
 agent_code=0
 for f in crates/core/src/agent/*.rs; do
     code=$(awk '/#\[cfg\(test\)\]/ {exit} {print}' "$f" | grep -cvE '^\s*(//|$)')
@@ -230,7 +235,9 @@ for f in crates/core/src/agent/*.rs; do
     [ "$raw" -le 600 ] || { echo "$f has $raw raw lines (limit 600)" >&2; exit 1; }
 done
 echo "agent/ non-test code lines: $agent_code"
-echo "crates/netsim/src/sim.rs: $(grep -cvE '^\s*(//|$)' crates/netsim/src/sim.rs) code, $(wc -l < crates/netsim/src/sim.rs) raw"
+for f in crates/netsim/src/sim.rs crates/netsim/src/event.rs; do
+    echo "$f: $(grep -cvE '^\s*(//|$)' "$f") code, $(wc -l < "$f") raw"
+done
 # agent_size_is_reported fails if the agent grows past its pinned size.
 cargo test -q -p srm --lib agent_size_is_reported -- --nocapture | grep 'size_of::<SrmAgent>'
 
