@@ -120,7 +120,7 @@ fn build_config(spec: &ConfigSpec, g: usize) -> SrmConfig {
         TimersSpec::Preset(TimerPreset::Fixed) => SrmConfig::fixed(g),
         TimersSpec::Preset(TimerPreset::Adaptive) => SrmConfig::adaptive(g),
         TimersSpec::Preset(TimerPreset::Wb159) => SrmConfig {
-            fixed_intervals: Some(srm::config::FixedIntervals::wb159()),
+            wb159: true,
             ..SrmConfig::default()
         },
         TimersSpec::Explicit { c1, c2, d1, d2 } => SrmConfig {
@@ -139,13 +139,11 @@ fn build_config(spec: &ConfigSpec, g: usize) -> SrmConfig {
     if spec.recovery_group_ttl > 0 {
         cfg.recovery_groups = Some(RecoveryGroupConfig {
             invite_ttl: spec.recovery_group_ttl,
-            min_losses: 2,
         });
     }
     if spec.hierarchy_ttl > 0 {
         cfg.session_hierarchy = Some(HierarchyConfig {
             local_ttl: spec.hierarchy_ttl,
-            ..HierarchyConfig::default()
         });
     }
     if spec.rate_limit_bps > 0.0 {

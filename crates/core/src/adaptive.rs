@@ -25,8 +25,28 @@
 //! observe a duplicate request from a member reporting a distance more than
 //! 1.5× their own ("further from the source").
 
-use crate::config::{AdaptiveConfig, TimerParams};
+use crate::config::TimerParams;
 use crate::name::AduName;
+
+/// Target bound on the average duplicate count per period: "the predefined
+/// threshold is one duplicate request" (AveDups).
+pub const AVE_DUPS: f64 = 1.0;
+/// Target bound on the average request/repair delay, in RTTs to the
+/// relevant source (AveDelay).
+pub const AVE_DELAY: f64 = 1.0;
+/// EWMA weight λ of the running averages (DESIGN.md §6, note 2).
+pub const LAMBDA: f64 = 0.25;
+/// Lower clamp for C1 and D1 (Fig 11, reconstructed: DESIGN.md §6, note 3).
+pub const MIN_C1: f64 = 0.5;
+/// Upper clamp for C1 and D1 (Fig 11, reconstructed).
+pub const MAX_C1: f64 = 2.0;
+/// Lower clamp for C2 and D2 (Fig 11, reconstructed).
+pub const MIN_C2: f64 = 1.0;
+/// Upper clamp for C2 and D2 (Fig 11, reconstructed).
+pub const MAX_C2: f64 = 64.0;
+/// "Further from the source": a duplicate request reported from more than
+/// this multiple of our own distance triggers the C2 decrease.
+pub const FARTHER_FACTOR: f64 = 1.5;
 
 /// One side (request or repair) of the adaptive state.
 #[derive(Clone, Debug)]
@@ -61,23 +81,21 @@ impl Side {
     }
 
     /// Fold the finished period's duplicate count into the average.
-    fn close_period(&mut self, lambda: f64) {
-        self.ave_dup = (1.0 - lambda) * self.ave_dup + lambda * self.dup as f64;
+    fn close_period(&mut self) {
+        self.ave_dup = (1.0 - LAMBDA) * self.ave_dup + LAMBDA * self.dup as f64;
         self.dup = 0;
         self.sent_last_period = self.sent_this_period;
         self.sent_this_period = false;
     }
 
-    fn note_delay(&mut self, delay_over_rtt: f64, lambda: f64) {
-        self.ave_delay = (1.0 - lambda) * self.ave_delay + lambda * delay_over_rtt;
+    fn note_delay(&mut self, delay_over_rtt: f64) {
+        self.ave_delay = (1.0 - LAMBDA) * self.ave_delay + LAMBDA * delay_over_rtt;
     }
 }
 
 /// Per-member adaptive timer state. Owns the live [`TimerParams`].
 #[derive(Clone, Debug)]
 pub struct AdaptiveTimers {
-    /// Tuning constants and clamps.
-    pub cfg: AdaptiveConfig,
     /// The live parameters used to draw timers.
     pub params: TimerParams,
     req: Side,
@@ -86,9 +104,8 @@ pub struct AdaptiveTimers {
 
 impl AdaptiveTimers {
     /// Start from `initial` parameters.
-    pub fn new(cfg: AdaptiveConfig, initial: TimerParams) -> Self {
+    pub fn new(initial: TimerParams) -> Self {
         AdaptiveTimers {
-            cfg,
             params: initial,
             req: Side::new(),
             rep: Side::new(),
@@ -106,7 +123,7 @@ impl AdaptiveTimers {
             return; // same loss-recovery event (e.g. re-armed timer)
         }
         if self.req.opened {
-            self.req.close_period(self.cfg.lambda);
+            self.req.close_period();
             self.adjust_request_params();
         }
         self.req.opened = true;
@@ -129,11 +146,11 @@ impl AdaptiveTimers {
 
     /// We had sent a request and then observed a duplicate request from a
     /// member whose reported distance to the source exceeds
-    /// `farther_factor ×` ours. Mechanism 2: reduce C2.
+    /// [`FARTHER_FACTOR`] × ours. Mechanism 2: reduce C2.
     ///
     /// Returns true if the rule fired.
     pub fn on_far_duplicate_request(&mut self, their_dist: f64, our_dist: f64) -> bool {
-        if self.req.sent_this_period && their_dist > self.cfg.farther_factor * our_dist {
+        if self.req.sent_this_period && their_dist > FARTHER_FACTOR * our_dist {
             self.params.c2 -= 0.1;
             self.clamp();
             true
@@ -145,23 +162,22 @@ impl AdaptiveTimers {
     /// Record the request delay (time from first timer set until a request
     /// was sent or heard), in units of the RTT to the source.
     pub fn on_request_delay(&mut self, delay_over_rtt: f64) {
-        self.req.note_delay(delay_over_rtt, self.cfg.lambda);
+        self.req.note_delay(delay_over_rtt);
     }
 
     fn adjust_request_params(&mut self) {
-        let c = &self.cfg;
-        if self.req.ave_dup >= c.ave_dups {
+        if self.req.ave_dup >= AVE_DUPS {
             // Too many duplicates: spread the timers out.
             self.params.c1 += 0.1;
             self.params.c2 += 0.5;
         } else {
             // Duplicates are under control; claw back delay.
-            if self.req.ave_delay > c.ave_delay {
+            if self.req.ave_delay > AVE_DELAY {
                 self.params.c2 -= 0.1;
             }
             // "only decreases C1 for members who have sent requests, or
             // when the average number of duplicates is already small."
-            if self.req.sent_last_period || self.req.ave_dup < 0.25 * c.ave_dups {
+            if self.req.sent_last_period || self.req.ave_dup < 0.25 * AVE_DUPS {
                 self.params.c1 -= 0.05;
             }
         }
@@ -177,7 +193,7 @@ impl AdaptiveTimers {
             return;
         }
         if self.rep.opened {
-            self.rep.close_period(self.cfg.lambda);
+            self.rep.close_period();
             self.adjust_repair_params();
         }
         self.rep.opened = true;
@@ -198,19 +214,18 @@ impl AdaptiveTimers {
 
     /// Record the repair delay in units of the RTT to the requestor.
     pub fn on_repair_delay(&mut self, delay_over_rtt: f64) {
-        self.rep.note_delay(delay_over_rtt, self.cfg.lambda);
+        self.rep.note_delay(delay_over_rtt);
     }
 
     fn adjust_repair_params(&mut self) {
-        let c = &self.cfg;
-        if self.rep.ave_dup >= c.ave_dups {
+        if self.rep.ave_dup >= AVE_DUPS {
             self.params.d1 += 0.1;
             self.params.d2 += 0.5;
         } else {
-            if self.rep.ave_delay > c.ave_delay {
+            if self.rep.ave_delay > AVE_DELAY {
                 self.params.d2 -= 0.1;
             }
-            if self.rep.sent_last_period || self.rep.ave_dup < 0.25 * c.ave_dups {
+            if self.rep.sent_last_period || self.rep.ave_dup < 0.25 * AVE_DUPS {
                 self.params.d1 -= 0.05;
             }
         }
@@ -220,11 +235,10 @@ impl AdaptiveTimers {
     // ---- shared ----------------------------------------------------------
 
     fn clamp(&mut self) {
-        let c = &self.cfg;
-        self.params.c1 = self.params.c1.clamp(c.min_c1, c.max_c1);
-        self.params.c2 = self.params.c2.clamp(c.min_c2, c.max_c2);
-        self.params.d1 = self.params.d1.clamp(c.min_c1, c.max_c1);
-        self.params.d2 = self.params.d2.clamp(c.min_c2, c.max_c2);
+        self.params.c1 = self.params.c1.clamp(MIN_C1, MAX_C1);
+        self.params.c2 = self.params.c2.clamp(MIN_C2, MAX_C2);
+        self.params.d1 = self.params.d1.clamp(MIN_C1, MAX_C1);
+        self.params.d2 = self.params.d2.clamp(MIN_C2, MAX_C2);
     }
 
     /// Current request-side duplicate average (for tests/metrics).
@@ -258,15 +272,12 @@ mod tests {
     }
 
     fn fresh() -> AdaptiveTimers {
-        AdaptiveTimers::new(
-            AdaptiveConfig::default(),
-            TimerParams {
-                c1: 2.0,
-                c2: 7.0,
-                d1: 2.0,
-                d2: 7.0,
-            },
-        )
+        AdaptiveTimers::new(TimerParams {
+            c1: 2.0,
+            c2: 7.0,
+            d1: 2.0,
+            d2: 7.0,
+        })
     }
 
     #[test]
@@ -399,16 +410,16 @@ mod tests {
                 a.on_duplicate_request();
             }
         }
-        assert!(a.params.c1 <= a.cfg.max_c1 + 1e-9);
-        assert!(a.params.c2 <= a.cfg.max_c2 + 1e-9);
+        assert!(a.params.c1 <= MAX_C1 + 1e-9);
+        assert!(a.params.c2 <= MAX_C2 + 1e-9);
         let mut b = fresh();
         for i in 0..200 {
             b.on_request_timer_set(item(i));
             b.on_request_sent();
             b.on_request_delay(10.0);
         }
-        assert!(b.params.c1 >= b.cfg.min_c1 - 1e-9);
-        assert!(b.params.c2 >= b.cfg.min_c2 - 1e-9);
+        assert!(b.params.c1 >= MIN_C1 - 1e-9);
+        assert!(b.params.c2 >= MIN_C2 - 1e-9);
     }
 
     #[test]
@@ -429,15 +440,12 @@ mod tests {
     fn converges_to_low_duplicates_in_simple_model() {
         // A toy closed loop: duplicates per round ≈ max(0, 6 − C2), a crude
         // stand-in for a star where widening the interval suppresses dups.
-        let mut a = AdaptiveTimers::new(
-            AdaptiveConfig::default(),
-            TimerParams {
-                c1: 2.0,
-                c2: 1.0,
-                d1: 2.0,
-                d2: 1.0,
-            },
-        );
+        let mut a = AdaptiveTimers::new(TimerParams {
+            c1: 2.0,
+            c2: 1.0,
+            d1: 2.0,
+            d2: 1.0,
+        });
         let mut last_dups = 0.0;
         for i in 0..200 {
             a.on_request_timer_set(item(i));

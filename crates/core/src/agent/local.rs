@@ -5,7 +5,7 @@
 
 use super::{Purpose, SrmAgent};
 use crate::{driver::Driver, local::widened_ttl, recovery::RequestScope, sendq::SendClass};
-use crate::config::{RecoveryScope, SrmConfig};
+use crate::config::{RecoveryScope, SrmConfig, RECOVERY_GROUP_MIN_LOSSES};
 use crate::fec::{reconstruct, Parity};
 use crate::name::{AduName, PageId, SeqNo, SourceId};
 use crate::timers::TimerInterval;
@@ -53,7 +53,7 @@ impl SrmAgent {
         };
         if self.recovery_group.is_some()
             || self.invite_timer.is_some()
-            || self.losses_detected < rg.min_losses
+            || self.losses_detected < RECOVERY_GROUP_MIN_LOSSES
         {
             return;
         }

@@ -28,7 +28,7 @@ mod session;
 
 use crate::adaptive::AdaptiveTimers;
 use crate::clock::DistanceEstimator;
-use crate::config::{SrmConfig, TimerParams};
+use crate::config::{SrmConfig, TimerParams, FINGERPRINT_LEN};
 use crate::driver::Driver;
 use crate::fec::{Parity, ParityEncoder};
 use crate::hierarchy::HierarchyState;
@@ -173,30 +173,21 @@ pub struct SrmAgent {
 impl SrmAgent {
     /// Create an agent for member `id` in `group`.
     pub fn new(id: SourceId, group: GroupId, cfg: SrmConfig) -> Self {
-        let adaptive = cfg.adaptive.map(|a| AdaptiveTimers::new(a, cfg.timers));
-        let scheduler = SessionScheduler {
-            bandwidth: cfg.session_bandwidth,
-            fraction: cfg.session_fraction,
-            msg_bytes: cfg.session_msg_bytes,
-            min_interval: cfg.min_session_interval,
-        };
-        let mut store = AduStore::new();
-        store.retention_per_stream = cfg.retention_per_stream;
         SrmAgent {
             id,
             group,
             est: DistanceEstimator::new(cfg.default_distance),
-            adaptive,
+            adaptive: cfg.adaptive.then(|| AdaptiveTimers::new(cfg.timers)),
             current_page: PageId::new(id, 0),
             next_seq: BTreeMap::new(),
             episodes: BTreeMap::new(),
             hold_downs: VecDeque::new(),
             page_reply_timers: BTreeMap::new(),
             timers: Timers::default(),
-            scheduler,
+            scheduler: SessionScheduler::default(),
             session_enabled: true,
             outbox: Outbox::new(id, cfg.rate_limit),
-            fingerprint: LossFingerprint::new(cfg.fingerprint_len),
+            fingerprint: LossFingerprint::new(FINGERPRINT_LEN),
             neighborhood: NeighborhoodView::default(),
             losses_detected: 0,
             unique_data_received: 0,
@@ -216,7 +207,7 @@ impl SrmAgent {
             catalog_reply_timer: None,
             discovered_pages: Vec::new(),
             rejoining: false,
-            store,
+            store: AduStore::new(),
             cfg,
         }
     }
@@ -288,7 +279,7 @@ impl SrmAgent {
     }
 
     /// The per-message byte size the session scheduler currently charges
-    /// against the session-bandwidth budget: the configured nominal size
+    /// against the session-bandwidth budget: [`crate::config::SESSION_MSG_BYTES`]
     /// until the first session message goes out, then the last emitted
     /// message's encoded on-wire length.
     pub fn session_msg_bytes(&self) -> f64 {

@@ -7,11 +7,11 @@
 use super::outbox::recovery_class;
 use super::{live_params, local::repair_opts, sample_delay, Purpose, SrmAgent};
 use crate::{adaptive::AdaptiveTimers, clock::DistanceEstimator, driver::Driver, observe::adu_key};
-use crate::config::{RecoveryScope, SrmConfig};
+use crate::config::{RecoveryScope, HOLD_DOWN, WB159_REPAIR_OTHER, WB159_REPAIR_SOURCE};
 use crate::name::{AduName, SourceId};
 use crate::recovery::{RepairState, RequestScope};
 use crate::wire::{Body, DataBody, Header, RequestBody};
-use netsim::{Packet, SimDuration, SimTime};
+use netsim::{Packet, SimTime};
 use std::collections::btree_map::Entry;
 
 impl SrmAgent {
@@ -81,19 +81,12 @@ impl SrmAgent {
         }
         // wb 1.59 mode: [d, 2d] with d = 100 ms at the original source,
         // 200 ms elsewhere; framework mode: [D1·d, (D1+D2)·d].
-        let (d1, d2, dist) = match self.cfg.fixed_intervals {
-            Some(f) => {
-                let base = if name.source == self.id {
-                    f.repair_source
-                } else {
-                    f.repair_other
-                };
-                (1.0, 1.0, SimDuration::from_secs_f64(base))
-            }
-            None => {
-                let p = live_params(&self.adaptive, &self.cfg);
-                (p.d1, p.d2, self.est.distance_to(sender))
-            }
+        let (d1, d2, dist) = if self.cfg.wb159 {
+            let own = name.source == self.id;
+            (1.0, 1.0, if own { WB159_REPAIR_SOURCE } else { WB159_REPAIR_OTHER })
+        } else {
+            let p = live_params(&self.adaptive, &self.cfg);
+            (p.d1, p.d2, self.est.distance_to(sender))
         };
         // Answer the way the request came: its TTL and scope, on whatever
         // group it arrived on (session group or a local-recovery group).
@@ -165,7 +158,7 @@ impl SrmAgent {
         if let Some(a) = self.adaptive.as_mut() {
             a.on_repair_sent();
         }
-        let until = hold_down_end(&self.est, &self.cfg, ctx.now(), name);
+        let until = hold_down_end(&self.est, ctx.now(), name);
         self.obs
             .record(ctx.now(), adu_key(name), obs::EventKind::HoldDownEntered { until });
         ep.hold_down_until = until;
@@ -175,7 +168,7 @@ impl SrmAgent {
     /// A repair for `name` arrived: repair suppression, duplicate
     /// accounting, and the hold-down it starts — one lookup for all three.
     pub(super) fn repair_heard(&mut self, ctx: &mut dyn Driver, name: AduName, from: SourceId) {
-        let until = hold_down_end(&self.est, &self.cfg, ctx.now(), name);
+        let until = hold_down_end(&self.est, ctx.now(), name);
         let ep = self.episodes.entry(name).or_default();
         if let Some(st) = ep.repair.as_mut() {
             self.obs.record(
@@ -217,6 +210,6 @@ impl SrmAgent {
 }
 
 /// When a hold-down for `name` entered at `now` ends.
-fn hold_down_end(est: &DistanceEstimator, cfg: &SrmConfig, now: SimTime, name: AduName) -> SimTime {
-    now + est.distance_to(name.source).mul_f64(cfg.hold_down)
+fn hold_down_end(est: &DistanceEstimator, now: SimTime, name: AduName) -> SimTime {
+    now + est.distance_to(name.source).mul_f64(HOLD_DOWN)
 }

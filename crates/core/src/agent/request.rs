@@ -3,12 +3,13 @@
 //! member suppresses or backs it off; the data arriving ends it.
 
 use super::{local::request_opts, outbox::recovery_class, sample_delay, Delivery, Purpose, SrmAgent};
-use crate::{adaptive::AdaptiveTimers, config::RecoveryScope, driver::Driver, observe::adu_key};
+use crate::{adaptive::AdaptiveTimers, driver::Driver, observe::adu_key};
+use crate::config::{RecoveryScope, WB159_REQUEST};
 use crate::name::{AduName, SeqNo, SourceId};
 use crate::recovery::{RequestAction, RequestState};
 use crate::wire::{Body, DataBody, Header, RequestBody};
 use bytes::Bytes;
-use netsim::{flow, Packet, SendOptions, SimDuration};
+use netsim::{flow, Packet, SendOptions};
 
 impl SrmAgent {
     /// Begin recovery for each newly discovered missing ADU.
@@ -23,12 +24,11 @@ impl SrmAgent {
             }
             // wb 1.59 mode uses a fixed [c, 2c] interval; the distance-
             // scaled framework uses [C1·d, (C1+C2)·d].
-            let (c1, c2, dist) = match self.cfg.fixed_intervals {
-                Some(f) => (1.0, 1.0, SimDuration::from_secs_f64(f.request)),
-                None => {
-                    let p = self.params();
-                    (p.c1, p.c2, self.est.distance_to(name.source))
-                }
+            let (c1, c2, dist) = if self.cfg.wb159 {
+                (1.0, 1.0, WB159_REQUEST)
+            } else {
+                let p = self.params();
+                (p.c1, p.c2, self.est.distance_to(name.source))
             };
             let ep = self.episodes.entry(name).or_default();
             if ep.request.is_some() {

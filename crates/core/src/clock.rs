@@ -30,10 +30,6 @@ struct PeerClock {
 #[derive(Clone, Debug, Default)]
 pub struct DistanceEstimator {
     peers: BTreeMap<SourceId, PeerClock>,
-    /// Smoothing factor for distance updates: `d ← (1−α)d + α·sample`.
-    /// `1.0` (the default) keeps just the latest sample, which is what the
-    /// paper's simulations assume (converged, exact estimates).
-    pub alpha: f64,
     /// Fallback distance for peers we have no estimate for yet.
     pub default_distance: SimDuration,
 }
@@ -43,7 +39,6 @@ impl DistanceEstimator {
     pub fn new(default_distance: SimDuration) -> Self {
         DistanceEstimator {
             peers: BTreeMap::new(),
-            alpha: 1.0,
             default_distance,
         }
     }
@@ -62,10 +57,11 @@ impl DistanceEstimator {
     }
 
     /// Process an echo of *our own* timestamp arriving from `peer` at `now`:
-    /// `d = ((t4 − t1) − Δ)/2`. An echo of a time later than `now` is
-    /// ignored: it stamps an earlier incarnation of us (a live member
-    /// restarted after a crash starts its clock at zero again), and peers
-    /// keep echoing it until they hear the new one.
+    /// `d = ((t4 − t1) − Δ)/2`, which replaces the previous estimate (the
+    /// paper's simulations assume converged, exact estimates). An echo of
+    /// a time later than `now` is ignored: it stamps an earlier incarnation
+    /// of us (a live member restarted after a crash starts its clock at
+    /// zero again), and peers keep echoing it until they hear the new one.
     pub fn process_echo(&mut self, peer: SourceId, echo: &Echo, now: SimTime) {
         if echo.their_ts > now {
             return;
@@ -79,12 +75,7 @@ impl DistanceEstimator {
             received_at: SimTime::ZERO,
             distance: None,
         });
-        e.distance = Some(match e.distance {
-            None => one_way,
-            Some(prev) => SimDuration::from_secs_f64(
-                prev.as_secs_f64() * (1.0 - self.alpha) + one_way.as_secs_f64() * self.alpha,
-            ),
-        });
+        e.distance = Some(one_way);
     }
 
     /// Build the echo list to put in an outgoing session message sent at
@@ -200,9 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn smoothing_blends_samples() {
+    fn a_later_sample_replaces_the_estimate() {
         let mut est = DistanceEstimator::new(SimDuration::from_secs(1));
-        est.alpha = 0.5;
         let mk = |t1: u64, delay: u64| Echo {
             peer: SourceId(1),
             their_ts: SimTime::from_secs(t1),
@@ -211,9 +201,9 @@ mod tests {
         // Sample 1: d = 4.
         est.process_echo(B, &mk(0, 2), SimTime::from_secs(10));
         assert_eq!(est.distance_to(B), SimDuration::from_secs(4));
-        // Sample 2: d = 2 → smoothed to 3.
+        // Sample 2: d = 2.
         est.process_echo(B, &mk(20, 2), SimTime::from_secs(26));
-        assert_eq!(est.distance_to(B), SimDuration::from_secs(3));
+        assert_eq!(est.distance_to(B), SimDuration::from_secs(2));
     }
 
     #[test]

@@ -3,10 +3,46 @@
 //! The framework's knobs, with defaults matching the paper's Section V
 //! simulations: `C1 = D1 = 2`, `C2 = D2 = √G` (set by the experiment once
 //! the session size is known), backoff ×2 (×3 when the adaptive algorithm
-//! is on, per Section VII-A), session messages capped at 5% of the session
-//! bandwidth.
+//! is on, per Section VII-A). Values the paper gives once, and no caller
+//! varies, are the constants below rather than fields.
 
 use netsim::SimDuration;
+
+/// Hold-down factor: a member ignores requests for an ADU for
+/// `HOLD_DOWN · d_SB` after sending or receiving a repair for it
+/// (§III-B: "for 3·d_S,B seconds").
+pub const HOLD_DOWN: f64 = 3.0;
+
+/// Share of the session bandwidth spent on session messages (§III-A:
+/// "a small fraction (e.g., 5%)").
+pub const SESSION_FRACTION: f64 = 0.05;
+
+/// Aggregate session data bandwidth, bytes per second, that
+/// [`SESSION_FRACTION`] is taken of (§III-C's "fixed bandwidth
+/// constraint"; the paper gives no number, 16 kB/s is ours).
+pub const SESSION_BANDWIDTH: f64 = 16_000.0;
+
+/// Session-message size, bytes, charged until the first session message
+/// is out and its encoded length replaces it (ours).
+pub const SESSION_MSG_BYTES: f64 = 100.0;
+
+/// Floor on the session-message interval (ours).
+pub const MIN_SESSION_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Recent local losses advertised in a session message's loss fingerprint
+/// (§VII-B; the length is ours).
+pub const FINGERPRINT_LEN: usize = 8;
+
+/// Locally detected losses after which a member arms its recovery-group
+/// invitation timer (§VII-B2 "persistent" losses; the count is ours).
+pub const RECOVERY_GROUP_MIN_LOSSES: u64 = 2;
+
+/// wb 1.59's request interval base `c`: timers from `[c, 2c]` (§III-E).
+pub const WB159_REQUEST: SimDuration = SimDuration::from_millis(30);
+/// wb 1.59's repair interval base `d` at the data's original source.
+pub const WB159_REPAIR_SOURCE: SimDuration = SimDuration::from_millis(100);
+/// wb 1.59's repair interval base `d` at every other member.
+pub const WB159_REPAIR_OTHER: SimDuration = SimDuration::from_millis(200);
 
 /// The four timer constants of Section III-B.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,49 +84,6 @@ impl Default for TimerParams {
     }
 }
 
-/// Constants of the adaptive adjustment algorithm (Section VII-A,
-/// Figs 9–11). The prose fixes the adjustment steps (−0.05/+0.1 for C1,
-/// −0.1/+0.5 for C2) and the one-duplicate target; initial values and
-/// clamps are our documented reconstruction of Fig 11 (see DESIGN.md §6).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Target bound on the average duplicate count ("the predefined
-    /// threshold is one duplicate request").
-    pub ave_dups: f64,
-    /// Target bound on the average request/repair delay, in units of the
-    /// RTT to the relevant source.
-    pub ave_delay: f64,
-    /// EWMA weight λ for the running averages.
-    pub lambda: f64,
-    /// Lower/upper clamp for C1 and D1.
-    pub min_c1: f64,
-    /// Upper clamp for C1 and D1.
-    pub max_c1: f64,
-    /// Lower clamp for C2 and D2.
-    pub min_c2: f64,
-    /// Upper clamp for C2 and D2.
-    pub max_c2: f64,
-    /// "further from the source" factor: a duplicate request reported from
-    /// more than this multiple of our own distance triggers a C2 decrease
-    /// for recent requestors (paper: 1.5).
-    pub farther_factor: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            ave_dups: 1.0,
-            ave_delay: 1.0,
-            lambda: 0.25,
-            min_c1: 0.5,
-            max_c1: 2.0,
-            min_c2: 1.0,
-            max_c2: 64.0,
-            farther_factor: 1.5,
-        }
-    }
-}
-
 /// Scope policy for requests and repairs (Section VII-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RecoveryScope {
@@ -106,44 +99,16 @@ pub enum RecoveryScope {
     Admin,
 }
 
-/// Fixed timer intervals à la wb 1.59 (Section III-E): "members set a
-/// request timer to a random value from the interval [c, 2c], where c is
-/// set to a fixed value of 30 ms … after receiving a request members set a
-/// repair timer to a random value from the interval [d, 2d]. For the
-/// original source of the data, d is set to a fixed value of 100 ms, and
-/// for other members d is set to 200 ms." Distance estimation is bypassed.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FixedIntervals {
-    /// Request interval base `c` in seconds (wb: 0.030).
-    pub request: f64,
-    /// Repair interval base `d` at the original source (wb: 0.100).
-    pub repair_source: f64,
-    /// Repair interval base `d` at other members (wb: 0.200).
-    pub repair_other: f64,
-}
-
-impl FixedIntervals {
-    /// The wb 1.59 values.
-    pub fn wb159() -> Self {
-        FixedIntervals {
-            request: 0.030,
-            repair_source: 0.100,
-            repair_other: 0.200,
-        }
-    }
-}
-
-/// Separate-multicast-group local recovery (Section VII-B2): after enough
-/// local losses, a member allocates a recovery group, invites nearby
-/// members with a TTL-scoped invitation, and subsequent first-round
-/// requests (and their repairs) use that group instead of the session
-/// group. Unanswered requests still widen back to the session group.
+/// Separate-multicast-group local recovery (Section VII-B2): after
+/// [`RECOVERY_GROUP_MIN_LOSSES`] local losses, a member allocates a
+/// recovery group, invites nearby members with a TTL-scoped invitation,
+/// and subsequent first-round requests (and their repairs) use that group
+/// instead of the session group. Unanswered requests still widen back to
+/// the session group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryGroupConfig {
     /// Scope of the invitation — "nearby" is whoever it reaches.
     pub invite_ttl: u8,
-    /// Create/invite after this many locally detected losses.
-    pub min_losses: u64,
 }
 
 /// Token-bucket rate limit (Section III-E: "individual members would use a
@@ -168,14 +133,15 @@ pub struct SrmConfig {
     /// Give up re-requesting an ADU after this many request transmissions
     /// (`None` = retry forever; the paper's reliability model).
     pub max_request_rounds: Option<u32>,
-    /// Hold-down factor: ignore requests for an ADU for `hold_down · d_SB`
-    /// seconds after sending or receiving a repair for it (paper: 3).
-    pub hold_down: f64,
-    /// Adaptive timer adjustment (Section VII-A); `None` = fixed timers.
-    pub adaptive: Option<AdaptiveConfig>,
-    /// wb-1.59-style fixed intervals; when set, request/repair timers use
-    /// these bases instead of distance-scaled `C·d` intervals.
-    pub fixed_intervals: Option<FixedIntervals>,
+    /// Adaptive timer adjustment (Section VII-A, constants in
+    /// [`crate::adaptive`]); `false` = fixed timers.
+    pub adaptive: bool,
+    /// wb 1.59's fixed intervals (Section III-E): "members set a request
+    /// timer to a random value from the interval \[c, 2c\] … for the
+    /// original source of the data, d is set to a fixed value of 100 ms,
+    /// and for other members d is set to 200 ms" ([`WB159_REQUEST`] and
+    /// the two repair bases). Distance estimation is bypassed.
+    pub wb159: bool,
     /// Proactive parity FEC (Section VII-B / \[38\]); `None` = off.
     pub fec: Option<crate::fec::FecConfig>,
     /// Separate-multicast-group local recovery (Section VII-B2); `None` =
@@ -186,31 +152,17 @@ pub struct SrmConfig {
     pub session_hierarchy: Option<crate::hierarchy::HierarchyConfig>,
     /// Recovery scope policy.
     pub scope: RecoveryScope,
-    /// Fraction of the session bandwidth for session messages (paper: 5%).
-    pub session_fraction: f64,
-    /// Aggregate session data bandwidth assumption, bytes per second
-    /// (Section III-C's "fixed bandwidth constraint").
-    pub session_bandwidth: f64,
-    /// Nominal session-message size in bytes, for rate scaling.
-    pub session_msg_bytes: f64,
-    /// Floor on the session-message interval.
-    pub min_session_interval: SimDuration,
     /// Ceiling on the session-message interval (keeps liveness when the
     /// measured data bandwidth goes to zero in an idle session).
     pub max_session_interval: SimDuration,
     /// §III-A "measured adaptively": when true, the session-message rate
     /// is a fraction of the *measured* aggregate data bandwidth (trailing
-    /// window) instead of the static `session_bandwidth` allocation.
+    /// window) instead of the static [`SESSION_BANDWIDTH`].
     pub measured_session_bandwidth: bool,
     /// Distance assumed for peers we have no estimate for.
     pub default_distance: SimDuration,
     /// Optional token-bucket send rate limit.
     pub rate_limit: Option<RateLimit>,
-    /// How many recent local losses to advertise in the session-message
-    /// loss fingerprint (Section VII-B).
-    pub fingerprint_len: usize,
-    /// Keep at most this many ADUs per stream (`None` = keep everything).
-    pub retention_per_stream: Option<usize>,
 }
 
 impl Default for SrmConfig {
@@ -219,23 +171,16 @@ impl Default for SrmConfig {
             timers: TimerParams::default(),
             backoff: 2.0,
             max_request_rounds: None,
-            hold_down: 3.0,
-            adaptive: None,
-            fixed_intervals: None,
+            adaptive: false,
+            wb159: false,
             fec: None,
             recovery_groups: None,
             session_hierarchy: None,
             scope: RecoveryScope::Global,
-            session_fraction: 0.05,
-            session_bandwidth: 16_000.0,
-            session_msg_bytes: 100.0,
-            min_session_interval: SimDuration::from_secs(1),
             max_session_interval: SimDuration::from_secs(120),
             measured_session_bandwidth: false,
             default_distance: SimDuration::from_secs(1),
             rate_limit: None,
-            fingerprint_len: 8,
-            retention_per_stream: None,
         }
     }
 }
@@ -255,7 +200,7 @@ impl SrmConfig {
         SrmConfig {
             timers: TimerParams::fixed_for_group(g),
             backoff: 3.0,
-            adaptive: Some(AdaptiveConfig::default()),
+            adaptive: true,
             ..Default::default()
         }
     }
@@ -278,17 +223,15 @@ mod tests {
     fn adaptive_preset_uses_triple_backoff() {
         let c = SrmConfig::adaptive(50);
         assert_eq!(c.backoff, 3.0);
-        assert!(c.adaptive.is_some());
+        assert!(c.adaptive);
         let f = SrmConfig::fixed(50);
         assert_eq!(f.backoff, 2.0);
-        assert!(f.adaptive.is_none());
+        assert!(!f.adaptive);
     }
 
     #[test]
     fn defaults_are_sane() {
         let c = SrmConfig::default();
-        assert!(c.session_fraction > 0.0 && c.session_fraction < 1.0);
-        assert_eq!(c.hold_down, 3.0);
         assert_eq!(c.scope, RecoveryScope::Global);
     }
 }

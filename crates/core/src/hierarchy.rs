@@ -18,23 +18,21 @@
 use crate::name::SourceId;
 use netsim::{SimDuration, SimTime};
 
+/// A member becomes a representative after hearing no nearby
+/// representative for this long (§IX-A gives no number; 30 s is ours).
+pub const REP_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
 /// Configuration of the session-message hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HierarchyConfig {
     /// Scope of non-representative ("local") session messages — also the
     /// radius within which one representative suffices.
     pub local_ttl: u8,
-    /// Become a representative after hearing no nearby representative for
-    /// this long.
-    pub rep_timeout: SimDuration,
 }
 
 impl Default for HierarchyConfig {
     fn default() -> Self {
-        HierarchyConfig {
-            local_ttl: 3,
-            rep_timeout: SimDuration::from_secs(30),
-        }
+        HierarchyConfig { local_ttl: 3 }
     }
 }
 
@@ -86,7 +84,7 @@ impl HierarchyState {
     pub fn decide(&mut self, now: SimTime) -> SessionScope {
         let heard_recent = self
             .last_nearby_rep
-            .is_some_and(|(_, t)| now.since(t) < self.cfg.rep_timeout);
+            .is_some_and(|(_, t)| now.since(t) < REP_TIMEOUT);
         if self.is_rep {
             SessionScope::Global
         } else if heard_recent {
@@ -104,10 +102,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> HierarchyConfig {
-        HierarchyConfig {
-            local_ttl: 3,
-            rep_timeout: SimDuration::from_secs(30),
-        }
+        HierarchyConfig { local_ttl: 3 }
     }
 
     const ME: SourceId = SourceId(5);

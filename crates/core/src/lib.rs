@@ -96,7 +96,7 @@ pub use driver::{Clock, Driver, Transport};
 pub use fec::{FecConfig, Parity};
 pub use hierarchy::{HierarchyConfig, HierarchyState, SessionScope};
 pub use liveness::{LivenessConfig, PeerLiveness, PeerState};
-pub use config::{AdaptiveConfig, RateLimit, RecoveryScope, SrmConfig, TimerParams};
+pub use config::{RateLimit, RecoveryScope, SrmConfig, TimerParams};
 pub use metrics::{AgentMetrics, FaultEpisode, RecoveryRecord, RepairRecord};
 pub use name::{AduName, PageId, SeqNo, SourceId};
 pub use observe::{enable_tracing, harvest_summary, harvest_timeline};

@@ -3,6 +3,7 @@
 use crate::name::AduName;
 use crate::recovery::{RepairState, RequestState};
 use netsim::{SimDuration, SimTime};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// How many records an episode log may hold before the member's own
@@ -34,6 +35,11 @@ pub struct RecoveryRecord {
 }
 
 impl RecoveryRecord {
+    /// Recovered or given up: nothing more happens in this record.
+    fn closed(&self) -> bool {
+        self.recovered_at.is_some() || self.gave_up
+    }
+
     /// Loss-recovery delay (detection → first repair received), the metric
     /// of Fig 3/4/13: `None` until recovered.
     pub fn recovery_delay(&self) -> Option<SimDuration> {
@@ -129,10 +135,12 @@ impl AgentMetrics {
     }
 
     /// Bring the request-side record of `st`'s ADU up to date, opening it
-    /// on first sight.
+    /// on first sight. A closed record (recovered or given up) belongs to
+    /// an earlier loss of the name — one a crash-restart or a give-up let
+    /// the member detect again — and is replaced by a fresh one.
     pub(crate) fn note_request(&mut self, st: &RequestState) {
         let rtt = SimDuration::from_secs_f64(st.dist_to_source.as_secs_f64() * 2.0);
-        let rec = self.recoveries.entry(st.name).or_insert(RecoveryRecord {
+        let open = RecoveryRecord {
             name: st.name,
             detected_at: st.detected_at,
             recovered_at: None,
@@ -141,7 +149,15 @@ impl AgentMetrics {
             requests_observed: 0,
             rtt_to_source: rtt,
             gave_up: false,
-        });
+        };
+        let rec = match self.recoveries.entry(st.name) {
+            Entry::Occupied(e) if !e.get().closed() => e.into_mut(),
+            Entry::Occupied(mut e) => {
+                e.insert(open);
+                e.into_mut()
+            }
+            Entry::Vacant(e) => e.insert(open),
+        };
         rec.request_delay = st.request_delay();
         rec.requests_sent = st.requests_sent;
         rec.requests_observed = st.requests_observed;
@@ -181,9 +197,7 @@ impl AgentMetrics {
             }
             dropped
         }
-        self.episodes_dropped += trim(&mut self.recoveries, |r| {
-            r.recovered_at.is_some() || r.gave_up
-        });
+        self.episodes_dropped += trim(&mut self.recoveries, RecoveryRecord::closed);
         self.episodes_dropped += trim(&mut self.repairs, |r| r.sent || r.repair_delay.is_some());
     }
 

@@ -6,12 +6,14 @@
 //! generation rate of session messages in proportion to the multicast
 //! group size."
 //!
-//! With a session bandwidth `B`, a session fraction `f`, a nominal message
+//! With a session bandwidth `B`, the session fraction `f` (5 %), a message
 //! size `s`, and an estimated group size `G`, the aggregate session-message
 //! rate is `f·B / s` messages per second, so each member sends every
-//! `G·s / (f·B)` seconds. Like vat, the interval is randomized (uniform in
-//! `[0.5, 1.5)` of the nominal value) to avoid synchronization.
+//! `G·s / (f·B)` seconds, and never more often than
+//! [`MIN_SESSION_INTERVAL`]. Like vat, the interval is randomized (uniform
+//! in `[0.5, 1.5)` of the nominal value) to avoid synchronization.
 
+use crate::config::{MIN_SESSION_INTERVAL, SESSION_BANDWIDTH, SESSION_FRACTION, SESSION_MSG_BYTES};
 use netsim::SimDuration;
 use rand::Rng;
 
@@ -20,26 +22,27 @@ use rand::Rng;
 pub struct SessionScheduler {
     /// Aggregate session data bandwidth, bytes/second.
     pub bandwidth: f64,
-    /// Fraction of bandwidth for session messages.
-    pub fraction: f64,
-    /// Nominal session-message size, bytes.
+    /// Session-message size, bytes.
     pub msg_bytes: f64,
-    /// Floor on the interval.
-    pub min_interval: SimDuration,
+}
+
+impl Default for SessionScheduler {
+    /// [`SESSION_BANDWIDTH`] and [`SESSION_MSG_BYTES`].
+    fn default() -> Self {
+        SessionScheduler {
+            bandwidth: SESSION_BANDWIDTH,
+            msg_bytes: SESSION_MSG_BYTES,
+        }
+    }
 }
 
 impl SessionScheduler {
     /// Deterministic (un-jittered) interval for an estimated group size.
     pub fn nominal_interval(&self, group_size: usize) -> SimDuration {
         let g = group_size.max(1) as f64;
-        let session_bw = self.bandwidth * self.fraction;
+        let session_bw = self.bandwidth * SESSION_FRACTION;
         let secs = g * self.msg_bytes / session_bw;
-        let d = SimDuration::from_secs_f64(secs);
-        if d < self.min_interval {
-            self.min_interval
-        } else {
-            d
-        }
+        SimDuration::from_secs_f64(secs).max(MIN_SESSION_INTERVAL)
     }
 
     /// Jittered interval: uniform in `[0.5, 1.5) ×` the nominal value.
@@ -66,12 +69,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn sched() -> SessionScheduler {
-        SessionScheduler {
-            bandwidth: 16_000.0,
-            fraction: 0.05,
-            msg_bytes: 100.0,
-            min_interval: SimDuration::from_secs(1),
-        }
+        SessionScheduler::default()
     }
 
     #[test]

@@ -138,6 +138,67 @@ fn restarted_source_recovers_own_stream_from_peers() {
     );
 }
 
+/// A member without a store that recovered a loss, crashed and restarted
+/// detects the same ADU missing again. That is a new loss: its record must
+/// be open (so `all_recovered` is false) until the ADU comes back, and it
+/// must date from after the restart, not carry the pre-crash detection
+/// time (which would put the downtime into the recovery delay).
+#[test]
+fn a_loss_detected_again_after_a_restart_gets_a_fresh_record() {
+    let mut sim = chain_session(4, &SrmConfig::fixed(4));
+    let l23 = sim.topology().link_between(NodeId(2), NodeId(3)).unwrap();
+    sim.set_loss_model(Box::new(OneShotLinkDrop::new(l23, NodeId(0), flow::DATA)));
+    // p0 never reaches node 3; node 2's session message reveals it, and
+    // node 3 recovers it by request and repair.
+    sim.exec(NodeId(0), |a, ctx| {
+        a.send_data(ctx, page(0), Bytes::from_static(b"p0"));
+    });
+    sim.run_until(SimTime::from_secs(5));
+    sim.exec(NodeId(2), |a, ctx| a.send_session_now(ctx));
+    sim.run_until(SimTime::from_secs(100));
+    let name = {
+        let a3 = sim.app(NodeId(3)).unwrap();
+        assert_eq!(a3.store().len(), 1);
+        assert!(a3.metrics.all_recovered());
+        let rec = a3.metrics.completed_recoveries().next().expect("p0 was recovered");
+        assert!(rec.detected_at < SimTime::from_secs(100));
+        rec.name
+    };
+
+    // Crash node 3 (no store: everything volatile goes) and restart it.
+    let restart_at = SimTime::from_secs(150);
+    sim.set_fault_plan(
+        FaultPlan::new()
+            .crash(SimTime::from_secs(120), NodeId(3))
+            .restart(restart_at, NodeId(3)),
+    );
+    sim.run_until(restart_at);
+    assert_eq!(sim.app(NodeId(3)).unwrap().store().len(), 0, "crash wipes the store");
+
+    // The rejoin re-detects p0. While it is missing, nothing is recovered.
+    let mut open_seen = false;
+    while sim.app(NodeId(3)).unwrap().store().is_empty() {
+        assert!(sim.now() < SimTime::from_secs(1000), "p0 never came back");
+        sim.run_until(sim.now() + SimDuration::from_millis(100));
+        let a3 = sim.app(NodeId(3)).unwrap();
+        if a3.has_pending_recovery() {
+            open_seen = true;
+            assert!(!a3.metrics.all_recovered(), "an open loss reads as recovered");
+        }
+    }
+    assert!(open_seen, "the restarted member re-requested p0");
+
+    assert!(sim.run_until_idle(SimTime::from_secs(2000)));
+    let rec = &sim.app(NodeId(3)).unwrap().metrics.recoveries[&name];
+    assert!(
+        rec.detected_at >= restart_at,
+        "detected at {:?}, restarted at {restart_at:?}",
+        rec.detected_at
+    );
+    let recovered_at = rec.recovered_at.expect("p0 recovered again");
+    assert!(recovered_at > rec.detected_at);
+}
+
 /// Clock skew on one member distorts its one-way delay readings but must
 /// not break recovery: timers stretch, the algorithm still converges.
 #[test]

@@ -23,8 +23,8 @@
 //!   restarts it rehydrates the log and is the *only* live holder of the
 //!   pre-crash data: the downstream members must recover everything up to
 //!   the last fsync from its disk, through the same rehydrate code the
-//!   wall-clock `srm-node --store` runs. Parameters come from
-//!   `scenarios/durable_rejoin.json` when present.
+//!   wall-clock `srm-node --store` runs. `scenarios/durable_rejoin.json`
+//!   is the same chain, workload and seed as a plain `srm-sim` scenario.
 //!
 //! All scenarios are single deterministic runs (fixed seeds), so the
 //! output tables double as a regression oracle.
@@ -298,113 +298,22 @@ pub fn flaky_link(seed: u64) -> Outcome {
     flaky_link_run(seed, false).outcome()
 }
 
-/// Knobs for the durable-rejoin scenario. Defaults mirror
-/// `scenarios/durable_rejoin.json`; [`DurableRejoinParams::from_scenario_file`]
-/// overlays that file when it exists, so the JSON is the single place to
-/// retune the scenario without recompiling.
-#[derive(Clone, Debug)]
-pub struct DurableRejoinParams {
-    /// Chain length (≥ 4: source, durable member, ≥ 2 downstream).
-    pub nodes: usize,
-    /// ADUs the source publishes before the crash.
-    pub adus: u64,
-    /// Durable member's in-RAM payload cap per stream (rest spill to log).
-    pub cache_per_stream: usize,
-    /// WAL fsync cadence: sync every N appends. The `adus % N` unsynced
-    /// tail is *expected* to die with the crash.
-    pub fsync_every: u64,
-    /// When the source and the durable member crash (seconds).
-    pub crash_at_secs: u64,
-    /// When the durable member restarts and rehydrates (seconds).
-    pub restart_at_secs: u64,
-    /// Simulation horizon (seconds).
-    pub horizon_secs: u64,
-    /// Timer seed.
-    pub seed: u64,
-}
-
-impl Default for DurableRejoinParams {
-    fn default() -> Self {
-        DurableRejoinParams {
-            nodes: 4,
-            adus: 7,
-            cache_per_stream: 2,
-            fsync_every: 2,
-            crash_at_secs: 30,
-            restart_at_secs: 60,
-            horizon_secs: 400,
-            seed: 0xFA17_0004,
-        }
-    }
-}
-
-impl DurableRejoinParams {
-    /// Overlay `path` onto the defaults. The file doubles as a plain
-    /// `srm-sim` scenario: chain size comes from `topology.n`, the
-    /// pre-crash workload from `workload.adus`, the timer seed from
-    /// `seed`, and the durable knobs from the extra `durability` object
-    /// (which `srm-sim` ignores). A missing file, unparsable JSON, or
-    /// absent field silently keeps the default — the scenario must run
-    /// from a bare checkout.
-    pub fn from_scenario_file(path: &str) -> Self {
-        use obs::json::Json;
-        let mut p = Self::default();
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return p;
-        };
-        let Ok(json) = Json::parse(&text) else {
-            return p;
-        };
-        if let Some(v) = json
-            .get("topology")
-            .and_then(|t| t.get("n"))
-            .and_then(Json::as_u64)
-        {
-            p.nodes = v as usize;
-        }
-        if let Some(v) = json
-            .get("workload")
-            .and_then(|w| w.get("adus"))
-            .and_then(Json::as_u64)
-        {
-            p.adus = v;
-        }
-        if let Some(v) = json.get("seed").and_then(Json::as_u64) {
-            p.seed = v;
-        }
-        let dur = |k: &str| json.get("durability").and_then(|d| d.get(k)).and_then(Json::as_u64);
-        if let Some(v) = dur("cache_per_stream") {
-            p.cache_per_stream = v as usize;
-        }
-        if let Some(v) = dur("fsync_every") {
-            p.fsync_every = v;
-        }
-        if let Some(v) = dur("crash_at_secs") {
-            p.crash_at_secs = v;
-        }
-        if let Some(v) = dur("restart_at_secs") {
-            p.restart_at_secs = v;
-        }
-        if let Some(v) = dur("horizon_secs") {
-            p.horizon_secs = v;
-        }
-        p
-    }
-
-    fn sanitized(&self) -> Self {
-        let mut p = self.clone();
-        p.nodes = p.nodes.max(4);
-        p.adus = p.adus.max(1);
-        p.cache_per_stream = p.cache_per_stream.max(1);
-        p.fsync_every = p.fsync_every.max(1);
-        // Leave room to publish everything before the crash, and to crash
-        // before the heal/restart.
-        p.crash_at_secs = p.crash_at_secs.max(3 + p.adus);
-        p.restart_at_secs = p.restart_at_secs.max(p.crash_at_secs + 10);
-        p.horizon_secs = p.horizon_secs.max(p.restart_at_secs + 100);
-        p
-    }
-}
+/// The durable-rejoin chain: source, durable member, two downstream.
+const DURABLE_NODES: usize = 4;
+/// ADUs the source publishes before the crash, one a second from t = 2 s.
+const DURABLE_ADUS: u64 = 7;
+/// The durable member's in-RAM payload cap per stream (the rest spills to
+/// the log).
+const DURABLE_CACHE_PER_STREAM: usize = 2;
+/// WAL fsync cadence: sync every N appends. The `DURABLE_ADUS % N`
+/// unsynced tail is *expected* to die with the crash.
+const DURABLE_FSYNC_EVERY: u64 = 2;
+/// When the source and the durable member crash.
+const DURABLE_CRASH_AT: SimTime = SimTime::from_secs(30);
+/// When the durable member restarts and rehydrates.
+const DURABLE_RESTART_AT: SimTime = SimTime::from_secs(60);
+/// Simulation horizon.
+const DURABLE_HORIZON: SimTime = SimTime::from_secs(400);
 
 /// The WAL-side numbers of a durable-rejoin run (the second table).
 pub struct DurableStats {
@@ -423,10 +332,8 @@ pub struct DurableStats {
 /// A mid-chain durable member crashes with the source while downstream is
 /// partitioned off; after restart its rehydrated log is the only live copy
 /// and must serve every repair from disk.
-pub fn durable_rejoin_run(params: &DurableRejoinParams, traced: bool) -> FaultRun {
-    let p = params.sanitized();
-    let n = p.nodes;
-    let mut sim = fault_chain(n, p.seed);
+pub fn durable_rejoin_run(seed: u64, traced: bool) -> FaultRun {
+    let mut sim = fault_chain(DURABLE_NODES, seed);
     if traced {
         srm::enable_tracing(&mut sim);
     }
@@ -438,11 +345,11 @@ pub fn durable_rejoin_run(params: &DurableRejoinParams, traced: bool) -> FaultRu
         Box::new(srm_store::DurableStore::new(
             Box::new(srm_store::MemBackend::new()),
             srm_store::StoreConfig {
-                fsync: srm_store::FsyncPolicy::EveryN(p.fsync_every),
+                fsync: srm_store::FsyncPolicy::EveryN(DURABLE_FSYNC_EVERY),
                 ..srm_store::StoreConfig::default()
             },
         )),
-        Some(p.cache_per_stream),
+        Some(DURABLE_CACHE_PER_STREAM),
     );
 
     // Cut downstream off *before* any data flows: nodes 2.. learn of the
@@ -450,9 +357,9 @@ pub fn durable_rejoin_run(params: &DurableRejoinParams, traced: bool) -> FaultRu
     let left: Vec<NodeId> = [NodeId(0), durable].into();
     let cut = partition_cut(sim.topology(), &left);
     let split_at = SimTime::from_secs(1);
-    let crash_at = SimTime::from_secs(p.crash_at_secs);
+    let crash_at = DURABLE_CRASH_AT;
     let heal_at = crash_at + SimDuration::from_secs(5);
-    let restart_at = SimTime::from_secs(p.restart_at_secs);
+    let restart_at = DURABLE_RESTART_AT;
     sim.set_fault_plan(
         FaultPlan::new()
             .partition(split_at, cut)
@@ -464,11 +371,11 @@ pub fn durable_rejoin_run(params: &DurableRejoinParams, traced: bool) -> FaultRu
 
     // The source streams one ADU per second behind the cut; only the
     // durable member hears them, logging each and spilling past its cache.
-    for k in 0..p.adus {
+    for k in 0..DURABLE_ADUS {
         sim.run_until(SimTime::from_secs(2 + k));
         send(&mut sim, NodeId(0), b"durable");
     }
-    sim.run_until(SimTime::from_secs(p.horizon_secs));
+    sim.run_until(DURABLE_HORIZON);
     FaultRun {
         sim,
         label: "durable-rejoin",
@@ -489,13 +396,12 @@ pub fn durable_rejoin_run(params: &DurableRejoinParams, traced: bool) -> FaultRu
 }
 
 /// Summary-only variant of [`durable_rejoin_run`], plus the WAL numbers.
-pub fn durable_rejoin(params: &DurableRejoinParams) -> (Outcome, DurableStats) {
-    let run = durable_rejoin_run(params, false);
-    let p = params.sanitized();
+pub fn durable_rejoin(seed: u64) -> (Outcome, DurableStats) {
+    let run = durable_rejoin_run(seed, false);
     let agent = run.sim.app(NodeId(1)).expect("installed");
     let st = agent.store();
     let stats = DurableStats {
-        adus_sent: p.adus,
+        adus_sent: DURABLE_ADUS,
         rehydrated: st.recoverable_len() as u64,
         disk_fetches: st.disk_fetches(),
         evictions: st.evictions(),
@@ -503,9 +409,6 @@ pub fn durable_rejoin(params: &DurableRejoinParams) -> (Outcome, DurableStats) {
     };
     (run.outcome(), stats)
 }
-
-/// Default location of the scenario file, relative to the repo root.
-pub const DURABLE_REJOIN_SCENARIO: &str = "scenarios/durable_rejoin.json";
 
 /// Run all four scenarios and render the recovery table plus the
 /// durable-rejoin WAL table.
@@ -524,8 +427,7 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
             "t_reconsist_s",
         ],
     );
-    let (dr_out, dr_stats) =
-        durable_rejoin(&DurableRejoinParams::from_scenario_file(DURABLE_REJOIN_SCENARIO));
+    let (dr_out, dr_stats) = durable_rejoin(0xFA19_0004);
     for out in [
         partition_heal(0xFA17_0001),
         source_crash(0xFA17_0002),
@@ -615,11 +517,10 @@ mod tests {
     /// so every ADU up to the last fsync must come back — from disk.
     #[test]
     fn durable_rejoin_serves_fsynced_prefix_from_disk() {
-        let p = DurableRejoinParams::default();
-        let (out, stats) = durable_rejoin(&p);
+        let (out, stats) = durable_rejoin(0xFA17_0004);
         assert_eq!(out.members, 3, "source stays down, durable member is back");
-        let durable = p.adus - p.adus % p.fsync_every;
-        assert!(durable < p.adus, "scenario leaves an unsynced tail to lose");
+        let durable = DURABLE_ADUS - DURABLE_ADUS % DURABLE_FSYNC_EVERY;
+        assert!(durable < DURABLE_ADUS, "scenario leaves an unsynced tail to lose");
         assert_eq!(
             stats.rehydrated, durable,
             "exactly the fsynced prefix survived the crash"
@@ -636,52 +537,16 @@ mod tests {
             stats.disk_fetches
         );
         assert!(stats.evictions > 0, "the bounded cache actually spilled");
-        assert_eq!(stats.wal.appends, p.adus, "every ADU hit the WAL once");
+        assert_eq!(stats.wal.appends, DURABLE_ADUS, "every ADU hit the WAL once");
     }
 
-    /// The scenario file overlays the compiled-in defaults, so retuning
-    /// the run is a JSON edit, not a rebuild.
-    #[test]
-    fn durable_rejoin_params_overlay_from_json() {
-        let dir = std::env::temp_dir().join(format!(
-            "srm-durable-rejoin-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("params.json");
-        std::fs::write(
-            &path,
-            r#"{
-              "topology": {"kind": "chain", "n": 6},
-              "seed": 9,
-              "members": "all",
-              "workload": {"adus": 11, "interval_secs": 1.0, "payload_bytes": 7},
-              "durability": {"cache_per_stream": 3, "fsync_every": 4, "crash_at_secs": 40}
-            }"#,
-        )
-        .unwrap();
-        let p = DurableRejoinParams::from_scenario_file(path.to_str().unwrap());
-        assert_eq!(p.nodes, 6);
-        assert_eq!(p.adus, 11);
-        assert_eq!(p.seed, 9);
-        assert_eq!(p.cache_per_stream, 3);
-        assert_eq!(p.fsync_every, 4);
-        assert_eq!(p.crash_at_secs, 40);
-        assert_eq!(p.restart_at_secs, DurableRejoinParams::default().restart_at_secs);
-        let missing = DurableRejoinParams::from_scenario_file("/nonexistent/params.json");
-        assert_eq!(missing.nodes, DurableRejoinParams::default().nodes);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Two runs with the same parameters agree bit-for-bit on both the
+    /// Two runs with the same seed agree bit-for-bit on both the
     /// recovery outcome and the WAL counters: the in-memory backend keeps
     /// the durability path inside the simulator's determinism envelope.
     #[test]
     fn durable_rejoin_is_deterministic() {
-        let p = DurableRejoinParams::default();
-        let (a, sa) = durable_rejoin(&p);
-        let (b, sb) = durable_rejoin(&p);
+        let (a, sa) = durable_rejoin(0xFA17_0004);
+        let (b, sb) = durable_rejoin(0xFA17_0004);
         assert_eq!(a.episode.losses, b.episode.losses);
         assert_eq!(a.episode.dup_requests, b.episode.dup_requests);
         assert_eq!(a.episode.reconsistent_at, b.episode.reconsistent_at);

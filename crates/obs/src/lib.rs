@@ -37,9 +37,8 @@
 pub mod event;
 pub mod hist;
 pub mod json;
+pub mod log;
 pub mod metrics;
-pub mod recorder;
-mod ring;
 pub mod stats;
 pub mod summary;
 pub mod timeline;
@@ -49,8 +48,8 @@ pub use event::{AduKey, EventKind, FaultSpan, RecordedEvent, RecoveryVia};
 pub use hist::LogHistogram;
 pub use json::json_escape;
 pub use metrics::{Counter, Gauge, Histo, MetricsRegistry, MetricsSnapshot};
-pub use recorder::Recorder;
+pub use log::{EventLog, Recorder, TransportLog};
 pub use stats::{summarize, Summary};
 pub use summary::{MemberSummary, RunSummary};
 pub use timeline::{Chain, MemberEvent, Timeline};
-pub use transport::{TransportEventKind, TransportLog, TransportRecord};
+pub use transport::{TransportEventKind, TransportRecord};

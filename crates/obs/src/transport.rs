@@ -4,10 +4,10 @@
 //! The recovery [`Recorder`](crate::Recorder) stream is ADU-keyed and pinned
 //! by golden-trace files, so transport-level happenings (a frame eaten by the
 //! chaos plan, a recv-thread respawn, a peer declared dead) get their own
-//! event vocabulary and their own log.  A [`TransportLog`] follows the same
-//! rules as the recovery recorder: disabled by default, a single branch when
-//! off, and never touching protocol RNG or timers — enabling it cannot change
-//! what the run does, only what is observed.
+//! event vocabulary and their own log, a [`TransportLog`](crate::TransportLog):
+//! the same [`EventLog`](crate::log::EventLog) as the recovery recorder, so
+//! disabled by default, a single branch when off, and never touching
+//! protocol RNG or timers.
 //!
 //! [`Timeline`](crate::Timeline) merges transport records into the same
 //! deterministic JSONL stream (transport lines sort just after same-instant
@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 use netsim::{SimDuration, SimTime};
 
 use crate::event::fmt_time;
-use crate::ring::Ring;
 
 /// One transport-layer happening.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,174 +192,4 @@ pub struct TransportRecord {
     pub kind: TransportEventKind,
     /// Log-local sequence number (monotone per log).
     pub seq: u64,
-}
-
-/// Captures the transport event stream of one node.
-///
-/// Shares its ring with [`Recorder`](crate::Recorder): disabled by default, one branch
-/// when off, sequence numbering survives drains, and
-/// [`TransportLog::enable_bounded`] keeps a ring of the most recent events
-/// with a dropped count for long live runs.
-#[derive(Debug, Clone, Default)]
-pub struct TransportLog {
-    ring: Ring<TransportRecord>,
-}
-
-impl TransportLog {
-    /// A fresh, disabled log.
-    pub fn new() -> Self {
-        TransportLog::default()
-    }
-
-    /// Turn capture on, unbounded.  Events before the call are simply not
-    /// captured.
-    pub fn enable(&mut self) {
-        self.ring.enable(None);
-    }
-
-    /// Turn capture on with a ring of the most recent `cap` events; evicted
-    /// events are counted in [`TransportLog::dropped_events`].  A `cap` of 0
-    /// records nothing.
-    pub fn enable_bounded(&mut self, cap: usize) {
-        self.ring.enable(Some(cap));
-    }
-
-    /// Is this log capturing events?
-    pub fn is_enabled(&self) -> bool {
-        self.ring.enabled
-    }
-
-    /// The ring capacity, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.ring.cap
-    }
-
-    /// Number of events evicted from the ring since enabling.
-    pub fn dropped_events(&self) -> u64 {
-        self.ring.dropped
-    }
-
-    /// Number of events captured so far.
-    pub fn len(&self) -> usize {
-        self.ring.events.len()
-    }
-
-    /// True if no events have been captured.
-    pub fn is_empty(&self) -> bool {
-        self.ring.events.is_empty()
-    }
-
-    /// Record one event.  No-op (single branch) when disabled.
-    #[inline]
-    pub fn record(&mut self, at: SimTime, kind: TransportEventKind) {
-        self.ring.push(|seq| TransportRecord { at, kind, seq });
-    }
-
-    /// Drain the captured events, keeping enabled-state and sequence counter
-    /// (crash/restart cycles keep numbering monotone).
-    pub fn take_events(&mut self) -> Vec<TransportRecord> {
-        self.ring.take()
-    }
-
-    /// Iterate the captured events without draining, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TransportRecord> {
-        self.ring.events.iter()
-    }
-
-    /// Merge another log's drained events into this one, restoring the global
-    /// time order and re-stamping sequence numbers.  Used when a node keeps
-    /// two capture points (e.g. the reactor and the agent) that must end up
-    /// as one per-member stream.  In bounded mode the merged stream is
-    /// trimmed back to capacity from the oldest end.
-    pub fn absorb(&mut self, mut other: Vec<TransportRecord>) {
-        if other.is_empty() {
-            return;
-        }
-        let mut all = self.ring.take();
-        all.append(&mut other);
-        // Stable by-time sort keeps same-instant events in their original
-        // relative order within each source stream.
-        all.sort_by_key(|e| e.at.as_nanos());
-        let excess = self.ring.cap.map_or(0, |cap| all.len().saturating_sub(cap));
-        all.drain(..excess);
-        self.ring.dropped += excess as u64;
-        for (i, e) in all.iter_mut().enumerate() {
-            e.seq = i as u64;
-        }
-        self.ring.seq = all.len() as u64;
-        self.ring.events = all.into();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_log_captures_nothing() {
-        let mut log = TransportLog::new();
-        log.record(SimTime::ZERO, TransportEventKind::ChaosDrop { flow: 0 });
-        assert!(log.is_empty());
-        assert!(!log.is_enabled());
-    }
-
-    #[test]
-    fn enabled_log_numbers_monotonically_across_drains() {
-        let mut log = TransportLog::new();
-        log.enable();
-        log.record(SimTime::ZERO, TransportEventKind::ChaosDrop { flow: 0 });
-        log.record(SimTime::ZERO, TransportEventKind::RecvRespawn { attempt: 1 });
-        let evs = log.take_events();
-        assert_eq!((evs[0].seq, evs[1].seq), (0, 1));
-        log.record(SimTime::ZERO, TransportEventKind::PeerDead { peer: 3 });
-        assert_eq!(log.events().next().unwrap().seq, 2);
-    }
-
-    #[test]
-    fn bounded_log_keeps_most_recent_and_counts_drops() {
-        let mut log = TransportLog::new();
-        log.enable_bounded(2);
-        for flow in 0..5 {
-            log.record(SimTime::ZERO, TransportEventKind::ChaosDrop { flow });
-        }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped_events(), 3);
-        let evs = log.take_events();
-        assert_eq!((evs[0].seq, evs[1].seq), (3, 4));
-    }
-
-    #[test]
-    fn bounded_absorb_trims_oldest() {
-        let t = SimTime::from_nanos;
-        let mut a = TransportLog::new();
-        a.enable_bounded(2);
-        a.record(t(10), TransportEventKind::ChaosDrop { flow: 0 });
-        a.record(t(30), TransportEventKind::ChaosDrop { flow: 1 });
-        a.absorb(vec![TransportRecord {
-            at: t(20),
-            kind: TransportEventKind::Blackholed { flow: 2 },
-            seq: 0,
-        }]);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.dropped_events(), 1, "the t=10 event was trimmed");
-        let kinds: Vec<&'static str> = a.events().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, ["blackholed", "chaos_drop"]);
-    }
-
-    #[test]
-    fn absorb_restores_time_order_and_reseqs() {
-        let t = SimTime::from_nanos;
-        let mut a = TransportLog::new();
-        a.enable();
-        a.record(t(10), TransportEventKind::ChaosDrop { flow: 0 });
-        a.record(t(30), TransportEventKind::ChaosDrop { flow: 1 });
-        let mut b = TransportLog::new();
-        b.enable();
-        b.record(t(20), TransportEventKind::DecodeError { reason: "truncated".into() });
-        a.absorb(b.take_events());
-        let evs: Vec<&TransportRecord> = a.events().collect();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(evs[1].kind.name(), "decode_error");
-        assert_eq!((evs[0].seq, evs[1].seq, evs[2].seq), (0, 1, 2));
-    }
 }

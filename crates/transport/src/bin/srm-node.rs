@@ -64,7 +64,7 @@ usage: srm-node <join|send> --id N --bind ADDR (--peers A,B,.. | --mcast ADDR)
                 [--store DIR] [--fsync always|never|every=N]
                 [--store-cache N] [--snapshot-every N]
                 [--batch N] [--pool N] [--quiet]
-       srm-node monitor --bind ADDR [--mcast ADDR] [--group N] [--members N]
+       srm-node monitor --bind ADDR [--mcast ADDR] [--group N]
                 [--duration SECS] [--refresh F] [--out FILE]
                 [--suspect F] [--dead F] [--quiet]
        srm-node soak [--nodes N] [--secs F] [--adus N] [--chaos SPEC]
@@ -390,7 +390,6 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
     let mut bind: Option<SocketAddr> = None;
     let mut mcast: Option<SocketAddr> = None;
     let mut group = 1u32;
-    let mut members = 3usize;
     let mut duration = 0.0f64;
     let mut refresh = 1.0f64;
     let mut out_path: Option<String> = None;
@@ -420,11 +419,6 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
                 group = next(&mut argv, "--group")
                     .parse()
                     .unwrap_or_else(|_| die("--group must be an integer"))
-            }
-            "--members" => {
-                members = next(&mut argv, "--members")
-                    .parse()
-                    .unwrap_or_else(|_| die("--members must be an integer"))
             }
             "--duration" => {
                 duration = next(&mut argv, "--duration")
@@ -473,8 +467,7 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
         .expect("read timeout is settable");
 
     let clock = WallClock::new();
-    let cfg = SrmConfig::fixed(members);
-    let mut mon = GroupMonitor::new(&cfg, liveness);
+    let mut mon = GroupMonitor::new(liveness);
     let mut out = out_path.as_deref().map(create_sink);
     eprintln!(
         "srm-node: monitor on {bind} (group {group}), refresh {refresh:.1}s{}",

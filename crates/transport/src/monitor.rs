@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, VecDeque};
 use netsim::{SimDuration, SimTime};
 use srm::liveness::Transition;
 use srm::session::SessionScheduler;
-use srm::{Body, LivenessConfig, Message, PageId, PeerLiveness, PeerState, SeqNo, SourceId, SrmConfig};
+use srm::{Body, LivenessConfig, Message, PageId, PeerLiveness, PeerState, SeqNo, SourceId};
 
 /// How many recent `(timestamp, arrival)` pairs to keep per member for
 /// echo matching.  Echoes reference the peer's *latest* heard session, so a
@@ -150,16 +150,11 @@ pub struct GroupMonitor {
 }
 
 impl GroupMonitor {
-    /// A monitor using `cfg`'s session-bandwidth schedule (so its silence
-    /// thresholds match what the members themselves run) and the given
-    /// liveness thresholds.
-    pub fn new(cfg: &SrmConfig, liveness_cfg: LivenessConfig) -> Self {
-        let scheduler = SessionScheduler {
-            bandwidth: cfg.session_bandwidth,
-            fraction: cfg.session_fraction,
-            msg_bytes: cfg.session_msg_bytes,
-            min_interval: cfg.min_session_interval,
-        };
+    /// A monitor using the members' session-bandwidth schedule (so its
+    /// silence thresholds match what the members themselves run) and the
+    /// given liveness thresholds.
+    pub fn new(liveness_cfg: LivenessConfig) -> Self {
+        let scheduler = SessionScheduler::default();
         let mut liveness = PeerLiveness::new();
         liveness.enable(liveness_cfg);
         GroupMonitor { scheduler, liveness, members: BTreeMap::new(), high: BTreeMap::new(), snap_seq: 0 }
@@ -409,7 +404,7 @@ mod tests {
     }
 
     fn monitor() -> GroupMonitor {
-        GroupMonitor::new(&SrmConfig::fixed(3), LivenessConfig::default())
+        GroupMonitor::new(LivenessConfig::default())
     }
 
     #[test]

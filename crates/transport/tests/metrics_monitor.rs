@@ -103,7 +103,6 @@ fn passive_monitor_matches_sender_ground_truth_and_detects_death() {
 
     let clock = WallClock::new();
     let mut mon = GroupMonitor::new(
-        &cfg,
         // Tight thresholds so the death phase fits a test budget; nominal
         // interval floors at 1s for this group size.
         LivenessConfig { suspect_after: 1.5, dead_after: 3.0 },

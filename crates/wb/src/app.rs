@@ -12,7 +12,7 @@ use srm::{AduName, PageId, SourceId, SrmAgent, SrmConfig};
 /// traces taken over several typical wide-area wb sessions."
 pub fn wb159_config() -> SrmConfig {
     SrmConfig {
-        fixed_intervals: Some(srm::config::FixedIntervals::wb159()),
+        wb159: true,
         ..SrmConfig::default()
     }
 }

@@ -74,10 +74,7 @@ fn fec_demo() {
 fn recovery_group_demo() {
     println!("— Recovery groups (§VII-B2): persistent local losses get their own group —");
     let cfg = SrmConfig {
-        recovery_groups: Some(RecoveryGroupConfig {
-            invite_ttl: 4,
-            min_losses: 2,
-        }),
+        recovery_groups: Some(RecoveryGroupConfig { invite_ttl: 4 }),
         ..SrmConfig::fixed(N)
     };
     let (mut sim, page) = session(cfg, false);
@@ -106,10 +103,7 @@ fn recovery_group_demo() {
 fn hierarchy_demo() {
     println!("— Hierarchical session messages (§IX-A): a few representatives speak globally —");
     let cfg = SrmConfig {
-        session_hierarchy: Some(HierarchyConfig {
-            local_ttl: 3,
-            rep_timeout: SimDuration::from_secs(40),
-        }),
+        session_hierarchy: Some(HierarchyConfig { local_ttl: 3 }),
         ..SrmConfig::fixed(N)
     };
     let (mut sim, _) = session(cfg, true);

@@ -47,7 +47,7 @@ SEND_PID=$!
     --peers 127.0.0.1:7611,127.0.0.1:7619 --members 2 --duration 4 --quiet &
 JOIN_PID=$!
 timeout 30 ./target/release/srm-node monitor --bind 127.0.0.1:7619 \
-    --members 2 --duration 5 --refresh 0.5 --quiet --out target/ci_monitor.jsonl
+    --duration 5 --refresh 0.5 --quiet --out target/ci_monitor.jsonl
 wait $SEND_PID $JOIN_PID
 ./target/release/srm-experiments monitor \
     --monitor target/ci_monitor.jsonl --stats target/ci_stats.jsonl --validate
@@ -194,7 +194,7 @@ cargo test -q --test hub -- hub_stats_carry_the_groups_chaos_counts \
     eight_concurrent_groups_deliver_independently_under_one_hub
 cargo test -q -p srm-transport --lib soak::tests
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads and the second and third transport tallies must stay gone) =="
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies and the single-valued options turned constants must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -202,6 +202,8 @@ stale='BENCH_[49]\.json|srm-b[e]nch|srm-liv[e]bench|scripts/b[e]nch\.sh|LIVE_D[E
 stale+='|enum J[v]\b|srm_sim::j[s]on|cli::j[s]on|fallback_p[e]ers|ModeF[a]llback|core/src/agent\.[r]s'
 stale+='|run_recv_sup[e]rvised|RECV_P[O]LL|srm-hub-d[e]mux|srm-r[e]cv-|Event::D[a]tagram'
 stale+='|TransportSumm[a]ry|HOST_MIRR[O]RS|render_transp[o]rt'
+stale+='|AdaptiveConf[i]g|FixedInterva[l]s|DurableRejoinPara[m]s|from_scenario_fil[e]|session_fract[i]on'
+stale+='|fingerprint_l[e]n|rep_timeou[t]|min_losse[s]'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -241,10 +243,12 @@ done
 # agent_size_is_reported fails if the agent grows past its pinned size.
 cargo test -q -p srm --lib agent_size_is_reported -- --nocapture | grep 'size_of::<SrmAgent>'
 
-echo "== public option fields (BatchOptions, NodeOptions, HubOptions; a new knob shows up here) =="
-for s in BatchOptions:batch NodeOptions:runtime HubOptions:hub; do
-    awk -v s="${s%%:*}" '$0 ~ "^pub struct " s " " {on=1} on && /^    pub [a-z_]+:/ {n++} on && /^}/ {print s, n; exit}' \
-        "crates/transport/src/${s##*:}.rs"
+echo "== public option fields (BatchOptions, NodeOptions, HubOptions, SrmConfig and the config structs nested in it; a new knob shows up here) =="
+for s in BatchOptions:transport/src/batch NodeOptions:transport/src/runtime HubOptions:transport/src/hub \
+        SrmConfig:core/src/config TimerParams:core/src/config RecoveryGroupConfig:core/src/config \
+        RateLimit:core/src/config HierarchyConfig:core/src/hierarchy FecConfig:core/src/fec; do
+    awk -v s="${s%%:*}" '$0 ~ "^pub struct " s " " {on=1} on && /^    pub [a-z_0-9]+:/ {n++} on && /^}/ {print s, n; exit}' \
+        "crates/${s##*:}.rs"
 done
 
 echo "== clippy (workspace, warnings are errors) =="

@@ -4,8 +4,8 @@
 //! the running averages stay finite and non-negative.
 
 use proptest::prelude::*;
-use srm::adaptive::AdaptiveTimers;
-use srm::{AdaptiveConfig, AduName, PageId, SeqNo, SourceId, TimerParams};
+use srm::adaptive::{AdaptiveTimers, MAX_C1, MAX_C2, MIN_C1, MIN_C2};
+use srm::{AduName, PageId, SeqNo, SourceId, TimerParams};
 
 #[derive(Clone, Debug)]
 enum Ev {
@@ -47,8 +47,7 @@ proptest! {
         c1_0 in 0.5f64..2.0,
         c2_0 in 1.0f64..64.0,
     ) {
-        let cfg = AdaptiveConfig::default();
-        let mut a = AdaptiveTimers::new(cfg, TimerParams {
+        let mut a = AdaptiveTimers::new(TimerParams {
             c1: c1_0,
             c2: c2_0,
             d1: c1_0,
@@ -67,10 +66,10 @@ proptest! {
                 Ev::RepDelay(d) => a.on_repair_delay(d),
             }
             let p = a.params;
-            prop_assert!(p.c1 >= cfg.min_c1 - 1e-9 && p.c1 <= cfg.max_c1 + 1e-9, "C1={}", p.c1);
-            prop_assert!(p.c2 >= cfg.min_c2 - 1e-9 && p.c2 <= cfg.max_c2 + 1e-9, "C2={}", p.c2);
-            prop_assert!(p.d1 >= cfg.min_c1 - 1e-9 && p.d1 <= cfg.max_c1 + 1e-9, "D1={}", p.d1);
-            prop_assert!(p.d2 >= cfg.min_c2 - 1e-9 && p.d2 <= cfg.max_c2 + 1e-9, "D2={}", p.d2);
+            prop_assert!(p.c1 >= MIN_C1 - 1e-9 && p.c1 <= MAX_C1 + 1e-9, "C1={}", p.c1);
+            prop_assert!(p.c2 >= MIN_C2 - 1e-9 && p.c2 <= MAX_C2 + 1e-9, "C2={}", p.c2);
+            prop_assert!(p.d1 >= MIN_C1 - 1e-9 && p.d1 <= MAX_C1 + 1e-9, "D1={}", p.d1);
+            prop_assert!(p.d2 >= MIN_C2 - 1e-9 && p.d2 <= MAX_C2 + 1e-9, "D2={}", p.d2);
             prop_assert!(a.ave_dup_req().is_finite() && a.ave_dup_req() >= 0.0);
             prop_assert!(a.ave_req_delay().is_finite() && a.ave_req_delay() >= 0.0);
             prop_assert!(a.ave_dup_rep().is_finite() && a.ave_dup_rep() >= 0.0);
@@ -82,7 +81,7 @@ proptest! {
     /// high delay always narrows it (monotone responses).
     #[test]
     fn monotone_response_to_pressure(rounds in 5usize..60) {
-        let mut noisy = AdaptiveTimers::new(AdaptiveConfig::default(), TimerParams {
+        let mut noisy = AdaptiveTimers::new(TimerParams {
             c1: 1.0, c2: 5.0, d1: 1.0, d2: 5.0,
         });
         for q in 0..rounds as u64 {
@@ -91,7 +90,7 @@ proptest! {
         }
         prop_assert!(noisy.params.c2 > 5.0, "dups widen C2: {}", noisy.params.c2);
 
-        let mut quiet = AdaptiveTimers::new(AdaptiveConfig::default(), TimerParams {
+        let mut quiet = AdaptiveTimers::new(TimerParams {
             c1: 1.0, c2: 5.0, d1: 1.0, d2: 5.0,
         });
         for q in 0..rounds as u64 {

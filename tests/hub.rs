@@ -323,10 +323,9 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
 
     // Feed the monitors from their sockets until they run dry.
     let clock = WallClock::new();
-    let cfg = SrmConfig::fixed(2);
     for (i, sock) in mon_socks.iter().enumerate() {
         let g = monitored[i];
-        let mut mon = GroupMonitor::new(&cfg, LivenessConfig::default());
+        let mut mon = GroupMonitor::new(LivenessConfig::default());
         let mut buf = [0u8; 65_535];
         let until = Instant::now() + Duration::from_secs(2);
         while Instant::now() < until {

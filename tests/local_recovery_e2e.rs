@@ -206,10 +206,7 @@ fn recovery_group_confines_later_rounds() {
     let mut sim = Simulator::new(topo, 12);
     let members: Vec<NodeId> = (0..16u32).map(NodeId).collect();
     let cfg = SrmConfig {
-        recovery_groups: Some(srm::config::RecoveryGroupConfig {
-            invite_ttl: 3,
-            min_losses: 2,
-        }),
+        recovery_groups: Some(srm::config::RecoveryGroupConfig { invite_ttl: 3 }),
         ..SrmConfig::fixed(16)
     };
     let page = install(&mut sim, &members, NodeId(0), &cfg);
@@ -247,7 +244,8 @@ fn recovery_group_confines_later_rounds() {
         .filter(|e| matches!(e, netsim::TraceEvent::Forward { link, .. } if *link == l01))
         .count();
     // 4 data packets, plus the first two losses' global rounds (the group
-    // forms after min_losses = 2) — but NOT the third loss's round.
+    // forms after RECOVERY_GROUP_MIN_LOSSES = 2) — but NOT the third
+    // loss's round.
     assert!(
         head_crossings <= 12,
         "head of the chain saw little recovery traffic: {head_crossings}"
@@ -274,8 +272,7 @@ fn loss_fingerprints_identify_neighborhoods() {
         NodeId(30),
         NodeId(35), // elsewhere
     ];
-    let mut cfg = SrmConfig::fixed(5);
-    cfg.fingerprint_len = 8;
+    let cfg = SrmConfig::fixed(5);
     let page = install(&mut sim, &members, NodeId(0), &cfg);
     // Re-enable sessions for fingerprint exchange.
     for &m in &members {

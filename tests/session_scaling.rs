@@ -52,9 +52,8 @@ fn session_rate_scales_with_group_size() {
                 (a.metrics.session_sent - start) as f64 * a.session_msg_bytes()
             })
             .sum();
-        let cfg = SrmConfig::fixed(g);
         let bytes_per_sec = bytes / 1000.0;
-        let cap = cfg.session_fraction * cfg.session_bandwidth;
+        let cap = srm::config::SESSION_FRACTION * srm::config::SESSION_BANDWIDTH;
         assert!(
             bytes_per_sec <= cap * 1.6,
             "g={g}: session origination rate {bytes_per_sec} B/s exceeds cap {cap} (with jitter slack)"
@@ -79,7 +78,7 @@ fn session_accounting_uses_encoded_wire_length() {
 
     let (mut sim, members) = session(10, 3, 7);
     let m0 = members[0];
-    let nominal = SrmConfig::fixed(3).session_msg_bytes;
+    let nominal = srm::config::SESSION_MSG_BYTES;
     assert_eq!(sim.app(m0).unwrap().session_msg_bytes(), nominal);
 
     sim.exec(m0, |a, ctx| a.send_session_now(ctx));
@@ -167,10 +166,7 @@ fn hierarchy_elects_sparse_representatives() {
         for i in 0..N as u32 {
             let mut cfg = SrmConfig::fixed(N);
             if hier {
-                cfg.session_hierarchy = Some(HierarchyConfig {
-                    local_ttl: 3,
-                    rep_timeout: SimDuration::from_secs(40),
-                });
+                cfg.session_hierarchy = Some(HierarchyConfig { local_ttl: 3 });
             }
             let mut a = SrmAgent::new(SourceId(i as u64), GROUP, cfg);
             a.set_current_page(page);
