@@ -289,11 +289,11 @@ fn run_inner(
             adus_held: held,
             requests_sent: a.metrics.requests_sent,
             repairs_sent: a.metrics.repairs_sent,
-            fec_recoveries: a.fec_recoveries,
+            fec_recoveries: a.metrics.fec_recoveries,
             all_recovered: a.metrics.all_recovered(),
         });
     }
-    let timeline = traced.then(|| srm::harvest_timeline(&mut sim, Vec::new()));
+    let timeline = traced.then(|| srm::harvest_timeline(sim.apps_mut(), Vec::new()));
     let report = Report {
         members: members.len(),
         source: source.0,

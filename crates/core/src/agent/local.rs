@@ -145,7 +145,7 @@ impl SrmAgent {
         let have = |seq: SeqNo| self.store.get(&AduName::new(p.source, p.page, seq));
         if let Some((seq, data)) = reconstruct(&p, &have) {
             let name = AduName::new(p.source, p.page, seq);
-            self.fec_recoveries += 1;
+            self.metrics.fec_recoveries += 1;
             self.deliver(name, data, true);
             self.complete_recovery(ctx, name, obs::RecoveryVia::Fec);
         }

@@ -143,8 +143,6 @@ pub struct SrmAgent {
     /// Session-silence peer liveness tracker (§III-A heartbeat reading).
     /// Disabled by default; the wall-clock transport enables it.
     pub liveness: crate::liveness::PeerLiveness,
-    /// Two-step local-recovery relays performed.
-    pub two_step_relays: u64,
     /// The local-recovery group this member belongs to (Section VII-B2).
     recovery_group: Option<GroupId>,
     /// Pending (suppressible) group-creation timer.
@@ -155,8 +153,6 @@ pub struct SrmAgent {
     fec_enc: Option<ParityEncoder>,
     /// Received parities by (source, page, block_start).
     parities: BTreeMap<(SourceId, PageId, u64), Parity>,
-    /// ADUs recovered locally from parity, without any request.
-    pub fec_recoveries: u64,
     /// Session-message hierarchy state (Section IX-A), if enabled.
     hier: Option<HierarchyState>,
     /// Pending suppressible catalog reply.
@@ -196,13 +192,11 @@ impl SrmAgent {
             obs: obs::Recorder::new(),
             transport_obs: obs::TransportLog::new(),
             liveness: crate::liveness::PeerLiveness::new(),
-            two_step_relays: 0,
             recovery_group: None,
             invite_timer: None,
             created_recovery_group: false,
             fec_enc: cfg.fec.map(|f| ParityEncoder::new(f.k)),
             parities: BTreeMap::new(),
-            fec_recoveries: 0,
             hier: cfg.session_hierarchy.map(HierarchyState::new),
             catalog_reply_timer: None,
             discovered_pages: Vec::new(),
@@ -289,13 +283,6 @@ impl SrmAgent {
     /// Drain ADUs delivered to the application since the last call.
     pub fn take_delivered(&mut self) -> Vec<Delivery> {
         std::mem::take(&mut self.delivered)
-    }
-
-    /// The session participants currently heard from ("Members can also
-    /// use session messages in SRM to determine the current participants
-    /// of the session", Section III-A): peers active within `window`.
-    pub fn current_participants(&self, now: SimTime, window: SimDuration) -> Vec<SourceId> {
-        self.est.active_peers(now, window)
     }
 
     /// Are any loss-recovery episodes still in flight?

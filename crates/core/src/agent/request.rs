@@ -265,7 +265,7 @@ impl SrmAgent {
                     let opts = SendOptions::for_flow(flow::REPAIR).with_ttl(ttl);
                     let class = recovery_class(self.current_page, name.page);
                     self.transmit(ctx, body, class, opts);
-                    self.two_step_relays += 1;
+                    self.metrics.two_step_relays += 1;
                     self.metrics.repairs_sent += 1;
                 }
             }

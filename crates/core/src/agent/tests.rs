@@ -437,13 +437,12 @@ fn page_request_elicits_state_reply() {
     assert!(replies >= 1, "someone answered the page request");
 }
 
-#[test]
-fn fec_recovers_single_loss_without_any_request() {
+/// Four members with FEC (k = 3); the 2nd data packet is dropped on the
+/// last link, and the parity after the 3rd reconstructs it at node 3.
+fn fec_single_loss() -> Simulator<SrmAgent> {
     let mut cfg = SrmConfig::fixed(4);
     cfg.fec = Some(crate::fec::FecConfig { k: 3 });
     let mut sim = chain_session(4, &cfg);
-    // Drop the 2nd data packet on the last link; the parity after the
-    // 3rd packet reconstructs it locally at nodes 3+.
     let l23 = sim.topology().link_between(NodeId(2), NodeId(3)).unwrap();
     sim.set_loss_model(Box::new(netsim::loss::ScriptedDrop::new(vec![(l23, 2)])));
     for k in 0..3u8 {
@@ -453,9 +452,15 @@ fn fec_recovers_single_loss_without_any_request() {
         sim.run_until(sim.now() + SimDuration::from_secs(1));
     }
     assert!(sim.run_until_idle(SimTime::from_secs(1000)));
+    sim
+}
+
+#[test]
+fn fec_recovers_single_loss_without_any_request() {
+    let sim = fec_single_loss();
     let a3 = sim.app(NodeId(3)).unwrap();
     assert_eq!(a3.store().len(), 3, "all three ADUs held");
-    assert_eq!(a3.fec_recoveries, 1, "one local parity reconstruction");
+    assert_eq!(a3.metrics.fec_recoveries, 1, "one local parity reconstruction");
     // No request was ever multicast by anyone: the loss never reached
     // the request/repair machinery.
     let requests: u64 = (0..4u32)
@@ -465,6 +470,27 @@ fn fec_recovers_single_loss_without_any_request() {
     // Payload content is correct (ADU 1 = [1,1,1,1,1]).
     let name = AduName::new(SourceId(0), page(0), SeqNo(1));
     assert_eq!(a3.store().get(&name).unwrap(), Bytes::from(vec![1u8; 5]));
+}
+
+#[test]
+fn a_crash_keeps_the_parity_reconstructions_and_relays_counted() {
+    // Both are observer counters like every other in `AgentMetrics`: a
+    // crash and restart of the member must not zero them.
+    let mut sim = fec_single_loss();
+    let a3 = sim.app_mut(NodeId(3)).unwrap();
+    assert_eq!(a3.metrics.fec_recoveries, 1);
+    a3.metrics.two_step_relays = 2;
+    let t = sim.now();
+    sim.set_fault_plan(
+        netsim::FaultPlan::new()
+            .crash(t + SimDuration::from_secs(1), NodeId(3))
+            .restart(t + SimDuration::from_secs(2), NodeId(3)),
+    );
+    sim.run_until(t + SimDuration::from_secs(3));
+    let m = &sim.app(NodeId(3)).unwrap().metrics;
+    assert_eq!(m.crashes, 1);
+    assert_eq!(m.fec_recoveries, 1, "the reconstruction survives the crash");
+    assert_eq!(m.two_step_relays, 2, "the relays survive the crash");
 }
 
 #[test]
@@ -495,7 +521,7 @@ fn fec_double_loss_falls_back_to_requests() {
     // At most one of the two can ever come from parity (after one
     // repair arrives, the block has a single hole and parity may close
     // it) — both paths must compose cleanly.
-    assert!(a3.fec_recoveries <= 1);
+    assert!(a3.metrics.fec_recoveries <= 1);
 }
 
 #[test]

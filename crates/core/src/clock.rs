@@ -104,11 +104,6 @@ impl DistanceEstimator {
         self.peers.get(&peer).is_some_and(|p| p.distance.is_some())
     }
 
-    /// Peers we have heard from at all.
-    pub fn known_peers(&self) -> impl Iterator<Item = SourceId> + '_ {
-        self.peers.keys().copied()
-    }
-
     /// Number of distinct peers heard — the group-size estimate the session
     /// message rate scaling uses (Section III-A / \[30\]).
     pub fn peer_count(&self) -> usize {

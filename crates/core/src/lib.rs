@@ -97,8 +97,8 @@ pub use fec::{FecConfig, Parity};
 pub use hierarchy::{HierarchyConfig, HierarchyState, SessionScope};
 pub use liveness::{LivenessConfig, PeerLiveness, PeerState};
 pub use config::{RateLimit, RecoveryScope, SrmConfig, TimerParams};
-pub use metrics::{AgentMetrics, FaultEpisode, RecoveryRecord, RepairRecord};
+pub use metrics::{AgentMetrics, CounterRow, FaultEpisode, RecoveryRecord, RepairRecord};
 pub use name::{AduName, PageId, SeqNo, SourceId};
-pub use observe::{enable_tracing, harvest_summary, harvest_timeline};
+pub use observe::{enable_tracing, harvest_summary, harvest_timeline, RunSummary};
 pub use store::{AduStore, Persistence, PersistenceStats, Rehydrated};
 pub use wire::{Body, DataBody, Header, Message, RequestBody, SessionBody, WireError};

@@ -119,15 +119,6 @@ impl PeerLiveness {
         self.peers.get(&peer).map_or(PeerState::Alive, |e| e.state)
     }
 
-    /// Peers currently in the given state, in id order.
-    pub fn peers_in(&self, state: PeerState) -> Vec<SourceId> {
-        self.peers
-            .iter()
-            .filter(|(_, e)| e.state == state)
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
     /// Number of tracked peers in each state, as `(alive, suspect, dead)` —
     /// a cheap tally for live gauges, no allocation.
     pub fn counts(&self) -> (u64, u64, u64) {

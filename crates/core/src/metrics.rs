@@ -124,9 +124,39 @@ pub struct AgentMetrics {
     /// Completed episode records dropped from the two logs to keep them at
     /// [`EPISODE_LOG_CAP`].
     pub episodes_dropped: u64,
+    /// ADUs recovered locally from FEC parity, without any request.
+    pub fec_recoveries: u64,
+    /// Two-step local-recovery relays performed (Section VII-B2).
+    pub two_step_relays: u64,
 }
 
+/// A member's stored counters by field name: [`AgentMetrics::counters`].
+pub type CounterRow = [(&'static str, u64); 15];
+
 impl AgentMetrics {
+    /// Every stored counter, named by its field: the one list the run
+    /// report, a node's and a hub group's registry, the hub's `stats`
+    /// reply and `srm-node`'s exit line all print.
+    pub fn counters(&self) -> CounterRow {
+        [
+            ("data_sent", self.data_sent),
+            ("requests_sent", self.requests_sent),
+            ("repairs_sent", self.repairs_sent),
+            ("session_sent", self.session_sent),
+            ("data_received", self.data_received),
+            ("requests_received", self.requests_received),
+            ("repairs_received", self.repairs_received),
+            ("session_received", self.session_received),
+            ("requests_held_down", self.requests_held_down),
+            ("decode_errors", self.decode_errors),
+            ("valid_messages", self.valid_messages),
+            ("crashes", self.crashes),
+            ("episodes_dropped", self.episodes_dropped),
+            ("fec_recoveries", self.fec_recoveries),
+            ("two_step_relays", self.two_step_relays),
+        ]
+    }
+
     /// Clear the per-episode logs (counters keep accumulating). Experiment
     /// drivers call this between loss-recovery rounds.
     pub fn clear_episodes(&mut self) {
@@ -407,6 +437,38 @@ mod tests {
         m.trim_episode_logs();
         assert_eq!(m.recoveries.len(), EPISODE_LOG_CAP + 10);
         assert_eq!(m.episodes_dropped, 0);
+    }
+
+    #[test]
+    fn counters_name_every_stored_counter_by_its_field() {
+        // No `..Default::default()`: a new field fails to compile here
+        // until it is given a value, a reminder to list it in `counters()`.
+        let m = AgentMetrics {
+            data_sent: 1,
+            requests_sent: 2,
+            repairs_sent: 3,
+            session_sent: 4,
+            data_received: 5,
+            requests_received: 6,
+            repairs_received: 7,
+            session_received: 8,
+            requests_held_down: 9,
+            decode_errors: 10,
+            valid_messages: 11,
+            recoveries: BTreeMap::new(),
+            repairs: BTreeMap::new(),
+            crashes: 12,
+            episodes_dropped: 13,
+            fec_recoveries: 14,
+            two_step_relays: 15,
+        };
+        let row = m.counters();
+        let values: Vec<u64> = row.iter().map(|(_, v)| *v).collect();
+        assert_eq!(values, (1..=row.len() as u64).collect::<Vec<_>>());
+        let names: std::collections::BTreeSet<&str> = row.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), row.len(), "names are distinct");
+        let first: Vec<&str> = row[..4].iter().map(|(n, _)| *n).collect();
+        assert_eq!(first, ["data_sent", "requests_sent", "repairs_sent", "session_sent"]);
     }
 
     #[test]

@@ -99,13 +99,12 @@ impl FaultRun {
     /// windows attached.  Only meaningful for runs built with `traced =
     /// true`.
     pub fn timeline(&mut self) -> obs::Timeline {
-        srm::harvest_timeline(&mut self.sim, self.spans.clone())
+        srm::harvest_timeline(self.sim.apps_mut(), self.spans.clone())
     }
 
     /// Fold every live member's metrics into a run summary.
-    pub fn summary(&self) -> obs::RunSummary {
-        let agents = self.sim.app_nodes().into_iter().filter_map(|n| self.sim.app(n));
-        srm::harvest_summary(agents)
+    pub fn summary(&self) -> srm::RunSummary {
+        srm::harvest_summary(self.sim.apps())
     }
 }
 

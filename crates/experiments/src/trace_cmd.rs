@@ -2,7 +2,7 @@
 //!
 //! Each named scenario is one small deterministic run executed with
 //! recovery-episode tracing enabled, harvested into an [`obs::Timeline`]
-//! (for `trace`) and an [`obs::RunSummary`] (for `report`).  Two scenarios
+//! (for `trace`) and an [`srm::RunSummary`] (for `report`).  Two scenarios
 //! exercise the classic single-drop topologies of Figs 5–6 and three reuse
 //! the fault-injection runs of [`faults`], so a fault window
 //! frames the recovery spans it caused.
@@ -29,7 +29,7 @@ pub struct TracedRun {
     /// Merged per-member event timeline (plus fault windows, if any).
     pub timeline: obs::Timeline,
     /// Per-member counters and run-level histograms.
-    pub summary: obs::RunSummary,
+    pub summary: srm::RunSummary,
 }
 
 /// Run the named scenario with tracing enabled; `None` for unknown names.
@@ -85,9 +85,8 @@ fn drop_scenario(topo: TopoSpec, drop: DropSpec, group: usize, seed: u64) -> Tra
     s.advance(1.0);
     s.source_sends(); // exposes the gap downstream
     s.settle(300.0);
-    let agents = s.sim.app_nodes().into_iter().filter_map(|n| s.sim.app(n));
-    let summary = srm::harvest_summary(agents);
-    let timeline = srm::harvest_timeline(&mut s.sim, Vec::new());
+    let summary = srm::harvest_summary(s.sim.apps());
+    let timeline = srm::harvest_timeline(s.sim.apps_mut(), Vec::new());
     TracedRun { timeline, summary }
 }
 
@@ -154,7 +153,9 @@ mod tests {
         let inside = run.timeline.filter(None, None, Some("crash"));
         assert!(!inside.is_empty(), "no recovery events after the crash");
         // Summary side: peers answered with at least one repair.
-        let totals = run.summary.totals();
-        assert!(totals.repairs_sent >= 1);
+        let table = run.summary.render("source-crash");
+        let row = table.lines().find(|l| l.starts_with("repairs_sent ")).expect("a repairs_sent row");
+        let total: u64 = row.split_whitespace().last().unwrap().parse().unwrap();
+        assert!(total >= 1, "{table}");
     }
 }

@@ -321,11 +321,6 @@ impl<A: Application> Simulator<A> {
         }
     }
 
-    /// Whether `link` is currently in service.
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.link_up[link.index()]
-    }
-
     /// Whether `node`'s application host is currently up.
     pub fn node_is_up(&self, node: NodeId) -> bool {
         self.node_up[node.index()]
@@ -346,13 +341,6 @@ impl<A: Application> Simulator<A> {
     pub fn set_channel_effects(&mut self, e: Box<dyn ChannelEffects>) {
         self.effects_ideal = e.is_ideal();
         self.effects = e;
-    }
-
-    /// Mutable access to the loss model (e.g. to re-arm a one-shot drop).
-    ///
-    /// The concrete type must be known to the caller.
-    pub fn loss_model_mut(&mut self) -> &mut dyn LossModel {
-        self.loss.as_mut()
     }
 
     /// The topology under simulation.
@@ -383,6 +371,16 @@ impl<A: Application> Simulator<A> {
     /// Use [`Simulator::exec`] instead when the application needs a [`Ctx`].
     pub fn app_mut(&mut self, node: NodeId) -> Option<&mut A> {
         self.apps.get_mut(node.index()).and_then(|a| a.as_mut())
+    }
+
+    /// Every installed application, by ascending node.
+    pub fn apps(&self) -> impl Iterator<Item = &A> {
+        self.apps.iter().flatten()
+    }
+
+    /// Every installed application, mutably, by ascending node.
+    pub fn apps_mut(&mut self) -> impl Iterator<Item = &mut A> {
+        self.apps.iter_mut().flatten()
     }
 
     /// Nodes with an installed application, ascending.

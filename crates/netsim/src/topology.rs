@@ -234,13 +234,6 @@ impl TopologyBuilder {
         }
     }
 
-    /// Add one more node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.num_nodes as u32);
-        self.num_nodes += 1;
-        id
-    }
-
     /// Number of nodes added so far.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

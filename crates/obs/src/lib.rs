@@ -20,14 +20,19 @@
 //!   deterministic, stably-ordered sequence and exports JSONL;
 //! * [`LogHistogram`] gives low-overhead log-scale histograms (recovery
 //!   delay/RTT, duplicate requests/repairs, session-bandwidth share);
-//! * [`RunSummary`] aggregates per-member counters + histograms for the
-//!   `report` subcommand;
+//! * [`MetricsRegistry`] is the live hosts' registry of named counters,
+//!   gauges and histograms;
 //! * [`stats`] holds the exact sample statistics (quartiles via linear
 //!   interpolation) that the experiment figures have always used — moved
 //!   here so figures and reports share one implementation;
 //! * [`json`] is the workspace's one JSON reader and escaper — the JSONL
 //!   exports here, the hub's control plane and the `srm-sim` scenario
 //!   files all go through it.
+//!
+//! `obs` names no SRM counter. A member's counters and their one list of
+//! names are the protocol crate's (`srm::AgentMetrics::counters`), and so
+//! is the `report` table built from them (`srm::RunSummary`); a live host
+//! mirrors that list into a [`MetricsRegistry`] under the names it gives.
 //!
 //! [`SimTime`]: netsim::SimTime
 
@@ -40,7 +45,6 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod stats;
-pub mod summary;
 pub mod timeline;
 pub mod transport;
 
@@ -50,6 +54,5 @@ pub use json::json_escape;
 pub use metrics::{Counter, Gauge, Histo, MetricsRegistry, MetricsSnapshot};
 pub use log::{EventLog, Recorder, TransportLog};
 pub use stats::{summarize, Summary};
-pub use summary::{MemberSummary, RunSummary};
 pub use timeline::{Chain, MemberEvent, Timeline};
 pub use transport::{TransportEventKind, TransportRecord};

@@ -163,12 +163,6 @@ impl MemBackend {
         MemBackend::default()
     }
 
-    /// Total bytes that would survive a crash right now.
-    pub fn synced_bytes(&self) -> u64 {
-        let disk = self.disk.lock().expect("mem disk");
-        disk.values().map(|s| s.synced.len() as u64).sum()
-    }
-
     /// Fault injection: tear `drop_bytes` off the end of segment `id`'s
     /// durable image — models a write the device acknowledged but only
     /// partially performed (torn write).

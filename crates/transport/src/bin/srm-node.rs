@@ -810,11 +810,8 @@ fn main() {
     // Final trace drain while the reactor still answers exec.
     drain_trace(&node, &mut trace_sink, &mut trace_events);
     let mut agent = node.shutdown();
-    let m = &agent.metrics;
-    eprintln!(
-        "srm-node: done — data_sent={} requests_sent={} repairs_sent={} session_sent={}",
-        m.data_sent, m.requests_sent, m.repairs_sent, m.session_sent
-    );
+    let counts: Vec<String> = agent.metrics.counters().iter().map(|(k, v)| format!("{k}={v}")).collect();
+    eprintln!("srm-node: done — {}", counts.join(" "));
     if let Some(ps) = agent.store().persistence_stats() {
         eprintln!(
             "srm-node: store — appends={} bytes={} fsyncs={} snapshots={} disk_reads={} segments={} live={}",
@@ -823,7 +820,7 @@ fn main() {
     }
     if let Some(f) = &mut trace_sink {
         // Whatever accumulated between the last drain and shutdown.
-        let tl = srm_transport::harvest_timeline(std::slice::from_mut(&mut agent));
+        let tl = srm::harvest_timeline([&mut agent], Vec::new());
         trace_events += tl.len();
         if write!(f, "{}", tl.to_jsonl()).and_then(|()| f.flush()).is_err() {
             eprintln!("srm-node: trace write failed");

@@ -74,22 +74,6 @@ impl Harness {
     }
 }
 
-/// Merge the recorders of shut-down agents into one timeline — the
-/// wall-clock analogue of [`srm::harvest_timeline`]. Event times are each
-/// node's elapsed time since its own start; harness nodes start within
-/// microseconds of each other, so one shared axis is a fair approximation.
-/// Transport-layer events (chaos actions, supervision, liveness) ride in
-/// the same JSONL stream, sorted just after same-instant recovery events.
-pub fn harvest_timeline(agents: &mut [SrmAgent]) -> obs::Timeline {
-    let mut tl = obs::Timeline::new();
-    for a in agents {
-        let member = a.id.0;
-        tl.add_member(member, a.obs.take_events());
-        tl.add_transport(member, a.transport_obs.take_events());
-    }
-    tl
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -66,12 +66,8 @@ pub struct GroupStats {
     pub tx_frames: u64,
     /// ADUs delivered to the hub-side application.
     pub delivered: u64,
-    /// Original ADUs this group's agent published.
-    pub data_sent: u64,
-    /// Repairs this group's agent answered.
-    pub repairs_sent: u64,
-    /// Session messages this group's agent sent.
-    pub session_sent: u64,
+    /// The group's agent's counters ([`srm::AgentMetrics::counters`]).
+    pub agent: srm::CounterRow,
     /// Frames refused by the group's token-bucket quota (dropped before
     /// the fan-out).
     pub quota_overflow: u64,
@@ -183,19 +179,13 @@ impl HubStats {
             }
             s.push_str(&format!(
                 "{{\"group\":{},\"shard\":{},\"members\":{},\"rx_frames\":{},\"tx_frames\":{},\
-                 \"delivered\":{},\"data_sent\":{},\"repairs_sent\":{},\"session_sent\":{},\
-                 \"quota_overflow\":{}}}",
-                g.group,
-                g.shard,
-                g.members,
-                g.rx_frames,
-                g.tx_frames,
-                g.delivered,
-                g.data_sent,
-                g.repairs_sent,
-                g.session_sent,
-                g.quota_overflow,
+                 \"delivered\":{}",
+                g.group, g.shard, g.members, g.rx_frames, g.tx_frames, g.delivered,
             ));
+            for (key, value) in g.agent {
+                s.push_str(&format!(",\"{key}\":{value}"));
+            }
+            s.push_str(&format!(",\"quota_overflow\":{}}}", g.quota_overflow));
         }
         s.push_str("]}");
         s
@@ -523,6 +513,11 @@ impl Drop for HubInner {
 mod tests {
     use super::*;
 
+    /// A group's agent counter by name.
+    fn agent(g: &GroupStats, name: &str) -> u64 {
+        g.agent.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+    }
+
     #[test]
     fn shard_of_is_stable_and_in_range() {
         for shards in 1..=8usize {
@@ -579,7 +574,7 @@ mod tests {
         let st = hub.stats();
         assert_eq!(st.groups.len(), 1);
         assert_eq!(st.groups[0].group, 5);
-        assert_eq!(st.groups[0].data_sent, 3);
+        assert_eq!(agent(&st.groups[0], "data_sent"), 3);
 
         let d = hub.drain(5).unwrap();
         assert_eq!(d.groups, 1);
@@ -609,7 +604,7 @@ mod tests {
         let st = hub.stats();
         let g = &st.groups[0];
         assert!(g.quota_overflow > 0, "bucket must refuse most of the flood: {g:?}");
-        assert!(g.tx_frames < 50 + g.session_sent, "refused frames never fan out");
+        assert!(g.tx_frames < 50 + agent(g, "session_sent"), "refused frames never fan out");
         assert_eq!(
             st.frames_attempted,
             st.frames_sent + st.send_errors,

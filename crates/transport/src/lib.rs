@@ -73,7 +73,7 @@ pub use chaos::{parse_spec, ChaosPlan, ChaosState, ChaosTally, ChaosTransport, D
 pub use clock::WallClock;
 pub use control::{handle_line, parse_command, Command, GroupSpec};
 pub use envelope::{Envelope, EnvelopeError, EnvelopeView};
-pub use harness::{harvest_timeline, Harness};
+pub use harness::Harness;
 pub use hub::{
     group_seed, shard_of, CreateOutcome, DrainOutcome, GroupStats, Hub, HubHandle, HubOptions,
     HubStats,

@@ -62,7 +62,7 @@ use netsim::{GroupId, NodeId, Packet, PacketBody, PacketId, SendOptions, SimDura
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use srm::rate::TokenBucket;
-use srm::{Clock, Driver, RateLimit, SrmAgent, Transport};
+use srm::{AgentMetrics, Clock, Driver, RateLimit, SrmAgent, Transport};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
@@ -230,9 +230,10 @@ impl RegHandles {
 
 /// A hosted group's registry mirrors, by name under the group's prefix
 /// (none on a node, `hub.g{G}.` on a hub): cumulative counters first, then
-/// sampled gauges. The store mirrors stay zero unless a store is attached
-/// (its latency histograms are recorded at the operation site via
-/// StoreProbes).
+/// sampled gauges. The agent's own counters follow the counters as
+/// `agent.<name>`, one per [`srm::AgentMetrics::counters`] entry. The store
+/// mirrors stay zero unless a store is attached (its latency histograms are
+/// recorded at the operation site via StoreProbes).
 const GROUP_COUNTERS: [Mirror<GroupHost>; 15] = [
     ("rx_frames", |h| h.rx_frames),
     ("tx_frames", |h| h.io.tx_frames),
@@ -519,8 +520,11 @@ impl GroupHost {
             rx_frames: 0,
             reg: opts.metrics.as_ref().map(|r| {
                 let p = &hosting.reg_prefix;
+                let agent = AgentMetrics::default().counters().map(|(name, _)| format!("{p}agent.{name}"));
                 (
-                    GROUP_COUNTERS.iter().map(|(name, _)| r.counter(&format!("{p}{name}"))).collect(),
+                    (GROUP_COUNTERS.iter().map(|(name, _)| format!("{p}{name}")).chain(agent))
+                        .map(|name| r.counter(&name))
+                        .collect(),
                     GROUP_GAUGES.iter().map(|(name, _)| r.gauge(&format!("{p}{name}"))).collect(),
                 )
             }),
@@ -551,8 +555,9 @@ impl GroupHost {
             counters.chaos_corrupted.add(t.corrupted);
         }
         let Some((counters, gauges)) = &self.reg else { return };
-        for ((_, read), c) in GROUP_COUNTERS.iter().zip(counters) {
-            c.set_total(read(self));
+        let agent = self.agent.metrics.counters().map(|(_, v)| v);
+        for (v, c) in GROUP_COUNTERS.iter().map(|(_, read)| read(self)).chain(agent).zip(counters) {
+            c.set_total(v);
         }
         for ((_, read), g) in GROUP_GAUGES.iter().zip(gauges) {
             g.set(read(self));
@@ -572,9 +577,7 @@ impl GroupHost {
             rx_frames: self.rx_frames,
             tx_frames: self.io.tx_frames,
             delivered: self.delivered,
-            data_sent: self.agent.metrics.data_sent,
-            repairs_sent: self.agent.metrics.repairs_sent,
-            session_sent: self.agent.metrics.session_sent,
+            agent: self.agent.metrics.counters(),
             quota_overflow: self.io.quota_overflow,
         }
     }

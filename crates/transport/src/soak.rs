@@ -20,12 +20,12 @@
 //!
 //! The report carries per-node [`TransportStats`] and the agents' liveness
 //! and durable-store counts (one line per member, traced or not), the
-//! delivery matrix, the protocol [`RunSummary`](obs::RunSummary), and (with
+//! delivery matrix, the protocol [`RunSummary`](srm::RunSummary), and (with
 //! `trace`) the merged obs timeline — so a failing soak is diagnosable from
 //! its artifacts, and replayable from its seed.
 
 use crate::chaos::parse_spec;
-use crate::harness::{harvest_timeline, Harness};
+use crate::harness::Harness;
 use crate::runtime::TransportStats;
 use bytes::Bytes;
 use netsim::GroupId;
@@ -145,7 +145,7 @@ pub struct SoakReport {
     /// Total ADUs published across the mesh.
     pub adus_sent: usize,
     /// Run summary (the protocol counter table and histograms).
-    pub summary: obs::RunSummary,
+    pub summary: srm::RunSummary,
     /// Merged obs timeline, when tracing was on.
     pub timeline: Option<obs::Timeline>,
 }
@@ -336,7 +336,7 @@ pub fn run(opts: &SoakOptions) -> io::Result<SoakReport> {
     let nodes = (agents.iter().enumerate())
         .map(|(i, a)| NodeOutcome::new(a, stats[i], pings[i], &expects[i], &delivered[i]))
         .collect();
-    let timeline = opts.trace.then(|| harvest_timeline(&mut agents));
+    let timeline = opts.trace.then(|| srm::harvest_timeline(&mut agents, Vec::new()));
 
     Ok(SoakReport {
         nodes,
@@ -370,7 +370,7 @@ mod tests {
             nodes,
             elapsed: Duration::from_secs(1),
             adus_sent: 8,
-            summary: obs::RunSummary::new(),
+            summary: srm::RunSummary::new(),
             timeline: None,
         }
     }

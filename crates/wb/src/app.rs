@@ -3,7 +3,7 @@
 
 use crate::drawop::{DrawOp, OpKind};
 use crate::whiteboard::Whiteboard;
-use netsim::{Application, Ctx, GroupId, Packet, SimTime};
+use netsim::{Application, Ctx, GroupId, Packet};
 use srm::{AduName, PageId, SourceId, SrmAgent, SrmConfig};
 
 /// wb 1.59's SRM profile: fixed `[c, 2c]` request timers with c = 30 ms and
@@ -124,14 +124,6 @@ impl Application for WbApp {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.agent.on_timer(ctx, token);
         self.pump(ctx);
-    }
-}
-
-/// A convenience for tests and examples: build a drawop timestamped `now`.
-pub fn op_at(now: SimTime, kind: OpKind) -> DrawOp {
-    DrawOp {
-        timestamp: now,
-        kind,
     }
 }
 

@@ -59,7 +59,7 @@ fn fec_demo() {
         .map(|i| sim.app(NodeId(i)).unwrap().metrics.requests_sent)
         .sum();
     let fec: u64 = (0..N as u32)
-        .map(|i| sim.app(NodeId(i)).unwrap().fec_recoveries)
+        .map(|i| sim.app(NodeId(i)).unwrap().metrics.fec_recoveries)
         .sum();
     let tail = sim.app(NodeId(23)).unwrap();
     println!(

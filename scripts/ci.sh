@@ -194,7 +194,13 @@ cargo test -q --test hub -- hub_stats_carry_the_groups_chaos_counts \
     eight_concurrent_groups_deliver_independently_under_one_hub
 cargo test -q -p srm-transport --lib soak::tests
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies and the single-valued options turned constants must stay gone) =="
+echo "== one counter vocabulary per member (AgentMetrics::counters names the sim report's rows, a node's agent.* and a hub group's hub.g{G}.agent.* registry entries and stats row; a crash keeps every counter) =="
+cargo test -q --test golden_trace every_scenario_report_matches_its_golden
+cargo test -q --test transport_loopback a_node_registry_carries_its_agents_counters
+cargo test -q --test hub a_hub_group_shows_its_agents_counters_under_one_set_of_names
+cargo test -q -p srm --lib a_crash_keeps_the_parity_reconstructions_and_relays_counted
+
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants and obs's copy of the member counters must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -204,6 +210,7 @@ stale+='|run_recv_sup[e]rvised|RECV_P[O]LL|srm-hub-d[e]mux|srm-r[e]cv-|Event::D[
 stale+='|TransportSumm[a]ry|HOST_MIRR[O]RS|render_transp[o]rt'
 stale+='|AdaptiveConf[i]g|FixedInterva[l]s|DurableRejoinPara[m]s|from_scenario_fil[e]|session_fract[i]on'
 stale+='|fingerprint_l[e]n|rep_timeou[t]|min_losse[s]'
+stale+='|MemberSumm[a]ry|observe_ag[e]nt|obs::RunSumm[a]ry'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -212,13 +219,16 @@ if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --inc
     exit 1
 fi
 
-echo "== transport crate size (code lines = not blank, not a // line; then raw lines; then non-test code lines, before each file's #[cfg(test)]; then crates/obs non-test code lines) =="
+echo "== transport crate size (code lines = not blank, not a // line; then raw lines; then non-test code lines, before each file's #[cfg(test)]; then crates/obs non-test code lines; then crates/core/src/observe.rs + metrics.rs non-test code lines) =="
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | grep -cvE '^\s*(//|$)'
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | wc -l
 for f in crates/transport/src/*.rs crates/transport/src/bin/*.rs; do
     awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
 done | grep -cvE '^\s*(//|$)'
 for f in crates/obs/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
+done | grep -cvE '^\s*(//|$)'
+for f in crates/core/src/observe.rs crates/core/src/metrics.rs; do
     awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
 done | grep -cvE '^\s*(//|$)'
 

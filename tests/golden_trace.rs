@@ -1,7 +1,8 @@
 //! Golden-file tests for the observability layer: the JSONL timeline of a
 //! small deterministic scenario is pinned byte-for-byte, for a plain
 //! single-drop run, a faulted (source-crash) variant and a rate-limited
-//! lossy session.
+//! lossy session; and the `report` table of every traced scenario is
+//! pinned in `report_<scenario>.txt`.
 //!
 //! These pins are what makes the tracing layer trustworthy as a debugging
 //! tool: if an instrumentation point moves, disappears, or changes its
@@ -14,19 +15,13 @@
 //! GOLDEN_UPDATE=1 cargo test --test golden_trace
 //! ```
 
-use srm_experiments::trace_cmd::run_traced;
+use srm_experiments::trace_cmd::{run_traced, TRACE_SCENARIOS};
 use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.jsonl"))
-}
-
-/// Compare `actual` against the pinned golden file, or rewrite the pin when
-/// `GOLDEN_UPDATE=1`.
+/// Compare `actual` against the pinned golden file `name` (with its
+/// extension), or rewrite the pin when `GOLDEN_UPDATE=1`.
 fn assert_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
     if std::env::var_os("GOLDEN_UPDATE").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
@@ -62,7 +57,7 @@ fn assert_golden(name: &str, actual: &str) {
                 },
             );
         panic!(
-            "{name} timeline diverged from golden file {}\n{mismatch}\n\
+            "{name} diverged from its golden file {}\n{mismatch}\n\
              If the change is intentional, regenerate with \
              GOLDEN_UPDATE=1 cargo test --test golden_trace",
             path.display()
@@ -73,7 +68,7 @@ fn assert_golden(name: &str, actual: &str) {
 #[test]
 fn chain_drop_timeline_matches_golden() {
     let run = run_traced("chain-drop").expect("known scenario");
-    assert_golden("chain_drop", &run.timeline.to_jsonl());
+    assert_golden("chain_drop.jsonl", &run.timeline.to_jsonl());
 }
 
 #[test]
@@ -82,7 +77,7 @@ fn source_crash_timeline_matches_golden() {
     let jsonl = run.timeline.to_jsonl();
     // The faulted variant must carry its fault window in the export.
     assert!(jsonl.contains("\"fault\":\"crash\""), "fault span missing");
-    assert_golden("source_crash", &jsonl);
+    assert_golden("source_crash.jsonl", &jsonl);
 }
 
 /// The one pin on the agent's token bucket and send priorities (§III-E):
@@ -97,7 +92,7 @@ fn rate_limited_recovery_matches_golden() {
     let scenario = srm_sim::Scenario::from_json(&text).expect("valid scenario");
     let (report, timeline) = srm_sim::run_with_trace(&scenario).expect("runs");
     assert_eq!(report.complete_receivers, report.members - 1);
-    assert_golden("rate_limited_recovery", &timeline.to_jsonl());
+    assert_golden("rate_limited_recovery.jsonl", &timeline.to_jsonl());
 }
 
 /// The issue's acceptance criterion, pinned at the tier-1 level: the traced
@@ -120,6 +115,16 @@ fn chain_drop_reconstructs_a_complete_recovery_chain() {
     assert!(c.recovered_members >= 1);
     // And the rendering carries the complete-marker the CLI prints.
     assert!(c.render().ends_with("[complete]"));
+}
+
+/// The `report` table of every traced scenario: one row per counter name,
+/// one column per member and the total, then the five histogram lines.
+#[test]
+fn every_scenario_report_matches_its_golden() {
+    for name in TRACE_SCENARIOS {
+        let run = run_traced(name).expect("known scenario");
+        assert_golden(&format!("report_{}.txt", name.replace('-', "_")), &run.summary.render(name));
+    }
 }
 
 /// Re-running a traced scenario yields identical bytes — the determinism

@@ -32,7 +32,7 @@ use netsim::{flow, GroupId, SimDuration};
 use proptest::prelude::*;
 use srm::{LivenessConfig, Message, PageId, SourceId, SrmAgent, SrmConfig};
 use srm_transport::control::serve;
-use srm_transport::hub::{Hub, HubOptions};
+use srm_transport::hub::{GroupStats, Hub, HubOptions};
 use obs::json::Json;
 use srm_transport::{
     handle_line, shard_of, ChaosPlan, Envelope, GroupMonitor, GroupSpec, Harness, LossPolicy,
@@ -115,6 +115,11 @@ proptest! {
             prop_assert!(Envelope::decode_view(&bad).is_err());
         }
     }
+}
+
+/// A group's agent counter by name, from its [`GroupStats`] row.
+fn agent(g: &GroupStats, name: &str) -> u64 {
+    g.agent.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
 }
 
 /// Options for member 1 of a 2-member group 1 that loses its first DATA
@@ -213,7 +218,7 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
         "the reactor's decode error is read through its traced group: {hub_transport:?}"
     );
     assert_eq!(st.groups.len(), 1);
-    assert_eq!(st.groups[0].data_sent, u64::from(N));
+    assert_eq!(agent(&st.groups[0], "data_sent"), u64::from(N));
     assert_eq!(st.frames_dropped, 1, "the loss policy acts on a hub group: {st:?}");
     assert_eq!(
         st.frames_attempted,
@@ -298,7 +303,7 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
     let st = hub.stats();
     assert_eq!(st.groups.len(), GROUPS as usize, "stats must list all groups");
     for g in &st.groups {
-        assert_eq!(g.data_sent, u64::from(ADUS), "group {} data_sent", g.group);
+        assert_eq!(agent(g, "data_sent"), u64::from(ADUS), "group {} data_sent", g.group);
     }
 
     // Receivers only talk back via periodic session messages (≥1 s apart),
@@ -479,6 +484,48 @@ fn hub_stats_carry_the_groups_chaos_counts() {
     assert!(st.chaos_dropped > 0, "a 50 % loss plan dropped nothing: {st:?}");
     assert_eq!(in_reply, Some(st.chaos_dropped), "stats reply");
     assert_eq!(in_registry, Some(st.chaos_dropped), "registry");
+    hub.shutdown();
+}
+
+/// After a one-loss round a hub group's agent counters read the same in
+/// all three places the hub shows them: the registry's
+/// `hub.g{G}.agent.<name>`, the group's [`GroupStats`] row and its entry
+/// in the `stats` reply, under the names a node and a simulated run use.
+#[test]
+fn a_hub_group_shows_its_agents_counters_under_one_set_of_names() {
+    let registry = obs::MetricsRegistry::new();
+    let opts = HubOptions { shards: 2, metrics: Some(registry.clone()), ..HubOptions::default() };
+    let hub = Hub::spawn("127.0.0.1:0".parse().unwrap(), opts).unwrap();
+    // No session messages on either side: nothing moves after the repair.
+    let mut receiver_opts = NodeOptions::new(SourceId(2), GroupId(1), SrmConfig::fixed(2));
+    receiver_opts.session_enabled = false;
+    receiver_opts.initial_distances = vec![(SourceId(1), SimDuration::from_millis(20))];
+    let receiver = Node::spawn(
+        "127.0.0.1:0".parse().unwrap(),
+        Mode::Mesh { peers: vec![hub.local_addr()] },
+        receiver_opts,
+    )
+    .expect("receiver node binds");
+    let mut sender = lossy_traced_sender();
+    sender.session_enabled = false;
+    sender.metrics = Some(registry.clone());
+    hub.create_with(Mode::Mesh { peers: vec![receiver.local_addr()] }, sender).unwrap();
+    hub.send(1, "one loss", 2).unwrap();
+    let got = collect_delivered(&receiver, 2, Instant::now() + Duration::from_secs(30));
+    assert_eq!(got.len(), 2, "the dropped ADU was not repaired");
+
+    let st = hub.stats();
+    let snap = registry.snapshot();
+    let reply = Json::parse(&handle_line(&hub, r#"{"cmd":"stats"}"#)).unwrap();
+    let group = &reply.get("groups").and_then(Json::as_arr).expect("groups")[0];
+    let row = &st.groups[0];
+    assert_eq!((agent(row, "data_sent"), agent(row, "repairs_sent")), (2, 1), "{row:?}");
+    assert_eq!(agent(row, "requests_received"), 1, "{row:?}");
+    for (name, v) in row.agent {
+        assert_eq!(snap.counters.get(&format!("hub.g1.agent.{name}")), Some(&v), "registry {name}");
+        assert_eq!(group.get(name).and_then(Json::as_u64), Some(v), "stats reply {name}");
+    }
+    drop(receiver.shutdown());
     hub.shutdown();
 }
 

@@ -94,7 +94,7 @@ fn ttl_scoped_two_step_repairs_stay_local() {
     // A two-step relay happened (requestor re-multicast the repair)
     // whenever the repair named a requestor; at minimum repairs flowed.
     let total_relays: u64 = (0..20u32)
-        .map(|i| sim.app(NodeId(i)).unwrap().two_step_relays)
+        .map(|i| sim.app(NodeId(i)).unwrap().metrics.two_step_relays)
         .sum();
     assert!(total_relays >= 1, "two-step second leg fired");
 }

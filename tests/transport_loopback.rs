@@ -20,7 +20,7 @@ use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration, SimTime};
 use srm::{PageId, SourceId, SrmConfig};
 use srm_transport::{
-    harvest_timeline, ChaosPlan, Harness, LossPolicy, Mode, Node, NodeOptions,
+    ChaosPlan, Harness, LossPolicy, Mode, Node, NodeOptions,
 };
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
@@ -85,11 +85,49 @@ fn two_node_loopback_drop_is_recovered() {
     let mut agents = h.shutdown();
     assert_eq!(agents[1].metrics.requests_sent, 1);
     assert_eq!(agents[0].metrics.repairs_sent, 1);
-    let tl = harvest_timeline(&mut agents);
+    let tl = srm::harvest_timeline(&mut agents, Vec::new());
     let jsonl = tl.to_jsonl();
     assert!(jsonl.contains("\"ev\":\"gap_detected\""));
     assert!(jsonl.contains("\"ev\":\"request_sent\""));
     assert!(jsonl.contains("\"ev\":\"recovered\""));
+}
+
+/// After a one-loss round each node's registry carries its agent's
+/// counters as `agent.<name>`, equal to the shut-down agent's own: the
+/// names a simulated run's report and a hub group use too.
+#[test]
+fn a_node_registry_carries_its_agents_counters() {
+    let regs = [obs::MetricsRegistry::new(), obs::MetricsRegistry::new()];
+    let h = Harness::loopback(2, GROUP, &SrmConfig::fixed(2), |i, _addrs, opts| {
+        opts.metrics = Some(regs[i].clone());
+        seed_uniform_distances(2, opts, SimDuration::from_millis(20));
+        if i == 0 {
+            opts.loss = LossPolicy::none().drop_nth(flow::DATA, 0);
+        }
+    })
+    .unwrap();
+    let page = PageId::new(SourceId(1), 0);
+    let lost = h.nodes[0].send_data(page, Bytes::from_static(b"lost on the wire"));
+    h.nodes[0].send_data(page, Bytes::from_static(b"reveals the gap"));
+    let mut got = Vec::new();
+    assert!(
+        wait_for(30, || {
+            got.extend(h.nodes[1].take_delivered());
+            got.iter().any(|d| d.name == lost)
+        }),
+        "dropped ADU was not repaired within 30s"
+    );
+    let agents = h.shutdown();
+    assert_eq!(agents[1].metrics.requests_sent, 1);
+    assert_eq!(agents[0].metrics.repairs_sent, 1);
+    for (reg, a) in regs.iter().zip(&agents) {
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.get("agent.requests_sent"), Some(&a.metrics.requests_sent));
+        assert_eq!(snap.counters.get("agent.repairs_sent"), Some(&a.metrics.repairs_sent));
+        for (name, v) in a.metrics.counters() {
+            assert_eq!(snap.counters.get(&format!("agent.{name}")), Some(&v), "agent.{name}");
+        }
+    }
 }
 
 /// The acceptance demo: three members over real UDP, a loss forced on the
@@ -165,7 +203,7 @@ fn three_node_loss_repaired_by_non_source() {
     assert_eq!(agents[2].metrics.requests_sent, 1);
 
     // The trace shows the request/repair chain across members.
-    let tl = harvest_timeline(&mut agents);
+    let tl = srm::harvest_timeline(&mut agents, Vec::new());
     let events = tl.events();
     let key = srm::observe::adu_key(lost);
     let req = events
