@@ -4,10 +4,10 @@
 //! configuration, a loss process, and a workload; [`crate::run()`](crate::run()) executes
 //! it and reports traffic and recovery statistics.
 //!
-//! Parsing and serialization are hand-written over [`obs::json`] (the
-//! workspace builds offline, without serde); the wire shapes match the
-//! original serde derives: `{"kind": ...}`-tagged topology and loss,
-//! untagged members/timers, defaultable config/effects/workload sections.
+//! Parsing is hand-written over [`obs::json`] (the workspace builds
+//! offline, without serde); the shapes match the original serde derives:
+//! `{"kind": ...}`-tagged topology and loss, untagged members/timers,
+//! defaultable config/effects/workload sections.
 
 use obs::json::{Json, JsonError};
 use std::fmt;
@@ -283,30 +283,6 @@ impl TopologySpec {
             other => return Err(bad(format!("unknown topology kind '{other}'"))),
         })
     }
-
-    fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, u64)>, kind: &str| {
-            let mut m = vec![("kind".to_string(), Json::S(kind.to_string()))];
-            m.extend(
-                fields
-                    .into_iter()
-                    .map(|(k, n)| (k.to_string(), Json::N(n as f64))),
-            );
-            Json::O(m)
-        };
-        match *self {
-            TopologySpec::Chain { n } => obj(vec![("n", n as u64)], "chain"),
-            TopologySpec::Star { leaves } => obj(vec![("leaves", leaves as u64)], "star"),
-            TopologySpec::BoundedTree { n, degree } => obj(
-                vec![("n", n as u64), ("degree", degree as u64)],
-                "bounded_tree",
-            ),
-            TopologySpec::RandomTree { n } => obj(vec![("n", n as u64)], "random_tree"),
-            TopologySpec::RandomGraph { n, m } => {
-                obj(vec![("n", n as u64), ("m", m as u64)], "random_graph")
-            }
-        }
-    }
 }
 
 impl MembersSpec {
@@ -331,18 +307,6 @@ impl MembersSpec {
             _ => Err(bad("'members' must be a list, {\"random\": k}, or \"all\"")),
         }
     }
-
-    fn to_json(&self) -> Json {
-        match self {
-            MembersSpec::List(ids) => {
-                Json::A(ids.iter().map(|&i| Json::N(i as f64)).collect())
-            }
-            MembersSpec::Random { random } => {
-                Json::O(vec![("random".to_string(), Json::N(*random as f64))])
-            }
-            MembersSpec::All(_) => Json::S("all".to_string()),
-        }
-    }
 }
 
 impl TimersSpec {
@@ -363,25 +327,6 @@ impl TimersSpec {
             _ => Err(bad("'timers' must be a preset name or {c1,c2,d1,d2}")),
         }
     }
-
-    fn to_json(&self) -> Json {
-        match *self {
-            TimersSpec::Preset(p) => Json::S(
-                match p {
-                    TimerPreset::Fixed => "fixed",
-                    TimerPreset::Adaptive => "adaptive",
-                    TimerPreset::Wb159 => "wb159",
-                }
-                .to_string(),
-            ),
-            TimersSpec::Explicit { c1, c2, d1, d2 } => Json::O(vec![
-                ("c1".to_string(), Json::N(c1)),
-                ("c2".to_string(), Json::N(c2)),
-                ("d1".to_string(), Json::N(d1)),
-                ("d2".to_string(), Json::N(d2)),
-            ]),
-        }
-    }
 }
 
 impl ScopeSpec {
@@ -400,17 +345,6 @@ impl ScopeSpec {
                 Ok(ScopeSpec::Ttl { ttl: ttl as u8 })
             }
             _ => Err(bad("'scope' must be \"global\", \"admin\", or a ttl object")),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        match *self {
-            ScopeSpec::Global => Json::S("global".to_string()),
-            ScopeSpec::Admin => Json::S("admin".to_string()),
-            ScopeSpec::Ttl { ttl } => Json::O(vec![(
-                "ttl".to_string(),
-                Json::O(vec![("ttl".to_string(), Json::N(ttl as f64))]),
-            )]),
         }
     }
 }
@@ -446,27 +380,6 @@ impl ConfigSpec {
         }
         Ok(cfg)
     }
-
-    fn to_json(&self) -> Json {
-        Json::O(vec![
-            ("timers".to_string(), self.timers.to_json()),
-            ("scope".to_string(), self.scope.to_json()),
-            ("fec_k".to_string(), Json::N(self.fec_k as f64)),
-            (
-                "recovery_group_ttl".to_string(),
-                Json::N(self.recovery_group_ttl as f64),
-            ),
-            (
-                "hierarchy_ttl".to_string(),
-                Json::N(self.hierarchy_ttl as f64),
-            ),
-            (
-                "session_messages".to_string(),
-                Json::B(self.session_messages),
-            ),
-            ("rate_limit_bps".to_string(), Json::N(self.rate_limit_bps)),
-        ])
-    }
 }
 
 impl LossSpec {
@@ -494,27 +407,6 @@ impl LossSpec {
             other => return Err(bad(format!("unknown loss kind '{other}'"))),
         })
     }
-
-    fn to_json(&self) -> Json {
-        match self {
-            LossSpec::None => {
-                Json::O(vec![("kind".to_string(), Json::S("none".to_string()))])
-            }
-            LossSpec::Bernoulli { p } => Json::O(vec![
-                ("kind".to_string(), Json::S("bernoulli".to_string())),
-                ("p".to_string(), Json::N(*p)),
-            ]),
-            LossSpec::Scripted { a, b, ordinals } => Json::O(vec![
-                ("kind".to_string(), Json::S("scripted".to_string())),
-                ("a".to_string(), Json::N(*a as f64)),
-                ("b".to_string(), Json::N(*b as f64)),
-                (
-                    "ordinals".to_string(),
-                    Json::A(ordinals.iter().map(|&o| Json::N(o as f64)).collect()),
-                ),
-            ]),
-        }
-    }
 }
 
 impl EffectsSpec {
@@ -530,13 +422,6 @@ impl EffectsSpec {
             e.jitter_secs = req_f64(v, "jitter_secs")?;
         }
         Ok(e)
-    }
-
-    fn to_json(self) -> Json {
-        Json::O(vec![
-            ("duplication".to_string(), Json::N(self.duplication)),
-            ("jitter_secs".to_string(), Json::N(self.jitter_secs)),
-        ])
     }
 }
 
@@ -556,17 +441,6 @@ impl WorkloadSpec {
             w.payload_bytes = req_u64(v, "payload_bytes")? as usize;
         }
         Ok(w)
-    }
-
-    fn to_json(&self) -> Json {
-        Json::O(vec![
-            ("adus".to_string(), Json::N(self.adus as f64)),
-            ("interval_secs".to_string(), Json::N(self.interval_secs)),
-            (
-                "payload_bytes".to_string(),
-                Json::N(self.payload_bytes as f64),
-            ),
-        ])
     }
 }
 
@@ -634,24 +508,6 @@ impl Scenario {
             settle_secs,
         })
     }
-
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        let mut m = vec![
-            ("topology".to_string(), self.topology.to_json()),
-            ("seed".to_string(), Json::N(self.seed as f64)),
-            ("members".to_string(), self.members.to_json()),
-        ];
-        if let Some(s) = self.source {
-            m.push(("source".to_string(), Json::N(s as f64)));
-        }
-        m.push(("config".to_string(), self.config.to_json()));
-        m.push(("loss".to_string(), self.loss.to_json()));
-        m.push(("effects".to_string(), self.effects.to_json()));
-        m.push(("workload".to_string(), self.workload.to_json()));
-        m.push(("settle_secs".to_string(), Json::N(self.settle_secs)));
-        Json::O(m).pretty()
-    }
 }
 
 #[cfg(test)]
@@ -672,7 +528,26 @@ mod tests {
     }
 
     #[test]
-    fn full_scenario_roundtrips() {
+    fn full_scenario_parses_every_field() {
+        let s = r#"{
+            "topology": {"kind": "bounded_tree", "n": 200, "degree": 4},
+            "seed": 7,
+            "members": {"random": 20},
+            "source": 3,
+            "config": {
+                "timers": {"c1": 2, "c2": 5, "d1": 1, "d2": 5},
+                "scope": {"ttl": {"ttl": 8}},
+                "fec_k": 4,
+                "recovery_group_ttl": 3,
+                "hierarchy_ttl": 2,
+                "session_messages": true,
+                "rate_limit_bps": 8000
+            },
+            "loss": {"kind": "bernoulli", "p": 0.02},
+            "effects": {"duplication": 0.01, "jitter_secs": 0.2},
+            "workload": {"adus": 30, "interval_secs": 2, "payload_bytes": 128},
+            "settle_secs": 500
+        }"#;
         let sc = Scenario {
             topology: TopologySpec::BoundedTree { n: 200, degree: 4 },
             seed: 7,
@@ -704,8 +579,7 @@ mod tests {
             },
             settle_secs: 500.0,
         };
-        let parsed = Scenario::from_json(&sc.to_json()).unwrap();
-        assert_eq!(parsed, sc);
+        assert_eq!(Scenario::from_json(s).unwrap(), sc);
     }
 
     #[test]
@@ -727,16 +601,66 @@ mod tests {
     }
 
     #[test]
-    fn scope_and_source_variants_roundtrip() {
-        for scope in [ScopeSpec::Global, ScopeSpec::Admin, ScopeSpec::Ttl { ttl: 9 }] {
-            let mut sc = Scenario::from_json(
-                r#"{"topology": {"kind": "chain", "n": 4}, "members": "all"}"#,
-            )
-            .unwrap();
-            sc.config.scope = scope.clone();
-            let parsed = Scenario::from_json(&sc.to_json()).unwrap();
-            assert_eq!(parsed.config.scope, scope);
-            assert_eq!(parsed.source, None);
+    fn every_variant_parses() {
+        // A minimal scenario with `field` set to `json`.
+        let parse = |field: &str, json: &str| {
+            let topology = if field == "topology" { json } else { r#"{"kind": "chain", "n": 4}"# };
+            let members = if field == "members" { json } else { r#""all""# };
+            let extra = match field {
+                "topology" | "members" => String::new(),
+                _ => format!(r#", "{field}": {json}"#),
+            };
+            let doc = format!(r#"{{"topology": {topology}, "members": {members}{extra}}}"#);
+            Scenario::from_json(&doc).unwrap()
+        };
+        let topologies = [
+            (r#"{"kind": "chain", "n": 4}"#, TopologySpec::Chain { n: 4 }),
+            (r#"{"kind": "star", "leaves": 5}"#, TopologySpec::Star { leaves: 5 }),
+            (r#"{"kind": "bounded_tree", "n": 9, "degree": 3}"#, TopologySpec::BoundedTree { n: 9, degree: 3 }),
+            (r#"{"kind": "random_tree", "n": 6}"#, TopologySpec::RandomTree { n: 6 }),
+            (r#"{"kind": "random_graph", "n": 6, "m": 8}"#, TopologySpec::RandomGraph { n: 6, m: 8 }),
+        ];
+        for (json, want) in topologies {
+            assert_eq!(parse("topology", json).topology, want, "{json}");
+        }
+        let members = [
+            ("[1, 2]", MembersSpec::List(vec![1, 2])),
+            (r#"{"random": 3}"#, MembersSpec::Random { random: 3 }),
+            (r#""all""#, MembersSpec::All(AllTag::All)),
+        ];
+        for (json, want) in members {
+            assert_eq!(parse("members", json).members, want, "{json}");
+        }
+        let timers = [
+            (r#""fixed""#, TimersSpec::Preset(TimerPreset::Fixed)),
+            (r#""adaptive""#, TimersSpec::Preset(TimerPreset::Adaptive)),
+            (r#""wb159""#, TimersSpec::Preset(TimerPreset::Wb159)),
+            (r#"{"c1": 1, "c2": 2, "d1": 3, "d2": 4}"#, TimersSpec::Explicit { c1: 1.0, c2: 2.0, d1: 3.0, d2: 4.0 }),
+        ];
+        for (json, want) in timers {
+            let sc = parse("config", &format!(r#"{{"timers": {json}}}"#));
+            assert_eq!(sc.config.timers, want, "{json}");
+        }
+        let scopes = [
+            (r#""global""#, ScopeSpec::Global),
+            (r#""admin""#, ScopeSpec::Admin),
+            (r#"{"ttl": {"ttl": 9}}"#, ScopeSpec::Ttl { ttl: 9 }),
+        ];
+        for (json, want) in scopes {
+            let sc = parse("config", &format!(r#"{{"scope": {json}}}"#));
+            assert_eq!(sc.config.scope, want, "{json}");
+            assert_eq!(sc.source, None);
+        }
+        let losses = [
+            (r#"{"kind": "none"}"#, LossSpec::None),
+            (r#"{"kind": "bernoulli", "p": 0.5}"#, LossSpec::Bernoulli { p: 0.5 }),
+            (
+                r#"{"kind": "scripted", "a": 1, "b": 2, "ordinals": [1, 3]}"#,
+                LossSpec::Scripted { a: 1, b: 2, ordinals: vec![1, 3] },
+            ),
+        ];
+        for (json, want) in losses {
+            assert_eq!(parse("loss", json).loss, want, "{json}");
         }
     }
 }

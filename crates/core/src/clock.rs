@@ -110,18 +110,6 @@ impl DistanceEstimator {
         self.peers.len()
     }
 
-    /// "Members can also use session messages in SRM to determine the
-    /// current participants of the session": peers heard within `window`
-    /// of `now`, ascending. Members that left (or are partitioned away)
-    /// age out of this list while remaining known for distance purposes.
-    pub fn active_peers(&self, now: SimTime, window: SimDuration) -> Vec<SourceId> {
-        self.peers
-            .iter()
-            .filter(|(_, pc)| elapsed(now, pc.received_at) <= window)
-            .map(|(&p, _)| p)
-            .collect()
-    }
-
     /// Override the estimate for `peer` (used by tests and by experiment
     /// setups that assume converged estimates).
     pub fn set_distance(&mut self, peer: SourceId, d: SimDuration) {
@@ -211,24 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn active_peers_age_out() {
-        let mut est = DistanceEstimator::new(SimDuration::from_secs(1));
-        est.note_timestamp(SourceId(2), SimTime::ZERO, SimTime::from_secs(60));
-        est.note_timestamp(SourceId(3), SimTime::ZERO, SimTime::from_secs(100));
-        let w = SimDuration::from_secs(60);
-        assert_eq!(
-            est.active_peers(SimTime::from_secs(110), w),
-            vec![SourceId(2), SourceId(3)]
-        );
-        // Peer 2 falls silent past the window; it stays known but inactive.
-        assert_eq!(
-            est.active_peers(SimTime::from_secs(140), w),
-            vec![SourceId(3)]
-        );
-        assert_eq!(est.peer_count(), 2);
-    }
-
-    #[test]
     fn an_echo_from_the_future_leaves_the_estimate_alone() {
         let mut est = DistanceEstimator::new(SimDuration::from_secs(1));
         est.set_distance(B, SimDuration::from_secs(3));
@@ -250,7 +220,6 @@ mod tests {
         let echoes = est.make_echoes(now);
         assert_eq!(echoes[0].their_ts, SimTime::from_secs(100));
         assert_eq!(echoes[0].delay, SimDuration::ZERO);
-        assert_eq!(est.active_peers(now, SimDuration::from_secs(1)), vec![B]);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! sequence numbers am I missing?* (gap detection).
 //!
 //! "This does not require that all session members keep all of the data all
-//! of the time" — a retention limit can evict old ADUs; reliability only
-//! needs each item to survive *somewhere* in the session.
+//! of the time": with a log attached, a bounded cache keeps only the
+//! newest payloads in RAM, and reliability only needs each item to survive
+//! *somewhere* in the session.
 //!
 //! # Durability
 //!
@@ -276,9 +277,6 @@ impl Stream {
 #[derive(Debug, Default)]
 pub struct AduStore {
     streams: BTreeMap<(SourceId, PageId), Stream>,
-    /// If set, keep at most this many ADUs per stream, evicting the lowest
-    /// sequence numbers first.
-    pub retention_per_stream: Option<usize>,
     /// With persistence attached: keep at most this many *payloads* per
     /// stream in RAM; older ones spill to the log and are re-read on
     /// demand by [`AduStore::fetch`]. Ignored without persistence.
@@ -301,11 +299,10 @@ pub struct AduStore {
 }
 
 impl AduStore {
-    /// Empty store with unlimited retention.
+    /// Empty store, every payload kept in RAM.
     pub fn new() -> Self {
         AduStore {
             streams: BTreeMap::new(),
-            retention_per_stream: None,
             cache_per_stream: None,
             gap_cap: 4096,
             persistence: None,
@@ -377,10 +374,7 @@ impl AduStore {
     /// payload: "the name always refers to the same data". A name already
     /// durable on disk (even if evicted from RAM) counts as held.
     pub fn insert(&mut self, name: AduName, payload: Bytes) -> bool {
-        let cache_limit = match (&self.persistence, self.cache_per_stream) {
-            (Some(_), Some(cache)) => Some(cache),
-            _ => self.retention_per_stream,
-        };
+        let cache_limit = self.persistence.as_ref().and(self.cache_per_stream);
         let (seq, slot) = (name.seq.0, name.seq.0 % CHUNK);
         let s = self.streams.entry((name.source, name.page)).or_default();
         if s.holds(seq) {
@@ -403,9 +397,7 @@ impl AduStore {
         if let Some(limit) = cache_limit {
             while s.in_ram > limit {
                 s.evict_lowest();
-                if self.persistence.is_some() {
-                    self.evictions += 1;
-                }
+                self.evictions += 1;
             }
         }
         true
@@ -588,10 +580,17 @@ mod tests {
     struct FakeLog {
         records: BTreeMap<AduName, Bytes>,
         stats: PersistenceStats,
+        /// Fail every append, as a log whose disk is gone does: a spilled
+        /// payload is then lost with its name.
+        refuse: bool,
     }
 
     impl Persistence for FakeLog {
         fn persist(&mut self, name: AduName, payload: &Bytes) -> bool {
+            if self.refuse {
+                self.stats.io_errors += 1;
+                return false;
+            }
             self.records.insert(name, payload.clone());
             self.stats.appends += 1;
             true
@@ -672,10 +671,18 @@ mod tests {
         assert_eq!(state, vec![(SRC, SeqNo(5)), (other, SeqNo(7))]);
     }
 
-    #[test]
-    fn retention_evicts_oldest() {
+    /// A store whose log refuses every append, keeping `cache` payloads
+    /// per stream: what it evicts is gone.
+    fn failing_log_store(cache: usize) -> AduStore {
         let mut st = AduStore::new();
-        st.retention_per_stream = Some(2);
+        st.cache_per_stream = Some(cache);
+        st.attach_persistence(Box::new(FakeLog { refuse: true, ..FakeLog::default() }));
+        st
+    }
+
+    #[test]
+    fn a_payload_the_log_refused_is_lost_when_evicted() {
+        let mut st = failing_log_store(2);
         st.insert(n(0), Bytes::new());
         st.insert(n(1), Bytes::new());
         st.insert(n(2), Bytes::new());
@@ -733,8 +740,7 @@ mod tests {
 
     #[test]
     fn a_mark_sticks_to_a_held_name_and_goes_with_its_chunk() {
-        let mut st = AduStore::new();
-        st.retention_per_stream = Some(1);
+        let mut st = failing_log_store(1);
         st.mark(&n(3));
         assert!(!st.marked(&n(3)), "nothing held, nothing to mark");
         st.insert(n(3), Bytes::new());
@@ -774,9 +780,8 @@ mod tests {
         let s = &st.streams[&(SRC, page())];
         assert_eq!(s.chunks[&0].slots.capacity(), 0);
         assert_eq!(s.chunks[&0].durable.count_ones(), 54);
-        // Without one, a chunk that empties is gone.
-        let mut st = AduStore::new();
-        st.retention_per_stream = Some(1);
+        // With a log that refused them, a chunk that empties is gone.
+        let mut st = failing_log_store(1);
         for q in 0..=CHUNK {
             st.insert(n(q), Bytes::new());
         }

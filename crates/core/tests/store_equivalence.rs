@@ -1,7 +1,7 @@
 //! The sequence-indexed [`srm::AduStore`] against its tree-based reference
 //! model (`store_model/`): the same random script — in-order runs, late and
-//! repeated inserts, session-message jumps beyond `gap_cap`, retention and
-//! cache eviction, spill and read-through, crash and rehydrate — must get
+//! repeated inserts, session-message jumps beyond `gap_cap`, cache
+//! eviction, spill and read-through, crash and rehydrate — must get
 //! the same answer to every question and leave the same `evictions` and
 //! `disk_fetches` behind, step by step.
 
@@ -45,16 +45,7 @@ impl Persistence for FakeLog {
 }
 
 fn arb_setup() -> impl Strategy<Value = Setup> {
-    (
-        prop::option::of(0usize..70),
-        prop::option::of(1usize..70),
-        1u64..40,
-    )
-        .prop_map(|(retention, cache, gap_cap)| Setup {
-            retention,
-            cache,
-            gap_cap,
-        })
+    (prop::option::of(1usize..70), 1u64..40).prop_map(|(cache, gap_cap)| Setup { cache, gap_cap })
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<RawOp>> {

@@ -32,7 +32,6 @@ impl ModelStream {
 #[derive(Default)]
 pub struct Model {
     streams: BTreeMap<(SourceId, PageId), ModelStream>,
-    retention_per_stream: Option<usize>,
     cache_per_stream: Option<usize>,
     gap_cap: u64,
     persistence: Option<Box<dyn Persistence>>,
@@ -54,11 +53,7 @@ impl Model {
     }
 
     fn insert(&mut self, name: AduName, payload: Bytes) -> bool {
-        let cache_limit = match (&self.persistence, self.cache_per_stream) {
-            (Some(_), Some(cache)) => Some(cache),
-            _ => self.retention_per_stream,
-        };
-        let has_persistence = self.persistence.is_some();
+        let cache_limit = self.persistence.as_ref().and(self.cache_per_stream);
         let s = self.streams.entry((name.source, name.page)).or_default();
         let fresh = !s.holds(&name.seq);
         if fresh {
@@ -74,9 +69,7 @@ impl Model {
             if let Some(limit) = cache_limit {
                 while s.data.len() > limit {
                     s.data.pop_first();
-                    if has_persistence {
-                        self.evictions += 1;
-                    }
+                    self.evictions += 1;
                 }
             }
         }
@@ -178,7 +171,6 @@ impl Model {
 /// How one case is configured.
 #[derive(Clone, Copy, Debug)]
 pub struct Setup {
-    pub retention: Option<usize>,
     pub cache: Option<usize>,
     /// Small, so a script can afford to jump beyond it.
     pub gap_cap: u64,
@@ -200,7 +192,6 @@ fn stream(i: u8) -> (SourceId, PageId) {
 
 fn build(setup: &Setup, log: Option<Box<dyn Persistence>>) -> AduStore {
     let mut st = AduStore::new();
-    st.retention_per_stream = setup.retention;
     st.cache_per_stream = setup.cache;
     st.gap_cap = setup.gap_cap;
     if let Some(p) = log {
@@ -211,7 +202,6 @@ fn build(setup: &Setup, log: Option<Box<dyn Persistence>>) -> AduStore {
 
 fn build_model(setup: &Setup, log: Option<Box<dyn Persistence>>) -> Model {
     Model {
-        retention_per_stream: setup.retention,
         cache_per_stream: setup.cache,
         gap_cap: setup.gap_cap,
         persistence: log,
@@ -253,7 +243,7 @@ pub fn run(
         let what = format!("{:?}", (kind, si, a, n));
         match kind % 10 {
             // An in-order run: through `FIRST_SLOTS`, across chunk borders,
-            // and past any retention or cache limit.
+            // and past any cache limit.
             0..=3 => {
                 for seq in *cursor..*cursor + 1 + u64::from(n % 100) {
                     let missing = (

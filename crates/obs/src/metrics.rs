@@ -11,13 +11,10 @@
 //!
 //! A periodic [`MetricsRegistry::snapshot`] freezes every instrument into
 //! a [`MetricsSnapshot`]: a versioned, self-describing value that
-//! serializes to one JSONL line ([`MetricsSnapshot::to_json_line`]) or a
-//! Prometheus-style text exposition
-//! ([`MetricsSnapshot::render_prometheus`]).  Counters are cumulative, so
-//! rates are derived *between* snapshots: [`MetricsSnapshot::delta_since`]
-//! subtracts an earlier snapshot restart-aware (a counter that went
-//! backwards is treated as reset, not negative), and
-//! [`MetricsSnapshot::rate`] divides by the elapsed interval.
+//! serializes to one JSONL line ([`MetricsSnapshot::to_json_line`]), the
+//! one export format. Counters are cumulative, so rates are derived
+//! *between* snapshots, by whoever reads the lines (`srm-experiments
+//! monitor`).
 //!
 //! Histograms are [`LogHistogram`]s underneath — the same quarter-octave
 //! buckets the report pipeline uses — recorded through a fixed-size array
@@ -324,57 +321,7 @@ pub struct MetricsSnapshot {
     pub hists: BTreeMap<String, LogHistogram>,
 }
 
-/// Restart-aware counter subtraction: a counter that went backwards means
-/// the emitting process restarted (or the counter wrapped), so the later
-/// value *is* the delta since the reset.
-fn counter_delta(later: u64, earlier: u64) -> u64 {
-    if later >= earlier {
-        later - earlier
-    } else {
-        later
-    }
-}
-
 impl MetricsSnapshot {
-    /// The interval between two snapshots, in seconds; `None` when `self`
-    /// is not later than `prev` (clock restart — rates are undefined).
-    pub fn elapsed_since(&self, prev: &MetricsSnapshot) -> Option<f64> {
-        (self.at > prev.at).then(|| self.at.since(prev.at).as_secs_f64())
-    }
-
-    /// The change in each instrument since `prev`.
-    ///
-    /// Counters subtract restart-aware (a value that went backwards is a
-    /// reset, and the later value is the delta).
-    /// Counters present only in `self` (registered after `prev` was taken)
-    /// pass through whole.  Gauges and histograms are levels/cumulative
-    /// state, not flows: the delta carries `self`'s values unchanged.
-    /// `seq`/`at` are `self`'s.
-    pub fn delta_since(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), counter_delta(v, prev.counters.get(k).copied().unwrap_or(0))))
-            .collect();
-        MetricsSnapshot {
-            version: self.version,
-            seq: self.seq,
-            at: self.at,
-            counters,
-            gauges: self.gauges.clone(),
-            hists: self.hists.clone(),
-        }
-    }
-
-    /// Per-second rate of counter `name` between `prev` and `self`, or
-    /// `None` if the counter is absent or the interval is not positive.
-    pub fn rate(&self, prev: &MetricsSnapshot, name: &str) -> Option<f64> {
-        let later = *self.counters.get(name)?;
-        let earlier = prev.counters.get(name).copied().unwrap_or(0);
-        let dt = self.elapsed_since(prev)?;
-        Some(counter_delta(later, earlier) as f64 / dt)
-    }
-
     /// One JSONL line (no trailing newline):
     ///
     /// ```json
@@ -433,43 +380,6 @@ impl MetricsSnapshot {
         s.push_str("}}");
         s
     }
-
-    /// Prometheus-style text exposition.  Every metric name is prefixed
-    /// (`srm_` by convention) and sanitized to `[a-zA-Z0-9_]`; histograms
-    /// expose `_count`, `_sum` and quantile gauges.
-    pub fn render_prometheus(&self, prefix: &str) -> String {
-        let mut s = String::with_capacity(512);
-        let name = |k: &str| -> String {
-            let mut n = String::with_capacity(prefix.len() + k.len());
-            n.push_str(prefix);
-            for c in k.chars() {
-                n.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
-            }
-            n
-        };
-        for (k, v) in &self.counters {
-            let n = name(k);
-            let _ = writeln!(s, "# TYPE {n} counter");
-            let _ = writeln!(s, "{n} {v}");
-        }
-        for (k, v) in &self.gauges {
-            let n = name(k);
-            let _ = writeln!(s, "# TYPE {n} gauge");
-            let _ = writeln!(s, "{n} {v}");
-        }
-        for (k, h) in &self.hists {
-            let n = name(k);
-            let _ = writeln!(s, "# TYPE {n} summary");
-            let _ = writeln!(s, "{n}_count {}", h.count());
-            let _ = writeln!(s, "{n}_sum {}", fmt_f64(h.sum()));
-            for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                if let Some(v) = h.quantile(q) {
-                    let _ = writeln!(s, "{n}{{quantile=\"{label}\"}} {}", fmt_f64(v));
-                }
-            }
-        }
-        s
-    }
 }
 
 /// JSON-safe float formatting: finite values print plainly, non-finite
@@ -485,7 +395,6 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimDuration;
 
     #[test]
     fn counters_and_gauges_share_cells_by_name() {
@@ -545,49 +454,6 @@ mod tests {
         assert_eq!(reg.snapshot().seq, 1);
     }
 
-    fn snap_at(secs: f64, counters: &[(&str, u64)]) -> MetricsSnapshot {
-        MetricsSnapshot {
-            version: SNAPSHOT_VERSION,
-            seq: 0,
-            at: SimTime::ZERO + SimDuration::from_secs_f64(secs),
-            counters: counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
-        }
-    }
-
-    #[test]
-    fn delta_and_rate_between_snapshots() {
-        let a = snap_at(1.0, &[("tx", 100)]);
-        let b = snap_at(3.0, &[("tx", 150)]);
-        let d = b.delta_since(&a);
-        assert_eq!(d.counters["tx"], 50);
-        assert_eq!(b.rate(&a, "tx"), Some(25.0));
-        assert_eq!(b.rate(&a, "nope"), None);
-    }
-
-    #[test]
-    fn delta_treats_backwards_counters_as_restart() {
-        // The emitting process restarted: the counter fell from 1000 to 7.
-        let before = snap_at(10.0, &[("tx", 1000)]);
-        let after = snap_at(12.0, &[("tx", 7)]);
-        let d = after.delta_since(&before);
-        assert_eq!(d.counters["tx"], 7, "later value is the delta since reset");
-        assert_eq!(after.rate(&before, "tx"), Some(3.5));
-        // A counter that appears only in the later snapshot passes whole.
-        let grown = snap_at(13.0, &[("tx", 8), ("new", 4)]);
-        assert_eq!(grown.delta_since(&after).counters["new"], 4);
-    }
-
-    #[test]
-    fn rate_is_none_without_forward_time() {
-        let a = snap_at(5.0, &[("tx", 1)]);
-        let b = snap_at(5.0, &[("tx", 2)]);
-        assert_eq!(b.rate(&a, "tx"), None, "no elapsed interval");
-        let earlier = snap_at(4.0, &[("tx", 2)]);
-        assert_eq!(earlier.rate(&a, "tx"), None, "clock went backwards");
-    }
-
     #[test]
     fn json_line_is_stable_and_complete() {
         let reg = MetricsRegistry::new();
@@ -601,22 +467,6 @@ mod tests {
         assert!(line.contains("\"hists\":{\"lat\":{\"count\":1"), "{line}");
         assert!(line.contains("\"buckets\":[[-4,1]]"), "{line}");
         assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn prometheus_exposition_has_types_and_quantiles() {
-        let reg = MetricsRegistry::new();
-        reg.counter("tx.frames").add(2);
-        reg.gauge("depth").set(1);
-        let h = reg.histogram("lat");
-        h.record(1.0);
-        h.record(2.0);
-        let text = reg.snapshot().render_prometheus("srm_");
-        assert!(text.contains("# TYPE srm_tx_frames counter"), "{text}");
-        assert!(text.contains("srm_tx_frames 2"), "{text}");
-        assert!(text.contains("# TYPE srm_depth gauge"), "{text}");
-        assert!(text.contains("srm_lat_count 2"), "{text}");
-        assert!(text.contains("srm_lat{quantile=\"0.5\"}"), "{text}");
     }
 
     #[test]

@@ -152,12 +152,12 @@ proptest! {
 
     #[test]
     fn store_over_the_wal_matches_the_model(
-        (retention, cache, gap_cap) in (prop::option::of(0usize..70), prop::option::of(1usize..70), 1u64..40),
+        (cache, gap_cap) in (prop::option::of(1usize..70), 1u64..40),
         // Runs of at most 24 ADUs: the log compacts every few appends.
         ops in prop::collection::vec((0u8..10, 0u8..3, any::<u64>(), 0u8..24), 1..60),
         cfg in arb_config(),
     ) {
-        let setup = store_model::Setup { retention, cache, gap_cap };
+        let setup = store_model::Setup { cache, gap_cap };
         let log = || -> Option<Box<dyn Persistence>> {
             Some(Box::new(DurableStore::new(Box::new(MemBackend::new()), cfg)))
         };

@@ -35,19 +35,24 @@ use std::time::Duration;
 /// every syscall is also a potential context switch — move big batches).
 pub const MAX_BATCH: usize = 256;
 
-/// Tuning for the batched datapath, carried in
+/// Max datagrams a reactor drains per receive syscall.
+pub const RECV_BATCH: usize = 32;
+
+/// Max frames per send syscall when a reactor flushes its queue.
+pub const SEND_BATCH: usize = 32;
+
+/// Slabs in each buffer pool: the receive pool's slabs hold one max-size
+/// UDP datagram each, so more of them let more frames wait in a hub
+/// shard's inbox without falling back to heap buffers; the send pool's
+/// hold one encoded frame each, and outnumber a send batch.
+pub const POOL_SLABS: usize = 64;
+
+const _: () = assert!(RECV_BATCH <= MAX_BATCH && SEND_BATCH <= MAX_BATCH && SEND_BATCH < POOL_SLABS);
+
+/// Socket options for the batched datapath, carried in
 /// [`NodeOptions`](crate::NodeOptions).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
-    /// Max datagrams drained per receive syscall (clamped to
-    /// [`MAX_BATCH`]; 1 behaves like the portable backend).
-    pub recv_batch: usize,
-    /// Max frames per send syscall when flushing the reactor's queue.
-    pub send_batch: usize,
-    /// Receive-pool slabs. Each slab holds one max-size UDP datagram;
-    /// more slabs let more frames wait in a hub shard's inbox without
-    /// falling back to heap buffers.
-    pub pool_slabs: usize,
     /// Requested kernel socket buffer size (`SO_RCVBUF`/`SO_SNDBUF`),
     /// applied at spawn where the platform allows (Linux; silently
     /// clamped to `net.core.{r,w}mem_max`). Batched senders burst far
@@ -55,16 +60,13 @@ pub struct BatchOptions {
     /// is what absorbs a flush while the receiver drains.
     pub socket_bufs: usize,
     /// Force the portable one-at-a-time backend even where `mmsg` is
-    /// available (the equivalence test and `--batch 0` use this).
+    /// available (the backend-equivalence tests use this).
     pub force_portable: bool,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
-            recv_batch: 32,
-            send_batch: 32,
-            pool_slabs: 64,
             socket_bufs: 4 * 1024 * 1024,
             force_portable: false,
         }
@@ -1008,12 +1010,5 @@ mod tests {
         rx.recv_batch(&pool, 4, &mut got).unwrap();
         assert_eq!(&*got[0].buf, b"starved");
         assert!(pool.stats().1 >= 1, "dry pool must count a miss");
-    }
-
-    #[test]
-    fn batch_options_defaults_are_generous() {
-        let o = BatchOptions::default();
-        assert!(o.recv_batch >= 16 && o.recv_batch <= MAX_BATCH);
-        assert!(!o.force_portable);
     }
 }

@@ -27,16 +27,17 @@
 
 use srm_transport::control::serve;
 use srm_transport::hub::{Hub, HubOptions};
-use std::io::{BufReader, Write as _};
+use srm_transport::StatsSink;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 usage: srm-hub --bind ADDR [--control ADDR] [--shards N] [--seed N]
-               [--store DIR] [--batch N] [--pool N]
+               [--store DIR]
                [--stats-file FILE] [--stats-interval F]
                [--duration SECS] [--quiet]
 
@@ -47,9 +48,6 @@ usage: srm-hub --bind ADDR [--control ADDR] [--shards N] [--seed N]
   --shards N        shard reactor threads; groups hash onto them (default 4)
   --seed N          hub seed; each group's RNG derives from it (default 1)
   --store DIR       durable ADU stores: group G logs under DIR/G/
-  --batch N         frames per recv/send syscall (default 32; 0 forces the
-                    portable one-at-a-time backend)
-  --pool N          receive/send buffer-pool slabs (default 64)
   --stats-file F    append a metrics-snapshot JSONL line to F every
                     --stats-interval seconds (flushed per line)
   --stats-interval  seconds between snapshots (default 1)
@@ -77,8 +75,6 @@ struct Args {
     shards: usize,
     seed: u64,
     store: Option<PathBuf>,
-    batch: Option<usize>,
-    pool: Option<usize>,
     stats_file: Option<String>,
     stats_interval: f64,
     duration: Option<f64>,
@@ -92,8 +88,6 @@ fn parse_args() -> Args {
     let mut shards = 4usize;
     let mut seed = 1u64;
     let mut store = None;
-    let mut batch = None;
-    let mut pool = None;
     let mut stats_file = None;
     let mut stats_interval = 1.0f64;
     let mut duration = None;
@@ -133,22 +127,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--seed must be an integer"))
             }
             "--store" => store = Some(PathBuf::from(next(&mut argv, "--store"))),
-            "--batch" => {
-                batch = Some(
-                    next(&mut argv, "--batch")
-                        .parse()
-                        .unwrap_or_else(|_| die("--batch must be an integer")),
-                )
-            }
-            "--pool" => {
-                let n: usize = next(&mut argv, "--pool")
-                    .parse()
-                    .unwrap_or_else(|_| die("--pool must be an integer"));
-                if n == 0 {
-                    die("--pool must be at least 1");
-                }
-                pool = Some(n);
-            }
             "--stats-file" => stats_file = Some(next(&mut argv, "--stats-file")),
             "--stats-interval" => {
                 stats_interval = next(&mut argv, "--stats-interval")
@@ -179,8 +157,6 @@ fn parse_args() -> Args {
         shards,
         seed,
         store,
-        batch,
-        pool,
         stats_file,
         stats_interval,
         duration,
@@ -191,24 +167,12 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let registry = args.stats_file.is_some().then(obs::MetricsRegistry::new);
-    let mut opts = HubOptions {
+    let opts = HubOptions {
         shards: args.shards,
         seed: args.seed,
         metrics: registry.clone(),
         store_root: args.store.clone(),
-        ..HubOptions::default()
     };
-    match args.batch {
-        Some(0) => opts.batch.force_portable = true,
-        Some(n) => {
-            opts.batch.recv_batch = n;
-            opts.batch.send_batch = n;
-        }
-        None => {}
-    }
-    if let Some(n) = args.pool {
-        opts.batch.pool_slabs = n;
-    }
 
     let hub = match Hub::spawn(args.bind, opts) {
         Ok(h) => h,
@@ -229,34 +193,10 @@ fn main() {
 
     let quit = Arc::new(AtomicBool::new(false));
 
-    // Stats emitter: one flushed JSONL line per interval (same contract as
-    // srm-node's --stats-file: interruption loses at most one interval).
-    let stats_stop = Arc::new(AtomicBool::new(false));
-    let stats_thread = registry.map(|reg| {
-        let stop = Arc::clone(&stats_stop);
-        let path = args.stats_file.clone().expect("stats file set with registry");
+    let stats = registry.map(|reg| {
+        let path = args.stats_file.as_deref().expect("a registry means --stats-file");
         let interval = Duration::from_secs_f64(args.stats_interval);
-        std::thread::spawn(move || {
-            let mut file = match std::fs::File::create(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("srm-hub: {path}: {e}");
-                    return;
-                }
-            };
-            loop {
-                let stopping = stop.load(Ordering::Relaxed);
-                let snap = reg.snapshot();
-                let _ = writeln!(file, "{}", snap.to_json_line()).and_then(|()| file.flush());
-                if stopping {
-                    return;
-                }
-                let until = Instant::now() + interval;
-                while Instant::now() < until && !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        })
+        StatsSink::start(Path::new(path), reg, interval).unwrap_or_else(|e| die(&format!("{path}: {e}")))
     });
 
     // TCP control surface: non-blocking accept loop so it can notice quit;
@@ -321,9 +261,8 @@ fn main() {
         quit.store(true, Ordering::Relaxed);
         let _ = t.join();
     }
-    if let Some(t) = stats_thread {
-        stats_stop.store(true, Ordering::Relaxed);
-        let _ = t.join();
+    if let Some(sink) = stats {
+        sink.finish();
     }
     eprintln!(
         "srm-hub: done — groups_drained={} frames_attempted={} frames_sent={} send_errors={} \

@@ -11,7 +11,8 @@
 //! additionally multicasts each `--text` as one ADU. Both run for
 //! `--duration` seconds, print delivered ADUs, and with `--trace FILE`
 //! write the node's obs timeline as JSONL. `--chaos SPEC` applies a
-//! scripted chaos plan to the node's send path.
+//! scripted chaos plan to the node's send path; `--chaos drop=data:0`
+//! forces the loss of its first DATA frame, to watch SRM repair it.
 //!
 //! `monitor` joins the group **read-only**: it never sends a frame, and
 //! reconstructs per-member health — highest-seq lag, RTT from timestamp
@@ -47,11 +48,13 @@
 use bytes::Bytes;
 use netsim::GroupId;
 use srm_transport::{
-    Envelope, GroupMonitor, Mode, Node, NodeOptions, SoakOptions, StoreOptions, WallClock,
+    Envelope, GroupMonitor, Mode, Node, NodeOptions, SoakOptions, StatsSink, StoreOptions,
+    WallClock,
 };
 use srm::{LivenessConfig, PageId, SourceId, SrmConfig};
 use std::io::Write as _;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,14 +62,12 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "\
 usage: srm-node <join|send> --id N --bind ADDR (--peers A,B,.. | --mcast ADDR)
                 [--group N] [--members N] [--text STRING]... [--duration SECS]
-                [--trace FILE] [--trace-cap N] [--seed N] [--chaos SPEC]
-                [--stats-file FILE] [--stats-addr ADDR] [--stats-interval F]
+                [--trace FILE] [--seed N] [--chaos SPEC]
+                [--stats-file FILE] [--stats-interval F]
                 [--store DIR] [--fsync always|never|every=N]
-                [--store-cache N] [--snapshot-every N]
-                [--batch N] [--pool N] [--quiet]
+                [--store-cache N] [--snapshot-every N] [--quiet]
        srm-node monitor --bind ADDR [--mcast ADDR] [--group N]
-                [--duration SECS] [--refresh F] [--out FILE]
-                [--suspect F] [--dead F] [--quiet]
+                [--duration SECS] [--refresh F] [--out FILE] [--quiet]
        srm-node soak [--nodes N] [--secs F] [--adus N] [--chaos SPEC]
                 [--seed N] [--settle F] [--group N] [--trace FILE]
 
@@ -82,20 +83,17 @@ usage: srm-node <join|send> --id N --bind ADDR (--peers A,B,.. | --mcast ADDR)
   --group N   SRM group id (default 1)
   --members N expected session size, sets timer constants (default 3)
   --duration  seconds to stay in the session (default 10)
-  --trace F   write the obs timeline to F as JSONL on exit
+  --trace F   write the obs timeline to F as JSONL (drained about once a
+              second from a ring of 65536 events per recorder)
   --seed N    timer + chaos RNG seed (default derived from --id)
-  --drop-data N  force-drop this node's Nth outgoing DATA frame (0-based),
-              to demo loss recovery on a clean network
   --chaos S   scripted chaos spec, e.g.
               loss=0.1,dup=0.05,reorder=0.2:40ms,burst=0.9@1s+2s,blackhole=2@1s+3s
-              (blackhole peer indexes are 1-based into --peers)
+              (blackhole peer indexes are 1-based into --peers);
+              drop=data:N force-drops this node's Nth outgoing DATA frame
+              (0-based), to demo loss recovery on a clean network
   --quiet     do not print delivered ADUs (monitor: no health table)
-  --trace-cap N     bound the in-memory trace ring to N events (default
-              65536 when tracing; 0 = unbounded, the simulator's mode)
   --stats-file F    append a versioned metrics-snapshot JSONL line to F
               every --stats-interval seconds (flushed per line)
-  --stats-addr A    send a Prometheus-style text exposition to UDP A
-              every --stats-interval seconds
   --stats-interval  seconds between metric snapshots (default 1)
   --store DIR durable ADU store: log every ADU to a write-ahead log under
               DIR and rehydrate it on the next start, so a killed member
@@ -104,19 +102,14 @@ usage: srm-node <join|send> --id N --bind ADDR (--peers A,B,.. | --mcast ADDR)
   --store-cache N   keep at most N payloads per stream in RAM; older
               repairs are served from the log (default: keep all resident)
   --snapshot-every N  compact the log every N appends (0 = never)
-  --batch N   frames per recv/send syscall on the batched datapath
-              (default 32; 0 forces the portable one-at-a-time backend)
-  --pool N    receive/send buffer-pool slabs (default 64); more slabs
-              absorb bigger floods before falling back to heap buffers
   Typing `quit` on stdin leaves the session early but cleanly: sinks
   drain and the WAL flushes before exit.
   monitor only:
   --refresh F render the group-health table (and append an --out line)
               every F seconds (default 1)
-  --out F     append one monitor JSONL line per refresh to F
-  --suspect F silence (in nominal session intervals) before a member is
-              suspect (default 3)
-  --dead F    silence before a member is dead (default 8)
+  --out F     append one monitor JSONL line per refresh to F; a member
+              is suspect after 3 nominal session intervals of silence,
+              dead after 8
   soak only:
   --nodes N   mesh size (default 3)
   --secs F    scripted phase seconds (default 6)
@@ -134,16 +127,11 @@ struct Args {
     texts: Vec<String>,
     duration: f64,
     trace: Option<String>,
-    trace_cap: Option<usize>,
     seed: Option<u64>,
-    drop_data: Option<u64>,
     chaos: Option<String>,
     stats_file: Option<String>,
-    stats_addr: Option<SocketAddr>,
     stats_interval: f64,
     store: Option<StoreOptions>,
-    batch: Option<usize>,
-    pool: Option<usize>,
     quiet: bool,
 }
 
@@ -176,19 +164,14 @@ fn parse_args() -> Args {
     let mut texts = Vec::new();
     let mut duration = 10.0f64;
     let mut trace = None;
-    let mut trace_cap = None;
     let mut seed = None;
-    let mut drop_data = None;
     let mut chaos = None;
     let mut stats_file = None;
-    let mut stats_addr = None;
     let mut stats_interval = 1.0f64;
     let mut store_dir: Option<String> = None;
     let mut fsync: Option<String> = None;
     let mut store_cache: Option<usize> = None;
     let mut snapshot_every: Option<u64> = None;
-    let mut batch: Option<usize> = None;
-    let mut pool: Option<usize> = None;
     let mut quiet = false;
 
     let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
@@ -241,21 +224,7 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--duration must be seconds"))
             }
             "--trace" => trace = Some(next(&mut argv, "--trace")),
-            "--trace-cap" => {
-                trace_cap = Some(
-                    next(&mut argv, "--trace-cap")
-                        .parse()
-                        .unwrap_or_else(|_| die("--trace-cap must be an integer")),
-                )
-            }
             "--stats-file" => stats_file = Some(next(&mut argv, "--stats-file")),
-            "--stats-addr" => {
-                stats_addr = Some(
-                    next(&mut argv, "--stats-addr")
-                        .parse()
-                        .unwrap_or_else(|_| die("--stats-addr must be host:port")),
-                )
-            }
             "--stats-interval" => {
                 stats_interval = next(&mut argv, "--stats-interval")
                     .parse()
@@ -269,13 +238,6 @@ fn parse_args() -> Args {
                     next(&mut argv, "--seed")
                         .parse()
                         .unwrap_or_else(|_| die("--seed must be an integer")),
-                )
-            }
-            "--drop-data" => {
-                drop_data = Some(
-                    next(&mut argv, "--drop-data")
-                        .parse()
-                        .unwrap_or_else(|_| die("--drop-data must be an integer")),
                 )
             }
             "--chaos" => chaos = Some(next(&mut argv, "--chaos")),
@@ -296,22 +258,6 @@ fn parse_args() -> Args {
                         .parse()
                         .unwrap_or_else(|_| die("--snapshot-every must be an integer")),
                 )
-            }
-            "--batch" => {
-                batch = Some(
-                    next(&mut argv, "--batch")
-                        .parse()
-                        .unwrap_or_else(|_| die("--batch must be an integer")),
-                )
-            }
-            "--pool" => {
-                let n: usize = next(&mut argv, "--pool")
-                    .parse()
-                    .unwrap_or_else(|_| die("--pool must be an integer"));
-                if n == 0 {
-                    die("--pool must be at least 1");
-                }
-                pool = Some(n);
             }
             "--quiet" => quiet = true,
             "-h" | "--help" => {
@@ -364,16 +310,11 @@ fn parse_args() -> Args {
         texts,
         duration,
         trace,
-        trace_cap,
         seed,
-        drop_data,
         chaos,
         stats_file,
-        stats_addr,
         stats_interval,
         store,
-        batch,
-        pool,
         quiet,
     }
 }
@@ -393,7 +334,6 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
     let mut duration = 0.0f64;
     let mut refresh = 1.0f64;
     let mut out_path: Option<String> = None;
-    let mut liveness = LivenessConfig::default();
     let mut quiet = false;
     let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         argv.next()
@@ -434,16 +374,6 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
                 }
             }
             "--out" => out_path = Some(next(&mut argv, "--out")),
-            "--suspect" => {
-                liveness.suspect_after = next(&mut argv, "--suspect")
-                    .parse()
-                    .unwrap_or_else(|_| die("--suspect must be a number"))
-            }
-            "--dead" => {
-                liveness.dead_after = next(&mut argv, "--dead")
-                    .parse()
-                    .unwrap_or_else(|_| die("--dead must be a number"))
-            }
             "--quiet" => quiet = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -467,7 +397,7 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
         .expect("read timeout is settable");
 
     let clock = WallClock::new();
-    let mut mon = GroupMonitor::new(liveness);
+    let mut mon = GroupMonitor::new(LivenessConfig::default());
     let mut out = out_path.as_deref().map(create_sink);
     eprintln!(
         "srm-node: monitor on {bind} (group {group}), refresh {refresh:.1}s{}",
@@ -620,32 +550,16 @@ fn run_soak(mut argv: impl Iterator<Item = String>) -> ! {
     std::process::exit(if report.violations().is_empty() { 0 } else { 1 });
 }
 
-/// Default in-memory trace ring when `--trace` is on and `--trace-cap` is
-/// not given: enough for minutes of traffic, bounded against soaks.
-const DEFAULT_TRACE_CAP: usize = 65_536;
-
 fn main() {
     let args = parse_args();
     let source = SourceId(args.id);
     let cfg = SrmConfig::fixed(args.members);
     let mut opts = NodeOptions::new(source, GroupId(args.group), cfg);
     opts.trace = args.trace.is_some();
-    if opts.trace {
-        // 0 means unbounded — the simulator/golden mode.
-        opts.trace_capacity = match args.trace_cap {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => Some(DEFAULT_TRACE_CAP),
-        };
-    }
-    let registry = (args.stats_file.is_some() || args.stats_addr.is_some())
-        .then(obs::MetricsRegistry::new);
+    let registry = args.stats_file.is_some().then(obs::MetricsRegistry::new);
     opts.metrics = registry.clone();
     if let Some(s) = args.seed {
         opts.seed = s;
-    }
-    if let Some(n) = args.drop_data {
-        opts.loss = srm_transport::LossPolicy::none().drop_nth(netsim::flow::DATA, n);
     }
     if let Some(spec) = &args.chaos {
         let peers = match &args.mode {
@@ -660,18 +574,6 @@ fn main() {
         opts.liveness = Some(srm::LivenessConfig::default());
     }
     opts.store = args.store.clone();
-    match args.batch {
-        // 0 keeps the pooled datapath but moves one datagram per syscall.
-        Some(0) => opts.batch.force_portable = true,
-        Some(n) => {
-            opts.batch.recv_batch = n;
-            opts.batch.send_batch = n;
-        }
-        None => {}
-    }
-    if let Some(n) = args.pool {
-        opts.batch.pool_slabs = n;
-    }
 
     let node = match Node::spawn(args.bind, args.mode, opts) {
         Ok(n) => n,
@@ -693,39 +595,10 @@ fn main() {
         }
     }
 
-    // Stats emitter: one line (and/or one UDP exposition) per interval,
-    // flushed immediately so interruption loses at most one interval.
-    let stats_stop = Arc::new(AtomicBool::new(false));
-    let stats_thread = registry.clone().map(|reg| {
-        let stop = Arc::clone(&stats_stop);
-        let file_path = args.stats_file.clone();
-        let sink_addr = args.stats_addr;
+    let stats = registry.map(|reg| {
+        let path = args.stats_file.as_deref().expect("a registry means --stats-file");
         let interval = Duration::from_secs_f64(args.stats_interval);
-        std::thread::spawn(move || {
-            let mut file = file_path.as_deref().map(create_sink);
-            let sock = sink_addr.map(|_| {
-                UdpSocket::bind("0.0.0.0:0").expect("ephemeral stats socket binds")
-            });
-            loop {
-                let stopping = stop.load(Ordering::Relaxed);
-                let snap = reg.snapshot();
-                if let Some(f) = &mut file {
-                    let _ = writeln!(f, "{}", snap.to_json_line()).and_then(|()| f.flush());
-                }
-                if let (Some(s), Some(addr)) = (&sock, sink_addr) {
-                    let _ = s.send_to(snap.render_prometheus("srm").as_bytes(), addr);
-                }
-                if stopping {
-                    // That snapshot was the final, post-shutdown one.
-                    return;
-                }
-                // Sleep in short slices so shutdown emits promptly.
-                let until = Instant::now() + interval;
-                while Instant::now() < until && !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        })
+        StatsSink::start(Path::new(path), reg, interval).unwrap_or_else(|e| die(&format!("{path}: {e}")))
     });
 
     let mut trace_sink = args.trace.as_deref().map(create_sink);
@@ -832,9 +705,8 @@ fn main() {
             args.trace.as_deref().unwrap_or("-")
         );
     }
-    if let Some(t) = stats_thread {
-        stats_stop.store(true, Ordering::Relaxed);
-        let _ = t.join();
+    if let Some(sink) = stats {
+        sink.finish();
         eprintln!("srm-node: stats: final snapshot flushed");
     }
 }

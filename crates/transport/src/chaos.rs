@@ -4,10 +4,11 @@
 //! a [`ChaosPlan`] is the same scenario vocabulary translated to a live UDP
 //! node: Bernoulli and burst loss, duplication, reordering (frames held
 //! back on the reactor's delay queue), payload corruption, per-peer
-//! blackhole/partition windows, and delay jitter.  A [`ChaosTransport`]
-//! decorates any [`srm::Driver`] with the plan's randomized actions; the
-//! per-destination blackhole windows are RNG-free and applied on the send
-//! fan-out where destinations exist.
+//! blackhole/partition windows, delay jitter, and forced drops of the n-th
+//! frame of a flow ([`DropNth`], what recovery tests use to make the one
+//! loss they repair). A [`ChaosTransport`] decorates any [`srm::Driver`]
+//! with the plan's randomized actions; blackhole windows and forced drops
+//! are RNG-free and applied per destination on the send fan-out.
 //!
 //! Determinism: [`ChaosState`] owns its own seeded RNG, separate from the
 //! protocol's timer RNG, and [`ChaosState::verdict`] makes a *fixed number
@@ -23,7 +24,7 @@
 //! phantom ADU name.
 
 use bytes::Bytes;
-use netsim::{GroupId, SendOptions, SimDuration, SimTime, TimerId};
+use netsim::{flow, GroupId, SendOptions, SimDuration, SimTime, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use srm::{Clock, Driver, Transport};
@@ -76,6 +77,29 @@ impl Blackhole {
     }
 }
 
+/// A forced loss: the `nth` (0-based) frame of `flow` that reaches the
+/// fan-out, towards `peer` only when set. Frames are counted per
+/// destination (a mesh send to three peers is three frames), and a frame a
+/// blackhole swallowed is not counted. RNG-free, like a blackhole: a test
+/// forces exactly the loss it means to see repaired.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DropNth {
+    /// The flow whose frames are counted ([`netsim::flow`]).
+    pub flow: u32,
+    /// Which of them is dropped, from 0.
+    pub nth: u64,
+    /// The destination counted; `None` counts every destination.
+    pub peer: Option<SocketAddr>,
+}
+
+impl DropNth {
+    /// Does this rule count a `flow` frame towards `dest`? `dest = None`
+    /// (true multicast) only matches rules without a peer.
+    fn matches(&self, flow: u32, dest: Option<SocketAddr>) -> bool {
+        self.flow == flow && (self.peer.is_none() || self.peer == dest)
+    }
+}
+
 /// A scripted chaos schedule for one node's send path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosPlan {
@@ -96,6 +120,8 @@ pub struct ChaosPlan {
     pub bursts: Vec<BurstLoss>,
     /// Partition windows.
     pub blackholes: Vec<Blackhole>,
+    /// Forced drops.
+    pub drops: Vec<DropNth>,
     /// Restrict the whole plan to one multicast group: frames addressed
     /// to any other group pass through untouched *and undrawn* — they
     /// consume no RNG draws, so the verdict stream for the scoped group
@@ -165,6 +191,19 @@ impl ChaosPlan {
         self
     }
 
+    /// Drop the `nth` (0-based) frame of `flow`, counted over every
+    /// destination.
+    pub fn drop_nth(mut self, flow: u32, nth: u64) -> Self {
+        self.drops.push(DropNth { flow, nth, peer: None });
+        self
+    }
+
+    /// Drop the `nth` (0-based) frame of `flow` towards `peer`.
+    pub fn drop_nth_to(mut self, flow: u32, peer: SocketAddr, nth: u64) -> Self {
+        self.drops.push(DropNth { flow, nth, peer: Some(peer) });
+        self
+    }
+
     /// Scope the plan to one multicast group; other groups' frames pass
     /// through untouched, without consuming RNG draws.
     pub fn scoped_to(mut self, group: u32) -> Self {
@@ -185,6 +224,7 @@ impl ChaosPlan {
             && self.reorder_p <= 0.0
             && self.bursts.is_empty()
             && self.blackholes.is_empty()
+            && self.drops.is_empty()
     }
 
     /// The effective drop probability at `now`: the strongest active burst,
@@ -222,6 +262,50 @@ impl ChaosPlan {
             t = t.max(b.window.end);
         }
         t
+    }
+}
+
+/// The RNG-free part of a plan as the send fan-out applies it, per
+/// destination: the blackhole windows, and the drop rules with the frames
+/// each has counted so far.
+#[derive(Debug, Default)]
+pub(crate) struct Fanout {
+    blackholes: Vec<Blackhole>,
+    drops: Vec<(DropNth, u64)>,
+}
+
+/// Why the fan-out swallowed a frame.
+pub(crate) enum Cut {
+    /// An active blackhole window.
+    Blackholed,
+    /// A drop rule's n-th frame.
+    Dropped,
+}
+
+impl Fanout {
+    pub(crate) fn new(plan: Option<&ChaosPlan>) -> Self {
+        let Some(plan) = plan else { return Fanout::default() };
+        Fanout {
+            blackholes: plan.blackholes.clone(),
+            drops: plan.drops.iter().map(|&d| (d, 0)).collect(),
+        }
+    }
+
+    /// Is a `flow` frame towards `dest` swallowed at `now`, and why?
+    /// Blackholes come first, and a blackholed frame is not counted by
+    /// the drop rules.
+    pub(crate) fn cut(&mut self, now: SimTime, flow: u32, dest: Option<SocketAddr>) -> Option<Cut> {
+        if self.blackholes.iter().any(|b| b.matches(now, dest)) {
+            return Some(Cut::Blackholed);
+        }
+        let mut hit = false;
+        for (rule, seen) in &mut self.drops {
+            if rule.matches(flow, dest) {
+                hit |= *seen == rule.nth;
+                *seen += 1;
+            }
+        }
+        hit.then_some(Cut::Dropped)
     }
 }
 
@@ -473,66 +557,97 @@ impl<D: Driver> Transport for ChaosTransport<'_, D> {
 /// burst=P@START+LEN        correlated loss window
 /// blackhole=N@START+LEN    cut peer N (1-based index into `peers`)
 /// blackhole=all@START+LEN  cut every destination
+/// drop=FLOW:N              drop the N-th (0-based) frame of FLOW
+/// drop=FLOW:N@PEER         ... counting only frames towards peer PEER
 /// group=N                  scope the whole plan to multicast group N
 /// ```
 ///
-/// Durations accept `ms` and `s` suffixes (`40ms`, `2s`, `1.5s`).
-/// Example: `loss=0.12,dup=0.05,reorder=0.2:40ms,burst=0.8@2s+3s,blackhole=3@1s+3s`
+/// Durations accept `ms` and `s` suffixes (`40ms`, `2s`, `1.5s`). FLOW is
+/// `data`, `request`, `repair`, `session` or `parity`; peers are 1-based
+/// indexes into `peers`, as for `blackhole=`. A window whose end does not
+/// fit the clock is an error.
+/// Example: `loss=0.12,dup=0.05,reorder=0.2:40ms,burst=0.8@2s+3s,blackhole=3@1s+3s,drop=data:0`
 pub fn parse_spec(spec: &str, peers: &[SocketAddr]) -> Result<ChaosPlan, String> {
     let mut plan = ChaosPlan::new();
     for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
         let (key, val) = clause
             .split_once('=')
             .ok_or_else(|| format!("chaos clause `{clause}` missing `=`"))?;
-        let (key, val) = (key.trim(), val.trim());
-        match key {
-            "loss" => plan.loss_p = parse_p(val)?,
-            "dup" => plan.dup_p = parse_p(val)?,
-            "corrupt" => plan.corrupt_p = parse_p(val)?,
-            "reorder" => {
-                let (p, d) = val
-                    .split_once(':')
-                    .ok_or_else(|| format!("reorder needs P:DUR, got `{val}`"))?;
-                plan.reorder_p = parse_p(p)?;
-                plan.reorder_delay = parse_dur(d)?;
-            }
-            "jitter" => plan.jitter = parse_dur(val)?,
-            "burst" => {
-                let (p, window) = val
-                    .split_once('@')
-                    .ok_or_else(|| format!("burst needs P@START+LEN, got `{val}`"))?;
-                let (start, end) = parse_window(window)?;
-                plan = plan.loss_burst(parse_p(p)?, start, end);
-            }
-            "blackhole" => {
-                let (who, window) = val
-                    .split_once('@')
-                    .ok_or_else(|| format!("blackhole needs N@START+LEN, got `{val}`"))?;
-                let (start, end) = parse_window(window)?;
-                if who == "all" {
-                    plan = plan.blackhole_all(start, end);
-                } else {
-                    let n: usize = who
-                        .parse()
-                        .map_err(|_| format!("blackhole peer `{who}` is not a number or `all`"))?;
-                    let addr = *peers
-                        .get(n.checked_sub(1).ok_or("blackhole peers are 1-based")?)
-                        .ok_or_else(|| {
-                            format!("blackhole peer {n} out of range (have {})", peers.len())
-                        })?;
-                    plan = plan.blackhole(addr, start, end);
-                }
-            }
-            "group" => {
-                let g: u32 = val
-                    .parse()
-                    .map_err(|_| format!("chaos group `{val}` is not a group id"))?;
-                plan = plan.scoped_to(g);
-            }
-            other => return Err(format!("unknown chaos key `{other}`")),
-        }
+        plan = parse_clause(plan, key.trim(), val.trim(), peers)
+            .map_err(|e| format!("chaos clause `{}`: {e}", clause.trim()))?;
     }
     Ok(plan)
+}
+
+/// Add one `key=val` clause to `plan`.
+fn parse_clause(mut plan: ChaosPlan, key: &str, val: &str, peers: &[SocketAddr]) -> Result<ChaosPlan, String> {
+    match key {
+        "loss" => plan.loss_p = parse_p(val)?,
+        "dup" => plan.dup_p = parse_p(val)?,
+        "corrupt" => plan.corrupt_p = parse_p(val)?,
+        "reorder" => {
+            let (p, d) = val
+                .split_once(':')
+                .ok_or_else(|| format!("reorder needs P:DUR, got `{val}`"))?;
+            plan.reorder_p = parse_p(p)?;
+            plan.reorder_delay = parse_dur(d)?;
+        }
+        "jitter" => plan.jitter = parse_dur(val)?,
+        "burst" => {
+            let (p, window) = val
+                .split_once('@')
+                .ok_or_else(|| format!("burst needs P@START+LEN, got `{val}`"))?;
+            let (start, end) = parse_window(window)?;
+            plan = plan.loss_burst(parse_p(p)?, start, end);
+        }
+        "blackhole" => {
+            let (who, window) = val
+                .split_once('@')
+                .ok_or_else(|| format!("blackhole needs N@START+LEN, got `{val}`"))?;
+            let (start, end) = parse_window(window)?;
+            plan = match who {
+                "all" => plan.blackhole_all(start, end),
+                n => plan.blackhole(parse_peer(n, peers)?, start, end),
+            };
+        }
+        "drop" => {
+            let (rule, peer) = match val.split_once('@') {
+                Some((rule, n)) => (rule, Some(parse_peer(n, peers)?)),
+                None => (val, None),
+            };
+            let (flow, nth) = rule
+                .split_once(':')
+                .ok_or_else(|| format!("drop needs FLOW:N[@PEER], got `{val}`"))?;
+            let flow = match flow {
+                "data" => flow::DATA,
+                "request" => flow::REQUEST,
+                "repair" => flow::REPAIR,
+                "session" => flow::SESSION,
+                "parity" => flow::PARITY,
+                other => return Err(format!("unknown flow `{other}`")),
+            };
+            let nth = nth.parse().map_err(|_| format!("drop index `{nth}` is not a number"))?;
+            plan.drops.push(DropNth { flow, nth, peer });
+        }
+        "group" => {
+            let g: u32 = val
+                .parse()
+                .map_err(|_| format!("chaos group `{val}` is not a group id"))?;
+            plan = plan.scoped_to(g);
+        }
+        other => return Err(format!("unknown chaos key `{other}`")),
+    }
+    Ok(plan)
+}
+
+/// A 1-based index into `peers`.
+fn parse_peer(n: &str, peers: &[SocketAddr]) -> Result<SocketAddr, String> {
+    let n: usize = n.parse().map_err(|_| format!("peer `{n}` is not a number"))?;
+    let i = n.checked_sub(1).ok_or("peers are 1-based")?;
+    peers
+        .get(i)
+        .copied()
+        .ok_or_else(|| format!("peer {n} out of range (have {})", peers.len()))
 }
 
 fn parse_p(s: &str) -> Result<f64, String> {
@@ -556,14 +671,17 @@ fn parse_dur(s: &str) -> Result<SimDuration, String> {
     Err(format!("duration `{s}` needs an `ms` or `s` suffix"))
 }
 
-/// `START+LEN` → `[start, start+len)`.
+/// `START+LEN` → `[start, start+len)`, or an error when the end does not
+/// fit the clock.
 fn parse_window(s: &str) -> Result<(SimTime, SimTime), String> {
     let (start, len) = s
         .split_once('+')
         .ok_or_else(|| format!("window needs START+LEN, got `{s}`"))?;
-    let start = SimTime::ZERO + parse_dur(start)?;
-    let end = start + parse_dur(len)?;
-    Ok((start, end))
+    let start = parse_dur(start)?.as_nanos();
+    let end = start
+        .checked_add(parse_dur(len)?.as_nanos())
+        .ok_or_else(|| format!("window `{s}` ends past the clock's range"))?;
+    Ok((SimTime::from_nanos(start), SimTime::from_nanos(end)))
 }
 
 #[cfg(test)]
@@ -664,7 +782,8 @@ mod tests {
             vec!["127.0.0.1:1000".parse().unwrap(), "127.0.0.1:2000".parse().unwrap()];
         let plan = parse_spec(
             "loss=0.12,dup=0.05,corrupt=0.02,reorder=0.2:40ms,jitter=5ms,\
-             burst=0.8@2s+3s,blackhole=2@1s+3s,blackhole=all@10s+1.5s",
+             burst=0.8@2s+3s,blackhole=2@1s+3s,blackhole=all@10s+1.5s,\
+             drop=data:0,drop=session:3@2",
             &peers,
         )
         .unwrap();
@@ -682,6 +801,59 @@ mod tests {
         assert_eq!(plan.blackholes[0].peer, Some(peers[1]));
         assert_eq!(plan.blackholes[1].peer, None);
         assert_eq!(plan.healed_at(), t(11_500));
+        assert_eq!(
+            plan.drops,
+            vec![
+                DropNth { flow: flow::DATA, nth: 0, peer: None },
+                DropNth { flow: flow::SESSION, nth: 3, peer: Some(peers[1]) },
+            ]
+        );
+        assert!(!parse_spec("drop=data:0", &peers).unwrap().is_noop());
+    }
+
+    #[test]
+    fn a_window_whose_end_overflows_the_clock_is_rejected() {
+        // 1e10 s is 1e19 ns, inside u64; twice that is not.
+        for spec in ["burst=0.5@1e10s+1e10s", "blackhole=all@1e10s+1e10s"] {
+            let err = parse_spec(spec, &[]).unwrap_err();
+            assert!(err.contains(spec), "the error names the clause: {err}");
+        }
+        // The largest window that fits is accepted.
+        let plan = parse_spec("burst=0.5@1e10s+8e9s", &[]).unwrap();
+        assert!(plan.bursts[0].window.end > plan.bursts[0].window.start);
+    }
+
+    #[test]
+    fn a_drop_rule_counts_its_flows_frames_per_destination() {
+        let mut f = Fanout::new(Some(&ChaosPlan::new().drop_nth(flow::DATA, 1)));
+        let cut = |f: &mut Fanout, flow| f.cut(t(0), flow, None).is_some();
+        assert!(!cut(&mut f, flow::DATA));
+        assert!(cut(&mut f, flow::DATA));
+        assert!(!cut(&mut f, flow::DATA));
+        assert!(!cut(&mut f, flow::SESSION));
+    }
+
+    #[test]
+    fn a_per_peer_drop_rule_counts_only_that_peer() {
+        let a: SocketAddr = "127.0.0.1:1000".parse().unwrap();
+        let b: SocketAddr = "127.0.0.1:2000".parse().unwrap();
+        let plan = ChaosPlan::new().drop_nth_to(flow::DATA, b, 0);
+        let mut f = Fanout::new(Some(&plan));
+        assert!(f.cut(t(0), flow::DATA, Some(a)).is_none());
+        assert!(matches!(f.cut(t(0), flow::DATA, Some(b)), Some(Cut::Dropped)));
+        assert!(f.cut(t(0), flow::DATA, Some(b)).is_none());
+        // Multicast sends (no destination) never match a per-peer rule.
+        let mut q = Fanout::new(Some(&plan));
+        assert!(q.cut(t(0), flow::DATA, None).is_none());
+    }
+
+    #[test]
+    fn a_blackholed_frame_is_not_counted_by_a_drop_rule() {
+        let plan = ChaosPlan::new().blackhole_all(t(0), t(1000)).drop_nth(flow::DATA, 0);
+        let mut f = Fanout::new(Some(&plan));
+        assert!(matches!(f.cut(t(500), flow::DATA, None), Some(Cut::Blackholed)));
+        assert!(matches!(f.cut(t(1000), flow::DATA, None), Some(Cut::Dropped)));
+        assert!(f.cut(t(1000), flow::DATA, None).is_none());
     }
 
     #[test]
@@ -694,6 +866,9 @@ mod tests {
         assert!(parse_spec("blackhole=3@1s+1s", &[]).is_err(), "peer out of range");
         assert!(parse_spec("blackhole=0@1s+1s", &[]).is_err(), "peers are 1-based");
         assert!(parse_spec("group=nope", &[]).is_err());
+        assert!(parse_spec("drop=data", &[]).is_err(), "missing index");
+        assert!(parse_spec("drop=video:0", &[]).is_err(), "unknown flow");
+        assert!(parse_spec("drop=data:0@1", &[]).is_err(), "peer out of range");
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl Harness {
     ///
     /// `customize` runs once per node before spawn with the node's index,
     /// the full address list (index-aligned, e.g. for per-destination
-    /// [`crate::LossPolicy`] rules), and the default options to amend.
+    /// [`crate::ChaosPlan::drop_nth_to`] rules), and the default options to amend.
     pub fn loopback<F>(
         n: usize,
         group: GroupId,

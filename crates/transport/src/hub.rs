@@ -106,7 +106,7 @@ pub struct HubStats {
     pub frames_attempted: u64,
     /// Fan-out frames the kernel accepted.
     pub frames_sent: u64,
-    /// Fan-out frames a group's [`LossPolicy`](crate::LossPolicy) suppressed.
+    /// Fan-out frames a group's chaos drop rules suppressed.
     pub frames_dropped: u64,
     /// Fan-out frames swallowed by a group's chaos blackhole windows.
     pub blackholed: u64,
@@ -213,9 +213,6 @@ pub struct HubOptions {
     /// Hub seed; each group's RNG derives from it via [`group_seed`], so
     /// replays are per-group stable no matter which shard hosts the group.
     pub seed: u64,
-    /// Batched-datapath tuning, shared by shard 0's reads and every
-    /// reactor's send half.
-    pub batch: BatchOptions,
     /// Live metrics registry: per-group mirrors land as `hub.g{G}.*`,
     /// per-reactor gauges as `hub.shard{i}.*`, and the stage histograms
     /// and by-kind frame counts under the names a node uses. The hub-wide
@@ -233,7 +230,6 @@ impl Default for HubOptions {
         HubOptions {
             shards: 4,
             seed: 1,
-            batch: BatchOptions::default(),
             metrics: None,
             store_root: None,
         }
@@ -277,7 +273,7 @@ impl Hub {
             socket,
             opts.shards.max(1),
             HostKind::Hub,
-            opts.batch,
+            BatchOptions::default(),
             opts.metrics.clone(),
         )?;
         // Reactor 0 holds every shard's mailbox, so it starts last: when a
@@ -367,9 +363,10 @@ impl HubHandle {
 
     /// [`HubHandle::create`] from Rust: host a member described by the
     /// options a standalone node takes, so a hub group can carry a seeded
-    /// chaos plan, a loss policy, liveness tracking and recorders. The
-    /// per-socket field of `opts` (`batch`) does not apply — the hub's own
-    /// does. A group already hosted is an error.
+    /// chaos plan (forced drops included), liveness tracking and
+    /// recorders. The per-socket field of `opts` (`batch`) does not apply:
+    /// the hub's socket runs the defaults. A group already hosted is an
+    /// error.
     pub fn create_with(&self, mode: Mode, opts: NodeOptions) -> Result<CreateOutcome, String> {
         let members = mode.group_size();
         self.host(mode, opts, None, members, false)

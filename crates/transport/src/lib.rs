@@ -22,7 +22,8 @@
 //!   hosting groups on demand behind one, which reactor 0 reads.
 //! - [`Mode`]: real IP multicast (`join_multicast_v4`) or a unicast
 //!   loopback mesh (the CI-friendly stand-in for group delivery).
-//! - [`LossPolicy`]: deterministic send-side loss for recovery tests.
+//! - [`ChaosPlan`]: scripted faults on the send path, including the
+//!   deterministic forced drops recovery tests use.
 //! - [`Harness`]: in-process multi-node loopback sessions.
 //!
 //! The `srm-node` binary wraps all of this in a CLI (`join` / `send`,
@@ -61,6 +62,7 @@ pub mod monitor;
 pub mod pool;
 mod reactor;
 pub mod runtime;
+pub mod sink;
 pub mod soak;
 pub mod supervise;
 pub mod wheel;
@@ -80,7 +82,8 @@ pub use hub::{
 };
 pub use monitor::{GroupMonitor, MemberHealth};
 pub use pool::{BufferPool, PoolBuf};
-pub use runtime::{LossPolicy, Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
+pub use runtime::{Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
+pub use sink::StatsSink;
 pub use soak::{SoakOptions, SoakReport};
 pub use supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};
 pub use wheel::TimerWheel;

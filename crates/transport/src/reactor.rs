@@ -37,7 +37,7 @@
 //!   as a typed transport event on every reactor;
 //! - a [`GroupHost`] is the paper's light-weight session (§I) made
 //!   literal: an agent, a [`TimerWheel`], a seeded RNG, a peer list, and
-//!   the optional extras (loss policy, chaos state, token bucket, liveness,
+//!   the optional extras (chaos state, token bucket, liveness,
 //!   recorders, durable store). Every agent entry point goes through
 //!   `HostDriver`, the one wall-clock implementation of the [`srm::Driver`]
 //!   seam, so the protocol code that runs here is byte-for-byte the code
@@ -49,12 +49,12 @@
 //! it is answered.
 
 use crate::batch::{self, make_backend, BatchOptions, BatchSocket, Bell, RecvFrame, SendFrame};
-use crate::chaos::{Blackhole, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
+use crate::chaos::{ChaosState, ChaosTally, ChaosTransport, Cut, DelayQueue, Fanout};
 use crate::clock::WallClock;
 use crate::envelope::{Envelope, HEADER_LEN};
 use crate::hub::{shard_of, DrainOutcome, GroupStats};
 use crate::pool::{BufferPool, PoolBuf};
-use crate::runtime::{Counters, LossPolicy, Mode, NodeOptions};
+use crate::runtime::{Counters, Mode, NodeOptions, TRACE_RING};
 use crate::supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
@@ -274,12 +274,12 @@ struct PendingFrame {
 /// half), the inbound routing table, and the log-line prefix.
 ///
 /// Sends are *queued*: every logical multicast encodes once into a pooled
-/// slab and fans out per destination at enqueue time (where loss,
+/// slab and fans out per destination at enqueue time (where forced drops,
 /// blackholes, and the accounting all run). The queue goes to the socket
-/// as one batched syscall as soon as it holds `max_batch` frames — so it,
-/// and the slabs in flight, never exceed one batch however long a burst
-/// the agent produces in one call — and whatever is left goes out at the
-/// end of the wakeup.
+/// as one batched syscall as soon as it holds [`batch::SEND_BATCH`] frames
+/// — so it, and the slabs in flight, never exceed one batch however long a
+/// burst the agent produces in one call — and whatever is left goes out at
+/// the end of the wakeup.
 struct Wire {
     /// Log-line prefix: `srm-node[7]`, `srm-hub[shard 2]`.
     label: String,
@@ -300,14 +300,12 @@ struct Wire {
     /// buffer per logical send, so steady-state sending allocates nothing
     /// per datagram (drops at flush return the slabs).
     tx_pool: BufferPool,
-    /// Frames awaiting the next flush; at most `max_batch` of them.
+    /// Frames awaiting the next flush; at most `SEND_BATCH` of them.
     queue: Vec<PendingFrame>,
     /// Reused per-flush scratch: the queue as the backend wants it (always
     /// empty between flushes, kept for its allocation), and the results.
     frames: Vec<SendFrame<'static>>,
     results: Vec<io::Result<()>>,
-    /// Frames per send syscall (from [`BatchOptions::send_batch`]).
-    max_batch: usize,
     /// Live-registry handles; `None` costs one branch per site.
     reg: Option<RegHandles>,
 }
@@ -340,7 +338,7 @@ impl Wire {
             if let Some(t) = ttl {
                 let _ = self.socket.set_multicast_ttl_v4(u32::from(t));
             }
-            for chunk in self.queue[i..j].chunks(self.max_batch) {
+            for chunk in self.queue[i..j].chunks(batch::SEND_BATCH) {
                 frames.clear();
                 frames.extend(chunk.iter().map(|p| SendFrame { dest: p.dest, data: &p.data }));
                 self.results.clear();
@@ -404,9 +402,9 @@ struct GroupIo {
     wheel: TimerWheel,
     rng: StdRng,
     mode: Mode,
-    loss: LossPolicy,
-    /// Chaos partition windows, applied RNG-free per destination.
-    blackholes: Vec<Blackhole>,
+    /// The chaos plan's blackholes and forced drops, applied RNG-free per
+    /// destination.
+    fanout: Fanout,
     quota: Option<TokenBucket>,
     quota_overflow: u64,
     /// Logical multicasts issued (post quota, pre fan-out).
@@ -446,12 +444,9 @@ impl GroupHost {
         let mut log = obs::TransportLog::new();
         let mut chaos_log = obs::TransportLog::new();
         if opts.trace {
-            match opts.trace_capacity {
-                Some(cap) => agent.obs.enable_bounded(cap),
-                None => agent.obs.enable(),
-            }
+            agent.obs.enable_bounded(TRACE_RING);
             for l in [&mut agent.transport_obs, &mut log, &mut chaos_log] {
-                enable_log(l, opts.trace_capacity);
+                l.enable_bounded(TRACE_RING);
             }
         }
         if let Some(lv) = opts.liveness {
@@ -503,8 +498,7 @@ impl GroupHost {
                 wheel: TimerWheel::new(),
                 rng: StdRng::seed_from_u64(opts.seed),
                 mode,
-                loss: opts.loss,
-                blackholes: opts.chaos.as_ref().map(|p| p.blackholes.clone()).unwrap_or_default(),
+                fanout: Fanout::new(opts.chaos.as_ref()),
                 quota: hosting.quota.map(TokenBucket::new),
                 quota_overflow: 0,
                 tx_frames: 0,
@@ -583,13 +577,6 @@ impl GroupHost {
     }
 }
 
-fn enable_log(log: &mut obs::TransportLog, cap: Option<usize>) {
-    match cap {
-        Some(cap) => log.enable_bounded(cap),
-        None => log.enable(),
-    }
-}
-
 /// One logical multicast from a hosted group: quota gate, one encode into
 /// a pooled slab, then the per-destination fan-out — the single place every
 /// outgoing frame's fate is decided and counted. Surviving frames go on
@@ -627,23 +614,25 @@ fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts:
     }
     .encode_into(&mut buf);
     let frame = Arc::new(buf);
-    let GroupIo { mode, loss, blackholes, log, .. } = io;
-    // `policy_dest` is what loss rules and blackholes match on: the peer on
+    let GroupIo { mode, fanout, log, .. } = io;
+    // `policy_dest` is what drop rules and blackholes match on: the peer on
     // a mesh, nothing under true multicast.
     let mut enqueue = |dest: SocketAddr, policy_dest: Option<SocketAddr>, ttl: Option<u8>| {
         wire.counters.frames_attempted.inc();
-        if blackholes.iter().any(|b| b.matches(now, policy_dest)) {
-            wire.counters.blackholed.inc();
-            log.record(now, obs::TransportEventKind::Blackholed { flow: opts.flow });
-        } else if loss.should_drop(opts.flow, policy_dest) {
-            wire.counters.frames_dropped.inc();
-        } else {
-            wire.queue.push(PendingFrame { dest, ttl, data: Arc::clone(&frame) });
-            // A full batch goes out now: the receivers start on it while
-            // the rest of the burst is still being produced, and the slabs
-            // it held are back in the pool before the next encode.
-            if wire.queue.len() >= wire.max_batch {
-                wire.flush(now);
+        match fanout.cut(now, opts.flow, policy_dest) {
+            Some(Cut::Blackholed) => {
+                wire.counters.blackholed.inc();
+                log.record(now, obs::TransportEventKind::Blackholed { flow: opts.flow });
+            }
+            Some(Cut::Dropped) => wire.counters.frames_dropped.inc(),
+            None => {
+                wire.queue.push(PendingFrame { dest, ttl, data: Arc::clone(&frame) });
+                // A full batch goes out now: the receivers start on it while
+                // the rest of the burst is still being produced, and the
+                // slabs it held are back in the pool before the next encode.
+                if wire.queue.len() >= batch::SEND_BATCH {
+                    wire.flush(now);
+                }
             }
         }
     };
@@ -878,7 +867,7 @@ impl Reactor {
     /// session group, arm its session timer).
     pub(crate) fn host(&mut self, mode: Mode, opts: NodeOptions, hosting: Hosting) {
         if opts.trace && !self.wire.log.is_enabled() {
-            enable_log(&mut self.wire.log, opts.trace_capacity);
+            self.wire.log.enable_bounded(TRACE_RING);
         }
         let mut host = GroupHost::new(&self.clock, &self.wire.label, mode, opts, hosting);
         drive(&mut self.wire, &mut host, |a, d| a.drive_start(d));
@@ -1032,11 +1021,10 @@ impl Reactor {
     fn read_socket(&mut self) -> usize {
         let Some(mut rx) = self.rx.take() else { return 0 };
         let mut bufs = std::mem::take(&mut rx.bufs);
-        let max = rx.opts.recv_batch.clamp(1, batch::MAX_BATCH);
         let (mut frames, mut alive) = (0, true);
         while frames < INBOUND_DRAIN {
             // A panicking backend is a fatal error like any other.
-            let read = catch_unwind(AssertUnwindSafe(|| rx.backend.recv_batch(&rx.pool, max, &mut bufs)))
+            let read = catch_unwind(AssertUnwindSafe(|| rx.backend.recv_batch(&rx.pool, batch::RECV_BATCH, &mut bufs)))
                 .unwrap_or_else(|_| Err(io::Error::other("recv step panicked")));
             let got = match read {
                 Ok(got) => got,
@@ -1069,7 +1057,7 @@ impl Reactor {
                 }
             }
             // A short batch emptied the socket.
-            if got < max {
+            if got < batch::RECV_BATCH {
                 break;
             }
         }
@@ -1422,11 +1410,10 @@ pub(crate) fn build(
             batch: make_backend(socket.try_clone()?, &batch),
             counters: Arc::clone(&counters),
             log: obs::TransportLog::new(),
-            tx_pool: BufferPool::new(batch.pool_slabs, TX_SLAB_BYTES),
+            tx_pool: BufferPool::new(batch::POOL_SLABS, TX_SLAB_BYTES),
             queue: Vec::new(),
             frames: Vec::new(),
             results: Vec::new(),
-            max_batch: batch.send_batch.clamp(1, batch::MAX_BATCH),
             reg: metrics.as_ref().map(|r| RegHandles::new(r, index, kind)),
         };
         reactors.push(Reactor {
@@ -1445,11 +1432,11 @@ pub(crate) fn build(
         master: socket,
         opts: batch,
         make: make_backend,
-        // `pool_slabs` bounds the receive-side memory at `pool_slabs *
+        // `POOL_SLABS` bounds the receive-side memory at `POOL_SLABS *
         // MAX_DATAGRAM`, with exact-size heap copies (counted misses)
         // covering the overflow.
-        pool: BufferPool::new(batch.pool_slabs, MAX_DATAGRAM),
-        bufs: Vec::with_capacity(batch.recv_batch.clamp(1, batch::MAX_BATCH)),
+        pool: BufferPool::new(batch::POOL_SLABS, MAX_DATAGRAM),
+        bufs: Vec::with_capacity(batch::RECV_BATCH),
         unrung: vec![false; shards.len()],
         shards,
         supervisor: Supervisor::new(SupervisePolicy::default()),

@@ -22,11 +22,11 @@
 //!   127.0.0.1 mesh instead: every send is replicated to every peer, which
 //!   is exactly the group-delivery model with a one-hop star topology.
 //!
-//! A [`LossPolicy`] interposes on the send path (per-flow, optionally
-//! per-destination), giving tests a deterministic way to force the losses
-//! SRM exists to repair. Chaos blackhole windows are applied on the same
-//! per-destination fan-out, RNG-free, so they never perturb the seeded
-//! chaos draw sequence.
+//! A [`ChaosPlan`]'s drop rules ([`ChaosPlan::drop_nth`], per flow,
+//! optionally per destination) give tests a deterministic way to force
+//! the losses SRM exists to repair. They and the plan's blackhole windows
+//! are applied on the per-destination fan-out, RNG-free, so they never
+//! perturb the seeded chaos draw sequence.
 //!
 //! ## Frame accounting
 //!
@@ -89,71 +89,16 @@ impl Mode {
     }
 }
 
-/// Deterministic send-side loss: drop the `nth` outgoing frame of a flow,
-/// optionally only towards one destination (mesh mode replicates a send per
-/// peer, so per-destination rules model a lossy link to one member while
-/// the rest of the group receives normally).
-#[derive(Debug, Default)]
-pub struct LossPolicy {
-    rules: Vec<LossRule>,
-}
-
-#[derive(Debug)]
-struct LossRule {
-    flow: u32,
-    dest: Option<SocketAddr>,
-    nth: u64,
-    seen: u64,
-}
-
-impl LossPolicy {
-    /// No loss.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Drop the `nth` (0-based) frame of `flow`, wherever it is headed.
-    pub fn drop_nth(mut self, flow: u32, nth: u64) -> Self {
-        self.rules.push(LossRule {
-            flow,
-            dest: None,
-            nth,
-            seen: 0,
-        });
-        self
-    }
-
-    /// Drop the `nth` (0-based) frame of `flow` addressed to `dest`.
-    pub fn drop_nth_to(mut self, flow: u32, dest: SocketAddr, nth: u64) -> Self {
-        self.rules.push(LossRule {
-            flow,
-            dest: Some(dest),
-            nth,
-            seen: 0,
-        });
-        self
-    }
-
-    /// Should this (flow, destination) frame be dropped? Each rule counts
-    /// the frames it matches; `dest` is `None` in multicast mode, where
-    /// only destination-less rules apply.
-    pub(crate) fn should_drop(&mut self, flow: u32, dest: Option<SocketAddr>) -> bool {
-        let mut drop = false;
-        for r in &mut self.rules {
-            if r.flow == flow && (r.dest.is_none() || r.dest == dest) {
-                if r.seen == r.nth {
-                    drop = true;
-                }
-                r.seen += 1;
-            }
-        }
-        drop
-    }
-}
+/// Events a live trace keeps per recorder: each is a ring of the most
+/// recent `TRACE_RING` events, and what it evicts is counted
+/// (`dropped_events`). Minutes of traffic for `srm-node`, which drains its
+/// rings about once a second; the simulator's recorders stay unbounded.
+pub const TRACE_RING: usize = 65_536;
 
 /// Per-member configuration: what [`Node::spawn`] takes, and what
 /// [`HubHandle::create_with`](crate::HubHandle::create_with) hosts on a hub
-/// (where the per-socket field, `batch`, is the hub's).
+/// (where the per-socket field, `batch`, does not apply: the hub's socket
+/// runs the defaults).
 #[derive(Debug)]
 pub struct NodeOptions {
     /// This member's persistent Source-ID (also the envelope's node id).
@@ -171,28 +116,23 @@ pub struct NodeOptions {
     /// Run periodic session messages (on for any real deployment; tests of
     /// a single recovery round may disable them and seed distances).
     pub session_enabled: bool,
-    /// Enable the obs event recorders (recovery + transport) from the start.
+    /// Enable the obs event recorders (recovery + transport) from the
+    /// start, each a ring of [`TRACE_RING`] events.
     pub trace: bool,
-    /// Ring capacity for the obs recorders when `trace` is on: `Some(cap)`
-    /// keeps the most recent `cap` events per recorder (with a dropped
-    /// count), `None` keeps everything.  Long live runs should bound this;
-    /// golden-trace runs must not.
-    pub trace_capacity: Option<usize>,
     /// Live metrics registry.  When set, the node's transport counters are
     /// registered in it (`frames.sent`, `chaos.dropped`, …: the cells
     /// [`NodeHandle::stats`] reads, so one registry serves one host), and
     /// the reactor updates hot-path counters/gauges/histograms (frames by
     /// kind, stage latencies, queue depths, per-group liveness and store
-    /// mirrors) that a stats emitter can snapshot concurrently.  `None`
+    /// mirrors) that a [`StatsSink`](crate::StatsSink) can snapshot concurrently.  `None`
     /// (the default, and always in simulator runs) costs one branch per
     /// instrumented site.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Pre-seeded distance estimates (assumed-converged state, as the
     /// figure experiments use). Live session messages refine them.
     pub initial_distances: Vec<(SourceId, SimDuration)>,
-    /// Send-side forced loss.
-    pub loss: LossPolicy,
-    /// Scripted chaos applied to every outgoing frame.
+    /// Scripted chaos applied to every outgoing frame, forced drops
+    /// included.
     pub chaos: Option<ChaosPlan>,
     /// Track peer liveness from session-message silence.
     pub liveness: Option<srm::LivenessConfig>,
@@ -202,8 +142,7 @@ pub struct NodeOptions {
     /// bounded cache, and flushes on clean shutdown. `None` (the default)
     /// keeps the agent purely in-memory.
     pub store: Option<StoreOptions>,
-    /// Batched-datapath tuning: syscall batch sizes, receive-pool size
-    /// and the portable-backend override (`srm-node --batch/--pool`).
+    /// Socket buffer size and the portable-backend override.
     pub batch: BatchOptions,
 }
 
@@ -232,7 +171,7 @@ impl StoreOptions {
 }
 
 impl NodeOptions {
-    /// Defaults: sessions on, no trace, no loss, no chaos, no liveness
+    /// Defaults: sessions on, no trace, no chaos, no liveness
     /// tracking, seed derived from the member id.
     pub fn new(id: SourceId, group: GroupId, cfg: SrmConfig) -> Self {
         NodeOptions {
@@ -242,10 +181,8 @@ impl NodeOptions {
             seed: 0x5EED_0000 ^ id.0,
             session_enabled: true,
             trace: false,
-            trace_capacity: None,
             metrics: None,
             initial_distances: Vec::new(),
-            loss: LossPolicy::none(),
             chaos: None,
             liveness: None,
             store: None,
@@ -293,7 +230,7 @@ pub struct TransportStats {
     pub frames_attempted: u64,
     /// Frames put on the wire (per peer in mesh mode).
     pub frames_sent: u64,
-    /// Frames suppressed by the [`LossPolicy`].
+    /// Frames suppressed by the chaos plan's drop rules.
     pub frames_dropped: u64,
     /// Frames accepted from the socket (post filtering).
     pub frames_received: u64,
@@ -333,7 +270,8 @@ pub struct TransportStats {
     /// High-water mark of the chaos delay queue.
     pub max_delayq_len: u64,
     /// High-water mark of a reactor's send queue, in frames: at most
-    /// [`BatchOptions::send_batch`], since a full batch is flushed at once.
+    /// [`SEND_BATCH`](crate::batch::SEND_BATCH), since a full batch is
+    /// flushed at once.
     pub max_sendq_len: u64,
     /// GRO buffers whose segments straddled reactors and had to be split
     /// with per-segment copies; always zero with one reactor (a node).
@@ -473,7 +411,7 @@ impl NodeHandle {
         self.counters.frames_sent.get()
     }
 
-    /// Frames suppressed by the [`LossPolicy`].
+    /// Frames suppressed by the chaos plan's drop rules.
     pub fn frames_dropped(&self) -> u64 {
         self.counters.frames_dropped.get()
     }
@@ -514,29 +452,6 @@ impl Drop for NodeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::flow;
-
-    #[test]
-    fn loss_policy_counts_per_rule() {
-        let mut p = LossPolicy::none().drop_nth(flow::DATA, 1);
-        assert!(!p.should_drop(flow::DATA, None));
-        assert!(p.should_drop(flow::DATA, None));
-        assert!(!p.should_drop(flow::DATA, None));
-        assert!(!p.should_drop(flow::SESSION, None));
-    }
-
-    #[test]
-    fn loss_policy_per_destination() {
-        let a: SocketAddr = "127.0.0.1:1000".parse().unwrap();
-        let b: SocketAddr = "127.0.0.1:2000".parse().unwrap();
-        let mut p = LossPolicy::none().drop_nth_to(flow::DATA, b, 0);
-        assert!(!p.should_drop(flow::DATA, Some(a)));
-        assert!(p.should_drop(flow::DATA, Some(b)));
-        assert!(!p.should_drop(flow::DATA, Some(b)));
-        // Multicast sends (no destination) never match a per-dest rule.
-        let mut q = LossPolicy::none().drop_nth_to(flow::DATA, b, 0);
-        assert!(!q.should_drop(flow::DATA, None));
-    }
 
     #[test]
     fn group_addresses_are_contiguous_from_base() {

@@ -15,7 +15,7 @@
 //! 3. **Bounded growth** — timer-wheel and delay-queue high-water marks
 //!    stay under fixed caps (no leak under churn).
 //! 4. **Zero unexplained drops** — every per-destination send attempt is
-//!    accounted as sent, policy-dropped, blackholed, or a send error
+//!    accounted as sent, dropped by a drop rule, blackholed, or a send error
 //!    ([`TransportStats::frames_accounted`]).
 //!
 //! The report carries per-node [`TransportStats`] and the agents' liveness

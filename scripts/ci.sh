@@ -200,7 +200,16 @@ cargo test -q --test transport_loopback a_node_registry_carries_its_agents_count
 cargo test -q --test hub a_hub_group_shows_its_agents_counters_under_one_set_of_names
 cargo test -q -p srm --lib a_crash_keeps_the_parity_reconstructions_and_relays_counted
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants and obs's copy of the member counters must stay gone) =="
+echo "== one live fault injector, one stats sink, one store bound (chaos drop rules replace the loss policy; a chaos window past the clock's range is an error; an unwritable stats file fails at start; srm-sim parses, never writes, scenarios) =="
+cargo test -q -p srm-transport --lib -- chaos::tests sink::tests
+cargo test -q --test transport_loopback -- two_node_loopback_drop_is_recovered \
+    three_node_loss_repaired_by_non_source
+cargo test -q --test hub hub_group_is_payload_equivalent_to_a_single_group_node
+cargo test -q -p srm-transport --test metrics_monitor
+cargo test -q -p srm --lib store::tests
+cargo test -q -p srm-sim --lib spec::tests
+
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -211,6 +220,8 @@ stale+='|TransportSumm[a]ry|HOST_MIRR[O]RS|render_transp[o]rt'
 stale+='|AdaptiveConf[i]g|FixedInterva[l]s|DurableRejoinPara[m]s|from_scenario_fil[e]|session_fract[i]on'
 stale+='|fingerprint_l[e]n|rep_timeou[t]|min_losse[s]'
 stale+='|MemberSumm[a]ry|observe_ag[e]nt|obs::RunSumm[a]ry'
+stale+='|LossPol[i]cy|trace_capa[c]ity|render_promet[h]eus|--stats-add[r]|--trace-ca[p]|--drop-dat[a]|pool_sla[b]s'
+stale+='|retention_per_str[e]am|active_pe[e]rs|delta_si[n]ce|elapsed_si[n]ce'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -219,7 +230,7 @@ if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --inc
     exit 1
 fi
 
-echo "== transport crate size (code lines = not blank, not a // line; then raw lines; then non-test code lines, before each file's #[cfg(test)]; then crates/obs non-test code lines; then crates/core/src/observe.rs + metrics.rs non-test code lines) =="
+echo "== transport crate size (code lines = not blank, not a // line; then raw lines; then non-test code lines, before each file's #[cfg(test)]; then crates/obs non-test code lines; then crates/core/src/observe.rs + metrics.rs non-test code lines; then crates/cli non-test code lines) =="
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | grep -cvE '^\s*(//|$)'
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | wc -l
 for f in crates/transport/src/*.rs crates/transport/src/bin/*.rs; do
@@ -229,6 +240,9 @@ for f in crates/obs/src/*.rs; do
     awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
 done | grep -cvE '^\s*(//|$)'
 for f in crates/core/src/observe.rs crates/core/src/metrics.rs; do
+    awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
+done | grep -cvE '^\s*(//|$)'
+for f in crates/cli/src/*.rs; do
     awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
 done | grep -cvE '^\s*(//|$)'
 
@@ -253,8 +267,9 @@ done
 # agent_size_is_reported fails if the agent grows past its pinned size.
 cargo test -q -p srm --lib agent_size_is_reported -- --nocapture | grep 'size_of::<SrmAgent>'
 
-echo "== public option fields (BatchOptions, NodeOptions, HubOptions, SrmConfig and the config structs nested in it; a new knob shows up here) =="
+echo "== public option fields (BatchOptions, NodeOptions, HubOptions, ChaosPlan, SrmConfig and the config structs nested in it; a new knob shows up here) =="
 for s in BatchOptions:transport/src/batch NodeOptions:transport/src/runtime HubOptions:transport/src/hub \
+        ChaosPlan:transport/src/chaos \
         SrmConfig:core/src/config TimerParams:core/src/config RecoveryGroupConfig:core/src/config \
         RateLimit:core/src/config HierarchyConfig:core/src/hierarchy FecConfig:core/src/fec; do
     awk -v s="${s%%:*}" '$0 ~ "^pub struct " s " " {on=1} on && /^    pub [a-z_0-9]+:/ {n++} on && /^}/ {print s, n; exit}' \

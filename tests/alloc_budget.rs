@@ -15,7 +15,8 @@
 use bytes::Bytes;
 use netsim::GroupId;
 use srm::{PageId, SourceId, SrmConfig};
-use srm_transport::{BatchOptions, Harness, NodeHandle};
+use srm_transport::batch::SEND_BATCH;
+use srm_transport::{Harness, NodeHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -149,10 +150,9 @@ fn a_burst_costs_a_fixed_number_of_allocations_per_adu() {
     );
 
     // The send queue never held more than one batch, so the 64-slab
-    // encode pool never ran dry.
-    let batch = BatchOptions::default();
-    assert!(batch.send_batch < batch.pool_slabs);
-    assert_eq!(tx.stats().max_sendq_len, batch.send_batch as u64);
+    // encode pool (`POOL_SLABS`, which `batch.rs` holds above
+    // `SEND_BATCH` at compile time) never ran dry.
+    assert_eq!(tx.stats().max_sendq_len, SEND_BATCH as u64);
     tx.exec(|_, _| ()); // one more wakeup publishes the pool counters
     tx.exec(|_, _| ());
     assert_eq!(registry.counter("pool.misses").get(), 0);

@@ -10,7 +10,7 @@
 //!    fate is decided, never the fate.
 //! 2. **Node equivalence**: a hub hosting one group delivers the same
 //!    payload bytes to a peer that a standalone `srm-node` sender would,
-//!    loss policy, repair and recorder trace included — the hub is the
+//!    chaos drop rule, repair and recorder trace included — the hub is the
 //!    same reactor hosting the same agent, not a different protocol.
 //! 3. **Concurrent groups**: one hub hosts 8 groups on loopback, each
 //!    with its own receiver node; every group's ADUs arrive, sessions
@@ -35,7 +35,7 @@ use srm_transport::control::serve;
 use srm_transport::hub::{GroupStats, Hub, HubOptions};
 use obs::json::Json;
 use srm_transport::{
-    handle_line, shard_of, ChaosPlan, Envelope, GroupMonitor, GroupSpec, Harness, LossPolicy,
+    handle_line, shard_of, ChaosPlan, Envelope, GroupMonitor, GroupSpec, Harness,
     Mode, Node, NodeHandle, NodeOptions, WallClock,
 };
 use std::collections::BTreeSet;
@@ -128,13 +128,16 @@ fn agent(g: &GroupStats, name: &str) -> u64 {
 fn lossy_traced_sender() -> NodeOptions {
     let mut opts = NodeOptions::new(SourceId(1), GroupId(1), SrmConfig::fixed(2));
     opts.trace = true;
-    opts.loss = LossPolicy::none().drop_nth(flow::DATA, 0);
+    opts.chaos = Some(ChaosPlan::new().drop_nth(flow::DATA, 0));
     opts.initial_distances = vec![(SourceId(2), SimDuration::from_millis(20))];
     opts
 }
 
-fn recorder_kinds(agent: &SrmAgent) -> BTreeSet<&'static str> {
-    agent.obs.events().map(|e| e.kind.name()).collect()
+/// The kinds of recovery event `agent` recorded, and how many events its
+/// trace rings evicted.
+fn recorder_kinds(agent: &SrmAgent) -> (BTreeSet<&'static str>, u64) {
+    let evicted = agent.obs.dropped_events() + agent.transport_obs.dropped_events();
+    (agent.obs.events().map(|e| e.kind.name()).collect(), evicted)
 }
 
 /// A hub-hosted group speaks the same bytes as a standalone node: the
@@ -167,7 +170,8 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
     }
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut via_node = collect_delivered(&h.nodes[1], N as usize, deadline);
-    let node_kinds = h.nodes[0].exec(|a, _| recorder_kinds(a));
+    let (node_kinds, node_evicted) = h.nodes[0].exec(|a, _| recorder_kinds(a));
+    assert_eq!(node_evicted, 0, "the node's trace rings kept every event");
     drop(h.shutdown());
 
     // (b) Hub hosts group 1 as member 1; a standalone node receives.
@@ -187,7 +191,8 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
     hub.send(1, "equiv", N).expect("hub publishes");
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut via_hub = collect_delivered(&receiver, N as usize, deadline);
-    let hub_kinds = hub.exec(1, |a, _| recorder_kinds(a)).expect("group 1 is hosted");
+    let (hub_kinds, hub_evicted) = hub.exec(1, |a, _| recorder_kinds(a)).expect("group 1 is hosted");
+    assert_eq!(hub_evicted, 0, "the hub group's trace rings kept every event");
 
     // One payload byte short of what the length field claims: the demux's
     // precheck passes it on, group 1's reactor refuses it.
@@ -219,7 +224,7 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
     );
     assert_eq!(st.groups.len(), 1);
     assert_eq!(agent(&st.groups[0], "data_sent"), u64::from(N));
-    assert_eq!(st.frames_dropped, 1, "the loss policy acts on a hub group: {st:?}");
+    assert_eq!(st.frames_dropped, 1, "the chaos drop rule acts on a hub group: {st:?}");
     assert_eq!(
         st.frames_attempted,
         st.frames_sent + st.frames_dropped + st.blackholed + st.send_errors,

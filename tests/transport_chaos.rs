@@ -148,8 +148,11 @@ impl Member {
 
     /// Harvest this member's lane of the timeline, then stop it.
     fn stop(self, tl: &mut obs::Timeline) {
-        let (id, events, transport) =
-            self.exec(|a, _| (a.id.0, a.obs.take_events(), a.transport_obs.take_events()));
+        let (id, evicted, events, transport) = self.exec(|a, _| {
+            let evicted = a.obs.dropped_events() + a.transport_obs.dropped_events();
+            (a.id.0, evicted, a.obs.take_events(), a.transport_obs.take_events())
+        });
+        assert_eq!(evicted, 0, "member {id}'s trace rings kept every event");
         tl.add_member(id, events);
         tl.add_transport(id, transport);
         match self {
@@ -307,10 +310,11 @@ fn hosted_chaos_actions(host: Host, plan: &ChaosPlan, seed: u64, frames: usize) 
             a.send_data(d, page, Bytes::from(format!("frame {i} with room for a body tag")));
         }
     });
-    let actions = member.exec(|a, _| {
+    let (actions, evicted) = member.exec(|a, _| {
         let kinds = a.transport_obs.events().map(|e| e.kind.name());
-        kinds.filter(|k| k.starts_with("chaos_")).collect()
+        (kinds.filter(|k| k.starts_with("chaos_")).collect(), a.transport_obs.dropped_events())
     });
+    assert_eq!(evicted, 0, "the transport ring kept every event");
     member.stop(&mut obs::Timeline::new());
     actions
 }

@@ -2,7 +2,7 @@
 //!
 //! These are the wall-clock counterparts of the simulator reliability
 //! tests: real datagrams, real monotonic-clock timers, the same agent. A
-//! [`LossPolicy`] interposed on the sender's socket forces the loss; the
+//! [`ChaosPlan`] drop rule on the sender's fan-out forces the loss; the
 //! tests then wait (bounded) for the receiver-driven request/repair
 //! exchange to restore the data, and inspect the obs timeline for the
 //! recovery chain the paper describes.
@@ -20,7 +20,7 @@ use bytes::Bytes;
 use netsim::{flow, GroupId, SimDuration, SimTime};
 use srm::{PageId, SourceId, SrmConfig};
 use srm_transport::{
-    ChaosPlan, Harness, LossPolicy, Mode, Node, NodeOptions,
+    ChaosPlan, Harness, Mode, Node, NodeOptions,
 };
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
@@ -49,6 +49,14 @@ fn seed_uniform_distances(n: usize, opts: &mut srm_transport::NodeOptions, d: Si
     }
 }
 
+/// Nothing a test reads from a live trace was evicted from its ring.
+fn assert_trace_complete(agents: &[srm::SrmAgent]) {
+    for a in agents {
+        assert_eq!(a.obs.dropped_events(), 0, "member {} recovery ring", a.id.0);
+        assert_eq!(a.transport_obs.dropped_events(), 0, "member {} transport ring", a.id.0);
+    }
+}
+
 /// Two members; the source's first DATA frame is eaten by the lossy socket
 /// wrapper. The receiver spots the gap when the next ADU arrives, requests
 /// the missing one, and the source repairs it — all over real UDP within a
@@ -61,7 +69,7 @@ fn two_node_loopback_drop_is_recovered() {
         seed_uniform_distances(2, opts, SimDuration::from_millis(20));
         if i == 0 {
             // Drop the very first DATA frame the source puts on the wire.
-            opts.loss = LossPolicy::none().drop_nth(flow::DATA, 0);
+            opts.chaos = Some(ChaosPlan::new().drop_nth(flow::DATA, 0));
         }
     })
     .unwrap();
@@ -85,6 +93,7 @@ fn two_node_loopback_drop_is_recovered() {
     let mut agents = h.shutdown();
     assert_eq!(agents[1].metrics.requests_sent, 1);
     assert_eq!(agents[0].metrics.repairs_sent, 1);
+    assert_trace_complete(&agents);
     let tl = srm::harvest_timeline(&mut agents, Vec::new());
     let jsonl = tl.to_jsonl();
     assert!(jsonl.contains("\"ev\":\"gap_detected\""));
@@ -102,7 +111,7 @@ fn a_node_registry_carries_its_agents_counters() {
         opts.metrics = Some(regs[i].clone());
         seed_uniform_distances(2, opts, SimDuration::from_millis(20));
         if i == 0 {
-            opts.loss = LossPolicy::none().drop_nth(flow::DATA, 0);
+            opts.chaos = Some(ChaosPlan::new().drop_nth(flow::DATA, 0));
         }
     })
     .unwrap();
@@ -157,7 +166,7 @@ fn three_node_loss_repaired_by_non_source() {
             // member 3 only.
             0 => {
                 opts.initial_distances = vec![(SourceId(2), far), (SourceId(3), far)];
-                opts.loss = LossPolicy::none().drop_nth_to(flow::DATA, addrs[2], 0);
+                opts.chaos = Some(ChaosPlan::new().drop_nth_to(flow::DATA, addrs[2], 0));
             }
             // Member 2: near member 3, far from the source.
             1 => {
@@ -203,6 +212,7 @@ fn three_node_loss_repaired_by_non_source() {
     assert_eq!(agents[2].metrics.requests_sent, 1);
 
     // The trace shows the request/repair chain across members.
+    assert_trace_complete(&agents);
     let tl = srm::harvest_timeline(&mut agents, Vec::new());
     let events = tl.events();
     let key = srm::observe::adu_key(lost);
