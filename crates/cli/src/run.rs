@@ -7,7 +7,6 @@ use bytes::Bytes;
 use netsim::effects::RandomEffects;
 use netsim::generators;
 use netsim::loss::{BernoulliLoss, NoLoss, ScriptedDrop};
-use netsim::routing::SpTree;
 use netsim::{flow, GroupId, NodeId, SimDuration, Simulator, Topology};
 use obs::json::Json;
 use rand::rngs::StdRng;
@@ -172,6 +171,71 @@ fn run_inner(
     scenario: &Scenario,
     traced: bool,
 ) -> Result<(Report, Option<obs::Timeline>), RunError> {
+    let (mut sim, members, source, page) = session(scenario)?;
+    if traced {
+        srm::enable_tracing(&mut sim);
+    }
+    if scenario.effects.duplication > 0.0 || scenario.effects.jitter_secs > 0.0 {
+        sim.set_channel_effects(Box::new(RandomEffects::new(
+            scenario.effects.duplication,
+            SimDuration::from_secs_f64(scenario.effects.jitter_secs),
+            scenario.seed ^ 0x20,
+        )));
+    }
+    drive(&mut sim, scenario, source, page)?;
+
+    // Report.
+    let w = &scenario.workload;
+    let mut per_member = Vec::new();
+    let mut complete = 0;
+    let (mut tr, mut tp, mut ts) = (0u64, 0u64, 0u64);
+    for &m in &members {
+        let a = sim.app(m).unwrap();
+        let held = a.store().len();
+        if m != source && held as u32 >= w.adus {
+            complete += 1;
+        }
+        tr += a.metrics.requests_sent;
+        tp += a.metrics.repairs_sent;
+        ts += a.metrics.session_sent;
+        per_member.push(MemberReport {
+            node: m.0,
+            adus_held: held,
+            requests_sent: a.metrics.requests_sent,
+            repairs_sent: a.metrics.repairs_sent,
+            fec_recoveries: a.metrics.fec_recoveries,
+            all_recovered: a.metrics.all_recovered(),
+        });
+    }
+    let timeline = traced.then(|| srm::harvest_timeline(sim.apps_mut(), Vec::new()));
+    let report = Report {
+        members: members.len(),
+        source: source.0,
+        adus_sent: w.adus,
+        complete_receivers: complete,
+        total_requests: tr,
+        total_repairs: tp,
+        total_sessions: ts,
+        hops: HopsReport {
+            data: sim.stats.hops_for(flow::DATA),
+            requests: sim.stats.hops_for(flow::REQUEST),
+            repairs: sim.stats.hops_for(flow::REPAIR),
+            sessions: sim.stats.hops_for(flow::SESSION),
+            parity: sim.stats.hops_for(flow::PARITY),
+        },
+        per_member,
+        sim_seconds: sim.now().as_secs_f64(),
+        events: sim.stats.events,
+    };
+    Ok((report, timeline))
+}
+
+/// The scenario's simulator with its members' agents installed and joined
+/// and its loss model set, plus the members (ascending), the source and
+/// the page it sends on. Seeded from `scenario.seed`.
+fn session(
+    scenario: &Scenario,
+) -> Result<(Simulator<SrmAgent>, Vec<NodeId>, NodeId, PageId), RunError> {
     let mut rng = StdRng::seed_from_u64(scenario.seed);
     let topo = build_topology(&scenario.topology, &mut rng);
     let n = topo.num_nodes() as u32;
@@ -226,36 +290,25 @@ fn run_inner(
     let cfg = build_config(&scenario.config, members.len());
     let mut sim = Simulator::new(topo, scenario.seed ^ 0x5eed);
     let page = PageId::new(SourceId(source.0 as u64), 0);
-    let trees: Vec<(NodeId, SpTree)> = members
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
     for &m in &members {
         let mut a = SrmAgent::new(SourceId(m.0 as u64), GROUP, cfg.clone());
         a.session_enabled = scenario.config.session_messages;
         a.set_current_page(page);
-        for (o, t) in &trees {
-            if *o != m {
-                a.distances_mut()
-                    .set_distance(SourceId(o.0 as u64), t.distance(m));
-            }
-        }
+        a.distances_mut().set_exact_distances(&mut sim, m, &members);
         sim.install(m, a);
         sim.join(m, GROUP);
     }
     sim.set_loss_model(loss);
-    if traced {
-        srm::enable_tracing(&mut sim);
-    }
-    if scenario.effects.duplication > 0.0 || scenario.effects.jitter_secs > 0.0 {
-        sim.set_channel_effects(Box::new(RandomEffects::new(
-            scenario.effects.duplication,
-            SimDuration::from_secs_f64(scenario.effects.jitter_secs),
-            scenario.seed ^ 0x20,
-        )));
-    }
+    Ok((sim, members, source, page))
+}
 
-    // Workload.
+/// Send the scenario's workload from `source` and let the session settle.
+fn drive(
+    sim: &mut Simulator<SrmAgent>,
+    scenario: &Scenario,
+    source: NodeId,
+    page: PageId,
+) -> Result<(), RunError> {
     let w = &scenario.workload;
     for k in 0..w.adus {
         sim.exec(source, |a, ctx| {
@@ -270,50 +323,7 @@ fn run_inner(
     } else if !sim.run_until_idle(deadline) {
         return Err(RunError::DidNotSettle);
     }
-
-    // Report.
-    let mut per_member = Vec::new();
-    let mut complete = 0;
-    let (mut tr, mut tp, mut ts) = (0u64, 0u64, 0u64);
-    for &m in &members {
-        let a = sim.app(m).unwrap();
-        let held = a.store().len();
-        if m != source && held as u32 >= w.adus {
-            complete += 1;
-        }
-        tr += a.metrics.requests_sent;
-        tp += a.metrics.repairs_sent;
-        ts += a.metrics.session_sent;
-        per_member.push(MemberReport {
-            node: m.0,
-            adus_held: held,
-            requests_sent: a.metrics.requests_sent,
-            repairs_sent: a.metrics.repairs_sent,
-            fec_recoveries: a.metrics.fec_recoveries,
-            all_recovered: a.metrics.all_recovered(),
-        });
-    }
-    let timeline = traced.then(|| srm::harvest_timeline(sim.apps_mut(), Vec::new()));
-    let report = Report {
-        members: members.len(),
-        source: source.0,
-        adus_sent: w.adus,
-        complete_receivers: complete,
-        total_requests: tr,
-        total_repairs: tp,
-        total_sessions: ts,
-        hops: HopsReport {
-            data: sim.stats.hops_for(flow::DATA),
-            requests: sim.stats.hops_for(flow::REQUEST),
-            repairs: sim.stats.hops_for(flow::REPAIR),
-            sessions: sim.stats.hops_for(flow::SESSION),
-            parity: sim.stats.hops_for(flow::PARITY),
-        },
-        per_member,
-        sim_seconds: sim.now().as_secs_f64(),
-        events: sim.stats.events,
-    };
-    Ok((report, timeline))
+    Ok(())
 }
 
 impl Report {
@@ -474,6 +484,19 @@ mod tests {
         assert!(!tl.is_empty());
         assert!(tl.to_jsonl().contains("\"ev\":\"request_sent\""));
         assert!(tl.chains().iter().any(|c| c.recovered_at.is_some()));
+    }
+
+    /// The distance warm-up computes each member's tree once, in the
+    /// simulator's route cache, and forwarding reuses it for the whole run.
+    #[test]
+    fn a_scenario_computes_each_members_tree_once() {
+        let sc = Scenario::from_json(include_str!("../../../scenarios/lossy_tree.json")).unwrap();
+        let (mut sim, members, source, page) = session(&sc).unwrap();
+        assert!(members.contains(&source));
+        assert_eq!(sim.routes_computed(), members.len() as u64);
+        drive(&mut sim, &sc, source, page).unwrap();
+        assert!(sim.stats.hops_for(flow::REQUEST) > 0, "members other than the source sent");
+        assert_eq!(sim.routes_computed(), members.len() as u64);
     }
 
     #[test]

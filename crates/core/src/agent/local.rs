@@ -122,14 +122,14 @@ impl SrmAgent {
     /// A parity packet arrived: it both announces the block's existence
     /// (like a session message would) and may immediately reconstruct a
     /// single missing ADU.
-    pub(super) fn handle_parity(&mut self, ctx: &mut dyn Driver, p: Parity) {
+    pub(super) fn handle_parity(&mut self, ctx: &mut dyn Driver, p: &Parity) {
         if p.source == self.id || p.k == 0 {
             return;
         }
         let last = SeqNo(p.block_start.0 + p.k as u64 - 1);
         let missing = self.store.note_exists(p.source, p.page, last);
         let key = (p.source, p.page, p.block_start.0);
-        self.parities.insert(key, p);
+        self.parities.insert(key, p.clone());
         self.try_fec(ctx, key);
         // Whatever parity could not fix goes through normal recovery
         // (`start_requests` skips the names the store now holds).
@@ -146,7 +146,7 @@ impl SrmAgent {
         if let Some((seq, data)) = reconstruct(&p, &have) {
             let name = AduName::new(p.source, p.page, seq);
             self.metrics.fec_recoveries += 1;
-            self.deliver(name, data, true);
+            self.deliver(name, &data, true);
             self.complete_recovery(ctx, name, obs::RecoveryVia::Fec);
         }
         // Drop the parity once its whole block is held.

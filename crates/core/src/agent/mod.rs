@@ -418,7 +418,7 @@ impl SrmAgent {
     /// A packet addressed to a group this member has joined arrived.
     pub fn drive_packet(&mut self, ctx: &mut dyn Driver, pkt: &Packet) {
         match Message::decode(pkt.payload.clone()) {
-            Ok(msg) => self.drive_message(ctx, pkt, msg),
+            Ok(msg) => self.drive_message(ctx, pkt, &msg),
             Err(_) => {
                 self.retire_expired(ctx.now());
                 self.metrics.decode_errors += 1;
@@ -428,7 +428,7 @@ impl SrmAgent {
 
     /// [`SrmAgent::drive_packet`] for a caller that has already decoded
     /// `pkt`'s payload into `msg`.
-    pub fn drive_message(&mut self, ctx: &mut dyn Driver, pkt: &Packet, msg: Message) {
+    pub fn drive_message(&mut self, ctx: &mut dyn Driver, pkt: &Packet, msg: &Message) {
         self.retire_expired(ctx.now());
         self.metrics.valid_messages += 1;
         if msg.header.sender == self.id {
@@ -439,15 +439,15 @@ impl SrmAgent {
         if let Some(tr) = self.liveness.note_heard(msg.header.sender, ctx.now()) {
             self.record_liveness(ctx.now(), tr);
         }
-        let hdr = msg.header;
-        match msg.body {
-            Body::Data(d) => self.handle_data(ctx, pkt, &hdr, d),
-            Body::Request(r) => self.handle_request(ctx, pkt, &hdr, r),
-            Body::Session(s) => self.handle_session(ctx, pkt, &hdr, s),
-            Body::PageRequest(p) => self.handle_page_request(ctx, &hdr, p.page),
+        let hdr = &msg.header;
+        match &msg.body {
+            Body::Data(d) => self.handle_data(ctx, pkt, hdr, d),
+            Body::Request(r) => self.handle_request(ctx, pkt, hdr, r),
+            Body::Session(s) => self.handle_session(ctx, pkt, hdr, s),
+            Body::PageRequest(p) => self.handle_page_request(ctx, hdr, p.page),
             Body::Parity(p) => self.handle_parity(ctx, p),
             Body::RecoveryInvite(i) => self.handle_recovery_invite(ctx, i.group),
-            Body::PageCatalogRequest => self.handle_catalog_request(ctx, &hdr),
+            Body::PageCatalogRequest => self.handle_catalog_request(ctx, hdr),
             Body::PageCatalog(pages) => self.handle_catalog(ctx, pages),
         }
     }
@@ -515,7 +515,7 @@ impl Application for SrmAgent {
     /// decode, or a slot another type filled, goes the `drive_packet` way.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
         match pkt.decoded(|payload| Message::decode(payload.clone()).ok()) {
-            Some(Some(msg)) => self.drive_message(ctx, pkt, msg.clone()),
+            Some(Some(msg)) => self.drive_message(ctx, pkt, msg),
             _ => self.drive_packet(ctx, pkt),
         }
     }

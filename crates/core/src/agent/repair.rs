@@ -45,7 +45,7 @@ impl SrmAgent {
         }
     }
 
-    pub(super) fn handle_request(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, r: RequestBody) {
+    pub(super) fn handle_request(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, r: &RequestBody) {
         self.metrics.requests_received += 1;
         let name = r.name;
         if self.suppress_or_backoff(ctx, name, hdr.sender, r.dist_to_source) {

@@ -201,15 +201,17 @@ impl SrmAgent {
         }
     }
 
-    /// Store `payload` as `name` and, if it is new here, hand it up.
-    pub(super) fn deliver(&mut self, name: AduName, payload: Bytes, via_repair: bool) {
-        if self.store.insert(name, payload.clone()) {
+    /// Store `payload` as `name` and, if it is new here, hand it up. The
+    /// payload is shared (cloned) only when the store keeps it: most repairs
+    /// reach members that already hold the data.
+    pub(super) fn deliver(&mut self, name: AduName, payload: &Bytes, via_repair: bool) {
+        if self.store.insert_with(name, || payload.clone()) {
             self.unique_data_received += 1;
-            self.delivered.push(Delivery { name, payload, via_repair });
+            self.delivered.push(Delivery { name, payload: payload.clone(), via_repair });
         }
     }
 
-    pub(super) fn handle_data(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, d: DataBody) {
+    pub(super) fn handle_data(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, d: &DataBody) {
         if d.is_repair {
             self.metrics.repairs_received += 1;
         } else {
@@ -221,7 +223,7 @@ impl SrmAgent {
         // stream's high-water mark); the arriving name itself is excluded.
         let mut missing = self.store.note_exists(name.source, name.page, name.seq);
         missing.retain(|m| *m != name);
-        self.deliver(name, d.payload.clone(), d.is_repair);
+        self.deliver(name, &d.payload, d.is_repair);
         // Seeing our own stream (a repair of pre-crash data after a
         // restart) must advance our sequence allocator past it, or new
         // ADUs would collide with recovered ones.
@@ -260,7 +262,7 @@ impl SrmAgent {
                         is_repair: true,
                         answering: None,
                         dist_to_requestor: 0.0,
-                        payload: d.payload,
+                        payload: d.payload.clone(),
                     });
                     let opts = SendOptions::for_flow(flow::REPAIR).with_ttl(ttl);
                     let class = recovery_class(self.current_page, name.page);

@@ -10,7 +10,7 @@ use crate::wire::{Body, Header, SessionBody};
 use netsim::{flow, Packet, SendOptions, SimTime};
 
 impl SrmAgent {
-    pub(super) fn handle_session(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, s: SessionBody) {
+    pub(super) fn handle_session(&mut self, ctx: &mut dyn Driver, pkt: &Packet, hdr: &Header, s: &SessionBody) {
         self.metrics.session_received += 1;
         // Hierarchy bookkeeping: a *global* session message reveals a
         // representative; the carried initial TTL tells how far away.
@@ -74,10 +74,10 @@ impl SrmAgent {
 
     /// A catalog arrived: suppress our own pending reply and surface any
     /// new pages to the application.
-    pub(super) fn handle_catalog(&mut self, ctx: &mut dyn Driver, pages: Vec<PageId>) {
+    pub(super) fn handle_catalog(&mut self, ctx: &mut dyn Driver, pages: &[PageId]) {
         self.timers.disarm(ctx, self.catalog_reply_timer.take());
         let known = self.store.known_pages();
-        for p in pages {
+        for &p in pages {
             if !known.contains(&p) && !self.discovered_pages.contains(&p) {
                 self.discovered_pages.push(p);
             }

@@ -12,7 +12,7 @@
 
 use crate::name::SourceId;
 use crate::wire::Echo;
-use netsim::{SimDuration, SimTime};
+use netsim::{Application, NodeId, SimDuration, SimTime, Simulator};
 use std::collections::BTreeMap;
 
 /// What we know about one peer's timing.
@@ -119,6 +119,25 @@ impl DistanceEstimator {
             distance: None,
         });
         e.distance = Some(d);
+    }
+
+    /// Set the estimate for every node of `members` other than `me` to the
+    /// exact shortest-path delay from it to `me`, read off `sim`'s route
+    /// cache — the converged estimates the paper's simulations assume
+    /// (Section V). Each member's tree is computed once and then serves
+    /// forwarding too.
+    pub fn set_exact_distances<A: Application>(
+        &mut self,
+        sim: &mut Simulator<A>,
+        me: NodeId,
+        members: &[NodeId],
+    ) {
+        for &other in members {
+            if other != me {
+                let d = sim.route(other).distance(me);
+                self.set_distance(SourceId(other.0 as u64), d);
+            }
+        }
     }
 }
 

@@ -374,12 +374,19 @@ impl AduStore {
     /// payload: "the name always refers to the same data". A name already
     /// durable on disk (even if evicted from RAM) counts as held.
     pub fn insert(&mut self, name: AduName, payload: Bytes) -> bool {
+        self.insert_with(name, || payload)
+    }
+
+    /// [`AduStore::insert`], making the payload only if the store keeps it:
+    /// a caller holding a shared payload clones it just for a new name.
+    pub fn insert_with(&mut self, name: AduName, payload: impl FnOnce() -> Bytes) -> bool {
         let cache_limit = self.persistence.as_ref().and(self.cache_per_stream);
         let (seq, slot) = (name.seq.0, name.seq.0 % CHUNK);
         let s = self.streams.entry((name.source, name.page)).or_default();
         if s.holds(seq) {
             return false;
         }
+        let payload = payload();
         let durable = self
             .persistence
             .as_mut()

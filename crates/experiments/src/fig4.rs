@@ -79,6 +79,23 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
 mod tests {
     use super::*;
 
+    /// A Fig. 4 session's build and its warm round compute each root's
+    /// shortest-path tree exactly once: the builder's source tree and the
+    /// member-distance trees are the simulator's forwarding trees.
+    #[test]
+    fn a_session_computes_each_roots_tree_once() {
+        for rep in 0..3 {
+            let mut s = spec(50, rep, SrmConfig::fixed(50)).build();
+            let members = s.members.len() as u64;
+            assert_eq!(s.sim.routes_computed(), members, "rep {rep}: after the build");
+            let forwarding = s.sim.route(s.source);
+            assert!(std::rc::Rc::ptr_eq(s.source_tree(), &forwarding), "rep {rep}");
+            let r = run_round(&mut s, 100_000.0);
+            assert!(r.all_recovered && r.requests + r.repairs > 0, "rep {rep}");
+            assert_eq!(s.sim.routes_computed(), members, "rep {rep}: after the warm round");
+        }
+    }
+
     #[test]
     fn sparse_sessions_recover_with_more_duplicates_than_dense() {
         let opts = RunOpts {

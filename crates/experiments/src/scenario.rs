@@ -7,12 +7,13 @@
 
 use netsim::generators;
 use netsim::loss::OneShotLinkDrop;
-use netsim::routing::SpTree;
+use netsim::routing::{SpTree, SptCache};
 use netsim::{flow, GroupId, LinkId, NodeId, SimDuration, SimTime, Simulator, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
 use srm::{PageId, SourceId, SrmAgent, SrmConfig};
+use std::rc::Rc;
 
 /// The multicast group used by all experiments.
 pub const GROUP: GroupId = GroupId(1);
@@ -117,6 +118,7 @@ pub struct Session {
     pub downstream_members: Vec<NodeId>,
     /// True one-way distance (seconds) from the source to each node.
     pub dist_from_source: Vec<f64>,
+    source_tree: Rc<SpTree>,
     page: PageId,
     rounds_run: u64,
 }
@@ -164,8 +166,10 @@ impl ScenarioSpec {
         // Source: random member.
         let source = *members.choose(&mut rng).expect("nonempty membership");
 
-        // Congested link on the source's tree toward the members.
-        let spt = SpTree::compute(&topo, source);
+        // Congested link on the source's tree toward the members. The tree
+        // is computed in the cache the simulator will forward with.
+        let mut routes = SptCache::new();
+        let spt = routes.get(&topo, source);
         let candidates: Vec<LinkId> = candidate_links(&topo, &spt, &members, self.drop, source);
         assert!(
             !candidates.is_empty(),
@@ -182,23 +186,13 @@ impl ScenarioSpec {
 
         // Exact pairwise member distances (assumed-converged estimates).
         let sim_seed = self.timer_seed.unwrap_or_else(|| rng.random());
-        let mut sim = Simulator::new(topo, sim_seed);
+        let mut sim = Simulator::with_routes(topo, sim_seed, routes);
         let page = PageId::new(SourceId(source.0 as u64), 0);
-        let trees: Vec<(NodeId, SpTree)> = members
-            .iter()
-            .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-            .collect();
         for &m in &members {
             let mut agent = SrmAgent::new(SourceId(m.0 as u64), GROUP, self.cfg.clone());
             agent.session_enabled = false;
             agent.set_current_page(page);
-            for (other, tree) in &trees {
-                if *other != m {
-                    agent
-                        .distances_mut()
-                        .set_distance(SourceId(other.0 as u64), tree.distance(m));
-                }
-            }
+            agent.distances_mut().set_exact_distances(&mut sim, m, &members);
             sim.install(m, agent);
             sim.join(m, GROUP);
         }
@@ -221,6 +215,7 @@ impl ScenarioSpec {
             congested_link,
             downstream_members,
             dist_from_source,
+            source_tree: spt,
             page,
             rounds_run: 0,
         }
@@ -306,6 +301,12 @@ impl Session {
     /// RTT (seconds) from `member` to the source over the true topology.
     pub fn rtt_to_source(&self, member: NodeId) -> f64 {
         2.0 * self.dist_from_source[member.index()]
+    }
+
+    /// The source's shortest-path tree, the one the congested link was
+    /// picked on: the very tree `sim` forwards the source's packets along.
+    pub fn source_tree(&self) -> &Rc<SpTree> {
+        &self.source_tree
     }
 
     /// The page data is sent on.

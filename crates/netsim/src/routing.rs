@@ -18,19 +18,22 @@ use std::collections::BinaryHeap;
 pub struct SpTree {
     /// The root (transmitting node).
     pub root: NodeId,
-    /// Shortest-path distance from the root to each node
-    /// (`SimDuration::ZERO` for the root; unreachable nodes get `u64::MAX`
-    /// nanoseconds, which [`SpTree::reachable`] reports as `false`).
-    dist: Vec<SimDuration>,
-    /// For each node except the root: (parent node, link to parent).
-    parent: Vec<Option<(NodeId, LinkId)>>,
-    /// Children of each node in the tree, sorted by child id.
-    children: Vec<Vec<(NodeId, LinkId)>>,
-    /// Hop count from the root.
-    hops: Vec<u32>,
+    /// Shortest-path distance in nanoseconds from the root to each node
+    /// (0 for the root, `UNREACHABLE` for nodes the search never
+    /// reached); [`SpTree::distance`] converts on read.
+    dist: Vec<u64>,
+    /// For each node: (parent node, link to parent, hop count from the
+    /// root); the parent is `NONE` for the root and unreachable nodes.
+    up: Vec<(u32, u32, u32)>,
+    /// Children of node `v` are `kids[kid_start[v]..kid_start[v + 1]]`,
+    /// sorted by child id: one flat table instead of a `Vec` per node.
+    kid_start: Vec<u32>,
+    kids: Vec<(NodeId, LinkId)>,
 }
 
 const UNREACHABLE: u64 = u64::MAX;
+/// "No parent" in a node's best offer: sorts after every real node id.
+const NONE: u32 = u32::MAX;
 
 impl SpTree {
     /// Dijkstra from `root` with deterministic tie-breaking: among equal
@@ -42,94 +45,117 @@ impl SpTree {
     /// Like [`SpTree::compute`], but skipping any link whose entry in
     /// `link_up` is `false` — routing around failed links. `None` means all
     /// links are up.
+    ///
+    /// Dijkstra with lazy deletion: each node keeps its best offer
+    /// `(dist, parent, link, hops)` and a heap entry `(dist, node)`, packed
+    /// into one `u128` so it compares in one step, is pushed only when an
+    /// offer lowers the distance; a settled node's later entries are
+    /// skipped. An offer replaces the best only if it is
+    /// strictly smaller as a tuple, so a node settles with the least
+    /// `(dist, parent, link, hops)` offered to it — whatever order the
+    /// neighbors were scanned in, zero-delay links included.
     pub fn compute_masked(topo: &Topology, root: NodeId, link_up: Option<&[bool]>) -> SpTree {
         let up = |l: LinkId| link_up.is_none_or(|m| m[l.index()]);
         let n = topo.num_nodes();
         let mut dist = vec![UNREACHABLE; n];
-        let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut hops = vec![0u32; n];
+        // Best offer per node: (parent, link, hops); NONE parent = none yet.
+        let mut offer = vec![(NONE, NONE, 0u32); n];
         let mut settled = vec![false; n];
-        // Heap entries: (dist, node, parent, link, hop). Reverse for min-heap;
-        // ties break on smaller node id then smaller parent id, making the
-        // tree independent of insertion order.
-        type HeapEntry = (u64, u32, u32, u32, u32);
-        let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
-        heap.push(Reverse((0, root.0, u32::MAX, u32::MAX, 0)));
-        while let Some(Reverse((d, v, p, l, h))) = heap.pop() {
+        let key = |d: u64, v: u32| Reverse((d as u128) << 32 | v as u128);
+        let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::with_capacity(n);
+        dist[root.index()] = 0;
+        heap.push(key(0, root.0));
+        while let Some(Reverse(k)) = heap.pop() {
+            let (d, v) = ((k >> 32) as u64, k as u32);
             let vi = v as usize;
             if settled[vi] {
                 continue;
             }
             settled[vi] = true;
-            dist[vi] = d;
-            hops[vi] = h;
-            if p != u32::MAX {
-                parent[vi] = Some((NodeId(p), LinkId(l)));
-            }
+            let h = offer[vi].2 + 1;
             for &(w, link) in topo.neighbors(NodeId(v)) {
-                if !settled[w.index()] && up(link) {
-                    let nd = d + topo.link(link).delay.as_nanos();
-                    heap.push(Reverse((nd, w.0, v, link.0, h + 1)));
+                let wi = w.index();
+                if settled[wi] || !up(link) {
+                    continue;
+                }
+                let nd = d + topo.link(link).delay.as_nanos();
+                let (p, l, oh) = offer[wi];
+                if (nd, v, link.0, h) < (dist[wi], p, l, oh) {
+                    if nd < dist[wi] {
+                        heap.push(key(nd, w.0));
+                    }
+                    dist[wi] = nd;
+                    offer[wi] = (v, link.0, h);
                 }
             }
         }
-        let mut children: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); n];
-        for (v, entry) in parent.iter().enumerate() {
-            if let Some((p, l)) = *entry {
-                children[p.index()].push((NodeId(v as u32), l));
+        // Count each node's children into kid_start[p + 1], prefix-sum to
+        // starts, fill with kid_start[p] as p's cursor (visiting children in
+        // id order keeps each run sorted), then move each cursor, now its
+        // run's end, up one slot, where it is the next run's start.
+        let mut kid_start = vec![0u32; n + 1];
+        for &(p, _, _) in &offer {
+            if p != NONE {
+                kid_start[p as usize + 1] += 1;
             }
         }
-        for c in &mut children {
-            c.sort_unstable();
+        for i in 1..=n {
+            kid_start[i] += kid_start[i - 1];
         }
+        let mut kids = vec![(NodeId(0), LinkId(0)); kid_start[n] as usize];
+        for (v, &(p, l, _)) in offer.iter().enumerate() {
+            if p != NONE {
+                let at = &mut kid_start[p as usize];
+                kids[*at as usize] = (NodeId(v as u32), LinkId(l));
+                *at += 1;
+            }
+        }
+        kid_start.copy_within(0..n, 1);
+        kid_start[0] = 0;
         SpTree {
             root,
-            dist: dist
-                .into_iter()
-                .map(|d| {
-                    if d == UNREACHABLE {
-                        SimDuration::from_secs(u64::MAX / 2_000_000_000)
-                    } else {
-                        nanos(d)
-                    }
-                })
-                .collect(),
-            parent,
-            children,
-            hops,
+            dist,
+            up: offer,
+            kid_start,
+            kids,
         }
     }
 
     /// Shortest-path delay from the root to `n`.
     pub fn distance(&self, n: NodeId) -> SimDuration {
-        self.dist[n.index()]
+        match self.dist[n.index()] {
+            UNREACHABLE => SimDuration::from_secs(u64::MAX / 2_000_000_000),
+            d => nanos(d),
+        }
     }
 
     /// Hop count from the root to `n`.
     pub fn hop_count(&self, n: NodeId) -> u32 {
-        self.hops[n.index()]
+        self.up[n.index()].2
     }
 
     /// Whether `n` was reached by the search.
     pub fn reachable(&self, n: NodeId) -> bool {
-        n == self.root || self.parent[n.index()].is_some()
+        n == self.root || self.up[n.index()].0 != NONE
     }
 
     /// Children of `n` in the tree (sorted by id).
     pub fn children(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.children[n.index()]
+        let i = n.index();
+        &self.kids[self.kid_start[i] as usize..self.kid_start[i + 1] as usize]
     }
 
     /// Parent of `n`, or `None` for the root / unreachable nodes.
     pub fn parent(&self, n: NodeId) -> Option<(NodeId, LinkId)> {
-        self.parent[n.index()]
+        let (p, l, _) = self.up[n.index()];
+        (p != NONE).then_some((NodeId(p), LinkId(l)))
     }
 
     /// The path from the root to `n` as a list of link ids.
     pub fn path_links(&self, n: NodeId) -> Vec<LinkId> {
         let mut out = Vec::new();
         let mut cur = n;
-        while let Some((p, l)) = self.parent[cur.index()] {
+        while let Some((p, l)) = self.parent(cur) {
             out.push(l);
             cur = p;
         }
@@ -140,7 +166,7 @@ impl SpTree {
     /// Whether the tree path from the root to `n` traverses `link`.
     pub fn path_uses_link(&self, n: NodeId, link: LinkId) -> bool {
         let mut cur = n;
-        while let Some((p, l)) = self.parent[cur.index()] {
+        while let Some((p, l)) = self.parent(cur) {
             if l == link {
                 return true;
             }
@@ -210,13 +236,16 @@ fn nanos(n: u64) -> SimDuration {
 /// A cache of per-root shortest-path trees, computed lazily.
 ///
 /// Forwarding consults this on every multicast transmission; caching keeps a
-/// 100-round adaptive experiment on a 1000-node tree fast.
+/// 100-round adaptive experiment on a 1000-node tree fast. A session's
+/// builder reads its member distances from the same cache (see
+/// [`crate::Simulator::route`]), so each root's tree is computed once.
 #[derive(Clone, Debug, Default)]
 pub struct SptCache {
     // Indexed directly by root node id — forwarding hits this once per
     // hop, and a Vec probe beats hashing the NodeId every time. The Vec
     // grows to the highest root seen (node ids are dense by construction).
     trees: Vec<Option<std::rc::Rc<SpTree>>>,
+    computed: u64,
 }
 
 impl SptCache {
@@ -244,8 +273,16 @@ impl SptCache {
             self.trees.resize(i + 1, None);
         }
         self.trees[i]
-            .get_or_insert_with(|| std::rc::Rc::new(SpTree::compute_masked(topo, root, link_up)))
+            .get_or_insert_with(|| {
+                self.computed += 1;
+                std::rc::Rc::new(SpTree::compute_masked(topo, root, link_up))
+            })
             .clone()
+    }
+
+    /// How many trees this cache has computed, over its whole life.
+    pub fn computed(&self) -> u64 {
+        self.computed
     }
 
     /// Drop all cached trees (call after mutating the topology).
@@ -257,8 +294,131 @@ impl SptCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{bounded_degree_tree, chain, star};
+    use crate::generators::{
+        bounded_degree_tree, chain, random_connected_graph, random_delay_tree, star,
+    };
     use crate::topology::TopologyBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The kernel [`SpTree::compute_masked`] replaced, kept as its
+    /// reference: Dijkstra over `(dist, node, parent, link, hop)` heap
+    /// entries, one pushed per edge scan, a node settling at its first pop,
+    /// children gathered into one `Vec` per node and sorted. Returns
+    /// `(dist, parent, hops, children)` per node.
+    #[allow(clippy::type_complexity)]
+    fn reference(
+        topo: &Topology,
+        root: NodeId,
+        link_up: Option<&[bool]>,
+    ) -> (Vec<SimDuration>, Vec<Option<(NodeId, LinkId)>>, Vec<u32>, Vec<Vec<(NodeId, LinkId)>>) {
+        let up = |l: LinkId| link_up.is_none_or(|m| m[l.index()]);
+        let n = topo.num_nodes();
+        let mut dist = vec![UNREACHABLE; n];
+        let mut parent: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut hops = vec![0u32; n];
+        let mut settled = vec![false; n];
+        type HeapEntry = (u64, u32, u32, u32, u32);
+        let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
+        heap.push(Reverse((0, root.0, u32::MAX, u32::MAX, 0)));
+        while let Some(Reverse((d, v, p, l, h))) = heap.pop() {
+            let vi = v as usize;
+            if settled[vi] {
+                continue;
+            }
+            settled[vi] = true;
+            dist[vi] = d;
+            hops[vi] = h;
+            if p != u32::MAX {
+                parent[vi] = Some((NodeId(p), LinkId(l)));
+            }
+            for &(w, link) in topo.neighbors(NodeId(v)) {
+                if !settled[w.index()] && up(link) {
+                    let nd = d + topo.link(link).delay.as_nanos();
+                    heap.push(Reverse((nd, w.0, v, link.0, h + 1)));
+                }
+            }
+        }
+        let mut children: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); n];
+        for (v, entry) in parent.iter().enumerate() {
+            if let Some((p, l)) = *entry {
+                children[p.index()].push((NodeId(v as u32), l));
+            }
+        }
+        for c in &mut children {
+            c.sort_unstable();
+        }
+        let dist = dist
+            .into_iter()
+            .map(|d| {
+                if d == UNREACHABLE {
+                    SimDuration::from_secs(u64::MAX / 2_000_000_000)
+                } else {
+                    nanos(d)
+                }
+            })
+            .collect();
+        (dist, parent, hops, children)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The lazy-deletion kernel and the heap-tuple reference agree on
+        /// every node's distance (bit for bit), parent, hop count and child
+        /// order, from every root: on random graphs and random delay trees,
+        /// with delays drawn from {0, 1, 2} ms so equal-distance ties and
+        /// zero-delay links abound, and with random links down.
+        #[test]
+        fn lazy_kernel_matches_the_heap_tuple_reference(
+            n in 2usize..40,
+            extra in 0usize..40,
+            seed in 0u64..u64::MAX,
+            graph in proptest::prelude::any::<bool>(),
+            quantize in proptest::prelude::any::<bool>(),
+            down_share in 0u32..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = if graph {
+                let m = (n - 1 + extra).min(n * (n - 1) / 2);
+                random_connected_graph(n, m, &mut rng)
+            } else {
+                random_delay_tree(
+                    n,
+                    SimDuration::from_millis(1),
+                    SimDuration::from_millis(50),
+                    &mut rng,
+                )
+            };
+            let topo = if quantize {
+                let mut b = TopologyBuilder::new(n);
+                for (_, l) in base.links() {
+                    let ms = rng.random_range(0..3u64);
+                    b.link_with(l.a, l.b, SimDuration::from_millis(ms), 1);
+                }
+                b.build()
+            } else {
+                base
+            };
+            // Each link is down with probability down_share / 8.
+            let mask: Vec<bool> = (0..topo.num_links())
+                .map(|_| rng.random_range(0..8u32) >= down_share)
+                .collect();
+            for masked in [None, Some(&mask[..])] {
+                for root in topo.nodes() {
+                    let got = SpTree::compute_masked(&topo, root, masked);
+                    let (dist, parent, hops, children) = reference(&topo, root, masked);
+                    for v in topo.nodes() {
+                        let i = v.index();
+                        proptest::prop_assert_eq!(got.distance(v), dist[i], "dist {:?} from {:?}", v, root);
+                        proptest::prop_assert_eq!(got.parent(v), parent[i], "parent {:?} from {:?}", v, root);
+                        proptest::prop_assert_eq!(got.hop_count(v), hops[i], "hops {:?} from {:?}", v, root);
+                        proptest::prop_assert_eq!(got.children(v), &children[i][..], "children {:?} from {:?}", v, root);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn chain_distances() {
@@ -380,5 +540,6 @@ mod tests {
         cache.invalidate();
         let c = cache.get(&t, NodeId(2));
         assert!(!std::rc::Rc::ptr_eq(&a, &c));
+        assert_eq!(cache.computed(), 2);
     }
 }

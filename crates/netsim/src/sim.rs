@@ -17,7 +17,7 @@ use crate::event::{EventKind, EventQueue, TimerId};
 use crate::faults::{FaultEvent, FaultPlan, NodeClock};
 use crate::loss::{LossModel, NoLoss};
 use crate::packet::{GroupId, Packet, PacketBody, PacketId, SendOptions};
-use crate::routing::SptCache;
+use crate::routing::{SpTree, SptCache};
 use crate::stats::{Stats, Trace, TraceEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, Topology};
@@ -272,6 +272,14 @@ struct ActiveBurst {
 impl<A: Application> Simulator<A> {
     /// Build a simulator over `topo` with the given RNG seed and no loss.
     pub fn new(topo: Topology, seed: u64) -> Self {
+        Self::with_routes(topo, seed, SptCache::new())
+    }
+
+    /// [`Simulator::new`], keeping the trees `routes` already holds: a
+    /// builder that needs a tree before the simulator exists (to pick a
+    /// link on it) hands it over instead of having it computed twice.
+    /// `routes` must have been filled over `topo` with every link up.
+    pub fn with_routes(topo: Topology, seed: u64, routes: SptCache) -> Self {
         let links = topo.num_links();
         let nodes = topo.num_nodes();
         Simulator {
@@ -284,7 +292,7 @@ impl<A: Application> Simulator<A> {
             loss_transparent: true,
             effects: Box::new(Ideal),
             effects_ideal: true,
-            spt: SptCache::new(),
+            spt: routes,
             prune_cache: HashMap::new(),
             mask_memo: None,
             rng: StdRng::seed_from_u64(seed),
@@ -346,6 +354,18 @@ impl<A: Application> Simulator<A> {
     /// The topology under simulation.
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+
+    /// The shortest-path tree rooted at `root` over the links up now: the
+    /// very tree forwarding uses, computed on first use and shared after.
+    pub fn route(&mut self, root: NodeId) -> Rc<SpTree> {
+        self.spt.get_masked(&self.topo, root, Some(&self.link_up))
+    }
+
+    /// How many shortest-path trees this simulator has computed (a link
+    /// going down or up drops them all, and they are computed again).
+    pub fn routes_computed(&self) -> u64 {
+        self.spt.computed()
     }
 
     /// Current simulation time.
@@ -680,7 +700,7 @@ impl<A: Application> Simulator<A> {
         }
         // The next hop toward `dest` is this node's parent in the SPT
         // rooted at `dest` (links are symmetric).
-        let tree = self.spt.get_masked(&self.topo, dest, Some(&self.link_up));
+        let tree = self.route(dest);
         let Some((next, link)) = tree.parent(node) else {
             return; // unreachable destination
         };
@@ -833,7 +853,7 @@ impl<A: Application> Simulator<A> {
                 return masks.clone();
             }
         }
-        let tree = self.spt.get_masked(&self.topo, root, Some(&self.link_up));
+        let tree = self.route(root);
         let n = self.topo.num_nodes();
         let mut member = vec![false; n];
         let mut reach = vec![false; n];

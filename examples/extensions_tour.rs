@@ -7,7 +7,6 @@
 use bytes::Bytes;
 use netsim::generators::chain;
 use netsim::loss::ScriptedDrop;
-use netsim::routing::SpTree;
 use netsim::{GroupId, NodeId, SimDuration, SimTime, Simulator};
 use srm::config::RecoveryGroupConfig;
 use srm::{FecConfig, HierarchyConfig, PageId, SourceId, SrmAgent, SrmConfig};
@@ -19,19 +18,13 @@ fn session(cfg: SrmConfig, sessions_on: bool) -> (Simulator<SrmAgent>, PageId) {
     let topo = chain(N);
     let mut sim = Simulator::new(topo, 60);
     let page = PageId::new(SourceId(0), 0);
-    let trees: Vec<(NodeId, SpTree)> = (0..N as u32)
-        .map(|i| (NodeId(i), SpTree::compute(sim.topology(), NodeId(i))))
-        .collect();
+    let members: Vec<NodeId> = (0..N as u32).map(NodeId).collect();
     for i in 0..N as u32 {
         let mut a = SrmAgent::new(SourceId(i as u64), GROUP, cfg.clone());
         a.session_enabled = sessions_on;
         a.set_current_page(page);
-        for (o, t) in &trees {
-            if o.0 != i {
-                a.distances_mut()
-                    .set_distance(SourceId(o.0 as u64), t.distance(NodeId(i)));
-            }
-        }
+        a.distances_mut()
+            .set_exact_distances(&mut sim, NodeId(i), &members);
         sim.install(NodeId(i), a);
         sim.join(NodeId(i), GROUP);
     }

@@ -8,7 +8,7 @@ use netsim::generators::bounded_degree_tree;
 use netsim::loss::BernoulliLoss;
 use netsim::{GroupId, NodeId, SimDuration, SimTime, Simulator};
 use srm::{PageId, SourceId, SrmConfig};
-use srm_toolkit::{Article, NewsApp, NewsTool, Prefix, RouteApp, RouteTool, RouteUpdate, SrmTool};
+use srm_toolkit::{Article, NewsApp, Prefix, RouteApp, RouteUpdate, SrmTool};
 
 const GROUP: GroupId = GroupId(1);
 const SEATS: [NodeId; 4] = [NodeId(3), NodeId(12), NodeId(20), NodeId(27)];

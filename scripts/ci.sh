@@ -104,6 +104,11 @@ cargo test -q -p netsim --lib -- lane_and_heap_pop_in_single_heap_order \
     monotone_hops_take_the_lane_and_the_rest_the_heap fan_table_is_the_pruned_spt_children \
     a_leave_inside_on_packet_prunes_the_rest_of_a_flood_in_flight run_until_advances_clock
 
+echo "== one shortest-path tree per root per session (the lazy-deletion Dijkstra equals the heap-tuple reference; a Fig. 4 session and an srm-sim scenario compute each root's tree once) =="
+cargo test -q -p netsim --lib lazy_kernel_matches_the_heap_tuple_reference
+cargo test -q -p srm-experiments --lib a_session_computes_each_roots_tree_once
+cargo test -q -p srm-sim --lib a_scenario_computes_each_members_tree_once
+
 echo "== allocation budget (exact heap allocations per sent and per received ADU, live pair) =="
 cargo test -q --test alloc_budget
 
@@ -209,7 +214,7 @@ cargo test -q -p srm-transport --test metrics_monitor
 cargo test -q -p srm --lib store::tests
 cargo test -q -p srm-sim --lib spec::tests
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push must stay gone) =="
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, and a second tree per member beside the simulator's route cache must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -222,6 +227,7 @@ stale+='|fingerprint_l[e]n|rep_timeou[t]|min_losse[s]'
 stale+='|MemberSumm[a]ry|observe_ag[e]nt|obs::RunSumm[a]ry'
 stale+='|LossPol[i]cy|trace_capa[c]ity|render_promet[h]eus|--stats-add[r]|--trace-ca[p]|--drop-dat[a]|pool_sla[b]s'
 stale+='|retention_per_str[e]am|active_pe[e]rs|delta_si[n]ce|elapsed_si[n]ce'
+stale+='|SpTree::compute\(sim\.topolog[y]\(\)'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \

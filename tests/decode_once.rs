@@ -11,7 +11,6 @@
 
 use bytes::Bytes;
 use netsim::loss::OneShotLinkDrop;
-use netsim::routing::SpTree;
 use netsim::{flow, Application, Ctx, NodeId, Packet, SendOptions, SimDuration, Simulator};
 use srm::{SourceId, SrmAgent, SrmConfig};
 use srm_experiments::scenario::GROUP;
@@ -55,22 +54,13 @@ impl Member for PerReceiver {
 /// wrapped by `wrap`, tracing on.
 fn build<A: Member>(layout: &Session, sim_seed: u64, wrap: fn(SrmAgent) -> A) -> Simulator<A> {
     let mut sim = Simulator::new(layout.sim.topology().clone(), sim_seed);
-    let trees: Vec<(NodeId, SpTree)> = layout
-        .members
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
     for &m in &layout.members {
         let mut agent = SrmAgent::new(SourceId(m.0 as u64), GROUP, SrmConfig::fixed(MEMBERS));
         agent.session_enabled = false;
         agent.set_current_page(layout.page());
-        for (other, tree) in &trees {
-            if *other != m {
-                agent
-                    .distances_mut()
-                    .set_distance(SourceId(other.0 as u64), tree.distance(m));
-            }
-        }
+        agent
+            .distances_mut()
+            .set_exact_distances(&mut sim, m, &layout.members);
         sim.install(m, wrap(agent));
         sim.join(m, GROUP);
     }

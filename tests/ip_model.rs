@@ -9,7 +9,6 @@ use bytes::Bytes;
 use netsim::effects::RandomEffects;
 use netsim::generators::bounded_degree_tree;
 use netsim::loss::BernoulliLoss;
-use netsim::routing::SpTree;
 use netsim::{GroupId, NodeId, SimDuration, SimTime, Simulator};
 use srm::{PageId, SourceId, SrmAgent, SrmConfig};
 
@@ -20,20 +19,11 @@ fn build(seed: u64, members: &[NodeId]) -> (Simulator<SrmAgent>, PageId) {
     let mut sim = Simulator::new(topo, seed);
     let source = members[0];
     let page = PageId::new(SourceId(source.0 as u64), 0);
-    let trees: Vec<(NodeId, SpTree)> = members
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
     for &m in members {
         let mut a = SrmAgent::new(SourceId(m.0 as u64), GROUP, SrmConfig::fixed(members.len()));
         a.session_enabled = false; // tests re-enable where needed
         a.set_current_page(page);
-        for (o, t) in &trees {
-            if *o != m {
-                a.distances_mut()
-                    .set_distance(SourceId(o.0 as u64), t.distance(m));
-            }
-        }
+        a.distances_mut().set_exact_distances(&mut sim, m, members);
         sim.install(m, a);
         sim.join(m, GROUP);
     }

@@ -5,7 +5,6 @@
 use bytes::Bytes;
 use netsim::generators::{bounded_degree_tree, chain};
 use netsim::loss::ScriptedDrop;
-use netsim::routing::SpTree;
 use netsim::{flow, GroupId, NodeId, SimDuration, SimTime, Simulator};
 use srm::{PageId, RecoveryScope, SourceId, SrmAgent, SrmConfig};
 
@@ -18,20 +17,11 @@ fn install(
     cfg: &SrmConfig,
 ) -> PageId {
     let page = PageId::new(SourceId(source.0 as u64), 0);
-    let trees: Vec<(NodeId, SpTree)> = members
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
     for &m in members {
         let mut a = SrmAgent::new(SourceId(m.0 as u64), GROUP, cfg.clone());
         a.session_enabled = false;
         a.set_current_page(page);
-        for (o, t) in &trees {
-            if *o != m {
-                a.distances_mut()
-                    .set_distance(SourceId(o.0 as u64), t.distance(m));
-            }
-        }
+        a.distances_mut().set_exact_distances(sim, m, members);
         sim.install(m, a);
         sim.join(m, GROUP);
     }
@@ -282,7 +272,7 @@ fn loss_fingerprints_identify_neighborhoods() {
     // subtree holding nodes 5 and 6 but not the others: find the link from
     // the SPT of node 0 toward node 5's parent region. Use the first link
     // of node 5's path from 0 that node 30 does not share.
-    let spt = SpTree::compute(sim.topology(), NodeId(0));
+    let spt = sim.route(NodeId(0));
     let path5 = spt.path_links(NodeId(5));
     let path30 = spt.path_links(NodeId(30));
     let link = *path5

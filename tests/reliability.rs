@@ -5,7 +5,6 @@
 use bytes::Bytes;
 use netsim::generators::{bounded_degree_tree, random_labeled_tree, random_members};
 use netsim::loss::{BernoulliLoss, OneShotLinkDrop, ScriptedDrop};
-use netsim::routing::SpTree;
 use netsim::{flow, GroupId, NodeId, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,20 +22,11 @@ fn install_members(
     sessions: bool,
 ) -> PageId {
     let page = PageId::new(SourceId(source.0 as u64), 0);
-    let trees: Vec<(NodeId, SpTree)> = members
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
     for &m in members {
         let mut a = SrmAgent::new(SourceId(m.0 as u64), GROUP, cfg.clone());
         a.session_enabled = sessions;
         a.set_current_page(page);
-        for (o, t) in &trees {
-            if *o != m {
-                a.distances_mut()
-                    .set_distance(SourceId(o.0 as u64), t.distance(m));
-            }
-        }
+        a.distances_mut().set_exact_distances(sim, m, members);
         sim.install(m, a);
         sim.join(m, GROUP);
     }

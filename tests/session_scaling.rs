@@ -8,6 +8,7 @@ use netsim::routing::SpTree;
 use netsim::{flow, GroupId, NodeId, SimDuration, SimTime, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::rc::Rc;
 use srm::{PageId, SourceId, SrmAgent, SrmConfig};
 
 const GROUP: GroupId = GroupId(1);
@@ -115,10 +116,7 @@ fn session_accounting_uses_encoded_wire_length() {
 fn distance_estimates_converge_to_truth() {
     let (mut sim, members) = session(100, 8, 7);
     sim.run_until(SimTime::from_secs(400));
-    let trees: Vec<(NodeId, SpTree)> = members
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
+    let trees: Vec<(NodeId, Rc<SpTree>)> = members.iter().map(|&m| (m, sim.route(m))).collect();
     for &m in &members {
         let a = sim.app(m).unwrap();
         for (o, tree) in &trees {

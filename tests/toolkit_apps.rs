@@ -5,7 +5,6 @@
 use bytes::Bytes;
 use netsim::generators::bounded_degree_tree;
 use netsim::loss::BernoulliLoss;
-use netsim::routing::SpTree;
 use netsim::{GroupId, NodeId, SimDuration, Simulator};
 use srm::{PageId, SourceId, SrmConfig};
 use srm_toolkit::{Article, NewsApp, NewsTool, Prefix, RouteApp, RouteTool, RouteUpdate, SrmTool};
@@ -21,20 +20,12 @@ fn install<A: srm_toolkit::SrmApplication>(
     page: PageId,
     mk: impl Fn() -> A,
 ) {
-    let trees: Vec<(NodeId, SpTree)> = seats()
-        .iter()
-        .map(|&m| (m, SpTree::compute(sim.topology(), m)))
-        .collect();
     for &m in &seats() {
         let mut t = SrmTool::new(SourceId(m.0 as u64), GROUP, SrmConfig::fixed(4), mk());
         t.agent.set_current_page(page);
-        for (o, tr) in &trees {
-            if *o != m {
-                t.agent
-                    .distances_mut()
-                    .set_distance(SourceId(o.0 as u64), tr.distance(m));
-            }
-        }
+        t.agent
+            .distances_mut()
+            .set_exact_distances(sim, m, &seats());
         sim.install(m, t);
         sim.join(m, GROUP);
     }
