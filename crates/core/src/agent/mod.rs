@@ -285,6 +285,14 @@ impl SrmAgent {
         std::mem::take(&mut self.delivered)
     }
 
+    /// Discard the ADUs delivered since the last call, keeping the queue's
+    /// allocation for the next ones; how many there were.
+    pub fn discard_delivered(&mut self) -> usize {
+        let n = self.delivered.len();
+        self.delivered.clear();
+        n
+    }
+
     /// Are any loss-recovery episodes still in flight?
     pub fn has_pending_recovery(&self) -> bool {
         self.episodes.values().any(|e| e.request.is_some())

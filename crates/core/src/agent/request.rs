@@ -221,8 +221,7 @@ impl SrmAgent {
         let name = d.name;
         // Gap detection must run before insertion (insertion advances the
         // stream's high-water mark); the arriving name itself is excluded.
-        let mut missing = self.store.note_exists(name.source, name.page, name.seq);
-        missing.retain(|m| *m != name);
+        let missing = self.store.note_arrival(name.source, name.page, name.seq);
         self.deliver(name, &d.payload, d.is_repair);
         // Seeing our own stream (a repair of pre-crash data after a
         // restart) must advance our sequence allocator past it, or new

@@ -480,6 +480,17 @@ impl AduStore {
     /// `gap_cap` holes (bounded resource use under corruption; see the
     /// field's documentation).
     pub fn note_exists(&mut self, source: SourceId, page: PageId, seq: SeqNo) -> Vec<AduName> {
+        self.note_gap(source, page, seq, true)
+    }
+
+    /// [`AduStore::note_exists`] for `seq` arriving: the same gap without
+    /// `seq` itself, so an in-order arrival reports an empty list, which
+    /// does not allocate.
+    pub fn note_arrival(&mut self, source: SourceId, page: PageId, seq: SeqNo) -> Vec<AduName> {
+        self.note_gap(source, page, seq, false)
+    }
+
+    fn note_gap(&mut self, source: SourceId, page: PageId, seq: SeqNo, with_seq: bool) -> Vec<AduName> {
         let s = self.streams.entry((source, page)).or_default();
         let prev = s.highest_known;
         if prev.is_none_or(|h| seq > h) {
@@ -496,10 +507,13 @@ impl AduStore {
         if seq.0 - start >= self.gap_cap {
             start = seq.0 - self.gap_cap.saturating_sub(1);
         }
+        let hi = match (with_seq, seq.0.checked_sub(1)) {
+            (true, _) => seq.0,
+            (false, Some(hi)) if hi >= start => hi,
+            (false, _) => return Vec::new(),
+        };
         let mut out = Vec::new();
-        s.for_each_missing(start, seq.0, |q| {
-            out.push(AduName::new(source, page, SeqNo(q)))
-        });
+        s.for_each_missing(start, hi, |q| out.push(AduName::new(source, page, SeqNo(q))));
         out
     }
 
@@ -647,6 +661,18 @@ mod tests {
         assert_eq!(missing, vec![n(1), n(2), n(3)]);
         // A later note for the same high water mark reports nothing new.
         assert!(st.note_exists(SRC, page(), SeqNo(3)).is_empty());
+    }
+
+    #[test]
+    fn an_arrival_reports_only_the_names_before_it() {
+        let mut st = AduStore::new();
+        assert!(st.note_arrival(SRC, page(), SeqNo(0)).is_empty());
+        st.insert(n(0), Bytes::new());
+        assert!(st.note_arrival(SRC, page(), SeqNo(1)).is_empty(), "in order");
+        st.insert(n(1), Bytes::new());
+        assert_eq!(st.note_arrival(SRC, page(), SeqNo(4)), vec![n(2), n(3)]);
+        // A late arrival inside the known range reports nothing new.
+        assert!(st.note_arrival(SRC, page(), SeqNo(2)).is_empty());
     }
 
     #[test]

@@ -122,6 +122,14 @@ impl Model {
             .collect()
     }
 
+    /// The agent's former arrival path: the full gap, then the arriving
+    /// name filtered out of it.
+    fn note_arrival(&mut self, source: SourceId, page: PageId, seq: SeqNo) -> Vec<AduName> {
+        let mut gap = self.note_exists(source, page, seq);
+        gap.retain(|m| m.seq != seq);
+        gap
+    }
+
     fn highest_known(&self, source: SourceId, page: PageId) -> Option<SeqNo> {
         self.streams.get(&(source, page))?.highest_known
     }
@@ -243,16 +251,23 @@ pub fn run(
         let what = format!("{:?}", (kind, si, a, n));
         match kind % 10 {
             // An in-order run: through `FIRST_SLOTS`, across chunk borders,
-            // and past any cache limit.
+            // and past any cache limit; each arrival noted as a session
+            // message would (0, 1) or as the data frame itself does (2, 3).
             0..=3 => {
                 for seq in *cursor..*cursor + 1 + u64::from(n % 100) {
-                    let missing = (
-                        store.note_exists(source, page, SeqNo(seq)),
-                        model.note_exists(source, page, SeqNo(seq)),
-                    );
+                    let missing = match kind % 10 {
+                        0 | 1 => (
+                            store.note_exists(source, page, SeqNo(seq)),
+                            model.note_exists(source, page, SeqNo(seq)),
+                        ),
+                        _ => (
+                            store.note_arrival(source, page, SeqNo(seq)),
+                            model.note_arrival(source, page, SeqNo(seq)),
+                        ),
+                    };
                     same!(
                         step,
-                        format!("{what} note_exists {seq}"),
+                        format!("{what} note {seq}"),
                         missing.0,
                         missing.1
                     );

@@ -92,6 +92,11 @@ impl SimDuration {
         SimDuration(secs_to_nanos(s))
     }
 
+    /// Construct from raw nanoseconds.
+    pub const fn from_nanos(n: u64) -> Self {
+        SimDuration(n)
+    }
+
     /// The span as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64

@@ -581,13 +581,16 @@ impl GroupHost {
 /// a pooled slab, then the per-destination fan-out — the single place every
 /// outgoing frame's fate is decided and counted. Surviving frames go on
 /// the flush queue; `frames_sent`/`send_errors` are settled when the batch
-/// reaches the socket.
-fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts: SendOptions) {
+/// reaches the socket. `now` is the caller's clock reading, the one its
+/// handler sees.
+fn send(wire: &mut Wire, io: &mut GroupIo, now: SimTime, group: GroupId, payload: Bytes, opts: SendOptions) {
     if opts.ttl == 0 {
         // A zero-TTL datagram never leaves the host.
         return;
     }
-    let now = io.clock.now();
+    // The send stage is timed from its own reading, taken only when a
+    // registry is attached.
+    let t0 = wire.reg.as_ref().map(|_| io.clock.now());
     // Quota gate, charged at wire size (§III-E: the sender's token bucket
     // enforces the session's advertised peak rate). A refusal drops the
     // frame *before* the fan-out, so `frames_attempted` never sees it —
@@ -647,9 +650,9 @@ fn send(wire: &mut Wire, io: &mut GroupIo, group: GroupId, payload: Bytes, opts:
             enqueue(dest, None, Some(opts.ttl));
         }
     }
-    if let Some(m) = &wire.reg {
+    if let (Some(m), Some(t0)) = (&wire.reg, t0) {
         m.tx[flow_slot(opts.flow)].inc();
-        m.stage_send.record(io.clock.now().since(now).as_secs_f64());
+        m.stage_send.record(io.clock.now().since(t0).as_secs_f64());
     }
 }
 
@@ -660,23 +663,27 @@ struct HostDriver<'a> {
     wire: &'a mut Wire,
     io: &'a mut GroupIo,
     key: u32,
+    /// The one clock reading of this handler, as `Ctx::now` is one event
+    /// time in `netsim`: taken when the driver is built, on the reactor's
+    /// own thread, so successive handlers there never see time go back.
+    now: SimTime,
 }
 
 impl Clock for HostDriver<'_> {
     fn now(&self) -> SimTime {
-        self.io.clock.now()
+        self.now
     }
 
     /// A live member stamps its messages with the clock it runs on; a
     /// skewed local reading is a `netsim` fault.
     fn local_now(&self) -> SimTime {
-        self.io.clock.now()
+        self.now
     }
 }
 
 impl Transport for HostDriver<'_> {
     fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        send(self.wire, self.io, group, payload, opts);
+        send(self.wire, self.io, self.now, group, payload, opts);
     }
 
     fn join(&mut self, group: GroupId) {
@@ -693,7 +700,7 @@ impl Transport for HostDriver<'_> {
         };
         // Log and stay in multicast mode: other joins may still succeed.
         self.io.log.record(
-            self.io.clock.now(),
+            self.now,
             obs::TransportEventKind::SocketError {
                 detail: format!("join group {}: {e}", group.0),
                 transient: false,
@@ -703,7 +710,7 @@ impl Transport for HostDriver<'_> {
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.io.wheel.arm(self.io.clock.now() + delay, token)
+        self.io.wheel.arm(self.now + delay, token)
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
@@ -718,14 +725,15 @@ impl Transport for HostDriver<'_> {
 /// Run `f` against one group's agent behind a freshly borrowed driver: the
 /// chaos decorator when a plan is configured, the plain wall-clock driver
 /// otherwise. Built per entry point because the driver borrows the wire
-/// and half the group's state.
+/// and half the group's state; the clock is read once, here.
 fn drive<R>(
     wire: &mut Wire,
     host: &mut GroupHost,
     f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R,
 ) -> R {
     let GroupHost { key, agent, io, chaos, delayq, tally, chaos_log, .. } = host;
-    let mut d = HostDriver { wire, io, key: *key };
+    let now = io.clock.now();
+    let mut d = HostDriver { wire, io, key: *key, now };
     let r = match chaos.as_mut() {
         Some(state) => {
             f(agent, &mut ChaosTransport { inner: &mut d, state, delayq, tally, log: chaos_log })
@@ -733,7 +741,7 @@ fn drive<R>(
         None => f(agent, &mut d),
     };
     if !host.keep_deliveries {
-        host.delivered += host.agent.take_delivered().len() as u64;
+        host.delivered += host.agent.discard_delivered() as u64;
     }
     r
 }
@@ -1196,9 +1204,12 @@ impl Reactor {
                 drive(&mut self.wire, host, |a, d| a.drive_timer(d, token));
             }
             // The chaos verdict already ran when these were queued, so a
-            // frame is acted on at most once.
+            // frame is acted on at most once. It goes out at a reading taken
+            // after the timers above ran, so the quota's clock never steps
+            // back.
             while let Some(held) = host.delayq.pop_due(now) {
-                send(&mut self.wire, &mut host.io, held.group, held.payload, held.opts);
+                let at = host.io.clock.now();
+                send(&mut self.wire, &mut host.io, at, held.group, held.payload, held.opts);
             }
         }
     }

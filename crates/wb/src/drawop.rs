@@ -218,7 +218,7 @@ impl DrawOp {
             return Err(DrawOpError::BadChecksum);
         }
         buf.truncate(body.len());
-        let timestamp = SimTime::from_secs_f64(buf.get_u64() as f64 / 1e9);
+        let timestamp = SimTime::from_nanos(buf.get_u64());
         let tag = buf.get_u8();
         let kind = match tag {
             TAG_LINE => {

@@ -1,13 +1,15 @@
 //! Property tests for the wire formats: every representable message and
 //! drawop survives encode → decode unchanged, and corrupted inputs never
-//! panic (they fail cleanly).
+//! panic (they fail cleanly). [`Message::decode`] is also held to a
+//! reference decoder, the `Buf`-cursor one it replaced: the same `Ok`
+//! message or the same [`WireError`] on any input.
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use srm::wire::{
     Body, DataBody, Echo, Header, Message, PageRequestBody, RecoveryInviteBody, RequestBody,
-    SessionBody,
+    SessionBody, WireError,
 };
 use srm::{AduName, PageId, Parity, SeqNo, SourceId};
 use srm_transport::Envelope;
@@ -19,10 +21,9 @@ fn arb_name() -> impl Strategy<Value = AduName> {
     })
 }
 
-// Times survive the wire with ~nanosecond granularity; keep values in a
-// sane range so f64 conversion is exact.
+// Times travel as integer nanoseconds, so every `u64` survives the wire.
 fn arb_time() -> impl Strategy<Value = SimTime> {
-    (0u64..1_000_000_000).prop_map(|ms| SimTime::from_secs_f64(ms as f64 / 1000.0))
+    any::<u64>().prop_map(SimTime::from_nanos)
 }
 
 fn arb_header() -> impl Strategy<Value = Header> {
@@ -58,7 +59,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
             any::<u64>(),
             any::<u32>(),
             prop::collection::vec((any::<u64>(), any::<u64>()), 0..20),
-            prop::collection::vec((any::<u64>(), 0u64..1_000_000, 0u64..1_000_000), 0..10),
+            prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..10),
             0.0f32..1.0,
             prop::collection::vec(arb_name(), 0..8),
         )
@@ -73,8 +74,8 @@ fn arb_body() -> impl Strategy<Value = Body> {
                         .into_iter()
                         .map(|(p, t, d)| Echo {
                             peer: SourceId(p),
-                            their_ts: SimTime::from_secs_f64(t as f64 / 1000.0),
-                            delay: SimDuration::from_secs_f64(d as f64 / 1000.0),
+                            their_ts: SimTime::from_nanos(t),
+                            delay: SimDuration::from_nanos(d),
                         })
                         .collect(),
                     loss_rate: lr,
@@ -154,6 +155,179 @@ proptest! {
         let i = pos.index(bad.len());
         bad[i] ^= 1 << bit;
         let _ = Message::decode(Bytes::from(bad));
+    }
+}
+
+/// The decoder [`Message::decode`] replaced, kept as its reference: every
+/// field through `Bytes`' `Buf` methods behind a length check, payloads
+/// split off the buffer. Timestamps are read as integer nanoseconds, the
+/// one intended change, pinned on its own by the wire unit test at 2⁶⁰ ns.
+fn reference_decode(mut buf: Bytes) -> Result<Message, WireError> {
+    fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
+        if buf.len() < n {
+            Err(WireError::Truncated)
+        } else {
+            Ok(())
+        }
+    }
+    fn u8_(b: &mut Bytes) -> Result<u8, WireError> {
+        need(b, 1).map(|_| b.get_u8())
+    }
+    fn u32_(b: &mut Bytes) -> Result<u32, WireError> {
+        need(b, 4).map(|_| b.get_u32())
+    }
+    fn u64_(b: &mut Bytes) -> Result<u64, WireError> {
+        need(b, 8).map(|_| b.get_u64())
+    }
+    fn f32_(b: &mut Bytes) -> Result<f32, WireError> {
+        need(b, 4).map(|_| b.get_f32())
+    }
+    fn f64_(b: &mut Bytes) -> Result<f64, WireError> {
+        need(b, 8).map(|_| b.get_f64())
+    }
+    fn page(b: &mut Bytes) -> Result<PageId, WireError> {
+        Ok(PageId { creator: SourceId(u64_(b)?), number: u32_(b)? })
+    }
+    fn name(b: &mut Bytes) -> Result<AduName, WireError> {
+        Ok(AduName { source: SourceId(u64_(b)?), page: page(b)?, seq: SeqNo(u64_(b)?) })
+    }
+    fn list_len(b: &mut Bytes) -> Result<usize, WireError> {
+        match u32_(b)? as usize {
+            n if n > 1 << 20 => Err(WireError::BadLength(n)),
+            n => Ok(n),
+        }
+    }
+    fn split(b: &mut Bytes, len: usize) -> Result<Bytes, WireError> {
+        need(b, len).map(|_| b.split_to(len))
+    }
+    let header = Header {
+        sender: SourceId(u64_(&mut buf)?),
+        timestamp: SimTime::from_nanos(u64_(&mut buf)?),
+    };
+    let b = &mut buf;
+    let body = match u8_(b)? {
+        1 => {
+            let name = name(b)?;
+            let is_repair = u8_(b)? != 0;
+            let answering = match u8_(b)? {
+                0 => None,
+                _ => Some(SourceId(u64_(b)?)),
+            };
+            let dist_to_requestor = f64_(b)?;
+            let len = u32_(b)? as usize;
+            let payload = split(b, len)?;
+            Body::Data(DataBody { name, is_repair, answering, dist_to_requestor, payload })
+        }
+        2 => Body::Request(RequestBody { name: name(b)?, dist_to_source: f64_(b)? }),
+        3 => {
+            let page = page(b)?;
+            let mut state = Vec::new();
+            for _ in 0..list_len(b)? {
+                state.push((SourceId(u64_(b)?), SeqNo(u64_(b)?)));
+            }
+            let mut echoes = Vec::new();
+            for _ in 0..list_len(b)? {
+                echoes.push(Echo {
+                    peer: SourceId(u64_(b)?),
+                    their_ts: SimTime::from_nanos(u64_(b)?),
+                    delay: SimDuration::from_nanos(u64_(b)?),
+                });
+            }
+            let loss_rate = f32_(b)?;
+            let mut loss_fingerprint = Vec::new();
+            for _ in 0..list_len(b)? {
+                loss_fingerprint.push(name(b)?);
+            }
+            Body::Session(SessionBody { page, state, echoes, loss_rate, loss_fingerprint })
+        }
+        4 => Body::PageRequest(PageRequestBody { page: page(b)? }),
+        5 => {
+            let source = SourceId(u64_(b)?);
+            let page = page(b)?;
+            let block_start = SeqNo(u64_(b)?);
+            let k = u8_(b)?;
+            let xor_len = u32_(b)?;
+            let len = u32_(b)? as usize;
+            let xor_payload = split(b, len)?;
+            Body::Parity(Parity { source, page, block_start, k, xor_len, xor_payload })
+        }
+        6 => Body::RecoveryInvite(RecoveryInviteBody { group: u32_(b)? }),
+        7 => Body::PageCatalogRequest,
+        8 => {
+            let mut pages = Vec::new();
+            for _ in 0..list_len(b)? {
+                pages.push(page(b)?);
+            }
+            Body::PageCatalog(pages)
+        }
+        t => return Err(WireError::BadTag(t)),
+    };
+    Ok(Message { header, body })
+}
+
+/// Both decoders on `data`: the same message (compared by its encoding, so
+/// a NaN distance compares by its bits) or the same error.
+fn decoders_agree(data: &[u8]) -> Result<(), TestCaseError> {
+    let canon = |r: Result<Message, WireError>| r.map(|m| m.encode());
+    let got = canon(Message::decode(Bytes::copy_from_slice(data)));
+    let want = canon(reference_decode(Bytes::copy_from_slice(data)));
+    prop_assert_eq!(got, want, "input {:?}", data);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoders_agree_on_valid_messages(h in arb_header(), b in arb_body()) {
+        let m = Message { header: h, body: b };
+        let enc = m.encode();
+        prop_assert_eq!(reference_decode(enc.clone()), Ok(m));
+        decoders_agree(&enc)?;
+    }
+
+    #[test]
+    fn decoders_agree_on_random_bytes(data in prop::collection::vec(any::<u8>(), 0..400)) {
+        decoders_agree(&data)?;
+    }
+
+    // Random bytes behind a valid header and tag, so the bodies' field
+    // reads and length checks are reached, not just the tag check.
+    #[test]
+    fn decoders_agree_on_random_bodies(
+        head in prop::collection::vec(any::<u8>(), 16),
+        tag in 0u8..10,
+        body in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut data = head;
+        data.push(tag);
+        data.extend(body);
+        decoders_agree(&data)?;
+    }
+
+    // Every proper prefix of a valid encoding is `Truncated` — no list
+    // length or payload length read from it can be judged anything else —
+    // and the reference agrees at every cut.
+    #[test]
+    fn every_proper_prefix_is_truncated(h in arb_header(), b in arb_body()) {
+        let enc = Message { header: h, body: b }.encode();
+        for cut in 0..enc.len() {
+            prop_assert_eq!(Message::decode(enc.slice(..cut)), Err(WireError::Truncated), "cut {}", cut);
+            decoders_agree(&enc[..cut])?;
+        }
+    }
+
+    #[test]
+    fn decoders_agree_on_bitflips(
+        h in arb_header(),
+        b in arb_body(),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let mut bad = Message { header: h, body: b }.encode().to_vec();
+        let i = pos.index(bad.len());
+        bad[i] ^= 1 << bit;
+        decoders_agree(&bad)?;
     }
 }
 
