@@ -9,7 +9,9 @@
 //! srm-sim --trace out.jsonl scenarios/lossy_tree.json  # episode timeline
 //! ```
 //!
-//! The schema lives in [`spec`], the executor and report in [`run()`](run());
+//! A file's session is a [`scenario::ScenarioSpec`], the one scenario type
+//! the figure harness builds its sessions from too; the schema lives in
+//! [`spec`], the executor and report in [`run()`](run());
 //! `--trace` additionally records every member's recovery-episode events
 //! (via [`run_with_trace`]) and writes them as JSONL.
 
@@ -17,7 +19,9 @@
 #![warn(missing_docs)]
 
 pub mod run;
+pub mod scenario;
 pub mod spec;
 
-pub use run::{run, run_with_trace, Report, RunError};
+pub use run::{execute, run, run_with_trace, Report};
+pub use scenario::RunError;
 pub use spec::Scenario;

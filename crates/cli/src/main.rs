@@ -1,6 +1,6 @@
 //! CLI entry point for `srm-sim`.
 
-use srm_sim::{run, run_with_trace, Scenario};
+use srm_sim::{execute, Scenario};
 
 const USAGE: &str = "usage: srm-sim [--json] [--trace FILE] <scenario.json>...";
 
@@ -32,49 +32,30 @@ fn main() {
         std::process::exit(2);
     }
     for f in files {
-        let text = match std::fs::read_to_string(&f) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{f}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let scenario = match Scenario::from_json(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{f}: invalid scenario: {e}");
-                std::process::exit(1);
-            }
-        };
-        let report = if let Some(path) = &trace_out {
-            match run_with_trace(&scenario) {
-                Ok((report, timeline)) => {
-                    if let Err(e) = std::fs::write(path, timeline.to_jsonl()) {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("trace: wrote {} events to {path}", timeline.len());
-                    report
-                }
-                Err(e) => {
-                    eprintln!("{f}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            match run(&scenario) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("{f}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        if json_out {
-            println!("{}", report.to_json());
-        } else {
-            println!("== {f} ==");
-            print!("{}", report.render());
+        if let Err(msg) = run_file(&f, trace_out.as_deref(), json_out) {
+            eprintln!("{msg}");
+            std::process::exit(1);
         }
     }
+}
+
+/// Parse and run one scenario file, write its trace when asked, and print
+/// its report; the error is the line to print before exiting 1.
+fn run_file(f: &str, trace_out: Option<&str>, json_out: bool) -> Result<(), String> {
+    let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
+    let scenario =
+        Scenario::from_json(&text).map_err(|e| format!("{f}: invalid scenario: {e}"))?;
+    let (report, timeline) =
+        execute(&scenario, trace_out.is_some()).map_err(|e| format!("{f}: {e}"))?;
+    if let (Some(path), Some(timeline)) = (trace_out, timeline) {
+        std::fs::write(path, timeline.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("trace: wrote {} events to {path}", timeline.len());
+    }
+    if json_out {
+        println!("{}", report.to_json());
+    } else {
+        println!("== {f} ==");
+        print!("{}", report.render());
+    }
+    Ok(())
 }

@@ -1,49 +1,11 @@
 //! Scenario execution and reporting.
 
-use crate::spec::{
-    ConfigSpec, LossSpec, MembersSpec, Scenario, ScopeSpec, TimerPreset, TimersSpec, TopologySpec,
-};
+use crate::scenario::{RunError, Session};
+use crate::spec::Scenario;
 use bytes::Bytes;
 use netsim::effects::RandomEffects;
-use netsim::generators;
-use netsim::loss::{BernoulliLoss, NoLoss, ScriptedDrop};
-use netsim::{flow, GroupId, NodeId, SimDuration, Simulator, Topology};
+use netsim::{flow, SimDuration};
 use obs::json::Json;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use srm::config::RecoveryGroupConfig;
-use srm::{
-    FecConfig, HierarchyConfig, PageId, RateLimit, RecoveryScope, SourceId, SrmAgent, SrmConfig,
-};
-
-/// The session multicast group.
-const GROUP: GroupId = GroupId(1);
-
-/// Errors while preparing a scenario.
-#[derive(Debug)]
-pub enum RunError {
-    /// A referenced node id does not exist in the topology.
-    BadNode(u32),
-    /// No members were selected.
-    NoMembers,
-    /// The scripted loss references a non-adjacent node pair.
-    NoSuchLink(u32, u32),
-    /// The session never settled within the allotted time.
-    DidNotSettle,
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::BadNode(n) => write!(f, "node {n} does not exist"),
-            RunError::NoMembers => write!(f, "scenario selects no members"),
-            RunError::NoSuchLink(a, b) => write!(f, "no link between {a} and {b}"),
-            RunError::DidNotSettle => write!(f, "session did not quiesce in settle_secs"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
 
 /// Per-member outcome.
 #[derive(Clone, Debug)]
@@ -104,59 +66,9 @@ pub struct HopsReport {
     pub parity: u64,
 }
 
-fn build_topology(spec: &TopologySpec, rng: &mut StdRng) -> Topology {
-    match *spec {
-        TopologySpec::Chain { n } => generators::chain(n),
-        TopologySpec::Star { leaves } => generators::star(leaves),
-        TopologySpec::BoundedTree { n, degree } => generators::bounded_degree_tree(n, degree),
-        TopologySpec::RandomTree { n } => generators::random_labeled_tree(n, rng),
-        TopologySpec::RandomGraph { n, m } => generators::random_connected_graph(n, m, rng),
-    }
-}
-
-fn build_config(spec: &ConfigSpec, g: usize) -> SrmConfig {
-    let mut cfg = match spec.timers {
-        TimersSpec::Preset(TimerPreset::Fixed) => SrmConfig::fixed(g),
-        TimersSpec::Preset(TimerPreset::Adaptive) => SrmConfig::adaptive(g),
-        TimersSpec::Preset(TimerPreset::Wb159) => SrmConfig {
-            wb159: true,
-            ..SrmConfig::default()
-        },
-        TimersSpec::Explicit { c1, c2, d1, d2 } => SrmConfig {
-            timers: srm::TimerParams { c1, c2, d1, d2 },
-            ..SrmConfig::default()
-        },
-    };
-    cfg.scope = match spec.scope {
-        ScopeSpec::Global => RecoveryScope::Global,
-        ScopeSpec::Ttl { ttl } => RecoveryScope::Ttl(ttl),
-        ScopeSpec::Admin => RecoveryScope::Admin,
-    };
-    if spec.fec_k > 0 {
-        cfg.fec = Some(FecConfig { k: spec.fec_k });
-    }
-    if spec.recovery_group_ttl > 0 {
-        cfg.recovery_groups = Some(RecoveryGroupConfig {
-            invite_ttl: spec.recovery_group_ttl,
-        });
-    }
-    if spec.hierarchy_ttl > 0 {
-        cfg.session_hierarchy = Some(HierarchyConfig {
-            local_ttl: spec.hierarchy_ttl,
-        });
-    }
-    if spec.rate_limit_bps > 0.0 {
-        cfg.rate_limit = Some(RateLimit {
-            bytes_per_sec: spec.rate_limit_bps,
-            burst_bytes: spec.rate_limit_bps, // one second of burst
-        });
-    }
-    cfg
-}
-
 /// Execute a scenario and produce its [`Report`].
 pub fn run(scenario: &Scenario) -> Result<Report, RunError> {
-    run_inner(scenario, false).map(|(r, _)| r)
+    execute(scenario, false).map(|(r, _)| r)
 }
 
 /// Execute a scenario with recovery-episode tracing enabled, producing both
@@ -164,35 +76,38 @@ pub fn run(scenario: &Scenario) -> Result<Report, RunError> {
 /// Tracing only records — it never perturbs timers or RNG draws — so the
 /// report is identical to an untraced [`run`].
 pub fn run_with_trace(scenario: &Scenario) -> Result<(Report, obs::Timeline), RunError> {
-    run_inner(scenario, true).map(|(r, tl)| (r, tl.expect("traced run yields a timeline")))
+    execute(scenario, true).map(|(r, tl)| (r, tl.expect("traced run yields a timeline")))
 }
 
-fn run_inner(
+/// Execute a scenario, with recovery-episode tracing when `traced`; the
+/// timeline is `Some` exactly then.
+pub fn execute(
     scenario: &Scenario,
     traced: bool,
 ) -> Result<(Report, Option<obs::Timeline>), RunError> {
-    let (mut sim, members, source, page) = session(scenario)?;
+    let mut s = scenario.spec.try_build()?;
     if traced {
-        srm::enable_tracing(&mut sim);
+        srm::enable_tracing(&mut s.sim);
     }
-    if scenario.effects.duplication > 0.0 || scenario.effects.jitter_secs > 0.0 {
-        sim.set_channel_effects(Box::new(RandomEffects::new(
-            scenario.effects.duplication,
-            SimDuration::from_secs_f64(scenario.effects.jitter_secs),
-            scenario.seed ^ 0x20,
+    let fx = scenario.effects;
+    if fx.duplication > 0.0 || fx.jitter_secs > 0.0 {
+        s.sim.set_channel_effects(Box::new(RandomEffects::new(
+            fx.duplication,
+            SimDuration::from_secs_f64(fx.jitter_secs),
+            scenario.spec.seed ^ 0x20,
         )));
     }
-    drive(&mut sim, scenario, source, page)?;
+    drive(&mut s, scenario)?;
 
     // Report.
     let w = &scenario.workload;
     let mut per_member = Vec::new();
     let mut complete = 0;
     let (mut tr, mut tp, mut ts) = (0u64, 0u64, 0u64);
-    for &m in &members {
-        let a = sim.app(m).unwrap();
+    for &m in &s.members {
+        let a = s.sim.app(m).unwrap();
         let held = a.store().len();
-        if m != source && held as u32 >= w.adus {
+        if m != s.source && held as u32 >= w.adus {
             complete += 1;
         }
         tr += a.metrics.requests_sent;
@@ -207,10 +122,11 @@ fn run_inner(
             all_recovered: a.metrics.all_recovered(),
         });
     }
+    let sim = &mut s.sim;
     let timeline = traced.then(|| srm::harvest_timeline(sim.apps_mut(), Vec::new()));
     let report = Report {
-        members: members.len(),
-        source: source.0,
+        members: s.members.len(),
+        source: s.source.0,
         adus_sent: w.adus,
         complete_receivers: complete,
         total_requests: tr,
@@ -230,97 +146,22 @@ fn run_inner(
     Ok((report, timeline))
 }
 
-/// The scenario's simulator with its members' agents installed and joined
-/// and its loss model set, plus the members (ascending), the source and
-/// the page it sends on. Seeded from `scenario.seed`.
-fn session(
-    scenario: &Scenario,
-) -> Result<(Simulator<SrmAgent>, Vec<NodeId>, NodeId, PageId), RunError> {
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    let topo = build_topology(&scenario.topology, &mut rng);
-    let n = topo.num_nodes() as u32;
-
-    // Membership.
-    let members: Vec<NodeId> = match &scenario.members {
-        MembersSpec::List(ids) => {
-            for &id in ids {
-                if id >= n {
-                    return Err(RunError::BadNode(id));
-                }
-            }
-            let mut v: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
-        MembersSpec::Random { random } => generators::random_members(&topo, *random, &mut rng),
-        MembersSpec::All(_) => match scenario.topology {
-            TopologySpec::Star { leaves } => (1..=leaves as u32).map(NodeId).collect(),
-            _ => topo.nodes().collect(),
-        },
-    };
-    if members.is_empty() {
-        return Err(RunError::NoMembers);
-    }
-    let source = match scenario.source {
-        Some(s) => {
-            if s >= n {
-                return Err(RunError::BadNode(s));
-            }
-            NodeId(s)
-        }
-        None => members[0],
-    };
-
-    // Loss model (resolve node pairs to links first).
-    let loss: Box<dyn netsim::loss::LossModel> = match &scenario.loss {
-        LossSpec::None => Box::new(NoLoss),
-        LossSpec::Bernoulli { p } => Box::new(BernoulliLoss::everywhere(*p, scenario.seed ^ 0x10)),
-        LossSpec::Scripted { a, b, ordinals } => {
-            let link = topo
-                .link_between(NodeId(*a), NodeId(*b))
-                .ok_or(RunError::NoSuchLink(*a, *b))?;
-            Box::new(ScriptedDrop::new(
-                ordinals.iter().map(|&o| (link, o)).collect(),
-            ))
-        }
-    };
-
-    // Agents, with pre-warmed distances.
-    let cfg = build_config(&scenario.config, members.len());
-    let mut sim = Simulator::new(topo, scenario.seed ^ 0x5eed);
-    let page = PageId::new(SourceId(source.0 as u64), 0);
-    for &m in &members {
-        let mut a = SrmAgent::new(SourceId(m.0 as u64), GROUP, cfg.clone());
-        a.session_enabled = scenario.config.session_messages;
-        a.set_current_page(page);
-        a.distances_mut().set_exact_distances(&mut sim, m, &members);
-        sim.install(m, a);
-        sim.join(m, GROUP);
-    }
-    sim.set_loss_model(loss);
-    Ok((sim, members, source, page))
-}
-
-/// Send the scenario's workload from `source` and let the session settle.
-fn drive(
-    sim: &mut Simulator<SrmAgent>,
-    scenario: &Scenario,
-    source: NodeId,
-    page: PageId,
-) -> Result<(), RunError> {
+/// Send the scenario's workload from the source and let the session
+/// settle.
+fn drive(s: &mut Session, scenario: &Scenario) -> Result<(), RunError> {
     let w = &scenario.workload;
+    let page = s.page();
     for k in 0..w.adus {
-        sim.exec(source, |a, ctx| {
+        s.sim.exec(s.source, |a, ctx| {
             a.send_data(ctx, page, Bytes::from(vec![(k % 251) as u8; w.payload_bytes]));
         });
-        sim.run_until(sim.now() + SimDuration::from_secs_f64(w.interval_secs));
+        s.advance(w.interval_secs);
     }
     // Settle.
-    let deadline = sim.now() + SimDuration::from_secs_f64(scenario.settle_secs);
-    if scenario.config.session_messages {
-        sim.run_until(deadline);
-    } else if !sim.run_until_idle(deadline) {
+    let deadline = s.sim.now() + SimDuration::from_secs_f64(scenario.settle_secs);
+    if scenario.spec.sessions {
+        s.sim.run_until(deadline);
+    } else if !s.sim.run_until_idle(deadline) {
         return Err(RunError::DidNotSettle);
     }
     Ok(())
@@ -407,7 +248,9 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{LossSpec, MembersSpec, SourceSpec};
     use crate::spec::WorkloadSpec;
+    use srm::FecConfig;
 
     fn base() -> Scenario {
         Scenario::from_json(
@@ -435,7 +278,7 @@ mod tests {
     #[test]
     fn fec_scenario_avoids_requests() {
         let mut sc = base();
-        sc.config.fec_k = 5;
+        sc.spec.cfg.fec = Some(FecConfig { k: 5 });
         sc.workload = WorkloadSpec {
             adus: 5,
             interval_secs: 2.0,
@@ -443,7 +286,7 @@ mod tests {
         };
         // One loss inside the 5-ADU block; drop ordinal 2 (the 2nd data
         // crossing on that link).
-        sc.loss = LossSpec::Scripted {
+        sc.spec.loss = LossSpec::Scripted {
             a: 3,
             b: 4,
             ordinals: vec![2],
@@ -457,18 +300,48 @@ mod tests {
     #[test]
     fn bad_references_are_reported() {
         let mut sc = base();
-        sc.source = Some(99);
+        sc.spec.source = SourceSpec::Node(99);
         assert!(matches!(run(&sc), Err(RunError::BadNode(99))));
         let mut sc = base();
-        sc.loss = LossSpec::Scripted {
+        sc.spec.loss = LossSpec::Scripted {
             a: 0,
             b: 5,
             ordinals: vec![1],
         };
         assert!(matches!(run(&sc), Err(RunError::NoSuchLink(0, 5))));
         let mut sc = base();
-        sc.members = MembersSpec::List(vec![]);
+        sc.spec.members = MembersSpec::List(vec![]);
         assert!(matches!(run(&sc), Err(RunError::NoMembers)));
+        // A source outside the membership used to panic in the simulator.
+        let mut sc = base();
+        sc.spec.members = MembersSpec::List(vec![0, 1]);
+        sc.spec.source = SourceSpec::Node(3);
+        assert!(matches!(run(&sc), Err(RunError::NotAMember(3))));
+        let mut sc = base();
+        sc.spec.loss = LossSpec::Scripted {
+            a: 99,
+            b: 1,
+            ordinals: vec![1],
+        };
+        assert!(matches!(run(&sc), Err(RunError::BadNode(99))));
+    }
+
+    /// Sizes netsim's generators assert on are refused with the field
+    /// named, one case per topology kind: each used to exit on a panic.
+    #[test]
+    fn impossible_topologies_are_refused() {
+        let cases = [
+            (r#"{"kind": "chain", "n": 0}"#, "'n' must be at least 1"),
+            (r#"{"kind": "star", "leaves": 0}"#, "'leaves' must be at least 1"),
+            (r#"{"kind": "bounded_tree", "n": 10, "degree": 1}"#, "'degree' must be at least 2"),
+            (r#"{"kind": "random_tree", "n": 0}"#, "'n' must be at least 1"),
+            (r#"{"kind": "random_graph", "n": 6, "m": 2}"#, "'m' must be between n-1 and n(n-1)/2"),
+        ];
+        for (topology, why) in cases {
+            let doc = format!(r#"{{"topology": {topology}, "members": "all"}}"#);
+            let err = run(&Scenario::from_json(&doc).unwrap()).expect_err(topology);
+            assert_eq!(err.to_string(), format!("invalid topology: {why}"), "{topology}");
+        }
     }
 
     #[test]
@@ -491,12 +364,12 @@ mod tests {
     #[test]
     fn a_scenario_computes_each_members_tree_once() {
         let sc = Scenario::from_json(include_str!("../../../scenarios/lossy_tree.json")).unwrap();
-        let (mut sim, members, source, page) = session(&sc).unwrap();
-        assert!(members.contains(&source));
-        assert_eq!(sim.routes_computed(), members.len() as u64);
-        drive(&mut sim, &sc, source, page).unwrap();
-        assert!(sim.stats.hops_for(flow::REQUEST) > 0, "members other than the source sent");
-        assert_eq!(sim.routes_computed(), members.len() as u64);
+        let mut s = sc.spec.try_build().unwrap();
+        assert!(s.members.contains(&s.source));
+        assert_eq!(s.sim.routes_computed(), s.members.len() as u64);
+        drive(&mut s, &sc).unwrap();
+        assert!(s.sim.stats.hops_for(flow::REQUEST) > 0, "members other than the source sent");
+        assert_eq!(s.sim.routes_computed(), s.members.len() as u64);
     }
 
     #[test]

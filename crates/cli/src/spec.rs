@@ -1,171 +1,20 @@
 //! The JSON scenario schema for `srm-sim`.
 //!
-//! A scenario file describes a topology, a session membership, an SRM
-//! configuration, a loss process, and a workload; [`crate::run()`](crate::run()) executes
-//! it and reports traffic and recovery statistics.
+//! A scenario file describes a session (a [`ScenarioSpec`]: topology,
+//! membership, source, SRM configuration, loss process, seed), the channel
+//! effects and a workload; [`crate::run()`](crate::run()) executes it and
+//! reports traffic and recovery statistics.
 //!
 //! Parsing is hand-written over [`obs::json`] (the workspace builds
 //! offline, without serde); the shapes match the original serde derives:
 //! `{"kind": ...}`-tagged topology and loss, untagged members/timers,
 //! defaultable config/effects/workload sections.
 
+use crate::scenario::{LossSpec, MembersSpec, ScenarioSpec, SourceSpec, TopoSpec};
 use obs::json::{Json, JsonError};
+use srm::config::RecoveryGroupConfig;
+use srm::{FecConfig, HierarchyConfig, RateLimit, RecoveryScope, SrmConfig, TimerParams};
 use std::fmt;
-
-/// Topology description.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TopologySpec {
-    /// A chain of `n` nodes.
-    Chain {
-        /// Node count.
-        n: usize,
-    },
-    /// A star with `leaves` leaf nodes and a non-member hub (node 0).
-    Star {
-        /// Leaf count.
-        leaves: usize,
-    },
-    /// A balanced bounded-degree tree.
-    BoundedTree {
-        /// Node count.
-        n: usize,
-        /// Interior degree.
-        degree: usize,
-    },
-    /// A uniformly random labeled tree.
-    RandomTree {
-        /// Node count.
-        n: usize,
-    },
-    /// A connected random graph.
-    RandomGraph {
-        /// Node count.
-        n: usize,
-        /// Edge count (≥ n−1).
-        m: usize,
-    },
-}
-
-/// Which nodes join the session.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MembersSpec {
-    /// Explicit node ids.
-    List(Vec<u32>),
-    /// `{"random": k}`: k members chosen uniformly.
-    Random {
-        /// Member count.
-        random: usize,
-    },
-    /// The string "all": every node joins.
-    All(AllTag),
-}
-
-/// The literal string "all".
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AllTag {
-    /// Every node is a member.
-    All,
-}
-
-/// Timer parameter selection.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TimersSpec {
-    /// `"fixed"`: the paper's C1=D1=2, C2=D2=√G.
-    Preset(TimerPreset),
-    /// Explicit constants.
-    Explicit {
-        /// Request interval start multiplier.
-        c1: f64,
-        /// Request interval width multiplier.
-        c2: f64,
-        /// Repair interval start multiplier.
-        d1: f64,
-        /// Repair interval width multiplier.
-        d2: f64,
-    },
-}
-
-/// Named timer presets.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TimerPreset {
-    /// C1=D1=2, C2=D2=√G (Section V).
-    Fixed,
-    /// The Section VII-A adaptive algorithm (backoff ×3).
-    Adaptive,
-    /// wb 1.59's fixed millisecond intervals.
-    Wb159,
-}
-
-/// Recovery scope selection.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ScopeSpec {
-    /// Global recovery (default).
-    Global,
-    /// TTL-scoped with two-step repairs.
-    Ttl {
-        /// Initial request TTL.
-        ttl: u8,
-    },
-    /// Administratively scoped.
-    Admin,
-}
-
-/// Protocol configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConfigSpec {
-    /// Timer selection.
-    pub timers: TimersSpec,
-    /// Recovery scope.
-    pub scope: ScopeSpec,
-    /// FEC block size (`0` = off).
-    pub fec_k: u8,
-    /// Enable Section VII-B2 recovery groups with this invite TTL
-    /// (`0` = off).
-    pub recovery_group_ttl: u8,
-    /// Enable Section IX-A hierarchical session messages with this local
-    /// TTL (`0` = off).
-    pub hierarchy_ttl: u8,
-    /// Periodic session messages on/off.
-    pub session_messages: bool,
-    /// Token-bucket send limit in bytes/second (`0` = unlimited).
-    pub rate_limit_bps: f64,
-}
-
-impl Default for ConfigSpec {
-    fn default() -> Self {
-        ConfigSpec {
-            timers: TimersSpec::Preset(TimerPreset::Fixed),
-            scope: ScopeSpec::Global,
-            fec_k: 0,
-            recovery_group_ttl: 0,
-            hierarchy_ttl: 0,
-            session_messages: true,
-            rate_limit_bps: 0.0,
-        }
-    }
-}
-
-/// Loss process.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LossSpec {
-    /// No loss.
-    None,
-    /// Independent Bernoulli loss on every link.
-    Bernoulli {
-        /// Drop probability.
-        p: f64,
-    },
-    /// Drop the given (1-based) packet ordinals on the link between two
-    /// nodes.
-    Scripted {
-        /// One endpoint.
-        a: u32,
-        /// The other endpoint.
-        b: u32,
-        /// 1-based ordinals of crossings to drop.
-        ordinals: Vec<u64>,
-    },
-}
 
 /// Channel effects.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -200,18 +49,9 @@ impl Default for WorkloadSpec {
 /// A complete scenario file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
-    /// Topology to build.
-    pub topology: TopologySpec,
-    /// RNG seed (topology, membership, and protocol timers).
-    pub seed: u64,
-    /// Session membership.
-    pub members: MembersSpec,
-    /// Data source: a node id, or absent for the first member.
-    pub source: Option<u32>,
-    /// Protocol configuration.
-    pub config: ConfigSpec,
-    /// Loss process.
-    pub loss: LossSpec,
+    /// The session. The file's `seed` also seeds the simulator
+    /// (`seed ^ 0x5eed`); the source defaults to the first member.
+    pub spec: ScenarioSpec,
     /// Channel effects.
     pub effects: EffectsSpec,
     /// Workload.
@@ -256,157 +96,157 @@ fn req_f64(v: &Json, field: &str) -> Result<f64, SpecError> {
         .ok_or_else(|| bad(format!("'{field}' must be a number")))
 }
 
-impl TopologySpec {
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("topology needs a string 'kind'"))?;
-        Ok(match kind {
-            "chain" => TopologySpec::Chain {
-                n: req_u64(v, "n")? as usize,
-            },
-            "star" => TopologySpec::Star {
-                leaves: req_u64(v, "leaves")? as usize,
-            },
-            "bounded_tree" => TopologySpec::BoundedTree {
-                n: req_u64(v, "n")? as usize,
-                degree: req_u64(v, "degree")? as usize,
-            },
-            "random_tree" => TopologySpec::RandomTree {
-                n: req_u64(v, "n")? as usize,
-            },
-            "random_graph" => TopologySpec::RandomGraph {
-                n: req_u64(v, "n")? as usize,
-                m: req_u64(v, "m")? as usize,
-            },
-            other => return Err(bad(format!("unknown topology kind '{other}'"))),
-        })
+/// `field` as an integer of type `T`; a value that does not fit is refused,
+/// not truncated.
+fn req_int<T: TryFrom<u64>>(v: &Json, field: &str) -> Result<T, SpecError> {
+    T::try_from(req_u64(v, field)?).map_err(|_| bad(format!("'{field}' is out of range")))
+}
+
+/// `read(v, field)` when `field` is present.
+fn opt<T>(
+    v: &Json,
+    field: &str,
+    read: fn(&Json, &str) -> Result<T, SpecError>,
+) -> Result<Option<T>, SpecError> {
+    v.get(field).map(|_| read(v, field)).transpose()
+}
+
+fn topology(v: &Json) -> Result<TopoSpec, SpecError> {
+    let kind = v
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad("topology needs a string 'kind'"))?;
+    Ok(match kind {
+        "chain" => TopoSpec::Chain { n: req_int(v, "n")? },
+        "star" => TopoSpec::Star {
+            leaves: req_int(v, "leaves")?,
+        },
+        "bounded_tree" => TopoSpec::BoundedTree {
+            n: req_int(v, "n")?,
+            degree: req_int(v, "degree")?,
+        },
+        "random_tree" => TopoSpec::RandomTree { n: req_int(v, "n")? },
+        "random_graph" => TopoSpec::RandomGraph {
+            n: req_int(v, "n")?,
+            m: req_int(v, "m")?,
+        },
+        other => return Err(bad(format!("unknown topology kind '{other}'"))),
+    })
+}
+
+fn members(v: &Json) -> Result<MembersSpec, SpecError> {
+    match v {
+        Json::A(items) => {
+            let ids = items
+                .iter()
+                .map(|e| {
+                    e.as_u64()
+                        .and_then(|n| u32::try_from(n).ok())
+                        .ok_or_else(|| bad("member ids must be u32"))
+                })
+                .collect::<Result<Vec<u32>, _>>()?;
+            Ok(MembersSpec::List(ids))
+        }
+        Json::S(s) if s == "all" => Ok(MembersSpec::All),
+        Json::O(_) => Ok(MembersSpec::Random(req_int(v, "random")?)),
+        _ => Err(bad("'members' must be a list, {\"random\": k}, or \"all\"")),
     }
 }
 
-impl MembersSpec {
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        match v {
-            Json::A(items) => {
-                let ids = items
-                    .iter()
-                    .map(|e| {
-                        e.as_u64()
-                            .filter(|&n| n <= u32::MAX as u64)
-                            .map(|n| n as u32)
-                            .ok_or_else(|| bad("member ids must be u32"))
-                    })
-                    .collect::<Result<Vec<u32>, _>>()?;
-                Ok(MembersSpec::List(ids))
-            }
-            Json::S(s) if s == "all" => Ok(MembersSpec::All(AllTag::All)),
-            Json::O(_) => Ok(MembersSpec::Random {
-                random: req_u64(v, "random")? as usize,
-            }),
-            _ => Err(bad("'members' must be a list, {\"random\": k}, or \"all\"")),
-        }
+/// The `config` section over a session of `g` members (the presets set
+/// C2 = D2 = √G), and whether periodic session messages are on.
+fn config(v: &Json, g: usize) -> Result<(SrmConfig, bool), SpecError> {
+    if v.as_obj().is_none() {
+        return Err(bad("'config' must be an object"));
     }
-}
-
-impl TimersSpec {
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        match v {
-            Json::S(s) => Ok(TimersSpec::Preset(match s.as_str() {
-                "fixed" => TimerPreset::Fixed,
-                "adaptive" => TimerPreset::Adaptive,
-                "wb159" => TimerPreset::Wb159,
-                other => return Err(bad(format!("unknown timer preset '{other}'"))),
-            })),
-            Json::O(_) => Ok(TimersSpec::Explicit {
-                c1: req_f64(v, "c1")?,
-                c2: req_f64(v, "c2")?,
-                d1: req_f64(v, "d1")?,
-                d2: req_f64(v, "d2")?,
-            }),
-            _ => Err(bad("'timers' must be a preset name or {c1,c2,d1,d2}")),
-        }
-    }
-}
-
-impl ScopeSpec {
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        match v {
-            Json::S(s) if s == "global" => Ok(ScopeSpec::Global),
-            Json::S(s) if s == "admin" => Ok(ScopeSpec::Admin),
-            Json::O(_) => {
-                let inner = v
-                    .get("ttl")
-                    .ok_or_else(|| bad("scope object must be {\"ttl\": {\"ttl\": n}}"))?;
-                let ttl = req_u64(inner, "ttl")?;
-                if ttl > u8::MAX as u64 {
-                    return Err(bad("scope ttl must fit in u8"));
-                }
-                Ok(ScopeSpec::Ttl { ttl: ttl as u8 })
-            }
-            _ => Err(bad("'scope' must be \"global\", \"admin\", or a ttl object")),
-        }
-    }
-}
-
-impl ConfigSpec {
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        if v.as_obj().is_none() {
-            return Err(bad("'config' must be an object"));
-        }
-        let mut cfg = ConfigSpec::default();
-        if let Some(t) = v.get("timers") {
-            cfg.timers = TimersSpec::from_json(t)?;
-        }
-        if let Some(s) = v.get("scope") {
-            cfg.scope = ScopeSpec::from_json(s)?;
-        }
-        if v.get("fec_k").is_some() {
-            cfg.fec_k = req_u64(v, "fec_k")? as u8;
-        }
-        if v.get("recovery_group_ttl").is_some() {
-            cfg.recovery_group_ttl = req_u64(v, "recovery_group_ttl")? as u8;
-        }
-        if v.get("hierarchy_ttl").is_some() {
-            cfg.hierarchy_ttl = req_u64(v, "hierarchy_ttl")? as u8;
-        }
-        if let Some(b) = v.get("session_messages") {
-            cfg.session_messages = b
-                .as_bool()
-                .ok_or_else(|| bad("'session_messages' must be a boolean"))?;
-        }
-        if v.get("rate_limit_bps").is_some() {
-            cfg.rate_limit_bps = req_f64(v, "rate_limit_bps")?;
-        }
-        Ok(cfg)
-    }
-}
-
-impl LossSpec {
-    fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("loss needs a string 'kind'"))?;
-        Ok(match kind {
-            "none" => LossSpec::None,
-            "bernoulli" => LossSpec::Bernoulli {
-                p: req_f64(v, "p")?,
+    let mut cfg = match v.get("timers") {
+        None => SrmConfig::fixed(g),
+        Some(Json::S(s)) => match s.as_str() {
+            "fixed" => SrmConfig::fixed(g),
+            "adaptive" => SrmConfig::adaptive(g),
+            "wb159" => SrmConfig {
+                wb159: true,
+                ..SrmConfig::default()
             },
-            "scripted" => LossSpec::Scripted {
-                a: req_u64(v, "a")? as u32,
-                b: req_u64(v, "b")? as u32,
-                ordinals: v
-                    .get("ordinals")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("'ordinals' must be an array"))?
-                    .iter()
-                    .map(|e| e.as_u64().ok_or_else(|| bad("ordinals must be integers")))
-                    .collect::<Result<Vec<u64>, _>>()?,
+            other => return Err(bad(format!("unknown timer preset '{other}'"))),
+        },
+        Some(t @ Json::O(_)) => SrmConfig {
+            timers: TimerParams {
+                c1: req_f64(t, "c1")?,
+                c2: req_f64(t, "c2")?,
+                d1: req_f64(t, "d1")?,
+                d2: req_f64(t, "d2")?,
             },
-            other => return Err(bad(format!("unknown loss kind '{other}'"))),
-        })
+            ..SrmConfig::default()
+        },
+        Some(_) => return Err(bad("'timers' must be a preset name or {c1,c2,d1,d2}")),
+    };
+    if let Some(s) = v.get("scope") {
+        cfg.scope = scope(s)?;
     }
+    if let Some(k) = opt(v, "fec_k", req_int)?.filter(|&k| k > 0) {
+        cfg.fec = Some(FecConfig { k });
+    }
+    if let Some(invite_ttl) = opt(v, "recovery_group_ttl", req_int)?.filter(|&t| t > 0) {
+        cfg.recovery_groups = Some(RecoveryGroupConfig { invite_ttl });
+    }
+    if let Some(local_ttl) = opt(v, "hierarchy_ttl", req_int)?.filter(|&t| t > 0) {
+        cfg.session_hierarchy = Some(HierarchyConfig { local_ttl });
+    }
+    let sessions = match v.get("session_messages") {
+        Some(b) => b
+            .as_bool()
+            .ok_or_else(|| bad("'session_messages' must be a boolean"))?,
+        None => true,
+    };
+    if let Some(bps) = opt(v, "rate_limit_bps", req_f64)?.filter(|&b| b > 0.0) {
+        cfg.rate_limit = Some(RateLimit {
+            bytes_per_sec: bps,
+            burst_bytes: bps, // one second of burst
+        });
+    }
+    Ok((cfg, sessions))
+}
+
+fn scope(v: &Json) -> Result<RecoveryScope, SpecError> {
+    match v {
+        Json::S(s) if s == "global" => Ok(RecoveryScope::Global),
+        Json::S(s) if s == "admin" => Ok(RecoveryScope::Admin),
+        Json::O(_) => {
+            let inner = v
+                .get("ttl")
+                .ok_or_else(|| bad("scope object must be {\"ttl\": {\"ttl\": n}}"))?;
+            let ttl = u8::try_from(req_u64(inner, "ttl")?)
+                .map_err(|_| bad("scope ttl must fit in u8"))?;
+            Ok(RecoveryScope::Ttl(ttl))
+        }
+        _ => Err(bad("'scope' must be \"global\", \"admin\", or a ttl object")),
+    }
+}
+
+fn loss(v: &Json) -> Result<LossSpec, SpecError> {
+    let kind = v
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad("loss needs a string 'kind'"))?;
+    Ok(match kind {
+        "none" => LossSpec::None,
+        "bernoulli" => LossSpec::Bernoulli {
+            p: req_f64(v, "p")?,
+        },
+        "scripted" => LossSpec::Scripted {
+            a: req_int(v, "a")?,
+            b: req_int(v, "b")?,
+            ordinals: v
+                .get("ordinals")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| bad("'ordinals' must be an array"))?
+                .iter()
+                .map(|e| e.as_u64().ok_or_else(|| bad("ordinals must be integers")))
+                .collect::<Result<Vec<u64>, _>>()?,
+        },
+        other => return Err(bad(format!("unknown loss kind '{other}'"))),
+    })
 }
 
 impl EffectsSpec {
@@ -432,13 +272,13 @@ impl WorkloadSpec {
         }
         let mut w = WorkloadSpec::default();
         if v.get("adus").is_some() {
-            w.adus = req_u64(v, "adus")? as u32;
+            w.adus = req_int(v, "adus")?;
         }
         if v.get("interval_secs").is_some() {
             w.interval_secs = req_f64(v, "interval_secs")?;
         }
         if v.get("payload_bytes").is_some() {
-            w.payload_bytes = req_u64(v, "payload_bytes")? as usize;
+            w.payload_bytes = req_int(v, "payload_bytes")?;
         }
         Ok(w)
     }
@@ -451,11 +291,11 @@ impl Scenario {
         if v.as_obj().is_none() {
             return Err(bad("scenario must be a JSON object"));
         }
-        let topology = TopologySpec::from_json(
+        let topo = topology(
             v.get("topology")
                 .ok_or_else(|| bad("missing required field 'topology'"))?,
         )?;
-        let members = MembersSpec::from_json(
+        let members = members(
             v.get("members")
                 .ok_or_else(|| bad("missing required field 'members'"))?,
         )?;
@@ -466,20 +306,20 @@ impl Scenario {
             None => 0,
         };
         let source = match v.get("source") {
-            Some(Json::Null) | None => None,
-            Some(s) => Some(
+            Some(Json::Null) | None => SourceSpec::First,
+            Some(s) => SourceSpec::Node(
                 s.as_u64()
-                    .filter(|&n| n <= u32::MAX as u64)
-                    .map(|n| n as u32)
+                    .and_then(|n| u32::try_from(n).ok())
                     .ok_or_else(|| bad("'source' must be a u32 node id"))?,
             ),
         };
-        let config = match v.get("config") {
-            Some(c) => ConfigSpec::from_json(c)?,
-            None => ConfigSpec::default(),
+        let g = members.count(topo);
+        let (cfg, sessions) = match v.get("config") {
+            Some(c) => config(c, g)?,
+            None => (SrmConfig::fixed(g), true),
         };
         let loss = match v.get("loss") {
-            Some(l) => LossSpec::from_json(l)?,
+            Some(l) => loss(l)?,
             None => LossSpec::None,
         };
         let effects = match v.get("effects") {
@@ -497,12 +337,16 @@ impl Scenario {
             None => 2000.0,
         };
         Ok(Scenario {
-            topology,
-            seed,
-            members,
-            source,
-            config,
-            loss,
+            spec: ScenarioSpec {
+                topo,
+                members,
+                source,
+                loss,
+                cfg,
+                sessions,
+                seed,
+                timer_seed: Some(seed ^ 0x5eed),
+            },
             effects,
             workload,
             settle_secs,
@@ -521,10 +365,10 @@ mod tests {
             "members": "all"
         }"#;
         let sc = Scenario::from_json(s).unwrap();
-        assert_eq!(sc.topology, TopologySpec::Chain { n: 10 });
-        assert_eq!(sc.members, MembersSpec::All(AllTag::All));
-        assert_eq!(sc.config.timers, TimersSpec::Preset(TimerPreset::Fixed));
-        assert_eq!(sc.loss, LossSpec::None);
+        assert_eq!(sc.spec.topo, TopoSpec::Chain { n: 10 });
+        assert_eq!(sc.spec.members, MembersSpec::All);
+        assert_eq!(sc.spec.cfg, SrmConfig::fixed(10));
+        assert_eq!(sc.spec.loss, LossSpec::None);
     }
 
     #[test]
@@ -549,25 +393,32 @@ mod tests {
             "settle_secs": 500
         }"#;
         let sc = Scenario {
-            topology: TopologySpec::BoundedTree { n: 200, degree: 4 },
-            seed: 7,
-            members: MembersSpec::Random { random: 20 },
-            source: Some(3),
-            config: ConfigSpec {
-                timers: TimersSpec::Explicit {
-                    c1: 2.0,
-                    c2: 5.0,
-                    d1: 1.0,
-                    d2: 5.0,
+            spec: ScenarioSpec {
+                topo: TopoSpec::BoundedTree { n: 200, degree: 4 },
+                seed: 7,
+                timer_seed: Some(7 ^ 0x5eed),
+                members: MembersSpec::Random(20),
+                source: SourceSpec::Node(3),
+                cfg: SrmConfig {
+                    timers: TimerParams {
+                        c1: 2.0,
+                        c2: 5.0,
+                        d1: 1.0,
+                        d2: 5.0,
+                    },
+                    scope: RecoveryScope::Ttl(8),
+                    fec: Some(FecConfig { k: 4 }),
+                    recovery_groups: Some(RecoveryGroupConfig { invite_ttl: 3 }),
+                    session_hierarchy: Some(HierarchyConfig { local_ttl: 2 }),
+                    rate_limit: Some(RateLimit {
+                        bytes_per_sec: 8000.0,
+                        burst_bytes: 8000.0,
+                    }),
+                    ..SrmConfig::default()
                 },
-                scope: ScopeSpec::Ttl { ttl: 8 },
-                fec_k: 4,
-                recovery_group_ttl: 3,
-                hierarchy_ttl: 2,
-                session_messages: true,
-                rate_limit_bps: 8000.0,
+                sessions: true,
+                loss: LossSpec::Bernoulli { p: 0.02 },
             },
-            loss: LossSpec::Bernoulli { p: 0.02 },
             effects: EffectsSpec {
                 duplication: 0.01,
                 jitter_secs: 0.2,
@@ -590,8 +441,8 @@ mod tests {
             "config": {"timers": "adaptive"}
         }"#;
         let sc = Scenario::from_json(s).unwrap();
-        assert_eq!(sc.members, MembersSpec::List(vec![1, 2, 3]));
-        assert_eq!(sc.config.timers, TimersSpec::Preset(TimerPreset::Adaptive));
+        assert_eq!(sc.spec.members, MembersSpec::List(vec![1, 2, 3]));
+        assert_eq!(sc.spec.cfg, SrmConfig::adaptive(3));
     }
 
     #[test]
@@ -614,42 +465,43 @@ mod tests {
             Scenario::from_json(&doc).unwrap()
         };
         let topologies = [
-            (r#"{"kind": "chain", "n": 4}"#, TopologySpec::Chain { n: 4 }),
-            (r#"{"kind": "star", "leaves": 5}"#, TopologySpec::Star { leaves: 5 }),
-            (r#"{"kind": "bounded_tree", "n": 9, "degree": 3}"#, TopologySpec::BoundedTree { n: 9, degree: 3 }),
-            (r#"{"kind": "random_tree", "n": 6}"#, TopologySpec::RandomTree { n: 6 }),
-            (r#"{"kind": "random_graph", "n": 6, "m": 8}"#, TopologySpec::RandomGraph { n: 6, m: 8 }),
+            (r#"{"kind": "chain", "n": 4}"#, TopoSpec::Chain { n: 4 }),
+            (r#"{"kind": "star", "leaves": 5}"#, TopoSpec::Star { leaves: 5 }),
+            (r#"{"kind": "bounded_tree", "n": 9, "degree": 3}"#, TopoSpec::BoundedTree { n: 9, degree: 3 }),
+            (r#"{"kind": "random_tree", "n": 6}"#, TopoSpec::RandomTree { n: 6 }),
+            (r#"{"kind": "random_graph", "n": 6, "m": 8}"#, TopoSpec::RandomGraph { n: 6, m: 8 }),
         ];
         for (json, want) in topologies {
-            assert_eq!(parse("topology", json).topology, want, "{json}");
+            assert_eq!(parse("topology", json).spec.topo, want, "{json}");
         }
         let members = [
             ("[1, 2]", MembersSpec::List(vec![1, 2])),
-            (r#"{"random": 3}"#, MembersSpec::Random { random: 3 }),
-            (r#""all""#, MembersSpec::All(AllTag::All)),
+            (r#"{"random": 3}"#, MembersSpec::Random(3)),
+            (r#""all""#, MembersSpec::All),
         ];
         for (json, want) in members {
-            assert_eq!(parse("members", json).members, want, "{json}");
+            assert_eq!(parse("members", json).spec.members, want, "{json}");
         }
+        let explicit = TimerParams { c1: 1.0, c2: 2.0, d1: 3.0, d2: 4.0 };
         let timers = [
-            (r#""fixed""#, TimersSpec::Preset(TimerPreset::Fixed)),
-            (r#""adaptive""#, TimersSpec::Preset(TimerPreset::Adaptive)),
-            (r#""wb159""#, TimersSpec::Preset(TimerPreset::Wb159)),
-            (r#"{"c1": 1, "c2": 2, "d1": 3, "d2": 4}"#, TimersSpec::Explicit { c1: 1.0, c2: 2.0, d1: 3.0, d2: 4.0 }),
+            (r#""fixed""#, SrmConfig::fixed(4)),
+            (r#""adaptive""#, SrmConfig::adaptive(4)),
+            (r#""wb159""#, SrmConfig { wb159: true, ..SrmConfig::default() }),
+            (r#"{"c1": 1, "c2": 2, "d1": 3, "d2": 4}"#, SrmConfig { timers: explicit, ..SrmConfig::default() }),
         ];
         for (json, want) in timers {
             let sc = parse("config", &format!(r#"{{"timers": {json}}}"#));
-            assert_eq!(sc.config.timers, want, "{json}");
+            assert_eq!(sc.spec.cfg, want, "{json}");
         }
         let scopes = [
-            (r#""global""#, ScopeSpec::Global),
-            (r#""admin""#, ScopeSpec::Admin),
-            (r#"{"ttl": {"ttl": 9}}"#, ScopeSpec::Ttl { ttl: 9 }),
+            (r#""global""#, RecoveryScope::Global),
+            (r#""admin""#, RecoveryScope::Admin),
+            (r#"{"ttl": {"ttl": 9}}"#, RecoveryScope::Ttl(9)),
         ];
         for (json, want) in scopes {
             let sc = parse("config", &format!(r#"{{"scope": {json}}}"#));
-            assert_eq!(sc.config.scope, want, "{json}");
-            assert_eq!(sc.source, None);
+            assert_eq!(sc.spec.cfg.scope, want, "{json}");
+            assert_eq!(sc.spec.source, SourceSpec::First);
         }
         let losses = [
             (r#"{"kind": "none"}"#, LossSpec::None),
@@ -660,7 +512,33 @@ mod tests {
             ),
         ];
         for (json, want) in losses {
-            assert_eq!(parse("loss", json).loss, want, "{json}");
+            assert_eq!(parse("loss", json).spec.loss, want, "{json}");
         }
+    }
+
+    /// An integer field that does not fit its type is refused, never
+    /// truncated: `"fec_k": 260` used to run with k = 4.
+    #[test]
+    fn out_of_range_integers_are_schema_errors() {
+        let cases = [
+            (r#""config": {"fec_k": 260}"#, "'fec_k' is out of range"),
+            (r#""config": {"recovery_group_ttl": 256}"#, "'recovery_group_ttl' is out of range"),
+            (r#""config": {"hierarchy_ttl": 999}"#, "'hierarchy_ttl' is out of range"),
+            (r#""config": {"scope": {"ttl": {"ttl": 256}}}"#, "scope ttl must fit in u8"),
+            (r#""loss": {"kind": "scripted", "a": 4294967297, "b": 1, "ordinals": [1]}"#, "'a' is out of range"),
+            (r#""loss": {"kind": "scripted", "a": 1, "b": 4294967296, "ordinals": [1]}"#, "'b' is out of range"),
+            (r#""workload": {"adus": 4294967296}"#, "'adus' is out of range"),
+            (r#""source": 4294967296"#, "'source' must be a u32 node id"),
+        ];
+        for (field, want) in cases {
+            let doc = format!(r#"{{"topology": {{"kind": "chain", "n": 4}}, "members": "all", {field}}}"#);
+            let err = Scenario::from_json(&doc).expect_err(field);
+            assert_eq!(err.to_string(), format!("schema error: {want}"), "{field}");
+        }
+        let doc = r#"{"topology": {"kind": "chain", "n": 4}, "members": "all",
+            "config": {"fec_k": 255}, "workload": {"adus": 4294967295}}"#;
+        let sc = Scenario::from_json(doc).unwrap();
+        assert_eq!(sc.spec.cfg.fec, Some(FecConfig { k: 255 }));
+        assert_eq!(sc.workload.adus, u32::MAX);
     }
 }

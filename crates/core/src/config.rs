@@ -122,7 +122,7 @@ pub struct RateLimit {
 }
 
 /// Full agent configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SrmConfig {
     /// Request/repair timer constants.
     pub timers: TimerParams,

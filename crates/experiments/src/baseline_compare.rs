@@ -14,7 +14,7 @@
 //!   one multicast repair serves everyone.
 
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use netsim::generators::star;
@@ -110,11 +110,11 @@ pub fn nack_cost(g: usize, seed: u64) -> Cost {
 /// requests win on *implosion* but can lose on raw bandwidth in a star; at
 /// large `C2` they win on both.
 pub fn srm_cost(g: usize, c2: f64, seed: u64) -> Cost {
-    let spec = ScenarioSpec {
-        topo: TopoSpec::Star { leaves: g },
-        group_size: None,
-        drop: DropSpec::AdjacentToSource,
-        cfg: SrmConfig {
+    let spec = ScenarioSpec::round(
+        TopoSpec::Star { leaves: g },
+        MembersSpec::All,
+        DropSpec::AdjacentToSource,
+        SrmConfig {
             timers: TimerParams {
                 c1: 2.0,
                 c2,
@@ -124,8 +124,7 @@ pub fn srm_cost(g: usize, c2: f64, seed: u64) -> Cost {
             ..SrmConfig::default()
         },
         seed,
-        timer_seed: None,
-    };
+    );
     let mut s = spec.build();
     let r = run_round(&mut s, 100_000.0);
     assert!(r.all_recovered);

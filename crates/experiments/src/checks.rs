@@ -3,7 +3,7 @@
 //! loss recovery algorithms").
 
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use srm::{SrmConfig, TimerParams};
@@ -24,11 +24,11 @@ pub fn chain_check(_opts: &RunOpts) -> Table {
         ],
     );
     for hops in [1u32, 2, 5, 10] {
-        let spec = ScenarioSpec {
-            topo: TopoSpec::Chain { n: 40 },
-            group_size: None,
-            drop: DropSpec::HopsFromSource(hops),
-            cfg: SrmConfig {
+        let spec = ScenarioSpec::round(
+            TopoSpec::Chain { n: 40 },
+            MembersSpec::All,
+            DropSpec::HopsFromSource(hops),
+            SrmConfig {
                 timers: TimerParams {
                     c1: 1.0,
                     c2: 0.0,
@@ -44,9 +44,8 @@ pub fn chain_check(_opts: &RunOpts) -> Table {
                 backoff: 4.0,
                 ..SrmConfig::default()
             },
-            seed: 0xc4a1 ^ hops as u64,
-            timer_seed: None,
-        };
+            0xc4a1 ^ hops as u64,
+        );
         let mut s = spec.build();
         // Identify the deepest downstream member for the analytic column.
         let deepest = s
@@ -84,11 +83,11 @@ pub fn star_check(opts: &RunOpts) -> Table {
     for c2 in [1.0, 2.0, 5.0, 10.0, 20.0, 50.0] {
         let mut total = 0u64;
         for rep in 0..sims {
-            let spec = ScenarioSpec {
-                topo: TopoSpec::Star { leaves: g },
-                group_size: None,
-                drop: DropSpec::AdjacentToSource,
-                cfg: SrmConfig {
+            let spec = ScenarioSpec::round(
+                TopoSpec::Star { leaves: g },
+                MembersSpec::All,
+                DropSpec::AdjacentToSource,
+                SrmConfig {
                     timers: TimerParams {
                         c1: 2.0,
                         c2,
@@ -97,9 +96,8 @@ pub fn star_check(opts: &RunOpts) -> Table {
                     },
                     ..SrmConfig::default()
                 },
-                seed: 0x57a2 ^ ((c2 as u64) << 8) ^ rep,
-                timer_seed: None,
-            };
+                0x57a2 ^ ((c2 as u64) << 8) ^ rep,
+            );
             let mut s = spec.build();
             total += run_round(&mut s, 100_000.0).requests;
         }

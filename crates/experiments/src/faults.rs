@@ -30,13 +30,11 @@
 //! output tables double as a regression oracle.
 
 use crate::quartiles::summarize;
-use crate::scenario::GROUP;
+use crate::scenario::{DropSpec, LossSpec, MembersSpec, ScenarioSpec, SourceSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use bytes::Bytes;
-use netsim::generators::chain;
-use netsim::loss::OneShotLinkDrop;
-use netsim::{flow, partition_cut, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
+use netsim::{partition_cut, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 use srm::{AduName, FaultEpisode, PageId, SourceId, SrmAgent, SrmConfig};
 use std::collections::BTreeMap;
 
@@ -45,28 +43,21 @@ fn page0() -> PageId {
     PageId::new(SourceId(0), 0)
 }
 
-/// A chain of SRM agents with **sessions enabled** (the fault scenarios
-/// lean on session messages for post-fault gap detection) and distances
-/// pre-warmed to the true hop counts.
-fn fault_chain(n: usize, seed: u64) -> Simulator<SrmAgent> {
-    let topo = chain(n);
-    let mut sim = Simulator::new(topo, seed);
-    let cfg = SrmConfig::fixed(n);
-    for i in 0..n {
-        let mut a = SrmAgent::new(SourceId(i as u64), GROUP, cfg.clone());
-        a.set_current_page(page0());
-        for j in 0..n {
-            if i != j {
-                a.distances_mut().set_distance(
-                    SourceId(j as u64),
-                    SimDuration::from_secs((i as i64 - j as i64).unsigned_abs()),
-                );
-            }
-        }
-        sim.install(NodeId(i as u32), a);
-        sim.join(NodeId(i as u32), GROUP);
+/// A chain of `n` SRM agents sourced at node 0, distances pre-warmed to
+/// the true hop counts, **sessions enabled** (the fault scenarios lean on
+/// session messages for post-fault gap detection), simulator seeded with
+/// `seed`.
+fn chain(n: usize, seed: u64) -> ScenarioSpec {
+    ScenarioSpec {
+        topo: TopoSpec::Chain { n },
+        members: MembersSpec::All,
+        source: SourceSpec::Node(0),
+        loss: LossSpec::None,
+        cfg: SrmConfig::fixed(n),
+        sessions: true,
+        seed,
+        timer_seed: Some(seed),
     }
-    sim
 }
 
 fn send(sim: &mut Simulator<SrmAgent>, node: NodeId, payload: &'static [u8]) {
@@ -174,7 +165,7 @@ fn collect(sim: &Simulator<SrmAgent>, label: &str, started_at: SimTime) -> Outco
 /// every agent records its recovery-episode events.
 pub fn partition_heal_run(seed: u64, traced: bool) -> FaultRun {
     let n = 8;
-    let mut sim = fault_chain(n, seed);
+    let mut sim = chain(n, seed).build().sim;
     if traced {
         srm::enable_tracing(&mut sim);
     }
@@ -218,17 +209,13 @@ pub fn partition_heal(seed: u64) -> Outcome {
 
 /// The source crashes with a downstream loss outstanding; peers repair it.
 pub fn source_crash_run(seed: u64, traced: bool) -> FaultRun {
-    let n = 6;
-    let mut sim = fault_chain(n, seed);
+    let loss = LossSpec::Congested(DropSpec::HopsFromSource(4));
+    let mut sim = ScenarioSpec { loss, ..chain(6, seed) }.build().sim;
     if traced {
         srm::enable_tracing(&mut sim);
     }
-    let l34 = sim
-        .topology()
-        .link_between(NodeId(3), NodeId(4))
-        .expect("chain link");
-    sim.set_loss_model(Box::new(OneShotLinkDrop::new(l34, NodeId(0), flow::DATA)));
-    // p0 is dropped on (3,4): nodes 4 and 5 miss it, nodes 1–3 hold it.
+    // p0 is dropped on (3,4), the link 4 hops out: nodes 4 and 5 miss it,
+    // nodes 1–3 hold it.
     send(&mut sim, NodeId(0), b"p0");
     sim.run_until(SimTime::from_secs(1));
     // p1 exposes the gap; request timers fire well after the crash below.
@@ -256,8 +243,7 @@ pub fn source_crash(seed: u64) -> Outcome {
 /// Repeated Bernoulli loss bursts on a mid-chain link while the source
 /// streams 30 ADUs; everything recovers once the link settles.
 pub fn flaky_link_run(seed: u64, traced: bool) -> FaultRun {
-    let n = 6;
-    let mut sim = fault_chain(n, seed);
+    let mut sim = chain(6, seed).build().sim;
     if traced {
         srm::enable_tracing(&mut sim);
     }
@@ -332,7 +318,7 @@ pub struct DurableStats {
 /// partitioned off; after restart its rehydrated log is the only live copy
 /// and must serve every repair from disk.
 pub fn durable_rejoin_run(seed: u64, traced: bool) -> FaultRun {
-    let mut sim = fault_chain(DURABLE_NODES, seed);
+    let mut sim = chain(DURABLE_NODES, seed).build().sim;
     if traced {
         srm::enable_tracing(&mut sim);
     }

@@ -8,7 +8,7 @@
 use crate::par::parallel_map;
 use crate::quartiles::summarize;
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use srm::SrmConfig;
@@ -45,14 +45,13 @@ pub fn samples(opts: &RunOpts) -> Vec<Sample> {
         }
     }
     parallel_map(inputs, opts.threads, |(size, rep)| {
-        let spec = ScenarioSpec {
-            topo: TopoSpec::RandomTree { n: size },
-            group_size: None, // density 1
-            drop: DropSpec::RandomTreeLink,
-            cfg: SrmConfig::fixed(size),
-            seed: 0x0300_0000 ^ ((size as u64) << 20) ^ rep,
-            timer_seed: None,
-        };
+        let spec = ScenarioSpec::round(
+            TopoSpec::RandomTree { n: size },
+            MembersSpec::All, // density 1
+            DropSpec::RandomTreeLink,
+            SrmConfig::fixed(size),
+            0x0300_0000 ^ ((size as u64) << 20) ^ rep,
+        );
         let mut s = spec.build();
         let r = run_round(&mut s, 100_000.0);
         assert!(r.all_recovered, "fig3 round failed to recover");

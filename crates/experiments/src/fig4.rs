@@ -8,7 +8,7 @@
 use crate::fig3::{tables, Sample};
 use crate::par::parallel_map;
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::Table;
 use crate::RunOpts;
 use srm::SrmConfig;
@@ -29,17 +29,16 @@ pub fn sizes(opts: &RunOpts) -> Vec<usize> {
 
 /// The scenario for (session size, replicate) — shared with Fig 14.
 pub fn spec(size: usize, rep: u64, cfg: SrmConfig) -> ScenarioSpec {
-    ScenarioSpec {
-        topo: TopoSpec::BoundedTree {
+    ScenarioSpec::round(
+        TopoSpec::BoundedTree {
             n: NET_NODES,
             degree: NET_DEGREE,
         },
-        group_size: Some(size),
-        drop: DropSpec::RandomTreeLink,
+        MembersSpec::Random(size),
+        DropSpec::RandomTreeLink,
         cfg,
-        seed: 0x0400_0000 ^ ((size as u64) << 20) ^ rep,
-        timer_seed: None,
-    }
+        0x0400_0000 ^ ((size as u64) << 20) ^ rep,
+    )
 }
 
 /// Run all simulations for the figure.

@@ -8,7 +8,7 @@
 
 use crate::par::parallel_map;
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use srm::{SrmConfig, TimerParams};
@@ -64,11 +64,11 @@ pub fn points(opts: &RunOpts) -> Vec<Point> {
         let mut delays = Vec::new();
         let mut requests = Vec::new();
         for rep in 0..sims {
-            let spec = ScenarioSpec {
-                topo: TopoSpec::Chain { n },
-                group_size: None,
-                drop: DropSpec::HopsFromSource(hops),
-                cfg: SrmConfig {
+            let spec = ScenarioSpec::round(
+                TopoSpec::Chain { n },
+                MembersSpec::All,
+                DropSpec::HopsFromSource(hops),
+                SrmConfig {
                     timers: TimerParams {
                         c1: 2.0,
                         c2,
@@ -77,9 +77,8 @@ pub fn points(opts: &RunOpts) -> Vec<Point> {
                     },
                     ..SrmConfig::default()
                 },
-                seed: 0x0600_0000 ^ ((hops as u64) << 24) ^ ((c2 as u64) << 8) ^ rep,
-                timer_seed: None,
-            };
+                0x0600_0000 ^ ((hops as u64) << 24) ^ ((c2 as u64) << 8) ^ rep,
+            );
             let mut s = spec.build();
             let r = run_round(&mut s, 100_000.0);
             assert!(r.all_recovered);

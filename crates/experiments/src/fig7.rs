@@ -9,7 +9,7 @@
 
 use crate::par::parallel_map;
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use srm::{SrmConfig, TimerParams};
@@ -58,11 +58,11 @@ pub fn points(opts: &RunOpts, topo: TopoSpec, group_size: Option<usize>, tag: u6
                 TopoSpec::RandomTree { n } | TopoSpec::BoundedTree { n, .. } => n,
                 _ => 100,
             });
-            let spec = ScenarioSpec {
+            let spec = ScenarioSpec::round(
                 topo,
-                group_size,
-                drop: DropSpec::HopsFromSource(hops),
-                cfg: SrmConfig {
+                group_size.map_or(MembersSpec::All, MembersSpec::Random),
+                DropSpec::HopsFromSource(hops),
+                SrmConfig {
                     timers: TimerParams {
                         c1: 2.0,
                         c2,
@@ -71,9 +71,8 @@ pub fn points(opts: &RunOpts, topo: TopoSpec, group_size: Option<usize>, tag: u6
                     },
                     ..SrmConfig::default()
                 },
-                seed: tag ^ ((hops as u64) << 24) ^ ((c2 as u64) << 8) ^ rep,
-                timer_seed: None,
-            };
+                tag ^ ((hops as u64) << 24) ^ ((c2 as u64) << 8) ^ rep,
+            );
             let mut s = spec.build();
             let r = run_round(&mut s, 100_000.0);
             assert!(r.all_recovered);

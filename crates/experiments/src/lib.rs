@@ -49,12 +49,14 @@ pub mod quartiles;
 pub mod repair_sweep;
 pub mod robustness;
 pub mod round;
-pub mod scenario;
 pub mod table;
 pub mod trace_cmd;
 
 pub use round::{run_round, RoundResult};
-pub use scenario::{DropSpec, ScenarioSpec, Session, TopoSpec};
+/// The scenario vocabulary and its builder live in `srm-sim`, which reads
+/// the same type from JSON; every figure builds its sessions with it.
+pub use srm_sim::scenario;
+pub use srm_sim::scenario::{DropSpec, ScenarioSpec, Session, TopoSpec};
 pub use table::Table;
 
 /// Global options for every figure driver.

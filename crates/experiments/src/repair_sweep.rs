@@ -10,7 +10,7 @@
 
 use crate::par::parallel_map;
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use srm::{SrmConfig, TimerParams};
@@ -43,11 +43,11 @@ pub fn points(opts: &RunOpts) -> Vec<Point> {
         let mut repairs = 0.0;
         let mut delays = Vec::new();
         for rep in 0..sims {
-            let spec = ScenarioSpec {
-                topo: TopoSpec::BoundedTree { n, degree: 4 },
-                group_size: Some(g),
-                drop: DropSpec::RandomTreeLink,
-                cfg: SrmConfig {
+            let spec = ScenarioSpec::round(
+                TopoSpec::BoundedTree { n, degree: 4 },
+                MembersSpec::Random(g),
+                DropSpec::RandomTreeLink,
+                SrmConfig {
                     timers: TimerParams {
                         c1: 2.0,
                         c2: (g as f64).sqrt(),
@@ -56,9 +56,8 @@ pub fn points(opts: &RunOpts) -> Vec<Point> {
                     },
                     ..SrmConfig::default()
                 },
-                seed: 0x0d20_0000 ^ ((d2 as u64) << 8) ^ rep,
-                timer_seed: None,
-            };
+                0x0d20_0000 ^ ((d2 as u64) << 8) ^ rep,
+            );
             let mut s = spec.build();
             let r = run_round(&mut s, 200_000.0);
             assert!(r.all_recovered);

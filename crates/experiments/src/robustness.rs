@@ -14,7 +14,7 @@
 use crate::par::parallel_map;
 use crate::quartiles::summarize;
 use crate::round::run_round;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use crate::table::{f, Table};
 use crate::RunOpts;
 use srm::SrmConfig;
@@ -72,14 +72,14 @@ pub fn run(opts: &RunOpts) -> Vec<Table> {
     // assert here would kill a worker thread and poison the whole sweep
     // (the other topologies' results would be lost with it).
     let results = parallel_map(inputs, opts.threads, move |(label, topo, rep)| {
-        let spec = ScenarioSpec {
+        let mut spec = ScenarioSpec::round(
             topo,
-            group_size: Some(g),
-            drop: DropSpec::RandomTreeLink,
-            cfg: SrmConfig::adaptive(g),
-            seed: 0x0b00_0000 ^ ((rep + 1) << 4),
-            timer_seed: Some(rep * 31 + 7),
-        };
+            MembersSpec::Random(g),
+            DropSpec::RandomTreeLink,
+            SrmConfig::adaptive(g),
+            0x0b00_0000 ^ ((rep + 1) << 4),
+        );
+        spec.timer_seed = Some(rep * 31 + 7);
         let mut s = spec.build();
         let mut last = (0u64, 0u64, 0.0f64);
         for round in 0..rounds {

@@ -119,19 +119,18 @@ pub fn run_round(session: &mut Session, settle_limit: f64) -> RoundResult {
 
 #[cfg(test)]
 mod tests {
-    use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+    use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
     use srm::SrmConfig;
 
     #[test]
     fn chain_round_recovers_everyone() {
-        let mut s = ScenarioSpec {
-            topo: TopoSpec::Chain { n: 8 },
-            group_size: None,
-            drop: DropSpec::RandomTreeLink,
-            cfg: SrmConfig::fixed(8),
-            seed: 11,
-            timer_seed: None,
-        }
+        let mut s = ScenarioSpec::round(
+            TopoSpec::Chain { n: 8 },
+            MembersSpec::All,
+            DropSpec::RandomTreeLink,
+            SrmConfig::fixed(8),
+            11,
+        )
         .build();
         let r = super::run_round(&mut s, 10_000.0);
         assert!(r.all_recovered);
@@ -143,14 +142,13 @@ mod tests {
 
     #[test]
     fn consecutive_rounds_are_independent() {
-        let mut s = ScenarioSpec {
-            topo: TopoSpec::Star { leaves: 10 },
-            group_size: None,
-            drop: DropSpec::AdjacentToSource,
-            cfg: SrmConfig::fixed(10),
-            seed: 2,
-            timer_seed: None,
-        }
+        let mut s = ScenarioSpec::round(
+            TopoSpec::Star { leaves: 10 },
+            MembersSpec::All,
+            DropSpec::AdjacentToSource,
+            SrmConfig::fixed(10),
+            2,
+        )
         .build();
         let r1 = super::run_round(&mut s, 10_000.0);
         let r2 = super::run_round(&mut s, 10_000.0);
@@ -162,14 +160,13 @@ mod tests {
 
     #[test]
     fn star_metrics_have_closest_member() {
-        let mut s = ScenarioSpec {
-            topo: TopoSpec::Star { leaves: 12 },
-            group_size: None,
-            drop: DropSpec::AdjacentToSource,
-            cfg: SrmConfig::fixed(12),
-            seed: 4,
-            timer_seed: None,
-        }
+        let mut s = ScenarioSpec::round(
+            TopoSpec::Star { leaves: 12 },
+            MembersSpec::All,
+            DropSpec::AdjacentToSource,
+            SrmConfig::fixed(12),
+            4,
+        )
         .build();
         let r = super::run_round(&mut s, 10_000.0);
         assert!(r.closest_member_request_delay(&s).is_some());

@@ -12,7 +12,7 @@
 //! fixed and the timer RNG seed is pinned explicitly.
 
 use crate::faults;
-use crate::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use crate::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use srm::SrmConfig;
 
 /// Scenario names accepted by `trace --scenario` / `report --scenario`.
@@ -71,14 +71,8 @@ fn harvest(mut run: faults::FaultRun) -> TracedRun {
 /// One warmed-distance session, one dropped packet, one exposing packet,
 /// run to quiescence.
 fn drop_scenario(topo: TopoSpec, drop: DropSpec, group: usize, seed: u64) -> TracedRun {
-    let spec = ScenarioSpec {
-        topo,
-        group_size: None,
-        drop,
-        cfg: SrmConfig::fixed(group),
-        seed,
-        timer_seed: Some(seed.rotate_left(17)),
-    };
+    let mut spec = ScenarioSpec::round(topo, MembersSpec::All, drop, SrmConfig::fixed(group), seed);
+    spec.timer_seed = Some(seed.rotate_left(17));
     let mut s = spec.build();
     srm::enable_tracing(&mut s.sim);
     s.source_sends(); // dropped on the congested link

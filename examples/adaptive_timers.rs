@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example adaptive_timers`
 
 use srm_experiments::round::run_round;
-use srm_experiments::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use srm_experiments::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use srm::SrmConfig;
 
 fn main() {
@@ -16,12 +16,14 @@ fn main() {
     const ROUNDS: usize = 60;
 
     let spec = |cfg: SrmConfig| ScenarioSpec {
-        topo: TopoSpec::BoundedTree { n: 1000, degree: 4 },
-        group_size: Some(G),
-        drop: DropSpec::RandomTreeLink,
-        cfg,
-        seed: 0x0400_0000 ^ ((G as u64) << 20) ^ 3, // a dup-prone Fig 4 draw
         timer_seed: Some(1234),
+        ..ScenarioSpec::round(
+            TopoSpec::BoundedTree { n: 1000, degree: 4 },
+            MembersSpec::Random(G),
+            DropSpec::RandomTreeLink,
+            cfg,
+            0x0400_0000 ^ ((G as u64) << 20) ^ 3, // a dup-prone Fig 4 draw
+        )
     };
 
     let mut fixed = spec(SrmConfig::fixed(G)).build();

@@ -220,7 +220,12 @@ cargo test -q -p srm-transport --test metrics_monitor
 cargo test -q -p srm --lib store::tests
 cargo test -q -p srm-sim --lib spec::tests
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, a second tree per member beside the simulator's route cache, and the wire decoder's Buf getters must stay gone) =="
+echo "== one scenario vocabulary (srm-sim's JSON, the figures and the fault chains build through ScenarioSpec::try_build; impossible topologies, out-of-range integers and a source outside the membership are refused, not panics) =="
+cargo test -q -p srm-sim --lib -- scenario::tests impossible_topologies_are_refused \
+    bad_references_are_reported out_of_range_integers_are_schema_errors
+cargo test -q --test scenario_goldens
+
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, a second tree per member beside the simulator's route cache, and the wire decoder's Buf getters, and srm-sim's second topology enum, topology builder and membership tag and the hand-built fault chain must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -235,6 +240,7 @@ stale+='|LossPol[i]cy|trace_capa[c]ity|render_promet[h]eus|--stats-add[r]|--trac
 stale+='|retention_per_str[e]am|active_pe[e]rs|delta_si[n]ce|elapsed_si[n]ce'
 stale+='|SpTree::compute\(sim\.topolog[y]\(\)'
 stale+='|fn get_u6[4]\(buf: &mut Bytes\)|macro_rules! gett[e]r'
+stale+='|TopologyS[p]ec|fn build_topol[o]gy|fn fault_ch[a]in|AllT[a]g'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -243,7 +249,7 @@ if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --inc
     exit 1
 fi
 
-echo "== transport crate size (code lines = not blank, not a // line; then raw lines; then non-test code lines, before each file's #[cfg(test)]; then crates/obs non-test code lines; then crates/core/src/observe.rs + metrics.rs non-test code lines; then crates/cli non-test code lines) =="
+echo "== transport crate size (code lines = not blank, not a // line; then raw lines; then non-test code lines, before each file's #[cfg(test)]; then crates/obs non-test code lines; then crates/core/src/observe.rs + metrics.rs non-test code lines; then crates/cli non-test code lines, then crates/experiments/src/{faults,trace_cmd}.rs non-test code lines) =="
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | grep -cvE '^\s*(//|$)'
 cat crates/transport/src/*.rs crates/transport/src/bin/*.rs | wc -l
 for f in crates/transport/src/*.rs crates/transport/src/bin/*.rs; do
@@ -256,6 +262,9 @@ for f in crates/core/src/observe.rs crates/core/src/metrics.rs; do
     awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
 done | grep -cvE '^\s*(//|$)'
 for f in crates/cli/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
+done | grep -cvE '^\s*(//|$)'
+for f in crates/experiments/src/faults.rs crates/experiments/src/trace_cmd.rs; do
     awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f"
 done | grep -cvE '^\s*(//|$)'
 

@@ -83,7 +83,7 @@ fn run<A: Member>(layout: &Session, mut sim: Simulator<A>) -> Outcome {
     let mut delivered: Vec<Vec<String>> = vec![Vec::new(); MEMBERS];
     for _ in 0..ROUNDS {
         sim.set_loss_model(Box::new(OneShotLinkDrop::new(
-            layout.congested_link,
+            layout.congested_link.expect("a congested link"),
             source,
             flow::DATA,
         )));

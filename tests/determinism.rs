@@ -3,17 +3,19 @@
 //! medians and quartiles) is only meaningful if reruns are bit-identical.
 
 use srm_experiments::round::run_round;
-use srm_experiments::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use srm_experiments::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use srm::SrmConfig;
 
 fn spec(seed: u64, timer_seed: Option<u64>) -> ScenarioSpec {
     ScenarioSpec {
-        topo: TopoSpec::RandomTree { n: 60 },
-        group_size: Some(25),
-        drop: DropSpec::RandomTreeLink,
-        cfg: SrmConfig::adaptive(25),
-        seed,
         timer_seed,
+        ..ScenarioSpec::round(
+            TopoSpec::RandomTree { n: 60 },
+            MembersSpec::Random(25),
+            DropSpec::RandomTreeLink,
+            SrmConfig::adaptive(25),
+            seed,
+        )
     }
 }
 

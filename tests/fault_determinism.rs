@@ -6,16 +6,18 @@
 use netsim::{FaultPlan, SimDuration, SimTime};
 use srm::SrmConfig;
 use srm_experiments::round::run_round;
-use srm_experiments::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use srm_experiments::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 
 fn spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec {
-        topo: TopoSpec::RandomTree { n: 60 },
-        group_size: Some(25),
-        drop: DropSpec::RandomTreeLink,
-        cfg: SrmConfig::adaptive(25),
-        seed,
         timer_seed: Some(5),
+        ..ScenarioSpec::round(
+            TopoSpec::RandomTree { n: 60 },
+            MembersSpec::Random(25),
+            DropSpec::RandomTreeLink,
+            SrmConfig::adaptive(25),
+            seed,
+        )
     }
 }
 
@@ -26,7 +28,7 @@ fn fingerprint(seed: u64, with_faults: bool) -> String {
     let mut s = spec(seed).build();
     s.sim.trace.enable();
     if with_faults {
-        let l = s.congested_link;
+        let l = s.congested_link.expect("a congested link");
         let victim = s
             .members
             .iter()

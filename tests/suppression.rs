@@ -5,7 +5,7 @@
 
 use srm_analysis::{chain as chain_model, star as star_model, tree as tree_model};
 use srm_experiments::round::run_round;
-use srm_experiments::scenario::{DropSpec, ScenarioSpec, TopoSpec};
+use srm_experiments::scenario::{DropSpec, MembersSpec, ScenarioSpec, TopoSpec};
 use srm::{SrmConfig, TimerParams};
 
 fn params(c1: f64, c2: f64, d1: f64, d2: f64) -> SrmConfig {
@@ -20,14 +20,13 @@ fn params(c1: f64, c2: f64, d1: f64, d2: f64) -> SrmConfig {
 fn chain_request_and_repair_are_unique_and_timely() {
     // Deterministic timers over a range of failure positions.
     for hops in 1..=8u32 {
-        let mut s = ScenarioSpec {
-            topo: TopoSpec::Chain { n: 30 },
-            group_size: None,
-            drop: DropSpec::HopsFromSource(hops),
-            cfg: params(1.0, 0.0, 1.0, 0.0),
-            seed: 100 + hops as u64,
-            timer_seed: None,
-        }
+        let mut s = ScenarioSpec::round(
+            TopoSpec::Chain { n: 30 },
+            MembersSpec::All,
+            DropSpec::HopsFromSource(hops),
+            params(1.0, 0.0, 1.0, 0.0),
+            100 + hops as u64,
+        )
         .build();
         let r = run_round(&mut s, 100_000.0);
         assert!(r.all_recovered);
@@ -40,14 +39,13 @@ fn chain_request_and_repair_are_unique_and_timely() {
 fn chain_far_nodes_beat_unicast_rtt() {
     // "the furthest node receives the repair sooner than it would if it had
     // to rely on its own unicast communication with the original source."
-    let mut s = ScenarioSpec {
-        topo: TopoSpec::Chain { n: 60 },
-        group_size: None,
-        drop: DropSpec::HopsFromSource(2),
-        cfg: params(1.0, 0.0, 1.0, 0.0),
-        seed: 7,
-        timer_seed: None,
-    }
+    let mut s = ScenarioSpec::round(
+        TopoSpec::Chain { n: 60 },
+        MembersSpec::All,
+        DropSpec::HopsFromSource(2),
+        params(1.0, 0.0, 1.0, 0.0),
+        7,
+    )
     .build();
     let r = run_round(&mut s, 100_000.0);
     // Find the deepest affected member's delay ratio.
@@ -79,14 +77,13 @@ fn star_requests_track_probabilistic_model() {
         let mut total = 0u64;
         let sims = 12;
         for rep in 0..sims {
-            let mut s = ScenarioSpec {
-                topo: TopoSpec::Star { leaves: g },
-                group_size: None,
-                drop: DropSpec::AdjacentToSource,
-                cfg: params(2.0, c2, 1.0, 1.0),
-                seed: 9000 + (c2 as u64) * 100 + rep,
-                timer_seed: None,
-            }
+            let mut s = ScenarioSpec::round(
+                TopoSpec::Star { leaves: g },
+                MembersSpec::All,
+                DropSpec::AdjacentToSource,
+                params(2.0, c2, 1.0, 1.0),
+                9000 + (c2 as u64) * 100 + rep,
+            )
             .build();
             let r = run_round(&mut s, 100_000.0);
             assert!(r.all_recovered);
@@ -108,14 +105,13 @@ fn star_delay_grows_with_c2_as_predicted() {
         let mut acc = 0.0;
         let sims = 12;
         for rep in 0..sims {
-            let mut s = ScenarioSpec {
-                topo: TopoSpec::Star { leaves: g },
-                group_size: None,
-                drop: DropSpec::AdjacentToSource,
-                cfg: params(2.0, c2, 1.0, 1.0),
-                seed: 17_000 + (c2 as u64) * 100 + rep,
-                timer_seed: None,
-            }
+            let mut s = ScenarioSpec::round(
+                TopoSpec::Star { leaves: g },
+                MembersSpec::All,
+                DropSpec::AdjacentToSource,
+                params(2.0, c2, 1.0, 1.0),
+                17_000 + (c2 as u64) * 100 + rep,
+            )
             .build();
             let r = run_round(&mut s, 100_000.0);
             acc += r.closest_member_request_delay(&s).unwrap();
@@ -140,11 +136,11 @@ fn tree_duplicates_shrink_when_failure_is_near_source() {
         let sims = 10;
         let mut total = 0;
         for rep in 0..sims {
-            let mut s = ScenarioSpec {
-                topo: TopoSpec::BoundedTree { n: 85, degree: 4 },
-                group_size: None,
-                drop: DropSpec::HopsFromSource(hops),
-                cfg: SrmConfig {
+            let mut s = ScenarioSpec::round(
+                TopoSpec::BoundedTree { n: 85, degree: 4 },
+                MembersSpec::All,
+                DropSpec::HopsFromSource(hops),
+                SrmConfig {
                     timers: TimerParams {
                         c1: 2.0,
                         c2: 4.0,
@@ -153,9 +149,8 @@ fn tree_duplicates_shrink_when_failure_is_near_source() {
                     },
                     ..SrmConfig::default()
                 },
-                seed: 31_000 + hops as u64 * 100 + rep,
-                timer_seed: None,
-            }
+                31_000 + hops as u64 * 100 + rep,
+            )
             .build();
             total += run_round(&mut s, 100_000.0).requests;
         }
