@@ -1,42 +1,36 @@
 //! CLI entry point for `srm-sim`.
 
+use obs::flags::{Cli, Command, Error, Flag};
 use srm_sim::{execute, Scenario};
 
-const USAGE: &str = "usage: srm-sim [--json] [--trace FILE] <scenario.json>...";
+static CLI: Cli = Cli {
+    bin: "srm-sim",
+    commands: &[Command {
+        name: "",
+        about: "run each scenario file and print its traffic/recovery report",
+        flags: &[
+            Flag::switch("--json", "print each report as one JSON object"),
+            Flag::value("--trace", "FILE", "write the run's obs timeline to FILE as JSONL"),
+            Flag::positional("SCENARIO.json", "scenario files, run in order"),
+        ],
+    }],
+    footer: String::new,
+};
 
 fn main() {
-    let mut json_out = false;
-    let mut trace_out: Option<String> = None;
-    let mut files = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_out = true,
-            "--trace" => {
-                trace_out = args.next();
-                if trace_out.is_none() {
-                    eprintln!("--trace requires a file argument");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            "-h" | "--help" => {
-                eprintln!("{USAGE}");
-                return;
-            }
-            f => files.push(f.to_string()),
+    CLI.run(|p| {
+        let files = p.all("SCENARIO.json");
+        if files.is_empty() {
+            return Err(Error::Usage("no scenario file given".into()));
         }
-    }
-    if files.is_empty() {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    for f in files {
-        if let Err(msg) = run_file(&f, trace_out.as_deref(), json_out) {
-            eprintln!("{msg}");
-            std::process::exit(1);
+        for f in files {
+            if let Err(msg) = run_file(f, p.str("--trace"), p.on("--json")) {
+                eprintln!("{msg}");
+                std::process::exit(1);
+            }
         }
-    }
+        Ok(())
+    })
 }
 
 /// Parse and run one scenario file, write its trace when asked, and print

@@ -328,6 +328,8 @@ mod tests {
 
     /// Sizes netsim's generators assert on are refused with the field
     /// named, one case per topology kind: each used to exit on a panic.
+    /// More random members than nodes is refused too: it used to run with
+    /// every node.
     #[test]
     fn impossible_topologies_are_refused() {
         let cases = [
@@ -342,6 +344,11 @@ mod tests {
             let err = run(&Scenario::from_json(&doc).unwrap()).expect_err(topology);
             assert_eq!(err.to_string(), format!("invalid topology: {why}"), "{topology}");
         }
+        let doc = r#"{"topology": {"kind": "chain", "n": 4}, "members": {"random": 5}}"#;
+        let err = run(&Scenario::from_json(doc).unwrap()).expect_err("5 members of 4 nodes");
+        assert_eq!(err.to_string(), "'members' asks for 5 random members of a 4-node topology");
+        let doc = r#"{"topology": {"kind": "chain", "n": 4}, "members": {"random": 4}}"#;
+        assert!(run(&Scenario::from_json(doc).unwrap()).is_ok(), "every node is a valid draw");
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl MembersSpec {
         match self {
             MembersSpec::All if matches!(topo, TopoSpec::Star { .. }) => topo.nodes() - 1,
             MembersSpec::All => topo.nodes(),
-            MembersSpec::Random(k) => (*k).min(topo.nodes()),
+            MembersSpec::Random(k) => *k,
             MembersSpec::List(ids) => ids.iter().collect::<std::collections::BTreeSet<_>>().len(),
         }
     }
@@ -213,6 +213,13 @@ pub enum RunError {
     BadNode(u32),
     /// No members were selected.
     NoMembers,
+    /// `{"random": k}` asks for more members than the topology's nodes.
+    TooManyMembers {
+        /// The `k` asked for.
+        asked: usize,
+        /// The topology's node count.
+        nodes: usize,
+    },
     /// The source is not a session member.
     NotAMember(u32),
     /// The scripted loss references a non-adjacent node pair.
@@ -229,6 +236,9 @@ impl fmt::Display for RunError {
             RunError::BadTopology(why) => write!(f, "invalid topology: {why}"),
             RunError::BadNode(n) => write!(f, "node {n} does not exist"),
             RunError::NoMembers => write!(f, "scenario selects no members"),
+            RunError::TooManyMembers { asked, nodes } => {
+                write!(f, "'members' asks for {asked} random members of a {nodes}-node topology")
+            }
             RunError::NotAMember(n) => write!(f, "source {n} is not a session member"),
             RunError::NoSuchLink(a, b) => write!(f, "no link between {a} and {b}"),
             RunError::NoDropCandidates(d) => write!(f, "no drop candidates for {d:?}"),
@@ -327,6 +337,9 @@ impl ScenarioSpec {
                 (1..=leaves as u32).map(NodeId).collect()
             }
             (MembersSpec::All, _) => topo.nodes().collect(),
+            (&MembersSpec::Random(asked), _) if asked > n as usize => {
+                return Err(RunError::TooManyMembers { asked, nodes: n as usize });
+            }
             (MembersSpec::Random(k), _) => generators::random_members(&topo, *k, &mut rng),
             (MembersSpec::List(ids), _) => {
                 let mut v = ids.iter().map(|&id| node(id)).collect::<Result<Vec<_>, _>>()?;

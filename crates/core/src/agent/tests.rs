@@ -95,12 +95,14 @@ fn single_drop_is_recovered() {
 fn chain_recovery_is_deterministic_with_c2_zero() {
     // Section IV-A: C1 = D1 = 1, C2 = D2 = 0 gives deterministic
     // suppression: one request, one repair.
-    let mut cfg = SrmConfig::default();
-    cfg.timers = TimerParams {
-        c1: 1.0,
-        c2: 0.0,
-        d1: 1.0,
-        d2: 0.0,
+    let cfg = SrmConfig {
+        timers: TimerParams {
+            c1: 1.0,
+            c2: 0.0,
+            d1: 1.0,
+            d2: 0.0,
+        },
+        ..SrmConfig::default()
     };
     let n = 8;
     let mut sim = chain_session(n, &cfg);

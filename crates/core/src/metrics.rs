@@ -473,8 +473,7 @@ mod tests {
 
     #[test]
     fn clear_episodes_keeps_counters() {
-        let mut m = AgentMetrics::default();
-        m.requests_sent = 5;
+        let mut m = AgentMetrics { requests_sent: 5, ..AgentMetrics::default() };
         m.recoveries.insert(rec(1, None).name, rec(1, None));
         m.clear_episodes();
         assert_eq!(m.requests_sent, 5);

@@ -205,10 +205,7 @@ mod tests {
 
     #[test]
     fn add_member_folds_counters_and_histograms() {
-        let mut m = AgentMetrics::default();
-        m.data_sent = 7;
-        m.requests_sent = 2;
-        m.session_sent = 1;
+        let mut m = AgentMetrics { data_sent: 7, requests_sent: 2, session_sent: 1, ..AgentMetrics::default() };
         m.recoveries.insert(
             name(0),
             RecoveryRecord {
@@ -252,11 +249,8 @@ mod tests {
 
     #[test]
     fn the_table_has_a_row_per_counter_and_a_column_per_member() {
-        let mut a = AgentMetrics::default();
-        a.data_sent = 10;
-        a.session_sent = 10;
-        let mut b = AgentMetrics::default();
-        b.requests_sent = 3;
+        let a = AgentMetrics { data_sent: 10, session_sent: 10, ..AgentMetrics::default() };
+        let b = AgentMetrics { requests_sent: 3, ..AgentMetrics::default() };
         let mut run = RunSummary::new();
         run.add_member(7, &a);
         run.add_member(2, &b);

@@ -169,7 +169,7 @@ mod tests {
         let adapt_tail = tail_mean_dups(&adapt, 5);
         // The adaptive algorithm must end with no more (and typically
         // fewer) duplicates than the fixed one started with.
-        let fixed_head = tail_mean_dups(&fixed[..5.min(fixed.len())].to_vec(), 5);
+        let fixed_head = tail_mean_dups(&fixed[..5.min(fixed.len())], 5);
         assert!(
             adapt_tail <= fixed_head + 0.5,
             "adaptive tail {adapt_tail} vs fixed head {fixed_head}"

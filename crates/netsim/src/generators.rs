@@ -298,7 +298,7 @@ mod tests {
         // Classic example: sequence [3,3,3,4] on 6 nodes.
         let edges = prufer_decode(6, &[3, 3, 3, 4]);
         assert_eq!(edges.len(), 5);
-        let mut degree = vec![0usize; 6];
+        let mut degree = [0usize; 6];
         for &(a, b) in &edges {
             degree[a] += 1;
             degree[b] += 1;

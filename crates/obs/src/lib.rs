@@ -27,7 +27,9 @@
 //!   here so figures and reports share one implementation;
 //! * [`json`] is the workspace's one JSON reader and escaper — the JSONL
 //!   exports here, the hub's control plane and the `srm-sim` scenario
-//!   files all go through it.
+//!   files all go through it;
+//! * [`flags`] is the workspace's one command-line parser: a flag table per
+//!   subcommand, typed reads, and the usage generated from the table.
 //!
 //! `obs` names no SRM counter. A member's counters and their one list of
 //! names are the protocol crate's (`srm::AgentMetrics::counters`), and so
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod flags;
 pub mod hist;
 pub mod json;
 pub mod log;

@@ -25,35 +25,34 @@
 //! `{"cmd":"stop"}` drains every group (final session message, WAL flush)
 //! and exits the process; `--duration` bounds the run for scripts.
 
+use obs::flags::{addr, int, positive_secs, secs, Cli, Command, Error, Flag, Parsed};
 use srm_transport::control::serve;
 use srm_transport::hub::{Hub, HubOptions};
 use srm_transport::StatsSink;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-usage: srm-hub --bind ADDR [--control ADDR] [--shards N] [--seed N]
-               [--store DIR]
-               [--stats-file FILE] [--stats-interval F]
-               [--duration SECS] [--quiet]
+const HUB: &[Flag] = &[
+    Flag::value("--bind", "ADDR", "the shared UDP socket every hosted group sends and receives on (required)"),
+    Flag::value("--control", "ADDR", "local TCP address for the line-JSON control plane; stdin always accepts it too"),
+    Flag::value("--shards", "N", "shard reactor threads, 1..=64; groups hash onto them").default("4"),
+    Flag::value("--seed", "N", "hub seed; each group's RNG derives from it").default("1"),
+    Flag::value("--store", "DIR", "durable ADU stores: group G logs under DIR/G/"),
+    Flag::value("--stats-file", "FILE", "append a metrics-snapshot JSONL line to FILE every --stats-interval"),
+    Flag::value("--stats-interval", "SECS", "seconds between snapshots").default("1"),
+    Flag::value("--duration", "SECS", "exit after this long (default: run until stop)"),
+    Flag::switch("--quiet", "do not echo control replies to stderr"),
+];
 
-  --bind A          the shared UDP socket every hosted group sends and
-                    receives on (required)
-  --control A       local TCP address for the line-JSON control plane;
-                    stdin always accepts the same commands
-  --shards N        shard reactor threads; groups hash onto them (default 4)
-  --seed N          hub seed; each group's RNG derives from it (default 1)
-  --store DIR       durable ADU stores: group G logs under DIR/G/
-  --stats-file F    append a metrics-snapshot JSONL line to F every
-                    --stats-interval seconds (flushed per line)
-  --stats-interval  seconds between snapshots (default 1)
-  --duration SECS   exit after this long (default: run until stop/EOF)
-  --quiet           do not echo control replies to stderr
-
+static CLI: Cli = Cli {
+    bin: "srm-hub",
+    commands: &[Command { name: "", about: "host many SRM sessions in one process over one socket", flags: HUB }],
+    footer: || {
+        "\
 commands (one JSON object per line, one reply line each):
   {\"cmd\":\"create\",\"group\":G,\"peers\":[\"IP:PORT\",..],\"id\":N,\"members\":N,
    \"rate\":BYTES_PER_SEC,\"burst\":BYTES,\"dist_ms\":MS}
@@ -61,131 +60,42 @@ commands (one JSON object per line, one reply line each):
   {\"cmd\":\"send\",\"group\":G,\"text\":\"...\",\"count\":N}
   {\"cmd\":\"drain\",\"group\":G}
   {\"cmd\":\"stats\"}
-  {\"cmd\":\"stop\"}         drain all groups and exit";
+  {\"cmd\":\"stop\"}         drain all groups and exit"
+            .into()
+    },
+};
 
-fn die(msg: &str) -> ! {
+/// A runtime failure: say so and exit 1.
+fn fail(msg: &str) -> ! {
     eprintln!("srm-hub: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-struct Args {
-    bind: SocketAddr,
-    control: Option<SocketAddr>,
-    shards: usize,
-    seed: u64,
-    store: Option<PathBuf>,
-    stats_file: Option<String>,
-    stats_interval: f64,
-    duration: Option<f64>,
-    quiet: bool,
-}
-
-fn parse_args() -> Args {
-    let mut argv = std::env::args().skip(1);
-    let mut bind = None;
-    let mut control = None;
-    let mut shards = 4usize;
-    let mut seed = 1u64;
-    let mut store = None;
-    let mut stats_file = None;
-    let mut stats_interval = 1.0f64;
-    let mut duration = None;
-    let mut quiet = false;
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--bind" => {
-                bind = Some(
-                    next(&mut argv, "--bind")
-                        .parse()
-                        .unwrap_or_else(|_| die("--bind must be host:port")),
-                )
-            }
-            "--control" => {
-                control = Some(
-                    next(&mut argv, "--control")
-                        .parse()
-                        .unwrap_or_else(|_| die("--control must be host:port")),
-                )
-            }
-            "--shards" => {
-                let n: usize = next(&mut argv, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shards must be an integer"));
-                if !(1..=64).contains(&n) {
-                    die("--shards must be in 1..=64");
-                }
-                shards = n;
-            }
-            "--seed" => {
-                seed = next(&mut argv, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed must be an integer"))
-            }
-            "--store" => store = Some(PathBuf::from(next(&mut argv, "--store"))),
-            "--stats-file" => stats_file = Some(next(&mut argv, "--stats-file")),
-            "--stats-interval" => {
-                stats_interval = next(&mut argv, "--stats-interval")
-                    .parse()
-                    .unwrap_or_else(|_| die("--stats-interval must be seconds"));
-                if stats_interval <= 0.0 {
-                    die("--stats-interval must be positive");
-                }
-            }
-            "--duration" => {
-                duration = Some(
-                    next(&mut argv, "--duration")
-                        .parse()
-                        .unwrap_or_else(|_| die("--duration must be seconds")),
-                )
-            }
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other:?}")),
-        }
-    }
-    Args {
-        bind: bind.unwrap_or_else(|| die("--bind is required")),
-        control,
-        shards,
-        seed,
-        store,
-        stats_file,
-        stats_interval,
-        duration,
-        quiet,
-    }
+    std::process::exit(1);
 }
 
 fn main() {
-    let args = parse_args();
-    let registry = args.stats_file.is_some().then(obs::MetricsRegistry::new);
+    CLI.run(run)
+}
+
+fn run(p: &Parsed) -> Result<(), Error> {
+    let bind = p.get("--bind", addr)?;
+    let control = p.opt("--control", addr)?;
+    let stats_file = p.str("--stats-file");
+    let stats_interval = p.get("--stats-interval", positive_secs)?;
+    let duration = p.opt("--duration", secs)?;
+    let quiet = p.on("--quiet");
+    let registry = stats_file.is_some().then(obs::MetricsRegistry::new);
     let opts = HubOptions {
-        shards: args.shards,
-        seed: args.seed,
+        shards: p.get("--shards", int(1..=64))?,
+        seed: p.get("--seed", int(..))?,
         metrics: registry.clone(),
-        store_root: args.store.clone(),
+        store_root: p.str("--store").map(PathBuf::from),
     };
 
-    let hub = match Hub::spawn(args.bind, opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("srm-hub: cannot start on {}: {e}", args.bind);
-            std::process::exit(1);
-        }
-    };
+    let hub = Hub::spawn(bind, opts).unwrap_or_else(|e| fail(&format!("cannot start on {bind}: {e}")));
     eprintln!(
         "srm-hub: {} shards on {}{}",
         hub.shards(),
         hub.local_addr(),
-        match args.control {
+        match control {
             Some(c) => format!(", control on {c}"),
             None => ", control on stdin".to_string(),
         }
@@ -194,22 +104,21 @@ fn main() {
     let quit = Arc::new(AtomicBool::new(false));
 
     let stats = registry.map(|reg| {
-        let path = args.stats_file.as_deref().expect("a registry means --stats-file");
-        let interval = Duration::from_secs_f64(args.stats_interval);
-        StatsSink::start(Path::new(path), reg, interval).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+        let path = stats_file.expect("a registry means --stats-file");
+        let interval = Duration::from_secs_f64(stats_interval);
+        StatsSink::start(Path::new(path), reg, interval).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
     });
 
     // TCP control surface: non-blocking accept loop so it can notice quit;
     // each connection gets its own serving thread.
-    let tcp_thread = args.control.map(|addr| {
+    let tcp_thread = control.map(|addr| {
         let listener = TcpListener::bind(addr)
-            .unwrap_or_else(|e| die(&format!("cannot bind control {addr}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot bind control {addr}: {e}")));
         listener
             .set_nonblocking(true)
             .expect("nonblocking accept is settable");
         let hub = hub.clone();
         let quit = Arc::clone(&quit);
-        let quiet = args.quiet;
         std::thread::spawn(move || {
             while !quit.load(Ordering::Relaxed) {
                 match listener.accept() {
@@ -236,15 +145,12 @@ fn main() {
     {
         let hub = hub.clone();
         let quit = Arc::clone(&quit);
-        let quiet = args.quiet;
         std::thread::spawn(move || {
             serve(&hub, std::io::stdin().lock(), &mut std::io::stdout(), &quit, quiet)
         });
     }
 
-    let deadline = args
-        .duration
-        .map(|d| Instant::now() + Duration::from_secs_f64(d.max(0.0)));
+    let deadline = duration.map(|d| Instant::now() + Duration::from_secs_f64(d));
     while !quit.load(Ordering::Relaxed) {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break;
@@ -275,4 +181,5 @@ fn main() {
         st.rx_unjoined_group,
         st.inbound_overflow
     );
+    Ok(())
 }

@@ -47,350 +47,164 @@
 
 use bytes::Bytes;
 use netsim::GroupId;
+use obs::flags::{addr, int, positive_secs, secs, Cli, Command, Error, Flag, Parsed};
 use srm_transport::{
     Envelope, GroupMonitor, Mode, Node, NodeOptions, SoakOptions, StatsSink, StoreOptions,
     WallClock,
 };
 use srm::{LivenessConfig, PageId, SourceId, SrmConfig};
 use std::io::Write as _;
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-usage: srm-node <join|send> --id N --bind ADDR (--peers A,B,.. | --mcast ADDR)
-                [--group N] [--members N] [--text STRING]... [--duration SECS]
-                [--trace FILE] [--seed N] [--chaos SPEC]
-                [--stats-file FILE] [--stats-interval F]
-                [--store DIR] [--fsync always|never|every=N]
-                [--store-cache N] [--snapshot-every N] [--quiet]
-       srm-node monitor --bind ADDR [--mcast ADDR] [--group N]
-                [--duration SECS] [--refresh F] [--out FILE] [--quiet]
-       srm-node soak [--nodes N] [--secs F] [--adus N] [--chaos SPEC]
-                [--seed N] [--settle F] [--group N] [--trace FILE]
+const NODE: &[Flag] = &[
+    Flag::value("--id", "N", "this member's source id, a unique small integer (required)"),
+    Flag::value("--bind", "ADDR", "local socket address, e.g. 127.0.0.1:7401 (required)"),
+    Flag::value("--peers", "A,B,..", "comma-separated peer addresses: unicast mesh mode"),
+    Flag::value("--mcast", "ADDR", "base multicast group address, e.g. 239.66.66.0:7400"),
+    Flag::value("--group", "N", "SRM group id").default("1"),
+    Flag::value("--members", "N", "expected session size, sets timer constants").default("3"),
+    Flag::repeat("--text", "STRING", "send: multicast STRING as one ADU"),
+    Flag::value("--duration", "SECS", "seconds to stay in the session").default("10"),
+    Flag::value("--trace", "FILE", "write the obs timeline to FILE as JSONL, drained about once a second"),
+    Flag::value("--seed", "N", "timer and chaos RNG seed (default derived from --id)"),
+    Flag::value("--chaos", "SPEC", "scripted chaos, e.g. loss=0.1,dup=0.05,reorder=0.2:40ms,burst=0.9@1s+2s,\
+                                    blackhole=2@1s+3s (peers 1-based into --peers); drop=data:N drops the Nth \
+                                    (0-based) outgoing DATA frame"),
+    Flag::value("--stats-file", "FILE", "append a metrics-snapshot JSONL line to FILE every --stats-interval"),
+    Flag::value("--stats-interval", "SECS", "seconds between metric snapshots").default("1"),
+    Flag::value("--store", "DIR", "log every ADU to a write-ahead log under DIR and rehydrate it on restart"),
+    Flag::value("--fsync", "POLICY", "WAL fsync policy: always, never or every=N (default every=8)"),
+    Flag::value("--store-cache", "N", "keep at most N payloads per stream in RAM, serve older repairs from the log"),
+    Flag::value("--snapshot-every", "N", "compact the log every N appends (0 = never)"),
+    Flag::switch("--quiet", "do not print delivered ADUs"),
+];
 
-  join        participate in the session (receive, request, repair)
-  send        also multicast each --text as one ADU
-  monitor     passively observe the group: derive per-member health from
-              received session messages; never transmits a frame
-  soak        run an in-process multi-node chaos soak and report invariants
-  --id N      this member's source id (unique small integer, required)
-  --bind A    local socket address, e.g. 127.0.0.1:7401 (required)
-  --peers L   comma-separated peer addresses: loopback/unicast mesh mode
-  --mcast A   base multicast group address, e.g. 239.66.66.0:7400
-  --group N   SRM group id (default 1)
-  --members N expected session size, sets timer constants (default 3)
-  --duration  seconds to stay in the session (default 10)
-  --trace F   write the obs timeline to F as JSONL (drained about once a
-              second from a ring of 65536 events per recorder)
-  --seed N    timer + chaos RNG seed (default derived from --id)
-  --chaos S   scripted chaos spec, e.g.
-              loss=0.1,dup=0.05,reorder=0.2:40ms,burst=0.9@1s+2s,blackhole=2@1s+3s
-              (blackhole peer indexes are 1-based into --peers);
-              drop=data:N force-drops this node's Nth outgoing DATA frame
-              (0-based), to demo loss recovery on a clean network
-  --quiet     do not print delivered ADUs (monitor: no health table)
-  --stats-file F    append a versioned metrics-snapshot JSONL line to F
-              every --stats-interval seconds (flushed per line)
-  --stats-interval  seconds between metric snapshots (default 1)
-  --store DIR durable ADU store: log every ADU to a write-ahead log under
-              DIR and rehydrate it on the next start, so a killed member
-              restarts repair-capable (off by default)
-  --fsync P   WAL fsync policy: always, never, or every=N (default every=8)
-  --store-cache N   keep at most N payloads per stream in RAM; older
-              repairs are served from the log (default: keep all resident)
-  --snapshot-every N  compact the log every N appends (0 = never)
-  Typing `quit` on stdin leaves the session early but cleanly: sinks
-  drain and the WAL flushes before exit.
-  monitor only:
-  --refresh F render the group-health table (and append an --out line)
-              every F seconds (default 1)
-  --out F     append one monitor JSONL line per refresh to F; a member
-              is suspect after 3 nominal session intervals of silence,
-              dead after 8
-  soak only:
-  --nodes N   mesh size (default 3)
-  --secs F    scripted phase seconds (default 6)
-  --adus N    ADUs each member publishes (default 4)
-  --settle F  post-heal recovery budget in seconds (default 30)
-  --group N   multicast group the mesh runs on (default 1)";
+const MONITOR: &[Flag] = &[
+    Flag::value("--bind", "ADDR", "local socket address (required)"),
+    Flag::value("--mcast", "ADDR", "base multicast group address to join"),
+    Flag::value("--group", "N", "SRM group id").default("1"),
+    Flag::value("--duration", "SECS", "seconds to observe, 0 = until killed").default("0"),
+    Flag::value("--refresh", "SECS", "render the health table (and append an --out line) every SECS").default("1"),
+    Flag::value("--out", "FILE", "append one monitor JSONL line per refresh to FILE"),
+    Flag::switch("--quiet", "do not print the health table"),
+];
 
-struct Args {
-    send_mode: bool,
-    id: u64,
-    bind: SocketAddr,
-    mode: Mode,
-    group: u32,
-    members: usize,
-    texts: Vec<String>,
-    duration: f64,
-    trace: Option<String>,
-    seed: Option<u64>,
-    chaos: Option<String>,
-    stats_file: Option<String>,
-    stats_interval: f64,
-    store: Option<StoreOptions>,
-    quiet: bool,
-}
+const SOAK: &[Flag] = &[
+    Flag::value("--nodes", "N", "mesh size, 2..=16").default("3"),
+    Flag::value("--secs", "SECS", "scripted phase seconds").default("6"),
+    Flag::value("--adus", "N", "ADUs each member publishes").default("4"),
+    Flag::value("--chaos", "SPEC", "scripted chaos spec, as for join"),
+    Flag::value("--seed", "N", "base seed").default("1"),
+    Flag::value("--settle", "SECS", "post-heal recovery budget in seconds").default("30"),
+    Flag::value("--group", "N", "multicast group the mesh runs on").default("1"),
+    Flag::value("--trace", "FILE", "write the soak's obs timeline to FILE as JSONL"),
+];
 
-fn die(msg: &str) -> ! {
+static CLI: Cli = Cli {
+    bin: "srm-node",
+    commands: &[
+        Command {
+            name: "join|send",
+            about: "join: receive, request and repair; send: also multicast each --text. Needs --peers or --mcast.",
+            flags: NODE,
+        },
+        Command {
+            name: "monitor",
+            about: "observe the group passively: per-member health from its session messages, never a frame sent",
+            flags: MONITOR,
+        },
+        Command {
+            name: "soak",
+            about: "run an in-process multi-node chaos soak and report its invariants (exit 1 if one breaks)",
+            flags: SOAK,
+        },
+    ],
+    footer: || {
+        "Typing `quit` on stdin leaves the session early but cleanly: sinks drain and the WAL\n\
+         flushes before exit. A monitored member is suspect after 3 nominal session intervals\n\
+         of silence, dead after 8."
+            .into()
+    },
+};
+
+/// A runtime failure: say so and exit 1.
+fn fail(msg: &str) -> ! {
     eprintln!("srm-node: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+    std::process::exit(1);
 }
 
-fn parse_args() -> Args {
-    let mut argv = std::env::args().skip(1);
-    let cmd = argv.next().unwrap_or_default();
-    let send_mode = match cmd.as_str() {
-        "join" => false,
-        "send" => true,
-        "monitor" => run_monitor(argv),
-        "soak" => run_soak(argv),
-        "-h" | "--help" => {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        other => die(&format!("unknown command {other:?}")),
-    };
-    let mut id = None;
-    let mut bind = None;
-    let mut peers: Option<Vec<SocketAddr>> = None;
-    let mut mcast: Option<SocketAddr> = None;
-    let mut group = 1u32;
-    let mut members = 3usize;
-    let mut texts = Vec::new();
-    let mut duration = 10.0f64;
-    let mut trace = None;
-    let mut seed = None;
-    let mut chaos = None;
-    let mut stats_file = None;
-    let mut stats_interval = 1.0f64;
-    let mut store_dir: Option<String> = None;
-    let mut fsync: Option<String> = None;
-    let mut store_cache: Option<usize> = None;
-    let mut snapshot_every: Option<u64> = None;
-    let mut quiet = false;
+fn usage(msg: &str) -> Error {
+    Error::Usage(msg.into())
+}
 
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--id" => {
-                id = Some(
-                    next(&mut argv, "--id")
-                        .parse()
-                        .unwrap_or_else(|_| die("--id must be an integer")),
-                )
-            }
-            "--bind" => {
-                bind = Some(
-                    next(&mut argv, "--bind")
-                        .parse()
-                        .unwrap_or_else(|_| die("--bind must be host:port")),
-                )
-            }
-            "--peers" => {
-                let list = next(&mut argv, "--peers");
-                let parsed: Result<Vec<SocketAddr>, _> =
-                    list.split(',').map(|p| p.trim().parse()).collect();
-                peers = Some(parsed.unwrap_or_else(|_| die("--peers must be host:port,host:port")));
-            }
-            "--mcast" => {
-                mcast = Some(
-                    next(&mut argv, "--mcast")
-                        .parse()
-                        .unwrap_or_else(|_| die("--mcast must be group-ip:port")),
-                )
-            }
-            "--group" => {
-                group = next(&mut argv, "--group")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group must be an integer"))
-            }
-            "--members" => {
-                members = next(&mut argv, "--members")
-                    .parse()
-                    .unwrap_or_else(|_| die("--members must be an integer"))
-            }
-            "--text" => texts.push(next(&mut argv, "--text")),
-            "--duration" => {
-                duration = next(&mut argv, "--duration")
-                    .parse()
-                    .unwrap_or_else(|_| die("--duration must be seconds"))
-            }
-            "--trace" => trace = Some(next(&mut argv, "--trace")),
-            "--stats-file" => stats_file = Some(next(&mut argv, "--stats-file")),
-            "--stats-interval" => {
-                stats_interval = next(&mut argv, "--stats-interval")
-                    .parse()
-                    .unwrap_or_else(|_| die("--stats-interval must be seconds"));
-                if stats_interval <= 0.0 {
-                    die("--stats-interval must be positive");
-                }
-            }
-            "--seed" => {
-                seed = Some(
-                    next(&mut argv, "--seed")
-                        .parse()
-                        .unwrap_or_else(|_| die("--seed must be an integer")),
-                )
-            }
-            "--chaos" => chaos = Some(next(&mut argv, "--chaos")),
-            "--store" => store_dir = Some(next(&mut argv, "--store")),
-            "--fsync" => fsync = Some(next(&mut argv, "--fsync")),
-            "--store-cache" => {
-                let n: usize = next(&mut argv, "--store-cache")
-                    .parse()
-                    .unwrap_or_else(|_| die("--store-cache must be an integer"));
-                if n == 0 {
-                    die("--store-cache must be at least 1");
-                }
-                store_cache = Some(n);
-            }
-            "--snapshot-every" => {
-                snapshot_every = Some(
-                    next(&mut argv, "--snapshot-every")
-                        .parse()
-                        .unwrap_or_else(|_| die("--snapshot-every must be an integer")),
-                )
-            }
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other:?}")),
-        }
-    }
-    let id = id.unwrap_or_else(|| die("--id is required"));
-    let bind = bind.unwrap_or_else(|| die("--bind is required"));
-    let mode = match (peers, mcast) {
-        (Some(p), None) => Mode::Mesh { peers: p },
-        (None, Some(SocketAddr::V4(base))) => Mode::Multicast { base },
-        (None, Some(_)) => die("--mcast must be an IPv4 group address"),
-        (Some(_), Some(_)) => die("--peers and --mcast are mutually exclusive"),
-        (None, None) => die("one of --peers or --mcast is required"),
-    };
-    if send_mode && texts.is_empty() {
-        die("send needs at least one --text");
-    }
-    let store = match store_dir {
-        Some(dir) => {
-            let mut so = StoreOptions::new(dir);
-            if let Some(p) = &fsync {
-                so.config.fsync =
-                    srm_store::FsyncPolicy::parse(p).unwrap_or_else(|e| die(&format!("--fsync: {e}")));
-            }
-            if let Some(n) = snapshot_every {
-                // 0 disables snapshot-triggered compaction entirely.
-                so.config.snapshot_every = (n > 0).then_some(n);
-            }
-            so.cache_per_stream = store_cache;
-            Some(so)
-        }
-        None => {
-            if fsync.is_some() || store_cache.is_some() || snapshot_every.is_some() {
-                die("--fsync/--store-cache/--snapshot-every require --store DIR");
-            }
-            None
-        }
-    };
-    Args {
-        send_mode,
-        id,
-        bind,
-        mode,
-        group,
-        members,
-        texts,
-        duration,
-        trace,
-        seed,
-        chaos,
-        stats_file,
-        stats_interval,
-        store,
-        quiet,
+/// `--mcast`, an IPv4 group address.
+fn mcast(p: &Parsed) -> Result<Option<SocketAddrV4>, Error> {
+    match p.opt("--mcast", addr)? {
+        Some(SocketAddr::V6(_)) => Err(usage("--mcast must be an IPv4 group address")),
+        Some(SocketAddr::V4(base)) => Ok(Some(base)),
+        None => Ok(None),
     }
 }
 
-/// Open `path` truncated for incremental appends, or die.
+/// `--peers` xor `--mcast`, as the runtime's [`Mode`].
+fn mode(p: &Parsed) -> Result<Mode, Error> {
+    let peers = p.opt("--peers", |s| s.split(',').map(|a| addr(a.trim())).collect())?;
+    match (peers, mcast(p)?) {
+        (Some(peers), None) => Ok(Mode::Mesh { peers }),
+        (None, Some(base)) => Ok(Mode::Multicast { base }),
+        (Some(_), Some(_)) => Err(usage("--peers and --mcast are mutually exclusive")),
+        (None, None) => Err(usage("one of --peers or --mcast is required")),
+    }
+}
+
+/// The `--store` family; the tuning flags need `--store`.
+fn store(p: &Parsed) -> Result<Option<StoreOptions>, Error> {
+    let fsync = p.opt("--fsync", srm_store::FsyncPolicy::parse)?;
+    let cache = p.opt("--store-cache", int(1usize..))?;
+    let snapshot_every = p.opt("--snapshot-every", int::<u64, _>(..))?;
+    let Some(dir) = p.str("--store") else {
+        if fsync.is_some() || cache.is_some() || snapshot_every.is_some() {
+            return Err(usage("--fsync/--store-cache/--snapshot-every require --store DIR"));
+        }
+        return Ok(None);
+    };
+    let mut so = StoreOptions::new(dir);
+    if let Some(f) = fsync {
+        so.config.fsync = f;
+    }
+    if let Some(n) = snapshot_every {
+        // 0 disables snapshot-triggered compaction entirely.
+        so.config.snapshot_every = (n > 0).then_some(n);
+    }
+    so.cache_per_stream = cache;
+    Ok(Some(so))
+}
+
+/// Open `path` truncated for incremental appends, or fail.
 fn create_sink(path: &str) -> std::fs::File {
-    std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+    std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
 }
 
-/// Parse the `monitor` subcommand's flags and run the passive observer:
-/// receive, decode, feed the [`GroupMonitor`], never send.  Exits 0 after
-/// `--duration` seconds (0 = run until killed).
-fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
-    let mut bind: Option<SocketAddr> = None;
-    let mut mcast: Option<SocketAddr> = None;
-    let mut group = 1u32;
-    let mut duration = 0.0f64;
-    let mut refresh = 1.0f64;
-    let mut out_path: Option<String> = None;
-    let mut quiet = false;
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--bind" => {
-                bind = Some(
-                    next(&mut argv, "--bind")
-                        .parse()
-                        .unwrap_or_else(|_| die("--bind must be host:port")),
-                )
-            }
-            "--mcast" => {
-                mcast = Some(
-                    next(&mut argv, "--mcast")
-                        .parse()
-                        .unwrap_or_else(|_| die("--mcast must be group-ip:port")),
-                )
-            }
-            "--group" => {
-                group = next(&mut argv, "--group")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group must be an integer"))
-            }
-            "--duration" => {
-                duration = next(&mut argv, "--duration")
-                    .parse()
-                    .unwrap_or_else(|_| die("--duration must be seconds"))
-            }
-            "--refresh" => {
-                refresh = next(&mut argv, "--refresh")
-                    .parse()
-                    .unwrap_or_else(|_| die("--refresh must be seconds"));
-                if refresh <= 0.0 {
-                    die("--refresh must be positive");
-                }
-            }
-            "--out" => out_path = Some(next(&mut argv, "--out")),
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown monitor flag {other:?}")),
-        }
-    }
-    let bind = bind.unwrap_or_else(|| die("--bind is required"));
-    let socket = UdpSocket::bind(bind).unwrap_or_else(|e| die(&format!("cannot bind {bind}: {e}")));
+/// Run the passive observer: receive, decode, feed the [`GroupMonitor`],
+/// never send.  Exits 0 after `--duration` seconds (0 = run until killed).
+fn run_monitor(p: &Parsed) -> Result<(), Error> {
+    let bind = p.get("--bind", addr)?;
+    let mcast = mcast(p)?;
+    let group: u32 = p.get("--group", int(..))?;
+    let duration = p.get("--duration", secs)?;
+    let refresh = p.get("--refresh", positive_secs)?;
+    let quiet = p.on("--quiet");
+    let socket = UdpSocket::bind(bind).unwrap_or_else(|e| fail(&format!("cannot bind {bind}: {e}")));
     if let Some(base) = mcast {
-        let SocketAddr::V4(base) = base else { die("--mcast must be an IPv4 group address") };
         // Same group-id → group-address mapping the runtime uses.
         let ip = Ipv4Addr::from(u32::from(*base.ip()).wrapping_add(group));
         socket
             .join_multicast_v4(&ip, &Ipv4Addr::UNSPECIFIED)
-            .unwrap_or_else(|e| die(&format!("cannot join {ip}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot join {ip}: {e}")));
     }
     socket
         .set_read_timeout(Some(Duration::from_millis(50)))
@@ -398,7 +212,7 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
 
     let clock = WallClock::new();
     let mut mon = GroupMonitor::new(LivenessConfig::default());
-    let mut out = out_path.as_deref().map(create_sink);
+    let mut out = p.str("--out").map(create_sink);
     eprintln!(
         "srm-node: monitor on {bind} (group {group}), refresh {refresh:.1}s{}",
         if duration > 0.0 { format!(", running {duration:.1}s") } else { String::new() }
@@ -429,7 +243,7 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) => {}
-            Err(e) => die(&format!("recv: {e}")),
+            Err(e) => fail(&format!("recv: {e}")),
         }
         if Instant::now() >= next_refresh {
             next_refresh += Duration::from_secs_f64(refresh);
@@ -450,7 +264,7 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
                 // interval.
                 let line = mon.to_json_line(now);
                 if writeln!(f, "{line}").and_then(|()| f.flush()).is_err() {
-                    die("monitor --out: write failed");
+                    fail("monitor --out: write failed");
                 }
             }
         }
@@ -461,67 +275,25 @@ fn run_monitor(mut argv: impl Iterator<Item = String>) -> ! {
     if decode_errors > 0 {
         eprintln!("srm-node: monitor: {decode_errors} undecodable datagram(s) ignored");
     }
-    std::process::exit(0);
+    Ok(())
 }
 
-/// Parse the `soak` subcommand's flags, run the harness, print the report,
-/// and exit (status 1 on any invariant violation).
-fn run_soak(mut argv: impl Iterator<Item = String>) -> ! {
-    let mut opts = SoakOptions::default();
-    let mut trace_path: Option<String> = None;
-    let next = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+/// Run the soak harness, print the report, and exit (status 1 on any
+/// invariant violation).
+fn run_soak(p: &Parsed) -> Result<(), Error> {
+    let defaults = SoakOptions::default();
+    let opts = SoakOptions {
+        nodes: p.get("--nodes", int(2..=16))?,
+        duration: Duration::from_secs_f64(p.get("--secs", secs)?.max(0.1)),
+        adus_per_node: p.get("--adus", int(..))?,
+        chaos: p.str("--chaos").map_or(defaults.chaos, String::from),
+        seed: p.get("--seed", int(..))?,
+        settle: Duration::from_secs_f64(p.get("--settle", secs)?),
+        trace: p.on("--trace"),
+        group: p.get("--group", int(..))?,
+        liveness: defaults.liveness,
     };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--nodes" => {
-                opts.nodes = next(&mut argv, "--nodes")
-                    .parse()
-                    .unwrap_or_else(|_| die("--nodes must be an integer"));
-                if !(2..=16).contains(&opts.nodes) {
-                    die("--nodes must be in 2..=16");
-                }
-            }
-            "--secs" => {
-                let secs: f64 = next(&mut argv, "--secs")
-                    .parse()
-                    .unwrap_or_else(|_| die("--secs must be seconds"));
-                opts.duration = Duration::from_secs_f64(secs.max(0.1));
-            }
-            "--adus" => {
-                opts.adus_per_node = next(&mut argv, "--adus")
-                    .parse()
-                    .unwrap_or_else(|_| die("--adus must be an integer"));
-            }
-            "--chaos" => opts.chaos = next(&mut argv, "--chaos"),
-            "--seed" => {
-                opts.seed = next(&mut argv, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed must be an integer"));
-            }
-            "--settle" => {
-                let secs: f64 = next(&mut argv, "--settle")
-                    .parse()
-                    .unwrap_or_else(|_| die("--settle must be seconds"));
-                opts.settle = Duration::from_secs_f64(secs.max(0.0));
-            }
-            "--group" => {
-                opts.group = next(&mut argv, "--group")
-                    .parse()
-                    .unwrap_or_else(|_| die("--group must be a group id"));
-            }
-            "--trace" => {
-                trace_path = Some(next(&mut argv, "--trace"));
-                opts.trace = true;
-            }
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown soak flag {other:?}")),
-        }
-    }
+    let trace_path = p.str("--trace");
     eprintln!(
         "srm-node: soak — {} nodes, {:.1}s scripted, chaos `{}`, seed {}",
         opts.nodes,
@@ -529,79 +301,71 @@ fn run_soak(mut argv: impl Iterator<Item = String>) -> ! {
         opts.chaos,
         opts.seed
     );
-    let report = match srm_transport::soak::run(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("srm-node: soak failed to run: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = srm_transport::soak::run(&opts).unwrap_or_else(|e| fail(&format!("soak failed to run: {e}")));
     print!("{}", report.render());
     print!("{}", report.summary.render("chaos soak"));
     if let (Some(path), Some(tl)) = (trace_path, &report.timeline) {
-        match std::fs::write(&path, tl.to_jsonl()) {
-            Ok(()) => eprintln!("srm-node: trace: wrote {} events to {path}", tl.len()),
-            Err(e) => {
-                eprintln!("srm-node: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        std::fs::write(path, tl.to_jsonl()).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        eprintln!("srm-node: trace: wrote {} events to {path}", tl.len());
     }
     std::process::exit(if report.violations().is_empty() { 0 } else { 1 });
 }
 
-fn main() {
-    let args = parse_args();
-    let source = SourceId(args.id);
-    let cfg = SrmConfig::fixed(args.members);
-    let mut opts = NodeOptions::new(source, GroupId(args.group), cfg);
-    opts.trace = args.trace.is_some();
-    let registry = args.stats_file.is_some().then(obs::MetricsRegistry::new);
+/// `join`/`send`: run one member for `--duration` seconds.
+fn run_node(p: &Parsed) -> Result<(), Error> {
+    let send_mode = p.command() == "send";
+    let id = p.get("--id", int(..))?;
+    let bind = p.get("--bind", addr)?;
+    let mode = mode(p)?;
+    let group = p.get("--group", int(..))?;
+    let texts = p.all("--text");
+    if send_mode && texts.is_empty() {
+        return Err(usage("send needs at least one --text"));
+    }
+    let duration = p.get("--duration", secs)?;
+    let trace = p.str("--trace");
+    let stats_file = p.str("--stats-file");
+    let stats_interval = p.get("--stats-interval", positive_secs)?;
+    let quiet = p.on("--quiet");
+
+    let source = SourceId(id);
+    let mut opts = NodeOptions::new(source, GroupId(group), SrmConfig::fixed(p.get("--members", int(..))?));
+    opts.trace = trace.is_some();
+    let registry = stats_file.is_some().then(obs::MetricsRegistry::new);
     opts.metrics = registry.clone();
-    if let Some(s) = args.seed {
+    if let Some(s) = p.opt("--seed", int(..))? {
         opts.seed = s;
     }
-    if let Some(spec) = &args.chaos {
-        let peers = match &args.mode {
+    if let Some(spec) = p.str("--chaos") {
+        let peers = match &mode {
             Mode::Mesh { peers } => peers.clone(),
             Mode::Multicast { .. } => Vec::new(),
         };
-        match srm_transport::parse_spec(spec, &peers) {
-            Ok(plan) => opts.chaos = Some(plan),
-            Err(e) => die(&format!("--chaos: {e}")),
-        }
+        let plan = srm_transport::parse_spec(spec, &peers).map_err(|e| usage(&format!("--chaos: {e}")))?;
+        opts.chaos = Some(plan);
         // Chaos without liveness tracking hides half the story.
         opts.liveness = Some(srm::LivenessConfig::default());
     }
-    opts.store = args.store.clone();
+    opts.store = store(p)?;
 
-    let node = match Node::spawn(args.bind, args.mode, opts) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("srm-node: cannot start on {}: {e}", args.bind);
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "srm-node: member {} on {} (group {}), running {:.1}s",
-        args.id, args.bind, args.group, args.duration
-    );
+    let node = Node::spawn(bind, mode, opts).unwrap_or_else(|e| fail(&format!("cannot start on {bind}: {e}")));
+    eprintln!("srm-node: member {id} on {bind} (group {group}), running {duration:.1}s");
 
-    if args.send_mode {
+    if send_mode {
         let page = PageId::new(source, 0);
-        for t in &args.texts {
+        for t in texts {
             let name = node.send_data(page, Bytes::from(t.clone().into_bytes()));
             eprintln!("srm-node: sent {name}");
         }
     }
 
     let stats = registry.map(|reg| {
-        let path = args.stats_file.as_deref().expect("a registry means --stats-file");
-        let interval = Duration::from_secs_f64(args.stats_interval);
-        StatsSink::start(Path::new(path), reg, interval).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+        let path = stats_file.expect("a registry means --stats-file");
+        let interval = Duration::from_secs_f64(stats_interval);
+        StatsSink::start(Path::new(path), reg, interval).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
     });
 
-    let mut trace_sink = args.trace.as_deref().map(create_sink);
+    let mut trace_sink = trace.map(create_sink);
     let mut trace_events = 0usize;
     // Drain the reactor's trace rings into the file roughly once a second.
     let drain_trace = |node: &srm_transport::NodeHandle,
@@ -651,12 +415,12 @@ fn main() {
         });
     }
 
-    let deadline = Instant::now() + Duration::from_secs_f64(args.duration.max(0.0));
+    let deadline = Instant::now() + Duration::from_secs_f64(duration);
     let mut next_drain = Instant::now() + Duration::from_secs(1);
     // Joiners follow the first page they see (the whiteboard model): their
     // session messages then report that page's state, which both drives
     // the group's gap detection and gives a passive monitor its lag signal.
-    let mut following = args.send_mode;
+    let mut following = send_mode;
     while Instant::now() < deadline && !quit.load(Ordering::Relaxed) {
         for d in node.take_delivered() {
             if !following {
@@ -664,7 +428,7 @@ fn main() {
                 let page = d.name.page;
                 node.exec(move |a, _| a.set_current_page(page));
             }
-            if !args.quiet {
+            if !quiet {
                 let text = String::from_utf8_lossy(&d.payload);
                 let how = if d.via_repair { "repair" } else { "data" };
                 println!("{} [{how}] {text}", d.name);
@@ -702,11 +466,20 @@ fn main() {
         eprintln!(
             "srm-node: trace: wrote {} events to {}",
             trace_events,
-            args.trace.as_deref().unwrap_or("-")
+            trace.unwrap_or("-")
         );
     }
     if let Some(sink) = stats {
         sink.finish();
         eprintln!("srm-node: stats: final snapshot flushed");
     }
+    Ok(())
+}
+
+fn main() {
+    CLI.run(|p| match p.command() {
+        "monitor" => run_monitor(p),
+        "soak" => run_soak(p),
+        _ => run_node(p),
+    })
 }

@@ -64,7 +64,7 @@ fn passive_monitor_matches_sender_ground_truth_and_detects_death() {
     let registry = obs::MetricsRegistry::new();
 
     let mut nodes: Vec<NodeHandle> = Vec::new();
-    for i in 0..3usize {
+    for (i, sock) in socks.iter().take(3).enumerate() {
         // Peer list: the other two members first, the monitor last — the
         // ordering matters for the drop rules below.
         let peers: Vec<SocketAddr> = (0..3)
@@ -87,7 +87,7 @@ fn passive_monitor_matches_sender_ground_truth_and_detects_death() {
             opts.metrics = Some(registry.clone());
             opts.trace = true;
         }
-        let sock = socks[i].try_clone().expect("clone");
+        let sock = sock.try_clone().expect("clone");
         nodes.push(Node::spawn_on(sock, Mode::Mesh { peers }, opts).expect("spawn"));
     }
 

@@ -54,12 +54,12 @@ proptest! {
         }
         let topo = b.build();
         let truth = floyd_warshall(&topo);
-        for root in 0..n {
+        for (root, row) in truth.iter().enumerate() {
             let spt = SpTree::compute(&topo, NodeId(root as u32));
-            for v in 0..n {
+            for (v, want) in row.iter().enumerate() {
                 let got = spt.distance(NodeId(v as u32)).as_secs_f64();
-                prop_assert!((got - truth[root][v]).abs() < 1e-6,
-                    "root {root} -> {v}: {got} vs {}", truth[root][v]);
+                prop_assert!((got - want).abs() < 1e-6,
+                    "root {root} -> {v}: {got} vs {want}");
             }
         }
     }
@@ -98,9 +98,9 @@ proptest! {
             deg[*a] += 1;
             deg[*b] += 1;
         }
-        for v in 0..n {
+        for (v, d) in deg.iter().enumerate() {
             let mult = prufer.iter().filter(|&&p| p == v).count();
-            prop_assert_eq!(deg[v], mult + 1, "degree of {}", v);
+            prop_assert_eq!(*d, mult + 1, "degree of {}", v);
         }
         // Connectivity via the builder check.
         let mut b = TopologyBuilder::new(n);

@@ -92,15 +92,14 @@ fn wire_schedule(seed: u64, frames: usize) -> Vec<Vec<u8>> {
     shaped.extend(held);
     // Corruption spanning batch boundaries: truncate or bit-flip a seeded
     // subset in place, so damaged frames sit amid GSO-able runs.
-    let n = shaped.len();
-    for i in 0..n {
-        if rng.random_bool(0.15) && !shaped[i].is_empty() {
+    for f in shaped.iter_mut() {
+        if rng.random_bool(0.15) && !f.is_empty() {
             if rng.random_bool(0.5) {
-                let cut = rng.random_range(0..shaped[i].len());
-                shaped[i].truncate(cut);
+                let cut = rng.random_range(0..f.len());
+                f.truncate(cut);
             } else {
-                let bit = rng.random_range(0..shaped[i].len() * 8);
-                shaped[i][bit / 8] ^= 1 << (bit % 8);
+                let bit = rng.random_range(0..f.len() * 8);
+                f[bit / 8] ^= 1 << (bit % 8);
             }
         }
     }

@@ -259,14 +259,13 @@ impl Transport for MockDriver {
     }
 }
 
+/// Everything a [`ChaosTransport`] run shows: immediate sends, queued
+/// (held-back) frames, and the action tally.
+type DecoratorRun = (Vec<(GroupId, Bytes, u32)>, Vec<(SimTime, Bytes)>, srm_transport::ChaosTally);
+
 /// Push `frames` payloads through a freshly seeded [`ChaosTransport`] and
-/// return everything observable: immediate sends, queued (held-back)
-/// frames, and the action tally.
-fn run_decorator(
-    plan: &ChaosPlan,
-    seed: u64,
-    frames: usize,
-) -> (Vec<(GroupId, Bytes, u32)>, Vec<(SimTime, Bytes)>, srm_transport::ChaosTally) {
+/// return everything observable.
+fn run_decorator(plan: &ChaosPlan, seed: u64, frames: usize) -> DecoratorRun {
     let mut inner = MockDriver::new();
     let mut state = ChaosState::new(plan.clone(), seed);
     let mut delayq = DelayQueue::new();
