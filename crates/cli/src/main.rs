@@ -10,7 +10,7 @@ static CLI: Cli = Cli {
         about: "run each scenario file and print its traffic/recovery report",
         flags: &[
             Flag::switch("--json", "print each report as one JSON object"),
-            Flag::value("--trace", "FILE", "write the run's obs timeline to FILE as JSONL"),
+            Flag::value("--trace", "FILE", "write the run's obs timeline to FILE as JSONL (one scenario file only)"),
             Flag::positional("SCENARIO.json", "scenario files, run in order"),
         ],
     }],
@@ -22,6 +22,9 @@ fn main() {
         let files = p.all("SCENARIO.json");
         if files.is_empty() {
             return Err(Error::Usage("no scenario file given".into()));
+        }
+        if files.len() > 1 && p.str("--trace").is_some() {
+            return Err(Error::Usage("--trace takes one scenario file, got several".into()));
         }
         for f in files {
             if let Err(msg) = run_file(f, p.str("--trace"), p.on("--json")) {

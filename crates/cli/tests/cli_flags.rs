@@ -14,6 +14,7 @@ fn malformed_srm_sim_command_lines_exit_2_and_name_the_flag() {
     let rows: &[(&[&str], &str)] = &[
         (&["--bogus", SCENARIO], "--bogus"),
         (&[SCENARIO, "--trace"], "--trace"),
+        (&["--trace", "/dev/null", SCENARIO, SCENARIO], "--trace"),
         (&["--json"], "scenario"),
         (&[], "scenario"),
     ];

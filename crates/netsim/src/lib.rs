@@ -60,7 +60,7 @@ pub mod time;
 pub mod topology;
 
 pub use effects::{ChannelEffects, Ideal, RandomEffects};
-pub use event::TimerId;
+pub use event::{DeadlineQueue, TimerId, TimerMap};
 pub use faults::{partition_cut, FaultEvent, FaultPlan, NodeClock};
 pub use packet::{flow, GroupId, Packet, PacketBody, PacketId, SendOptions, TTL_GLOBAL};
 pub use routing::SpTree;

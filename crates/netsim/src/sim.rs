@@ -13,7 +13,7 @@
 //! which keeps handlers simple and the simulation deterministic.
 
 use crate::effects::{ChannelEffects, Ideal};
-use crate::event::{EventKind, EventQueue, TimerId};
+use crate::event::{Deadline, EventKind, EventQueue, TimerId, TimerMap};
 use crate::faults::{FaultEvent, FaultPlan, NodeClock};
 use crate::loss::{LossModel, NoLoss};
 use crate::packet::{GroupId, Packet, PacketBody, PacketId, SendOptions};
@@ -25,7 +25,6 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// A protocol agent living on one node.
@@ -191,26 +190,6 @@ impl GroupMasks {
 /// membership version they were computed under.
 type PruneCache = HashMap<(u32, u32), (u64, Rc<GroupMasks>)>;
 
-/// Hasher for [`TimerId`] keys: the simulator hands the ids out itself, one
-/// after the other, so one multiply spreads them and there is no outside
-/// input to defend against.
-#[derive(Default)]
-struct TimerIdHasher(u64);
-
-impl Hasher for TimerIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a TimerId hashes as one u64");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The discrete-event simulator. Generic over the application type.
 pub struct Simulator<A: Application> {
     topo: Topology,
@@ -239,7 +218,7 @@ pub struct Simulator<A: Application> {
     /// epoch when each was set: setting inserts, cancelling removes, and a
     /// timer popped off the queue fires only if it is still here and the
     /// node has not crashed since (a crash bumps the node's epoch).
-    live_timers: HashMap<TimerId, u64, BuildHasherDefault<TimerIdHasher>>,
+    live_timers: TimerMap<u64>,
     next_packet: u64,
     actions: Vec<(NodeId, Action)>,
     /// Traffic counters.
@@ -287,7 +266,7 @@ impl<A: Application> Simulator<A> {
             apps: Vec::new(),
             groups: BTreeMap::new(),
             membership_version: 0,
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             loss: Box::new(NoLoss),
             loss_transparent: true,
             effects: Box::new(Ideal),
@@ -324,7 +303,7 @@ impl<A: Application> Simulator<A> {
         let base = self.plan.len();
         for (i, (at, ev)) in plan.events.into_iter().enumerate() {
             self.queue
-                .schedule(at.max(self.now), EventKind::Fault { index: base + i });
+                .push(at.max(self.now), EventKind::Fault { index: base + i });
             self.plan.push((at, ev));
         }
     }
@@ -485,7 +464,7 @@ impl<A: Application> Simulator<A> {
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((at, kind)) = self.queue.pop() else {
+        let Some(Deadline { at, item: kind, .. }) = self.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.now, "time went backwards");
@@ -510,7 +489,7 @@ impl<A: Application> Simulator<A> {
     /// `limit`. Events after `limit` stay pending.
     pub fn run_until(&mut self, limit: SimTime) {
         self.ensure_started();
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.queue.peek().map(|e| e.at) {
             if t > limit {
                 break;
             }
@@ -527,7 +506,7 @@ impl<A: Application> Simulator<A> {
     pub fn run_until_idle(&mut self, limit: SimTime) -> bool {
         self.ensure_started();
         loop {
-            match self.queue.peek_time() {
+            match self.queue.peek().map(|e| e.at) {
                 None => return true,
                 Some(t) if t > limit => return false,
                 Some(_) => {
@@ -605,7 +584,7 @@ impl<A: Application> Simulator<A> {
                     // Remember the node's epoch so the timer dies with a
                     // crash (see EventKind::Timer handling in step()).
                     self.live_timers.insert(id, self.node_epoch[node.index()]);
-                    self.queue.schedule(at, EventKind::Timer { node, id, token });
+                    self.queue.push(at, EventKind::Timer { node, id, token });
                 }
                 Action::CancelTimer(id) => {
                     self.live_timers.remove(&id);
@@ -654,7 +633,7 @@ impl<A: Application> Simulator<A> {
             });
         }
         // Enter the forwarding engine at the origin node "now".
-        self.queue.schedule(self.now, EventKind::Hop { node, pkt });
+        self.queue.push_fifo(self.now, EventKind::Hop { node, pkt });
     }
 
     fn process_hop(&mut self, node: NodeId, pkt: Packet) {
@@ -815,7 +794,7 @@ impl<A: Application> Simulator<A> {
                     pkt: pkt.id,
                 });
             }
-            self.queue.schedule(
+            self.queue.push_fifo(
                 at,
                 EventKind::Hop {
                     node: next,

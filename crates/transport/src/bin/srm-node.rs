@@ -95,7 +95,7 @@ const MONITOR: &[Flag] = &[
 
 const SOAK: &[Flag] = &[
     Flag::value("--nodes", "N", "mesh size, 2..=16").default("3"),
-    Flag::value("--secs", "SECS", "scripted phase seconds").default("6"),
+    Flag::value("--secs", "SECS", "scripted phase seconds, at least 0.1").default("6"),
     Flag::value("--adus", "N", "ADUs each member publishes").default("4"),
     Flag::value("--chaos", "SPEC", "scripted chaos spec, as for join"),
     Flag::value("--seed", "N", "base seed").default("1"),
@@ -284,7 +284,10 @@ fn run_soak(p: &Parsed) -> Result<(), Error> {
     let defaults = SoakOptions::default();
     let opts = SoakOptions {
         nodes: p.get("--nodes", int(2..=16))?,
-        duration: Duration::from_secs_f64(p.get("--secs", secs)?.max(0.1)),
+        duration: Duration::from_secs_f64(p.get("--secs", |s| match secs(s)? {
+            v if v >= 0.1 => Ok(v),
+            _ => Err(format!("must be at least 0.1, got {s}")),
+        })?),
         adus_per_node: p.get("--adus", int(..))?,
         chaos: p.str("--chaos").map_or(defaults.chaos, String::from),
         seed: p.get("--seed", int(..))?,

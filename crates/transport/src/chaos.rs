@@ -3,12 +3,13 @@
 //! The simulator exercises SRM under faults through `netsim`'s `FaultPlan`;
 //! a [`ChaosPlan`] is the same scenario vocabulary translated to a live UDP
 //! node: Bernoulli and burst loss, duplication, reordering (frames held
-//! back on the reactor's delay queue), payload corruption, per-peer
-//! blackhole/partition windows, delay jitter, and forced drops of the n-th
-//! frame of a flow ([`DropNth`], what recovery tests use to make the one
-//! loss they repair). A [`ChaosTransport`] decorates any [`srm::Driver`]
-//! with the plan's randomized actions; blackhole windows and forced drops
-//! are RNG-free and applied per destination on the send fan-out.
+//! back on the reactor's [`DelayQueue`], netsim's deadline queue), payload
+//! corruption, per-peer blackhole/partition windows, delay jitter, and
+//! forced drops of the n-th frame of a flow ([`DropNth`], what recovery
+//! tests use to make the one loss they repair). A [`ChaosTransport`]
+//! decorates any [`srm::Driver`] with the plan's randomized actions;
+//! blackhole windows and forced drops are RNG-free and applied per
+//! destination on the send fan-out.
 //!
 //! Determinism: [`ChaosState`] owns its own seeded RNG, separate from the
 //! protocol's timer RNG, and [`ChaosState::verdict`] makes a *fixed number
@@ -24,12 +25,10 @@
 //! phantom ADU name.
 
 use bytes::Bytes;
-use netsim::{flow, GroupId, SendOptions, SimDuration, SimTime, TimerId};
+use netsim::{flow, DeadlineQueue, GroupId, SendOptions, SimDuration, SimTime, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use srm::{Clock, Driver, Transport};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::net::SocketAddr;
 
 /// A half-open activity window `[start, end)` on the node's clock axis.
@@ -377,8 +376,6 @@ pub struct ChaosTally {
 pub struct DelayedSend {
     /// When to release the frame.
     pub due: SimTime,
-    /// Queue-insertion sequence (FIFO tiebreak at equal deadlines).
-    pub seq: u64,
     /// Destination group of the held send.
     pub group: GroupId,
     /// Frame payload.
@@ -387,13 +384,12 @@ pub struct DelayedSend {
     pub opts: SendOptions,
 }
 
-/// Min-queue of held-back frames, ordered by `(due, seq)`.
+/// Held-back frames on netsim's [`DeadlineQueue`], released in `(due,
+/// push order)` order. Frames are pushed FIFO: at a constant hold-back
+/// their dues only grow and they ride the queue's lane; jittered ones
+/// that come due earlier fall back to its heap.
 #[derive(Debug, Default)]
-pub struct DelayQueue {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    items: std::collections::BTreeMap<u64, DelayedSend>,
-    next_seq: u64,
-}
+pub struct DelayQueue(DeadlineQueue<DelayedSend>);
 
 impl DelayQueue {
     /// An empty queue.
@@ -403,36 +399,27 @@ impl DelayQueue {
 
     /// Hold a frame until `due`.
     pub fn push(&mut self, due: SimTime, group: GroupId, payload: Bytes, opts: SendOptions) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((due.as_nanos(), seq)));
-        self.items.insert(seq, DelayedSend { due, seq, group, payload, opts });
+        self.0.push_fifo(due, DelayedSend { due, group, payload, opts });
     }
 
     /// The earliest release time, if any frame is held.
     pub fn next_due(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((ns, _))| SimTime::from_nanos(*ns))
+        self.0.peek().map(|e| e.at)
     }
 
     /// Release the earliest frame due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<DelayedSend> {
-        match self.heap.peek() {
-            Some(Reverse((ns, _))) if SimTime::from_nanos(*ns) <= now => {
-                let Reverse((_, seq)) = self.heap.pop().expect("peeked");
-                self.items.remove(&seq)
-            }
-            _ => None,
-        }
+        self.0.pop_due(now).map(|e| e.item)
     }
 
     /// Held frames.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.0.len()
     }
 
     /// True if nothing is held.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.0.is_empty()
     }
 }
 
@@ -564,8 +551,10 @@ impl<D: Driver> Transport for ChaosTransport<'_, D> {
 ///
 /// Durations accept `ms` and `s` suffixes (`40ms`, `2s`, `1.5s`). FLOW is
 /// `data`, `request`, `repair`, `session` or `parity`; peers are 1-based
-/// indexes into `peers`, as for `blackhole=`. A window whose end does not
-/// fit the clock is an error.
+/// indexes into `peers`, as for `blackhole=`. A duration that is not
+/// finite, is negative or is longer than the clock's range is an error, as
+/// are a window whose end and a hold-back (reorder delay plus jitter) whose
+/// longest value do not fit the clock.
 /// Example: `loss=0.12,dup=0.05,reorder=0.2:40ms,burst=0.8@2s+3s,blackhole=3@1s+3s,drop=data:0`
 pub fn parse_spec(spec: &str, peers: &[SocketAddr]) -> Result<ChaosPlan, String> {
     let mut plan = ChaosPlan::new();
@@ -591,8 +580,12 @@ fn parse_clause(mut plan: ChaosPlan, key: &str, val: &str, peers: &[SocketAddr])
                 .ok_or_else(|| format!("reorder needs P:DUR, got `{val}`"))?;
             plan.reorder_p = parse_p(p)?;
             plan.reorder_delay = parse_dur(d)?;
+            check_hold_back(&plan)?;
         }
-        "jitter" => plan.jitter = parse_dur(val)?,
+        "jitter" => {
+            plan.jitter = parse_dur(val)?;
+            check_hold_back(&plan)?;
+        }
         "burst" => {
             let (p, window) = val
                 .split_once('@')
@@ -640,6 +633,15 @@ fn parse_clause(mut plan: ChaosPlan, key: &str, val: &str, peers: &[SocketAddr])
     Ok(plan)
 }
 
+/// The longest hold-back, `reorder` delay plus `jitter`, must fit the
+/// clock: a frame is released at `now` plus it.
+fn check_hold_back(plan: &ChaosPlan) -> Result<(), String> {
+    match plan.reorder_delay.as_nanos().checked_add(plan.jitter.as_nanos()) {
+        Some(_) => Ok(()),
+        None => Err("reorder delay plus jitter runs past the clock's range".into()),
+    }
+}
+
 /// A 1-based index into `peers`.
 fn parse_peer(n: &str, peers: &[SocketAddr]) -> Result<SocketAddr, String> {
     let n: usize = n.parse().map_err(|_| format!("peer `{n}` is not a number"))?;
@@ -658,17 +660,23 @@ fn parse_p(s: &str) -> Result<f64, String> {
     Ok(p)
 }
 
+/// A duration with an `ms` or `s` suffix: finite, not negative, and no
+/// longer than the clock's range.
 fn parse_dur(s: &str) -> Result<SimDuration, String> {
     let s = s.trim();
-    if let Some(ms) = s.strip_suffix("ms") {
-        let v: f64 = ms.parse().map_err(|_| format!("bad duration `{s}`"))?;
-        return Ok(SimDuration::from_secs_f64(v / 1000.0));
+    let (v, per_sec) = match s.strip_suffix("ms") {
+        Some(ms) => (ms, 1000.0),
+        None => match s.strip_suffix('s') {
+            Some(secs) => (secs, 1.0),
+            None => return Err(format!("duration `{s}` needs an `ms` or `s` suffix")),
+        },
+    };
+    let secs = v.parse::<f64>().map_err(|_| format!("bad duration `{s}`"))? / per_sec;
+    // u64::MAX as f64 is 2^64: the nanoseconds must stay below it.
+    if !(secs >= 0.0 && secs * 1e9 < u64::MAX as f64) {
+        return Err(format!("duration `{s}` must be finite, not negative and within the clock's range"));
     }
-    if let Some(secs) = s.strip_suffix('s') {
-        let v: f64 = secs.parse().map_err(|_| format!("bad duration `{s}`"))?;
-        return Ok(SimDuration::from_secs_f64(v));
-    }
-    Err(format!("duration `{s}` needs an `ms` or `s` suffix"))
+    Ok(SimDuration::from_secs_f64(secs))
 }
 
 /// `START+LEN` → `[start, start+len)`, or an error when the end does not
@@ -760,6 +768,57 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Frames held at a constant delay, with jitter, or duplicated
+        /// (two pushes at one due), released under a monotone `now`, come
+        /// out exactly as from one `BinaryHeap` of `(due, push order)`.
+        #[test]
+        fn delay_queue_releases_in_single_heap_order(
+            ops in proptest::collection::vec((0u8..6, 0u64..40), 0..300),
+        ) {
+            use std::cmp::Reverse;
+            let mut q = DelayQueue::new();
+            let mut reference = std::collections::BinaryHeap::new();
+            let (mut now, mut pushed) = (0u64, 0u64);
+            for (op, x) in ops.into_iter().chain((0..300).map(|_| (5, 40))) {
+                let (due, copies) = match op {
+                    0 | 1 => (now + 5, 1),
+                    2 => (now + 5 + x % 20, 1),
+                    3 => (now + 5 + x % 20, 2),
+                    _ => (now + x, 0),
+                };
+                for _ in 0..copies {
+                    let payload = Bytes::from(pushed.to_le_bytes().to_vec());
+                    q.push(t(due), GroupId(1), payload, SendOptions::default());
+                    reference.push(Reverse((due, pushed)));
+                    pushed += 1;
+                }
+                if copies == 0 {
+                    now = due;
+                    loop {
+                        let got = q.pop_due(t(now)).map(|d| {
+                            let seq = u64::from_le_bytes(d.payload.as_ref().try_into().unwrap());
+                            (d.due.as_nanos() / 1_000_000, seq)
+                        });
+                        let want = match reference.peek() {
+                            Some(Reverse((due, _))) if *due <= now => reference.pop().map(|Reverse(e)| e),
+                            _ => None,
+                        };
+                        proptest::prop_assert_eq!(got, want);
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(q.next_due(), reference.peek().map(|Reverse((due, _))| t(*due)));
+                proptest::prop_assert_eq!(q.len(), reference.len());
+            }
+            proptest::prop_assert!(q.is_empty());
+        }
+    }
+
     #[test]
     fn corruption_forces_a_clean_decode_error() {
         // A real encoded message: corrupting it must yield Err, never a
@@ -821,6 +880,29 @@ mod tests {
         // The largest window that fits is accepted.
         let plan = parse_spec("burst=0.5@1e10s+8e9s", &[]).unwrap();
         assert!(plan.bursts[0].window.end > plan.bursts[0].window.start);
+    }
+
+    #[test]
+    fn a_duration_or_hold_back_that_overflows_the_clock_is_rejected() {
+        for spec in [
+            "reorder=1:infs",
+            "reorder=1:1e12s",
+            "reorder=1:NaNms",
+            "reorder=1:-5ms",
+            "jitter=infs",
+            "jitter=-1s",
+            "burst=0.5@-1s+1s",
+            "reorder=1:1e10s,jitter=1e10s",
+            "jitter=1e10s,reorder=1:1e10s",
+        ] {
+            let err = parse_spec(spec, &[]).unwrap_err();
+            let last = spec.rsplit(',').next().unwrap();
+            assert!(err.contains(&format!("`{last}`")), "the error names the clause: {err}");
+        }
+        // The longest hold-back that fits is accepted.
+        let plan = parse_spec("reorder=1:1e10s,jitter=8e9s", &[]).unwrap();
+        assert_eq!(plan.reorder_delay + plan.jitter, SimDuration::from_secs(18_000_000_000));
+        assert_eq!(parse_spec("jitter=0ms", &[]).unwrap().jitter, SimDuration::ZERO);
     }
 
     #[test]

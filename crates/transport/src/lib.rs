@@ -9,8 +9,9 @@
 //!
 //! - [`WallClock`]: monotonic elapsed time on the simulator's
 //!   [`SimTime`](netsim::SimTime) axis.
-//! - [`TimerWheel`]: min-heap one-shot timers with lazy cancellation — the
-//!   real-time stand-in for the simulator's event queue.
+//! - [`TimerWheel`]: one-shot timers on the simulator's own deadline queue
+//!   ([`netsim::DeadlineQueue`]), cancelled by the simulator's own rule: a
+//!   popped timer fires only if it is still in the map of live timers.
 //! - [`Envelope`]: the datagram frame carrying the simulator packet
 //!   metadata (source, TTL, scope, flow) around the untouched
 //!   [`srm::wire`] message encoding.
@@ -23,7 +24,8 @@
 //! - [`Mode`]: real IP multicast (`join_multicast_v4`) or a unicast
 //!   loopback mesh (the CI-friendly stand-in for group delivery).
 //! - [`ChaosPlan`]: scripted faults on the send path, including the
-//!   deterministic forced drops recovery tests use.
+//!   deterministic forced drops recovery tests use; reordered frames wait
+//!   on a [`DelayQueue`], the same deadline queue again.
 //! - [`Harness`]: in-process multi-node loopback sessions.
 //!
 //! The `srm-node` binary wraps all of this in a CLI (`join` / `send`,

@@ -1,33 +1,34 @@
 //! One-shot timer wheel for the wall-clock runtime.
 //!
-//! The simulator's event queue gives agents `set_timer`/`cancel_timer` for
-//! free; this is the real-time equivalent: a min-heap of deadlines plus a
-//! lazy cancellation set. The reactor asks for [`TimerWheel::next_deadline`]
-//! to bound its socket wait, then drains [`TimerWheel::pop_expired`] after
-//! every wake-up. Cancelled entries stay in the heap and are discarded when
-//! they surface, so both `arm` and `cancel` are `O(log n)` with no
-//! re-heapify.
+//! The live host's `set_timer`/`cancel_timer`, on the simulator's own
+//! [`DeadlineQueue`] and by the simulator's own cancellation rule: arming
+//! pushes a deadline and records its id in a [`TimerMap`] of live timers;
+//! cancelling removes the id; a deadline popped off the queue fires only if
+//! its id is still in the map. The reactor asks for
+//! [`TimerWheel::next_deadline`] to bound its socket wait, then drains
+//! [`TimerWheel::pop_expired`] after every wake-up. `arm` is `O(log n)`;
+//! `cancel` only removes a map entry, with no re-heapify.
 //!
-//! Lazy cancellation alone can leak: a cancel recorded *after* its timer
-//! already fired never meets its heap entry, and under heavy churn the
-//! tombstone set would grow without bound. [`TimerWheel::cancel`] therefore
-//! compacts — rebuilds the heap without cancelled entries and clears the
-//! set — whenever tombstones outnumber half the live heap, keeping memory
-//! proportional to the number of *pending* timers at `O(n)` amortized cost.
+//! A cancelled timer's deadline stays queued until it surfaces. A live host
+//! runs without bound, and under churn — timers armed far out and cancelled
+//! early — those dead entries would pile up, so [`TimerWheel::cancel`]
+//! compacts the queue (drops every dead entry) once they number more than
+//! 64 and more than half the queue, keeping memory proportional to the
+//! *pending* timers at `O(1)` amortized cost per cancel. The simulator
+//! needs no such pass: a run ends, and its dead timers with it.
 
-use netsim::{SimTime, TimerId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use netsim::{DeadlineQueue, SimTime, TimerId, TimerMap};
 
 /// Pending one-shot timers ordered by deadline.
 ///
-/// Ties on the deadline fire in arming order (the id is the heap
-/// tiebreaker), matching the simulator's FIFO-per-instant event order.
+/// Ties on the deadline fire in arming order, matching the simulator's
+/// FIFO-per-instant event order.
 #[derive(Debug, Default)]
 pub struct TimerWheel {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    cancelled: HashSet<u64>,
-    next_id: u64,
+    queue: DeadlineQueue<()>,
+    /// Timers armed and neither fired nor cancelled, with their tokens;
+    /// a timer's id is its deadline's sequence number.
+    live: TimerMap<u64>,
 }
 
 impl TimerWheel {
@@ -39,47 +40,36 @@ impl TimerWheel {
     /// Arm a one-shot timer at absolute time `at`; `token` is handed back
     /// by [`TimerWheel::pop_expired`].
     pub fn arm(&mut self, at: SimTime, token: u64) -> TimerId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.heap.push(Reverse((at, id, token)));
-        TimerId(id)
+        let id = TimerId(self.queue.push(at, ()));
+        self.live.insert(id, token);
+        id
     }
 
     /// Cancel a pending timer; cancelling one that already fired (or was
     /// never armed here) is a no-op.
     pub fn cancel(&mut self, id: TimerId) {
-        self.cancelled.insert(id.0);
-        self.maybe_compact();
-    }
-
-    /// Rebuild without tombstones once they dominate the heap. The `> 64`
-    /// floor keeps small wheels on the pure-lazy fast path.
-    fn maybe_compact(&mut self) {
-        if self.cancelled.len() <= 64 || self.cancelled.len() <= self.heap.len() / 2 {
-            return;
+        self.live.remove(&id);
+        // Drop the dead entries once they dominate the queue. The `> 64`
+        // floor keeps small wheels on the pure-lazy fast path.
+        let dead = self.pending_cancels();
+        if dead > 64 && dead > self.queue.len() / 2 {
+            self.queue.retain(|e| self.live.contains_key(&TimerId(e.seq)));
         }
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let entries = std::mem::take(&mut self.heap);
-        self.heap = entries
-            .into_iter()
-            .filter(|Reverse((_, id, _))| !cancelled.contains(id))
-            .collect();
     }
 
-    /// Tombstones currently awaiting collection (test/diagnostic hook).
+    /// Cancelled deadlines still queued (test/diagnostic hook).
     pub fn pending_cancels(&self) -> usize {
-        self.cancelled.len()
+        self.queue.len() - self.live.len()
     }
 
     /// The earliest live deadline, if any. Pops dead (cancelled) entries
     /// encountered on the way.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        while let Some(Reverse((at, id, _))) = self.heap.peek().copied() {
-            if self.cancelled.remove(&id) {
-                self.heap.pop();
-            } else {
-                return Some(at);
+        while let Some(e) = self.queue.peek() {
+            if self.live.contains_key(&TimerId(e.seq)) {
+                return Some(e.at);
             }
+            self.queue.pop();
         }
         None
     }
@@ -87,27 +77,23 @@ impl TimerWheel {
     /// Pop the earliest live timer whose deadline is `<= now`, returning
     /// its token. Call in a loop to drain everything due.
     pub fn pop_expired(&mut self, now: SimTime) -> Option<u64> {
-        while let Some(Reverse((at, id, token))) = self.heap.peek().copied() {
-            if at > now {
-                return None;
-            }
-            self.heap.pop();
-            if !self.cancelled.remove(&id) {
+        while let Some(e) = self.queue.pop_due(now) {
+            if let Some(token) = self.live.remove(&TimerId(e.seq)) {
                 return Some(token);
             }
         }
         None
     }
 
-    /// Number of entries still in the heap (including not-yet-collected
+    /// Number of entries still queued (including not-yet-collected
     /// cancelled ones).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// True if no entries remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 

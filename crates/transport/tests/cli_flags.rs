@@ -46,6 +46,7 @@ fn malformed_srm_node_command_lines_exit_2_and_name_the_flag() {
         (join(&["--stats-interval", "0"]), 2, "--stats-interval"),
         (vec!["monitor", "--bind", "127.0.0.1:0", "--refresh", "nan"], 2, "--refresh"),
         (vec!["soak", "--secs", "inf"], 2, "--secs"),
+        (vec!["soak", "--secs", "0.05"], 2, "--secs"),
         (vec!["soak", "--nodes", "17"], 2, "--nodes"),
         (vec!["soak", "--bogus"], 2, "--bogus"),
         (join(&["--bogus"]), 2, "--bogus"),
@@ -57,6 +58,7 @@ fn malformed_srm_node_command_lines_exit_2_and_name_the_flag() {
         (join(&["--fsync", "sometimes", "--store", "x"]), 2, "--fsync"),
         (join(&["--mcast", "239.66.66.0:7400"]), 2, "--mcast"),
         (join(&["--chaos", "bogus"]), 2, "--chaos"),
+        (join(&["--chaos", "reorder=1:infs"]), 2, "--chaos"),
         (vec!["send", "--id", "1", "--bind", "127.0.0.1:0", "--peers", "127.0.0.1:9"], 2, "--text"),
         (vec!["join", "--id", "1", "--bind", "127.0.0.1:0"], 2, "--peers"),
         (vec!["frob"], 2, "frob"),

@@ -104,6 +104,11 @@ cargo test -q -p netsim --lib -- lane_and_heap_pop_in_single_heap_order \
     monotone_hops_take_the_lane_and_the_rest_the_heap fan_table_is_the_pruned_spt_children \
     a_leave_inside_on_packet_prunes_the_rest_of_a_flood_in_flight run_until_advances_clock
 
+echo "== one deadline queue (netsim's DeadlineQueue pops in one heap's (at, seq) order under push, push_fifo and retain; the live timer wheel and the chaos hold-back queue are instances of it, the wheel with the simulator's live-timer-map cancellation and a bounded dead-entry count; a chaos duration or hold-back past the clock is refused) =="
+cargo test -q -p netsim --lib event::
+cargo test -q -p srm-transport --lib -- wheel:: chaos::
+cargo test -q --test transport_chaos wheel_churn
+
 echo "== one shortest-path tree per root per session (the lazy-deletion Dijkstra equals the heap-tuple reference; a Fig. 4 session and an srm-sim scenario compute each root's tree once) =="
 cargo test -q -p netsim --lib lazy_kernel_matches_the_heap_tuple_reference
 cargo test -q -p srm-experiments --lib a_session_computes_each_roots_tree_once
@@ -231,7 +236,7 @@ cargo test -q -p srm-transport --test cli_flags
 cargo test -q -p srm-sim --test cli_flags
 cargo test -q -p srm-experiments --test cli_flags
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, a second tree per member beside the simulator's route cache, and the wire decoder's Buf getters, and srm-sim's second topology enum, topology builder and membership tag and the hand-built fault chain, and the binaries' hand-rolled flag parsers and usage functions must stay gone) =="
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, a second tree per member beside the simulator's route cache, and the wire decoder's Buf getters, and srm-sim's second topology enum, topology builder and membership tag and the hand-built fault chain, and the binaries' hand-rolled flag parsers and usage functions, and the timer wheel's tombstone set and the chaos queue's side table must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -248,6 +253,7 @@ stale+='|SpTree::compute\(sim\.topolog[y]\(\)'
 stale+='|fn get_u6[4]\(buf: &mut Bytes\)|macro_rules! gett[e]r'
 stale+='|TopologyS[p]ec|fn build_topol[o]gy|fn fault_ch[a]in|AllT[a]g'
 stale+='|fn parse_ar[g]s|fn trace_us[a]ge|fn monitor_us[a]ge'
+stale+='|cancelled: HashS[e]t<u64>|BTreeMap<u64, DelayedS[e]nd>'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -282,6 +288,13 @@ for f in crates/transport/src/bin/srm-node.rs crates/transport/src/bin/srm-hub.r
     cli_code=$((cli_code + code))
 done
 echo "command-line entry files + obs::flags non-test code lines: $cli_code"
+
+echo "== deadline queue size (non-test code lines of netsim's event.rs, transport's wheel.rs and chaos.rs's DelayedSend + DelayQueue, each and in total) =="
+event=$(awk '/^#\[cfg\(test\)\]/ {exit} {print}' crates/netsim/src/event.rs | grep -cvE '^\s*(//|$)')
+wheel=$(awk '/^#\[cfg\(test\)\]/ {exit} {print}' crates/transport/src/wheel.rs | grep -cvE '^\s*(//|$)')
+delayq=$(awk '/^\/\/\/ A frame held back/ {on=1} /^\/\/\/ Damage a frame/ {exit} on' \
+    crates/transport/src/chaos.rs | grep -cvE '^\s*(//|$)')
+echo "event.rs $event, wheel.rs $wheel, DelayedSend + DelayQueue $delayq, total $((event + wheel + delayq))"
 
 echo "== ADU fast path size: store.rs + reactor.rs (code lines, then raw) =="
 cat crates/core/src/store.rs crates/transport/src/reactor.rs | grep -cvE '^\s*(//|$)'
