@@ -264,6 +264,20 @@ pub fn digest_stats(text: &str) -> Result<StatsDigest, SchemaError> {
     Ok(digest)
 }
 
+/// The rows each stats file's report shows: host transport counters and
+/// queue peaks under the names a node and a hub both register
+/// (`srm_transport::TransportStats::counters`), and the session frames by
+/// kind. A counter shows its whole-file delta and rate, a gauge its last
+/// value.
+pub const HEADLINE: [&str; 6] = [
+    "frames_sent",
+    "frames_received",
+    "tx.frames.session",
+    "rx.frames.session",
+    "max_wheel_len",
+    "max_delayq_len",
+];
+
 /// Render the combined report: monitor trajectories, then each stats
 /// file's headline counters, then the cross-view diff when both exist.
 pub fn render(monitor: Option<&MonitorDigest>, stats: &[(String, StatsDigest)]) -> String {
@@ -313,17 +327,16 @@ pub fn render(monitor: Option<&MonitorDigest>, stats: &[(String, StatsDigest)]) 
                 format!(" (non-monotone: {})", d.non_monotone.join(","))
             }
         );
-        for c in ["frames.sent", "frames.received", "tx.frames.session", "rx.frames.session"] {
+        for name in HEADLINE {
+            if let Some(v) = d.gauges.get(name) {
+                let _ = writeln!(out, "  {name}: {v}");
+                continue;
+            }
             let rate = d
-                .rate(c)
+                .rate(name)
                 .map(|r| format!(" ({r:.2}/s)"))
                 .unwrap_or_default();
-            let _ = writeln!(out, "  {c}: {}{rate}", d.delta(c));
-        }
-        for g in ["wheel.high_water", "delayq.high_water"] {
-            if let Some(v) = d.gauges.get(g) {
-                let _ = writeln!(out, "  {g}: {v}");
-            }
+            let _ = writeln!(out, "  {name}: {}{rate}", d.delta(name));
         }
     }
     // The cross-view diff: sessions the members put on the wire versus
@@ -353,8 +366,8 @@ mod tests {
 ";
 
     const STATS: &str = "\
-{\"v\":1,\"seq\":0,\"at\":1.0,\"counters\":{\"frames.sent\":4,\"tx.frames.session\":2},\"gauges\":{\"wheel.high_water\":3},\"hists\":{\"stage.send_s\":{\"count\":4,\"zeros\":0,\"sum\":0.001,\"min\":0.0001,\"max\":0.0005,\"buckets\":[[-50,4]]}}}
-{\"v\":1,\"seq\":2,\"at\":3.0,\"counters\":{\"frames.sent\":10,\"tx.frames.session\":4},\"gauges\":{\"wheel.high_water\":5},\"hists\":{\"stage.send_s\":{\"count\":10,\"zeros\":0,\"sum\":0.002,\"min\":0.0001,\"max\":0.0005,\"buckets\":[[-50,10]]}}}
+{\"v\":1,\"seq\":0,\"at\":1.0,\"counters\":{\"frames_sent\":4,\"tx.frames.session\":2},\"gauges\":{\"max_wheel_len\":3},\"hists\":{\"stage.send_s\":{\"count\":4,\"zeros\":0,\"sum\":0.001,\"min\":0.0001,\"max\":0.0005,\"buckets\":[[-50,4]]}}}
+{\"v\":1,\"seq\":2,\"at\":3.0,\"counters\":{\"frames_sent\":10,\"tx.frames.session\":4},\"gauges\":{\"max_wheel_len\":5},\"hists\":{\"stage.send_s\":{\"count\":10,\"zeros\":0,\"sum\":0.002,\"min\":0.0001,\"max\":0.0005,\"buckets\":[[-50,10]]}}}
 ";
 
     #[test]
@@ -379,10 +392,10 @@ mod tests {
     fn stats_digest_deltas_and_rates() {
         let d = digest_stats(STATS).expect("valid");
         assert_eq!(d.snapshots, 2);
-        assert_eq!(d.delta("frames.sent"), 6);
+        assert_eq!(d.delta("frames_sent"), 6);
         assert_eq!(d.delta("tx.frames.session"), 2);
-        assert!((d.rate("frames.sent").unwrap() - 3.0).abs() < 1e-9);
-        assert_eq!(d.gauges["wheel.high_water"], 5);
+        assert!((d.rate("frames_sent").unwrap() - 3.0).abs() < 1e-9);
+        assert_eq!(d.gauges["max_wheel_len"], 5);
         assert!(d.non_monotone.is_empty());
     }
 
@@ -410,10 +423,10 @@ mod tests {
 
     #[test]
     fn stats_non_monotone_counters_are_flagged_not_fatal() {
-        let regressed = STATS.replace("\"frames.sent\":10", "\"frames.sent\":1");
+        let regressed = STATS.replace("\"frames_sent\":10", "\"frames_sent\":1");
         let d = digest_stats(&regressed).expect("still parses");
-        assert_eq!(d.non_monotone, vec!["frames.sent".to_string()]);
-        assert_eq!(d.delta("frames.sent"), 0, "saturating delta");
+        assert_eq!(d.non_monotone, vec!["frames_sent".to_string()]);
+        assert_eq!(d.delta("frames_sent"), 0, "saturating delta");
     }
 
     #[test]

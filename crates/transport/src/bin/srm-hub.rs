@@ -160,7 +160,7 @@ fn run(p: &Parsed) -> Result<(), Error> {
 
     // Orderly exit: drain every still-hosted group (stop already did this;
     // drains are idempotent on an empty hub), then join the threads.
-    let drained = hub.drain_all();
+    hub.drain_all();
     let st = hub.stats();
     hub.shutdown();
     if let Some(t) = tcp_thread {
@@ -170,16 +170,7 @@ fn run(p: &Parsed) -> Result<(), Error> {
     if let Some(sink) = stats {
         sink.finish();
     }
-    eprintln!(
-        "srm-hub: done — groups_drained={} frames_attempted={} frames_sent={} send_errors={} \
-         rx_frames={} unjoined={} overflow={}",
-        drained.groups,
-        st.frames_attempted,
-        st.frames_sent,
-        st.send_errors,
-        st.rx_frames,
-        st.rx_unjoined_group,
-        st.inbound_overflow
-    );
+    let counts: Vec<String> = st.counters().iter().map(|(k, v)| format!("{k}={v}")).collect();
+    eprintln!("srm-hub: done — groups_drained={} {}", hub.groups_drained(), counts.join(" "));
     Ok(())
 }

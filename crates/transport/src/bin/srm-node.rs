@@ -317,7 +317,8 @@ fn run_soak(p: &Parsed) -> Result<(), Error> {
 /// `join`/`send`: run one member for `--duration` seconds.
 fn run_node(p: &Parsed) -> Result<(), Error> {
     let send_mode = p.command() == "send";
-    let id = p.get("--id", int(..))?;
+    // The envelope carries a member id in 32 bits.
+    let id = p.get("--id", int(..=u64::from(u32::MAX)))?;
     let bind = p.get("--bind", addr)?;
     let mode = mode(p)?;
     let group = p.get("--group", int(..))?;

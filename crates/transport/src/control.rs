@@ -20,14 +20,20 @@
 //! ```
 //!
 //! Only `group` (and `text` for `send`) is required; everything else
-//! defaults (`id` 1, `members` = peers+1, no quota). Replies are JSON
-//! objects with a fixed key order and no timestamps or ports, so a
-//! scripted session's reply stream is byte-for-byte reproducible — the
-//! golden test pins it. `stats` is the one deliberately non-pinned reply
-//! (its counters are live). Lines are read by [`obs::json`], the
-//! workspace's one JSON parser.
+//! defaults (`id` 1, `members` = peers+1, `count` 1, no quota). An `id`
+//! must fit the envelope's 32-bit source field and a `count` lie in
+//! 1..=100000; a value outside is an error reply naming the field, never
+//! a silent clamp. Replies are JSON objects with a fixed key order and no
+//! timestamps or ports, so a scripted session's reply stream is
+//! byte-for-byte reproducible — the golden test pins it. `stats` is the
+//! one deliberately non-pinned reply (its counters are live): its `hub`
+//! object is [`TransportStats::counters`], the names a node's and a hub's
+//! registry use, and each `groups` entry a
+//! [`GroupStats`](crate::hub::GroupStats) row. Lines are read by
+//! [`obs::json`], the workspace's one JSON parser.
 
 use crate::hub::HubHandle;
+use crate::runtime::TransportStats;
 use obs::json::Json;
 use std::io::{self, BufRead, Read as _, Write};
 use std::net::SocketAddr;
@@ -50,7 +56,8 @@ pub struct GroupSpec {
     pub group: u32,
     /// Peer addresses for the unicast fan-out (may be empty: sole member).
     pub peers: Vec<SocketAddr>,
-    /// The member id the hub's agent runs as in this group (default 1).
+    /// The member id the hub's agent runs as in this group (default 1); it
+    /// must fit the envelope's 32-bit source field.
     pub id: u64,
     /// Group size for the adaptive timer scaling (default peers + 1).
     pub members: usize,
@@ -115,6 +122,8 @@ fn need<T>(got: Option<T>, name: &str) -> Result<T, String> {
 
 const INT: &str = "a non-negative integer";
 const POSITIVE: &str = "a positive number";
+/// The most ADUs one `send` publishes.
+const MAX_COUNT: u64 = 100_000;
 
 /// Parse one control line into a [`Command`].
 pub fn parse_command(line: &str) -> Result<Command, String> {
@@ -145,7 +154,10 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     .map_err(|_| format!("bad peer address `{s}`"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-            let id = opt(&o, "id", INT, Json::as_u64)?.unwrap_or(1);
+            let id = opt(&o, "id", "an integer in 0..=4294967295", |v| {
+                v.as_u64().filter(|&n| u32::try_from(n).is_ok())
+            })?
+            .unwrap_or(1);
             let members = opt(&o, "members", INT, Json::as_u64)?
                 .map(|m| m as usize)
                 .unwrap_or(peers.len() + 1)
@@ -167,9 +179,10 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         "send" => {
             let group = group()?;
             let text = need(opt(&o, "text", "a string", Json::as_str)?, "text")?.to_string();
-            let count = opt(&o, "count", INT, Json::as_u64)?
-                .unwrap_or(1)
-                .clamp(1, 100_000) as u32;
+            let count = opt(&o, "count", "an integer in 1..=100000", |v| {
+                v.as_u64().filter(|n| (1..=MAX_COUNT).contains(n)).map(|n| n as u32)
+            })?
+            .unwrap_or(1);
             Ok(Command::Send { group, text, count })
         }
         "drain" => Ok(Command::Drain { group: group()? }),
@@ -222,18 +235,49 @@ fn execute(hub: &HubHandle, cmd: Command) -> String {
             Err(e) => error_reply(&e),
         },
         Command::Drain { group } => match hub.drain(group) {
-            Ok(out) => format!(
+            Ok(row) => format!(
                 "{{\"ok\":true,\"cmd\":\"drain\",\"group\":{group},\"data_sent\":{},\"delivered\":{}}}",
-                out.data_sent, out.delivered
+                row.agent_counter("data_sent"),
+                row.delivered
             ),
             Err(e) => error_reply(&e),
         },
-        Command::Stats => hub.stats().to_json_line(),
+        Command::Stats => stats_reply(&hub.stats()),
         Command::Stop => {
             let drained = hub.drain_all();
-            format!("{{\"ok\":true,\"cmd\":\"stop\",\"groups\":{}}}", drained.groups)
+            format!("{{\"ok\":true,\"cmd\":\"stop\",\"groups\":{}}}", drained.len())
         }
     }
+}
+
+/// `"name":value` for each entry of a counter row, comma-separated.
+fn json_fields(row: &[(&str, u64)]) -> String {
+    let pairs: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    pairs.join(",")
+}
+
+/// The `stats` reply: one JSON line, the transport counters in
+/// [`TransportStats::counters`] order under `hub`, then every group's row
+/// (sorted by id) with its agent's counters.
+fn stats_reply(st: &TransportStats) -> String {
+    let groups: Vec<String> = (st.groups.iter())
+        .map(|g| {
+            format!(
+                "{{\"group\":{},\"shard\":{},\"members\":{},\"rx_frames\":{},\"tx_frames\":{},\
+                 \"delivered\":{},{},\"quota_overflow\":{}}}",
+                g.group,
+                g.shard,
+                g.members,
+                g.rx_frames,
+                g.tx_frames,
+                g.delivered,
+                json_fields(&g.agent),
+                g.quota_overflow
+            )
+        })
+        .collect();
+    let hub = json_fields(&st.counters());
+    format!("{{\"ok\":true,\"cmd\":\"stats\",\"hub\":{{{hub}}},\"groups\":[{}]}}", groups.join(","))
 }
 
 /// Longest control line [`serve`] reads into memory.
@@ -367,5 +411,21 @@ mod tests {
             parse_command(r#"{"cmd":"send","group":1}"#).unwrap_err(),
             "missing field `text`"
         );
+        // Out-of-range values name their field rather than being clamped
+        // or cut to 32 bits.
+        let count = "`count` must be an integer in 1..=100000";
+        let id = "`id` must be an integer in 0..=4294967295";
+        for (line, msg) in [
+            (r#"{"cmd":"send","group":1,"text":"x","count":0}"#, count),
+            (r#"{"cmd":"send","group":1,"text":"x","count":100001}"#, count),
+            (r#"{"cmd":"create","group":1,"id":4294967296}"#, id),
+            (r#"{"cmd":"join","group":1,"id":-1}"#, id),
+        ] {
+            assert_eq!(parse_command(line).unwrap_err(), msg, "{line}");
+        }
+        let largest = parse_command(r#"{"cmd":"send","group":1,"text":"x","count":100000}"#);
+        assert!(matches!(largest, Ok(Command::Send { count: 100_000, .. })), "{largest:?}");
+        let largest = parse_command(r#"{"cmd":"create","group":1,"id":4294967295}"#);
+        assert!(matches!(largest, Ok(Command::Create { spec: GroupSpec { id: 4_294_967_295, .. }, .. })), "{largest:?}");
     }
 }

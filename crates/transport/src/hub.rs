@@ -34,7 +34,7 @@
 
 use crate::batch::BatchOptions;
 use crate::control::GroupSpec;
-use crate::reactor::{self, Event, HostKind, Hosting, Mailbox, Plant, Reactor};
+use crate::reactor::{self, Event, HostKind, Hosting, Mailbox, Plant, Reactor, RPC_TIMEOUT};
 use crate::runtime::{Counters, Mode, NodeOptions, StoreOptions, TransportStats};
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
@@ -42,16 +42,11 @@ use srm::{Driver, PageId, RateLimit, SourceId, SrmAgent, SrmConfig};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
 
-/// How long a control call waits for its shard's reply before declaring
-/// the shard wedged.
-const RPC_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Per-group counters snapshot, the unit of the hub's `stats` rollup.
+/// Per-group counters snapshot, the unit of a host's `stats` rollup.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupStats {
     /// Group id.
@@ -64,7 +59,8 @@ pub struct GroupStats {
     pub rx_frames: u64,
     /// Logical multicasts the agent issued (pre fan-out).
     pub tx_frames: u64,
-    /// ADUs delivered to the hub-side application.
+    /// ADUs delivered to the hub-side application (0 on a node, which
+    /// keeps its deliveries queued for `take_delivered`).
     pub delivered: u64,
     /// The group's agent's counters ([`srm::AgentMetrics::counters`]).
     pub agent: srm::CounterRow,
@@ -73,15 +69,12 @@ pub struct GroupStats {
     pub quota_overflow: u64,
 }
 
-/// What the hub gets back from a drain (single group or all).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DrainOutcome {
-    /// Groups detached.
-    pub groups: u32,
-    /// Sum of `data_sent` over the drained groups.
-    pub data_sent: u64,
-    /// Sum of `delivered` over the drained groups.
-    pub delivered: u64,
+impl GroupStats {
+    /// The agent counter `name` ([`srm::AgentMetrics::counters`]); 0 for a
+    /// name the agent does not count.
+    pub fn agent_counter(&self, name: &str) -> u64 {
+        self.agent.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+    }
 }
 
 /// Derive one group's RNG seed from the hub seed: a splitmix-style mix so
@@ -94,103 +87,9 @@ pub fn group_seed(hub_seed: u64, group: u32) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Point-in-time rollup of the whole hub: per-group counters plus the
-/// hub-wide transport counters (the same ones a node reports as
-/// [`TransportStats`]).
-#[derive(Clone, Debug, Default)]
-pub struct HubStats {
-    /// Every hosted group, sorted by group id (stable across shard
-    /// assignment).
-    pub groups: Vec<GroupStats>,
-    /// Unicast fan-out frames handed to the send path.
-    pub frames_attempted: u64,
-    /// Fan-out frames the kernel accepted.
-    pub frames_sent: u64,
-    /// Fan-out frames a group's chaos drop rules suppressed.
-    pub frames_dropped: u64,
-    /// Fan-out frames swallowed by a group's chaos blackhole windows.
-    pub blackholed: u64,
-    /// Fan-out frames the kernel refused.
-    pub send_errors: u64,
-    /// Frames routed to a hosted group's agent.
-    pub rx_frames: u64,
-    /// Datagrams (or GRO segments) that failed the envelope precheck or
-    /// decode.
-    pub rx_undecodable: u64,
-    /// Well-formed frames for a group no shard hosts — the hub-side
-    /// analogue of the node's `rx_unjoined_group`.
-    pub rx_unjoined_group: u64,
-    /// Datagrams lost because the hub fell behind: dropped by the kernel
-    /// from the shared socket's full receive buffer, or shed from a full
-    /// shard inbox.
-    pub inbound_overflow: u64,
-    /// GRO buffers whose segments straddled shards and had to be split
-    /// with per-segment copies (the only non-zero-copy inbound path).
-    pub demux_splits: u64,
-    /// Transient recv errors retried in place by the supervisor.
-    pub recv_transient_errors: u64,
-    /// Socket rebuilds after fatal recv errors or panics.
-    pub recv_respawns: u64,
-    /// Read paths that exhausted the respawn budget and stopped for good.
-    pub recv_deaths: u64,
-    /// Frames the groups' chaos plans dropped before the fan-out.
-    pub chaos_dropped: u64,
-    /// Extra frame copies the groups' chaos plans injected.
-    pub chaos_duplicated: u64,
-    /// Frames the groups' chaos plans held back on a delay queue.
-    pub chaos_delayed: u64,
-    /// Frames the groups' chaos plans damaged.
-    pub chaos_corrupted: u64,
-}
-
-impl HubStats {
-    /// The `stats` control reply: one JSON line, fixed key order, groups
-    /// sorted by id. Counters are live, so this is the one control reply
-    /// the golden test does not pin byte-for-byte.
-    pub fn to_json_line(&self) -> String {
-        let hub = [
-            ("frames_attempted", self.frames_attempted),
-            ("frames_sent", self.frames_sent),
-            ("send_errors", self.send_errors),
-            ("rx_frames", self.rx_frames),
-            ("rx_undecodable", self.rx_undecodable),
-            ("rx_unjoined_group", self.rx_unjoined_group),
-            ("inbound_overflow", self.inbound_overflow),
-            ("demux_splits", self.demux_splits),
-            ("frames_dropped", self.frames_dropped),
-            ("blackholed", self.blackholed),
-            ("recv_transient_errors", self.recv_transient_errors),
-            ("recv_respawns", self.recv_respawns),
-            ("recv_deaths", self.recv_deaths),
-            ("chaos_dropped", self.chaos_dropped),
-            ("chaos_duplicated", self.chaos_duplicated),
-            ("chaos_delayed", self.chaos_delayed),
-            ("chaos_corrupted", self.chaos_corrupted),
-        ];
-        let mut s = String::from("{\"ok\":true,\"cmd\":\"stats\",\"hub\":{");
-        for (i, (key, value)) in hub.iter().enumerate() {
-            let sep = if i > 0 { "," } else { "" };
-            s.push_str(&format!("{sep}\"{key}\":{value}"));
-        }
-        s.push_str("},\"groups\":[");
-        for (i, g) in self.groups.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"group\":{},\"shard\":{},\"members\":{},\"rx_frames\":{},\"tx_frames\":{},\
-                 \"delivered\":{}",
-                g.group, g.shard, g.members, g.rx_frames, g.tx_frames, g.delivered,
-            ));
-            for (key, value) in g.agent {
-                s.push_str(&format!(",\"{key}\":{value}"));
-            }
-            s.push_str(&format!(",\"quota_overflow\":{}}}", g.quota_overflow));
-        }
-        s.push_str("]}");
-        s
-    }
-}
+/// The hub's rollup is a node's: [`TransportStats`], one row per hosted
+/// group. The name stays because `srmbench` imports it.
+pub type HubStats = TransportStats;
 
 /// Which shard hosts a group: a splitmix-style mix of the group id, mod
 /// the shard count. Stable for the hub's lifetime (and across hubs with
@@ -214,12 +113,12 @@ pub struct HubOptions {
     /// replays are per-group stable no matter which shard hosts the group.
     pub seed: u64,
     /// Live metrics registry: per-group mirrors land as `hub.g{G}.*`,
-    /// per-reactor gauges as `hub.shard{i}.*`, and the stage histograms
-    /// and by-kind frame counts under the names a node uses. The hub-wide
-    /// counters are registered as `hub.` + their `stats` key
-    /// (`hub.frames_sent`, `hub.demux_splits`, …): those cells are the
-    /// counters [`HubHandle::stats`] reads, not copies, so one registry
-    /// serves one host.
+    /// per-reactor gauges as `hub.shard{i}.*` (`hub.shard0.wheel.depth`),
+    /// and the stage histograms, by-kind frame counts and transport
+    /// counters under the names a node uses (`frames_sent`,
+    /// `demux_splits`, …: [`TransportStats::counters`]). Those counters
+    /// are the cells [`HubHandle::stats`] reads, not copies, so one
+    /// registry serves one host.
     pub metrics: Option<obs::MetricsRegistry>,
     /// Durable-store root: group `g` logs under `<root>/<g>/`.
     pub store_root: Option<PathBuf>,
@@ -251,6 +150,8 @@ struct HubInner {
     counters: Arc<Counters>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
+    /// Groups [`HubHandle::drain_all`] has detached so far.
+    drained: AtomicUsize,
     seed: u64,
     metrics: Option<obs::MetricsRegistry>,
     store_root: Option<PathBuf>,
@@ -297,6 +198,7 @@ impl Hub {
                 counters,
                 threads: Mutex::new(threads),
                 stopped: AtomicBool::new(false),
+                drained: AtomicUsize::new(0),
                 seed: opts.seed,
                 metrics: opts.metrics,
                 store_root: opts.store_root,
@@ -365,8 +267,9 @@ impl HubHandle {
     /// options a standalone node takes, so a hub group can carry a seeded
     /// chaos plan (forced drops included), liveness tracking and
     /// recorders. The per-socket field of `opts` (`batch`) does not apply:
-    /// the hub's socket runs the defaults. A group already hosted is an
-    /// error.
+    /// the hub's socket runs the defaults. A group already hosted, or a
+    /// member id that does not fit the envelope's 32-bit source field, is
+    /// an error.
     pub fn create_with(&self, mode: Mode, opts: NodeOptions) -> Result<CreateOutcome, String> {
         let members = mode.group_size();
         self.host(mode, opts, None, members, false)
@@ -383,6 +286,7 @@ impl HubHandle {
         let group = opts.group.0;
         let shard = shard_of(group, self.shards());
         let hosting = Hosting {
+            src: reactor::envelope_src(opts.id)?,
             keep_deliveries: false,
             quota,
             members,
@@ -426,56 +330,37 @@ impl HubHandle {
     }
 
     /// Gracefully drain one group: final session message, WAL flush,
-    /// detach.
-    pub fn drain(&self, group: u32) -> Result<DrainOutcome, String> {
+    /// detach. Returns the group's final row.
+    pub fn drain(&self, group: u32) -> Result<GroupStats, String> {
         self.call(shard_of(group, self.shards()), move |r| r.drain(group))?
             .ok_or_else(|| format!("group {group} not hosted"))
     }
 
     /// Drain every hosted group on every shard (the hub keeps running).
-    pub fn drain_all(&self) -> DrainOutcome {
-        let mut total = DrainOutcome::default();
+    /// Returns the drained groups' final rows.
+    pub fn drain_all(&self) -> Vec<GroupStats> {
+        let mut rows = Vec::new();
         for shard in 0..self.shards() {
-            if let Ok(one) = self.call(shard, Reactor::drain_all) {
-                total.groups += one.groups;
-                total.data_sent += one.data_sent;
-                total.delivered += one.delivered;
+            if let Ok(mut one) = self.call(shard, Reactor::drain_all) {
+                rows.append(&mut one);
             }
         }
-        total
+        self.inner.drained.fetch_add(rows.len(), Ordering::Relaxed);
+        rows
     }
 
-    /// Roll up per-group counters from every shard plus the hub-wide
-    /// transport counters. Groups come back sorted by id.
-    pub fn stats(&self) -> HubStats {
-        let mut groups = Vec::new();
-        for shard in 0..self.shards() {
-            if let Ok(mut s) = self.call(shard, |r| r.group_stats()) {
-                groups.append(&mut s);
-            }
-        }
-        groups.sort_by_key(|g| g.group);
-        let t = TransportStats::snapshot(&self.inner.counters);
-        HubStats {
-            groups,
-            frames_attempted: t.frames_attempted,
-            frames_sent: t.frames_sent,
-            frames_dropped: t.frames_dropped,
-            blackholed: t.blackholed,
-            send_errors: t.send_errors,
-            rx_frames: t.frames_received,
-            rx_undecodable: t.decode_errors,
-            rx_unjoined_group: t.rx_unjoined_group,
-            inbound_overflow: t.inbound_overflow,
-            demux_splits: t.demux_splits,
-            recv_transient_errors: t.recv_transient_errors,
-            recv_respawns: t.recv_respawns,
-            recv_deaths: t.recv_deaths,
-            chaos_dropped: t.chaos_dropped,
-            chaos_duplicated: t.chaos_duplicated,
-            chaos_delayed: t.chaos_delayed,
-            chaos_corrupted: t.chaos_corrupted,
-        }
+    /// Groups [`HubHandle::drain_all`] has detached over the hub's life:
+    /// what a `stop` and an orderly exit drained together.
+    pub fn groups_drained(&self) -> usize {
+        self.inner.drained.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot the hub: every shard's group rows (none from a shard that
+    /// does not answer within the RPC timeout), sorted by group id, then
+    /// the transport counters — the rollup a node's
+    /// [`NodeHandle::stats`](crate::NodeHandle::stats) runs.
+    pub fn stats(&self) -> TransportStats {
+        reactor::stats(&self.inner.mailboxes, &self.inner.counters)
     }
 
     /// Stop the hub: drain every group, stop every shard, join their
@@ -509,11 +394,6 @@ impl Drop for HubInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A group's agent counter by name.
-    fn agent(g: &GroupStats, name: &str) -> u64 {
-        g.agent.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
-    }
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
@@ -571,11 +451,16 @@ mod tests {
         let st = hub.stats();
         assert_eq!(st.groups.len(), 1);
         assert_eq!(st.groups[0].group, 5);
-        assert_eq!(agent(&st.groups[0], "data_sent"), 3);
+        assert_eq!(st.groups[0].agent_counter("data_sent"), 3);
+
+        // A member id the envelope cannot carry is refused, not cut.
+        let wide = NodeOptions::new(SourceId(1 << 32), GroupId(6), SrmConfig::fixed(1));
+        let err = hub.create_with(Mode::Mesh { peers: vec![] }, wide).unwrap_err();
+        assert!(err.contains("4294967296"), "{err}");
+        assert!(hub.exec(6, |_, _| ()).is_err(), "the refused group is not hosted");
 
         let d = hub.drain(5).unwrap();
-        assert_eq!(d.groups, 1);
-        assert_eq!(d.data_sent, 3);
+        assert_eq!((d.group, d.agent_counter("data_sent")), (5, 3));
         assert!(hub.drain(5).is_err(), "already drained");
         hub.shutdown();
         hub.shutdown(); // idempotent
@@ -601,7 +486,7 @@ mod tests {
         let st = hub.stats();
         let g = &st.groups[0];
         assert!(g.quota_overflow > 0, "bucket must refuse most of the flood: {g:?}");
-        assert!(g.tx_frames < 50 + agent(g, "session_sent"), "refused frames never fan out");
+        assert!(g.tx_frames < 50 + g.agent_counter("session_sent"), "refused frames never fan out");
         assert_eq!(
             st.frames_attempted,
             st.frames_sent + st.send_errors,

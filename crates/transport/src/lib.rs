@@ -79,12 +79,12 @@ pub use control::{handle_line, parse_command, Command, GroupSpec};
 pub use envelope::{Envelope, EnvelopeError, EnvelopeView};
 pub use harness::Harness;
 pub use hub::{
-    group_seed, shard_of, CreateOutcome, DrainOutcome, GroupStats, Hub, HubHandle, HubOptions,
+    group_seed, shard_of, CreateOutcome, GroupStats, Hub, HubHandle, HubOptions,
     HubStats,
 };
 pub use monitor::{GroupMonitor, MemberHealth};
 pub use pool::{BufferPool, PoolBuf};
-pub use runtime::{Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
+pub use runtime::{HostRow, Mode, Node, NodeHandle, NodeOptions, StoreOptions, TransportStats};
 pub use sink::StatsSink;
 pub use soak::{SoakOptions, SoakReport};
 pub use supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};

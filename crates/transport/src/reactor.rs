@@ -52,9 +52,9 @@ use crate::batch::{self, make_backend, BatchOptions, BatchSocket, Bell, RecvFram
 use crate::chaos::{ChaosState, ChaosTally, ChaosTransport, Cut, DelayQueue, Fanout};
 use crate::clock::WallClock;
 use crate::envelope::{Envelope, HEADER_LEN};
-use crate::hub::{shard_of, DrainOutcome, GroupStats};
+use crate::hub::{shard_of, GroupStats};
 use crate::pool::{BufferPool, PoolBuf};
-use crate::runtime::{Counters, Mode, NodeOptions, TRACE_RING};
+use crate::runtime::{Counters, Mode, NodeOptions, TransportStats, TRACE_RING};
 use crate::supervise::{classify, ErrorClass, SupervisePolicy, Supervisor, Verdict};
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
@@ -128,40 +128,6 @@ impl HostKind {
             HostKind::Hub => format!("srm-hub[shard {index}]"),
         }
     }
-
-    /// The host's counters, registered in `reg`: a node names them
-    /// `frames.sent`, …, a hub `hub.` + its `stats` reply's key. The queue
-    /// peaks are the same gauges on both.
-    fn counters(self, reg: &obs::MetricsRegistry) -> Counters {
-        let c = |node: &str, hub: &str| {
-            reg.counter(match self {
-                HostKind::Node(_) => node,
-                HostKind::Hub => hub,
-            })
-        };
-        Counters {
-            frames_attempted: c("frames.attempted", "hub.frames_attempted"),
-            frames_sent: c("frames.sent", "hub.frames_sent"),
-            frames_dropped: c("frames.dropped", "hub.frames_dropped"),
-            frames_received: c("frames.received", "hub.rx_frames"),
-            blackholed: c("frames.blackholed", "hub.blackholed"),
-            send_errors: c("frames.send_errors", "hub.send_errors"),
-            decode_errors: c("rx.decode_errors", "hub.rx_undecodable"),
-            rx_unjoined_group: c("rx.unjoined_group", "hub.rx_unjoined_group"),
-            chaos_dropped: c("chaos.dropped", "hub.chaos_dropped"),
-            chaos_duplicated: c("chaos.duplicated", "hub.chaos_duplicated"),
-            chaos_delayed: c("chaos.delayed", "hub.chaos_delayed"),
-            chaos_corrupted: c("chaos.corrupted", "hub.chaos_corrupted"),
-            recv_transient_errors: c("recv.transient_errors", "hub.recv_transient_errors"),
-            recv_respawns: c("recv.respawns", "hub.recv_respawns"),
-            recv_deaths: c("recv.deaths", "hub.recv_deaths"),
-            inbound_overflow: c("inbound.overflow", "hub.inbound_overflow"),
-            demux_splits: c("demux.splits", "hub.demux_splits"),
-            max_wheel_len: reg.gauge("wheel.high_water"),
-            max_delayq_len: reg.gauge("delayq.high_water"),
-            max_sendq_len: reg.gauge("sendq.high_water"),
-        }
-    }
 }
 
 /// Reactor-side cached registry handles: resolved once at spawn so the hot
@@ -203,10 +169,9 @@ struct RegHandles {
 
 impl RegHandles {
     fn new(reg: &obs::MetricsRegistry, index: usize, kind: HostKind) -> Self {
-        // A hub's shard gauges keep the names PR 10 gave them.
-        let (p, wheel_depth) = match kind {
-            HostKind::Node(_) => (String::new(), "wheel.depth".to_string()),
-            HostKind::Hub => (format!("hub.shard{index}."), format!("hub.shard{index}.wheel_depth")),
+        let p = match kind {
+            HostKind::Node(_) => String::new(),
+            HostKind::Hub => format!("hub.shard{index}."),
         };
         RegHandles {
             rx: FLOW_KINDS.map(|k| reg.counter(&format!("rx.frames.{k}"))),
@@ -222,7 +187,7 @@ impl RegHandles {
             pool_capacity: reg.gauge(&format!("{p}pool.capacity")),
             pool_misses: reg.counter(&format!("{p}pool.misses")),
             groups: reg.gauge(&format!("{p}groups")),
-            wheel_depth: reg.gauge(&wheel_depth),
+            wheel_depth: reg.gauge(&format!("{p}wheel.depth")),
             delayq_depth: reg.gauge(&format!("{p}delayq.depth")),
         }
     }
@@ -380,6 +345,8 @@ impl Wire {
 /// was called (`Node::spawn_on` or `HubHandle::create`), never a user
 /// option.
 pub(crate) struct Hosting {
+    /// The member id as envelopes carry it ([`envelope_src`]).
+    pub src: u32,
     /// A node keeps deliveries queued on the agent for `take_delivered`;
     /// a hub group counts and discards them.
     pub keep_deliveries: bool,
@@ -493,7 +460,7 @@ impl GroupHost {
             key,
             agent,
             io: GroupIo {
-                src: u32::try_from(opts.id.0).unwrap_or(u32::MAX),
+                src: hosting.src,
                 clock: clock.clone(),
                 wheel: TimerWheel::new(),
                 rng: StdRng::seed_from_u64(opts.seed),
@@ -927,26 +894,17 @@ impl Reactor {
         Some(host)
     }
 
-    /// [`Reactor::detach`] with a farewell, summarised.
-    pub(crate) fn drain(&mut self, group: u32) -> Option<DrainOutcome> {
+    /// [`Reactor::detach`] with a farewell; the group's final row.
+    pub(crate) fn drain(&mut self, group: u32) -> Option<GroupStats> {
         let host = self.detach(group, true)?;
-        Some(DrainOutcome {
-            groups: 1,
-            data_sent: host.agent.metrics.data_sent,
-            delivered: host.delivered,
-        })
+        Some(host.stats(self.index))
     }
 
-    /// Drain every hosted group (the reactor keeps running).
-    pub(crate) fn drain_all(&mut self) -> DrainOutcome {
-        let mut total = DrainOutcome::default();
+    /// Drain every hosted group (the reactor keeps running); their final
+    /// rows.
+    pub(crate) fn drain_all(&mut self) -> Vec<GroupStats> {
         let keys: Vec<u32> = self.groups.keys().copied().collect();
-        for one in keys.into_iter().filter_map(|g| self.drain(g)) {
-            total.groups += one.groups;
-            total.data_sent += one.data_sent;
-            total.delivered += one.delivered;
-        }
-        total
+        keys.into_iter().filter_map(|g| self.drain(g)).collect()
     }
 
     /// A node's shutdown: detach its one group without a farewell and
@@ -958,7 +916,7 @@ impl Reactor {
             .agent
     }
 
-    /// Per-group counters for the hub's rollup.
+    /// Per-group counters for the host's rollup ([`stats`]).
     pub(crate) fn group_stats(&self) -> Vec<GroupStats> {
         self.groups.values().map(|h| h.stats(self.index)).collect()
     }
@@ -1374,6 +1332,33 @@ fn wait_timeout(now: SimTime, deadline: Option<SimTime>) -> Duration {
     }
 }
 
+/// How long a handle waits for a reactor's reply before declaring it
+/// wedged.
+pub(crate) const RPC_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// One host's snapshot, the same rollup on a node and on a hub: every
+/// reactor's group rows that come back within [`RPC_TIMEOUT`], sorted by
+/// group id, then the shared counters.
+pub(crate) fn stats(mailboxes: &[Mailbox], counters: &Counters) -> TransportStats {
+    let mut groups = Vec::new();
+    for mb in mailboxes {
+        let reply = submit(mb, |r| r.group_stats()).map(|rx| rx.recv_timeout(RPC_TIMEOUT));
+        if let Some(Ok(mut rows)) = reply {
+            groups.append(&mut rows);
+        }
+    }
+    groups.sort_by_key(|g| g.group);
+    counters.read(groups)
+}
+
+/// The member id `id` as the envelope's 32-bit source field carries it:
+/// an id that does not fit is refused, since two members whose ids were
+/// cut to one value would drop each other's frames as their own echo.
+pub(crate) fn envelope_src(id: srm::SourceId) -> Result<u32, String> {
+    u32::try_from(id.0)
+        .map_err(|_| format!("member id {} does not fit the envelope's 32-bit source field", id.0))
+}
+
 /// Everything [`build`] sets up for a host: the reactors, ready to be
 /// moved onto threads of the caller's making, and the way into each.
 pub(crate) struct Plant {
@@ -1401,7 +1386,7 @@ pub(crate) fn build(
     // stalled reactor.
     socket.set_nonblocking(true)?;
     // Without a caller's registry the counters live in a private one.
-    let counters = Arc::new(kind.counters(&metrics.clone().unwrap_or_default()));
+    let counters = Arc::new(Counters::register(&metrics.clone().unwrap_or_default()));
     let clock = WallClock::new();
     let mut mailboxes = Vec::with_capacity(n);
     let mut reactors = Vec::with_capacity(n);
@@ -1460,7 +1445,6 @@ pub(crate) fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::TransportStats;
     use srm::{SourceId, SrmConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
@@ -1526,8 +1510,13 @@ mod tests {
         let mut opts = NodeOptions::new(SourceId(1), GroupId(GROUP), SrmConfig::fixed(2));
         opts.session_enabled = false;
         opts.trace = true;
-        let hosting =
-            Hosting { keep_deliveries: true, quota: None, members: 2, reg_prefix: String::new() };
+        let hosting = Hosting {
+            src: 1,
+            keep_deliveries: true,
+            quota: None,
+            members: 2,
+            reg_prefix: String::new(),
+        };
         reactor.host(Mode::Mesh { peers: vec![] }, opts, hosting);
         // Armed before anything fails, due well after the ~0.31 s of
         // backoffs the supervisor takes to give up.
@@ -1544,7 +1533,7 @@ mod tests {
             assert!(Instant::now() < deadline, "the budget never ran out");
             std::thread::sleep(Duration::from_millis(10));
         }
-        let s = TransportStats::snapshot(&counters);
+        let s = counters.read(Vec::new());
         assert_eq!((s.recv_transient_errors, s.recv_respawns, s.recv_deaths), (1, 5, 1));
         assert_eq!(armed(), 1, "the timer fired early");
         let deadline = Instant::now() + Duration::from_secs(10);

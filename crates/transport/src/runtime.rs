@@ -42,6 +42,7 @@
 
 use crate::batch::BatchOptions;
 use crate::chaos::ChaosPlan;
+use crate::hub::GroupStats;
 use crate::reactor::{self, Event, HostKind, Hosting, Mailbox, Plant};
 use bytes::Bytes;
 use netsim::{GroupId, SimDuration};
@@ -120,7 +121,7 @@ pub struct NodeOptions {
     /// start, each a ring of [`TRACE_RING`] events.
     pub trace: bool,
     /// Live metrics registry.  When set, the node's transport counters are
-    /// registered in it (`frames.sent`, `chaos.dropped`, …: the cells
+    /// registered in it (`frames_sent`, `chaos_dropped`, …: the cells
     /// [`NodeHandle::stats`] reads, so one registry serves one host), and
     /// the reactor updates hot-path counters/gauges/histograms (frames by
     /// kind, stage latencies, queue depths, per-group liveness and store
@@ -190,122 +191,137 @@ impl NodeOptions {
         }
     }
 }
-/// Counters shared by one host's reactors and its handle
-/// (a node has one group behind them, a hub all of its groups). Each is
-/// the registry handle itself, registered once by `reactor::build`, so a
-/// registry snapshot and a [`TransportStats`] read the same cells.
-#[derive(Debug)]
-pub(crate) struct Counters {
-    pub(crate) frames_attempted: obs::Counter,
-    pub(crate) frames_sent: obs::Counter,
-    pub(crate) frames_dropped: obs::Counter,
-    pub(crate) frames_received: obs::Counter,
-    pub(crate) blackholed: obs::Counter,
-    pub(crate) send_errors: obs::Counter,
-    pub(crate) chaos_dropped: obs::Counter,
-    pub(crate) chaos_duplicated: obs::Counter,
-    pub(crate) chaos_delayed: obs::Counter,
-    pub(crate) chaos_corrupted: obs::Counter,
-    pub(crate) decode_errors: obs::Counter,
-    pub(crate) recv_transient_errors: obs::Counter,
-    pub(crate) recv_respawns: obs::Counter,
-    pub(crate) recv_deaths: obs::Counter,
-    pub(crate) inbound_overflow: obs::Counter,
-    pub(crate) rx_unjoined_group: obs::Counter,
-    pub(crate) max_wheel_len: obs::Gauge,
-    pub(crate) max_delayq_len: obs::Gauge,
-    pub(crate) max_sendq_len: obs::Gauge,
-    pub(crate) demux_splits: obs::Counter,
+/// Declares the host's transport counters once. Each entry becomes a
+/// [`TransportStats`] field, the registry cell behind it in `Counters`
+/// (an `obs::Counter`, or under `peaks` an `obs::Gauge` that only
+/// rises), and a row of [`TransportStats::counters`] named by the field.
+macro_rules! host_counters {
+    (
+        counters { $($(#[$cdoc:meta])+ $count:ident,)+ }
+        peaks { $($(#[$pdoc:meta])+ $peak:ident,)+ }
+    ) => {
+        /// Counters shared by one host's reactors and its handle (a node
+        /// has one group behind them, a hub all of its groups). Each is the
+        /// registry handle itself, registered once by `reactor::build`, so
+        /// a registry snapshot and a [`TransportStats`] read the same cells.
+        #[derive(Debug)]
+        pub(crate) struct Counters {
+            $(pub(crate) $count: obs::Counter,)+
+            $(pub(crate) $peak: obs::Gauge,)+
+        }
+
+        impl Counters {
+            /// Register every host counter in `reg` under its field's name,
+            /// unprefixed, on a node and on a hub alike.
+            pub(crate) fn register(reg: &obs::MetricsRegistry) -> Counters {
+                Counters {
+                    $($count: reg.counter(stringify!($count)),)+
+                    $($peak: reg.gauge(stringify!($peak)),)+
+                }
+            }
+
+            /// Read every cell into a snapshot carrying `groups`.
+            pub(crate) fn read(&self, groups: Vec<GroupStats>) -> TransportStats {
+                TransportStats {
+                    groups,
+                    $($count: self.$count.get(),)+
+                    $($peak: self.$peak.get(),)+
+                }
+            }
+        }
+
+        /// A point-in-time snapshot of one host: its hosted groups' rows and
+        /// its transport counters, the same on a node and on a hub.
+        ///
+        /// Satisfies the frame-accounting invariant
+        /// `frames_attempted == frames_sent + frames_dropped + blackholed +
+        /// send_errors` whenever the reactors are quiescent (the soak
+        /// harness checks it after shutdown).
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct TransportStats {
+            /// Every hosted group, sorted by group id (stable across shard
+            /// assignment); a node has its one group here.
+            pub groups: Vec<GroupStats>,
+            $($(#[$cdoc])+ pub $count: u64,)+
+            $($(#[$pdoc])+ pub $peak: u64,)+
+        }
+
+        /// A host's transport counters by field name: [`TransportStats::counters`].
+        pub type HostRow = [(&'static str, u64); [$(stringify!($count),)+ $(stringify!($peak),)+].len()];
+
+        impl TransportStats {
+            /// Every transport counter, named by its field: the one list a
+            /// node's and a hub's registry, the hub's `stats` reply and
+            /// `srm-hub`'s exit line all print.
+            pub fn counters(&self) -> HostRow {
+                [$((stringify!($count), self.$count),)+ $((stringify!($peak), self.$peak),)+]
+            }
+        }
+    };
 }
 
-/// A point-in-time snapshot of one node's transport counters.
-///
-/// Satisfies the frame-accounting invariant
-/// `frames_attempted == frames_sent + frames_dropped + blackholed +
-/// send_errors` whenever the reactor is quiescent (the soak harness checks
-/// it after shutdown).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Per-destination send attempts reaching the socket layer.
-    pub frames_attempted: u64,
-    /// Frames put on the wire (per peer in mesh mode).
-    pub frames_sent: u64,
-    /// Frames suppressed by the chaos plan's drop rules.
-    pub frames_dropped: u64,
-    /// Frames accepted from the socket (post filtering).
-    pub frames_received: u64,
-    /// Per-destination frames swallowed by chaos blackhole windows.
-    pub blackholed: u64,
-    /// `send_to` calls that returned an error.
-    pub send_errors: u64,
-    /// Frames dropped by the chaos plan before the fan-out.
-    pub chaos_dropped: u64,
-    /// Extra frame copies injected by the chaos plan.
-    pub chaos_duplicated: u64,
-    /// Frames held back on the chaos delay queue.
-    pub chaos_delayed: u64,
-    /// Frames damaged by the chaos plan.
-    pub chaos_corrupted: u64,
-    /// Inbound datagrams rejected by envelope decoding.
-    pub decode_errors: u64,
-    /// Transient recv errors retried in place by the supervisor.
-    pub recv_transient_errors: u64,
-    /// Socket rebuilds after fatal recv errors or panics.
-    pub recv_respawns: u64,
-    /// Read paths that exhausted the respawn budget and stopped for good.
-    pub recv_deaths: u64,
-    /// Inbound datagrams lost because the host fell behind: dropped by
-    /// the kernel from a full socket receive buffer (`SO_RXQ_OVFL`, where
-    /// the backend reads it), or shed from a full hub shard inbox. SRM's
-    /// recovery machinery repairs the gaps, exactly as for wire loss.
-    pub inbound_overflow: u64,
-    /// Well-formed frames addressed to a group this node never joined,
-    /// dropped by the cheap filter before any payload copy. A nonzero
-    /// count usually means a peer (or hub) is misconfigured — sending
-    /// here with the wrong `--group`, or a hub group that was never
-    /// `create`d on this side.
-    pub rx_unjoined_group: u64,
-    /// High-water mark of the timer wheel (including lazy-cancelled slots).
-    pub max_wheel_len: u64,
-    /// High-water mark of the chaos delay queue.
-    pub max_delayq_len: u64,
-    /// High-water mark of a reactor's send queue, in frames: at most
-    /// [`SEND_BATCH`](crate::batch::SEND_BATCH), since a full batch is
-    /// flushed at once.
-    pub max_sendq_len: u64,
-    /// GRO buffers whose segments straddled reactors and had to be split
-    /// with per-segment copies; always zero with one reactor (a node).
-    pub demux_splits: u64,
+host_counters! {
+    counters {
+        /// Per-destination send attempts reaching the socket layer.
+        frames_attempted,
+        /// Frames put on the wire (per peer in mesh mode).
+        frames_sent,
+        /// Frames suppressed by the chaos plan's drop rules.
+        frames_dropped,
+        /// Frames accepted from the socket (post filtering).
+        frames_received,
+        /// Per-destination frames swallowed by chaos blackhole windows.
+        blackholed,
+        /// `send_to` calls that returned an error.
+        send_errors,
+        /// Frames dropped by the chaos plan before the fan-out.
+        chaos_dropped,
+        /// Extra frame copies injected by the chaos plan.
+        chaos_duplicated,
+        /// Frames held back on the chaos delay queue.
+        chaos_delayed,
+        /// Frames damaged by the chaos plan.
+        chaos_corrupted,
+        /// Inbound datagrams (or GRO segments) that failed the envelope
+        /// precheck or decode.
+        decode_errors,
+        /// Transient recv errors retried in place by the supervisor.
+        recv_transient_errors,
+        /// Socket rebuilds after fatal recv errors or panics.
+        recv_respawns,
+        /// Read paths that exhausted the respawn budget and stopped for good.
+        recv_deaths,
+        /// Inbound datagrams lost because the host fell behind: dropped by
+        /// the kernel from a full socket receive buffer (`SO_RXQ_OVFL`, where
+        /// the backend reads it), or shed from a full hub shard inbox. SRM's
+        /// recovery machinery repairs the gaps, exactly as for wire loss.
+        inbound_overflow,
+        /// Well-formed frames addressed to a group this host does not
+        /// host, dropped by the cheap filter before any payload copy. A
+        /// nonzero count usually means a peer is misconfigured — sending
+        /// here with the wrong `--group`, or to a hub group that was never
+        /// `create`d.
+        rx_unjoined_group,
+        /// GRO buffers whose segments straddled reactors and had to be split
+        /// with per-segment copies; always zero with one reactor (a node).
+        demux_splits,
+    }
+    peaks {
+        /// High-water mark of one reactor's timer wheels (including
+        /// lazy-cancelled slots).
+        max_wheel_len,
+        /// High-water mark of one reactor's chaos delay queues.
+        max_delayq_len,
+        /// High-water mark of a reactor's send queue, in frames: at most
+        /// [`SEND_BATCH`](crate::batch::SEND_BATCH), since a full batch is
+        /// flushed at once.
+        max_sendq_len,
+    }
 }
 
 impl TransportStats {
-    pub(crate) fn snapshot(c: &Counters) -> TransportStats {
-        TransportStats {
-            frames_attempted: c.frames_attempted.get(),
-            frames_sent: c.frames_sent.get(),
-            frames_dropped: c.frames_dropped.get(),
-            frames_received: c.frames_received.get(),
-            blackholed: c.blackholed.get(),
-            send_errors: c.send_errors.get(),
-            chaos_dropped: c.chaos_dropped.get(),
-            chaos_duplicated: c.chaos_duplicated.get(),
-            chaos_delayed: c.chaos_delayed.get(),
-            chaos_corrupted: c.chaos_corrupted.get(),
-            decode_errors: c.decode_errors.get(),
-            recv_transient_errors: c.recv_transient_errors.get(),
-            recv_respawns: c.recv_respawns.get(),
-            recv_deaths: c.recv_deaths.get(),
-            inbound_overflow: c.inbound_overflow.get(),
-            rx_unjoined_group: c.rx_unjoined_group.get(),
-            max_wheel_len: c.max_wheel_len.get(),
-            max_delayq_len: c.max_delayq_len.get(),
-            max_sendq_len: c.max_sendq_len.get(),
-            demux_splits: c.demux_splits.get(),
-        }
-    }
-
     /// Does this snapshot satisfy the per-destination frame accounting
-    /// invariant? (Only meaningful once the reactor has stopped.)
+    /// invariant? (Only meaningful once the reactors have stopped.)
     pub fn frames_accounted(&self) -> bool {
         self.frames_attempted
             == self.frames_sent + self.frames_dropped + self.blackholed + self.send_errors
@@ -324,6 +340,7 @@ impl Node {
     /// sockets first so every node can list the others as peers): one
     /// reactor, this one group hosted before the loop starts.
     pub fn spawn_on(socket: UdpSocket, mode: Mode, opts: NodeOptions) -> io::Result<NodeHandle> {
+        let src = reactor::envelope_src(opts.id).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let addr = socket.local_addr()?;
         let (id, group) = (opts.id, opts.group.0);
         let Plant { mut mailboxes, mut reactors, counters } = reactor::build(
@@ -336,6 +353,7 @@ impl Node {
         // `build(.., 1, ..)` returns exactly one reactor and its mailbox.
         let mut reactor = reactors.remove(0);
         let hosting = Hosting {
+            src,
             keep_deliveries: true,
             quota: None,
             members: mode.group_size(),
@@ -421,9 +439,11 @@ impl NodeHandle {
         self.counters.frames_received.get()
     }
 
-    /// Snapshot every transport counter.
+    /// Snapshot the node: its group's row (none if the reactor does not
+    /// answer in time), then every transport counter — the rollup a hub's
+    /// [`HubHandle::stats`](crate::HubHandle::stats) runs.
     pub fn stats(&self) -> TransportStats {
-        TransportStats::snapshot(&self.counters)
+        reactor::stats(std::slice::from_ref(&self.mb), &self.counters)
     }
 
     /// Stop the runtime and take the final agent (metrics, recorders, and
@@ -464,6 +484,15 @@ mod tests {
             Mode::group_addr(base, GroupId(300)),
             "239.66.67.44:7400".parse().unwrap()
         );
+    }
+
+    #[test]
+    fn a_member_id_past_32_bits_is_refused_before_the_node_starts() {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let opts = NodeOptions::new(SourceId(1 << 32), GroupId(1), SrmConfig::fixed(2));
+        let err = Node::spawn_on(socket, Mode::Mesh { peers: vec![] }, opts).err().expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("4294967296"), "{err}");
     }
 
     #[test]

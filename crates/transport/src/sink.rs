@@ -93,7 +93,7 @@ mod tests {
         let path = scratch("lines.jsonl");
         let reg = obs::MetricsRegistry::new();
         let sink = StatsSink::start(&path, reg.clone(), Duration::from_secs(60)).unwrap();
-        reg.counter("frames.sent").add(7);
+        reg.counter("frames_sent").add(7);
         sink.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -104,7 +104,7 @@ mod tests {
         let last = obs::json::Json::parse(lines[1]).unwrap();
         let sent = last
             .get("counters")
-            .and_then(|c| c.get("frames.sent"))
+            .and_then(|c| c.get("frames_sent"))
             .and_then(|v| v.as_u64());
         assert_eq!(sent, Some(7));
     }

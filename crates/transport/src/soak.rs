@@ -334,7 +334,7 @@ pub fn run(opts: &SoakOptions) -> io::Result<SoakReport> {
     let mut agents = h.shutdown();
     let summary = srm::harvest_summary(&agents);
     let nodes = (agents.iter().enumerate())
-        .map(|(i, a)| NodeOutcome::new(a, stats[i], pings[i], &expects[i], &delivered[i]))
+        .map(|(i, a)| NodeOutcome::new(a, stats[i].clone(), pings[i], &expects[i], &delivered[i]))
         .collect();
     let timeline = opts.trace.then(|| srm::harvest_timeline(&mut agents, Vec::new()));
 

@@ -1,7 +1,9 @@
 //! Malformed `srm-node` and `srm-hub` command lines: each row exits 2 at
 //! parse time, before any socket or thread exists, with an error line that
 //! names the flag at fault; `--help` prints the usage on stdout and exits 0.
+//! Plus `srm-hub`'s exit line after a control session on stdin.
 
+use std::io::Write;
 use std::process::{Command, Stdio};
 
 /// A row: the arguments, the exit code, and what the first stderr line
@@ -52,6 +54,7 @@ fn malformed_srm_node_command_lines_exit_2_and_name_the_flag() {
         (join(&["--bogus"]), 2, "--bogus"),
         (vec!["join", "--id"], 2, "--id"),
         (vec!["join", "--id", "abc"], 2, "--id"),
+        (vec!["join", "--id", "4294967296", "--bind", "127.0.0.1:0", "--peers", "127.0.0.1:9"], 2, "--id"),
         (vec!["join", "--id", "1"], 2, "--bind"),
         (join(&["--store-cache", "0", "--store", "x"]), 2, "--store-cache"),
         (join(&["--fsync", "always"]), 2, "--store"),
@@ -89,4 +92,28 @@ fn malformed_srm_hub_command_lines_exit_2_and_name_the_flag() {
         ],
     );
     help(HUB, "srm-hub", &["--help"]);
+}
+
+/// A group created and then drained by `stop` is counted in the exit
+/// line's `groups_drained`, beside the transport counters under their
+/// `TransportStats::counters` names.
+#[test]
+fn srm_hub_exit_line_counts_the_groups_stop_drained() {
+    let mut hub = Command::new(HUB)
+        .args(["--bind", "127.0.0.1:0", "--shards", "2", "--quiet", "--duration", "30"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = hub.stdin.take().expect("piped stdin");
+    stdin.write_all(b"{\"cmd\":\"create\",\"group\":1}\n{\"cmd\":\"stop\"}\n").unwrap();
+    drop(stdin);
+    let out = hub.wait_with_output().expect("hub exits");
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains(r#"{"ok":true,"cmd":"stop","groups":1}"#), "{stdout}");
+    let done = stderr.lines().find(|l| l.starts_with("srm-hub: done")).unwrap_or_else(|| panic!("{stderr}"));
+    assert!(done.contains("groups_drained=1 "), "{done}");
+    assert!(done.contains(" frames_attempted=") && done.contains(" max_sendq_len="), "{done}");
 }

@@ -32,7 +32,7 @@ use netsim::{flow, GroupId, SimDuration};
 use proptest::prelude::*;
 use srm::{LivenessConfig, Message, PageId, SourceId, SrmAgent, SrmConfig};
 use srm_transport::control::serve;
-use srm_transport::hub::{GroupStats, Hub, HubOptions};
+use srm_transport::hub::{Hub, HubOptions};
 use obs::json::Json;
 use srm_transport::{
     handle_line, shard_of, ChaosPlan, Envelope, GroupMonitor, GroupSpec, Harness,
@@ -115,11 +115,6 @@ proptest! {
             prop_assert!(Envelope::decode_view(&bad).is_err());
         }
     }
-}
-
-/// A group's agent counter by name, from its [`GroupStats`] row.
-fn agent(g: &GroupStats, name: &str) -> u64 {
-    g.agent.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
 }
 
 /// Options for member 1 of a 2-member group 1 that loses its first DATA
@@ -209,7 +204,7 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
     let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
     stranger.send_to(&cut[..cut.len() - 1], hub.local_addr()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while hub.stats().rx_undecodable == 0 && Instant::now() < deadline {
+    while hub.stats().decode_errors == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
     let hub_transport: BTreeSet<&'static str> = hub
@@ -217,13 +212,13 @@ fn hub_group_is_payload_equivalent_to_a_single_group_node() {
         .expect("group 1 is hosted");
 
     let st = hub.stats();
-    assert_eq!(st.rx_undecodable, 1, "the cut frame is counted: {st:?}");
+    assert_eq!(st.decode_errors, 1, "the cut frame is counted: {st:?}");
     assert!(
         hub_transport.contains("decode_error"),
         "the reactor's decode error is read through its traced group: {hub_transport:?}"
     );
     assert_eq!(st.groups.len(), 1);
-    assert_eq!(agent(&st.groups[0], "data_sent"), u64::from(N));
+    assert_eq!(st.groups[0].agent_counter("data_sent"), u64::from(N));
     assert_eq!(st.frames_dropped, 1, "the chaos drop rule acts on a hub group: {st:?}");
     assert_eq!(
         st.frames_attempted,
@@ -308,7 +303,7 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
     let st = hub.stats();
     assert_eq!(st.groups.len(), GROUPS as usize, "stats must list all groups");
     for g in &st.groups {
-        assert_eq!(agent(g, "data_sent"), u64::from(ADUS), "group {} data_sent", g.group);
+        assert_eq!(g.agent_counter("data_sent"), u64::from(ADUS), "group {} data_sent", g.group);
     }
 
     // Receivers only talk back via periodic session messages (≥1 s apart),
@@ -328,8 +323,9 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
     // Drain everything: each group's last act is a session message, which
     // is exactly what the monitors need to finish their picture.
     let drained = hub.drain_all();
-    assert_eq!(drained.groups, GROUPS, "every group drains");
-    assert_eq!(drained.data_sent, u64::from(GROUPS * ADUS));
+    assert_eq!(drained.len(), GROUPS as usize, "every group drains");
+    let data_sent: u64 = drained.iter().map(|g| g.agent_counter("data_sent")).sum();
+    assert_eq!(data_sent, u64::from(GROUPS * ADUS));
 
     // Feed the monitors from their sockets until they run dry.
     let clock = WallClock::new();
@@ -374,32 +370,10 @@ fn eight_concurrent_groups_deliver_independently_under_one_hub() {
         st.frames_sent + st.frames_dropped + st.blackholed + st.send_errors,
         "hub-wide frame accounting after drain: {st:?}"
     );
-    // The registry's host counters are the cells `stats()` reads, under the
-    // hub's names, so one snapshot agrees with it; each group's mirrors sit
-    // under `hub.g{G}.` and each reactor's under `hub.shard{i}.`.
-    let totals = [
-        ("hub.frames_attempted", st.frames_attempted),
-        ("hub.frames_sent", st.frames_sent),
-        ("hub.frames_dropped", st.frames_dropped),
-        ("hub.blackholed", st.blackholed),
-        ("hub.send_errors", st.send_errors),
-        ("hub.rx_frames", st.rx_frames),
-        ("hub.rx_undecodable", st.rx_undecodable),
-        ("hub.rx_unjoined_group", st.rx_unjoined_group),
-        ("hub.inbound_overflow", st.inbound_overflow),
-        ("hub.demux_splits", st.demux_splits),
-        ("hub.chaos_dropped", st.chaos_dropped),
-        ("hub.chaos_duplicated", st.chaos_duplicated),
-        ("hub.chaos_delayed", st.chaos_delayed),
-        ("hub.chaos_corrupted", st.chaos_corrupted),
-        ("hub.recv_transient_errors", st.recv_transient_errors),
-        ("hub.recv_respawns", st.recv_respawns),
-        ("hub.recv_deaths", st.recv_deaths),
-    ];
+    // Each group's mirrors sit under `hub.g{G}.` and each reactor's under
+    // `hub.shard{i}.` (the host counters' own names are checked by
+    // `a_node_and_a_hub_report_their_transport_counters_from_one_table`).
     let snap = registry.snapshot();
-    for (name, want) in totals {
-        assert_eq!(snap.counters.get(name), Some(&want), "{name}");
-    }
     // Each ADU is one multicast, and the farewell session message one more.
     let g1 = snap.counters.get("hub.g1.tx_frames").copied();
     assert!(g1 > Some(u64::from(ADUS)), "hub.g1.tx_frames: {g1:?}");
@@ -468,7 +442,7 @@ fn control_plane_replies_match_the_golden_transcript() {
 
 /// A hub group's chaos actions reach every view of the hub's counters: a
 /// group hosted with a seeded loss plan drops frames, and the `stats`
-/// reply, `HubStats` and the registry's `hub.chaos_dropped` agree.
+/// reply, `HubStats` and the registry's `chaos_dropped` agree.
 #[test]
 fn hub_stats_carry_the_groups_chaos_counts() {
     let registry = obs::MetricsRegistry::new();
@@ -485,10 +459,78 @@ fn hub_stats_carry_the_groups_chaos_counts() {
     let st = hub.stats();
     let reply = Json::parse(&handle_line(&hub, r#"{"cmd":"stats"}"#)).unwrap();
     let in_reply = reply.get("hub").and_then(|h| h.get("chaos_dropped")).and_then(Json::as_u64);
-    let in_registry = registry.snapshot().counters.get("hub.chaos_dropped").copied();
+    let in_registry = registry.snapshot().counters.get("chaos_dropped").copied();
     assert!(st.chaos_dropped > 0, "a 50 % loss plan dropped nothing: {st:?}");
     assert_eq!(in_reply, Some(st.chaos_dropped), "stats reply");
     assert_eq!(in_registry, Some(st.chaos_dropped), "registry");
+    hub.shutdown();
+}
+
+/// A registry entry by name, counter or gauge.
+fn registered(snap: &obs::MetricsSnapshot, name: &str) -> Option<u64> {
+    snap.counters.get(name).or_else(|| snap.gauges.get(name)).copied()
+}
+
+/// A node and a 2-shard hub name, count and report their transport
+/// counters from one table: for every `TransportStats::counters` entry the
+/// host's registry, its `stats()` and (on the hub) the `stats` reply read
+/// one value under one name, and `srm-experiments monitor` reads the hub's
+/// stats file by those names.
+#[test]
+fn a_node_and_a_hub_report_their_transport_counters_from_one_table() {
+    let hub_reg = obs::MetricsRegistry::new();
+    let opts = HubOptions { shards: 2, metrics: Some(hub_reg.clone()), ..HubOptions::default() };
+    let hub = Hub::spawn("127.0.0.1:0".parse().unwrap(), opts).unwrap();
+    let node_reg = obs::MetricsRegistry::new();
+    // No session messages on either side: nothing moves once the ADUs land.
+    let mut node_opts = NodeOptions::new(SourceId(2), GroupId(1), SrmConfig::fixed(2));
+    node_opts.session_enabled = false;
+    node_opts.metrics = Some(node_reg.clone());
+    let to_hub = Mode::Mesh { peers: vec![hub.local_addr()] };
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), to_hub, node_opts).unwrap();
+    let mut member = NodeOptions::new(SourceId(1), GroupId(1), SrmConfig::fixed(2));
+    member.session_enabled = false;
+    hub.create_with(Mode::Mesh { peers: vec![node.local_addr()] }, member).unwrap();
+    let before = hub_reg.snapshot();
+    hub.send(1, "one table", 5).unwrap();
+    let got = collect_delivered(&node, 5, Instant::now() + Duration::from_secs(30));
+    assert_eq!(got.len(), 5, "the ADUs never arrived");
+
+    let st = node.stats();
+    let snap = node_reg.snapshot();
+    for (name, v) in st.counters() {
+        assert_eq!(registered(&snap, name), Some(v), "node registry {name}");
+    }
+    assert_eq!(st.frames_received, 5, "{st:?}");
+    assert_eq!((st.groups.len(), st.groups[0].group), (1, 1), "a node's stats carry its group's row");
+    assert_eq!(st.groups[0].rx_frames, 5);
+
+    let st = hub.stats();
+    let snap = hub_reg.snapshot();
+    let reply = Json::parse(&handle_line(&hub, r#"{"cmd":"stats"}"#)).unwrap();
+    let in_reply = reply.get("hub").and_then(Json::as_obj).expect("hub object");
+    assert_eq!(in_reply.len(), st.counters().len(), "the reply's hub object is the table");
+    for (name, v) in st.counters() {
+        assert_eq!(registered(&snap, name), Some(v), "hub registry {name}");
+        assert_eq!(reply.get("hub").and_then(|h| h.get(name)).and_then(Json::as_u64), Some(v), "reply {name}");
+    }
+    assert!(st.frames_sent >= 5, "{st:?}");
+    assert_eq!(st.groups[0].agent_counter("data_sent"), 5);
+
+    // The hub's stats file, fed to the monitor, shows what the hub sent.
+    let names: BTreeSet<&str> = st.counters().iter().map(|(n, _)| *n).collect();
+    for row in srm_experiments::monitor_cmd::HEADLINE {
+        assert!(names.contains(row) || row.contains(".frames."), "{row} is not a host counter name");
+    }
+    let file = format!("{}\n{}\n", before.to_json_line(), snap.to_json_line());
+    let digest = srm_experiments::monitor_cmd::digest_stats(&file).expect("a valid stats file");
+    let text = srm_experiments::monitor_cmd::render(None, &[("hub".to_string(), digest)]);
+    let sent = (text.lines())
+        .find_map(|l| l.trim().strip_prefix("frames_sent: "))
+        .and_then(|v| v.split(' ').next()?.parse::<u64>().ok());
+    assert_eq!(sent, Some(st.frames_sent), "{text}");
+    assert!(sent > Some(0), "{text}");
+    drop(node.shutdown());
     hub.shutdown();
 }
 
@@ -524,8 +566,8 @@ fn a_hub_group_shows_its_agents_counters_under_one_set_of_names() {
     let reply = Json::parse(&handle_line(&hub, r#"{"cmd":"stats"}"#)).unwrap();
     let group = &reply.get("groups").and_then(Json::as_arr).expect("groups")[0];
     let row = &st.groups[0];
-    assert_eq!((agent(row, "data_sent"), agent(row, "repairs_sent")), (2, 1), "{row:?}");
-    assert_eq!(agent(row, "requests_received"), 1, "{row:?}");
+    assert_eq!((row.agent_counter("data_sent"), row.agent_counter("repairs_sent")), (2, 1), "{row:?}");
+    assert_eq!(row.agent_counter("requests_received"), 1, "{row:?}");
     for (name, v) in row.agent {
         assert_eq!(snap.counters.get(&format!("hub.g1.agent.{name}")), Some(&v), "registry {name}");
         assert_eq!(group.get(name).and_then(Json::as_u64), Some(v), "stats reply {name}");

@@ -443,9 +443,10 @@ fn registry_reads_equal_node_stats_right_after_exec() {
     });
     let snap = registry.snapshot();
     let st = node.stats();
-    assert_eq!(snap.counters.get("frames.sent"), Some(&st.frames_sent));
-    assert_eq!(snap.counters.get("frames.received"), Some(&st.frames_received));
-    assert_eq!(snap.gauges.get("wheel.high_water"), Some(&st.max_wheel_len));
+    for (name, v) in st.counters() {
+        let registered = snap.counters.get(name).or_else(|| snap.gauges.get(name));
+        assert_eq!(registered, Some(&v), "{name}");
+    }
     assert_eq!((st.frames_sent, st.frames_received), (1, 5));
     assert!(st.max_wheel_len >= 1, "the armed timer is in the peak: {st:?}");
     h.shutdown();
