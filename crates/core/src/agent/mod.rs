@@ -285,6 +285,12 @@ impl SrmAgent {
         std::mem::take(&mut self.delivered)
     }
 
+    /// ADUs handed to the application so far, whether or not they have
+    /// been taken or discarded since.
+    pub fn deliveries(&self) -> u64 {
+        self.unique_data_received
+    }
+
     /// Discard the ADUs delivered since the last call, keeping the queue's
     /// allocation for the next ones; how many there were.
     pub fn discard_delivered(&mut self) -> usize {

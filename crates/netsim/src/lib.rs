@@ -51,6 +51,7 @@ pub mod effects;
 pub mod event;
 pub mod faults;
 pub mod generators;
+pub mod log;
 pub mod loss;
 pub mod packet;
 pub mod routing;
@@ -65,6 +66,7 @@ pub use faults::{partition_cut, FaultEvent, FaultPlan, NodeClock};
 pub use packet::{flow, GroupId, Packet, PacketBody, PacketId, SendOptions, TTL_GLOBAL};
 pub use routing::SpTree;
 pub use sim::{Application, Ctx, Simulator};
-pub use stats::{Stats, Trace, TraceEvent};
+pub use log::EventLog;
+pub use stats::{Stats, TraceEvent};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Link, LinkId, NodeId, Topology, TopologyBuilder};

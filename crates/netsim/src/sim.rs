@@ -18,7 +18,8 @@ use crate::faults::{FaultEvent, FaultPlan, NodeClock};
 use crate::loss::{LossModel, NoLoss};
 use crate::packet::{GroupId, Packet, PacketBody, PacketId, SendOptions};
 use crate::routing::{SpTree, SptCache};
-use crate::stats::{Stats, Trace, TraceEvent};
+use crate::log::EventLog;
+use crate::stats::{Stats, TraceEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, Topology};
 use bytes::Bytes;
@@ -223,8 +224,8 @@ pub struct Simulator<A: Application> {
     actions: Vec<(NodeId, Action)>,
     /// Traffic counters.
     pub stats: Stats,
-    /// Optional event log (see [`Trace::enable`]).
-    pub trace: Trace,
+    /// Optional event log (see [`EventLog::enable`]).
+    pub trace: EventLog<TraceEvent>,
     started: bool,
     // --- fault state (see crate::faults) ---
     seed: u64,
@@ -281,7 +282,7 @@ impl<A: Application> Simulator<A> {
             next_packet: 0,
             actions: Vec::new(),
             stats: Stats::new(links),
-            trace: Trace::default(),
+            trace: EventLog::default(),
             started: false,
             seed,
             link_up: vec![true; links],
@@ -625,7 +626,7 @@ impl<A: Application> Simulator<A> {
         );
         self.stats.record_send(opts.flow);
         if self.trace.is_enabled() {
-            self.trace.push(TraceEvent::Send {
+            self.trace.record(TraceEvent::Send {
                 at: self.now,
                 node,
                 pkt: id,
@@ -692,7 +693,7 @@ impl<A: Application> Simulator<A> {
         }
         self.stats.record_delivery(pkt.flow);
         if self.trace.is_enabled() {
-            self.trace.push(TraceEvent::Deliver {
+            self.trace.record(TraceEvent::Deliver {
                 at: self.now,
                 node,
                 pkt: pkt.id,
@@ -719,7 +720,7 @@ impl<A: Application> Simulator<A> {
             // routed here before the failure took effect).
             self.stats.record_drop(link);
             if self.trace.is_enabled() {
-                self.trace.push(TraceEvent::Drop {
+                self.trace.record(TraceEvent::Drop {
                     at: self.now,
                     link,
                     pkt: pkt.id,
@@ -761,7 +762,7 @@ impl<A: Application> Simulator<A> {
         if dropped {
             self.stats.record_drop(link);
             if self.trace.is_enabled() {
-                self.trace.push(TraceEvent::Drop {
+                self.trace.record(TraceEvent::Drop {
                     at: self.now,
                     link,
                     pkt: pkt.id,
@@ -786,7 +787,7 @@ impl<A: Application> Simulator<A> {
             let at = self.now + delay + jitter;
             self.stats.record_hop(link, pkt.flow, pkt.size);
             if self.trace.is_enabled() {
-                self.trace.push(TraceEvent::Forward {
+                self.trace.record(TraceEvent::Forward {
                     at,
                     link,
                     from: node,
@@ -883,7 +884,7 @@ impl<A: Application> Simulator<A> {
     fn apply_fault(&mut self, index: usize) {
         let ev = self.plan[index].1.clone();
         if self.trace.is_enabled() {
-            self.trace.push(TraceEvent::Fault {
+            self.trace.record(TraceEvent::Fault {
                 at: self.now,
                 desc: ev.to_string(),
             });
@@ -1554,10 +1555,8 @@ mod tests {
                 .link_up(SimTime::from_secs(2), l01),
         );
         sim.run_until(SimTime::from_secs(5));
-        assert_eq!(
-            sim.trace.count(|e| matches!(e, TraceEvent::Fault { .. })),
-            2
-        );
+        let faults = sim.trace.events().filter(|e| matches!(e, TraceEvent::Fault { .. }));
+        assert_eq!(faults.count(), 2);
     }
 
     #[test]
@@ -1566,9 +1565,10 @@ mod tests {
         sim.trace.enable();
         sim.send_from(NodeId(0), G, Bytes::from_static(&[1]), SendOptions::default());
         sim.run_until_idle(SimTime::from_secs(10));
-        let sends = sim.trace.count(|e| matches!(e, TraceEvent::Send { .. }));
-        let fwds = sim.trace.count(|e| matches!(e, TraceEvent::Forward { .. }));
-        let dels = sim.trace.count(|e| matches!(e, TraceEvent::Deliver { .. }));
+        let count = |f: fn(&TraceEvent) -> bool| sim.trace.events().filter(|e| f(e)).count();
+        let sends = count(|e| matches!(e, TraceEvent::Send { .. }));
+        let fwds = count(|e| matches!(e, TraceEvent::Forward { .. }));
+        let dels = count(|e| matches!(e, TraceEvent::Deliver { .. }));
         assert_eq!(sends, 1);
         assert_eq!(fwds, 2);
         assert_eq!(dels, 2);

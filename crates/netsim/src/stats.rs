@@ -1,14 +1,16 @@
-//! Simulation statistics and event tracing.
+//! Simulation statistics and the trace's event vocabulary.
 //!
 //! Section V of the paper mentions "the tools that we used to verify that
 //! our simulator is correctly implementing the loss recovery algorithms";
-//! the [`Trace`] here plays that role: every send, forward, drop, and
-//! delivery can be recorded and asserted on in tests.
+//! the simulator's trace plays that role: an [`EventLog`] of
+//! [`TraceEvent`]s in which every send, forward, drop, delivery and fault
+//! can be recorded and asserted on in tests.
 
+use crate::log::EventLog;
 use crate::packet::PacketId;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Per-link counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -201,116 +203,11 @@ pub enum TraceEvent {
     },
 }
 
-/// An in-memory log of [`TraceEvent`]s — the explicit trace *sink*.
-///
-/// Disabled by default: a disabled trace records nothing and allocates
-/// nothing, so long runs stay flat in memory. [`Trace::enable`] records
-/// everything (test/debug use); [`Trace::enable_bounded`] keeps only the
-/// most recent `cap` events in a ring, for always-on tracing of big runs.
-/// The simulator's hot path checks [`Trace::is_enabled`] before even
-/// constructing an event.
-#[derive(Clone, Debug, Default)]
-pub struct Trace {
-    enabled: bool,
-    /// Ring capacity when bounded; `None` records without limit.
-    cap: Option<usize>,
-    /// Recorded events in order (oldest first).
-    events: VecDeque<TraceEvent>,
-    /// Events discarded by a bounded ring since the last [`Trace::clear`].
-    dropped: u64,
-}
-
-impl Trace {
-    /// Start recording without bound (every event is kept).
-    pub fn enable(&mut self) {
-        self.enabled = true;
-        self.cap = None;
-    }
-
-    /// Start recording into a ring that keeps only the latest `cap`
-    /// events; older ones are discarded (and counted in
-    /// [`Trace::dropped_events`]). A `cap` of 0 records nothing.
-    pub fn enable_bounded(&mut self, cap: usize) {
-        self.enabled = true;
-        self.cap = Some(cap);
-    }
-
-    /// Stop recording (keeps what was recorded).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Is the sink currently recording? The simulator consults this before
-    /// building an event, so a disabled trace costs one branch per
-    /// would-be record.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Drop all recorded events and reset the dropped-event counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-
-    pub(crate) fn push(&mut self, e: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(cap) = self.cap {
-            if cap == 0 {
-                self.dropped += 1;
-                return;
-            }
-            if self.events.len() >= cap {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.events.push_back(e);
-    }
-
-    /// Recorded events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of recorded (retained) events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Heap slots reserved for events (0 until something is recorded —
-    /// asserted by tests that a disabled trace never grows).
-    pub fn capacity(&self) -> usize {
-        self.events.capacity()
-    }
-
-    /// Events a bounded ring has discarded since the last clear.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Count of recorded events matching a predicate.
-    pub fn count(&self, f: impl Fn(&TraceEvent) -> bool) -> usize {
-        self.events.iter().filter(|e| f(e)).count()
-    }
-
-    /// Deliveries of a given packet, in order.
-    pub fn deliveries_of(&self, pkt: PacketId) -> Vec<(SimTime, NodeId)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Deliver { at, node, pkt: p, .. } if *p == pkt => Some((*at, *node)),
-                _ => None,
-            })
-            .collect()
+impl EventLog<TraceEvent> {
+    /// Record one simulator event. The simulator's hot path checks
+    /// [`EventLog::is_enabled`] before even building the event.
+    pub(crate) fn record(&mut self, e: TraceEvent) {
+        self.record_with(|_| e);
     }
 }
 
@@ -354,85 +251,5 @@ mod tests {
         assert_eq!(s.link(LinkId(6)).packets, 0);
         s.record_hop(LinkId(0), 0, 1);
         assert_eq!(s.link(LinkId(0)).packets, 1);
-    }
-
-    fn send(pkt: u64) -> TraceEvent {
-        TraceEvent::Send {
-            at: SimTime::ZERO,
-            node: NodeId(0),
-            pkt: PacketId(pkt),
-            flow: 0,
-        }
-    }
-
-    #[test]
-    fn trace_respects_enable() {
-        let mut t = Trace::default();
-        t.push(send(1));
-        assert!(t.is_empty());
-        t.enable();
-        t.push(send(2));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn disabled_trace_never_allocates() {
-        let mut t = Trace::default();
-        assert!(!t.is_enabled());
-        for i in 0..10_000 {
-            t.push(send(i));
-        }
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.capacity(), 0, "disabled sink must not grow");
-    }
-
-    #[test]
-    fn bounded_trace_keeps_only_the_tail() {
-        let mut t = Trace::default();
-        t.enable_bounded(3);
-        for i in 0..10 {
-            t.push(send(i));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped_events(), 7);
-        let kept: Vec<u64> = t
-            .events()
-            .map(|e| match e {
-                TraceEvent::Send { pkt, .. } => pkt.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![7, 8, 9]);
-        // The ring never reserves far past its cap.
-        assert!(t.capacity() <= 8, "capacity {} exceeds ring bound", t.capacity());
-        t.clear();
-        assert_eq!(t.dropped_events(), 0);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut t = Trace::default();
-        t.enable_bounded(0);
-        t.push(send(1));
-        assert!(t.is_empty());
-        assert_eq!(t.dropped_events(), 1);
-        assert_eq!(t.capacity(), 0);
-    }
-
-    #[test]
-    fn deliveries_of_filters() {
-        let mut t = Trace::default();
-        t.enable();
-        for i in 0..3 {
-            t.push(TraceEvent::Deliver {
-                at: SimTime::from_secs(i),
-                node: NodeId(i as u32),
-                pkt: PacketId(if i == 1 { 7 } else { 8 }),
-                flow: 0,
-            });
-        }
-        assert_eq!(t.deliveries_of(PacketId(7)).len(), 1);
-        assert_eq!(t.deliveries_of(PacketId(8)).len(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The recovery [`Recorder`](crate::Recorder) stream is ADU-keyed and pinned
 //! by golden-trace files, so transport-level happenings (a frame eaten by the
-//! chaos plan, a recv-thread respawn, a peer declared dead) get their own
+//! chaos plan, a rebuilt socket, a peer declared dead) get their own
 //! event vocabulary and their own log, a [`TransportLog`](crate::TransportLog):
 //! the same [`EventLog`](crate::log::EventLog) as the recovery recorder, so
 //! disabled by default, a single branch when off, and never touching
@@ -52,19 +52,22 @@ pub enum TransportEventKind {
         /// Flow label of the swallowed frame.
         flow: u32,
     },
-    /// The recv loop hit a socket error.
+    /// A socket call failed: a read on the reactor's supervised read path,
+    /// a send, or a multicast join.
     SocketError {
         /// `io::ErrorKind`-style label, e.g. `"connection reset"`.
         detail: String,
         /// Whether the supervisor classified it transient (retried) or fatal.
         transient: bool,
     },
-    /// The supervisor respawned the recv thread after a panic or fatal error.
+    /// The read path's supervisor rebuilt the socket (a fresh clone, or a
+    /// fresh bind) after a panic or fatal read error.
     RecvRespawn {
         /// 1-based respawn attempt number.
         attempt: u32,
     },
-    /// The recv loop exited for good; `reason` explains why.
+    /// The read path's supervisor gave up: the reactor stops reading the
+    /// socket but keeps firing timers; `reason` explains why.
     RecvExit {
         /// Exit reason, e.g. `"shutdown"` or `"respawn budget exhausted"`.
         reason: String,

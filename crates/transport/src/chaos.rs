@@ -6,10 +6,12 @@
 //! back on the reactor's [`DelayQueue`], netsim's deadline queue), payload
 //! corruption, per-peer blackhole/partition windows, delay jitter, and
 //! forced drops of the n-th frame of a flow ([`DropNth`], what recovery
-//! tests use to make the one loss they repair). A [`ChaosTransport`]
-//! decorates any [`srm::Driver`] with the plan's randomized actions;
-//! blackhole windows and forced drops are RNG-free and applied per
-//! destination on the send fan-out.
+//! tests use to make the one loss they repair). A hosted group applies its
+//! plan in one place, its send path: the randomized actions once per
+//! logical multicast ([`ChaosState::verdict`]), the RNG-free blackhole
+//! windows and forced drops per destination of the fan-out. Every action
+//! is counted in the host's transport counters and recorded in the group's
+//! transport log.
 //!
 //! Determinism: [`ChaosState`] owns its own seeded RNG, separate from the
 //! protocol's timer RNG, and [`ChaosState::verdict`] makes a *fixed number
@@ -25,10 +27,9 @@
 //! phantom ADU name.
 
 use bytes::Bytes;
-use netsim::{flow, DeadlineQueue, GroupId, SendOptions, SimDuration, SimTime, TimerId};
+use netsim::{flow, DeadlineQueue, GroupId, SendOptions, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srm::{Clock, Driver, Transport};
 use std::net::SocketAddr;
 
 /// A half-open activity window `[start, end)` on the node's clock axis.
@@ -357,20 +358,6 @@ impl ChaosState {
     }
 }
 
-/// Per-node tallies of chaos actions, owned by the reactor and published to
-/// the node's shared counters at each loop turn.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosTally {
-    /// Frames dropped (Bernoulli + burst).
-    pub dropped: u64,
-    /// Extra copies sent.
-    pub duplicated: u64,
-    /// Frames held back on the delay queue.
-    pub delayed: u64,
-    /// Frames damaged before sending.
-    pub corrupted: u64,
-}
-
 /// A frame held back by the reorder model, due for release at `due`.
 #[derive(Clone, Debug)]
 pub struct DelayedSend {
@@ -434,100 +421,6 @@ pub fn corrupt_payload(payload: &Bytes) -> Bytes {
         Bytes::from(v)
     } else {
         Bytes::new()
-    }
-}
-
-/// Decorates a [`Driver`] with a [`ChaosPlan`]'s frame-level actions.
-///
-/// Dropped/duplicated/corrupted frames are decided here; reordered frames
-/// go onto the reactor-owned [`DelayQueue`] (released by the reactor loop
-/// straight to the socket, so a frame is acted on at most once).  Every
-/// action is tallied and, when a log is attached, recorded as a typed
-/// transport event.
-pub struct ChaosTransport<'a, D: Driver> {
-    /// The real driver.
-    pub inner: &'a mut D,
-    /// Seeded chaos decisions.
-    pub state: &'a mut ChaosState,
-    /// Reactor-owned hold-back queue.
-    pub delayq: &'a mut DelayQueue,
-    /// Action tallies.
-    pub tally: &'a mut ChaosTally,
-    /// Typed event log (may be disabled).
-    pub log: &'a mut obs::TransportLog,
-}
-
-impl<D: Driver> Clock for ChaosTransport<'_, D> {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn local_now(&self) -> SimTime {
-        self.inner.local_now()
-    }
-}
-
-impl<D: Driver> Transport for ChaosTransport<'_, D> {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        // A group-scoped plan ignores other groups' frames entirely —
-        // crucially *before* the verdict draws, so scoping does not shift
-        // the RNG stream the scoped group's frames see.
-        if !self.state.plan.applies_to(group) {
-            self.inner.multicast(group, payload, opts);
-            return;
-        }
-        let now = self.inner.now();
-        let v = self.state.verdict(now);
-        if !v.deliver {
-            self.tally.dropped += 1;
-            self.log.record(now, obs::TransportEventKind::ChaosDrop { flow: opts.flow });
-            return;
-        }
-        let payload = if v.corrupt {
-            self.tally.corrupted += 1;
-            self.log.record(now, obs::TransportEventKind::ChaosCorrupt { flow: opts.flow });
-            corrupt_payload(&payload)
-        } else {
-            payload
-        };
-        if let Some(by) = v.delay {
-            self.tally.delayed += 1;
-            self.log.record(
-                now,
-                obs::TransportEventKind::ChaosDelay { flow: opts.flow, by },
-            );
-            self.delayq.push(now + by, group, payload.clone(), opts.clone());
-            if v.duplicate {
-                self.tally.duplicated += 1;
-                self.log
-                    .record(now, obs::TransportEventKind::ChaosDuplicate { flow: opts.flow });
-                self.delayq.push(now + by, group, payload, opts);
-            }
-            return;
-        }
-        self.inner.multicast(group, payload.clone(), opts.clone());
-        if v.duplicate {
-            self.tally.duplicated += 1;
-            self.log
-                .record(now, obs::TransportEventKind::ChaosDuplicate { flow: opts.flow });
-            self.inner.multicast(group, payload, opts);
-        }
-    }
-
-    fn join(&mut self, group: GroupId) {
-        self.inner.join(group);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.inner.set_timer(delay, token)
-    }
-
-    fn cancel_timer(&mut self, id: TimerId) {
-        self.inner.cancel_timer(id);
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.inner.rng()
     }
 }
 
@@ -985,7 +878,7 @@ mod tests {
             } else {
                 // Another group's frame: the mixed run must *not* draw —
                 // modelled here by simply not calling verdict, which is
-                // exactly what `applies_to` gates in ChaosTransport.
+                // exactly what `applies_to` gates in the group's send.
                 assert!(!plan.applies_to(GroupId(9)));
             }
         }

@@ -59,8 +59,8 @@ pub struct GroupStats {
     pub rx_frames: u64,
     /// Logical multicasts the agent issued (pre fan-out).
     pub tx_frames: u64,
-    /// ADUs delivered to the hub-side application (0 on a node, which
-    /// keeps its deliveries queued for `take_delivered`).
+    /// ADUs the group's agent delivered to its application, whether a
+    /// node keeps them queued for `take_delivered` or a hub discards them.
     pub delivered: u64,
     /// The group's agent's counters ([`srm::AgentMetrics::counters`]).
     pub agent: srm::CounterRow,

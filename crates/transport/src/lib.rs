@@ -73,7 +73,7 @@ pub use batch::{
     configure_socket_buffers, enter_batch_scheduling, make_backend, BatchOptions, BatchSocket,
     PortableSocket, RecvFrame, SendFrame,
 };
-pub use chaos::{parse_spec, ChaosPlan, ChaosState, ChaosTally, ChaosTransport, DelayQueue};
+pub use chaos::{parse_spec, ChaosPlan, ChaosState, DelayQueue};
 pub use clock::WallClock;
 pub use control::{handle_line, parse_command, Command, GroupSpec};
 pub use envelope::{Envelope, EnvelopeError, EnvelopeView};

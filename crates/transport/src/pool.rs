@@ -41,8 +41,8 @@ struct PoolShared {
 
 /// A bounded recycle pool of fixed-size byte slabs.
 ///
-/// Clones share the same slabs (the recv thread and the reactor each hold
-/// one end).
+/// Clones share the same slabs (on a hub, the reactor that reads the
+/// socket and the shard that walks a forwarded buffer each hold one end).
 #[derive(Clone, Debug)]
 pub struct BufferPool {
     shared: Arc<PoolShared>,

@@ -41,15 +41,16 @@
 //!   recorders, durable store). Every agent entry point goes through
 //!   `HostDriver`, the one wall-clock implementation of the [`srm::Driver`]
 //!   seam, so the protocol code that runs here is byte-for-byte the code
-//!   the simulator runs. With a [`ChaosPlan`](crate::ChaosPlan) configured,
-//!   a [`ChaosTransport`] decorates the driver.
+//!   the simulator runs. A [`ChaosPlan`](crate::ChaosPlan) acts in one
+//!   place, the group's send: its seeded verdict per logical multicast,
+//!   its blackholes and forced drops per destination of the fan-out.
 //!
 //! Control — `NodeHandle::exec`, every hub RPC — is one event: a closure
 //! run on the reactor thread ([`submit`]), whose sends are flushed before
 //! it is answered.
 
 use crate::batch::{self, make_backend, BatchOptions, BatchSocket, Bell, RecvFrame, SendFrame};
-use crate::chaos::{ChaosState, ChaosTally, ChaosTransport, Cut, DelayQueue, Fanout};
+use crate::chaos::{corrupt_payload, ChaosState, Cut, DelayQueue, Fanout};
 use crate::clock::WallClock;
 use crate::envelope::{Envelope, HEADER_LEN};
 use crate::hub::{shard_of, GroupStats};
@@ -202,7 +203,7 @@ impl RegHandles {
 const GROUP_COUNTERS: [Mirror<GroupHost>; 15] = [
     ("rx_frames", |h| h.rx_frames),
     ("tx_frames", |h| h.io.tx_frames),
-    ("delivered", |h| h.delivered),
+    ("delivered", |h| h.agent.deliveries()),
     ("quota_overflow", |h| h.io.quota_overflow),
     ("liveness.suspected", |h| h.agent.liveness.suspected_total),
     ("liveness.died", |h| h.agent.liveness.died_total),
@@ -348,7 +349,8 @@ pub(crate) struct Hosting {
     /// The member id as envelopes carry it ([`envelope_src`]).
     pub src: u32,
     /// A node keeps deliveries queued on the agent for `take_delivered`;
-    /// a hub group counts and discards them.
+    /// a hub group discards them. Both count them
+    /// ([`GroupStats::delivered`]).
     pub keep_deliveries: bool,
     /// A hub group may carry a token bucket (§III-E).
     pub quota: Option<RateLimit>,
@@ -359,8 +361,7 @@ pub(crate) struct Hosting {
 }
 
 /// The part of a hosted group the [`Driver`] borrows: everything a send,
-/// a join or a timer call touches, apart from the agent itself and the
-/// chaos decorator's state.
+/// a join or a timer call touches, apart from the agent itself.
 struct GroupIo {
     /// The member id the agent runs as, as it appears in envelopes.
     src: u32,
@@ -369,6 +370,10 @@ struct GroupIo {
     wheel: TimerWheel,
     rng: StdRng,
     mode: Mode,
+    /// The chaos plan's seeded actions, drawn once per logical send.
+    chaos: Option<ChaosState>,
+    /// Frames the chaos plan holds back, released by `fire_due`.
+    delayq: DelayQueue,
     /// The chaos plan's blackholes and forced drops, applied RNG-free per
     /// destination.
     fanout: Fanout,
@@ -376,7 +381,8 @@ struct GroupIo {
     quota_overflow: u64,
     /// Logical multicasts issued (post quota, pre fan-out).
     tx_frames: u64,
-    /// This group's fan-out and join events (blackholes, join failures).
+    /// This group's send and join events (chaos actions, blackholes, join
+    /// failures).
     log: obs::TransportLog,
 }
 
@@ -386,13 +392,7 @@ pub(crate) struct GroupHost {
     key: u32,
     agent: SrmAgent,
     io: GroupIo,
-    chaos: Option<ChaosState>,
-    delayq: DelayQueue,
-    /// Chaos actions since the last publish to the shared counters.
-    tally: ChaosTally,
-    chaos_log: obs::TransportLog,
     keep_deliveries: bool,
-    delivered: u64,
     members: usize,
     /// Frames routed to this group's agent (post filtering).
     rx_frames: u64,
@@ -409,12 +409,10 @@ impl GroupHost {
         let mut agent = SrmAgent::new(opts.id, opts.group, opts.cfg);
         agent.session_enabled = opts.session_enabled;
         let mut log = obs::TransportLog::new();
-        let mut chaos_log = obs::TransportLog::new();
         if opts.trace {
             agent.obs.enable_bounded(TRACE_RING);
-            for l in [&mut agent.transport_obs, &mut log, &mut chaos_log] {
-                l.enable_bounded(TRACE_RING);
-            }
+            agent.transport_obs.enable_bounded(TRACE_RING);
+            log.enable_bounded(TRACE_RING);
         }
         if let Some(lv) = opts.liveness {
             agent.liveness.enable(lv);
@@ -466,17 +464,14 @@ impl GroupHost {
                 rng: StdRng::seed_from_u64(opts.seed),
                 mode,
                 fanout: Fanout::new(opts.chaos.as_ref()),
+                chaos: opts.chaos.map(|plan| ChaosState::new(plan, opts.seed ^ CHAOS_SEED_SALT)),
+                delayq: DelayQueue::new(),
                 quota: hosting.quota.map(TokenBucket::new),
                 quota_overflow: 0,
                 tx_frames: 0,
                 log,
             },
-            chaos: opts.chaos.map(|plan| ChaosState::new(plan, opts.seed ^ CHAOS_SEED_SALT)),
-            delayq: DelayQueue::new(),
-            tally: ChaosTally::default(),
-            chaos_log,
             keep_deliveries: hosting.keep_deliveries,
-            delivered: 0,
             members: hosting.members,
             rx_frames: 0,
             reg: opts.metrics.as_ref().map(|r| {
@@ -499,22 +494,13 @@ impl GroupHost {
     /// hub the first traced group to be read gets them.
     fn sync_logs(&mut self, wire_log: &mut obs::TransportLog) {
         self.agent.transport_obs.absorb(self.io.log.take_events());
-        self.agent.transport_obs.absorb(self.chaos_log.take_events());
         if self.agent.transport_obs.is_enabled() {
             self.agent.transport_obs.absorb(wire_log.take_events());
         }
     }
 
-    /// Add what the chaos decorator tallied since the last call to the
-    /// shared counters, and refresh the group's registry mirrors.
-    fn publish(&mut self, counters: &Counters) {
-        let t = std::mem::take(&mut self.tally);
-        if t != ChaosTally::default() {
-            counters.chaos_dropped.add(t.dropped);
-            counters.chaos_duplicated.add(t.duplicated);
-            counters.chaos_delayed.add(t.delayed);
-            counters.chaos_corrupted.add(t.corrupted);
-        }
+    /// Refresh the group's registry mirrors.
+    fn publish(&self) {
         let Some((counters, gauges)) = &self.reg else { return };
         let agent = self.agent.metrics.counters().map(|(_, v)| v);
         for (v, c) in GROUP_COUNTERS.iter().map(|(_, read)| read(self)).chain(agent).zip(counters) {
@@ -537,20 +523,60 @@ impl GroupHost {
             members: self.members,
             rx_frames: self.rx_frames,
             tx_frames: self.io.tx_frames,
-            delivered: self.delivered,
+            delivered: self.agent.deliveries(),
             agent: self.agent.metrics.counters(),
             quota_overflow: self.io.quota_overflow,
         }
     }
 }
 
-/// One logical multicast from a hosted group: quota gate, one encode into
-/// a pooled slab, then the per-destination fan-out — the single place every
-/// outgoing frame's fate is decided and counted. Surviving frames go on
-/// the flush queue; `frames_sent`/`send_errors` are settled when the batch
-/// reaches the socket. `now` is the caller's clock reading, the one its
-/// handler sees.
+/// One logical multicast from a hosted group — the single place every
+/// outgoing frame's fate is decided and counted. The chaos plan, if it
+/// applies to `group`, draws its verdict first and drops, corrupts, holds
+/// back or duplicates the frame; each copy it lets through goes to
+/// [`emit`] now, or from the hold-back queue when due. `now` is the
+/// caller's clock reading, the one its handler sees.
 fn send(wire: &mut Wire, io: &mut GroupIo, now: SimTime, group: GroupId, payload: Bytes, opts: SendOptions) {
+    // A group-scoped plan passes other groups' frames before the verdict
+    // draws, so scoping does not shift the stream the scoped group sees.
+    let Some(chaos) = io.chaos.as_mut().filter(|c| c.plan.applies_to(group)) else {
+        return emit(wire, io, now, group, payload, opts);
+    };
+    let v = chaos.verdict(now);
+    let flow = opts.flow;
+    if !v.deliver {
+        wire.counters.chaos_dropped.inc();
+        io.log.record(now, obs::TransportEventKind::ChaosDrop { flow });
+        return;
+    }
+    let payload = if v.corrupt {
+        wire.counters.chaos_corrupted.inc();
+        io.log.record(now, obs::TransportEventKind::ChaosCorrupt { flow });
+        corrupt_payload(&payload)
+    } else {
+        payload
+    };
+    if let Some(by) = v.delay {
+        wire.counters.chaos_delayed.inc();
+        io.log.record(now, obs::TransportEventKind::ChaosDelay { flow, by });
+    }
+    let put = |wire: &mut Wire, io: &mut GroupIo, payload: Bytes, opts: SendOptions| match v.delay {
+        Some(by) => io.delayq.push(now + by, group, payload, opts),
+        None => emit(wire, io, now, group, payload, opts),
+    };
+    if v.duplicate {
+        put(wire, io, payload.clone(), opts.clone());
+        wire.counters.chaos_duplicated.inc();
+        io.log.record(now, obs::TransportEventKind::ChaosDuplicate { flow });
+    }
+    put(wire, io, payload, opts);
+}
+
+/// A frame past the chaos verdict: quota gate, one encode into a pooled
+/// slab, then the per-destination fan-out. Surviving frames go on the
+/// flush queue; `frames_sent`/`send_errors` are settled when the batch
+/// reaches the socket.
+fn emit(wire: &mut Wire, io: &mut GroupIo, now: SimTime, group: GroupId, payload: Bytes, opts: SendOptions) {
     if opts.ttl == 0 {
         // A zero-TTL datagram never leaves the host.
         return;
@@ -689,26 +715,20 @@ impl Transport for HostDriver<'_> {
     }
 }
 
-/// Run `f` against one group's agent behind a freshly borrowed driver: the
-/// chaos decorator when a plan is configured, the plain wall-clock driver
-/// otherwise. Built per entry point because the driver borrows the wire
-/// and half the group's state; the clock is read once, here.
+/// Run `f` against one group's agent behind a freshly borrowed driver.
+/// Built per entry point because the driver borrows the wire and half the
+/// group's state; the clock is read once, here. A hub group's deliveries
+/// are counted by the agent and not kept.
 fn drive<R>(
     wire: &mut Wire,
     host: &mut GroupHost,
     f: impl FnOnce(&mut SrmAgent, &mut dyn Driver) -> R,
 ) -> R {
-    let GroupHost { key, agent, io, chaos, delayq, tally, chaos_log, .. } = host;
+    let GroupHost { key, agent, io, .. } = host;
     let now = io.clock.now();
-    let mut d = HostDriver { wire, io, key: *key, now };
-    let r = match chaos.as_mut() {
-        Some(state) => {
-            f(agent, &mut ChaosTransport { inner: &mut d, state, delayq, tally, log: chaos_log })
-        }
-        None => f(agent, &mut d),
-    };
+    let r = f(agent, &mut HostDriver { wire, io, key: *key, now });
     if !host.keep_deliveries {
-        host.delivered += host.agent.discard_delivered() as u64;
+        host.agent.discard_delivered();
     }
     r
 }
@@ -758,7 +778,7 @@ impl Mailbox {
 
 /// Queue `f` for the reactor behind `mb` and return where its result will
 /// arrive; `None` if the reactor is gone. The send queue is flushed and
-/// the groups' tallies published before the reply goes out, so whatever
+/// the registry mirrors refreshed before the reply goes out, so whatever
 /// `f` did is settled when the caller resumes: a `stats()` (or a registry
 /// snapshot) issued right after a `send()` reads `attempted == sent +
 /// dropped + blackholed + send_errors`, not a frame in between.
@@ -960,7 +980,7 @@ impl Reactor {
         let paused = self.rx.as_ref().and_then(|rx| rx.paused).map(|(until, _)| until);
         self.groups
             .values_mut()
-            .flat_map(|h| [h.io.wheel.next_deadline(), h.delayq.next_due()])
+            .flat_map(|h| [h.io.wheel.next_deadline(), h.io.delayq.next_due()])
             .chain([paused])
             .flatten()
             .min()
@@ -1098,7 +1118,7 @@ impl Reactor {
         let Some(mut rx) = self.rx.take_if(due) else { return };
         if let Some((_, Some(attempt))) = rx.paused.take() {
             self.wire.counters.recv_respawns.inc();
-            eprintln!("{}: recv loop respawned (attempt {attempt})", self.wire.label);
+            eprintln!("{}: read path respawned (attempt {attempt})", self.wire.label);
             self.note(&rx, obs::TransportEventKind::RecvRespawn { attempt });
             if let Err(e) = rx.rebuild() {
                 if !self.rx_failed(&mut rx, ErrorClass::Fatal, &e) {
@@ -1165,9 +1185,9 @@ impl Reactor {
             // frame is acted on at most once. It goes out at a reading taken
             // after the timers above ran, so the quota's clock never steps
             // back.
-            while let Some(held) = host.delayq.pop_due(now) {
+            while let Some(held) = host.io.delayq.pop_due(now) {
                 let at = host.io.clock.now();
-                send(&mut self.wire, &mut host.io, at, held.group, held.payload, held.opts);
+                emit(&mut self.wire, &mut host.io, at, held.group, held.payload, held.opts);
             }
         }
     }
@@ -1269,16 +1289,15 @@ impl Reactor {
         }
     }
 
-    /// Add the groups' chaos tallies to the host counters, raise the queue
-    /// peaks, and refresh the per-group and per-reactor registry entries
-    /// when a registry is attached.
-    fn publish(&mut self) {
+    /// Raise the queue peaks, and refresh the per-group and per-reactor
+    /// registry entries when a registry is attached.
+    fn publish(&self) {
         let counters = &self.wire.counters;
         let (mut wheel_len, mut delayq_len) = (0u64, 0u64);
-        for host in self.groups.values_mut() {
-            host.publish(counters);
+        for host in self.groups.values() {
+            host.publish();
             wheel_len += host.io.wheel.len() as u64;
-            delayq_len += host.delayq.len() as u64;
+            delayq_len += host.io.delayq.len() as u64;
         }
         counters.max_wheel_len.raise(wheel_len);
         counters.max_delayq_len.raise(delayq_len);

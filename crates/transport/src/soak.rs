@@ -9,7 +9,7 @@
 //! 1. **Eventual delivery** — after the scripted windows heal, every ADU
 //!    reaches every other member within the settle budget (the paper's
 //!    reliability definition: eventual delivery, no ordering).
-//! 2. **No reactor deaths** — zero recv threads exhausted their respawn
+//! 2. **No reactor deaths** — zero read paths exhausted their respawn
 //!    budget, and every reactor still answers a
 //!    [`NodeHandle::ping`](crate::NodeHandle::ping).
 //! 3. **Bounded growth** — timer-wheel and delay-queue high-water marks
@@ -161,7 +161,7 @@ impl SoakReport {
             }
             if n.stats.recv_deaths > 0 {
                 v.push(format!(
-                    "member {m}: {} recv thread(s) exhausted the respawn budget",
+                    "member {m}: {} read path(s) exhausted the respawn budget",
                     n.stats.recv_deaths
                 ));
             }

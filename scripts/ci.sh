@@ -231,6 +231,13 @@ cargo test -q --test transport_loopback registry_reads_equal_node_stats_right_af
 cargo test -q -p srm-transport --test cli_flags
 cargo test -q -p srm-transport --lib -- control::tests runtime::tests hub::tests
 
+echo "== one event log and one chaos step (netsim's EventLog is the simulator's trace and obs's member logs, and every call order keeps a ring within its bound; a disabled trace allocates nothing; a hosted member's send applies its chaos plan, replaying the parent's action sequence and counts from its seed on a node and a hub, with every frame accounted; a node's group row counts its deliveries) =="
+cargo test -q -p netsim --lib log::
+cargo test -q -p obs --lib log::
+cargo test -q --test perf_invariants
+cargo test -q --test transport_chaos chaos_transport_output_replays_from_seed
+cargo test -q --test hub a_node_and_a_hub_report_their_transport_counters_from_one_table
+
 echo "== one scenario vocabulary (srm-sim's JSON, the figures and the fault chains build through ScenarioSpec::try_build; impossible topologies, out-of-range integers and a source outside the membership are refused, not panics) =="
 cargo test -q -p srm-sim --lib -- scenario::tests impossible_topologies_are_refused \
     bad_references_are_reported out_of_range_integers_are_schema_errors
@@ -242,7 +249,7 @@ cargo test -q -p srm-transport --test cli_flags
 cargo test -q -p srm-sim --test cli_flags
 cargo test -q -p srm-experiments --test cli_flags
 
-echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, a second tree per member beside the simulator's route cache, and the wire decoder's Buf getters, and srm-sim's second topology enum, topology builder and membership tag and the hand-built fault chain, and the binaries' hand-rolled flag parsers and usage functions, and the timer wheel's tombstone set and the chaos queue's side table, and the hub's second set of transport counter names and its own stats struct must stay gone) =="
+echo "== stale references (the benchmark stack srmbench replaced, the second JSON parser, the multicast-join fallback, the single-file agent, the receive/demux threads, the second and third transport tallies, the single-valued options turned constants, obs's copy of the member counters, and the live host's loss policy, trace-ring, batch and pool settings and Prometheus push, a second tree per member beside the simulator's route cache, and the wire decoder's Buf getters, and srm-sim's second topology enum, topology builder and membership tag and the hand-built fault chain, and the binaries' hand-rolled flag parsers and usage functions, and the timer wheel's tombstone set and the chaos queue's side table, and the hub's second set of transport counter names and its own stats struct, and the simulator's second event log and the chaos driver decorator with its tally and its log must stay gone) =="
 # ROADMAP keeps struck-through history (~~...~~ spans, also across lines);
 # it is checked with those spans removed. The bracketed letters keep this
 # file from matching itself.
@@ -261,6 +268,7 @@ stale+='|TopologyS[p]ec|fn build_topol[o]gy|fn fault_ch[a]in|AllT[a]g'
 stale+='|fn parse_ar[g]s|fn trace_us[a]ge|fn monitor_us[a]ge'
 stale+='|cancelled: HashS[e]t<u64>|BTreeMap<u64, DelayedS[e]nd>'
 stale+='|rx_undeco[d]able|"hub\.frames_se[n]t"|pub struct HubSt[a]ts'
+stale+='|ChaosTra[n]sport|ChaosTa[l]ly|chaos_l[o]g|netsim::Tr[a]ce\b'
 if grep -rnE "$stale" --include='*.md' --include='*.sh' --include='*.toml' --include='*.rs' \
         --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md \
         --exclude-dir=target --exclude-dir=.bench_build --exclude-dir=.git . \
@@ -304,6 +312,20 @@ for f in crates/transport/src/runtime.rs crates/transport/src/hub.rs crates/tran
     host=$((host + code))
 done
 echo "runtime.rs + hub.rs + reactor.rs non-test code lines: $host"
+
+echo "== event log and chaos step size (non-test code lines of crates/netsim plus crates/obs, and of transport's chaos.rs plus reactor.rs, each and in total) =="
+netsim=0
+for f in crates/netsim/src/*.rs; do
+    netsim=$((netsim + $(awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f" | grep -cvE '^\s*(//|$)')))
+done
+obs=0
+for f in crates/obs/src/*.rs; do
+    obs=$((obs + $(awk '/^#\[cfg\(test\)\]/ {exit} {print}' "$f" | grep -cvE '^\s*(//|$)')))
+done
+echo "netsim $netsim, obs $obs, total $((netsim + obs))"
+chaos=$(awk '/^#\[cfg\(test\)\]/ {exit} {print}' crates/transport/src/chaos.rs | grep -cvE '^\s*(//|$)')
+reactor=$(awk '/^#\[cfg\(test\)\]/ {exit} {print}' crates/transport/src/reactor.rs | grep -cvE '^\s*(//|$)')
+echo "chaos.rs $chaos, reactor.rs $reactor, total $((chaos + reactor))"
 
 echo "== deadline queue size (non-test code lines of netsim's event.rs, transport's wheel.rs and chaos.rs's DelayedSend + DelayQueue, each and in total) =="
 event=$(awk '/^#\[cfg\(test\)\]/ {exit} {print}' crates/netsim/src/event.rs | grep -cvE '^\s*(//|$)')

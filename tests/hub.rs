@@ -475,7 +475,8 @@ fn registered(snap: &obs::MetricsSnapshot, name: &str) -> Option<u64> {
 /// counters from one table: for every `TransportStats::counters` entry the
 /// host's registry, its `stats()` and (on the hub) the `stats` reply read
 /// one value under one name, and `srm-experiments monitor` reads the hub's
-/// stats file by those names.
+/// stats file by those names. A node's group row counts the ADUs it
+/// delivered, as a hub's does.
 #[test]
 fn a_node_and_a_hub_report_their_transport_counters_from_one_table() {
     let hub_reg = obs::MetricsRegistry::new();
@@ -504,6 +505,7 @@ fn a_node_and_a_hub_report_their_transport_counters_from_one_table() {
     assert_eq!(st.frames_received, 5, "{st:?}");
     assert_eq!((st.groups.len(), st.groups[0].group), (1, 1), "a node's stats carry its group's row");
     assert_eq!(st.groups[0].rx_frames, 5);
+    assert_eq!(st.groups[0].delivered, 5, "a node counts the deliveries it keeps for take_delivered");
 
     let st = hub.stats();
     let snap = hub_reg.snapshot();

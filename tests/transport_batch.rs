@@ -252,6 +252,6 @@ fn lossy_session_delivers_same_set_on_both_backends() {
     assert_eq!(portable, batched, "backends delivered different ADU sets");
     for (name, s) in [("portable", &stats_p), ("batched", &stats_b)] {
         assert!(s.frames_accounted(), "{name} backend leaks frames: {s:?}");
-        assert_eq!(s.recv_deaths, 0, "{name} recv thread died");
+        assert_eq!(s.recv_deaths, 0, "{name} read path died");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Three layers, matching the resilience design (DESIGN.md §9):
 //!
-//! 1. **Seeded determinism** — a [`ChaosState`]'s verdict stream, and the
-//!    full [`ChaosTransport`] decorator output, are pure functions of
+//! 1. **Seeded determinism** — a [`ChaosState`]'s verdict stream, and a
+//!    hosted member's chaos actions and counts, are pure functions of
 //!    `(seed, plan, frame sequence)`. This is what makes a failing soak
 //!    replayable from its seed.
 //! 2. **Timer-wheel churn** — lazy cancellation plus compaction keeps both
@@ -24,14 +24,14 @@
 //! maximum sweep gap, generous settle budgets), never exact interleavings.
 
 use bytes::Bytes;
-use netsim::{GroupId, SendOptions, SimDuration, SimTime, TimerId};
+use netsim::{GroupId, SimDuration, SimTime, TimerId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srm::{Clock, Driver, PageId, SourceId, SrmAgent, SrmConfig, Transport};
+use srm::{Driver, PageId, SourceId, SrmAgent, SrmConfig};
 use srm_transport::{
-    ChaosPlan, ChaosState, ChaosTransport, DelayQueue, Hub, HubHandle, HubOptions, Mode, Node,
-    NodeHandle, NodeOptions, SoakOptions, TimerWheel,
+    ChaosPlan, ChaosState, Hub, HubHandle, HubOptions, Mode, Node, NodeHandle, NodeOptions,
+    SoakOptions, TimerWheel, TransportStats,
 };
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -131,19 +131,18 @@ impl Member {
         }
     }
 
+    /// The host's transport counters and its groups' rows.
+    fn stats(&self) -> TransportStats {
+        match self {
+            Member::Node(node) => node.stats(),
+            Member::Hub(hub, _) => hub.stats(),
+        }
+    }
+
     /// `(blackholed, every fan-out frame accounted, recv_deaths)`.
     fn accounting(&self) -> (u64, bool, u64) {
-        match self {
-            Member::Node(node) => {
-                let s = node.stats();
-                (s.blackholed, s.frames_accounted(), s.recv_deaths)
-            }
-            Member::Hub(hub, _) => {
-                let s = hub.stats();
-                let settled = s.frames_sent + s.frames_dropped + s.blackholed + s.send_errors;
-                (s.blackholed, s.frames_attempted == settled, s.recv_deaths)
-            }
-        }
+        let s = self.stats();
+        (s.blackholed, s.frames_accounted(), s.recv_deaths)
     }
 
     /// Harvest this member's lane of the timeline, then stop it.
@@ -216,90 +215,22 @@ proptest! {
     }
 }
 
-/// A driver stand-in that records what actually reaches the wire.
-struct MockDriver {
-    now: SimTime,
-    rng: StdRng,
-    sent: Vec<(GroupId, Bytes, u32)>,
-    next_timer: u64,
-}
+/// Everything a hosted member's chaos shows: the chaos actions its
+/// transport log recorded, in order, and the host's
+/// `[chaos_dropped, chaos_duplicated, chaos_delayed, chaos_corrupted]`.
+type ChaosRun = (Vec<&'static str>, [u64; 4]);
 
-impl MockDriver {
-    fn new() -> Self {
-        MockDriver { now: SimTime::ZERO, rng: StdRng::seed_from_u64(0), sent: Vec::new(), next_timer: 0 }
-    }
-}
-
-impl Clock for MockDriver {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn local_now(&self) -> SimTime {
-        self.now
-    }
-}
-
-impl Transport for MockDriver {
-    fn multicast(&mut self, group: GroupId, payload: Bytes, opts: SendOptions) {
-        self.sent.push((group, payload, opts.flow));
-    }
-
-    fn join(&mut self, _group: GroupId) {}
-
-    fn set_timer(&mut self, _delay: SimDuration, _token: u64) -> TimerId {
-        self.next_timer += 1;
-        TimerId(self.next_timer)
-    }
-
-    fn cancel_timer(&mut self, _id: TimerId) {}
-
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-}
-
-/// Everything a [`ChaosTransport`] run shows: immediate sends, queued
-/// (held-back) frames, and the action tally.
-type DecoratorRun = (Vec<(GroupId, Bytes, u32)>, Vec<(SimTime, Bytes)>, srm_transport::ChaosTally);
-
-/// Push `frames` payloads through a freshly seeded [`ChaosTransport`] and
-/// return everything observable.
-fn run_decorator(plan: &ChaosPlan, seed: u64, frames: usize) -> DecoratorRun {
-    let mut inner = MockDriver::new();
-    let mut state = ChaosState::new(plan.clone(), seed);
-    let mut delayq = DelayQueue::new();
-    let mut tally = srm_transport::ChaosTally::default();
-    let mut log = obs::TransportLog::default();
-    let mut chaos = ChaosTransport {
-        inner: &mut inner,
-        state: &mut state,
-        delayq: &mut delayq,
-        tally: &mut tally,
-        log: &mut log,
-    };
-    for i in 0..frames {
-        chaos.inner.now = t(i as u64 * 17);
-        let payload = Bytes::from(format!("frame {i} with room for a body tag"));
-        chaos.multicast(GroupId(1), payload, SendOptions::default());
-    }
-    let mut held = Vec::new();
-    while let Some(d) = delayq.pop_due(t(100_000_000)) {
-        held.push((d.due, d.payload));
-    }
-    (inner.sent, held, tally)
-}
-
-/// The same experiment on a live member: publish `frames` ADUs through a
-/// hosted agent whose options carry the plan and the seed, and return the
-/// chaos actions its recorder saw, in order.
-fn hosted_chaos_actions(host: Host, plan: &ChaosPlan, seed: u64, frames: usize) -> Vec<&'static str> {
+/// Publish `frames` ADUs through a live member whose options carry the
+/// plan and the seed. Once the hold-back has drained, the group has sent
+/// every frame the plan let through, `tx_frames == frames - chaos_dropped +
+/// chaos_duplicated`, and its log names each counted action once.
+fn hosted_chaos_run(host: Host, plan: &ChaosPlan, seed: u64, frames: usize) -> ChaosRun {
     let cfg = SrmConfig::fixed(2);
     let members = Member::mesh(host, 1, GroupId(1), &cfg, |_, opts| {
         opts.seed = seed;
         opts.chaos = Some(plan.clone());
         opts.trace = true;
-        // Only the frames published below reach the decorator.
+        // Only the frames published below reach the send path.
         opts.session_enabled = false;
     });
     let member = members.into_iter().next().unwrap();
@@ -309,23 +240,35 @@ fn hosted_chaos_actions(host: Host, plan: &ChaosPlan, seed: u64, frames: usize) 
             a.send_data(d, page, Bytes::from(format!("frame {i} with room for a body tag")));
         }
     });
-    let (actions, evicted) = member.exec(|a, _| {
+    let counts =
+        |s: &TransportStats| [s.chaos_dropped, s.chaos_duplicated, s.chaos_delayed, s.chaos_corrupted];
+    let conserved = |s: &TransportStats| {
+        let [dropped, duplicated, ..] = counts(s);
+        s.groups[0].tx_frames + dropped == frames as u64 + duplicated
+    };
+    let drained = wait_for(10, || conserved(&member.stats()));
+    assert!(drained, "{host:?}: frames unaccounted: {:?}", member.stats());
+    let (actions, evicted): (Vec<&'static str>, u64) = member.exec(|a, _| {
         let kinds = a.transport_obs.events().map(|e| e.kind.name());
         (kinds.filter(|k| k.starts_with("chaos_")).collect(), a.transport_obs.dropped_events())
     });
     assert_eq!(evicted, 0, "the transport ring kept every event");
+    let counted = counts(&member.stats());
+    let logged = ["chaos_drop", "chaos_duplicate", "chaos_delay", "chaos_corrupt"]
+        .map(|kind| actions.iter().filter(|k| **k == kind).count() as u64);
+    assert_eq!(logged, counted, "{host:?}: the log and the counters disagree");
     member.stop(&mut obs::Timeline::new());
-    actions
+    (actions, counted)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Decorator-level determinism: same seed + plan + frame sequence ⇒
-    /// byte-identical wire output, hold-back schedule, and tally — the
-    /// whole observable effect, not just the verdict bits. And host-level:
-    /// a live member replays its chaos actions from `NodeOptions::seed`,
-    /// identically whether a node or a hub hosts it.
+    /// Host-level determinism: a live member replays its chaos actions and
+    /// counts from `NodeOptions::seed`, identically whether a node or a hub
+    /// hosts it; an empty plan takes no action; and every frame is dropped,
+    /// sent, or sent late, duplicates adding one copy each
+    /// ([`hosted_chaos_run`]).
     #[test]
     fn chaos_transport_output_replays_from_seed(
         seed in 0u64..1_000_000,
@@ -341,22 +284,12 @@ proptest! {
             .corruption(f64::from(corrupt) / 100.0)
             .reorder(f64::from(reorder) / 100.0, SimDuration::from_millis(25))
             .jitter(SimDuration::from_millis(10));
-        let (sent_a, held_a, tally_a) = run_decorator(&plan, seed, frames);
-        let (sent_b, held_b, tally_b) = run_decorator(&plan, seed, frames);
-        prop_assert_eq!(&sent_a, &sent_b);
-        prop_assert_eq!(&held_a, &held_b);
-        prop_assert_eq!(tally_a, tally_b);
-        // Conservation: every frame is dropped, sent now, or held back —
-        // duplicates add one copy to whichever path their original took.
-        let total = sent_a.len() + held_a.len() + tally_a.dropped as usize;
-        prop_assert_eq!(total, frames + tally_a.duplicated as usize);
-
-        let on_node = hosted_chaos_actions(Host::Node, &plan, seed, frames);
+        let on_node = hosted_chaos_run(Host::Node, &plan, seed, frames);
         if loss + dup + corrupt + reorder == 0 {
-            prop_assert!(on_node.is_empty(), "an empty plan acted: {:?}", on_node);
+            prop_assert!(on_node.0.is_empty(), "an empty plan acted: {:?}", on_node.0);
         }
-        prop_assert_eq!(&on_node, &hosted_chaos_actions(Host::Node, &plan, seed, frames));
-        prop_assert_eq!(&on_node, &hosted_chaos_actions(Host::Hub, &plan, seed, frames));
+        prop_assert_eq!(&on_node, &hosted_chaos_run(Host::Node, &plan, seed, frames));
+        prop_assert_eq!(&on_node, &hosted_chaos_run(Host::Hub, &plan, seed, frames));
     }
 }
 
@@ -520,7 +453,7 @@ fn blackhole_heal_case(host: Host) {
     for (i, m) in members.iter().enumerate() {
         let (_, accounted, recv_deaths) = m.accounting();
         assert!(accounted, "{host:?}: member {} leaks frames", i + 1);
-        assert_eq!(recv_deaths, 0, "{host:?}: member {} recv thread died", i + 1);
+        assert_eq!(recv_deaths, 0, "{host:?}: member {} read path died", i + 1);
     }
 
     let mut tl = obs::Timeline::new();
