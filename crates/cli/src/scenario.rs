@@ -557,10 +557,11 @@ impl Session {
     }
 
     /// Drain delivered payloads on all members (keeps memory flat across
-    /// many rounds).
+    /// many rounds); each member keeps its queue's allocation for the next
+    /// round.
     pub fn drain_deliveries(&mut self) {
-        for &m in &self.members.clone() {
-            let _ = self.sim.app_mut(m).unwrap().take_delivered();
+        for &m in &self.members {
+            self.sim.app_mut(m).unwrap().discard_delivered();
         }
     }
 }

@@ -6,14 +6,20 @@
 //! queue: the simulator's [`EventQueue`], the live host's timer wheel and
 //! the live chaos hold-back queue are instances of it.
 //!
-//! Most entries come due no earlier than everything already queued: a hop
-//! one link delay ahead of `now` when the links have equal delays, or a
-//! frame held back for a constant delay. [`DeadlineQueue::push_fifo`] puts
-//! such an entry on a FIFO lane, sorted by construction;
-//! [`DeadlineQueue::push`] and an out-of-order `push_fifo` go to a binary
-//! min-heap, and `pop` takes the smaller of the two fronts. Both hold
-//! `(time, sequence)`-sorted entries, so the pop order is exactly that of
-//! one heap holding them all.
+//! Most entries come due no earlier than everything already queued: a
+//! flood's copies one link delay ahead of `now` when the links have equal
+//! delays, or a frame held back for a constant delay.
+//! [`DeadlineQueue::push_fifo`] puts such an entry on a FIFO lane, sorted
+//! by construction; [`DeadlineQueue::push`] and an out-of-order
+//! `push_fifo` go to a binary min-heap, and `pop` takes the smaller of the
+//! two fronts. Both hold `(time, sequence)`-sorted entries, so the pop
+//! order is exactly that of one heap holding them all.
+//!
+//! The simulator queues a flood one arrival instant at a time: one
+//! [`EventKind::Hop`] entry carries every copy of one transmission that
+//! arrives at one instant, listed in the order one entry per copy would
+//! pop in. How the simulator keeps that order exact is told at
+//! [`crate::Simulator::step`].
 //!
 //! Timers are cancelled by one rule, in the simulator and on the live host
 //! alike: the owner keeps a [`TimerMap`] of the timers set and neither
@@ -168,16 +174,22 @@ impl<T> DeadlineQueue<T> {
     }
 }
 
+/// Copies of one transmission arriving at one instant: each one's
+/// receiving node and TTL on arrival.
+pub type Arrivals = Vec<(NodeId, u8)>;
+
 /// What happens when an event fires.
 #[derive(Clone, Debug)]
 pub enum EventKind {
-    /// A packet arrives at `node`: across a link, or at its origin when it
-    /// is just sent into the forwarding engine.
+    /// Copies of one transmission arrive, all at this entry's instant:
+    /// across links, or at the origin when the packet is just sent into the
+    /// forwarding engine (a batch of one). The copies are handled in list
+    /// order, which is the order one entry per copy would pop in.
     Hop {
-        /// Receiving node.
-        node: NodeId,
-        /// The packet.
+        /// The transmission; its `ttl` is set to each copy's in turn.
         pkt: Packet,
+        /// Each copy's receiving node and TTL on arrival.
+        to: Arrivals,
     },
     /// A timer set by the application on `node` fires.
     Timer {
@@ -196,10 +208,10 @@ pub enum EventKind {
     },
 }
 
-/// The simulator's events. Hops go in with `push_fifo`: with unit link
-/// delays a round's hops are scheduled in the order they fire. Timers and
-/// faults go in with `push`: a timer at `now` plus a random backoff on the
-/// lane's back would push every later hop off it.
+/// The simulator's events. Arrival batches go in with `push_fifo`: with
+/// unit link delays a round's floods are scheduled in the order they fire.
+/// Timers and faults go in with `push`: a timer at `now` plus a random
+/// backoff on the lane's back would push every later batch off it.
 pub type EventQueue = DeadlineQueue<EventKind>;
 
 #[cfg(test)]

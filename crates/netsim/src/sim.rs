@@ -13,7 +13,7 @@
 //! which keeps handlers simple and the simulation deterministic.
 
 use crate::effects::{ChannelEffects, Ideal};
-use crate::event::{Deadline, EventKind, EventQueue, TimerId, TimerMap};
+use crate::event::{Arrivals, Deadline, EventKind, EventQueue, TimerId, TimerMap};
 use crate::faults::{FaultEvent, FaultPlan, NodeClock};
 use crate::loss::{LossModel, NoLoss};
 use crate::packet::{GroupId, Packet, PacketBody, PacketId, SendOptions};
@@ -222,6 +222,12 @@ pub struct Simulator<A: Application> {
     live_timers: TimerMap<u64>,
     next_packet: u64,
     actions: Vec<(NodeId, Action)>,
+    /// The copies the batch being walked has forwarded and not yet queued:
+    /// one group per arrival instant, in the order the groups were begun.
+    arrivals: Vec<(SimTime, Packet, Arrivals)>,
+    /// Emptied arrival lists, reused so that queueing a batch allocates
+    /// nothing once the run is warm.
+    spare: Vec<Arrivals>,
     /// Traffic counters.
     pub stats: Stats,
     /// Optional event log (see [`EventLog::enable`]).
@@ -281,6 +287,8 @@ impl<A: Application> Simulator<A> {
             live_timers: HashMap::default(),
             next_packet: 0,
             actions: Vec::new(),
+            arrivals: Vec::new(),
+            spare: Vec::new(),
             stats: Stats::new(links),
             trace: EventLog::default(),
             started: false,
@@ -462,18 +470,36 @@ impl<A: Application> Simulator<A> {
         self.originate(node, Some(dest), GroupId(u32::MAX), payload, opts);
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
+    /// Process one queue entry: a timer, a fault, or one transmission's
+    /// copies arriving at one instant. Returns `false` when the queue is
+    /// empty.
+    ///
+    /// A flood goes on the queue one arrival instant at a time. Walking a
+    /// batch, each copy is delivered and forwarded as if it had popped on
+    /// its own; the copies it forwards collect into one group per arrival
+    /// instant, and each group is queued as one entry: at the end of the
+    /// batch, or earlier, just before a handler's send or timer is queued
+    /// for the group's instant. The queue pops in `(at, seq)` order, and
+    /// only same-instant entries compare by `seq`; nothing else due at a
+    /// group's instant is queued while the group fills, so every
+    /// same-instant pair keeps the order that one entry per copy gave it,
+    /// and a batch pops where its first copy would have. The simulation is
+    /// the same function of its seed as with one entry per copy.
+    ///
+    /// A handler that panics drops the rest of its batch and the copies the
+    /// batch had forwarded but not queued.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
+        self.arrivals.clear();
         let Some(Deadline { at, item: kind, .. }) = self.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.stats.events += 1;
         match kind {
-            EventKind::Hop { node, pkt } => self.process_hop(node, pkt),
+            EventKind::Hop { pkt, to } => self.process_batch(pkt, to),
             EventKind::Timer { node, id, token } => {
+                self.stats.events += 1;
                 // Cancelled timers are gone from the map; one armed before
                 // a crash must not fire after the restart either: its epoch
                 // no longer matches the node's.
@@ -481,7 +507,10 @@ impl<A: Application> Simulator<A> {
                     self.dispatch(node, |app, ctx| app.on_timer(ctx, token));
                 }
             }
-            EventKind::Fault { index } => self.apply_fault(index),
+            EventKind::Fault { index } => {
+                self.stats.events += 1;
+                self.apply_fault(index);
+            }
         }
         true
     }
@@ -517,7 +546,8 @@ impl<A: Application> Simulator<A> {
         }
     }
 
-    /// Pending event count (for tests and debugging).
+    /// Queued entries (for tests and debugging): timers, faults, and
+    /// batches of copies of one transmission arriving at one instant.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -585,6 +615,7 @@ impl<A: Application> Simulator<A> {
                     // Remember the node's epoch so the timer dies with a
                     // crash (see EventKind::Timer handling in step()).
                     self.live_timers.insert(id, self.node_epoch[node.index()]);
+                    self.queue_arrivals_at(at);
                     self.queue.push(at, EventKind::Timer { node, id, token });
                 }
                 Action::CancelTimer(id) => {
@@ -634,22 +665,45 @@ impl<A: Application> Simulator<A> {
             });
         }
         // Enter the forwarding engine at the origin node "now".
-        self.queue.push_fifo(self.now, EventKind::Hop { node, pkt });
+        let mut to = self.spare.pop().unwrap_or_default();
+        to.push((node, opts.ttl));
+        self.queue_arrivals_at(self.now);
+        self.queue.push_fifo(self.now, EventKind::Hop { pkt, to });
     }
 
-    fn process_hop(&mut self, node: NodeId, pkt: Packet) {
-        if let Some(dest) = pkt.dest {
-            self.process_unicast_hop(node, dest, pkt);
-            return;
+    /// Walk one transmission's copies arriving now (see [`Simulator::step`]),
+    /// then queue the copies they forwarded.
+    fn process_batch(&mut self, mut pkt: Packet, mut to: Arrivals) {
+        let mut masks = None;
+        for &(node, ttl) in &to {
+            self.stats.events += 1;
+            pkt.ttl = ttl;
+            match pkt.dest {
+                Some(dest) => self.process_unicast_hop(node, dest, &pkt),
+                None => self.process_hop(node, &pkt, &mut masks),
+            }
         }
+        to.clear();
+        self.spare.push(to);
+        for (at, pkt, to) in self.arrivals.drain(..) {
+            self.queue.push_fifo(at, EventKind::Hop { pkt, to });
+        }
+    }
+
+    /// Deliver and forward one multicast copy. `masks` holds the batch's
+    /// [`GroupMasks`] once a copy has needed them.
+    fn process_hop(&mut self, node: NodeId, pkt: &Packet, masks: &mut Option<Rc<GroupMasks>>) {
         // Deliver to the local application if this node is a member of the
         // group (the origin does not loop its own packets back up).
         if node != pkt.src {
-            let masks = self.group_masks(pkt.src, pkt.group);
-            if masks.member[node.index()]
-                && self.apps.get(node.index()).is_some_and(|a| a.is_some())
-            {
-                self.deliver(node, &pkt);
+            let m = masks.get_or_insert_with(|| self.group_masks(pkt.src, pkt.group));
+            if m.member[node.index()] && self.apps.get(node.index()).is_some_and(|a| a.is_some()) {
+                self.deliver(node, pkt);
+                // Re-resolve after delivery: the handler may have joined or
+                // left a group, and forwarding must see the post-delivery
+                // membership. The memo makes this a version check when
+                // nothing changed.
+                *masks = Some(self.group_masks(pkt.src, pkt.group));
             }
         }
         // Forward along the source-rooted shortest-path tree over the
@@ -657,21 +711,17 @@ impl<A: Application> Simulator<A> {
         if pkt.ttl == 0 {
             return;
         }
-        // Re-resolve after delivery: the handler may have joined or left a
-        // group, and forwarding must see the post-delivery membership (as
-        // the direct BTree lookups here always did). The memo makes this a
-        // version check when nothing changed.
-        let masks = self.group_masks(pkt.src, pkt.group);
+        let masks = masks.get_or_insert_with(|| self.group_masks(pkt.src, pkt.group));
         for &(child, link) in masks.fan(node) {
-            self.cross_link(node, child, link, &pkt);
+            self.cross_link(node, child, link, pkt);
         }
     }
 
     /// Forward a unicast packet one hop toward `dest` (or deliver it).
-    fn process_unicast_hop(&mut self, node: NodeId, dest: NodeId, pkt: Packet) {
+    fn process_unicast_hop(&mut self, node: NodeId, dest: NodeId, pkt: &Packet) {
         if node == dest {
             if self.apps.get(node.index()).is_some_and(|a| a.is_some()) {
-                self.deliver(node, &pkt);
+                self.deliver(node, pkt);
             }
             return;
         }
@@ -684,7 +734,7 @@ impl<A: Application> Simulator<A> {
         let Some((next, link)) = tree.parent(node) else {
             return; // unreachable destination
         };
-        self.cross_link(node, next, link, &pkt);
+        self.cross_link(node, next, link, pkt);
     }
 
     fn deliver(&mut self, node: NodeId, pkt: &Packet) {
@@ -703,8 +753,8 @@ impl<A: Application> Simulator<A> {
         self.dispatch(node, |app, ctx| app.on_packet(ctx, pkt));
     }
 
-    /// Apply TTL/scope/loss/effects and schedule the packet's arrival(s) at
-    /// the far end of `link`.
+    /// Apply TTL/scope/loss/effects and add the packet's arrival(s) at the
+    /// far end of `link` to the batch's groups.
     fn cross_link(&mut self, node: NodeId, next: NodeId, link: crate::topology::LinkId, pkt: &Packet) {
         let l = self.topo.link(link);
         // mrouted convention: forward iff the current TTL clears the link
@@ -795,13 +845,24 @@ impl<A: Application> Simulator<A> {
                     pkt: pkt.id,
                 });
             }
-            self.queue.push_fifo(
-                at,
-                EventKind::Hop {
-                    node: next,
-                    pkt: pkt.forwarded(),
-                },
-            );
+            let copy = (next, pkt.ttl - 1);
+            match self.arrivals.iter_mut().rev().find(|g| g.0 == at) {
+                Some(group) => group.2.push(copy),
+                None => {
+                    let mut to = self.spare.pop().unwrap_or_default();
+                    to.push(copy);
+                    self.arrivals.push((at, pkt.clone(), to));
+                }
+            }
+        }
+    }
+
+    /// Queue the batch's group of copies arriving at `at`, if there is one,
+    /// ahead of what is about to be queued for the same instant.
+    fn queue_arrivals_at(&mut self, at: SimTime) {
+        if let Some(i) = self.arrivals.iter().position(|g| g.0 == at) {
+            let (at, pkt, to) = self.arrivals.remove(i);
+            self.queue.push_fifo(at, EventKind::Hop { pkt, to });
         }
     }
 

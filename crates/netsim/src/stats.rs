@@ -71,7 +71,10 @@ pub struct Stats {
     pub hops_by_flow: FlowCounts,
     /// Per-flow delivered-to-application counts.
     pub delivered_by_flow: FlowCounts,
-    /// Total events processed.
+    /// Logical events processed: one per copy of a packet arriving at a
+    /// node, one per timer that comes due (fired or cancelled) and one per
+    /// fault. A queue entry carrying a flood's copies for one instant
+    /// counts once per copy.
     pub events: u64,
 }
 

@@ -99,10 +99,16 @@ cargo test -q -p netsim --lib -- a_transmission_is_decoded_once_however_many_rec
     copies_share_one_decode_slot the_first_type_to_fill_the_slot_wins
 cargo test -q --test decode_once
 
-echo "== simulator queue order and fan-out (the FIFO hop lane pops in one heap's order; the fan table is the pruned SPT children; a leave mid-flood prunes later hops) =="
+echo "== simulator queue order and fan-out (the FIFO lane, where a flood's arrival batches go, pops in one heap's order; the fan table is the pruned SPT children; a leave mid-flood prunes the flood's later copies) =="
 cargo test -q -p netsim --lib -- lane_and_heap_pop_in_single_heap_order \
     monotone_hops_take_the_lane_and_the_rest_the_heap fan_table_is_the_pruned_spt_children \
     a_leave_inside_on_packet_prunes_the_rest_of_a_flood_in_flight run_until_advances_clock
+
+echo "== floods move one instant at a time (one queue entry carries a transmission's copies for one arrival instant, and handlers run in the order one entry per copy gave them: the same-instant tie sweep and the Fig. 4 round keep their pinned hashes, decoding once keeps the event log, netsim's unit tests pass) =="
+cargo test -q --test flood_order
+cargo test -q --test perf_invariants
+cargo test -q --test decode_once
+cargo test -q -p netsim --lib
 
 echo "== one deadline queue (netsim's DeadlineQueue pops in one heap's (at, seq) order under push, push_fifo and retain; the live timer wheel and the chaos hold-back queue are instances of it, the wheel with the simulator's live-timer-map cancellation and a bounded dead-entry count; a chaos duration or hold-back past the clock is refused) =="
 cargo test -q -p netsim --lib event::
